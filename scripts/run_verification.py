@@ -34,7 +34,7 @@ def run_ledger(args):
 
 
 def run_sweep(args):
-    rows = zeros.verify_theorem_m1(max_ell=args.max_ell, jobs=args.jobs)
+    rows = zeros.verify_theorem_m1(max_ell=args.max_ell)
     return True, f"{len(rows)} forms, all roots on [0,1728]"
 
 
@@ -44,7 +44,7 @@ def run_mrl(args):
         rep = certify.proposition_mrl_check(k, m, grid_step=args.grid_step,
                                             prec=args.precision_bits)
         if not rep.passed:
-            return False, f"violated at k={k}, m={m}"
+            return False, f"violated at k={k}, m={m}, theta={rep.violations[0]!r}"
         worst = max(worst, rep.grid_max + rep.err_at_max)
     return True, f"grid max+err {worst:.6f} < 2"
 
@@ -59,7 +59,6 @@ def run_counterexample(args):
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-ell", type=int, default=14)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--grid-step", type=float, default=1e-3)
     ap.add_argument("--precision-bits", type=int, default=128)
     args = ap.parse_args()

@@ -28,6 +28,7 @@ from functools import lru_cache
 from mpmath import mp, mpc, mpf, workprec
 
 from . import qseries
+from .qseries import EISENSTEIN_FACTORS
 from .evalnum import (DEFAULT_PREC, CertValue, EisensteinTail, GeometricTail,
                       JCoeffTail, arc_functions, arc_grid, arc_j,
                       eval_delta_eta, eval_series, j_tail_bound,
@@ -761,8 +762,6 @@ def residue_entries(k: int = 192, m: int = 1, grid_step: float = 1e-3,
 # the assembled contour table and the growth constants
 
 
-_EIS_FACTORS = {0: (0, 0), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1), 14: (2, 1)}
-
 # printed case bounds, keyed by (kprime, height label)
 _TABLE_CLAIMS = {
     (0, "075"): Fraction("51.31"), (4, "075"): Fraction("21.72"),
@@ -797,8 +796,8 @@ class ConstantsReport:
 
 def _table_value(kprime: int, label: str) -> Fraction:
     e4a, e6a, e4l, e6l, dmin, jsep = _INGREDIENTS[label]
-    a_arc, b_arc = _EIS_FACTORS[kprime]
-    a_line, b_line = _EIS_FACTORS[14 - kprime]
+    a_arc, b_arc = EISENSTEIN_FACTORS[kprime]
+    a_line, b_line = EISENSTEIN_FACTORS[14 - kprime]
     num = (e4a ** a_arc) * (e6a ** b_arc) * (e4l ** a_line) * (e6l ** b_line)
     return num / (dmin * jsep)
 
@@ -819,7 +818,7 @@ def constants_ledger(prec: int = DEFAULT_PREC, grid_step: float = 1e-2,
         maxima = {}
         for label in ("075", "065"):
             best = Fraction(0)
-            for kprime in _EIS_FACTORS:
+            for kprime in EISENSTEIN_FACTORS:
                 val = _table_value(kprime, label)
                 claim = _TABLE_CLAIMS[(kprime, label)]
                 entries.append(_entry_exact(f"table.{label}.k{kprime}",
@@ -882,7 +881,7 @@ def _table_numeric_check(prec: int, grid_step: float) -> list:
         y = heights[label]
         jl, jh = jranges[label]
         n_pts = int(0.5 / grid_step) + 1
-        best = {kp: mpf(0) for kp in _EIS_FACTORS}
+        best = {kp: mpf(0) for kp in EISENSTEIN_FACTORS}
         for i in range(n_pts + 1):
             x = min(mpf(0.5), i * mpf(grid_step))
             tau = x + 1j * y
@@ -899,14 +898,14 @@ def _table_numeric_check(prec: int, grid_step: float) -> list:
             else:
                 dist = abs(im)
             dist = max(dist - jv.err, mpf(2) ** -40)
-            for kp in _EIS_FACTORS:
-                al, bl = _EIS_FACTORS[14 - kp]
+            for kp in EISENSTEIN_FACTORS:
+                al, bl = EISENSTEIN_FACTORS[14 - kp]
                 v = e4v ** al * e6v ** bl / (dv * dist)
                 if v > best[kp]:
                     best[kp] = v
         e4cap, e6cap = arc_caps[label]
-        for kp in _EIS_FACTORS:
-            aa, ba = _EIS_FACTORS[kp]
+        for kp in EISENSTEIN_FACTORS:
+            aa, ba = EISENSTEIN_FACTORS[kp]
             v = e4cap ** aa * e6cap ** ba * best[kp]
             entries.append(_entry_upper(f"table.{label}.k{kp}.grid",
                                         f"numerical maximum, extra weight {kp}, height 0.{label[1:]}",
@@ -969,7 +968,7 @@ def proposition_mrl_check(k: int, m: int, grid_step: float = 1e-3,
                 violations.append(float(theta))
     return MrlReport(k=k, m=m, hypothesis_ok=hypothesis, grid_max=worst,
                      err_at_max=worst_err, theta_at_max=worst_theta,
-                     passed=not violations)
+                     passed=not violations, violations=violations)
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,6 @@ def _parser() -> argparse.ArgumentParser:
     common(sub.add_parser("verify-bounds", help="full bound ledger"))
     sp = common(sub.add_parser("verify-thm2", help="exhaustive m=1 sweep"))
     sp.add_argument("--max-ell", type=int, default=14)
-    sp.add_argument("--jobs", type=int, default=1)
     common(sub.add_parser("mrl-check", help="oscillation estimate on a grid"),
            k=True, m=True)
     sp = common(sub.add_parser("dist", help="zero angle distribution"))
@@ -147,7 +146,7 @@ def _cmd_verify_bounds(args, out) -> int:
 
 def _cmd_verify_thm2(args, out) -> int:
     try:
-        results = zeros.verify_theorem_m1(max_ell=args.max_ell, jobs=args.jobs)
+        results = zeros.verify_theorem_m1(max_ell=args.max_ell)
     except zeros.TheoremViolationError as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         return 1

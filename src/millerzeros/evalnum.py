@@ -352,10 +352,7 @@ def eval_form(form, tau, prec: int = DEFAULT_PREC, trunc_scale: int = 1) -> Cert
             ek = CertValue(mpf(1))
         nj = max(n, int(1 / float(y) ** 2) + 8)
         jv = eval_series(qseries.jfunction(nj), tau, JCoeffTail(), prec=prec)
-        acc = CertValue(mpf(0))
-        for c in reversed(form.faber.coeffs):
-            acc = acc * jv + CertValue.exact(c)
-        return dl * ek * acc
+        return dl * ek * form.faber(jv)
 
 
 # ---------------------------------------------------------------------------
@@ -455,22 +452,17 @@ class LemniscateConstants:
 
 
 def lemniscate_constants(prec: int = DEFAULT_PREC) -> LemniscateConstants:
-    """Both arclength integrals by tanh-sinh quadrature, radius <= 1e-9.
+    """Both arclength integrals in closed form, padded like other values.
 
-    The quadrature's own error estimate is inflated by three orders of
-    magnitude before being trusted; the values are independently pinned
-    by tests against Delta(i) and E_6(rho) evaluations.
+    varpi = pi / agm(1, sqrt 2) and varpi' = Gamma(1/6) Gamma(1/2) /
+    (3 Gamma(2/3)); the values are independently pinned by tests against
+    Delta(i) and E_6(rho) evaluations.
     """
-    out = []
     with workprec(prec + 64):
-        for power in (4, 6):
-            val, est = mp.quad(lambda x: 2 / mp.sqrt(1 - x ** power),
-                               [0, 1], error=True)
-            err = est * 1000 + _pad(val)
-            if err > mpf(1e-9):
-                raise ArithmeticError(f"quadrature radius {err} too large")
-            out.append(CertValue(val, err))
-    return LemniscateConstants(varpi=out[0], varpi_prime=out[1])
+        varpi = mp.pi / mp.agm(1, mp.sqrt(2))
+        varpi_prime = mp.gamma(mpf(1) / 6) * mp.sqrt(mp.pi) / (3 * mp.gamma(mpf(2) / 3))
+        return LemniscateConstants(varpi=CertValue(varpi, _pad(varpi)),
+                                   varpi_prime=CertValue(varpi_prime, _pad(varpi_prime)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .qseries import FormId, QSeries, delta, eisenstein, jfunction
 
@@ -109,9 +110,61 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def shift_x(self, d: int) -> "IntPolynomial":
-        """Multiply by x^d."""
-        return IntPolynomial.make([0] * d + list(self.coeffs))
+    def sign_at(self, x) -> int:
+        """Exact sign of p(x) at a rational x = a/b, from b^d p(a/b) in integers."""
+        x = Fraction(x)
+        a, b = x.numerator, x.denominator
+        acc, scale = 0, 1
+        for c in reversed(self.coeffs):
+            acc = acc * a + c * scale
+            scale *= b
+        return (acc > 0) - (acc < 0)
+
+    def primitive(self) -> "IntPolynomial":
+        """Divide by the positive content; the signs of all values are kept."""
+        g = gcd(*self.coeffs)
+        return self if g <= 1 else IntPolynomial(tuple(c // g for c in self.coeffs))
+
+    def rem(self, other: "IntPolynomial") -> "IntPolynomial":
+        """Primitive part of a positive multiple of the remainder self mod other.
+
+        Each elimination step scales by |lc(other)| / g, never by a
+        negative number, so the result has the signs of the rational
+        remainder everywhere: one step of a primitive remainder sequence
+        (Collins 1967), as a Sturm chain needs it.
+        """
+        b = other.coeffs
+        lb, n = b[-1], len(b)
+        if lb == 0:
+            raise ZeroDivisionError("polynomial remainder by zero")
+        r = list(self.coeffs)
+        for shift in range(len(r) - n, -1, -1):
+            lead = r[shift + n - 1]
+            g = gcd(lead, lb)
+            u, f = abs(lb) // g, lead // g if lb > 0 else -lead // g
+            r = [u * c for c in r]
+            for i, bc in enumerate(b):
+                r[shift + i] -= f * bc
+        return IntPolynomial.make(r[:n - 1] or [0]).primitive()
+
+    def exact_div(self, other: "IntPolynomial") -> "IntPolynomial":
+        """The quotient self / other, integral when other is primitive and
+        divides self (Gauss's lemma); ArithmeticError if it does not divide.
+        """
+        b = other.coeffs
+        lb, n = b[-1], len(b)
+        r = list(self.coeffs)
+        q = [0] * max(1, len(r) - n + 1)
+        for shift in range(len(r) - n, -1, -1):
+            c, rest = divmod(r[shift + n - 1], lb)
+            if rest:
+                raise ArithmeticError("quotient is not integral")
+            q[shift] = c
+            for i, bc in enumerate(b):
+                r[shift + i] -= c * bc
+        if any(r):
+            raise ArithmeticError("division leaves a remainder")
+        return IntPolynomial.make(q)
 
     def to_json_dict(self, var_meta: dict | None = None) -> dict:
         d = dict(var_meta or {})

@@ -371,7 +371,9 @@ def ramanujan_derivative_check(trunc: int) -> bool:
 # ---------------------------------------------------------------------------
 # weight bookkeeping
 
-EXTRA_WEIGHTS = (0, 4, 6, 8, 10, 14)
+# E_{k'} = E_4^a E_6^b for each extra weight k', as k' -> (a, b)
+EISENSTEIN_FACTORS = {0: (0, 0), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1), 14: (2, 1)}
+EXTRA_WEIGHTS = tuple(EISENSTEIN_FACTORS)
 
 
 @dataclass(frozen=True)

@@ -14,24 +14,23 @@ The j-images of the arc brackets must land in the Faber isolating
 intervals, and the valence formula must reconcile exactly; both checks
 are assembled into a ZeroReport.
 
-Sturm chains here use dense rational arithmetic, entirely adequate for
-the degrees this package isolates exactly (the exhaustive sweeps stop at
-degree 13); arc localization alone handles the large-ell forms.
+Sturm chains here are primitive remainder sequences of IntPolynomial
+(integers only; every sign comes from IntPolynomial.sign_at), adequate
+for the degrees this package isolates exactly (the exhaustive sweeps stop
+at degree 13); arc localization alone handles the large-ell forms.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 from mpmath import mp, mpf, workprec
 
 from .evalnum import DEFAULT_PREC, arc_form, arc_j, form_arc_prec
 from .miller import IntPolynomial, MillerForm, miller_form
-from .qseries import EXTRA_WEIGHTS, FormId
+from .qseries import EISENSTEIN_FACTORS, EXTRA_WEIGHTS, FormId
 
 ROOT_WIDTH = Fraction(1728, 10 ** 6)    # default isolating interval width
 
@@ -56,87 +55,34 @@ class TheoremViolationError(AssertionError):
 # exact polynomial tools
 
 
-def _poly_trim(c: list) -> list:
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_eval(c: list, x: Fraction):
-    acc = 0
-    for a in reversed(c):
-        acc = acc * x + a
-    return acc
-
-
-def _poly_divmod(a: list, b: list) -> tuple:
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        f = a[-1] / b[-1]
-        q[shift] = f
-        for i, bc in enumerate(b):
-            a[i + shift] -= f * bc
-        a.pop()
-    return _poly_trim(q), _poly_trim(a or [Fraction(0)])
-
-
-def _primitive(c: list) -> list:
-    """Clear denominators and content; the positive scale keeps all signs."""
-    denom = 1
-    for x in c:
-        denom = denom * Fraction(x).denominator // gcd(denom, Fraction(x).denominator)
-    ints = [int(Fraction(x) * denom) for x in c]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return [x // g for x in ints] if g else ints
-
-
-def _poly_gcd(a: list, b: list) -> list:
-    a, b = _primitive(a), _primitive(b)
-    while any(b) and len(b) > 1 or (len(b) == 1 and b[0] != 0):
-        _, r = _poly_divmod(a, b)
-        a, b = b, _primitive(r)
-        if b == [0]:
-            break
-    return a
-
-
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     if p.degree <= 1:
         return p
-    g = _poly_gcd(list(p.coeffs), list(p.derivative().coeffs))
-    if len(g) == 1:
+    a, b = p.primitive(), p.derivative().primitive()
+    while b.degree >= 0:
+        a, b = b, a.rem(b)
+    if a.degree == 0:
         return p
-    q, r = _poly_divmod(list(p.coeffs), g)
-    assert r == [Fraction(0)] or not any(r), "gcd must divide"
-    return IntPolynomial.make(_primitive(q))
+    return p.exact_div(a).primitive()
 
 
 def sturm_chain(p: IntPolynomial) -> list:
-    chain = [_primitive(list(p.coeffs)), _primitive(list(p.derivative().coeffs))]
-    while True:
-        _, r = _poly_divmod(chain[-2], chain[-1])
-        if not any(r):
+    """Sturm sequence p, p', -rem, ... as primitive integer polynomials.
+
+    Every remainder is a positive multiple of the rational one, so the
+    sign pattern at any point matches the classical chain.
+    """
+    chain = [p.primitive(), p.derivative().primitive()]
+    while chain[-1].degree > 0:
+        r = chain[-2].rem(chain[-1])
+        if r.degree < 0:
             break
-        chain.append(_primitive([-x for x in r]))
-        if len(chain[-1]) == 1 and chain[-1][0] != 0:
-            break
+        chain.append(-r)
     return chain
 
 
 def _sign_changes(chain: list, x: Fraction) -> int:
-    signs = []
-    for c in chain:
-        v = _poly_eval(c, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+    signs = [s for s in (c.sign_at(x) for c in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -151,13 +97,13 @@ def cauchy_bound(p: IntPolynomial) -> Fraction:
     return 1 + Fraction(m, lead)
 
 
-def _safe_point(p: list, lo: Fraction, hi: Fraction) -> Fraction:
+def _safe_point(p: IntPolynomial, lo: Fraction, hi: Fraction) -> Fraction:
     """A bisection point in (lo, hi) that is not a root of p."""
     mid = (lo + hi) / 2
     step = (hi - lo) / 64
     for i in range(32):
         cand = mid + i * step / 32
-        if cand < hi and _poly_eval(p, cand) != 0:
+        if cand < hi and p.sign_at(cand) != 0:
             return cand
     raise ArithmeticError("could not find a root-free bisection point")
 
@@ -172,11 +118,10 @@ def sturm_isolate(p: IntPolynomial, lo: Fraction, hi: Fraction,
     """
     lo, hi = Fraction(lo), Fraction(hi)
     sqf = squarefree_part(p)
-    c = list(sqf.coeffs)
     out = []
-    if _poly_eval(c, lo) == 0:
+    if sqf.sign_at(lo) == 0:
         out.append((lo, lo))
-    if hi != lo and _poly_eval(c, hi) == 0:
+    if hi != lo and sqf.sign_at(hi) == 0:
         out.append((hi, hi))
     chain = sturm_chain(sqf)
     eps = width / 2 ** 10
@@ -188,12 +133,12 @@ def sturm_isolate(p: IntPolynomial, lo: Fraction, hi: Fraction,
         if n == 1 and b - a <= width:
             out.append((a, b))
             return
-        mid = _safe_point(c, a, b)
+        mid = _safe_point(sqf, a, b)
         inner(a, mid)
         inner(mid, b)
 
-    a0 = lo + eps if _poly_eval(c, lo) == 0 else lo
-    b0 = hi - eps if _poly_eval(c, hi) == 0 else hi
+    a0 = lo + eps if sqf.sign_at(lo) == 0 else lo
+    b0 = hi - eps if sqf.sign_at(hi) == 0 else hi
     if b0 > a0:
         inner(a0, b0)
     out.sort()
@@ -216,7 +161,7 @@ def count_off_interval(p: IntPolynomial, lo: Fraction = Fraction(0),
     total = _count_in(chain, -b, b)
     lo, hi = Fraction(lo), Fraction(hi)
     inside = _count_in(chain, lo, hi)
-    if _poly_eval(list(sqf.coeffs), lo) == 0:
+    if sqf.sign_at(lo) == 0:
         inside += 1
     outside = total - inside
     return {"real_outside": outside,
@@ -342,14 +287,19 @@ def j_of_angle(interval, prec: int = DEFAULT_PREC) -> tuple:
     """Certified rational enclosure of j(e^{i theta}) over an angle interval.
 
     j is strictly decreasing along the arc, so the image is spanned by
-    the endpoint evaluations widened by their radii.
+    the endpoint evaluations widened by their radii.  Values and radii
+    convert to Fraction exactly, so the enclosure has no rounding at all.
     """
     lo, hi = interval if isinstance(interval, tuple) else (interval, interval)
     top = arc_j(lo, prec=prec)
     bot = arc_j(hi, prec=prec)
-    hi_val = Fraction(str(mp.nstr(top.value + top.err, 30)))
-    lo_val = Fraction(str(mp.nstr(bot.value - bot.err, 30)))
-    return (lo_val, hi_val)
+    return (_exact(bot.value) - _exact(bot.err), _exact(top.value) + _exact(top.err))
+
+
+def _exact(x: mpf) -> Fraction:
+    """The binary value of an mpf, without rounding."""
+    man, exp = x.man_exp
+    return man * Fraction(2) ** exp
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +312,7 @@ def trivial_orders(kprime: int) -> tuple:
     E_6 vanishes simply at i and E_4 simply at rho; E_{k'} factors as
     E_4^a E_6^b with 4a + 6b = k'.
     """
-    table = {0: (0, 0), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1), 14: (2, 1)}
-    a, b = table[kprime]
+    a, b = EISENSTEIN_FACTORS[kprime]
     return (b, a)
 
 
@@ -399,10 +348,8 @@ class ZeroReport:
 def _boundary_multiplicity(p: IntPolynomial, at: int) -> tuple:
     """Deflate exact roots at a rational point; (multiplicity, quotient)."""
     mult = 0
-    while p.degree >= 0 and p(at) == 0 and p.degree > 0:
-        q, r = _poly_divmod(list(p.coeffs), [-at, 1])
-        assert not any(r)
-        p = IntPolynomial.make(_primitive(q))
+    while p.degree > 0 and p(at) == 0:
+        p = p.exact_div(IntPolynomial((-at, 1))).primitive()
         mult += 1
     return mult, p
 
@@ -464,17 +411,15 @@ def valence_reconcile(report: ZeroReport, faber_degree: int | None = None) -> bo
 # the exhaustive small-weight sweep
 
 
-def _theorem_case(args) -> tuple:
-    k, trunc = args
-    form = miller_form(k, 1)
-    rep = zero_report(form, with_arc=False)
+def _theorem_case(k: int) -> tuple:
+    rep = zero_report(miller_form(k, 1), with_arc=False)
     ok = (rep.faber_roots_out["real_outside"] == 0
           and rep.faber_roots_out["complex_pairs"] == 0
           and rep.squarefree_defect == 0)
     return k, ok, rep
 
 
-def verify_theorem_m1(max_ell: int = 14, jobs: int = 1) -> list:
+def verify_theorem_m1(max_ell: int = 14) -> list:
     """All g_{k,1} with 1 <= ell <= max_ell have real simple Faber roots
     inside [0, 1728]; raises TheoremViolationError at the first failure.
 
@@ -484,14 +429,8 @@ def verify_theorem_m1(max_ell: int = 14, jobs: int = 1) -> list:
     """
     ks = sorted(12 * ell + kp for ell in range(1, max_ell + 1)
                 for kp in EXTRA_WEIGHTS)
-    work = [(k, None) for k in ks]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_theorem_case, work))
-    else:
-        results = [_theorem_case(w) for w in work]
     out = []
-    for k, ok, rep in results:
+    for k, ok, rep in map(_theorem_case, ks):
         if not ok:
             raise TheoremViolationError(rep.id, "Faber roots leave [0, 1728]")
         if not rep.valence_ok:

@@ -226,3 +226,9 @@ def test_mrl_report_off_hypothesis():
     assert rep.hypothesis_ok is False
     assert rep.grid_max > 0
     assert rep.k == 132 and rep.m == 9
+
+
+def test_mrl_report_lists_violations():
+    rep = proposition_mrl_check(48, 3, grid_step=1e-2)
+    assert not rep.passed
+    assert rep.violations and all(1.57 < t < 2.1 for t in rep.violations)

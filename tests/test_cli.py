@@ -70,6 +70,15 @@ def test_roots_values(capsys):
     assert all(r["inside"] for r in rows)
 
 
+@pytest.mark.parametrize("k", [12, 16])
+def test_roots_degree_zero_faber(capsys, k):
+    # m = ell: the Faber polynomial is the constant 1
+    code, out, _ = run(capsys, "roots", "--k", str(k), "--m", "1")
+    assert code == 0
+    assert json.loads(out) == {"k": k, "m": 1,
+                               "summary": {"real_outside": 0, "complex_pairs": 0}}
+
+
 def test_arc_zeros_exit_and_schema(capsys):
     code, out, _ = run(capsys, "arc-zeros", "--k", "48", "--m", "1")
     assert code == 0

@@ -276,7 +276,7 @@ def test_lemniscate_constants():
     lc = lemniscate_constants()
     assert abs(lc.varpi.value - mpf("2.622057")) < 1e-5
     assert abs(lc.varpi_prime.value - mpf("2.42865")) < 1e-4
-    assert lc.varpi.err <= 1e-9 and lc.varpi_prime.err <= 1e-9
+    assert lc.varpi.err < 1e-40 and lc.varpi_prime.err < 1e-40
     twelfth = (lc.varpi.value / (mp.sqrt(2) * mp.pi)) ** 12
     assert abs(twelfth - mpf("0.00178537")) < 1e-7
 

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, workprec
 
 from millerzeros.qseries import FormId
+from millerzeros.evalnum import arc_j
 from millerzeros.miller import IntPolynomial, miller_form
 from millerzeros.zeros import (
     ROOT_WIDTH, InconclusiveSignError, TheoremViolationError,
-    _poly_divmod, _poly_eval, _primitive, squarefree_part, sturm_chain,
+    squarefree_part, sturm_chain,
     sturm_isolate, isolate_real_roots, count_off_interval, cauchy_bound,
     HFunction, arc_zero_localize, refine_arc_zero, j_of_angle,
     trivial_orders, ZeroReport, zero_report, valence_reconcile,
@@ -31,6 +32,22 @@ def poly_from_roots(roots, extra=None):
 # ---------------------------------------------------------------------------
 # exact polynomial plumbing
 
+
+def _divmod_oracle(a: list, b: list) -> tuple:
+    """Dense Fraction long division, the reference for IntPolynomial.rem."""
+    r = [Fraction(c) for c in a]
+    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    for shift in range(len(a) - len(b), -1, -1):
+        q[shift] = r[shift + len(b) - 1] / b[-1]
+        for i, bc in enumerate(b):
+            r[shift + i] -= q[shift] * bc
+    return q, r[:len(b) - 1]
+
+
+def _eval(c: list, x: Fraction):
+    return sum(a * x ** i for i, a in enumerate(c))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(-9, 9), min_size=3, max_size=7),
        st.lists(st.integers(-9, 9), min_size=2, max_size=4))
@@ -39,18 +56,37 @@ def test_poly_divmod_reconstructs(a, b):
         b = b[:-1]
     if not b:
         return
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    q, r = _poly_divmod(a, b)
-    deg_b = len(b) - 1
+    pa, pb = IntPolynomial.make(a), IntPolynomial.make(b)
+    assert (pa * pb).exact_div(pb) == pa
+    q, r = _divmod_oracle(a, b)
     x = Fraction(3, 7)
-    assert _poly_eval(a, x) == _poly_eval(q, x) * _poly_eval(b, x) + _poly_eval(r, x)
-    assert all(c == 0 for c in r[deg_b:])
+    assert _eval(a, x) == _eval(q, x) * _eval(b, x) + _eval(r, x)
+    got = pa.rem(pb)
+    assert got.degree < pb.degree
+    if not any(r):
+        assert got.degree < 0
+    else:                          # a positive multiple of the rational remainder
+        top = max(i for i, c in enumerate(r) if c)
+        scale = got.coeffs[top] / r[top]
+        assert scale > 0 and len(got.coeffs) == top + 1
+        assert all(g == scale * c for g, c in zip(got.coeffs, r))
+    for x in (Fraction(3, 7), Fraction(-5, 2), Fraction(0), Fraction(2)):
+        v = _eval(a, x)
+        assert pa.sign_at(x) == (v > 0) - (v < 0)
+
+
+def test_exact_div_rejects_inexact():
+    with pytest.raises(ArithmeticError):
+        IntPolynomial.make([1, 0, 1]).exact_div(IntPolynomial.make([-1, 1]))
+    with pytest.raises(ArithmeticError):        # rational but not integral
+        IntPolynomial.make([0, 0, 1]).exact_div(IntPolynomial.make([1, 2]))
 
 
 def test_primitive_scaling():
-    assert _primitive([Fraction(2, 3), Fraction(4, 3)]) == [1, 2]
-    assert _primitive([Fraction(-6), Fraction(-9)]) == [-2, -3]   # positive lead
+    assert IntPolynomial.make([4, 8]).primitive() == IntPolynomial.make([1, 2])
+    assert IntPolynomial.make([-6, -9]).primitive() == \
+        IntPolynomial.make([-2, -3])            # positive content keeps signs
+    assert IntPolynomial.make([0]).primitive() == IntPolynomial.make([0])
 
 
 def test_squarefree_part():
@@ -179,6 +215,18 @@ def test_j_of_angle_endpoints():
         lo, hi = j_of_angle((mp.pi / 2, 2 * mp.pi / 3))
     assert lo <= 0 <= hi or lo <= Fraction(1, 10 ** 6)
     assert hi >= 1728
+
+
+def test_j_of_angle_rounds_outward():
+    def exact(x):
+        man, exp = x.man_exp
+        return Fraction(man) * Fraction(2) ** exp
+
+    for theta in (1.6, 1.7):
+        cv = arc_j(theta)
+        lo, hi = j_of_angle(theta)
+        assert lo <= exact(cv.value) - exact(cv.err)
+        assert hi >= exact(cv.value) + exact(cv.err)
 
 
 # ---------------------------------------------------------------------------
