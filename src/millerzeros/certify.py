@@ -493,20 +493,27 @@ def _line_label(y: Fraction) -> str:
     return "065" if y == Fraction(13, 20) else "075"
 
 
+def _rational(x: Fraction) -> mpf:
+    """An exact rational at the ambient precision, rounded once."""
+    return mpf(x.numerator) / x.denominator
+
+
 def _dominated_tail(k: int, y: Fraction, n_from: int, dom: Fraction) -> tuple:
     """(tail bound, domination check) for gamma_k sum_{n >= n_from} sigma(n) r^n.
 
     Uses sigma_{k-1}(n) <= n^k = (n^k e^(-pi y n)) e^(pi y n) with the
     stated constant dominating the bracket for all n >= n_from; validity
-    needs the bracket maximum k/(pi y) to sit left of n_from.
+    needs the bracket maximum k/(pi y) to sit left of n_from.  Built in
+    mpf from the exact rationals, so only ambient-precision rounding
+    enters and the caller's few-ulp pad covers it.
     """
     gamma = abs(Fraction(2 * k) / qseries.bernoulli(k))
-    c = mp.pi * mpf(y.numerator) / y.denominator
-    peak_ok = k / float(c) < n_from
-    first_ok = mpf(n_from) ** k * mp.e ** (-c * n_from) <= mpf(dom.numerator) / dom.denominator
+    c = mp.pi * _rational(y)
+    peak_ok = k / c < n_from
+    first_ok = mpf(n_from) ** k * mp.e ** (-c * n_from) <= _rational(dom)
     half = mp.e ** (-c)
-    tail = float(gamma) * float(dom) * half ** n_from / (1 - half)
-    return mpf(tail), bool(peak_ok and first_ok)
+    tail = _rational(gamma) * _rational(dom) * half ** n_from / (1 - half)
+    return tail, bool(peak_ok and first_ok)
 
 
 def _line_lipschitz(k: int, y: float, nmax: int = 40) -> mpf:
@@ -534,16 +541,16 @@ def eisenstein_line_bounds(prec: int = DEFAULT_PREC, grid_step: float = 1e-3) ->
         lbl = f"e{k}.line.{_line_label(y)}"
         ref = f"E_{k} bound on the height-{float(y)} line"
         with workprec(prec + 12):
-            r = mp.e ** (-2 * mp.pi * mpf(y.numerator) / y.denominator)
+            r = mp.e ** (-2 * mp.pi * _rational(y))
             gamma = Fraction(2 * k) / qseries.bernoulli(k)
             sig = qseries._divisor_power_sums(k - 1, 2)
             # printed partial sum value (coefficients aligned at x = 0)
             c1 = abs(gamma) * sig[1]
             c2 = abs(gamma) * sig[2]
             if k == 4:
-                partial = 1 + float(c1) * r + float(c2) * r ** 2
+                partial = 1 + _rational(c1) * r + _rational(c2) * r ** 2
             else:
-                partial = abs(1 - float(c1) * r - float(c2) * r ** 2)
+                partial = abs(1 - _rational(c1) * r - _rational(c2) * r ** 2)
             entries.append(_entry_upper(f"{lbl}.partial", ref + ", two-term part",
                                         CertValue(partial, _pad_of(partial)), partial_claim))
             tail, dom_ok = _dominated_tail(k, y, 3, dom)

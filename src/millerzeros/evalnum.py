@@ -268,12 +268,15 @@ def auto_trunc(y, prec: int) -> int:
 
 
 def form_arc_prec(ell: int, m: int, floor: int = DEFAULT_PREC) -> int:
-    """Working precision for arc evaluation of a basis form.
+    """Working precision for the direct evaluation of a basis form on the arc.
 
-    The Horner sum for F(j) runs through intermediates comparable to
-    prod (|j| + r_i) while the product with Delta^ell collapses to order
-    e^(-2 pi m sin theta); the gap grows linearly in ell (empirically
-    under 2.8 bits per unit) plus the 2 pi m / log 2 bits of amplitude.
+    Used by the oscillation check (mrl-check) and as the independent
+    oracle for the arc signs; the zero localization decides signs through
+    F(j) and does not use it.  The Horner sum for F(j) runs through
+    intermediates comparable to prod (|j| + r_i) while the product with
+    Delta^ell collapses to order e^(-2 pi m sin theta); the gap grows
+    linearly in ell (empirically under 2.8 bits per unit) plus the
+    2 pi m / log 2 bits of amplitude.
     """
     return max(floor, 64 + 3 * ell + 10 * m)
 
@@ -434,11 +437,17 @@ def arc_form(form, p, prec: int = DEFAULT_PREC, trunc_scale: int = 1) -> CertVal
 
 
 def arc_j(p, prec: int = DEFAULT_PREC) -> CertValue:
-    """j(e^(i theta)) computed as e4^3 / delta_arc; real, 0 at the rho end."""
-    av = arc_functions(p, prec=prec)
+    """j(e^(i theta)) from its q-series with the JCoeffTail bound; real, 0 at rho.
+
+    The same j evaluation as in eval_form, with the truncation also past
+    1/sin^2 theta, where the tail estimate starts to hold.
+    """
     with workprec(prec + _GUARD):
-        num = av.e4.pow_int(3)
-        return num / av.delta_arc
+        theta = _theta_mpf(p)
+        y = mp.sin(theta)
+        n = max(auto_trunc(y, prec), int(1 / float(y) ** 2) + 8)
+        return eval_series(qseries.jfunction(n), mp.e ** (1j * theta), JCoeffTail(),
+                           prec=prec).as_real()
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,61 @@ class IntPolynomial:
             scale *= b
         return (acc > 0) - (acc < 0)
 
+    def sign_on(self, center, radius) -> int:
+        """Exact sign of p on [center - radius, center + radius]; 0 if undecided.
+
+        center and radius are dyadic, 0 <= radius < 1; on a grid 2^-e that
+        holds center = a / 2^e exactly, radius <= R / 2^e is rounded up by
+        at most 2^-32 of itself.  Equal signs at the two ends would not do
+        (two roots can hide between them), so this is a Taylor model in
+        integers only.  With P(y) = 2^(e d) p(y / 2^e), repeated synthetic
+        division by y - a gives Q_i = 2^(e (d - i)) p^(i)(c) / i!, and on
+        the interval |Q(z) - Q_0| <= sum_(1 <= i <= t) |Q_i| R^i + tail.
+        The Cauchy estimate on the unit circle about c bounds the tail by
+        sum_(i > t) |b_i| r^i <= p~(ceil|c| + 1) r^(t+1) / (1 - r), where p~
+        has the absolute coefficients.  t grows until |Q_0| wins or the
+        expansion is complete.
+        """
+        c, r = Fraction(center), Fraction(radius)
+        if not 0 <= r < 1:
+            raise ValueError(f"radius {r} outside [0, 1)")
+        if c.denominator & (c.denominator - 1) or r.denominator & (r.denominator - 1):
+            raise ValueError("center and radius must be dyadic")
+        d = len(self.coeffs) - 1
+        # the grid 2^-e holds c exactly and r rounded up by at most 2^-32 of itself
+        e_c, e_r = c.denominator.bit_length() - 1, r.denominator.bit_length() - 1
+        e = max(e_c, min(e_r, e_r - r.numerator.bit_length() + 33))
+        a = c.numerator << (e - e_c)
+        big_r = r.numerator << (e - e_r) if e >= e_r else -(-r.numerator >> (e_r - e))
+        gap = (1 << e) - big_r
+        if gap <= 0:
+            return 0
+        cap = -(-abs(c.numerator) // c.denominator) + 1
+        envelope = 0
+        for coef in reversed(self.coeffs):
+            envelope = envelope * cap + abs(coef)
+        q = [coef << (e * (d - j)) for j, coef in enumerate(self.coeffs)]
+        head = near = 0
+        power = 1
+        for t in range(d + 1):
+            # one synthetic division by y - a: q[0] is Q_t, q[1:] the quotient
+            for j in range(len(q) - 2, -1, -1):
+                q[j] += a * q[j + 1]
+            coef_t = q.pop(0)
+            if t == 0:
+                if coef_t == 0:
+                    return 0
+                head = abs(coef_t)
+                sign = 1 if coef_t > 0 else -1
+            else:
+                near += abs(coef_t) * power
+            power *= big_r
+            if t == d:
+                return sign if head > near else 0
+            tail = envelope * power << (e * (d - t))
+            if (head - near) * gap > tail:
+                return sign
+
     def primitive(self) -> "IntPolynomial":
         """Divide by the positive content; the signs of all values are kept."""
         g = gcd(*self.coeffs)

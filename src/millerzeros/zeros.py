@@ -8,7 +8,10 @@ Two independent mechanisms see every zero:
   * certified sign changes of the real arc function
     G(theta) = e^(i k theta / 2) g_{k,m}(e^(i theta)) sampled at the
     angles where h(theta) = k theta / 2 + 2 pi m cos theta crosses
-    multiples of pi.
+    multiples of pi.  On the arc G = delta_arc^ell e4^a e6^b F(j) and
+    the first two factors have certified signs, so each sample is one
+    certified j(theta) enclosure at a precision independent of k plus
+    one exact integer sign of F on it (IntPolynomial.sign_on).
 
 The j-images of the arc brackets must land in the Faber isolating
 intervals, and the valence formula must reconcile exactly; both checks
@@ -28,7 +31,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf, workprec
 
-from .evalnum import DEFAULT_PREC, arc_form, arc_j, form_arc_prec
+from .evalnum import DEFAULT_PREC, arc_j
 from .miller import IntPolynomial, MillerForm, miller_form
 from .qseries import EISENSTEIN_FACTORS, EXTRA_WEIGHTS, FormId
 
@@ -86,26 +89,35 @@ def _sign_changes(chain: list, x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _count_in(chain: list, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots in the half-open interval (lo, hi]."""
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
-
-
 def cauchy_bound(p: IntPolynomial) -> Fraction:
     lead = abs(p.coeffs[-1])
     m = max(abs(c) for c in p.coeffs[:-1]) if p.degree > 0 else 0
     return 1 + Fraction(m, lead)
 
 
-def _safe_point(p: IntPolynomial, lo: Fraction, hi: Fraction) -> Fraction:
-    """A bisection point in (lo, hi) that is not a root of p."""
+def _safe_point(p: IntPolynomial, lo: Fraction, hi: Fraction) -> tuple:
+    """A bisection point in (lo, hi) that is not a root of p, with p's sign there."""
     mid = (lo + hi) / 2
     step = (hi - lo) / 64
     for i in range(32):
         cand = mid + i * step / 32
-        if cand < hi and p.sign_at(cand) != 0:
-            return cand
+        if cand < hi:
+            s = p.sign_at(cand)
+            if s != 0:
+                return cand, s
     raise ArithmeticError("could not find a root-free bisection point")
+
+
+def _chain_counter(chain: list):
+    """Distinct real roots in (lo, hi], each point's sign changes computed once."""
+    seen = {}
+
+    def changes(x: Fraction) -> int:
+        if x not in seen:
+            seen[x] = _sign_changes(chain, x)
+        return seen[x]
+
+    return lambda lo, hi: changes(lo) - changes(hi)
 
 
 def sturm_isolate(p: IntPolynomial, lo: Fraction, hi: Fraction,
@@ -116,24 +128,41 @@ def sturm_isolate(p: IntPolynomial, lo: Fraction, hi: Fraction,
     [lo, hi] is covered.  Endpoint roots come back as degenerate
     (r, r) pairs.  Intervals are refined below the requested width.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
     sqf = squarefree_part(p)
+    count = _chain_counter(sturm_chain(sqf))
+    return _isolate(sqf, count, Fraction(lo), Fraction(hi), width)
+
+
+def _isolate(sqf: IntPolynomial, count, lo: Fraction, hi: Fraction,
+             width: Fraction) -> list:
+    """sturm_isolate on a square-free polynomial and its _chain_counter.
+
+    The chain counts roots until an interval holds exactly one; that root
+    is simple and both ends are non-roots, so the sign of sqf alone
+    bisects it from there.
+    """
     out = []
     if sqf.sign_at(lo) == 0:
         out.append((lo, lo))
     if hi != lo and sqf.sign_at(hi) == 0:
         out.append((hi, hi))
-    chain = sturm_chain(sqf)
     eps = width / 2 ** 10
 
     def inner(a: Fraction, b: Fraction):
-        n = _count_in(chain, a, b)
+        n = count(a, b)
         if n == 0:
             return
-        if n == 1 and b - a <= width:
+        if n == 1:
+            s_a = sqf.sign_at(a)
+            while b - a > width:
+                mid, s = _safe_point(sqf, a, b)
+                if s == s_a:
+                    a = mid
+                else:
+                    b = mid
             out.append((a, b))
             return
-        mid = _safe_point(sqf, a, b)
+        mid, _ = _safe_point(sqf, a, b)
         inner(a, mid)
         inner(mid, b)
 
@@ -156,15 +185,17 @@ def count_off_interval(p: IntPolynomial, lo: Fraction = Fraction(0),
     sqf = squarefree_part(p)
     if sqf.degree <= 0:
         return {"real_outside": 0, "complex_pairs": 0}
-    chain = sturm_chain(sqf)
-    b = max(cauchy_bound(sqf), Fraction(hi) + 1)
-    total = _count_in(chain, -b, b)
-    lo, hi = Fraction(lo), Fraction(hi)
-    inside = _count_in(chain, lo, hi)
+    return _count_off(sqf, _chain_counter(sturm_chain(sqf)), Fraction(lo), Fraction(hi))
+
+
+def _count_off(sqf: IntPolynomial, count, lo: Fraction, hi: Fraction) -> dict:
+    """count_off_interval on a square-free polynomial of positive degree."""
+    b = max(cauchy_bound(sqf), hi + 1)
+    total = count(-b, b)
+    inside = count(lo, hi)
     if sqf.sign_at(lo) == 0:
         inside += 1
-    outside = total - inside
-    return {"real_outside": outside,
+    return {"real_outside": total - inside,
             "complex_pairs": (sqf.degree - total) // 2}
 
 
@@ -224,17 +255,34 @@ class HFunction:
 # certified arc localization
 
 
-_RETRIES = ((1, 0), (2, 128), (4, 384), (8, 1024))
+_J_LADDER = (1, 2, 4, 8)         # multiples of the starting j precision
 
 
-def _certified_arc_sign(form: MillerForm, theta, base_prec: int) -> int:
-    """Sign of G(theta) with the escalation ladder; 0 is never returned."""
-    for attempt, (scale, extra) in enumerate(_RETRIES):
-        v = arc_form(form, theta, prec=base_prec + extra, trunc_scale=scale)
-        s = v.certified_sign()
-        if s != 0:
-            return s
-    raise InconclusiveSignError(float(theta), len(_RETRIES))
+def _certified_arc_sign(form: MillerForm, theta, prec: int) -> int:
+    """Sign of G(theta) through F(j(theta)); 0 is never returned.
+
+    On the arc G = delta_arc^ell e4^a e6^b F(j) with E_k' = E_4^a E_6^b,
+    where delta_arc < 0 on the closed arc, e4 < 0 on [pi/2, 2 pi/3) and
+    e6 > 0 on (pi/2, 2 pi/3]; so sign G = (-1)^(ell + a) sign F on the
+    certified j-enclosure, decided exactly by IntPolynomial.sign_on.  An
+    angle within a few ulp of a corner where e4^a e6^b vanishes has no
+    certified factor sign and raises.
+    """
+    fid = form.id
+    a, b = EISENSTEIN_FACTORS[fid.kprime]
+    with workprec(prec + 16):
+        t, tol = mpf(theta), mpf(2) ** (8 - mp.prec)
+        if (a and t >= 2 * mp.pi / 3 - tol) or (b and t <= mp.pi / 2 + tol):
+            raise InconclusiveSignError(float(theta), 0)
+    flip = -1 if (fid.ell + a) % 2 else 1
+    for scale in _J_LADDER:
+        jv = arc_j(theta, prec=scale * prec)
+        radius = _exact(jv.err)
+        if radius < 1:
+            s = form.faber.sign_on(_exact(jv.value), radius)
+            if s != 0:
+                return flip * s
+    raise InconclusiveSignError(float(theta), len(_J_LADDER))
 
 
 def arc_zero_localize(form: MillerForm, prec: int = DEFAULT_PREC) -> list:
@@ -250,7 +298,6 @@ def arc_zero_localize(form: MillerForm, prec: int = DEFAULT_PREC) -> list:
     if form.faber.degree <= 0:
         return []
     h = HFunction(fid.k, fid.m)
-    base = form_arc_prec(fid.ell, fid.m, prec)
     skip_i = form.faber(1728) == 0
     skip_rho = form.faber(0) == 0
     samples = []
@@ -259,7 +306,7 @@ def arc_zero_localize(form: MillerForm, prec: int = DEFAULT_PREC) -> list:
             continue
         if skip_rho and 3 * n == fid.k - 3 * fid.m:
             continue
-        samples.append((n, theta, _certified_arc_sign(form, theta, base)))
+        samples.append((n, theta, _certified_arc_sign(form, theta, prec)))
     out = []
     for (n1, t1, s1), (n2, t2, s2) in zip(samples, samples[1:]):
         if s1 != s2:
@@ -270,13 +317,11 @@ def arc_zero_localize(form: MillerForm, prec: int = DEFAULT_PREC) -> list:
 def refine_arc_zero(form: MillerForm, lo: float, hi: float,
                     width: float = 1e-5, prec: int = DEFAULT_PREC) -> tuple:
     """Shrink a single sign-change bracket by certified bisection."""
-    fid = form.id
-    base = form_arc_prec(fid.ell, fid.m, prec)
     lo, hi = mpf(lo), mpf(hi)
-    s_lo = _certified_arc_sign(form, lo, base)
+    s_lo = _certified_arc_sign(form, lo, prec)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        if _certified_arc_sign(form, mid, base) == s_lo:
+        if _certified_arc_sign(form, mid, prec) == s_lo:
             lo = mid
         else:
             hi = mid
@@ -363,8 +408,9 @@ def zero_report(form: MillerForm, with_arc: bool = True,
     defect = deflated.degree - sqf.degree
     if deflated.degree > 0:
         # deflation guarantees nonzero values at both interval ends
-        inner = sturm_isolate(deflated, Fraction(0), Fraction(1728))
-        off = count_off_interval(deflated)
+        count = _chain_counter(sturm_chain(sqf))
+        inner = _isolate(sqf, count, Fraction(0), Fraction(1728), ROOT_WIDTH)
+        off = _count_off(sqf, count, Fraction(0), Fraction(1728))
     else:
         inner, off = [], {"real_outside": 0, "complex_pairs": 0}
     ti, trho = trivial_orders(fid.kprime)

@@ -15,8 +15,9 @@ from millerzeros.certify import (
     monotonicity_certificate_075, magnitude_certificate_065,
     j_difference_bounds, delta_line_lower, delta_line_upper,
     residue_term, residue_entries, _table_value,
-    proposition_mrl_check, full_ledger,
+    proposition_mrl_check, full_ledger, _LINE_CASES, _dominated_tail, _pad_of,
 )
+from millerzeros.qseries import bernoulli
 
 PRINTED_TABLE = {
     ("075", 0): 51.31, ("075", 4): 21.72, ("075", 6): 19.5,
@@ -232,3 +233,19 @@ def test_mrl_report_lists_violations():
     rep = proposition_mrl_check(48, 3, grid_step=1e-2)
     assert not rep.passed
     assert rep.violations and all(1.57 < t < 2.1 for t in rep.violations)
+
+
+def test_dominated_tail_within_its_pad():
+    # the tail is built from the exact rationals, so its only error is
+    # ambient rounding, well inside the pad the line ledger gives it
+    for k, y, _, _, _, dom in _LINE_CASES:
+        with workprec(140):
+            tail, dom_ok = _dominated_tail(k, y, 3, dom)
+            pad = _pad_of(tail)
+        assert dom_ok
+        with workprec(256):
+            gamma = abs(Fraction(2 * k) / bernoulli(k))
+            half = mp.e ** (-mp.pi * y.numerator / y.denominator)
+            exact = (mpf(gamma.numerator) / gamma.denominator * dom.numerator
+                     / dom.denominator * half ** 3 / (1 - half))
+            assert abs(tail - exact) <= pad

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, workprec
 
-from millerzeros.qseries import FormId
-from millerzeros.evalnum import arc_j
+from millerzeros.qseries import EISENSTEIN_FACTORS, FormId
+from millerzeros.evalnum import DEFAULT_PREC, arc_form, arc_functions, arc_j, form_arc_prec
 from millerzeros.miller import IntPolynomial, miller_form
 from millerzeros.zeros import (
-    ROOT_WIDTH, InconclusiveSignError, TheoremViolationError,
+    ROOT_WIDTH, InconclusiveSignError, TheoremViolationError, _certified_arc_sign,
     squarefree_part, sturm_chain,
     sturm_isolate, isolate_real_roots, count_off_interval, cauchy_bound,
     HFunction, arc_zero_localize, refine_arc_zero, j_of_angle,
@@ -27,6 +27,10 @@ def poly_from_roots(roots, extra=None):
     if extra is not None:
         p = p * extra
     return p
+
+
+COEFFS = st.lists(st.integers(-9, 9), min_size=3, max_size=7)
+ROOTS = st.lists(st.integers(-40, 40), min_size=1, max_size=4, unique=True)
 
 
 # ---------------------------------------------------------------------------
@@ -49,8 +53,7 @@ def _eval(c: list, x: Fraction):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(-9, 9), min_size=3, max_size=7),
-       st.lists(st.integers(-9, 9), min_size=2, max_size=4))
+@given(COEFFS, st.lists(st.integers(-9, 9), min_size=2, max_size=4))
 def test_poly_divmod_reconstructs(a, b):
     while b and b[-1] == 0:        # divisor must arrive trimmed
         b = b[:-1]
@@ -80,6 +83,50 @@ def test_exact_div_rejects_inexact():
         IntPolynomial.make([1, 0, 1]).exact_div(IntPolynomial.make([-1, 1]))
     with pytest.raises(ArithmeticError):        # rational but not integral
         IntPolynomial.make([0, 0, 1]).exact_div(IntPolynomial.make([1, 2]))
+
+
+def _assert_sign_on_sound(p, c, r):
+    """A decided sign_on holds at both ends and the middle, with no root between."""
+    s = p.sign_on(c, r)
+    if s != 0:
+        assert p.sign_at(c - r) == p.sign_at(c) == p.sign_at(c + r) == s
+        assert sturm_isolate(p, c - r, c + r) == []
+    return s
+
+
+@settings(max_examples=60, deadline=None)
+@given(COEFFS, st.integers(-2 ** 12, 2 ** 12), st.integers(0, 10),
+       st.integers(0, 2 ** 10 - 1))
+def test_sign_on_sound_dense(coeffs, num, e, rad):
+    _assert_sign_on_sound(IntPolynomial.make(coeffs), Fraction(num, 2 ** e),
+                          Fraction(rad, 2 ** 10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ROOTS, st.integers(1, 30), st.integers(-2 ** 12, 2 ** 12), st.integers(0, 2 ** 10 - 1))
+def test_sign_on_sound_known_roots(roots, c2, num, rad):
+    p = poly_from_roots(roots, extra=IntPolynomial.make([c2, 0, 1]))
+    c, r = Fraction(num, 2 ** 6), Fraction(rad, 2 ** 10)
+    s = _assert_sign_on_sound(p, c, r)
+    if any(c - r <= x <= c + r for x in roots):
+        assert s == 0
+
+
+def test_sign_on_root_inside_and_near():
+    p = poly_from_roots([1, 2])
+    # both ends positive, two roots between: equal end signs decide nothing
+    assert p.sign_at(Fraction(5, 8)) == p.sign_at(Fraction(19, 8)) == 1
+    assert p.sign_on(Fraction(3, 2), Fraction(7, 8)) == 0
+    assert p.sign_on(Fraction(1), Fraction(0)) == 0
+    assert p.sign_on(Fraction(3, 2), Fraction(1, 4)) == -1
+    # a root 2^-100 beyond an interval of radius 2^-120 about 1
+    near = IntPolynomial.make([-(2 ** 100 + 1), 2 ** 100]) * IntPolynomial.make([-5, 1])
+    assert near.sign_on(Fraction(1), Fraction(1, 2 ** 120)) == 1
+    assert near.sign_on(Fraction(1) + Fraction(1, 2 ** 100), Fraction(1, 2 ** 120)) == 0
+    with pytest.raises(ValueError):
+        p.sign_on(Fraction(1), Fraction(1))
+    with pytest.raises(ValueError):
+        p.sign_on(Fraction(1, 3), Fraction(0))
 
 
 def test_primitive_scaling():
@@ -126,8 +173,7 @@ def test_count_off_interval_cases():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(-40, 40), min_size=1, max_size=4, unique=True),
-       st.integers(1, 30))
+@given(ROOTS, st.integers(1, 30))
 def test_isolation_against_known_roots(roots, c):
     p = poly_from_roots(roots, extra=IntPolynomial.make([c, 0, 1]))
     assert cauchy_bound(p) > max(abs(r) for r in roots)
@@ -191,6 +237,39 @@ def test_arc_zero_localize_degree_zero():
     assert arc_zero_localize(miller_form(16, 1)) == []
 
 
+@pytest.mark.parametrize("kprime", sorted(EISENSTEIN_FACTORS))
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_certified_arc_sign_matches_direct_evaluation(kprime, m):
+    # sign of F(j) times the factor signs against Delta^ell E_k' F(j) itself
+    form = miller_form(12 * (m + 4) + kprime, m)
+    fid = form.id
+    skip_i, skip_rho = form.faber(1728) == 0, form.faber(0) == 0
+    checked = 0
+    for n, theta in HFunction(fid.k, m).sample_angles():
+        if (skip_i and 4 * n == fid.k) or (skip_rho and 3 * n == fid.k - 3 * m):
+            continue
+        want = arc_form(form, theta, prec=form_arc_prec(fid.ell, m)).certified_sign()
+        assert want != 0
+        assert _certified_arc_sign(form, theta, DEFAULT_PREC) == want
+        checked += 1
+    assert checked >= fid.ell - m
+
+
+def test_certified_arc_sign_refuses_corners():
+    # E_6 vanishes at i (g_{54,1}, k' = 6) and E_4 at rho (g_{52,1}, k' = 4);
+    # the float pi/2 lies below i and is clamped onto it
+    with workprec(300):
+        at_i, at_rho = mp.pi / 2, 2 * mp.pi / 3
+    for theta in (math.pi / 2, at_i):
+        with pytest.raises(InconclusiveSignError):
+            _certified_arc_sign(miller_form(54, 1), theta, DEFAULT_PREC)
+    with pytest.raises(InconclusiveSignError):
+        _certified_arc_sign(miller_form(52, 1), at_rho, DEFAULT_PREC)
+    # the other corner of each form has a certified factor sign
+    assert _certified_arc_sign(miller_form(54, 1), at_rho, DEFAULT_PREC) != 0
+    assert _certified_arc_sign(miller_form(52, 1), at_i, DEFAULT_PREC) != 0
+
+
 def test_refine_arc_zero(form_48_1):
     lo, hi = arc_zero_localize(form_48_1)[0]
     rlo, rhi = refine_arc_zero(form_48_1, lo, hi, width=1e-5)
@@ -215,6 +294,16 @@ def test_j_of_angle_endpoints():
         lo, hi = j_of_angle((mp.pi / 2, 2 * mp.pi / 3))
     assert lo <= 0 <= hi or lo <= Fraction(1, 10 ** 6)
     assert hi >= 1728
+
+
+def test_arc_j_agrees_with_eisenstein_quotient():
+    for theta in (1.5708, 1.65, 1.8, 1.95, 2.09):
+        jv = arc_j(theta)
+        av = arc_functions(theta)
+        with workprec(140):
+            quot = av.e4.pow_int(3) / av.delta_arc
+        assert abs(jv.value - quot.value) <= jv.err + quot.err
+        assert jv.err < 1e-30
 
 
 def test_j_of_angle_rounds_outward():
