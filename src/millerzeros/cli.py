@@ -42,37 +42,43 @@ def _parser() -> argparse.ArgumentParser:
         description="Exact basis forms, certified bounds, and arc zeros.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, k=False, m=False, prec_help="working precision in bits"):
+    def common(sp, k=False, m=False, trunc=False, prec=None, grid=False, fmt=False):
+        """Register only the options the subcommand's handler reads."""
         if k:
             sp.add_argument("--k", type=int, required=True, help="weight")
         if m:
             sp.add_argument("--m", type=int, required=True, help="vanishing order index")
-        sp.add_argument("--trunc", type=int, default=None,
-                        help="series truncation override")
-        sp.add_argument("--precision-bits", type=int, default=evalnum.DEFAULT_PREC,
-                        help=prec_help)
-        sp.add_argument("--grid-step", type=float, default=1e-3)
-        sp.add_argument("--format", choices=("json", "csv", "text"), default=None)
+        if trunc:
+            sp.add_argument("--trunc", type=int, default=None,
+                            help="series truncation override")
+        if prec:
+            sp.add_argument("--precision-bits", type=int, default=evalnum.DEFAULT_PREC,
+                            help=prec)
+        if grid:
+            sp.add_argument("--grid-step", type=float, default=1e-3)
+        if fmt:
+            sp.add_argument("--format", choices=("json", "csv", "text"), default=None)
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         return sp
 
-    sp = common(sub.add_parser("expand", help="print a q-expansion"))
-    sp.add_argument("--form", required=True, help="E<k>, delta, delta-inv or j")
-
-    common(sub.add_parser("miller", help="the reduced basis for one weight"), k=True)
-    common(sub.add_parser("faber", help="Faber polynomial of one form"), k=True, m=True)
+    prec = "working precision in bits"
     j_prec = ("starting precision in bits of the certified j(theta) behind each "
               "arc sign; doubled up to three times where a sign is not decided")
-    common(sub.add_parser("roots", help="isolated Faber roots"), k=True, m=True,
-           prec_help="unused: the root isolation is exact")
+    sp = common(sub.add_parser("expand", help="print a q-expansion"), trunc=True, fmt=True)
+    sp.add_argument("--form", required=True, help="E<k>, delta, delta-inv or j")
+
+    common(sub.add_parser("miller", help="the reduced basis for one weight"), k=True, trunc=True)
+    common(sub.add_parser("faber", help="Faber polynomial of one form"), k=True, m=True,
+           trunc=True, fmt=True)
+    common(sub.add_parser("roots", help="isolated Faber roots"), k=True, m=True, trunc=True)
     common(sub.add_parser("arc-zeros", help="certified arc zero report"), k=True, m=True,
-           prec_help=j_prec)
-    common(sub.add_parser("verify-bounds", help="full bound ledger"))
-    sp = common(sub.add_parser("verify-thm2", help="exhaustive m=1 sweep"))
+           trunc=True, prec=j_prec)
+    common(sub.add_parser("verify-bounds", help="full bound ledger"), prec=prec, grid=True)
+    sp = common(sub.add_parser("verify-thm2", help="exhaustive m=1 sweep"), fmt=True)
     sp.add_argument("--max-ell", type=int, default=14)
     common(sub.add_parser("mrl-check", help="oscillation estimate on a grid"),
-           k=True, m=True)
-    sp = common(sub.add_parser("dist", help="zero angle distribution"), prec_help=j_prec)
+           k=True, m=True, prec=prec, grid=True)
+    sp = common(sub.add_parser("dist", help="zero angle distribution"), prec=j_prec, fmt=True)
     sp.add_argument("--k-list", required=True,
                     help="comma separated weights, e.g. 120,480,1920")
     sp.add_argument("--m", type=int, default=1)
@@ -217,7 +223,7 @@ _USAGE_ERRORS = (qseries.UnsupportedWeightError, miller.BadIndexError, ValueErro
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     with ExitStack() as stack:
-        if getattr(args, "out", None):
+        if args.out:
             out = stack.enter_context(open(args.out, "w"))
         else:
             out = sys.stdout

@@ -1,12 +1,16 @@
-"""Row reduction of the raw basis Delta^ell E_k' j^(ell-m) to Miller form.
+"""The Miller basis g_{k,m} and its Faber polynomials, one form at a time.
 
-The raw spanning set e_{k,m} = Delta^ell * E_k' * j^(ell-m) has leading
-term q^m with unit coefficient, so reduction to the echelon basis
-g_{k,m} = q^m + O(q^(ell+1)) needs no division at all: every pivot is 1
-and all eliminated multipliers are the integers being cancelled.  The
-polynomial combination of j-powers is tracked alongside, which yields
-the Faber polynomial F_{k,m} with g_{k,m} = Delta^ell E_k' F_{k,m}(j)
-as a monic integer polynomial of degree ell - m.
+Write k = 12 ell + k', E_k' = E_4^a E_6^b, qd = Delta / q, J = q j =
+E_4^3 / qd, t = 1 / j = q / J and D = ell - m.  Then g = Delta^ell E_k'
+F(j) = q^m qd^m E_4^(3D+a) E_6^b t^D F(1/t), so g = q^m + O(q^(ell+1))
+holds exactly when t^D F(1/t) = V := 1 / (qd^m E_4^(3D+a) E_6^b) mod
+q^(D+1): F's coefficients, from the top down, are the first D + 1
+coefficients of V as a power series in t (Duke-Jenkins, PAMQ 4, 2008).
+They are read off greedily by V <- (V - V_0) J / q.  qd, E_4, E_6 and J
+all have constant term 1, so V and J are integral series and no step
+divides: F comes out monic with integer coefficients.  The last
+trunc - ell coefficients W left after D + 1 steps give the q-expansion
+tail g = q^m - q^(ell+1) W qd^(ell+1) E_k' / E_4^3.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
-from .qseries import FormId, QSeries, delta, eisenstein, jfunction
+from .qseries import EISENSTEIN_FACTORS, FormId, QSeries, delta, eisenstein, jfunction
 
 
 class BadIndexError(ValueError):
@@ -271,25 +276,51 @@ def default_trunc(ell: int, margin: int = DEFAULT_MARGIN) -> int:
     return ell + 1 + margin
 
 
-@lru_cache(maxsize=32)
-def _raw_basis_family(k: int, trunc: int) -> tuple:
-    """All e_{k,m} for m = ell..0 at truncation >= trunc, highest m first.
+def _mul(a: list, b: list) -> list:
+    """The product of two coefficient lists, to the length of a (b no shorter)."""
+    n = len(a)
+    rb = b[n - 1::-1]
+    return [sum(map(mul, a[:i + 1], rb[n - 1 - i:])) for i in range(n)]
 
-    Built by one pass of j-multiplications starting from Delta^ell E_k',
-    with enough initial headroom that every element reaches trunc.
+
+def _monomial(n: int, e_qd: int, e_4: int, e_6: int) -> list:
+    """qd^e_qd E_4^e_4 E_6^e_6 to n coefficients, qd = Delta / q, for any
+    integer exponents: J. C. P. Miller's power recurrence for a^e with
+    a_0 = 1, i f_i = sum_(1 <= r <= i) ((e + 1) r - i) a_r f_(i-r), has an
+    integral f_i, so the division by i is exact.
     """
-    fid = FormId.from_k(k, 0)
-    ell, kprime = fid.ell, fid.kprime
-    head = trunc + ell            # each j-multiplication costs one order
-    base = delta(head) ** ell if ell else QSeries.one(head)
-    if kprime:
-        base = base * eisenstein(kprime, head)
-    j = jfunction(head)
-    out = [base]
-    for _ in range(ell):
-        out.append(out[-1] * j)
-    out = [s.truncate(trunc) for s in out]
-    return tuple(out)             # out[i] == e_{k, ell - i}
+    out = None
+    for a, e in ((delta(n).shift(-1).coeffs, e_qd), (eisenstein(4, n - 1).coeffs, e_4),
+                 (eisenstein(6, n - 1).coeffs, e_6)):
+        if e:
+            f = [1]
+            for i in range(1, n):
+                f.append(sum(((e + 1) * r - i) * a[r] * f[i - r] for r in range(1, i + 1)) // i)
+            out = f if out is None else _mul(out, f)
+    return out or [1] + [0] * (n - 1)
+
+
+def _reduce(fid: FormId, trunc: int, head=None) -> tuple:
+    """The t = 1/j reduction: F's coefficients from the top down, and W.
+
+    V = head / (qd^m E_4^(3D+a) E_6^b) to the trunc - m + 1 coefficients
+    q^0.. (no head for g_{k,m} itself); each of the D + 1 steps reads off
+    V_0 and sets V <- (V - V_0) J / q.  What is left is the list W of
+    trunc - ell coefficients.  The D + 1 products dominate the cost, so
+    they run on plain lists rather than QSeries, which would normalise
+    every coefficient of every step.
+    """
+    d, n = fid.ell - fid.m, trunc - fid.m + 1
+    a, b = EISENSTEIN_FACTORS[fid.kprime]
+    v = _monomial(n, -fid.m, -3 * d - a, -b)
+    if head is not None:
+        v = _mul(head, v)
+    big_j = _monomial(n, -1, 3, 0)
+    top = []
+    for _ in range(d + 1):
+        top.append(v[0])
+        v = _mul(v[1:], big_j)
+    return top, v
 
 
 def raw_basis(fid: FormId, trunc: int | None = None) -> QSeries:
@@ -298,98 +329,59 @@ def raw_basis(fid: FormId, trunc: int | None = None) -> QSeries:
         raise BadIndexError(f"m={fid.m} outside 0..{fid.ell}")
     if trunc is None:
         trunc = default_trunc(fid.ell)
-    fam = _raw_basis_family(fid.k, trunc)
-    return fam[fid.ell - fid.m]
-
-
-def _reduce_against_family(fid: FormId, series: QSeries, fam) -> tuple:
-    """Cancel coefficients q^(m+1)..q^ell of series against e_{k,n}.
-
-    Returns (reduced series, IntPolynomial combination of j-powers),
-    where the combination starts from x^(ell-m) for the series itself.
-    The pivots e_{k,n} all lead with coefficient 1, so the arithmetic
-    stays in the original coefficient ring.
-    """
-    ell = fid.ell
-    poly = [0] * (ell - fid.m + 1)
-    poly[ell - fid.m] = series.coeff(fid.m)
-    r = series
-    for n in range(fid.m + 1, ell + 1):
-        c = r.coeff(n)
-        if c != 0:
-            r = r - fam[ell - n].scale(c)
-        poly[ell - n] = -c            # the subtracted multiple joins negated
-    return r, poly
+    head = trunc + fid.ell - fid.m      # each j factor costs one order
+    e = delta(head) ** fid.ell * eisenstein(fid.kprime, head) \
+        * jfunction(head) ** (fid.ell - fid.m)
+    return e.truncate(trunc)
 
 
 @lru_cache(maxsize=32)
 def miller_basis(k: int, trunc: int | None = None) -> tuple:
-    """The reduced basis (g_{k,1}, ..., g_{k,ell}) of the cusp space.
-
-    Each element is a MillerForm carrying both the echelon q-expansion
-    and the monic integer Faber polynomial of degree ell - m.
-    """
-    fid0 = FormId.from_k(k, 0)
-    ell = fid0.ell
-    if trunc is None:
-        trunc = default_trunc(ell)
-    if trunc < ell + 1:
-        raise ValueError(f"trunc must reach ell+1 = {ell + 1}")
-    fam = _raw_basis_family(k, trunc)
-    forms = []
-    for m in range(1, ell + 1):
-        fid = FormId.from_k(k, m)
-        reduced, poly = _reduce_against_family(fid, fam[ell - m], fam)
-        form = MillerForm(fid, reduced, IntPolynomial.make(poly))
-        form.check()
-        forms.append(form)
-    return tuple(forms)
+    """The reduced basis (g_{k,1}, ..., g_{k,ell}) of the cusp space."""
+    return tuple(miller_form(k, m, trunc) for m in range(1, FormId.from_k(k, 0).ell + 1))
 
 
 def miller_form(k: int, m: int, trunc: int | None = None) -> MillerForm:
+    """g_{k,m} = q^m + O(q^(ell+1)) with its monic integer Faber polynomial."""
     fid = FormId.from_k(k, m)
-    if m == 0:
-        return gap_form(k, trunc)
-    if fid.ell == 0:
-        raise BadIndexError(f"weight {k} has no cusp forms")
-    return miller_basis(k, trunc)[m - 1]
+    if trunc is None:
+        trunc = default_trunc(fid.ell)
+    if trunc < fid.ell + 1:
+        raise ValueError(f"trunc must reach ell+1 = {fid.ell + 1}")
+    top, w = _reduce(fid, trunc)
+    a, b = EISENSTEIN_FACTORS[fid.kprime]
+    tail = [-c for c in _mul(w, _monomial(len(w), fid.ell + 1, a - 3, b))]
+    series = QSeries._make(m, [1] + [0] * (fid.ell - m) + tail, trunc)
+    form = MillerForm(fid, series, IntPolynomial.make(top[::-1]))
+    form.check()
+    return form
 
 
 def gap_form(k: int, trunc: int | None = None) -> MillerForm:
     """The m = 0 basis element g_{k,0} = 1 + O(q^(ell+1)) of M_k."""
-    fid = FormId.from_k(k, 0)
-    if trunc is None:
-        trunc = default_trunc(fid.ell)
-    fam = _raw_basis_family(k, trunc)
-    reduced, poly = _reduce_against_family(fid, fam[fid.ell], fam)
-    return MillerForm(fid, reduced, IntPolynomial.make(poly))
+    return miller_form(k, 0, trunc)
 
 
 def faber_of(series: QSeries, fid: FormId) -> IntPolynomial:
     """Faber polynomial of an arbitrary weight-k form given by q-expansion.
 
-    Cancels the series from its lowest order against the raw basis; the
-    residual must vanish identically to its truncation, otherwise the
-    input is not in the space (NotInSpaceError).  Degree is
-    ell - ord_infty(series).
+    The reduction of series / q^n0 leaves W = 0 to the series' truncation
+    exactly when the series is in the space; otherwise NotInSpaceError.
+    Degree is ell - n0, with n0 = ord_infty(series).
     """
     n0 = series.order
     if n0 > fid.ell:
         raise NotInSpaceError("series vanishes beyond q^ell; not a nonzero form" if not series.is_zero()
                               else "zero series has no Faber polynomial")
-    trunc = series.trunc
-    fam = _raw_basis_family(fid.k, trunc)
-    r = series
-    poly = [0] * (fid.ell - n0 + 1)
-    for n in range(n0, fid.ell + 1):
-        c = r.coeff(n)
-        poly[fid.ell - n] = c
+    if n0 < 0:
+        raise NotInSpaceError("series has a pole at the cusp")
+    if series.trunc < fid.ell:
+        raise ValueError(f"trunc must reach ell = {fid.ell}")
+    top, w = _reduce(FormId.from_k(fid.k, n0), series.trunc, series.coeffs[n0 - series.lead:])
+    for i, c in enumerate(w):
         if c != 0:
-            r = r - fam[fid.ell - n].scale(c)
-    for n in range(n0, trunc + 1):
-        if r.coeff(n) != 0:
-            raise NotInSpaceError(f"residual fails to vanish at q^{n}")
-    return IntPolynomial.make(poly)
+            raise NotInSpaceError(f"residual fails to vanish at q^{fid.ell + 1 + i}")
+    return IntPolynomial.make(top[::-1])
 
 
 def reconstruct(form: MillerForm, trunc: int | None = None) -> QSeries:

@@ -135,8 +135,17 @@ def test_determinism(capsys):
     ("faber", "--k", "48", "--m", "5"),       # m beyond the dimension
     ("expand", "--form", "bogus"),
     ("miller", "--k", "2"),
+    ("faber", "--k", "48", "--m", "1", "--trunc", "3"),   # trunc below ell + 1
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_unread_option_is_a_usage_error(capsys):
+    # roots isolates exactly and never reads a working precision
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "--k", "48", "--m", "1", "--precision-bits", "64"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --precision-bits" in capsys.readouterr().err

@@ -1,11 +1,12 @@
 """Echelon basis construction and Faber polynomial extraction."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from millerzeros.qseries import FormId, QSeries, delta, eisenstein
+from millerzeros.qseries import EXTRA_WEIGHTS, FormId, QSeries, delta, eisenstein, jfunction
 from millerzeros.miller import (
     IntPolynomial, MillerForm, miller_basis, miller_form, gap_form, raw_basis,
     faber_of, reconstruct, faber_json, default_trunc,
@@ -103,6 +104,62 @@ def test_uniqueness_against_dense_elimination():
             assert [Fraction(f.series.coeff(n)) for n in range(trunc + 1)] == rows[m - 1]
 
 
+@lru_cache(maxsize=None)
+def _raw(k, m, trunc):
+    return raw_basis(FormId.from_k(k, m), trunc)
+
+
+def reference_form(k, m, trunc=None):
+    """g_{k,m} and F_{k,m} by division-free elimination against the raw family.
+
+    q^(m+1)..q^ell of e_{k,m} are cancelled in turn by e_{k,n}, n > m;
+    every pivot leads with 1, so the multipliers are the integers being
+    cancelled, and the subtracted multiples of j^(ell-n) make up F.
+    """
+    ell = FormId.from_k(k, m).ell
+    if trunc is None:
+        trunc = default_trunc(ell)
+    poly = [0] * (ell - m) + [1]
+    r = _raw(k, m, trunc)
+    for n in range(m + 1, ell + 1):
+        c = r.coeff(n)
+        if c:
+            r = r - _raw(k, n, trunc).scale(c)
+        poly[ell - n] = -c
+    return r, IntPolynomial.make(poly)
+
+
+def _built(k, m, trunc=None):
+    return gap_form(k, trunc) if m == 0 else miller_form(k, m, trunc)
+
+
+def test_single_forms_match_family_elimination_small_weights():
+    # every weight with ell <= 14, every k' and every 0 <= m <= ell
+    for ell in range(15):
+        for kprime in EXTRA_WEIGHTS:
+            k = 12 * ell + kprime
+            for m in range(ell + 1):
+                series, faber = reference_form(k, m)
+                form = _built(k, m)
+                assert form.series == series and form.faber == faber, (k, m)
+
+
+@pytest.mark.parametrize("k, m, trunc", [(48, 1, 64), (392, 1, None), (448, 1, None),
+                                         (340, 2, None)])
+def test_single_forms_match_family_elimination(k, m, trunc):
+    series, faber = reference_form(k, m, trunc)
+    form = _built(k, m, trunc)
+    assert form.series == series and form.faber == faber
+
+
+def test_trunc_must_reach_ell_plus_one():
+    with pytest.raises(ValueError):
+        miller_form(48, 1, trunc=4)         # ell = 4
+    with pytest.raises(ValueError):
+        gap_form(48, trunc=4)
+    assert miller_form(48, 1, trunc=5).series.trunc == 5
+
+
 def test_gap_form():
     g = gap_form(36)
     assert g.id.m == 0
@@ -152,6 +209,12 @@ def test_faber_of_rejects_vanishing_series(form_48_1):
     zero = QSeries.zero(fid.ell + 6)
     with pytest.raises(NotInSpaceError):
         faber_of(zero, fid)
+
+
+def test_faber_of_rejects_pole():
+    j = jfunction(12)
+    with pytest.raises(NotInSpaceError):
+        faber_of(j, FormId.from_k(24, 0))
 
 
 def test_faber_of_non_integral(form_48_1):
