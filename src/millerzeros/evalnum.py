@@ -2,11 +2,18 @@
 
 Everything here returns a CertValue: a floating point number (real or
 complex, arbitrary precision via mpmath) together with a rigorous error
-radius.  The radius collects three contributions: the exact tail bound
-for the truncated series, the propagated input radii, and a conservative
-per-operation rounding pad of a few ulp.  Tolerated comparisons against
-published constants are orders of magnitude coarser than the working
-precision, so the pads are generous rather than sharp.
+radius.  Every polynomial and truncated q-series goes through one kernel,
+eval_poly: Horner's rule on Gaussian integers at the fixed scale 2^-P,
+P = working precision + 24, with exact int or Fraction coefficients.
+Each step floors both parts of the product and of the coefficient, so it
+loses less than 3 units of 2^-P, and the whole sum less than
+3 sum_(i<n) R^i units for R >= |w| (3n units when R < 1; Higham,
+Accuracy and Stability of Numerical Algorithms, 5.1).  Moving the point
+by delta costs at most delta sum i |c_i| R^(i-1), bounded by integer
+Horner rounding up.  The radius is then: that a-priori bound, the exact
+tail bound for the truncated series, and one pad for rounding the result
+to an mpf.  The few CertValue operations around the kernel (the q^lead
+factor, Delta = q P^24, the arc phases) pad each result by a few ulp.
 
 Tail bounds by coefficient family:
 
@@ -30,8 +37,10 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from mpmath import mp, mpc, mpf, workprec
+from mpmath.libmp import from_man_exp
 
 from . import qseries
 from .qseries import QSeries
@@ -75,13 +84,7 @@ class CertValue:
             x = Fraction(x)
         if isinstance(x, Fraction):
             v = mpf(x.numerator) / x.denominator
-            sign, man, exp, _ = v._mpf_
-            if man and Fraction((-man if sign else man) * 2 ** max(exp, 0),
-                                2 ** max(-exp, 0)) == x:
-                return cls(v, 0)
-            if man == 0 and x == 0:
-                return cls(v, 0)
-            return cls(v, _pad(v))
+            return cls(v, 0 if _exact(v) == x else _pad(v))
         v = mp.mpmathify(x)
         return cls(v, _pad(v))
 
@@ -188,6 +191,84 @@ def _coerce(x) -> CertValue:
 
 
 # ---------------------------------------------------------------------------
+# exact conversions and the fixed-point Horner kernel
+
+
+def _man_exp(x: mpf) -> tuple:
+    """(man, exp) with x = man 2^exp exactly; mpf.man_exp drops the sign."""
+    sign, man, exp, bc = x._mpf_
+    if not man and bc:
+        raise ValueError(f"non-finite value {x}")
+    return (-int(man) if sign else int(man)), exp
+
+
+def _exact(x: mpf) -> Fraction:
+    """The binary value of an mpf as a signed Fraction, without rounding."""
+    man, exp = _man_exp(x)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+def _fixed(x: mpf, p: int) -> int:
+    """floor(x 2^p)."""
+    man, exp = _man_exp(x)
+    return man << (exp + p) if exp + p >= 0 else man >> -(exp + p)
+
+
+def _from_fixed(n: int, p: int, rnd: str = "n") -> mpf:
+    """n 2^-p rounded to the working precision in the direction rnd."""
+    return mp.make_mpf(from_man_exp(n, -p, mp.prec, rnd))
+
+
+def eval_poly(coeffs, z, radius=0) -> CertValue:
+    """Enclosure of sum_i coeffs[i] w^i for every w with |w - z| <= radius.
+
+    The coefficients are exact ints or Fractions, z is real or complex.
+    Horner runs on Python ints at the scale 2^-P, P = working precision
+    + 24, on Z = floor(z 2^P) 2^-P, so |z - Z| < 2^(1/2 - P).  Each step
+    floors both parts of the product and the coefficient, less than 3
+    units, so every accumulator A_i is within E = 3 sum_(i<n) R^i units
+    of its exact value at Z, R >= |Z|.  Any w is within delta = radius +
+    2^(2-P) of Z, and the Horner recursion for the difference gives
+    |p(w) - p(Z)| <= delta sum_(i>=1) (|A_i| + E) R^(i-1) for R >= |Z| +
+    delta, summed alongside in integers rounding up.  One pad covers the
+    rounding of the result to an mpf or mpc.
+    """
+    z = mp.mpmathify(z)
+    p = mp.prec + 24
+    one = 1 << p
+    x, y = (_fixed(z.real, p), _fixed(z.imag, p)) if isinstance(z, mpc) else (_fixed(z, p), 0)
+    delta = -_fixed(-mpf(radius), p) + 4
+    big_r = isqrt(x * x + y * y) + 1 + delta
+    a = b = slope = 0
+    for c in reversed(coeffs):
+        # slope += |A| rounded up (|A| <= max + min/2 for the two parts)
+        hi, lo = abs(a), abs(b)
+        slope = -(-slope * big_r >> p) + max(hi, lo) + (min(hi, lo) >> 1) + 1
+        if y:
+            a, b = (a * x - b * y) >> p, (a * y + b * x) >> p
+        else:
+            a = (a * x) >> p
+        if c:
+            a += c << p if isinstance(c, int) else (c.numerator << p) // c.denominator
+    # in units of 2^-P: rsum >= sum_(i<n) R^i, the rounding error is 3 rsum
+    n = len(coeffs)
+    if big_r <= one:
+        rsum = n
+    else:
+        rsum = 0
+        for _ in range(n):
+            rsum = -(-rsum * big_r >> p) + one
+        rsum = -(-rsum >> p)
+    rounding = 3 * rsum
+    units = rounding - (-delta * (slope + rounding * rsum) >> p)
+    if isinstance(z, mpc):
+        value = mpc(_from_fixed(a, p), _from_fixed(b, p))
+    else:
+        value = _from_fixed(a, p)
+    return CertValue(value, _from_fixed(units, p, "u") + _pad(value))
+
+
+# ---------------------------------------------------------------------------
 # tail bounds
 
 
@@ -284,55 +365,36 @@ def form_arc_prec(ell: int, m: int, floor: int = DEFAULT_PREC) -> int:
 def eval_series(s: QSeries, tau, tail, prec: int = DEFAULT_PREC) -> CertValue:
     """Certified value of a truncated q-expansion plus its tail bound.
 
+    The partial sum is one eval_poly call at q = e^(2 pi i tau) with the
+    radius of q (a few ulp), so its error is the kernel's a-priori bound;
+    the q^lead factor, when present, is one CertValue product or quotient.
     tail is one of the *Tail dataclasses above and must genuinely cover
     the dropped coefficients of the series being evaluated.
     """
     with workprec(prec + _GUARD):
-        y = _require_height(tau)
+        _require_height(tau)
         q = mp.e ** (2j * mp.pi * mp.mpmathify(tau))
-        r = abs(q)
-        qc = CertValue(q, _pad(q))
-        acc = CertValue(mpf(0))
-        for c in reversed(s.coeffs):
-            acc = acc * qc
-            if c != 0:
-                acc = acc + CertValue.exact(c)
-        if s.lead > 0:
-            acc = acc * qc.pow_int(s.lead)
-        elif s.lead < 0:
-            acc = acc / qc.pow_int(-s.lead)
-        return acc.widened(tail.bound(s.trunc, r))
+        acc = eval_poly(s.coeffs, q, _pad(q))
+        if s.lead:
+            qc = CertValue(q, _pad(q)).pow_int(abs(s.lead))
+            acc = acc * qc if s.lead > 0 else acc / qc
+        return acc.widened(tail.bound(s.trunc, abs(q)))
 
 
 def eval_delta_eta(tau, terms: int | None = None, prec: int = DEFAULT_PREC) -> CertValue:
-    """Delta(tau) through the eta product, sparse pentagonal partial sum.
+    """Delta(tau) = q P^24 through the eta product P = prod (1 - q^n).
 
-    terms caps the exponent of the partial product expansion; by default
-    it is chosen from the working precision and the height.
+    P's partial sum to q^terms is the dense 0/+-1 pentagonal coefficient
+    list through eval_poly, so its error is the kernel's a-priori bound
+    plus the pentagonal tail 2 r^(terms+1) / (1 - r).  terms defaults to
+    a choice from the working precision and the height.
     """
     with workprec(prec + _GUARD):
         y = _require_height(tau)
         n_max = terms if terms is not None else auto_trunc(y, prec)
         q = mp.e ** (2j * mp.pi * mp.mpmathify(tau))
-        r = abs(q)
-        total = mpc(1)
-        mag = mpf(1)
-        g = 1
-        while True:
-            e1 = g * (3 * g - 1) // 2
-            e2 = g * (3 * g + 1) // 2
-            if e1 > n_max and e2 > n_max:
-                break
-            sign = -1 if g % 2 else 1
-            for e in (e1, e2):
-                if e <= n_max:
-                    t = q ** e
-                    total += sign * t
-                    mag += abs(t)
-            g += 1
-        tail = EtaProductTail().bound(n_max, r)
-        rounding = mag * (4 * g + 8) * mpf(2) ** (4 - mp.prec)
-        p = CertValue(total, tail + rounding)
+        p = eval_poly(qseries._pentagonal_euler_product(n_max).coeffs, q, _pad(q))
+        p = p.widened(EtaProductTail().bound(n_max, abs(q)))
         return p.pow_int(24) * CertValue(q, _pad(q))
 
 
@@ -355,7 +417,7 @@ def eval_form(form, tau, prec: int = DEFAULT_PREC, trunc_scale: int = 1) -> Cert
             ek = CertValue(mpf(1))
         nj = max(n, int(1 / float(y) ** 2) + 8)
         jv = eval_series(qseries.jfunction(nj), tau, JCoeffTail(), prec=prec)
-        return dl * ek * form.faber(jv)
+        return dl * ek * eval_poly(form.faber.coeffs, jv.value, jv.err)
 
 
 # ---------------------------------------------------------------------------

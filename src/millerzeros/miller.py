@@ -300,27 +300,50 @@ def _monomial(n: int, e_qd: int, e_4: int, e_6: int) -> list:
     return out or [1] + [0] * (n - 1)
 
 
-def _reduce(fid: FormId, trunc: int, head=None) -> tuple:
+def _start(fid: FormId, n: int) -> list:
+    """V = 1 / (qd^m E_4^(3D+a) E_6^b) to n coefficients q^0.., D = ell - m."""
+    a, b = EISENSTEIN_FACTORS[fid.kprime]
+    return _monomial(n, -fid.m, -3 * (fid.ell - fid.m) - a, -b)
+
+
+def _reduce(v: list, steps: int, big_j: list) -> tuple:
     """The t = 1/j reduction: F's coefficients from the top down, and W.
 
-    V = head / (qd^m E_4^(3D+a) E_6^b) to the trunc - m + 1 coefficients
-    q^0.. (no head for g_{k,m} itself); each of the D + 1 steps reads off
-    V_0 and sets V <- (V - V_0) J / q.  What is left is the list W of
-    trunc - ell coefficients.  The D + 1 products dominate the cost, so
-    they run on plain lists rather than QSeries, which would normalise
-    every coefficient of every step.
+    Each of the steps = D + 1 steps reads off V_0 and sets V <- (V - V_0)
+    J / q, with J = big_j to at least len(v) coefficients.  What is left
+    is the list W of len(v) - D - 1 coefficients.  The products dominate
+    the cost, so they run on plain lists rather than QSeries, which would
+    normalise every coefficient of every step.
     """
-    d, n = fid.ell - fid.m, trunc - fid.m + 1
-    a, b = EISENSTEIN_FACTORS[fid.kprime]
-    v = _monomial(n, -fid.m, -3 * d - a, -b)
-    if head is not None:
-        v = _mul(head, v)
-    big_j = _monomial(n, -1, 3, 0)
     top = []
-    for _ in range(d + 1):
+    for _ in range(steps):
         top.append(v[0])
         v = _mul(v[1:], big_j)
     return top, v
+
+
+def _assemble(fid: FormId, trunc: int, v: list, big_j: list, tail_factor: list) -> MillerForm:
+    """g_{k,m} from V = _start(fid, trunc - m + 1); tail_factor is
+    qd^(ell+1) E_4^(a-3) E_6^b to trunc - ell coefficients."""
+    top, w = _reduce(v, fid.ell - fid.m + 1, big_j)
+    tail = [-c for c in _mul(w, tail_factor)]
+    series = QSeries._make(fid.m, [1] + [0] * (fid.ell - fid.m) + tail, trunc)
+    form = MillerForm(fid, series, IntPolynomial.make(top[::-1]))
+    form.check()
+    return form
+
+
+def _tail_factor(fid: FormId, trunc: int) -> list:
+    a, b = EISENSTEIN_FACTORS[fid.kprime]
+    return _monomial(trunc - fid.ell, fid.ell + 1, a - 3, b)
+
+
+def _checked_trunc(ell: int, trunc: int | None) -> int:
+    if trunc is None:
+        return default_trunc(ell)
+    if trunc < ell + 1:
+        raise ValueError(f"trunc must reach ell+1 = {ell + 1}")
+    return trunc
 
 
 def raw_basis(fid: FormId, trunc: int | None = None) -> QSeries:
@@ -337,24 +360,32 @@ def raw_basis(fid: FormId, trunc: int | None = None) -> QSeries:
 
 @lru_cache(maxsize=32)
 def miller_basis(k: int, trunc: int | None = None) -> tuple:
-    """The reduced basis (g_{k,1}, ..., g_{k,ell}) of the cusp space."""
-    return tuple(miller_form(k, m, trunc) for m in range(1, FormId.from_k(k, 0).ell + 1))
+    """The reduced basis (g_{k,1}, ..., g_{k,ell}) of the cusp space.
+
+    J, the tail factor and V for m = 1 are built once; V for m + 1 is
+    V J, since 1 / (qd^(m+1) E_4^(3(D-1)+a) E_6^b) = V E_4^3 / qd.
+    """
+    fid = FormId.from_k(k, 0)
+    if fid.ell == 0:
+        return ()
+    trunc = _checked_trunc(fid.ell, trunc)
+    big_j = _monomial(trunc, -1, 3, 0)
+    tail_factor = _tail_factor(fid, trunc)
+    v = _start(FormId.from_k(k, 1), trunc)
+    forms = []
+    for m in range(1, fid.ell + 1):
+        forms.append(_assemble(FormId.from_k(k, m), trunc, v, big_j, tail_factor))
+        v = _mul(v[:-1], big_j)
+    return tuple(forms)
 
 
 def miller_form(k: int, m: int, trunc: int | None = None) -> MillerForm:
     """g_{k,m} = q^m + O(q^(ell+1)) with its monic integer Faber polynomial."""
     fid = FormId.from_k(k, m)
-    if trunc is None:
-        trunc = default_trunc(fid.ell)
-    if trunc < fid.ell + 1:
-        raise ValueError(f"trunc must reach ell+1 = {fid.ell + 1}")
-    top, w = _reduce(fid, trunc)
-    a, b = EISENSTEIN_FACTORS[fid.kprime]
-    tail = [-c for c in _mul(w, _monomial(len(w), fid.ell + 1, a - 3, b))]
-    series = QSeries._make(m, [1] + [0] * (fid.ell - m) + tail, trunc)
-    form = MillerForm(fid, series, IntPolynomial.make(top[::-1]))
-    form.check()
-    return form
+    trunc = _checked_trunc(fid.ell, trunc)
+    n = trunc - m + 1
+    return _assemble(fid, trunc, _start(fid, n), _monomial(n, -1, 3, 0),
+                     _tail_factor(fid, trunc))
 
 
 def gap_form(k: int, trunc: int | None = None) -> MillerForm:
@@ -377,7 +408,9 @@ def faber_of(series: QSeries, fid: FormId) -> IntPolynomial:
         raise NotInSpaceError("series has a pole at the cusp")
     if series.trunc < fid.ell:
         raise ValueError(f"trunc must reach ell = {fid.ell}")
-    top, w = _reduce(FormId.from_k(fid.k, n0), series.trunc, series.coeffs[n0 - series.lead:])
+    n = series.trunc - n0 + 1
+    v = _mul(series.coeffs[n0 - series.lead:], _start(FormId.from_k(fid.k, n0), n))
+    top, w = _reduce(v, fid.ell - n0 + 1, _monomial(n, -1, 3, 0))
     for i, c in enumerate(w):
         if c != 0:
             raise NotInSpaceError(f"residual fails to vanish at q^{fid.ell + 1 + i}")

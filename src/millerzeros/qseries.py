@@ -312,6 +312,7 @@ def eisenstein(k: int, trunc: int) -> QSeries:
     return QSeries._make(0, coeffs, trunc)
 
 
+@lru_cache(maxsize=None)
 def _pentagonal_euler_product(trunc: int) -> QSeries:
     """prod_{n>=1} (1 - q^n) as a sparse signed sum over pentagonal numbers."""
     coeffs = [0] * (trunc + 1)

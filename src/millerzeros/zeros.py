@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf, workprec
 
-from .evalnum import DEFAULT_PREC, arc_j
+from .evalnum import DEFAULT_PREC, _exact, arc_j
 from .miller import IntPolynomial, MillerForm, miller_form
 from .qseries import EISENSTEIN_FACTORS, EXTRA_WEIGHTS, FormId
 
@@ -339,12 +339,6 @@ def j_of_angle(interval, prec: int = DEFAULT_PREC) -> tuple:
     top = arc_j(lo, prec=prec)
     bot = arc_j(hi, prec=prec)
     return (_exact(bot.value) - _exact(bot.err), _exact(top.value) + _exact(top.err))
-
-
-def _exact(x: mpf) -> Fraction:
-    """The binary value of an mpf, without rounding."""
-    man, exp = x.man_exp
-    return man * Fraction(2) ** exp
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Certified evaluation: error propagation, arc functions, reference values."""
 
 import io
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from millerzeros.miller import miller_form
 from millerzeros.evalnum import (
     CertValue, NotRealError, TailUnboundedError,
     EisensteinTail, JCoeffTail, EtaProductTail, GeometricTail, j_tail_bound,
-    eval_series, eval_delta_eta, eval_form,
+    eval_poly, eval_series, eval_delta_eta, eval_form,
     ArcPoint, arc_functions, arc_form, arc_j, arc_grid, export_arc_csv,
     lemniscate_constants, form_arc_prec, auto_trunc,
 )
@@ -84,6 +85,85 @@ def test_certvalue_pow_int():
     assert p.err >= 3 * 4 * 0.01 * (1 - 1e-9)
     with pytest.raises(ValueError):
         a.pow_int(-1)
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point Horner kernel
+
+INTS = st.integers(-10 ** 30, 10 ** 30)
+FRACTIONS = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 6))
+UNIT = st.floats(0, 1)
+
+
+@st.composite
+def kernel_cases(draw):
+    coeffs = draw(st.lists(st.one_of(INTS, FRACTIONS), min_size=1, max_size=41))
+    size = draw(st.sampled_from((0.999, 2000)))
+    modulus, angle = size * draw(UNIT), 2 * math.pi * draw(UNIT)
+    z = mpc(modulus * math.cos(angle), modulus * math.sin(angle))
+    if draw(st.booleans()):
+        z = z.real
+    radius = draw(st.sampled_from((0, 1e-30, 1e-12, 1e-4))) * draw(UNIT)
+    return coeffs, z, radius, draw(UNIT), 2 * math.pi * draw(UNIT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_eval_poly_encloses_every_point_of_the_disk(case):
+    coeffs, z, radius, u, phi = case
+    with workprec(140):
+        got = eval_poly(coeffs, z, radius)
+        assert isinstance(got.value, mpc) == isinstance(z, mpc)
+    with workprec(2000):
+        # shrink by 1 - 2^-100 so that the 2000-bit rounding keeps w in the disk
+        w = mpc(z) + mpf(radius) * (1 - mpf(2) ** -100) * mpf(u) * mp.expj(phi)
+        exact = mpc(0)
+        for c in reversed(coeffs):
+            exact = exact * w + mpf(c.numerator) / c.denominator
+        assert abs(exact - got.value) <= got.err
+
+
+def test_eval_poly_is_tight_without_radius():
+    e4 = eisenstein(4, 48).coeffs
+    with workprec(140):
+        q = mp.e ** (2j * mp.pi * mpc("0.2", "0.65"))
+        got = eval_poly(e4, q)
+        assert got.err <= abs(got.value) * mpf(2) ** -130
+        assert eval_poly([Fraction(1, 3)], 5).err <= mpf(2) ** -135
+        assert eval_poly([7, 0, 1], mpf(2)).value == 11
+
+
+def reference_eval_series(s, tau, tail, prec=128):
+    """The CertValue Horner with per-operation pads that eval_series replaced."""
+    with workprec(prec + 12):
+        q = mp.e ** (2j * mp.pi * mp.mpmathify(tau))
+        qc = CertValue(q, abs(q) * mpf(2) ** (4 - mp.prec))
+        acc = CertValue(mpf(0))
+        for c in reversed(s.coeffs):
+            acc = acc * qc
+            if c != 0:
+                acc = acc + CertValue.exact(c)
+        if s.lead > 0:
+            acc = acc * qc.pow_int(s.lead)
+        elif s.lead < 0:
+            acc = acc / qc.pow_int(-s.lead)
+        return acc.widened(tail.bound(s.trunc, abs(q)))
+
+
+@pytest.mark.parametrize("name", ["e2", "e4", "e6", "j"])
+def test_eval_series_matches_reference_horner(name):
+    series, tail = {"e2": (eisenstein(2, 48), EisensteinTail(2)),
+                    "e4": (eisenstein(4, 48), EisensteinTail(4)),
+                    "e6": (eisenstein(6, 48), EisensteinTail(6)),
+                    "j": (jfunction(48), JCoeffTail())}[name]
+    with workprec(140):
+        points = [mp.expj(mpf(t)) for t in (mp.pi / 2, 1.7, 1.9, 2 * mp.pi / 3)]
+        points += [mpc(x, y) for x in ("0", "0.2", "0.37", "0.5") for y in ("0.65", "0.75")]
+    for tau in points:
+        got = eval_series(series, tau, tail)
+        ref = reference_eval_series(series, tau, tail)
+        assert abs(got.value - ref.value) <= got.err + ref.err
+        assert got.err <= 2 * ref.err
 
 
 # ---------------------------------------------------------------------------

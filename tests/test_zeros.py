@@ -11,7 +11,7 @@ from millerzeros.qseries import EISENSTEIN_FACTORS, FormId
 from millerzeros.evalnum import DEFAULT_PREC, arc_form, arc_functions, arc_j, form_arc_prec
 from millerzeros.miller import IntPolynomial, miller_form
 from millerzeros.zeros import (
-    ROOT_WIDTH, InconclusiveSignError, TheoremViolationError, _certified_arc_sign,
+    ROOT_WIDTH, InconclusiveSignError, TheoremViolationError, _certified_arc_sign, _exact,
     squarefree_part, sturm_chain,
     sturm_isolate, isolate_real_roots, count_off_interval, cauchy_bound,
     HFunction, arc_zero_localize, refine_arc_zero, j_of_angle,
@@ -308,14 +308,23 @@ def test_arc_j_agrees_with_eisenstein_quotient():
 
 def test_j_of_angle_rounds_outward():
     def exact(x):
-        man, exp = x.man_exp
-        return Fraction(man) * Fraction(2) ** exp
+        sign, man, exp, _ = x._mpf_
+        return Fraction(-man if sign else man) * Fraction(2) ** exp
 
     for theta in (1.6, 1.7):
         cv = arc_j(theta)
         lo, hi = j_of_angle(theta)
         assert lo <= exact(cv.value) - exact(cv.err)
         assert hi >= exact(cv.value) + exact(cv.err)
+
+
+def test_exact_keeps_the_sign():
+    assert _exact(mpf(-0.75)) == Fraction(-3, 4)
+    assert _exact(mpf(0)) == 0
+    assert _exact(mpf(3) * 2 ** 80) == 3 * 2 ** 80
+    assert _exact(-mpf(5) / 2 ** 70) == Fraction(-5, 2 ** 70)
+    with pytest.raises(ValueError):
+        _exact(mpf("inf"))
 
 
 # ---------------------------------------------------------------------------
