@@ -30,8 +30,8 @@ from mpmath import mp, mpc, mpf, workprec
 from . import qseries
 from .qseries import EISENSTEIN_FACTORS
 from .evalnum import (DEFAULT_PREC, CertValue, EisensteinTail, GeometricTail,
-                      JCoeffTail, arc_functions, arc_grid, arc_j,
-                      eval_delta_eta, eval_series, j_tail_bound,
+                      JCoeffTail, TailUnboundedError, _exact, arc_functions,
+                      arc_grid, arc_j, eval_delta_eta, eval_series, j_tail_bound,
                       lemniscate_constants)
 
 
@@ -45,6 +45,11 @@ class DomainError(ValueError):
 
 # ---------------------------------------------------------------------------
 # ledger entries
+
+
+def _pad_of(v) -> mpf:
+    """The relative pad of every certificate value here: |v| 2^(8 - prec)."""
+    return mp.ldexp(abs(v), 8 - mp.prec)
 
 
 @dataclass
@@ -82,6 +87,16 @@ def _entry_value(name: str, ref: str, cv: CertValue, claimed, tol) -> BoundLedge
     v = cv.value.real if isinstance(cv.value, mpc) else cv.value
     ok = abs(v - mpf(claimed)) + cv.err <= mpf(tol)
     return BoundLedgerEntry(name, float(claimed), float(v), float(cv.err), bool(ok), ref)
+
+
+def _lower(cv: CertValue) -> Fraction:
+    """value - err of a real CertValue, exactly."""
+    return _exact(cv.value) - _exact(cv.err)
+
+
+def _upper(cv: CertValue) -> Fraction:
+    """value + err of a real CertValue, exactly."""
+    return _exact(cv.value) + _exact(cv.err)
 
 
 def _entry_flag(name: str, ref: str, ok: bool) -> BoundLedgerEntry:
@@ -216,11 +231,15 @@ def j_approx(M: int, a, x, prec: int = DEFAULT_PREC) -> CertValue:
     return eval_series(series, tau, GeometricTail(0, 0), prec=prec)
 
 
-def j_approx_error(M: int, a) -> float:
-    """Closed-form bound for the dropped j tail; needs M > 1/a^2."""
+def j_approx_error(M: int, a) -> mpf:
+    """Closed-form bound for the dropped j tail; needs M > 1/a^2.
+
+    An upper bound as it stands: j_tail_bound's relative slack covers its
+    own rounding.
+    """
     try:
-        return float(j_tail_bound(M, a))
-    except Exception as exc:
+        return j_tail_bound(M, a)
+    except TailUnboundedError as exc:
         raise DomainError(str(exc)) from exc
 
 
@@ -272,8 +291,9 @@ class MonotonicityCertificate:
 def monotonicity_certificate_075(prec: int = DEFAULT_PREC) -> MonotonicityCertificate:
     with workprec(prec + 12):
         j = qseries.jfunction(5)
-        E = CertValue(mp.e ** (-3 * mp.pi / 2), mpf(2) ** (8 - mp.prec))
-        Einv = CertValue(mp.e ** (3 * mp.pi / 2), mp.e ** (3 * mp.pi / 2) * mpf(2) ** (8 - mp.prec))
+        E = CertValue(mp.e ** (-3 * mp.pi / 2), _pad_of(1))
+        einv = mp.e ** (3 * mp.pi / 2)
+        Einv = CertValue(einv, _pad_of(einv))
         a = [CertValue.exact(744),
              Einv + CertValue.exact(j.coeff(1)) * E]
         for n in range(2, 6):
@@ -294,7 +314,7 @@ def monotonicity_certificate_075(prec: int = DEFAULT_PREC) -> MonotonicityCertif
         zv = zroot.value
         slope = 1 / mp.sqrt(1 - (abs(zv) + zroot.err) ** 2)
         x0 = CertValue(mp.acos(zv) / (2 * mp.pi),
-                       zroot.err * slope / (2 * mp.pi) + mpf(2) ** (8 - mp.prec))
+                       zroot.err * slope / (2 * mp.pi) + _pad_of(1))
         cert = MonotonicityCertificate(mono, deriv, gour, z0, zroot, x0)
         cert.entries = [
             _entry_value("refit.x0", "interior minimum of Re f_{5,3/4}", x0, 0.253311, 1e-4),
@@ -321,8 +341,8 @@ def magnitude_certificate_065(prec: int = DEFAULT_PREC) -> MagnitudeCertificate:
     with workprec(prec + 12):
         M = 7
         j = qseries.jfunction(M)
-        E = CertValue(mp.e ** (-13 * mp.pi / 10), mp.e ** (-13 * mp.pi / 10) * mpf(2) ** (8 - mp.prec))
-        Einv = CertValue(mp.e ** (13 * mp.pi / 10), mp.e ** (13 * mp.pi / 10) * mpf(2) ** (8 - mp.prec))
+        e, einv = mp.e ** (-13 * mp.pi / 10), mp.e ** (13 * mp.pi / 10)
+        E, Einv = CertValue(e, _pad_of(e)), CertValue(einv, _pad_of(einv))
         a = {-1: Einv}
         a[0] = CertValue.exact(744)
         for n in range(1, M + 1):
@@ -367,8 +387,8 @@ def magnitude_certificate_065(prec: int = DEFAULT_PREC) -> MagnitudeCertificate:
 @dataclass
 class JDifferenceReport:
     j19: CertValue                  # j at the arc split angle theta = 1.9
-    min_diff_075: float             # lower bound for |j(x + 0.75i) - t|, t in the upper arc range
-    min_diff_065: float
+    min_diff_075: Fraction          # lower bound for |j(x + 0.75i) - t|, t in the upper arc range
+    min_diff_065: Fraction
     entries: list = field(default_factory=list)
 
 
@@ -380,7 +400,9 @@ def j_difference_bounds(prec: int = DEFAULT_PREC,
     The 0.75 line is split at the interior minimum of Re f: the real part
     dominates on [0, 0.1] and [0.2, 0.5], the imaginary part on
     [0.1, 0.2].  The 0.65 line uses the monotone |f| certificate.  Both
-    use |j - f| <= 10 from the truncation error bounds.
+    use |j - f| <= 10 from the truncation error bounds.  The separations
+    are exact rationals built from the certified endpoints, so no
+    rounding enters them.
     """
     entries = []
     with workprec(prec + 12):
@@ -388,10 +410,10 @@ def j_difference_bounds(prec: int = DEFAULT_PREC,
         a19 = mp.sin(mpf(1.9))
         err19 = j_approx_error(6, a19)
         f19 = j_approx(6, a19, mp.cos(mpf(1.9)), prec=prec)
-        j19 = f19.real().widened(err19 + abs(float(f19.imag().value)))
+        j19 = f19.real().widened(err19).widened(abs(f19.imag().value))
         entries.append(_entry_upper("jdiff.approx-error-19",
                                     "f_{6,sin 1.9} truncation bound",
-                                    CertValue(mpf(err19)), 4e-4))
+                                    CertValue(err19), 4e-4))
         entries.append(_entry_value("jdiff.ref19", "Re f_{6,sin 1.9}(cos 1.9)",
                                     f19.real(), 271.09885, 1e-3))
         in_window = bool(j19.value - j19.err > 271 and j19.value + j19.err < 272)
@@ -412,7 +434,7 @@ def j_difference_bounds(prec: int = DEFAULT_PREC,
         err75 = j_approx_error(5, 0.75)
         entries.append(_entry_upper("jdiff.approx-error-075",
                                     "f_{5,3/4} truncation bound",
-                                    CertValue(mpf(err75)), 10.0))
+                                    CertValue(err75), 10.0))
         f01 = j_approx(5, 0.75, 0.1, prec=prec)
         f02 = j_approx(5, 0.75, 0.2, prec=prec)
         f05 = j_approx(5, 0.75, 0.5, prec=prec)
@@ -429,31 +451,29 @@ def j_difference_bounds(prec: int = DEFAULT_PREC,
             raise CertificateFailureError("minimum location leaves the case split")
 
         # [0, 0.1]: Re f decreasing there, so Re j >= Re f(0.1) - err
-        rej_min = f01.real().value - f01.real().err - err75
-        d1 = rej_min - 1728
+        d1 = _lower(f01.real()) - _exact(err75) - 1728
         # [0.1, 0.2]: Im f >= sum of sine minima; j differs by at most err75
         sines = _im_lower_bound_075(prec)
         entries.append(_entry_value("jdiff.imf-bound", "Im f_{5,3/4} lower bound on [0.1, 0.2]",
                                     sines, 1474.07, 0.5))
-        d2 = sines.value - sines.err - err75
+        d2 = _lower(sines) - _exact(err75)
         # [0.2, 0.5]: Re f peaks at the ends of the interval
-        remax = max(f02.real().value + f02.real().err, f05.real().value + f05.real().err)
+        remax = max(_upper(f02.real()), _upper(f05.real()))
         entries.append(_entry_flag("jdiff.ref-peak", "max(Re f(0.2), Re f(0.5)) <= 85",
                                    bool(remax <= 85)))
-        d3 = 271 - (remax + err75)
-        min75 = float(min(d1, d2, d3))
-        entries.append(_entry_lower("jdiff.sep-075", "j separation on the 0.75 line",
-                                    CertValue(mpf(min75)), 176))
+        d3 = 271 - (remax + _exact(err75))
+        min75 = min(d1, d2, d3)
+        entries.append(_entry_exact("jdiff.sep-075", "j separation on the 0.75 line",
+                                    min75, Fraction(176), upper=False))
 
         # --- height 0.65, arc range of j is [0, j(1.9)] subset [0, 272]
         err65 = j_approx_error(7, 0.65)
         entries.append(_entry_upper("jdiff.approx-error-065",
                                     "f_{7,13/20} truncation bound",
-                                    CertValue(mpf(err65)), 10.0))
-        min_abs = mag.value_at_half.value - mag.value_at_half.err - err65
-        min65 = float(min_abs - 272)
-        entries.append(_entry_lower("jdiff.sep-065", "j separation on the 0.65 line",
-                                    CertValue(mpf(min65)), 311))
+                                    CertValue(err65), 10.0))
+        min65 = _lower(mag.value_at_half) - _exact(err65) - 272
+        entries.append(_entry_exact("jdiff.sep-065", "j separation on the 0.65 line",
+                                    min65, Fraction(311), upper=False))
 
         return JDifferenceReport(j19=j19, min_diff_075=min75, min_diff_065=min65,
                                  entries=entries)
@@ -471,7 +491,7 @@ def _im_lower_bound_075(prec: int) -> CertValue:
         for n, s in coeffs.items():
             lo, hi = 2 * mp.pi * n * mpf("0.1"), 2 * mp.pi * n * mpf("0.2")
             factor = _sin_min_on(lo, hi) if s > 0 else _sin_max_on(lo, hi)
-            total = total + CertValue(s, abs(s) * mpf(2) ** (8 - mp.prec)) * CertValue(factor)
+            total = total + CertValue(s, _pad_of(s)) * CertValue(factor)
         return total
 
 
@@ -579,10 +599,6 @@ def eisenstein_line_bounds(prec: int = DEFAULT_PREC, grid_step: float = 1e-3) ->
             entries.append(_entry_upper(f"{lbl}.grid", ref + ", grid maximum", certified,
                                         total_claim))
     return entries
-
-
-def _pad_of(v) -> mpf:
-    return abs(v) * mpf(2) ** (8 - mp.prec)
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +755,7 @@ def residue_term(theta: float, k: int, m: int, prec: int = DEFAULT_PREC) -> Cert
         t = mpf(theta)
         v = mp.e ** (mp.pi * m * (2 * mp.sin(t) - mp.tan(t / 2))) / \
             (2 * mp.cos(t / 2)) ** k
-        return CertValue(v, abs(v) * (k + m) * mpf(2) ** (8 - mp.prec))
+        return CertValue(v, _pad_of(v) * (k + m))
 
 
 def residue_entries(k: int = 192, m: int = 1, grid_step: float = 1e-3,
@@ -963,9 +979,8 @@ def proposition_mrl_check(k: int, m: int, grid_step: float = 1e-3,
             h = k * t / 2 + 2 * mp.pi * m * mp.cos(t)
             target = 2 * mp.cos(h)
             # argument rounding of h sweeps through cos with unit slope
-            pad = (abs(h) + 2 * mp.pi * m + 2) * mpf(2) ** (8 - mp.prec)
-            val = g * CertValue(amp, abs(amp) * mpf(2) ** (8 - mp.prec)) - \
-                CertValue(target, pad)
+            pad = _pad_of(abs(h) + 2 * mp.pi * m + 2)
+            val = g * CertValue(amp, _pad_of(amp)) - CertValue(target, pad)
             mag = abs(val.value)
             if float(mag) > worst:
                 worst = float(mag)

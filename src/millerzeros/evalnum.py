@@ -12,8 +12,18 @@ Accuracy and Stability of Numerical Algorithms, 5.1).  Moving the point
 by delta costs at most delta sum i |c_i| R^(i-1), bounded by integer
 Horner rounding up.  The radius is then: that a-priori bound, the exact
 tail bound for the truncated series, and one pad for rounding the result
-to an mpf.  The few CertValue operations around the kernel (the q^lead
-factor, Delta = q P^24, the arc phases) pad each result by a few ulp.
+to an mpf.
+
+Around the kernel, each evaluation point does its scalar work once: one
+private q-point holds q = e^(2 pi i tau), its pad, r = |q| and y = Im tau,
+and every series at that point (the Eisenstein series, the eta product,
+j) reads them from it, so exp(2 pi i tau) is computed once per
+eval_series, eval_form, arc_functions or arc_j call.  Powers are closed
+form, after the midpoint-radius pattern of Arb (Johansson, IEEE TC 66,
+2017): CertValue.pow_int rounds v^n once and takes the radius
+n e (|v| + e)^(n-1), rounded upward, plus the pad of v^n, since
+|w^n - v^n| <= n |w - v| max(|v|, |w|)^(n-1).  The arc phases e^(i k theta/2)
+are one mp.expj each, of an argument formed exactly.
 
 Tail bounds by coefficient family:
 
@@ -37,10 +47,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, mpf_pow_int
 
 from . import qseries
 from .qseries import QSeries
@@ -63,7 +74,11 @@ class NotRealError(ArithmeticError):
 
 def _pad(value) -> mpf:
     # a few ulp at the ambient precision; mpmath rounds to 1/2 ulp per op
-    return abs(value) * mpf(2) ** (4 - mp.prec)
+    return mp.ldexp(abs(value), 4 - mp.prec)
+
+
+# relative slack on every closed-form tail, covering its own rounding
+_TAIL_SLACK = 1 + mpf(2) ** -30
 
 
 class CertValue:
@@ -128,17 +143,30 @@ class CertValue:
         return CertValue(v, e)
 
     def pow_int(self, n: int) -> "CertValue":
+        """v^n rounded once, radius n e (|v| + e)^(n-1) rounded upward plus pads.
+
+        |v| is inflated by 2^(2-prec) for the rounding of abs.  mpmath forms
+        a real power, or a complex one with n <= 2 or a zero part, exactly
+        or at extra precision and rounds it once, which the pad of v^n
+        covers.  Any other complex power may be exp(n log v) at 10 extra
+        bits, off by up to n (|log v| + pi) 2^-(prec+8) relative; the pad
+        grows by n (|mag v| + 5) / 2^11 of itself to cover that, mag v
+        being the binary exponent of |v|.
+        """
         if n < 0:
             raise ValueError("negative powers unsupported")
-        result = CertValue(mpf(1))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        if n == 0:
+            return CertValue(mpf(1))
+        v, e = self.value, self.err
+        value = v ** n
+        a = abs(v)
+        base = mp.fadd(mp.fadd(a, mp.ldexp(a, 2 - mp.prec), rounding="u"), e, rounding="u")
+        power = mp.make_mpf(mpf_pow_int(base._mpf_, n - 1, mp.prec, "u"))
+        spread = mp.fmul(mp.fmul(n, e, rounding="u"), power, rounding="u")
+        rounding = _pad(value)
+        if isinstance(v, mpc) and n > 2 and v.real and v.imag:
+            rounding *= 1 + mpf(n * (abs(mp.mag(v)) + 5)) / 2048
+        return CertValue(value, spread + rounding)
 
     # -- views -------------------------------------------------------------
 
@@ -161,7 +189,8 @@ class CertValue:
         return lo if lo > 0 else mpf(0)
 
     def widened(self, extra) -> "CertValue":
-        return CertValue(self.value, self.err + mpf(extra))
+        """The same value with extra added to the radius, rounded upward."""
+        return CertValue(self.value, mp.fadd(self.err, extra, rounding="u"))
 
     def certified_sign(self) -> int:
         """-1, 0 or +1; 0 means the interval straddles zero (no certificate)."""
@@ -272,35 +301,44 @@ def eval_poly(coeffs, z, radius=0) -> CertValue:
 # tail bounds
 
 
+@lru_cache(maxsize=256)
+def _eisenstein_tail_factors(k: int, trunc: int, prec: int) -> tuple:
+    """(gamma_k (N+1)^k, (1 + 1/(N+1))^k) at N = trunc, computed at prec bits."""
+    gamma = abs(Fraction(2 * k) / qseries.bernoulli(k))
+    return (mpf(gamma.numerator) / gamma.denominator * mpf(trunc + 1) ** k,
+            (1 + mpf(1) / (trunc + 1)) ** k)
+
+
+# Every tail bounds the dropped coefficients at |q| = r = e^(-2 pi y); it
+# receives both, so that none has to recover one from the other.
+
 @dataclass(frozen=True)
 class EisensteinTail:
     k: int
 
-    def bound(self, trunc: int, r: mpf) -> mpf:
+    def bound(self, trunc: int, r: mpf, y: mpf) -> mpf:
         if self.k == 0:
             return mpf(0)
-        gamma = abs(Fraction(2 * self.k) / qseries.bernoulli(self.k))
-        ratio = (1 + mpf(1) / (trunc + 1)) ** self.k * r
+        lead, growth = _eisenstein_tail_factors(self.k, trunc, mp.prec)
+        ratio = growth * r
         if ratio >= 1:
             raise TailUnboundedError(
                 f"Eisenstein tail not dominated at trunc={trunc}, r={r}")
-        g = mpf(gamma.numerator) / gamma.denominator
-        return g * mpf(trunc + 1) ** self.k * r ** (trunc + 1) / (1 - ratio) * (1 + mpf(2) ** -30)
+        return lead * r ** (trunc + 1) / (1 - ratio) * _TAIL_SLACK
 
 
 @dataclass(frozen=True)
 class JCoeffTail:
-    def bound(self, trunc: int, r: mpf) -> mpf:
-        y = -mp.log(r) / (2 * mp.pi)
+    def bound(self, trunc: int, r: mpf, y: mpf) -> mpf:
         return j_tail_bound(trunc, y)
 
 
 @dataclass(frozen=True)
 class EtaProductTail:
-    def bound(self, trunc: int, r: mpf) -> mpf:
+    def bound(self, trunc: int, r: mpf, y: mpf) -> mpf:
         if r >= 1:
             raise TailUnboundedError("eta tail needs |q| < 1")
-        return 2 * r ** (trunc + 1) / (1 - r) * (1 + mpf(2) ** -30)
+        return 2 * r ** (trunc + 1) / (1 - r) * _TAIL_SLACK
 
 
 @dataclass(frozen=True)
@@ -308,11 +346,11 @@ class GeometricTail:
     C: float
     rho: float
 
-    def bound(self, trunc: int, r: mpf) -> mpf:
+    def bound(self, trunc: int, r: mpf, y: mpf) -> mpf:
         x = mpf(self.rho) * r
         if x >= 1:
             raise TailUnboundedError(f"geometric ratio {x} >= 1")
-        return mpf(self.C) * x ** (trunc + 1) / (1 - x) * (1 + mpf(2) ** -30)
+        return mpf(self.C) * x ** (trunc + 1) / (1 - x) * _TAIL_SLACK
 
 
 def j_tail_bound(M: int, a) -> mpf:
@@ -325,10 +363,11 @@ def j_tail_bound(M: int, a) -> mpf:
     a = mpf(a)
     if M <= 1 / a ** 2:
         raise TailUnboundedError(f"tail bound needs M > 1/a^2 = {1 / a ** 2}")
-    expo = 2 * mp.pi * (1 / a - a * (mp.sqrt(M) - 1 / a) ** 2)
-    lead = mp.e ** expo / (2 * mp.sqrt(2) * mp.pi * mpf(M + 1) ** mpf(0.75))
-    geo = mp.sqrt(M) / (a * mp.sqrt(M) - 1)
-    return lead * geo * (1 + mpf(2) ** -30)
+    root = mp.sqrt(M)
+    expo = 2 * mp.pi * (1 / a - a * (root - 1 / a) ** 2)
+    lead = mp.exp(expo) / (2 * mp.sqrt(2) * mp.pi * mp.sqrt(mp.sqrt(mpf(M + 1) ** 3)))
+    geo = root / (a * root - 1)
+    return lead * geo * _TAIL_SLACK
 
 
 # ---------------------------------------------------------------------------
@@ -362,23 +401,44 @@ def form_arc_prec(ell: int, m: int, floor: int = DEFAULT_PREC) -> int:
     return max(floor, 64 + 3 * ell + 10 * m)
 
 
+class _QPoint:
+    """One evaluation point: q = e^(2 pi i tau), its pad, r = |q| and y = Im tau."""
+
+    __slots__ = ("q", "pad", "r", "y")
+
+    def __init__(self, tau):
+        tau = mp.mpmathify(tau)
+        self.y = _require_height(tau)
+        self.q = mp.exp(2j * mp.pi * tau)
+        self.r = abs(self.q)
+        self.pad = mp.ldexp(self.r, 4 - mp.prec)
+
+
+def _series_at(s: QSeries, pt: _QPoint, tail) -> CertValue:
+    acc = eval_poly(s.coeffs, pt.q, pt.pad)
+    if s.lead:
+        qc = CertValue(pt.q, pt.pad).pow_int(abs(s.lead))
+        acc = acc * qc if s.lead > 0 else acc / qc
+    return acc.widened(tail.bound(s.trunc, pt.r, pt.y))
+
+
+def _delta_at(pt: _QPoint, terms: int) -> CertValue:
+    p = eval_poly(qseries._pentagonal_euler_product(terms).coeffs, pt.q, pt.pad)
+    p = p.widened(EtaProductTail().bound(terms, pt.r, pt.y))
+    return p.pow_int(24) * CertValue(pt.q, pt.pad)
+
+
 def eval_series(s: QSeries, tau, tail, prec: int = DEFAULT_PREC) -> CertValue:
     """Certified value of a truncated q-expansion plus its tail bound.
 
     The partial sum is one eval_poly call at q = e^(2 pi i tau) with the
     radius of q (a few ulp), so its error is the kernel's a-priori bound;
-    the q^lead factor, when present, is one CertValue product or quotient.
-    tail is one of the *Tail dataclasses above and must genuinely cover
-    the dropped coefficients of the series being evaluated.
+    the q^lead factor, when present, is one CertValue power and product
+    or quotient.  tail is one of the *Tail dataclasses above and must
+    genuinely cover the dropped coefficients of the series being evaluated.
     """
     with workprec(prec + _GUARD):
-        _require_height(tau)
-        q = mp.e ** (2j * mp.pi * mp.mpmathify(tau))
-        acc = eval_poly(s.coeffs, q, _pad(q))
-        if s.lead:
-            qc = CertValue(q, _pad(q)).pow_int(abs(s.lead))
-            acc = acc * qc if s.lead > 0 else acc / qc
-        return acc.widened(tail.bound(s.trunc, abs(q)))
+        return _series_at(s, _QPoint(tau), tail)
 
 
 def eval_delta_eta(tau, terms: int | None = None, prec: int = DEFAULT_PREC) -> CertValue:
@@ -390,12 +450,8 @@ def eval_delta_eta(tau, terms: int | None = None, prec: int = DEFAULT_PREC) -> C
     a choice from the working precision and the height.
     """
     with workprec(prec + _GUARD):
-        y = _require_height(tau)
-        n_max = terms if terms is not None else auto_trunc(y, prec)
-        q = mp.e ** (2j * mp.pi * mp.mpmathify(tau))
-        p = eval_poly(qseries._pentagonal_euler_product(n_max).coeffs, q, _pad(q))
-        p = p.widened(EtaProductTail().bound(n_max, abs(q)))
-        return p.pow_int(24) * CertValue(q, _pad(q))
+        pt = _QPoint(tau)
+        return _delta_at(pt, terms if terms is not None else auto_trunc(pt.y, prec))
 
 
 def eval_form(form, tau, prec: int = DEFAULT_PREC, trunc_scale: int = 1) -> CertValue:
@@ -407,16 +463,15 @@ def eval_form(form, tau, prec: int = DEFAULT_PREC, trunc_scale: int = 1) -> Cert
     """
     fid = form.id
     with workprec(prec + _GUARD):
-        y = _require_height(tau)
-        n = auto_trunc(y, prec) * trunc_scale
-        dl = eval_delta_eta(tau, terms=n, prec=prec).pow_int(fid.ell)
+        pt = _QPoint(tau)
+        n = auto_trunc(pt.y, prec) * trunc_scale
+        dl = _delta_at(pt, n).pow_int(fid.ell)
         if fid.kprime:
-            ek = eval_series(qseries.eisenstein(fid.kprime, n), tau,
-                             EisensteinTail(fid.kprime), prec=prec)
+            ek = _series_at(qseries.eisenstein(fid.kprime, n), pt, EisensteinTail(fid.kprime))
         else:
             ek = CertValue(mpf(1))
-        nj = max(n, int(1 / float(y) ** 2) + 8)
-        jv = eval_series(qseries.jfunction(nj), tau, JCoeffTail(), prec=prec)
+        nj = max(n, int(1 / float(pt.y) ** 2) + 8)
+        jv = _series_at(qseries.jfunction(nj), pt, JCoeffTail())
         return dl * ek * eval_poly(form.faber.coeffs, jv.value, jv.err)
 
 
@@ -465,6 +520,12 @@ def _theta_mpf(p) -> mpf:
     return t
 
 
+def _phase(theta: mpf, k: int) -> CertValue:
+    """e^(i k theta / 2), from an exactly formed argument."""
+    v = mp.expj(mp.ldexp(mp.fmul(theta, k, exact=True), -1))
+    return CertValue(v, _pad(v))
+
+
 def arc_functions(p, trunc: int | None = None, prec: int = DEFAULT_PREC) -> ArcValues:
     """Certified values of e2, e4, e6, delta_arc at an arc angle.
 
@@ -473,18 +534,17 @@ def arc_functions(p, trunc: int | None = None, prec: int = DEFAULT_PREC) -> ArcV
     """
     with workprec(prec + _GUARD):
         theta = _theta_mpf(p)
-        tau = mp.e ** (1j * theta)
-        n = trunc if trunc is not None else auto_trunc(mp.sin(theta), prec)
-        ph = CertValue(mp.e ** (1j * theta), _pad(tau))
-        vals = {}
-        for k in (2, 4, 6):
-            ev = eval_series(qseries.eisenstein(k, n), tau, EisensteinTail(k), prec=prec)
-            vals[k] = ev
-        d = eval_delta_eta(tau, terms=n, prec=prec)
-        e2 = (ph * vals[2] + CertValue(mpc(0, -3) / mp.pi, _pad(mpf(1)))).as_real()
-        e4 = (ph.pow_int(2) * vals[4]).as_real()
-        e6 = (ph.pow_int(3) * vals[6]).as_real()
-        da = (ph.pow_int(6) * d).as_real()
+        tau = mp.expj(theta)
+        pt = _QPoint(tau)
+        n = trunc if trunc is not None else auto_trunc(pt.y, prec)
+        e2, e4, e6 = (_series_at(qseries.eisenstein(k, n), pt, EisensteinTail(k))
+                      for k in (2, 4, 6))
+        d = _delta_at(pt, n)
+        e2 = (CertValue(tau, _pad(tau)) * e2
+              + CertValue(mpc(0, -3) / mp.pi, _pad(mpf(1)))).as_real()
+        e4 = (_phase(theta, 4) * e4).as_real()
+        e6 = (_phase(theta, 6) * e6).as_real()
+        da = (_phase(theta, 12) * d).as_real()
         return ArcValues(float(theta), e2, e4, e6, da)
 
 
@@ -492,10 +552,8 @@ def arc_form(form, p, prec: int = DEFAULT_PREC, trunc_scale: int = 1) -> CertVal
     """The real function e^(i k theta / 2) g_{k,m}(e^(i theta)) on the arc."""
     with workprec(prec + _GUARD):
         theta = _theta_mpf(p)
-        tau = mp.e ** (1j * theta)
-        phase = CertValue(mp.e ** (1j * theta * form.id.k / 2), _pad(mpf(1)))
-        val = eval_form(form, tau, prec=prec, trunc_scale=trunc_scale)
-        return (phase * val).as_real()
+        val = eval_form(form, mp.expj(theta), prec=prec, trunc_scale=trunc_scale)
+        return (_phase(theta, form.id.k) * val).as_real()
 
 
 def arc_j(p, prec: int = DEFAULT_PREC) -> CertValue:
@@ -505,11 +563,9 @@ def arc_j(p, prec: int = DEFAULT_PREC) -> CertValue:
     1/sin^2 theta, where the tail estimate starts to hold.
     """
     with workprec(prec + _GUARD):
-        theta = _theta_mpf(p)
-        y = mp.sin(theta)
-        n = max(auto_trunc(y, prec), int(1 / float(y) ** 2) + 8)
-        return eval_series(qseries.jfunction(n), mp.e ** (1j * theta), JCoeffTail(),
-                           prec=prec).as_real()
+        pt = _QPoint(mp.expj(_theta_mpf(p)))
+        n = max(auto_trunc(pt.y, prec), int(1 / float(pt.y) ** 2) + 8)
+        return _series_at(qseries.jfunction(n), pt, JCoeffTail()).as_real()
 
 
 # ---------------------------------------------------------------------------

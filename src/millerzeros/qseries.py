@@ -364,11 +364,6 @@ def ramanujan_residuals(trunc: int) -> tuple:
     return r1, r2, r3
 
 
-def ramanujan_derivative_check(trunc: int) -> bool:
-    """True when all three derivative identities hold exactly to trunc."""
-    return all(r.is_zero() for r in ramanujan_residuals(trunc))
-
-
 # ---------------------------------------------------------------------------
 # weight bookkeeping
 

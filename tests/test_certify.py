@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, workprec
 
-from millerzeros.evalnum import CertValue
+from millerzeros.evalnum import CertValue, _exact
 from millerzeros.certify import (
     BoundLedgerEntry, DomainError,
     _cheb_t, ChebyshevPoly, polynomial_derivative, goursat_transform, horner,
@@ -124,6 +124,24 @@ def test_j_difference_bounds():
     assert rep.min_diff_065 >= 311
     assert 271 < rep.j19.value < 272
     assert all(e.satisfied for e in rep.entries)
+
+
+def test_j_difference_bounds_carry_no_floats():
+    # the separations are exact rationals, the tail bounds mpf upper bounds,
+    # and j19 is widened by Im f19 and the tail without rounding either down
+    rep = j_difference_bounds()
+    assert isinstance(rep.min_diff_075, Fraction) and isinstance(rep.min_diff_065, Fraction)
+    by_name = {e.name: e for e in rep.entries}
+    assert by_name["jdiff.sep-075"].computed == float(rep.min_diff_075)
+    assert by_name["jdiff.sep-065"].computed == float(rep.min_diff_065)
+    with workprec(140):
+        a19 = mp.sin(mpf(1.9))
+        err19 = j_approx_error(6, a19)
+        f19 = j_approx(6, a19, mp.cos(mpf(1.9)))
+    assert isinstance(err19, mpf)
+    assert by_name["jdiff.approx-error-19"].computed == float(err19)
+    need = _exact(f19.err) + _exact(err19) + abs(_exact(f19.imag().value))
+    assert _exact(rep.j19.err) >= need
 
 
 # ---------------------------------------------------------------------------

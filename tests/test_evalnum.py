@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc, workprec
 
-from millerzeros.qseries import QSeries, delta, eisenstein, jfunction
+from millerzeros.qseries import (QSeries, _pentagonal_euler_product, delta, eisenstein,
+                                 jfunction)
 from millerzeros.miller import miller_form
 from millerzeros.evalnum import (
     CertValue, NotRealError, TailUnboundedError,
@@ -87,12 +88,49 @@ def test_certvalue_pow_int():
         a.pow_int(-1)
 
 
+UNIT = st.floats(0, 1)
+# odd 140-bit mantissas keep every part exactly 140 bits long, so the
+# branch mpmath takes for a complex power is known from n and the exponents
+MANTISSA = st.integers(2 ** 138, 2 ** 139 - 1).map(lambda x: 2 * x + 1)
+
+
+def _mpc_pow_branch(v, n: int) -> str:
+    """The branch of mpmath's mpc_pow_int for a complex v with two nonzero parts."""
+    (_, _, a_exp, a_bc), (_, _, b_exp, b_bc) = v._mpc_
+    return "exact" if n * (abs(a_exp - b_exp) + max(a_bc, b_bc)) < 10000 else "log"
+
+
+@pytest.mark.parametrize("branch, n_range", [("real", (1, 200)), ("exact", (3, 60)),
+                                             ("log", (80, 200))])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_pow_int_encloses_every_power(branch, n_range, data):
+    # every w with |w - v| <= e must have w^n inside the result, for the
+    # exact complex power and for exp(n log v) alike
+    draw = data.draw
+    scale = draw(st.integers(-1000, 1000))
+    with workprec(140):
+        def part():
+            sign = draw(st.sampled_from((-1, 1)))
+            return sign * mp.ldexp(draw(MANTISSA), scale + draw(st.integers(-8, 8)) - 140)
+        n = draw(st.integers(*n_range))
+        v = part() if branch == "real" else mpc(part(), part())
+        if branch != "real":
+            assert _mpc_pow_branch(v, n) == branch
+        e = abs(v) * mpf(10) ** -20 * draw(UNIT)
+        got = CertValue(v, e).pow_int(n)
+    u, phi = draw(UNIT), 2 * math.pi * draw(UNIT)
+    with workprec(2000):
+        direction = mp.expj(phi) if branch != "real" else mp.sign(phi - math.pi)
+        w = v + e * (1 - mpf(2) ** -100) * mpf(u) * direction
+        assert abs(w ** n - got.value) <= got.err
+
+
 # ---------------------------------------------------------------------------
 # the fixed-point Horner kernel
 
 INTS = st.integers(-10 ** 30, 10 ** 30)
 FRACTIONS = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.integers(1, 10 ** 6))
-UNIT = st.floats(0, 1)
 
 
 @st.composite
@@ -147,7 +185,7 @@ def reference_eval_series(s, tau, tail, prec=128):
             acc = acc * qc.pow_int(s.lead)
         elif s.lead < 0:
             acc = acc / qc.pow_int(-s.lead)
-        return acc.widened(tail.bound(s.trunc, abs(q)))
+        return acc.widened(tail.bound(s.trunc, abs(q), mp.im(tau)))
 
 
 @pytest.mark.parametrize("name", ["e2", "e4", "e6", "j"])
@@ -176,22 +214,22 @@ def test_tail_domination_actual_remainders():
             r = abs(mp.e ** (2j * mp.pi * tau))
             for n in (12, 20, 36):
                 tail_true = sum(int(j.coeff(i)) * r ** i for i in range(n + 1, 49))
-                assert tail_true <= JCoeffTail().bound(n, r)
+                assert tail_true <= JCoeffTail().bound(n, r, tau.imag)
         e6 = eisenstein(6, 48)
         r = mp.e ** (-2 * mp.pi * mpf("0.65"))
         for n in (8, 16):
             tail_true = sum(abs(int(e6.coeff(i))) * r ** i for i in range(n + 1, 49))
-            assert tail_true <= EisensteinTail(6).bound(n, r)
+            assert tail_true <= EisensteinTail(6).bound(n, r, mpf("0.65"))
 
 
 def test_tail_unbounded_guards():
     with pytest.raises(TailUnboundedError):
         j_tail_bound(2, 0.5)
     with pytest.raises(TailUnboundedError):
-        EtaProductTail().bound(5, mpf(1))
+        EtaProductTail().bound(5, mpf(1), mpf(0))
     with pytest.raises(TailUnboundedError):
-        GeometricTail(2.0, 2.0).bound(5, mpf(1))
-    assert GeometricTail(0.0, 0.0).bound(5, mpf("0.5")) == 0
+        GeometricTail(2.0, 2.0).bound(5, mpf(1), mpf(0))
+    assert GeometricTail(0.0, 0.0).bound(5, mpf("0.5"), mp.log(2) / (2 * mp.pi)) == 0
 
 
 def test_eval_below_height_floor():
@@ -296,6 +334,96 @@ def test_arc_monotonicity_and_signs_sampled():
             assert abs(av.e4.value) < abs(p4.value) + gap       # |E4| falls
             assert abs(av.e6.value) > abs(p6.value) - gap       # |E6| grows
         prev = (av.e4, av.e6, av.delta_arc)
+
+
+def power_by_squaring(x, n):
+    """The binary-powering chain of padded CertValue products pow_int replaced."""
+    result = CertValue(mpf(1))
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
+
+
+def separate_q(tau):
+    q = mp.e ** (2j * mp.pi * mp.mpmathify(tau))
+    return q, abs(q) * mpf(2) ** (4 - mp.prec)
+
+
+def separate_q_series(s, tau, tail, prec=128):
+    """eval_series as it was: its own q, the q^lead factor by squaring."""
+    with workprec(prec + 12):
+        q, pad = separate_q(tau)
+        acc = eval_poly(s.coeffs, q, pad)
+        if s.lead:
+            qc = power_by_squaring(CertValue(q, pad), abs(s.lead))
+            acc = acc * qc if s.lead > 0 else acc / qc
+        return acc.widened(tail.bound(s.trunc, abs(q), mp.im(tau)))
+
+
+def separate_q_delta(tau, terms, prec=128):
+    """eval_delta_eta as it was: its own q, P^24 by squaring."""
+    with workprec(prec + 12):
+        q, pad = separate_q(tau)
+        p = eval_poly(_pentagonal_euler_product(terms).coeffs, q, pad)
+        p = p.widened(EtaProductTail().bound(terms, abs(q), mp.im(tau)))
+        return power_by_squaring(p, 24) * CertValue(q, pad)
+
+
+def separate_q_arc_functions(theta, prec=128):
+    """arc_functions as it was: q once per series, phases as powers of e^(i theta)."""
+    with workprec(prec + 12):
+        theta = mpf(theta)
+        tau = mp.e ** (1j * theta)
+        n = auto_trunc(mp.sin(theta), prec)
+        ph = CertValue(tau, abs(tau) * mpf(2) ** (4 - mp.prec))
+        e2, e4, e6 = (separate_q_series(eisenstein(k, n), tau, EisensteinTail(k), prec)
+                      for k in (2, 4, 6))
+        d = separate_q_delta(tau, n, prec)
+        e2 = (ph * e2 + CertValue(mpc(0, -3) / mp.pi, mpf(2) ** (4 - mp.prec))).as_real()
+        return (e2, (power_by_squaring(ph, 2) * e4).as_real(),
+                (power_by_squaring(ph, 3) * e6).as_real(),
+                (power_by_squaring(ph, 6) * d).as_real())
+
+
+def separate_q_form(form, tau, prec):
+    """eval_form as it was: Delta, E_k' and j each with their own q."""
+    fid = form.id
+    with workprec(prec + 12):
+        n = auto_trunc(mp.im(tau), prec)
+        dl = power_by_squaring(separate_q_delta(tau, n, prec), fid.ell)
+        ek = separate_q_series(eisenstein(fid.kprime, n), tau, EisensteinTail(fid.kprime), prec)
+        nj = max(n, int(1 / float(mp.im(tau)) ** 2) + 8)
+        jv = separate_q_series(jfunction(nj), tau, JCoeffTail(), prec)
+        return dl * ek * eval_poly(form.faber.coeffs, jv.value, jv.err)
+
+
+with workprec(140):          # the corners at working precision, as arc_functions sees them
+    ARC_ANGLES = (mp.pi / 2, mpf("1.7"), mpf("1.9"), mpf(2), 2 * mp.pi / 3)
+
+
+@pytest.mark.parametrize("theta", ARC_ANGLES)
+def test_arc_functions_match_separate_q_path(theta):
+    got = arc_functions(theta)
+    ref = separate_q_arc_functions(theta)
+    for a, b in zip((got.e2, got.e4, got.e6, got.delta_arc), ref):
+        assert abs(a.value - b.value) <= a.err + b.err
+        assert a.err <= 2 * b.err
+
+
+@pytest.mark.parametrize("theta", ARC_ANGLES)
+def test_eval_form_matches_separate_q_path(theta, form_124_1):
+    # g_{124,1}: ell = 10, E_4 factor, j of degree 9
+    prec = form_arc_prec(form_124_1.id.ell, 1)
+    with workprec(prec + 12):
+        tau = mp.expj(theta)
+    got = eval_form(form_124_1, tau, prec=prec)
+    ref = separate_q_form(form_124_1, tau, prec)
+    assert abs(got.value - ref.value) <= got.err + ref.err
+    assert got.err <= 2 * ref.err
 
 
 def test_arc_j_monotone_decreasing():

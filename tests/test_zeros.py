@@ -214,6 +214,48 @@ def test_hfunction_sample_angles_counts():
                 prev = theta
 
 
+def bisection_sample_angles(h):
+    """The 110-step bisection of h at 96 bits that Newton's method replaced."""
+    n0 = -((-h.k) // 4)
+    n_last = (h.k - 3 * h.m) // 3
+    out = []
+    with workprec(96):
+        lo_all, hi_all = mp.pi / 2, 2 * mp.pi / 3
+        for n in range(n0, n_last + 1):
+            target = n * mp.pi
+            if 4 * n == h.k:
+                out.append((n, lo_all))
+                continue
+            if 3 * n == h.k - 3 * h.m:
+                out.append((n, hi_all))
+                continue
+            a, b = lo_all, hi_all
+            for _ in range(110):
+                mid = (a + b) / 2
+                if h(mid) < target:
+                    a = mid
+                else:
+                    b = mid
+            out.append((n, (a + b) / 2))
+    return out
+
+
+# the arc-zeros benchmark pool: k and 840 - k for 384 < k < 420, k not 0 mod
+# 12, and four weights near 1920, all at m = 1
+POOL_WEIGHTS = ([k for k in range(384, 421, 2) if k % 12]
+                + [840 - k for k in range(384, 421, 2) if k % 12]
+                + [1900, 1912, 1924, 1936])
+
+
+def test_hfunction_newton_angles_match_bisection():
+    for k in POOL_WEIGHTS:
+        h = HFunction(k, 1)
+        got, ref = h.sample_angles(), bisection_sample_angles(h)
+        assert [n for n, _ in got] == [n for n, _ in ref]
+        assert [float(t) for _, t in got] == [float(t) for _, t in ref], k
+        assert max(abs(a - b) for (_, a), (_, b) in zip(got, ref)) < mpf(2) ** -80
+
+
 def test_hfunction_rejects_non_monotone_sampling():
     with pytest.raises(ValueError):
         HFunction(12, 1).sample_angles()
