@@ -29,7 +29,7 @@ from mpmath import mp, mpc, mpf, workprec
 
 from . import qseries
 from .qseries import EISENSTEIN_FACTORS
-from .evalnum import (DEFAULT_PREC, CertValue, EisensteinTail, GeometricTail,
+from .evalnum import (DEFAULT_PREC, ArcValues, CertValue, EisensteinTail, GeometricTail,
                       JCoeffTail, TailUnboundedError, _exact, arc_functions,
                       arc_grid, arc_j, eval_delta_eta, eval_series, j_tail_bound,
                       lemniscate_constants)
@@ -148,19 +148,6 @@ class ChebyshevPoly:
                 if w:
                     out[i] = out[i] + c * w
         return out
-
-    @classmethod
-    def from_monomial(cls, mono) -> "ChebyshevPoly":
-        """Exact inverse conversion; requires rational coefficients."""
-        work = [Fraction(c) for c in mono]
-        cheb = [Fraction(0)] * len(work)
-        for d in range(len(work) - 1, -1, -1):
-            lc = Fraction(_cheb_t(d)[d])
-            t = work[d] / lc
-            cheb[d] = t
-            for i, w in enumerate(_cheb_t(d)):
-                work[i] -= t * w
-        return cls(tuple(cheb))
 
 
 def polynomial_derivative(coeffs: list) -> list:
@@ -536,17 +523,25 @@ def _dominated_tail(k: int, y: Fraction, n_from: int, dom: Fraction) -> tuple:
     return tail, bool(peak_ok and first_ok)
 
 
-def _line_lipschitz(k: int, y: float, nmax: int = 40) -> mpf:
-    """Upper bound for |d E_k(x + iy) / dx| uniform in x."""
+def _line_lipschitz(k: int, y: Fraction, nmax: int = 40) -> mpf:
+    """Upper bound for |d E_k(x + iy) / dx| uniform in x.
+
+    |dE_k/dx| <= 2 pi gamma_k sum n^(k+1) r^n with r = e^(-2 pi y), since
+    sigma_{k-1}(n) <= n^k; past nmax a geometric series closes the sum.
+    Formed from the exact y and gamma_k and raised by 2^(12 - prec) of
+    itself, which covers its rounding (that of r^n grows like n times
+    that of r).
+    """
     gamma = abs(Fraction(2 * k) / qseries.bernoulli(k))
-    r = mp.e ** (-2 * mp.pi * mpf(y))
+    r = mp.exp(-2 * mp.pi * _rational(y))
     s = mpf(0)
     for n in range(1, nmax + 1):
         s += mpf(n) ** (k + 1) * r ** n
     # geometric closure of the dropped part
     ratio = (1 + mpf(1) / (nmax + 1)) ** (k + 1) * r
     s += mpf(nmax + 1) ** (k + 1) * r ** (nmax + 1) / (1 - ratio)
-    return 2 * mp.pi * float(gamma) * s
+    bound = 2 * mp.pi * _rational(gamma) * s
+    return mp.fadd(bound, mp.ldexp(bound, 12 - mp.prec), rounding="u")
 
 
 def eisenstein_line_bounds(prec: int = DEFAULT_PREC, grid_step: float = 1e-3) -> list:
@@ -582,31 +577,121 @@ def eisenstein_line_bounds(prec: int = DEFAULT_PREC, grid_step: float = 1e-3) ->
             entries.append(_entry_upper(f"{lbl}.assembled", ref + ", partial plus tail",
                                         CertValue(assembled, _pad_of(assembled)),
                                         total_claim))
-            # independent certification: grid maximum with Lipschitz padding
-            yf = float(y)
-            lip = _line_lipschitz(k, yf)
+            # independent certification: grid maximum with Lipschitz padding;
+            # every x in [0, 1/2] is within half the widest grid gap of a point
             series = qseries.eisenstein(k, 48)
-            best = None
-            n_pts = int(0.5 / grid_step) + 1
-            for i in range(n_pts + 1):
-                x = min(0.5, i * grid_step)
-                ev = eval_series(series, mp.mpf(x) + 1j * mpf(y.numerator) / y.denominator,
-                                 EisensteinTail(k), prec=prec)
-                u = ev.abs_upper()
-                if best is None or u > best:
-                    best = u
-            certified = CertValue(best, lip * grid_step / 2)
+            xs = [mpf(min(0.5, i * grid_step)) for i in range(int(0.5 / grid_step) + 2)]
+            best = max(eval_series(series, x + 1j * _rational(y), EisensteinTail(k),
+                                   prec=prec).abs_upper() for x in xs)
+            gap = max(mp.fsub(b, a, exact=True) for a, b in zip(xs, xs[1:]))
+            certified = CertValue(best, mp.ldexp(
+                mp.fmul(_line_lipschitz(k, y), gap, rounding="u"), -1))
             entries.append(_entry_upper(f"{lbl}.grid", ref + ", grid maximum", certified,
                                         total_claim))
     return entries
 
 
 # ---------------------------------------------------------------------------
-# arc extrema, monotonicity and sign certificates
+# arc extrema, and the shape certificates on the whole arc
 
 
-def arc_eisenstein_bounds(prec: int = DEFAULT_PREC, grid_step: float = 1e-3) -> list:
-    """Extrema of the arc functions plus the sampled shape certificates."""
+def _arc_slopes(av: ArcValues) -> tuple:
+    """(e2', e4', e6') with ' = d/dtheta, from Ramanujan's identities on the arc.
+
+    On tau = e^(i theta), d/dtheta = -2 pi tau q d/dq, and Ramanujan's
+    q d/dq E_2 = (E_2^2 - E_4)/12, q d/dq E_4 = (E_2 E_4 - E_6)/3 and
+    q d/dq E_6 = (E_2 E_6 - E_4^2)/2 (Trans. Camb. Phil. Soc. 22, 1916)
+    become polynomials in the arc functions:
+
+      e2' = (pi/6)(e4 - e2^2) - 3/(2 pi),   e4' = (2 pi/3)(e6 - e2 e4),
+      e6' = pi (e4^2 - e2 e6);
+
+    likewise q d/dq Delta = E_2 Delta gives delta' = -2 pi e2 delta.
+    """
+    pi = CertValue(mp.pi, _pad_of(mp.pi))
+    e2, e4, e6 = av.e2, av.e4, av.e6
+    return (pi * (e4 - e2 * e2) / 6 - CertValue.exact(3) / (pi * 2),
+            pi * (e6 - e2 * e4) * Fraction(2, 3),
+            pi * (e4 * e4 - e2 * e6))
+
+
+def _r3(av: ArcValues) -> CertValue:
+    d2, d4, d6 = _arc_slopes(av)
+    return d6 - av.e4 * d2 - av.e2 * d4
+
+
+# name -> (the claim's function of the arc enclosures, its required sign)
+_ARC_CLAIMS = {
+    "R1": (lambda av: av.delta_arc, -1),                    # delta < 0
+    "R2": (lambda av: av.e4 * av.e4 - av.e2 * av.e6, 1),    # e6' > 0
+    "R3": (_r3, 1),                                         # (e6 - e2 e4)' > 0
+    "R4": (lambda av: _arc_slopes(av)[0], -1),              # e2' < 0
+}
+
+_ARC_DEPTH = 10          # halvings of the arc before an open claim fails
+
+
+def _decide_on_arc(claims: dict, prec: int = DEFAULT_PREC) -> tuple:
+    """(names of the claims that hold on the closed arc, interval evaluations made).
+
+    claims maps a name to (f, sign); the claim is that f(arc_functions)
+    has that sign at every theta in [pi/2, 2pi/3].  Bisection: one
+    interval evaluation serves every claim still open on a subinterval; a
+    claim whose sign is certified there is done on it, one whose opposite
+    sign is certified is refuted, and only the open ones descend.  A claim
+    refuted anywhere, or still open after _ARC_DEPTH halvings, does not hold.
+    The ends are pi/2 and 2pi/3 rounded to the working precision; the
+    half ulp between them and the true corners lies inside every pad.
+    """
+    failed = set()
+    evaluations = 0
+    with workprec(prec + 12):
+        work = [(mp.pi / 2, 2 * mp.pi / 3, 0, tuple(claims))]
+        while work:
+            lo, hi, level, names = work.pop()
+            names = [n for n in names if n not in failed]
+            if not names:
+                continue
+            av = arc_functions((lo, hi), prec=prec)
+            evaluations += 1
+            open_ = []
+            for name in names:
+                f, sign = claims[name]
+                s = f(av).certified_sign()
+                if s == -sign or (s != sign and level == _ARC_DEPTH):
+                    failed.add(name)
+                elif s != sign:
+                    open_.append(name)
+            if open_:
+                mid = (lo + hi) / 2
+                work += [(mid, hi, level + 1, open_), (lo, mid, level + 1, open_)]
+    return set(claims) - failed, evaluations
+
+
+def arc_eisenstein_bounds(prec: int = DEFAULT_PREC) -> list:
+    """Extrema of the arc functions plus the shape certificates on the whole arc.
+
+    The seven shape flags rest on the four claims of _ARC_CLAIMS, each a
+    strict sign on the closed arc [pi/2, 2pi/3] decided by _decide_on_arc,
+    with ' = d/dtheta and the identities of _arc_slopes:
+
+      R1: delta < 0;                  R2: e4^2 - e2 e6 > 0, i.e. e6' > 0;
+      R3: (e6 - e2 e4)' = pi (e4^2 - e2 e6) - e4 e2' - e2 e4' > 0;
+      R4: e2' < 0.
+
+    With the classical corner values E_6(i) = 0, E_2(i) = 3/pi (so
+    e2(i) = 0) and E_4(rho) = 0:
+
+      * delta.arc.sign is R1;
+      * e2.arc.sign: e2 falls from e2(i) = 0 by R4;
+      * e6.arc.monotone and e6.arc.sign: e6 rises from e6(i) = 0 by R2;
+      * e4.arc.monotone and e4.arc.sign: e6 - e2 e4 is 0 at i and rises
+        by R3, so e4' = (2 pi/3)(e6 - e2 e4) > 0 after i; e4 rises to
+        e4(rho) = 0, so it is negative before rho and |E_4| = -e4 falls;
+      * delta.arc.monotone: delta' = -2 pi e2 delta < 0 after i by R1, R4.
+
+    A claim that is not decided turns its flags false.
+    """
     entries = []
     with workprec(prec + 12):
         th_i = float(mp.pi / 2)
@@ -650,30 +735,18 @@ def arc_eisenstein_bounds(prec: int = DEFAULT_PREC, grid_step: float = 1e-3) -> 
             _entry_value("e2.arc.at-i", "modified E_2 vanishes at i", at_i.e2, 0.0, 1e-12),
         ]
 
-        # sampled shape certificates on the theta grid
-        grid = arc_grid(grid_step)
-        vals = [arc_functions(t, prec=prec) for t in grid]
-        mono_e4 = all(vals[i].e4.abs().value - vals[i].e4.err
-                      > vals[i + 1].e4.abs().value + vals[i + 1].e4.err
-                      for i in range(len(vals) - 1))
-        mono_e6 = all(vals[i].e6.value + vals[i].e6.err
-                      < vals[i + 1].e6.value - vals[i + 1].e6.err
-                      for i in range(len(vals) - 1))
-        mono_delta = all(vals[i].delta_arc.value - vals[i].delta_arc.err
-                         > vals[i + 1].delta_arc.value + vals[i + 1].delta_arc.err
-                         for i in range(len(vals) - 1))
-        sign_e4 = all(v.e4.certified_sign() == -1 for v in vals[:-1])
-        sign_e6 = all(v.e6.certified_sign() == 1 for v in vals[1:])
-        sign_delta = all(v.delta_arc.certified_sign() == -1 for v in vals)
-        sign_e2 = all(v.e2.certified_sign() == -1 for v in vals[1:])
+        held, _ = _decide_on_arc(_ARC_CLAIMS, prec)
         entries += [
-            _entry_flag("e4.arc.monotone", "|E_4| strictly decreasing along the arc", mono_e4),
-            _entry_flag("e6.arc.monotone", "|E_6| strictly increasing along the arc", mono_e6),
-            _entry_flag("delta.arc.monotone", "delta_arc strictly decreasing", mono_delta),
-            _entry_flag("e4.arc.sign", "e_4 < 0 before the rho endpoint", sign_e4),
-            _entry_flag("e6.arc.sign", "e_6 > 0 after the i endpoint", sign_e6),
-            _entry_flag("delta.arc.sign", "delta_arc < 0 on the whole arc", sign_delta),
-            _entry_flag("e2.arc.sign", "e_2 < 0 after the i endpoint", sign_e2),
+            _entry_flag("e4.arc.monotone", "|E_4| strictly decreasing along the arc",
+                        "R3" in held),
+            _entry_flag("e6.arc.monotone", "|E_6| strictly increasing along the arc",
+                        "R2" in held),
+            _entry_flag("delta.arc.monotone", "delta_arc strictly decreasing",
+                        {"R1", "R4"} <= held),
+            _entry_flag("e4.arc.sign", "e_4 < 0 before the rho endpoint", "R3" in held),
+            _entry_flag("e6.arc.sign", "e_6 > 0 after the i endpoint", "R2" in held),
+            _entry_flag("delta.arc.sign", "delta_arc < 0 on the whole arc", "R1" in held),
+            _entry_flag("e2.arc.sign", "e_2 < 0 after the i endpoint", "R4" in held),
         ]
     return entries
 
@@ -1001,7 +1074,7 @@ def full_ledger(prec: int = DEFAULT_PREC, grid_step: float = 1e-3) -> list:
     """All bound ledger entries in a stable order."""
     entries = []
     entries += delta_ledger(prec)
-    entries += arc_eisenstein_bounds(prec, grid_step)
+    entries += arc_eisenstein_bounds(prec)
     entries += eisenstein_line_bounds(prec, grid_step)
     jd = j_difference_bounds(prec)
     entries += jd.entries

@@ -25,6 +25,16 @@ n e (|v| + e)^(n-1), rounded upward, plus the pad of v^n, since
 |w^n - v^n| <= n |w - v| max(|v|, |w|)^(n-1).  The arc phases e^(i k theta/2)
 are one mp.expj each, of an argument formed exactly.
 
+arc_functions also takes an angle interval [lo, hi] of the arc and then
+encloses each arc function at every theta in it, from one evaluation at
+the midpoint theta_m with the half-width h rounded upward: tau = e^(i theta)
+lies within h of e^(i theta_m), since |d tau / d theta| = 1; each phase
+e^(i k theta/2) within k h / 2; and q within 2 pi r_max h of q(theta_m),
+r_max = e^(-2 pi sin hi) bounding |q| as sin falls on the arc.  That
+radius goes to eval_poly as the disk of q, and every tail gets the
+largest |q| of the disk.  A single angle is the interval of width 0, on
+the same code path, so its values and radii are the point results.
+
 Tail bounds by coefficient family:
 
   * Eisenstein weight k:   sigma_{k-1}(n) <= n^k, and n^k r^n is
@@ -402,16 +412,22 @@ def form_arc_prec(ell: int, m: int, floor: int = DEFAULT_PREC) -> int:
 
 
 class _QPoint:
-    """One evaluation point: q = e^(2 pi i tau), its pad, r = |q| and y = Im tau."""
+    """One evaluation point: q = e^(2 pi i tau), its pad, r = |q| and y = Im tau.
+
+    drift bounds |q' - q| over every q' the point stands for; it widens the
+    pad, and r to the largest |q'|.  y stays the height of tau itself, so
+    a drifted point serves only tails that read r (Eisenstein, eta).
+    """
 
     __slots__ = ("q", "pad", "r", "y")
 
-    def __init__(self, tau):
+    def __init__(self, tau, drift=0):
         tau = mp.mpmathify(tau)
         self.y = _require_height(tau)
         self.q = mp.exp(2j * mp.pi * tau)
-        self.r = abs(self.q)
-        self.pad = mp.ldexp(self.r, 4 - mp.prec)
+        r = abs(self.q)
+        self.r = mp.fadd(r, drift, rounding="u")
+        self.pad = mp.fadd(mp.ldexp(r, 4 - mp.prec), drift, rounding="u")
 
 
 def _series_at(s: QSeries, pt: _QPoint, tail) -> CertValue:
@@ -479,24 +495,13 @@ def eval_form(form, tau, prec: int = DEFAULT_PREC, trunc_scale: int = 1) -> Cert
 # the boundary arc
 
 
-@dataclass(frozen=True)
-class ArcPoint:
-    """Angle theta with e^(i theta) on the arc, pi/2 <= theta <= 2 pi/3."""
-
-    theta: float
-
-    def __post_init__(self):
-        t = float(self.theta)
-        if not (1.5707 <= t <= 2.0944):
-            raise ValueError(f"theta = {t} off the arc [pi/2, 2pi/3]")
-
-
 @dataclass
 class ArcValues:
-    """The four real-valued arc functions at a common angle.
+    """The four real-valued arc functions at a common angle, or on an angle interval.
 
     e2 = e^(i theta) E_2 + 3/(i pi)   (the modified weight-2 function),
     e4, e6 = e^(i k theta / 2) E_k, and delta_arc = e^(6 i theta) Delta.
+    theta is the angle, or the midpoint of the interval.
     """
 
     theta: float
@@ -507,7 +512,7 @@ class ArcValues:
 
 
 def _theta_mpf(p) -> mpf:
-    t = mpf(p.theta if isinstance(p, ArcPoint) else p)
+    t = mpf(p)
     lo, hi = mp.pi / 2, 2 * mp.pi / 3
     if t < lo:
         if lo - t > mpf(1e-9):
@@ -520,31 +525,51 @@ def _theta_mpf(p) -> mpf:
     return t
 
 
-def _phase(theta: mpf, k: int) -> CertValue:
-    """e^(i k theta / 2), from an exactly formed argument."""
+def _arc_span(p) -> tuple:
+    """(midpoint, half-width rounded upward, upper end) of an angle or a pair (lo, hi).
+
+    A single angle is the pair (theta, theta): midpoint theta, half-width 0.
+    """
+    lo, hi = (_theta_mpf(t) for t in (p if isinstance(p, tuple) else (p, p)))
+    if lo > hi:
+        raise ValueError(f"empty angle interval [{lo}, {hi}]")
+    mid = (lo + hi) / 2
+    return mid, max(mp.fsub(hi, mid, rounding="u"), mp.fsub(mid, lo, rounding="u")), hi
+
+
+def _phase(theta: mpf, k: int, h=0) -> CertValue:
+    """e^(i k theta / 2), from an exactly formed argument, on [theta - h, theta + h].
+
+    Its derivative in theta has modulus k/2, so the radius grows by k h / 2.
+    """
     v = mp.expj(mp.ldexp(mp.fmul(theta, k, exact=True), -1))
-    return CertValue(v, _pad(v))
+    return CertValue(v, _pad(v)).widened(mp.ldexp(mp.fmul(k, h, rounding="u"), -1))
 
 
 def arc_functions(p, trunc: int | None = None, prec: int = DEFAULT_PREC) -> ArcValues:
-    """Certified values of e2, e4, e6, delta_arc at an arc angle.
+    """Certified values of e2, e4, e6, delta_arc at an arc angle or on an arc interval.
 
-    Each is provably real; NotRealError if an imaginary part survives
-    outside the propagated radius.
+    p is an angle or a pair (lo, hi) with pi/2 <= lo <= hi <= 2pi/3; for a
+    pair each enclosure holds at every theta in [lo, hi], and the pair
+    (theta, theta) gives the point result bit for bit.  Each is provably
+    real; NotRealError if an imaginary part survives outside the
+    propagated radius.
     """
     with workprec(prec + _GUARD):
-        theta = _theta_mpf(p)
-        tau = mp.expj(theta)
-        pt = _QPoint(tau)
+        theta, h, hi = _arc_span(p)
+        tau = _phase(theta, 2, h)
+        # |dq/dtheta| = 2 pi |q| <= 2 pi r_max on the interval, r_max = e^(-2 pi sin hi)
+        # as sin falls on the arc; 2^(8 - prec) of itself covers its rounding
+        slope = 2 * mp.pi * mp.exp(-2 * mp.pi * mp.sin(hi))
+        slope += mp.ldexp(slope, 8 - mp.prec)
+        pt = _QPoint(tau.value, mp.fmul(slope, h, rounding="u"))
         n = trunc if trunc is not None else auto_trunc(pt.y, prec)
         e2, e4, e6 = (_series_at(qseries.eisenstein(k, n), pt, EisensteinTail(k))
                       for k in (2, 4, 6))
         d = _delta_at(pt, n)
-        e2 = (CertValue(tau, _pad(tau)) * e2
-              + CertValue(mpc(0, -3) / mp.pi, _pad(mpf(1)))).as_real()
-        e4 = (_phase(theta, 4) * e4).as_real()
-        e6 = (_phase(theta, 6) * e6).as_real()
-        da = (_phase(theta, 12) * d).as_real()
+        e2 = (tau * e2 + CertValue(mpc(0, -3) / mp.pi, _pad(mpf(1)))).as_real()
+        e4, e6, da = ((_phase(theta, k, h) * v).as_real()
+                      for k, v in ((4, e4), (6, e6), (12, d)))
         return ArcValues(float(theta), e2, e4, e6, da)
 
 

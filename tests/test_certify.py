@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, workprec
 
-from millerzeros.evalnum import CertValue, _exact
+from millerzeros import certify
+from millerzeros.evalnum import CertValue, _exact, arc_functions
 from millerzeros.certify import (
     BoundLedgerEntry, DomainError,
     _cheb_t, ChebyshevPoly, polynomial_derivative, goursat_transform, horner,
@@ -16,6 +17,7 @@ from millerzeros.certify import (
     j_difference_bounds, delta_line_lower, delta_line_upper,
     residue_term, residue_entries, _table_value,
     proposition_mrl_check, full_ledger, _LINE_CASES, _dominated_tail, _pad_of,
+    _line_lipschitz, _ARC_CLAIMS, _ARC_DEPTH, _arc_slopes, _decide_on_arc, arc_eisenstein_bounds,
 )
 from millerzeros.qseries import bernoulli
 
@@ -41,12 +43,16 @@ def test_chebyshev_goldens():
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12),
-                min_size=1, max_size=9))
-def test_chebyshev_round_trip(coeffs):
-    cp = ChebyshevPoly(tuple(coeffs))
-    back = ChebyshevPoly.from_monomial(cp.to_monomial())
-    got = list(back.coeffs) + [Fraction(0)] * (len(coeffs) - len(back.coeffs))
-    assert got[:len(coeffs)] == list(coeffs)
+                min_size=1, max_size=9),
+       st.fractions(min_value=-1, max_value=1, max_denominator=16))
+def test_chebyshev_to_monomial_matches_recurrence(coeffs, z):
+    # sum c_k T_k(z) with T_(k+1) = 2 z T_k - T_(k-1)
+    t_prev, t, total = Fraction(1), z, Fraction(0)
+    for k, c in enumerate(coeffs):
+        total += c * (t_prev if k == 0 else t)
+        if k:
+            t_prev, t = t, 2 * z * t - t_prev
+    assert horner(ChebyshevPoly(tuple(coeffs)).to_monomial(), z) == total
 
 
 def test_polynomial_derivative():
@@ -267,3 +273,65 @@ def test_dominated_tail_within_its_pad():
             exact = (mpf(gamma.numerator) / gamma.denominator * dom.numerator
                      / dom.denominator * half ** 3 / (1 - half))
             assert abs(tail - exact) <= pad
+
+
+def test_line_lipschitz_is_an_upper_bound():
+    # the same sum at 400 bits from the exact height must not exceed the bound
+    for k, y, *_ in _LINE_CASES:
+        with workprec(140):
+            lip = _line_lipschitz(k, y)
+        with workprec(400):
+            gamma = abs(Fraction(2 * k) / bernoulli(k))
+            r = mp.exp(-2 * mp.pi * mpf(y.numerator) / y.denominator)
+            s = sum(mpf(n) ** (k + 1) * r ** n for n in range(1, 41))
+            s += mpf(41) ** (k + 1) * r ** 41 / (1 - (1 + mpf(1) / 41) ** (k + 1) * r)
+            assert lip >= 2 * mp.pi * mpf(gamma.numerator) / gamma.denominator * s, (k, y)
+
+
+# ---------------------------------------------------------------------------
+# arc shape claims
+
+@pytest.mark.parametrize("theta", ("1.6", "1.7", "1.8", "1.9", "2.05"))
+def test_arc_slope_identities_match_central_differences(theta):
+    prec, eps = 200, mpf(2) ** -30
+    with workprec(prec + 12):
+        t = mpf(theta)
+        at, up, down = (arc_functions(x, prec=prec) for x in (t, t + eps, t - eps))
+        slopes = [s.value for s in _arc_slopes(at)]
+        slopes.append(-2 * mp.pi * at.e2.value * at.delta_arc.value)
+        for name, slope in zip(("e2", "e4", "e6", "delta_arc"), slopes):
+            diff = (getattr(up, name).value - getattr(down, name).value) / (2 * eps)
+            assert abs(diff - slope) < 1e-10, (name, theta)
+
+
+def test_arc_claims_decided_within_budget():
+    held, evaluations = _decide_on_arc(_ARC_CLAIMS)
+    assert held == set(_ARC_CLAIMS)
+    assert evaluations <= 40
+
+
+@pytest.mark.parametrize("depth", (_ARC_DEPTH, 2 * _ARC_DEPTH))
+def test_false_arc_claims_never_hold(depth, monkeypatch):
+    # delta > 0, e4^2 - e2 e6 < 0 and e2' > 0
+    monkeypatch.setattr(certify, "_ARC_DEPTH", depth)
+    false = {name: (f, -sign) for name, (f, sign) in _ARC_CLAIMS.items() if name != "R3"}
+    assert _decide_on_arc(false)[0] == set()
+    for name in false:
+        assert _decide_on_arc({name: false[name]})[0] == set()
+
+
+def test_open_claims_fail_at_the_depth_limit(monkeypatch):
+    monkeypatch.setattr(certify, "_ARC_DEPTH", 1)
+    held, evaluations = _decide_on_arc(_ARC_CLAIMS)
+    assert held != set(_ARC_CLAIMS)
+    assert evaluations <= 3
+
+
+def test_arc_flags_follow_their_claims(monkeypatch):
+    f, sign = _ARC_CLAIMS["R1"]
+    monkeypatch.setattr(certify, "_ARC_CLAIMS", {**_ARC_CLAIMS, "R1": (f, -sign)})
+    flags = {e.name: e.satisfied for e in arc_eisenstein_bounds()
+             if e.name.endswith((".monotone", ".sign"))}
+    assert flags == {"e4.arc.monotone": True, "e6.arc.monotone": True,
+                     "delta.arc.monotone": False, "e4.arc.sign": True,
+                     "e6.arc.sign": True, "delta.arc.sign": False, "e2.arc.sign": True}

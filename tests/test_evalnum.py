@@ -15,7 +15,7 @@ from millerzeros.evalnum import (
     CertValue, NotRealError, TailUnboundedError,
     EisensteinTail, JCoeffTail, EtaProductTail, GeometricTail, j_tail_bound,
     eval_poly, eval_series, eval_delta_eta, eval_form,
-    ArcPoint, arc_functions, arc_form, arc_j, arc_grid, export_arc_csv,
+    arc_functions, arc_form, arc_j, arc_grid, export_arc_csv,
     lemniscate_constants, form_arc_prec, auto_trunc,
 )
 
@@ -307,10 +307,11 @@ def test_arc_endpoint_values():
 
 def test_arc_point_validation():
     with pytest.raises(ValueError):
-        ArcPoint(1.0)
-    with pytest.raises(ValueError):
         arc_functions(2.2)
-    ArcPoint(1.6)
+    with pytest.raises(ValueError):
+        arc_functions((1.4, 1.6))
+    with pytest.raises(ValueError):
+        arc_functions((1.9, 1.8))
 
 
 def test_arc_monotonicity_and_signs_sampled():
@@ -412,6 +413,33 @@ def test_arc_functions_match_separate_q_path(theta):
     for a, b in zip((got.e2, got.e4, got.e6, got.delta_arc), ref):
         assert abs(a.value - b.value) <= a.err + b.err
         assert a.err <= 2 * b.err
+
+
+def arc_quartet(av):
+    return (av.e2, av.e4, av.e6, av.delta_arc)
+
+
+@pytest.mark.parametrize("prec", (96, 128, 200))
+def test_arc_interval_of_zero_width_is_the_point(prec):
+    for theta in ARC_ANGLES:
+        point, span = arc_functions(theta, prec=prec), arc_functions((theta, theta), prec=prec)
+        assert span.theta == point.theta
+        for a, b in zip(arc_quartet(span), arc_quartet(point)):
+            assert (a.value, a.err) == (b.value, b.err)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0, 1), st.floats(-6, -1), st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1)))
+def test_arc_interval_encloses_every_angle(where, log_width, at):
+    # a subinterval [lo, hi] of width 1e-6 to 0.1 and theta in it, ends included
+    with workprec(140):
+        width = mpf(10) ** log_width
+        lo = ARC_ANGLES[0] + mpf(where) * (ARC_ANGLES[-1] - ARC_ANGLES[0] - width)
+        hi = lo + width
+        theta = min(hi, max(lo, lo + mpf(at) * width))
+    span, point = arc_functions((lo, hi)), arc_functions(theta)
+    for a, b in zip(arc_quartet(span), arc_quartet(point)):
+        assert abs(a.value - b.value) <= a.err + b.err
 
 
 @pytest.mark.parametrize("theta", ARC_ANGLES)

@@ -214,6 +214,20 @@ def test_hfunction_sample_angles_counts():
                 prev = theta
 
 
+def bisect_angle(h, n):
+    """The angle where h = n pi, by 110 bisection steps at 96 bits."""
+    with workprec(96):
+        target = n * mp.pi
+        a, b = mp.pi / 2, 2 * mp.pi / 3
+        for _ in range(110):
+            mid = (a + b) / 2
+            if h(mid) < target:
+                a = mid
+            else:
+                b = mid
+        return (a + b) / 2
+
+
 def bisection_sample_angles(h):
     """The 110-step bisection of h at 96 bits that Newton's method replaced."""
     n0 = -((-h.k) // 4)
@@ -222,21 +236,12 @@ def bisection_sample_angles(h):
     with workprec(96):
         lo_all, hi_all = mp.pi / 2, 2 * mp.pi / 3
         for n in range(n0, n_last + 1):
-            target = n * mp.pi
             if 4 * n == h.k:
                 out.append((n, lo_all))
-                continue
-            if 3 * n == h.k - 3 * h.m:
+            elif 3 * n == h.k - 3 * h.m:
                 out.append((n, hi_all))
-                continue
-            a, b = lo_all, hi_all
-            for _ in range(110):
-                mid = (a + b) / 2
-                if h(mid) < target:
-                    a = mid
-                else:
-                    b = mid
-            out.append((n, (a + b) / 2))
+            else:
+                out.append((n, bisect_angle(h, n)))
     return out
 
 
@@ -248,12 +253,33 @@ POOL_WEIGHTS = ([k for k in range(384, 421, 2) if k % 12]
 
 
 def test_hfunction_newton_angles_match_bisection():
+    # h(theta -+ 2^-80) falls short of / passes n pi by more than 2^-88 |n pi|,
+    # above the rounding of h at 96 bits, so the root lies within 2^-80 of
+    # theta; where theta -+ 2^-79 round to one float, theta and the root do too
+    step, wide = mpf(2) ** -80, mpf(2) ** -79
     for k in POOL_WEIGHTS:
+        h = HFunction(k, 1)
+        got = h.sample_angles()
+        assert [n for n, _ in got] == list(range(-(-k // 4), (k - 3) // 3 + 1))
+        with workprec(96):
+            for n, theta in got:
+                if 4 * n == k:
+                    assert theta == mp.pi / 2
+                elif 3 * n == k - 3:
+                    assert theta == 2 * mp.pi / 3
+                else:
+                    target = n * mp.pi
+                    margin = mp.ldexp(target, -88)
+                    assert h(theta - step) < target - margin, (k, n)
+                    assert h(theta + step) > target + margin, (k, n)
+                    if float(theta - wide) != float(theta + wide):
+                        assert float(theta) == float(bisect_angle(h, n)), (k, n)
+    for k in (POOL_WEIGHTS[0], POOL_WEIGHTS[-5], POOL_WEIGHTS[-1]):
         h = HFunction(k, 1)
         got, ref = h.sample_angles(), bisection_sample_angles(h)
         assert [n for n, _ in got] == [n for n, _ in ref]
         assert [float(t) for _, t in got] == [float(t) for _, t in ref], k
-        assert max(abs(a - b) for (_, a), (_, b) in zip(got, ref)) < mpf(2) ** -80
+        assert max(abs(a - b) for (_, a), (_, b) in zip(got, ref)) < step
 
 
 def test_hfunction_rejects_non_monotone_sampling():
