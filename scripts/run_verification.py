@@ -59,7 +59,9 @@ def run_counterexample(args):
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-ell", type=int, default=14)
-    ap.add_argument("--grid-step", type=float, default=1e-3)
+    ap.add_argument("--grid-step", type=float, default=1e-3,
+                    help="angle step of the ledger's residue flags (at least 1e-2) "
+                         "and of the oscillation estimate's grid")
     ap.add_argument("--precision-bits", type=int, default=128)
     args = ap.parse_args()
 

@@ -523,33 +523,12 @@ def _dominated_tail(k: int, y: Fraction, n_from: int, dom: Fraction) -> tuple:
     return tail, bool(peak_ok and first_ok)
 
 
-def _line_lipschitz(k: int, y: Fraction, nmax: int = 40) -> mpf:
-    """Upper bound for |d E_k(x + iy) / dx| uniform in x.
-
-    |dE_k/dx| <= 2 pi gamma_k sum n^(k+1) r^n with r = e^(-2 pi y), since
-    sigma_{k-1}(n) <= n^k; past nmax a geometric series closes the sum.
-    Formed from the exact y and gamma_k and raised by 2^(12 - prec) of
-    itself, which covers its rounding (that of r^n grows like n times
-    that of r).
-    """
-    gamma = abs(Fraction(2 * k) / qseries.bernoulli(k))
-    r = mp.exp(-2 * mp.pi * _rational(y))
-    s = mpf(0)
-    for n in range(1, nmax + 1):
-        s += mpf(n) ** (k + 1) * r ** n
-    # geometric closure of the dropped part
-    ratio = (1 + mpf(1) / (nmax + 1)) ** (k + 1) * r
-    s += mpf(nmax + 1) ** (k + 1) * r ** (nmax + 1) / (1 - ratio)
-    bound = 2 * mp.pi * _rational(gamma) * s
-    return mp.fadd(bound, mp.ldexp(bound, 12 - mp.prec), rounding="u")
-
-
-def eisenstein_line_bounds(prec: int = DEFAULT_PREC, grid_step: float = 1e-3) -> list:
+def eisenstein_line_bounds(prec: int = DEFAULT_PREC) -> list:
     """Ledger entries for |E_4| and |E_6| on the lines Im(tau) = 0.65, 0.75.
 
     Two independent routes per constant: the printed two-term partial sum
-    plus dominated tail arithmetic, and a direct grid maximisation of the
-    certified evaluations with a Lipschitz step correction.
+    plus dominated tail arithmetic, and the certified maximum on the whole
+    segment, decided by _bisect_claims.
     """
     entries = []
     for k, y, partial_claim, tail_claim, total_claim, dom in _LINE_CASES:
@@ -577,17 +556,19 @@ def eisenstein_line_bounds(prec: int = DEFAULT_PREC, grid_step: float = 1e-3) ->
             entries.append(_entry_upper(f"{lbl}.assembled", ref + ", partial plus tail",
                                         CertValue(assembled, _pad_of(assembled)),
                                         total_claim))
-            # independent certification: grid maximum with Lipschitz padding;
-            # every x in [0, 1/2] is within half the widest grid gap of a point
-            series = qseries.eisenstein(k, 48)
-            xs = [mpf(min(0.5, i * grid_step)) for i in range(int(0.5 / grid_step) + 2)]
-            best = max(eval_series(series, x + 1j * _rational(y), EisensteinTail(k),
-                                   prec=prec).abs_upper() for x in xs)
-            gap = max(mp.fsub(b, a, exact=True) for a, b in zip(xs, xs[1:]))
-            certified = CertValue(best, mp.ldexp(
-                mp.fmul(_line_lipschitz(k, y), gap, rounding="u"), -1))
-            entries.append(_entry_upper(f"{lbl}.grid", ref + ", grid maximum", certified,
-                                        total_claim))
+            # independent certification: the leaves of cap - |E_k| > 0 cover x in
+            # [0, 1/2], hence the line (period 1, E_k(-x + iy) = conj E_k(x + iy)),
+            # and their largest abs_lower and abs_upper enclose the maximum
+            series, iy = qseries.eisenstein(k, 48), mpc(0, _rational(y))
+            cap = CertValue.exact(Fraction(str(total_claim)))
+            _, leaves = _bisect_claims(
+                lambda a, b: eval_series(series, (a + iy, b + iy), EisensteinTail(k), prec=prec),
+                mpf(0), mpf(1) / 2, {"cap": (lambda v: cap - v.abs(), 1)})
+            lo = max(v.abs_lower() for v in leaves["cap"])
+            hi = max(v.abs_upper() for v in leaves["cap"])
+            certified = CertValue((lo + hi) / 2, mp.ldexp(mp.fsub(hi, lo, rounding="u"), -1))
+            entries.append(_entry_upper(f"{lbl}.grid", ref + ", maximum on the whole line",
+                                        certified, total_claim))
     return entries
 
 
@@ -628,51 +609,54 @@ _ARC_CLAIMS = {
     "R4": (lambda av: _arc_slopes(av)[0], -1),              # e2' < 0
 }
 
-_ARC_DEPTH = 10          # halvings of the arc before an open claim fails
+_DEPTH = 10          # halvings of an interval before an open claim fails
 
 
-def _decide_on_arc(claims: dict, prec: int = DEFAULT_PREC) -> tuple:
-    """(names of the claims that hold on the closed arc, interval evaluations made).
+def _bisect_claims(enclose, lo, hi, claims: dict) -> tuple:
+    """(names of the claims that hold on [lo, hi], the leaves of each claim).
 
-    claims maps a name to (f, sign); the claim is that f(arc_functions)
-    has that sign at every theta in [pi/2, 2pi/3].  Bisection: one
-    interval evaluation serves every claim still open on a subinterval; a
-    claim whose sign is certified there is done on it, one whose opposite
-    sign is certified is refuted, and only the open ones descend.  A claim
-    refuted anywhere, or still open after _ARC_DEPTH halvings, does not hold.
-    The ends are pi/2 and 2pi/3 rounded to the working precision; the
-    half ulp between them and the true corners lies inside every pad.
+    claims maps a name to (f, sign), the claim that f(enclose(a, b)) has
+    that sign for each [a, b] in [lo, hi].  Bisection: one enclosure
+    serves every claim still open on a subinterval; a claim whose sign is
+    certified there is done on it, one whose opposite sign is certified
+    is refuted, and only the open ones descend.  A claim refuted anywhere,
+    or still open after _DEPTH halvings, does not hold.  leaves maps each
+    name to the enclosures it stopped on, which cover [lo, hi].
     """
     failed = set()
-    evaluations = 0
-    with workprec(prec + 12):
-        work = [(mp.pi / 2, 2 * mp.pi / 3, 0, tuple(claims))]
-        while work:
-            lo, hi, level, names = work.pop()
-            names = [n for n in names if n not in failed]
-            if not names:
-                continue
-            av = arc_functions((lo, hi), prec=prec)
-            evaluations += 1
-            open_ = []
-            for name in names:
-                f, sign = claims[name]
-                s = f(av).certified_sign()
-                if s == -sign or (s != sign and level == _ARC_DEPTH):
+    leaves = {name: [] for name in claims}
+    work = [(lo, hi, 0, tuple(claims))]
+    while work:
+        a, b, level, names = work.pop()
+        v = enclose(a, b)
+        open_ = []
+        for name in names:
+            f, sign = claims[name]
+            s = f(v).certified_sign()
+            if s or level == _DEPTH:
+                leaves[name].append(v)
+                if s != sign:
                     failed.add(name)
-                elif s != sign:
-                    open_.append(name)
-            if open_:
-                mid = (lo + hi) / 2
-                work += [(mid, hi, level + 1, open_), (lo, mid, level + 1, open_)]
-    return set(claims) - failed, evaluations
+            else:
+                open_.append(name)
+        if open_:
+            mid = (a + b) / 2
+            work += [(mid, b, level + 1, open_), (a, mid, level + 1, open_)]
+    return set(claims) - failed, leaves
+
+
+@lru_cache(maxsize=4)
+def _arc_corners(prec: int) -> tuple:
+    """arc_functions at i, at the split angle 1.9 and at rho, for every ledger section."""
+    return tuple(arc_functions(t, prec=prec) for t in (float(mp.pi / 2), 1.9,
+                                                       float(2 * mp.pi / 3)))
 
 
 def arc_eisenstein_bounds(prec: int = DEFAULT_PREC) -> list:
     """Extrema of the arc functions plus the shape certificates on the whole arc.
 
     The seven shape flags rest on the four claims of _ARC_CLAIMS, each a
-    strict sign on the closed arc [pi/2, 2pi/3] decided by _decide_on_arc,
+    strict sign on the closed arc [pi/2, 2pi/3] decided by _bisect_claims,
     with ' = d/dtheta and the identities of _arc_slopes:
 
       R1: delta < 0;                  R2: e4^2 - e2 e6 > 0, i.e. e6' > 0;
@@ -694,11 +678,7 @@ def arc_eisenstein_bounds(prec: int = DEFAULT_PREC) -> list:
     """
     entries = []
     with workprec(prec + 12):
-        th_i = float(mp.pi / 2)
-        th_rho = float(2 * mp.pi / 3)
-        at_i = arc_functions(th_i, prec=prec)
-        at_19 = arc_functions(1.9, prec=prec)
-        at_rho = arc_functions(th_rho, prec=prec)
+        at_i, at_19, at_rho = _arc_corners(prec)
 
         lem = lemniscate_constants(prec)
         pi4 = mp.pi ** 4
@@ -735,7 +715,9 @@ def arc_eisenstein_bounds(prec: int = DEFAULT_PREC) -> list:
             _entry_value("e2.arc.at-i", "modified E_2 vanishes at i", at_i.e2, 0.0, 1e-12),
         ]
 
-        held, _ = _decide_on_arc(_ARC_CLAIMS, prec)
+        # the ends are rounded; the half ulp to the true corners lies inside every pad
+        held, _ = _bisect_claims(lambda a, b: arc_functions((a, b), prec=prec),
+                                 mp.pi / 2, 2 * mp.pi / 3, _ARC_CLAIMS)
         entries += [
             _entry_flag("e4.arc.monotone", "|E_4| strictly decreasing along the arc",
                         "R3" in held),
@@ -961,9 +943,7 @@ def _table_numeric_check(prec: int, grid_step: float) -> list:
     and must still sit below every printed case bound.
     """
     entries = []
-    at_19 = arc_functions(1.9, prec=prec)
-    at_i = arc_functions(float(mp.pi / 2), prec=prec)
-    at_rho = arc_functions(float(2 * mp.pi / 3), prec=prec)
+    at_i, at_19, at_rho = _arc_corners(prec)
     arc_caps = {
         "075": (at_i.e4.abs().abs_upper(), at_19.e6.abs_upper()),
         "065": (at_19.e4.abs().abs_upper(), at_rho.e6.abs_upper()),
@@ -1075,7 +1055,7 @@ def full_ledger(prec: int = DEFAULT_PREC, grid_step: float = 1e-3) -> list:
     entries = []
     entries += delta_ledger(prec)
     entries += arc_eisenstein_bounds(prec)
-    entries += eisenstein_line_bounds(prec, grid_step)
+    entries += eisenstein_line_bounds(prec)
     jd = j_difference_bounds(prec)
     entries += jd.entries
     entries += residue_entries(prec=prec, grid_step=max(grid_step, 1e-2))

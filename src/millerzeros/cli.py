@@ -42,7 +42,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Exact basis forms, certified bounds, and arc zeros.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, k=False, m=False, trunc=False, prec=None, grid=False, fmt=False):
+    def common(sp, k=False, m=False, trunc=False, prec=None, grid=None, fmt=False):
         """Register only the options the subcommand's handler reads."""
         if k:
             sp.add_argument("--k", type=int, required=True, help="weight")
@@ -55,7 +55,7 @@ def _parser() -> argparse.ArgumentParser:
             sp.add_argument("--precision-bits", type=int, default=evalnum.DEFAULT_PREC,
                             help=prec)
         if grid:
-            sp.add_argument("--grid-step", type=float, default=1e-3)
+            sp.add_argument("--grid-step", type=float, default=1e-3, help=grid)
         if fmt:
             sp.add_argument("--format", choices=("json", "csv", "text"), default=None)
         sp.add_argument("--out", default=None, help="output path (default stdout)")
@@ -73,11 +73,12 @@ def _parser() -> argparse.ArgumentParser:
     common(sub.add_parser("roots", help="isolated Faber roots"), k=True, m=True, trunc=True)
     common(sub.add_parser("arc-zeros", help="certified arc zero report"), k=True, m=True,
            trunc=True, prec=j_prec)
-    common(sub.add_parser("verify-bounds", help="full bound ledger"), prec=prec, grid=True)
+    common(sub.add_parser("verify-bounds", help="full bound ledger"), prec=prec,
+           grid="angle step of the residue flags, at least 1e-2 (table checks: 1e-2)")
     sp = common(sub.add_parser("verify-thm2", help="exhaustive m=1 sweep"), fmt=True)
     sp.add_argument("--max-ell", type=int, default=14)
     common(sub.add_parser("mrl-check", help="oscillation estimate on a grid"),
-           k=True, m=True, prec=prec, grid=True)
+           k=True, m=True, prec=prec, grid="angle step of the oscillation grid")
     sp = common(sub.add_parser("dist", help="zero angle distribution"), prec=j_prec, fmt=True)
     sp.add_argument("--k-list", required=True,
                     help="comma separated weights, e.g. 120,480,1920")

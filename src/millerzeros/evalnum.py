@@ -23,17 +23,17 @@ form, after the midpoint-radius pattern of Arb (Johansson, IEEE TC 66,
 2017): CertValue.pow_int rounds v^n once and takes the radius
 n e (|v| + e)^(n-1), rounded upward, plus the pad of v^n, since
 |w^n - v^n| <= n |w - v| max(|v|, |w|)^(n-1).  The arc phases e^(i k theta/2)
-are one mp.expj each, of an argument formed exactly.
+are one mp.expj each, of an argument formed exactly.  Radii take |v| from
+_abs_upper, never from a full-precision complex abs.
 
-arc_functions also takes an angle interval [lo, hi] of the arc and then
-encloses each arc function at every theta in it, from one evaluation at
-the midpoint theta_m with the half-width h rounded upward: tau = e^(i theta)
-lies within h of e^(i theta_m), since |d tau / d theta| = 1; each phase
-e^(i k theta/2) within k h / 2; and q within 2 pi r_max h of q(theta_m),
-r_max = e^(-2 pi sin hi) bounding |q| as sin falls on the arc.  That
-radius goes to eval_poly as the disk of q, and every tail gets the
-largest |q| of the disk.  A single angle is the interval of width 0, on
-the same code path, so its values and radii are the point results.
+A horizontal segment (eval_series) or an arc interval (arc_functions) of
+half-width h, rounded upward, is a q-disk about its midpoint: on the
+segment |q| = r = e^(-2 pi y) and |dq/dx| = 2 pi r; on the arc tau lies
+within h of the midpoint, each phase e^(i k theta/2) within k h / 2, and
+|q| <= r_max = e^(-2 pi sin hi), as sin falls on the arc.  q lies within
+2 pi r h (2 pi r_max h) of its midpoint value; that radius goes to
+eval_poly as the disk of q, and every tail gets the largest |q| of the
+disk.  A point is the interval of width 0, on the same code path.
 
 Tail bounds by coefficient family:
 
@@ -82,9 +82,29 @@ class NotRealError(ArithmeticError):
     """A quantity that must be real has imaginary part above its error radius."""
 
 
+def _abs_upper(v) -> mpf:
+    """|v| rounded upward, for radii: exact for a real v, else within 2^-57.
+
+    Both parts are read to 60 bits as integers at one scale, rounded up; so
+    is isqrt of their square sum.  Each rounding adds under 1 of >= 2^59 units.
+    """
+    if not isinstance(v, mpc):
+        return mp.make_mpf((0,) + v._mpf_[1:])
+    a, b = v._mpc_
+    if a[3] < 0 or b[3] < 0:
+        return abs(v)                           # an infinite or nan part
+    if not (a[1] and b[1]):                     # a zero part
+        return mp.make_mpf((0,) + (a if a[1] else b)[1:])
+    (_, ma, ea, ba), (_, mb, eb, bb) = a, b
+    s = max(ea + ba, eb + bb) - 60
+    x = ma << (ea - s) if ea >= s else -(-ma >> (s - ea))
+    y = mb << (eb - s) if eb >= s else -(-mb >> (s - eb))
+    return mp.make_mpf(from_man_exp(isqrt(x * x + y * y) + 1, s))
+
+
 def _pad(value) -> mpf:
     # a few ulp at the ambient precision; mpmath rounds to 1/2 ulp per op
-    return mp.ldexp(abs(value), 4 - mp.prec)
+    return mp.ldexp(_abs_upper(value), 4 - mp.prec)
 
 
 # relative slack on every closed-form tail, covering its own rounding
@@ -137,7 +157,7 @@ class CertValue:
     def __mul__(self, other):
         other = _coerce(other)
         v = self.value * other.value
-        e = (abs(self.value) * other.err + abs(other.value) * self.err
+        e = (_abs_upper(self.value) * other.err + _abs_upper(other.value) * self.err
              + self.err * other.err + _pad(v))
         return CertValue(v, e)
 
@@ -145,17 +165,19 @@ class CertValue:
 
     def __truediv__(self, other):
         other = _coerce(other)
-        b, f = abs(other.value), other.err
+        # the radius falls as |divisor| grows, so it takes a lower bound b of it
+        b, f = _abs_upper(other.value), other.err
+        b = mp.fsub(b, mp.ldexp(b, -57), rounding="d")
         if f >= b:
             raise ZeroDivisionError("divisor interval contains zero")
         v = self.value / other.value
-        e = (abs(self.value) * f + b * self.err) / (b * (b - f)) + _pad(v)
+        e = (_abs_upper(self.value) * f + b * self.err) / (b * (b - f)) + _pad(v)
         return CertValue(v, e)
 
     def pow_int(self, n: int) -> "CertValue":
         """v^n rounded once, radius n e (|v| + e)^(n-1) rounded upward plus pads.
 
-        |v| is inflated by 2^(2-prec) for the rounding of abs.  mpmath forms
+        |v| is taken from above by _abs_upper.  mpmath forms
         a real power, or a complex one with n <= 2 or a zero part, exactly
         or at extra precision and rounds it once, which the pad of v^n
         covers.  Any other complex power may be exp(n log v) at 10 extra
@@ -169,8 +191,7 @@ class CertValue:
             return CertValue(mpf(1))
         v, e = self.value, self.err
         value = v ** n
-        a = abs(v)
-        base = mp.fadd(mp.fadd(a, mp.ldexp(a, 2 - mp.prec), rounding="u"), e, rounding="u")
+        base = mp.fadd(_abs_upper(v), e, rounding="u")
         power = mp.make_mpf(mpf_pow_int(base._mpf_, n - 1, mp.prec, "u"))
         spread = mp.fmul(mp.fmul(n, e, rounding="u"), power, rounding="u")
         rounding = _pad(value)
@@ -415,8 +436,8 @@ class _QPoint:
     """One evaluation point: q = e^(2 pi i tau), its pad, r = |q| and y = Im tau.
 
     drift bounds |q' - q| over every q' the point stands for; it widens the
-    pad, and r to the largest |q'|.  y stays the height of tau itself, so
-    a drifted point serves only tails that read r (Eisenstein, eta).
+    pad, and r to the largest |q'|.  y stays the height of tau, so off a
+    horizontal segment a drifted point serves only tails that read r.
     """
 
     __slots__ = ("q", "pad", "r", "y")
@@ -428,6 +449,20 @@ class _QPoint:
         r = abs(self.q)
         self.r = mp.fadd(r, drift, rounding="u")
         self.pad = mp.fadd(mp.ldexp(r, 4 - mp.prec), drift, rounding="u")
+
+
+def _drift(y, h) -> mpf:
+    """2 pi e^(-2 pi y) h rounded upward: q moves that far as tau moves h above height y."""
+    slope = 2 * mp.pi * mp.exp(-2 * mp.pi * y)
+    return mp.fmul(slope + mp.ldexp(slope, 8 - mp.prec), h, rounding="u")
+
+
+def _span(lo, hi) -> tuple:
+    """(midpoint, half-width rounded upward) of [lo, hi]; (lo, 0) when lo = hi."""
+    if lo > hi:
+        raise ValueError(f"empty interval [{lo}, {hi}]")
+    mid = (lo + hi) / 2
+    return mid, max(mp.fsub(hi, mid, rounding="u"), mp.fsub(mid, lo, rounding="u"))
 
 
 def _series_at(s: QSeries, pt: _QPoint, tail) -> CertValue:
@@ -447,14 +482,18 @@ def _delta_at(pt: _QPoint, terms: int) -> CertValue:
 def eval_series(s: QSeries, tau, tail, prec: int = DEFAULT_PREC) -> CertValue:
     """Certified value of a truncated q-expansion plus its tail bound.
 
-    The partial sum is one eval_poly call at q = e^(2 pi i tau) with the
-    radius of q (a few ulp), so its error is the kernel's a-priori bound;
-    the q^lead factor, when present, is one CertValue power and product
-    or quotient.  tail is one of the *Tail dataclasses above and must
-    genuinely cover the dropped coefficients of the series being evaluated.
+    tau is a point, or a horizontal segment (a, b), Re a <= Re b.  The
+    partial sum is one eval_poly call on the disk of q, so its error is
+    the kernel's a-priori bound; the q^lead factor, when present, is one
+    CertValue power and product or quotient.  tail is one of the *Tail
+    dataclasses above and must genuinely cover the dropped coefficients.
     """
     with workprec(prec + _GUARD):
-        return _series_at(s, _QPoint(tau), tail)
+        a, b = (mp.mpmathify(t) for t in (tau if isinstance(tau, tuple) else (tau, tau)))
+        if mp.im(a) != mp.im(b):
+            raise ValueError(f"segment [{a}, {b}] not horizontal")
+        x, h = _span(mp.re(a), mp.re(b))
+        return _series_at(s, _QPoint(mpc(x, mp.im(a)), _drift(mp.im(a), h) if h else 0), tail)
 
 
 def eval_delta_eta(tau, terms: int | None = None, prec: int = DEFAULT_PREC) -> CertValue:
@@ -514,27 +553,9 @@ class ArcValues:
 def _theta_mpf(p) -> mpf:
     t = mpf(p)
     lo, hi = mp.pi / 2, 2 * mp.pi / 3
-    if t < lo:
-        if lo - t > mpf(1e-9):
-            raise ValueError("theta below pi/2")
-        t = lo
-    if t > hi:
-        if t - hi > mpf(1e-9):
-            raise ValueError("theta above 2pi/3")
-        t = hi
-    return t
-
-
-def _arc_span(p) -> tuple:
-    """(midpoint, half-width rounded upward, upper end) of an angle or a pair (lo, hi).
-
-    A single angle is the pair (theta, theta): midpoint theta, half-width 0.
-    """
-    lo, hi = (_theta_mpf(t) for t in (p if isinstance(p, tuple) else (p, p)))
-    if lo > hi:
-        raise ValueError(f"empty angle interval [{lo}, {hi}]")
-    mid = (lo + hi) / 2
-    return mid, max(mp.fsub(hi, mid, rounding="u"), mp.fsub(mid, lo, rounding="u")), hi
+    if not lo - mpf(1e-9) <= t <= hi + mpf(1e-9):
+        raise ValueError(f"theta = {t} outside [pi/2, 2pi/3]")
+    return min(max(t, lo), hi)
 
 
 def _phase(theta: mpf, k: int, h=0) -> CertValue:
@@ -556,13 +577,11 @@ def arc_functions(p, trunc: int | None = None, prec: int = DEFAULT_PREC) -> ArcV
     propagated radius.
     """
     with workprec(prec + _GUARD):
-        theta, h, hi = _arc_span(p)
+        lo, hi = (_theta_mpf(t) for t in (p if isinstance(p, tuple) else (p, p)))
+        theta, h = _span(lo, hi)
         tau = _phase(theta, 2, h)
-        # |dq/dtheta| = 2 pi |q| <= 2 pi r_max on the interval, r_max = e^(-2 pi sin hi)
-        # as sin falls on the arc; 2^(8 - prec) of itself covers its rounding
-        slope = 2 * mp.pi * mp.exp(-2 * mp.pi * mp.sin(hi))
-        slope += mp.ldexp(slope, 8 - mp.prec)
-        pt = _QPoint(tau.value, mp.fmul(slope, h, rounding="u"))
+        # |dtau/dtheta| = 1 and Im tau >= sin hi on the interval, as sin falls on the arc
+        pt = _QPoint(tau.value, _drift(mp.sin(hi), h) if h else 0)
         n = trunc if trunc is not None else auto_trunc(pt.y, prec)
         e2, e4, e6 = (_series_at(qseries.eisenstein(k, n), pt, EisensteinTail(k))
                       for k in (2, 4, 6))

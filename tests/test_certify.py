@@ -17,8 +17,10 @@ from millerzeros.certify import (
     j_difference_bounds, delta_line_lower, delta_line_upper,
     residue_term, residue_entries, _table_value,
     proposition_mrl_check, full_ledger, _LINE_CASES, _dominated_tail, _pad_of,
-    _line_lipschitz, _ARC_CLAIMS, _ARC_DEPTH, _arc_slopes, _decide_on_arc, arc_eisenstein_bounds,
+    _ARC_CLAIMS, _DEPTH, _arc_slopes, _bisect_claims, arc_eisenstein_bounds,
 )
+from millerzeros.evalnum import EisensteinTail, eval_series
+from millerzeros.qseries import eisenstein
 from millerzeros.qseries import bernoulli
 
 PRINTED_TABLE = {
@@ -275,17 +277,45 @@ def test_dominated_tail_within_its_pad():
             assert abs(tail - exact) <= pad
 
 
-def test_line_lipschitz_is_an_upper_bound():
-    # the same sum at 400 bits from the exact height must not exceed the bound
+def line_maxima(monkeypatch, cases=_LINE_CASES):
+    """The .grid entries of eisenstein_line_bounds and the eval_series calls made."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return eval_series(*args, **kwargs)
+    monkeypatch.setattr(certify, "eval_series", counting)
+    monkeypatch.setattr(certify, "_LINE_CASES", cases)
+    grid = {e.name: e for e in certify.eisenstein_line_bounds() if e.name.endswith(".grid")}
+    return grid, len(calls)
+
+
+def test_line_maxima_enclose_the_maximum_within_budget(monkeypatch):
+    grid, evaluations = line_maxima(monkeypatch)
+    assert evaluations <= 250
+    assert all(e.satisfied for e in grid.values()) and len(grid) == 4
     for k, y, *_ in _LINE_CASES:
-        with workprec(140):
-            lip = _line_lipschitz(k, y)
+        e = grid[f"e{k}.line.{'065' if y == Fraction(13, 20) else '075'}.grid"]
         with workprec(400):
-            gamma = abs(Fraction(2 * k) / bernoulli(k))
-            r = mp.exp(-2 * mp.pi * mpf(y.numerator) / y.denominator)
-            s = sum(mpf(n) ** (k + 1) * r ** n for n in range(1, 41))
-            s += mpf(41) ** (k + 1) * r ** 41 / (1 - (1 + mpf(1) / 41) ** (k + 1) * r)
-            assert lip >= 2 * mp.pi * mpf(gamma.numerator) / gamma.denominator * s, (k, y)
+            at = [eval_series(eisenstein(k, 100), mp.mpc(mpf(i) / 100, mpf(y.numerator) / y.denominator),
+                              EisensteinTail(k), prec=400).abs_upper() for i in range(51)]
+        # every value lies under hi; lo sits below the sampled maximum
+        assert e.computed - e.err <= max(at) <= e.computed + e.err
+
+
+@pytest.mark.parametrize("depth", (_DEPTH, 2 * _DEPTH))
+def test_line_cap_below_the_maximum_never_holds(depth, monkeypatch):
+    # |E_4(0.75 i)| = 3.3353; a cap of 3.30 is false at x = 0
+    monkeypatch.setattr(certify, "_DEPTH", depth)
+    grid, _ = line_maxima(monkeypatch, ((4, Fraction(3, 4), 3.4, 0.05, 3.30, Fraction(1, 5)),))
+    e = grid["e4.line.075.grid"]
+    assert not e.satisfied and e.computed - e.err > 3.30
+
+
+def test_line_claim_fails_at_the_depth_limit(monkeypatch):
+    monkeypatch.setattr(certify, "_DEPTH", 1)
+    grid, evaluations = line_maxima(monkeypatch, _LINE_CASES[3:])
+    assert not grid["e6.line.075.grid"].satisfied and evaluations <= 3
 
 
 # ---------------------------------------------------------------------------
@@ -304,25 +334,34 @@ def test_arc_slope_identities_match_central_differences(theta):
             assert abs(diff - slope) < 1e-10, (name, theta)
 
 
+def decide_on_arc(claims):
+    """(claims that hold on the arc, evaluations), as arc_eisenstein_bounds decides them."""
+    calls = []
+    with workprec(140):
+        held, _ = _bisect_claims(lambda a, b: calls.append(a) or arc_functions((a, b)),
+                                 mp.pi / 2, 2 * mp.pi / 3, claims)
+    return held, len(calls)
+
+
 def test_arc_claims_decided_within_budget():
-    held, evaluations = _decide_on_arc(_ARC_CLAIMS)
+    held, evaluations = decide_on_arc(_ARC_CLAIMS)
     assert held == set(_ARC_CLAIMS)
     assert evaluations <= 40
 
 
-@pytest.mark.parametrize("depth", (_ARC_DEPTH, 2 * _ARC_DEPTH))
+@pytest.mark.parametrize("depth", (_DEPTH, 2 * _DEPTH))
 def test_false_arc_claims_never_hold(depth, monkeypatch):
     # delta > 0, e4^2 - e2 e6 < 0 and e2' > 0
-    monkeypatch.setattr(certify, "_ARC_DEPTH", depth)
+    monkeypatch.setattr(certify, "_DEPTH", depth)
     false = {name: (f, -sign) for name, (f, sign) in _ARC_CLAIMS.items() if name != "R3"}
-    assert _decide_on_arc(false)[0] == set()
+    assert decide_on_arc(false)[0] == set()
     for name in false:
-        assert _decide_on_arc({name: false[name]})[0] == set()
+        assert decide_on_arc({name: false[name]})[0] == set()
 
 
 def test_open_claims_fail_at_the_depth_limit(monkeypatch):
-    monkeypatch.setattr(certify, "_ARC_DEPTH", 1)
-    held, evaluations = _decide_on_arc(_ARC_CLAIMS)
+    monkeypatch.setattr(certify, "_DEPTH", 1)
+    held, evaluations = decide_on_arc(_ARC_CLAIMS)
     assert held != set(_ARC_CLAIMS)
     assert evaluations <= 3
 

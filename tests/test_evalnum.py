@@ -12,7 +12,7 @@ from millerzeros.qseries import (QSeries, _pentagonal_euler_product, delta, eise
                                  jfunction)
 from millerzeros.miller import miller_form
 from millerzeros.evalnum import (
-    CertValue, NotRealError, TailUnboundedError,
+    CertValue, NotRealError, TailUnboundedError, _abs_upper, _exact,
     EisensteinTail, JCoeffTail, EtaProductTail, GeometricTail, j_tail_bound,
     eval_poly, eval_series, eval_delta_eta, eval_form,
     arc_functions, arc_form, arc_j, arc_grid, export_arc_csv,
@@ -126,6 +126,37 @@ def test_pow_int_encloses_every_power(branch, n_range, data):
         assert abs(w ** n - got.value) <= got.err
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 200), st.integers(-2 ** 200, 2 ** 200), st.integers(-400, 400),
+       st.integers(-300, 300), st.booleans())
+def test_abs_upper_is_a_tight_upper_bound(a, b, scale, shift, real):
+    # exactly: |v| <= bound <= (1 + 2^-20) |v|, for parts of any length and scale
+    with workprec(240):
+        v = mp.ldexp(a, scale) if real else mpc(mp.ldexp(a, scale), mp.ldexp(b, scale + shift))
+    square = sum(_exact(p) ** 2 for p in ((v,) if real else (v.real, v.imag)))
+    bound = _exact(_abs_upper(v))
+    assert square <= bound ** 2 <= (1 + Fraction(1, 2 ** 20)) ** 2 * square
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.floats(-5, 5), min_size=4, max_size=4), st.floats(0, 0.5), st.floats(0, 0.5),
+       st.lists(st.floats(0, 1), min_size=4, max_size=4))
+def test_certvalue_encloses_complex_products_and_quotients(parts, ea, eb, u):
+    # radii of complex products and quotients take |v| from _abs_upper
+    a, b = mpc(parts[0], parts[1]), mpc(parts[2], parts[3])
+    x, y = CertValue(a, ea), CertValue(b, eb)
+    with workprec(140):
+        prod = x * y
+        quot = x / y if abs(b) > eb else None
+    with workprec(400):
+        # shrink by 1 - 2^-100 so that the 400-bit rounding keeps each point in its disk
+        ax, by = (c + e * (1 - mpf(2) ** -100) * s * mp.expj(2 * mp.pi * t)
+                  for c, e, s, t in ((a, ea, u[0], u[1]), (b, eb, u[2], u[3])))
+        assert abs(ax * by - prod.value) <= prod.err
+        if quot is not None:
+            assert abs(ax / by - quot.value) <= quot.err
+
+
 # ---------------------------------------------------------------------------
 # the fixed-point Horner kernel
 
@@ -202,6 +233,38 @@ def test_eval_series_matches_reference_horner(name):
         ref = reference_eval_series(series, tau, tail)
         assert abs(got.value - ref.value) <= got.err + ref.err
         assert got.err <= 2 * ref.err
+
+
+def test_zero_width_segment_is_the_point():
+    with workprec(140):
+        points = [mpc(x, y) for x in ("0", "0.2", "0.5") for y in ("0.65", "0.75")]
+    for series, tail in ((eisenstein(4, 48), EisensteinTail(4)),
+                         (eisenstein(6, 48), EisensteinTail(6)), (jfunction(48), JCoeffTail())):
+        for prec in (96, 128, 200):
+            for tau in points + [0.1 + 0.7j]:
+                point, span = (eval_series(series, t, tail, prec=prec) for t in (tau, (tau, tau)))
+                assert (span.value, span.err) == (point.value, point.err)
+    for bad in ((mpc("0.2", "0.7"), mpc("0.3", "0.75")), (mpc("0.3", "0.7"), mpc("0.2", "0.7"))):
+        with pytest.raises(ValueError):
+            eval_series(eisenstein(4, 48), bad, EisensteinTail(4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((4, 6)), st.sampled_from(("0.65", "0.75")), st.floats(0, 1),
+       st.floats(-6, -0.3), st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1)))
+def test_line_segment_encloses_every_point(k, height, where, log_width, at):
+    # a subsegment of [0, 1/2] of width 1e-6 to 1/2 and x in it, ends included,
+    # against a 400-bit evaluation at the same height
+    with workprec(140):
+        y = mpf(height)
+        width = mpf(10) ** log_width
+        lo = mpf(where) * (mpf(1) / 2 - width)
+        hi = lo + width
+        x = min(hi, max(lo, lo + mpf(at) * width))
+    span = eval_series(eisenstein(k, 48), (mpc(lo, y), mpc(hi, y)), EisensteinTail(k))
+    ref = eval_series(eisenstein(k, 100), mpc(x, y), EisensteinTail(k), prec=400)
+    assert ref.err < mpf(2) ** -300
+    assert abs(span.value - ref.value) <= span.err + ref.err
 
 
 # ---------------------------------------------------------------------------
