@@ -43,8 +43,10 @@ def run_mrl(args):
     for k, m in MRL_PAIRS:
         rep = certify.proposition_mrl_check(k, m, grid_step=args.grid_step,
                                             prec=args.precision_bits)
-        if not rep.passed:
+        if rep.violations:
             return False, f"violated at k={k}, m={m}, theta={rep.violations[0]!r}"
+        if rep.undecided:
+            return False, f"undecided at k={k}, m={m}, theta={rep.undecided[0]!r}"
         worst = max(worst, rep.grid_max + rep.err_at_max)
     return True, f"grid max+err {worst:.6f} < 2"
 

@@ -70,16 +70,23 @@ class BoundLedgerEntry:
         return json.dumps(self.to_json_dict())
 
 
+def _decimal(claimed) -> Fraction:
+    """The claimed constant exactly as written: 3.45 is 345/100, not its nearest double."""
+    return Fraction(repr(claimed)) if isinstance(claimed, float) else Fraction(claimed)
+
+
 def _entry_upper(name: str, ref: str, cv: CertValue, claimed) -> BoundLedgerEntry:
-    """|computed| + err must stay strictly below the claimed constant."""
+    """|computed| + err, rounded upward, must stay strictly below the claimed constant."""
+    ok = _exact(cv.abs_upper()) < _decimal(claimed)
     return BoundLedgerEntry(name, float(claimed), float(abs(cv.value)),
-                            float(cv.err), bool(cv.abs_upper() < mpf(claimed)), ref)
+                            float(cv.err), ok, ref)
 
 
 def _entry_lower(name: str, ref: str, cv: CertValue, claimed) -> BoundLedgerEntry:
-    """|computed| - err must stay strictly above the claimed constant."""
+    """|computed| - err, rounded downward, must stay strictly above the claimed constant."""
+    ok = _exact(cv.abs_lower()) > _decimal(claimed)
     return BoundLedgerEntry(name, float(claimed), float(abs(cv.value)),
-                            float(cv.err), bool(cv.abs_lower() > mpf(claimed)), ref)
+                            float(cv.err), ok, ref)
 
 
 def _entry_value(name: str, ref: str, cv: CertValue, claimed, tol) -> BoundLedgerEntry:
@@ -985,7 +992,7 @@ def _table_numeric_check(prec: int, grid_step: float) -> list:
             v = e4cap ** aa * e6cap ** ba * best[kp]
             entries.append(_entry_upper(f"table.{label}.k{kp}.grid",
                                         f"numerical maximum, extra weight {kp}, height 0.{label[1:]}",
-                                        CertValue(v), float(_TABLE_CLAIMS[(kp, label)])))
+                                        CertValue(v), _TABLE_CLAIMS[(kp, label)]))
     return entries
 
 
@@ -1003,6 +1010,37 @@ class MrlReport:
     theta_at_max: float
     passed: bool
     violations: list = field(default_factory=list)
+    undecided: list = field(default_factory=list)
+
+
+_MRL_LADDER = (1, 2, 4, 8)       # multiples of the starting precision
+
+
+def _amplitude(m: int, t: mpf) -> CertValue:
+    """e^(2 pi m sin t) at the ambient precision p, with an outward radius.
+
+    x = 2 pi m sin t takes three roundings of relative size 2^-p and sin
+    one of at most 2^(1-p), so |x' - x| <= d = 6 |x| 2^-p.  Then
+    |e^x' - e^x| <= 1.01 d e^x while d < 0.01, and exp rounds within
+    2^(1-p) of e^x', so the error is at most (7 |x| + 3) 2^-p e^x, under
+    the radius 16 (|x'| + 1) 2^-p e^x' rounded upward.
+    """
+    x = 2 * mp.pi * m * mp.sin(t)
+    amp = mp.exp(x)
+    grow = mp.fmul(amp, mp.fadd(abs(x), 1, rounding="u"), rounding="u")
+    return CertValue(amp, mp.ldexp(grow, 4 - mp.prec))
+
+
+def _oscillation(form, m: int, theta: float, prec: int) -> CertValue:
+    """e^(ik theta/2) e^(2 pi m sin theta) g_{k,m}(e^(i theta)) - 2 cos h(theta)."""
+    from .evalnum import arc_form
+    with workprec(prec + 12):
+        t = mpf(theta)
+        g = arc_form(form, theta, prec=prec)
+        h = form.id.k * t / 2 + 2 * mp.pi * m * mp.cos(t)
+        # argument rounding of h sweeps through cos with unit slope
+        pad = _pad_of(abs(h) + 2 * mp.pi * m + 2)
+        return g * _amplitude(m, t) - CertValue(2 * mp.cos(h), pad)
 
 
 def proposition_mrl_check(k: int, m: int, grid_step: float = 1e-3,
@@ -1011,39 +1049,43 @@ def proposition_mrl_check(k: int, m: int, grid_step: float = 1e-3,
 
     h(theta) = k theta / 2 + 2 pi m cos theta.  The estimate promises a
     value strictly below 2 whenever ell > 4.5 m + 9.5; the check reports
-    the grid maximum either way and records every angle at which the
-    certified value fails to stay under 2.
+    the grid maximum either way.  An angle whose enclosure straddles 2 is
+    evaluated again at 2, 4 and 8 times the starting precision
+    form_arc_prec; it is a violation once the whole enclosure is at or
+    above 2, and undecided if it still straddles 2 at the top of the
+    ladder.  passed needs both lists empty.
     """
     from .miller import miller_form
-    from .evalnum import arc_form, form_arc_prec
+    from .evalnum import form_arc_prec
     form = miller_form(k, m)
     ell = form.id.ell
-    prec = form_arc_prec(ell, m, prec)
+    start = form_arc_prec(ell, m, prec)
     hypothesis = ell > 4.5 * m + 9.5
     worst = -1.0
     worst_err = 0.0
     worst_theta = 0.0
-    violations = []
-    with workprec(prec + 12):
-        for theta in arc_grid(grid_step):
-            t = mpf(theta)
-            g = arc_form(form, theta, prec=prec)
-            amp = mp.e ** (2 * mp.pi * m * mp.sin(t))
-            h = k * t / 2 + 2 * mp.pi * m * mp.cos(t)
-            target = 2 * mp.cos(h)
-            # argument rounding of h sweeps through cos with unit slope
-            pad = _pad_of(abs(h) + 2 * mp.pi * m + 2)
-            val = g * CertValue(amp, _pad_of(amp)) - CertValue(target, pad)
-            mag = abs(val.value)
-            if float(mag) > worst:
-                worst = float(mag)
-                worst_err = float(val.err)
-                worst_theta = float(theta)
-            if mag + val.err >= 2:
-                violations.append(float(theta))
+    violations, undecided = [], []
+    # with guard bits float(2 pi / 3) is the double nearest rho, above it,
+    # so the last angle clamps onto rho; at 53 bits it falls below rho
+    with workprec(start + 12):
+        grid = arc_grid(grid_step)
+    for theta in grid:
+        for scale in _MRL_LADDER:
+            val = _oscillation(form, m, theta, scale * start)
+            below, above = val.abs_upper() < 2, val.abs_lower() >= 2
+            if below or above:
+                break
+        mag = float(abs(val.value))
+        if mag > worst:
+            worst, worst_err, worst_theta = mag, float(val.err), float(theta)
+        if above:
+            violations.append(float(theta))
+        elif not below:
+            undecided.append(float(theta))
     return MrlReport(k=k, m=m, hypothesis_ok=hypothesis, grid_max=worst,
                      err_at_max=worst_err, theta_at_max=worst_theta,
-                     passed=not violations, violations=violations)
+                     passed=not (violations or undecided), violations=violations,
+                     undecided=undecided)
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,8 @@ def _cmd_mrl_check(args, out) -> int:
                       "grid_max": rep.grid_max, "err_at_max": rep.err_at_max,
                       "theta_at_max": rep.theta_at_max,
                       "passed": rep.passed,
-                      "violations": rep.violations}), file=out)
+                      "violations": rep.violations,
+                      "undecided": rep.undecided}), file=out)
     return 0 if rep.passed else 1
 
 

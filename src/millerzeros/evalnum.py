@@ -18,13 +18,18 @@ Around the kernel, each evaluation point does its scalar work once: one
 private q-point holds q = e^(2 pi i tau), its pad, r = |q| and y = Im tau,
 and every series at that point (the Eisenstein series, the eta product,
 j) reads them from it, so exp(2 pi i tau) is computed once per
-eval_series, eval_form, arc_functions or arc_j call.  Powers are closed
+eval_series, arc_form, arc_functions or arc_j call.  Powers are closed
 form, after the midpoint-radius pattern of Arb (Johansson, IEEE TC 66,
 2017): CertValue.pow_int rounds v^n once and takes the radius
 n e (|v| + e)^(n-1), rounded upward, plus the pad of v^n, since
 |w^n - v^n| <= n |w - v| max(|v|, |w|)^(n-1).  The arc phases e^(i k theta/2)
 are one mp.expj each, of an argument formed exactly.  Radii take |v| from
 _abs_upper, never from a full-precision complex abs.
+
+A basis form on the arc (arc_form) needs no complex product: with
+E_k' = E_4^a E_6^b its real arc function is delta^ell e4^a e6^b F(j),
+delta = (e4^3 - e6^2) / 1728 and j = e4^3 / delta, from the two real
+arc functions e4 and e6 alone (Duke-Jenkins, PAMQ 4, 2008).
 
 A horizontal segment (eval_series) or an arc interval (arc_functions) of
 half-width h, rounded upward, is a q-disk about its midpoint: on the
@@ -61,7 +66,7 @@ from functools import lru_cache
 from math import isqrt
 
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import from_man_exp, mpf_pow_int
+from mpmath.libmp import from_man_exp, mpc_abs, mpf_pow_int
 
 from . import qseries
 from .qseries import QSeries
@@ -100,6 +105,13 @@ def _abs_upper(v) -> mpf:
     x = ma << (ea - s) if ea >= s else -(-ma >> (s - ea))
     y = mb << (eb - s) if eb >= s else -(-mb >> (s - eb))
     return mp.make_mpf(from_man_exp(isqrt(x * x + y * y) + 1, s))
+
+
+def _abs_rounded(v, rnd: str) -> mpf:
+    """|v| rounded to the ambient precision in the direction rnd; exact for a real v."""
+    if isinstance(v, mpc):
+        return mp.make_mpf(mpc_abs(v._mpc_, mp.prec, rnd))
+    return abs(v)
 
 
 def _pad(value) -> mpf:
@@ -213,10 +225,12 @@ class CertValue:
                          self.err)
 
     def abs_upper(self) -> mpf:
-        return abs(self.value) + self.err
+        """|v| + err rounded upward: no point of the enclosure lies above it."""
+        return mp.fadd(_abs_rounded(self.value, "u"), self.err, rounding="u")
 
     def abs_lower(self) -> mpf:
-        lo = abs(self.value) - self.err
+        """|v| - err rounded downward, or 0: no point of the enclosure lies below it."""
+        lo = mp.fsub(_abs_rounded(self.value, "d"), self.err, rounding="d")
         return lo if lo > 0 else mpf(0)
 
     def widened(self, extra) -> "CertValue":
@@ -419,15 +433,16 @@ def auto_trunc(y, prec: int) -> int:
 
 
 def form_arc_prec(ell: int, m: int, floor: int = DEFAULT_PREC) -> int:
-    """Working precision for the direct evaluation of a basis form on the arc.
+    """Starting precision for a basis form on the arc, for mrl-check.
 
-    Used by the oscillation check (mrl-check) and as the independent
-    oracle for the arc signs; the zero localization decides signs through
-    F(j) and does not use it.  The Horner sum for F(j) runs through
-    intermediates comparable to prod (|j| + r_i) while the product with
-    Delta^ell collapses to order e^(-2 pi m sin theta); the gap grows
-    linearly in ell (empirically under 2.8 bits per unit) plus the
-    2 pi m / log 2 bits of amplitude.
+    A starting point, not a guarantee: the oscillation check evaluates
+    again at 2, 4 and 8 times this precision wherever the enclosure does
+    not decide.  The Horner sum for F(j) runs through intermediates
+    comparable to prod (|j| + r_i) while the product with delta^ell
+    collapses to order e^(-2 pi m sin theta); the gap grows linearly in
+    ell (empirically under 2.8 bits per unit) plus the 2 pi m / log 2
+    bits of amplitude.  Near j = 1728 at large ell the bound on F's slope
+    can still exceed it.
     """
     return max(floor, 64 + 3 * ell + 10 * m)
 
@@ -509,27 +524,6 @@ def eval_delta_eta(tau, terms: int | None = None, prec: int = DEFAULT_PREC) -> C
         return _delta_at(pt, terms if terms is not None else auto_trunc(pt.y, prec))
 
 
-def eval_form(form, tau, prec: int = DEFAULT_PREC, trunc_scale: int = 1) -> CertValue:
-    """Certified g_{k,m}(tau) through the factorisation Delta^ell E_k' F(j).
-
-    Evaluating the factored form keeps every ingredient series short even
-    for large ell; the huge cancellation between Delta^ell and F(j) is
-    absorbed by the unlimited exponent range of the working floats.
-    """
-    fid = form.id
-    with workprec(prec + _GUARD):
-        pt = _QPoint(tau)
-        n = auto_trunc(pt.y, prec) * trunc_scale
-        dl = _delta_at(pt, n).pow_int(fid.ell)
-        if fid.kprime:
-            ek = _series_at(qseries.eisenstein(fid.kprime, n), pt, EisensteinTail(fid.kprime))
-        else:
-            ek = CertValue(mpf(1))
-        nj = max(n, int(1 / float(pt.y) ** 2) + 8)
-        jv = _series_at(qseries.jfunction(nj), pt, JCoeffTail())
-        return dl * ek * eval_poly(form.faber.coeffs, jv.value, jv.err)
-
-
 # ---------------------------------------------------------------------------
 # the boundary arc
 
@@ -593,18 +587,35 @@ def arc_functions(p, trunc: int | None = None, prec: int = DEFAULT_PREC) -> ArcV
 
 
 def arc_form(form, p, prec: int = DEFAULT_PREC, trunc_scale: int = 1) -> CertValue:
-    """The real function e^(i k theta / 2) g_{k,m}(e^(i theta)) on the arc."""
+    """The real function e^(i k theta / 2) g_{k,m}(e^(i theta)) on the arc.
+
+    With E_k' = E_4^a E_6^b (EISENSTEIN_FACTORS) it is delta^ell e4^a e6^b
+    F(j), where e4 = e^(2 i theta) E_4 and e6 = e^(3 i theta) E_6 are real,
+    delta = (e4^3 - e6^2) / 1728 is delta_arc and j = e4^3 / delta.  So
+    every step after the two phase products is real, and F(j) is one real
+    eval_poly.  The two series are cut at trunc_scale times auto_trunc.
+    """
+    fid = form.id
+    a, b = qseries.EISENSTEIN_FACTORS[fid.kprime]
     with workprec(prec + _GUARD):
         theta = _theta_mpf(p)
-        val = eval_form(form, mp.expj(theta), prec=prec, trunc_scale=trunc_scale)
-        return (_phase(theta, form.id.k) * val).as_real()
+        pt = _QPoint(mp.expj(theta))
+        n = auto_trunc(pt.y, prec) * trunc_scale
+        e4, e6 = ((_phase(theta, k) * _series_at(qseries.eisenstein(k, n), pt,
+                                                 EisensteinTail(k))).as_real()
+                  for k in (4, 6))
+        cube = e4.pow_int(3)
+        delta = (cube - e6.pow_int(2)) / 1728
+        j = cube / delta
+        return (delta.pow_int(fid.ell) * e4.pow_int(a) * e6.pow_int(b)
+                * eval_poly(form.faber.coeffs, j.value, j.err))
 
 
 def arc_j(p, prec: int = DEFAULT_PREC) -> CertValue:
     """j(e^(i theta)) from its q-series with the JCoeffTail bound; real, 0 at rho.
 
-    The same j evaluation as in eval_form, with the truncation also past
-    1/sin^2 theta, where the tail estimate starts to hold.
+    The truncation reaches past 1/sin^2 theta, where the tail estimate
+    starts to hold.
     """
     with workprec(prec + _GUARD):
         pt = _QPoint(mp.expj(_theta_mpf(p)))

@@ -1,13 +1,59 @@
 """Shared fixtures.
 
 The expensive objects (basis forms, the bound ledger) are built once per
-session; every consumer treats them as immutable.
+session; every consumer treats them as immutable.  The direct complex
+evaluation of a basis form is kept here as the reference oracle for
+evalnum.arc_form, which takes its real E_4/E_6 route instead.
 """
 
 import pytest
+from mpmath import mp, mpf, workprec
 
+from millerzeros import qseries
 from millerzeros.miller import miller_form
 from millerzeros.certify import full_ledger
+from millerzeros.evalnum import (DEFAULT_PREC, _GUARD, CertValue, EisensteinTail, JCoeffTail,
+                                 _QPoint, _delta_at, _phase, _series_at, _theta_mpf,
+                                 auto_trunc, eval_poly)
+
+
+def direct_eval_form(form, tau, prec: int = DEFAULT_PREC) -> CertValue:
+    """Certified g_{k,m}(tau) as the complex product Delta^ell E_k' F(j).
+
+    Delta from the eta product, E_k' and j from their q-series at one q,
+    and every factor a complex CertValue; the huge cancellation between
+    Delta^ell and F(j) is absorbed by the unlimited exponent range.
+    """
+    fid = form.id
+    with workprec(prec + _GUARD):
+        pt = _QPoint(tau)
+        n = auto_trunc(pt.y, prec)
+        dl = _delta_at(pt, n).pow_int(fid.ell)
+        if fid.kprime:
+            ek = _series_at(qseries.eisenstein(fid.kprime, n), pt, EisensteinTail(fid.kprime))
+        else:
+            ek = CertValue(mpf(1))
+        nj = max(n, int(1 / float(pt.y) ** 2) + 8)
+        jv = _series_at(qseries.jfunction(nj), pt, JCoeffTail())
+        return dl * ek * eval_poly(form.faber.coeffs, jv.value, jv.err)
+
+
+def direct_arc_form(form, p, prec: int = DEFAULT_PREC) -> CertValue:
+    """e^(i k theta / 2) g_{k,m}(e^(i theta)) through direct_eval_form."""
+    with workprec(prec + _GUARD):
+        theta = _theta_mpf(p)
+        val = direct_eval_form(form, mp.expj(theta), prec=prec)
+        return (_phase(theta, form.id.k) * val).as_real()
+
+
+@pytest.fixture(scope="session")
+def direct_form():
+    return direct_eval_form
+
+
+@pytest.fixture(scope="session")
+def direct_arc():
+    return direct_arc_form
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, workprec
 
 from millerzeros import certify
-from millerzeros.evalnum import CertValue, _exact, arc_functions
+from millerzeros.evalnum import CertValue, _exact, arc_functions, arc_grid
 from millerzeros.certify import (
     BoundLedgerEntry, DomainError,
     _cheb_t, ChebyshevPoly, polynomial_derivative, goursat_transform, horner,
@@ -16,7 +16,8 @@ from millerzeros.certify import (
     monotonicity_certificate_075, magnitude_certificate_065,
     j_difference_bounds, delta_line_lower, delta_line_upper,
     residue_term, residue_entries, _table_value,
-    proposition_mrl_check, full_ledger, _LINE_CASES, _dominated_tail, _pad_of,
+    proposition_mrl_check, _amplitude, _entry_lower, _entry_upper,
+    full_ledger, _LINE_CASES, _dominated_tail, _pad_of,
     _ARC_CLAIMS, _DEPTH, _arc_slopes, _bisect_claims, arc_eisenstein_bounds,
 )
 from millerzeros.evalnum import EisensteinTail, eval_series
@@ -259,6 +260,38 @@ def test_mrl_report_lists_violations():
     rep = proposition_mrl_check(48, 3, grid_step=1e-2)
     assert not rep.passed
     assert rep.violations and all(1.57 < t < 2.1 for t in rep.violations)
+    assert rep.undecided == []
+
+
+def test_mrl_report_lists_undecided_angles(monkeypatch):
+    # (1200, 3) straddles 2 at some angles at its starting precision; without
+    # the ladder they are undecided, neither violations nor passes
+    monkeypatch.setattr(certify, "_MRL_LADDER", (1,))
+    rep = proposition_mrl_check(1200, 3, grid_step=2e-2)
+    assert rep.undecided and rep.violations == []
+    assert not rep.passed
+
+
+def test_amplitude_encloses_the_exponential_at_m_20():
+    # x = 2 pi m sin theta reaches 126; the radius grows with x, past the
+    # fixed 2^(8 - prec) relative pad it replaces
+    for theta in arc_grid(5e-2):
+        with workprec(140):
+            amp = _amplitude(20, mpf(theta))
+            assert amp.err > mp.ldexp(amp.value, 8 - mp.prec)
+        with workprec(560):
+            want = mp.exp(2 * mp.pi * 20 * mp.sin(mpf(theta)))
+            assert abs(want - amp.value) <= amp.err
+
+
+def test_entry_bounds_compare_with_the_decimal_claim():
+    # the double nearest 3.45 is 3.45 + 1.8e-16; a value between the two
+    # exceeds the decimal claim although it lies below the double
+    with workprec(128):
+        between = CertValue(mpf(345) / 100 + mpf(10) ** -17)
+        assert between.value < mpf(3.45)
+    assert not _entry_upper("x", "demo", between, 3.45).satisfied
+    assert _entry_lower("x", "demo", between, 3.45).satisfied
 
 
 def test_dominated_tail_within_its_pad():

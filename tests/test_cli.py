@@ -104,6 +104,16 @@ def test_mrl_check_json(capsys):
     assert d["grid_max"] + d["err_at_max"] < 2
 
 
+def test_mrl_check_escalates_at_large_weight(capsys):
+    # F(j) near j = 1728 leaves some enclosures straddling 2 at the starting
+    # precision; the precision ladder decides every one of them
+    code, out, _ = run(capsys, "mrl-check", "--k", "1200", "--m", "3",
+                       "--grid-step", "0.02")
+    assert code == 0
+    d = json.loads(out)
+    assert d["passed"] and d["violations"] == [] and d["undecided"] == []
+
+
 def test_dist_csv(capsys):
     code, out, _ = run(capsys, "dist", "--k-list", "120")
     assert code == 0

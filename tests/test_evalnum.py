@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc, workprec
 
-from millerzeros.qseries import (QSeries, _pentagonal_euler_product, delta, eisenstein,
-                                 jfunction)
+from millerzeros.qseries import (EISENSTEIN_FACTORS, QSeries, _pentagonal_euler_product, delta,
+                                 eisenstein, jfunction)
 from millerzeros.miller import miller_form
+from millerzeros.zeros import HFunction
 from millerzeros.evalnum import (
     CertValue, NotRealError, TailUnboundedError, _abs_upper, _exact,
     EisensteinTail, JCoeffTail, EtaProductTail, GeometricTail, j_tail_bound,
-    eval_poly, eval_series, eval_delta_eta, eval_form,
+    eval_poly, eval_series, eval_delta_eta,
     arc_functions, arc_form, arc_j, arc_grid, export_arc_csv,
     lemniscate_constants, form_arc_prec, auto_trunc,
 )
@@ -136,6 +137,19 @@ def test_abs_upper_is_a_tight_upper_bound(a, b, scale, shift, real):
     square = sum(_exact(p) ** 2 for p in ((v,) if real else (v.real, v.imag)))
     bound = _exact(_abs_upper(v))
     assert square <= bound ** 2 <= (1 + Fraction(1, 2 ** 20)) ** 2 * square
+
+
+@pytest.mark.parametrize("value, mag", [(mpf(1), 1), (mpf(-1), 1), (mpc(3, 4), 5)])
+def test_abs_bounds_round_outward(value, mag):
+    # |v| +- 2^-80 at 53 bits: the nearest-rounded sum is |v| itself, one ulp
+    # inside the exact enclosure; the directed bounds stay outside it
+    tiny = Fraction(1, 2 ** 80)
+    with workprec(53):
+        cv = CertValue(value, mpf(2) ** -80)
+        assert abs(cv.value) + cv.err == mag
+        hi, lo = _exact(cv.abs_upper()), _exact(cv.abs_lower())
+    assert mag + tiny <= hi <= mag * (1 + Fraction(1, 2 ** 50))
+    assert mag * (1 - Fraction(1, 2 ** 50)) <= lo <= mag - tiny
 
 
 @settings(max_examples=80, deadline=None)
@@ -325,12 +339,12 @@ def test_delta_line_grids():
             assert cv.abs_lower() > mpf(floor)
 
 
-def test_eval_form_matches_direct_sum():
+def test_eval_form_matches_direct_sum(direct_form):
     # the factored route must agree with a long plain partial sum; the
     # leftover is the q^65 series tail, far below the slack used here
     f = miller_form(48, 1, trunc=64)
     tau = mpc("0.1", "0.9")
-    got = eval_form(f, tau, prec=128)
+    got = direct_form(f, tau, prec=128)
     with workprec(300):
         q = mp.e ** (2j * mp.pi * mpc(tau))
         direct = sum(int(f.series.coeff(n)) * q ** n
@@ -338,10 +352,10 @@ def test_eval_form_matches_direct_sum():
     assert abs(got.value - direct) <= got.err + mpf(10) ** -25
 
 
-def test_eval_form_weight_12_is_delta():
+def test_eval_form_weight_12_is_delta(direct_form):
     f = miller_form(12, 1)
     for tau in (mpc(0, 1), mpc("0.2", "0.8")):
-        a = eval_form(f, tau)
+        a = direct_form(f, tau)
         b = eval_delta_eta(tau)
         assert abs(a.value - b.value) <= a.err + b.err
 
@@ -454,7 +468,7 @@ def separate_q_arc_functions(theta, prec=128):
 
 
 def separate_q_form(form, tau, prec):
-    """eval_form as it was: Delta, E_k' and j each with their own q."""
+    """The direct evaluation as it was: Delta, E_k' and j each with their own q."""
     fid = form.id
     with workprec(prec + 12):
         n = auto_trunc(mp.im(tau), prec)
@@ -506,12 +520,12 @@ def test_arc_interval_encloses_every_angle(where, log_width, at):
 
 
 @pytest.mark.parametrize("theta", ARC_ANGLES)
-def test_eval_form_matches_separate_q_path(theta, form_124_1):
+def test_eval_form_matches_separate_q_path(theta, form_124_1, direct_form):
     # g_{124,1}: ell = 10, E_4 factor, j of degree 9
     prec = form_arc_prec(form_124_1.id.ell, 1)
     with workprec(prec + 12):
         tau = mp.expj(theta)
-    got = eval_form(form_124_1, tau, prec=prec)
+    got = direct_form(form_124_1, tau, prec=prec)
     ref = separate_q_form(form_124_1, tau, prec)
     assert abs(got.value - ref.value) <= got.err + ref.err
     assert got.err <= 2 * ref.err
@@ -529,6 +543,25 @@ def test_arc_form_real_and_bracketing(form_48_1):
     assert all(s != 0 for s in signs)
     flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     assert flips == 3                       # ell - m zeros on the arc
+
+
+with workprec(400):          # the corners beyond every working precision used below
+    CORNERS = (mp.pi / 2, 2 * mp.pi / 3)
+
+
+@pytest.mark.parametrize("kprime", sorted(EISENSTEIN_FACTORS))
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_arc_form_matches_direct_evaluation(kprime, m, direct_arc):
+    # the real E_4/E_6 route against the complex Delta^ell E_k' F(j) product,
+    # at the h-sample angles and both corners, up to k = 386
+    for ell in (m + 4, 9 * m + 4):
+        form = miller_form(12 * ell + kprime, m)
+        prec = form_arc_prec(ell, m)
+        angles = [t for _, t in HFunction(form.id.k, m).sample_angles()] + list(CORNERS)
+        for theta in angles:
+            got, ref = arc_form(form, theta, prec=prec), direct_arc(form, theta, prec=prec)
+            assert abs(got.value - ref.value) <= got.err + ref.err
+            assert got.err <= 8 * ref.err
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, workprec
 
 from millerzeros.qseries import EISENSTEIN_FACTORS, FormId
-from millerzeros.evalnum import DEFAULT_PREC, arc_form, arc_functions, arc_j, form_arc_prec
+from millerzeros.evalnum import DEFAULT_PREC, arc_functions, arc_j, form_arc_prec
 from millerzeros.miller import IntPolynomial, miller_form
 from millerzeros.zeros import (
     ROOT_WIDTH, InconclusiveSignError, TheoremViolationError, _certified_arc_sign, _exact,
@@ -307,8 +307,8 @@ def test_arc_zero_localize_degree_zero():
 
 @pytest.mark.parametrize("kprime", sorted(EISENSTEIN_FACTORS))
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_certified_arc_sign_matches_direct_evaluation(kprime, m):
-    # sign of F(j) times the factor signs against Delta^ell E_k' F(j) itself
+def test_certified_arc_sign_matches_direct_evaluation(kprime, m, direct_arc):
+    # sign of F(j) times the factor signs against the complex Delta^ell E_k' F(j)
     form = miller_form(12 * (m + 4) + kprime, m)
     fid = form.id
     skip_i, skip_rho = form.faber(1728) == 0, form.faber(0) == 0
@@ -316,7 +316,7 @@ def test_certified_arc_sign_matches_direct_evaluation(kprime, m):
     for n, theta in HFunction(fid.k, m).sample_angles():
         if (skip_i and 4 * n == fid.k) or (skip_rho and 3 * n == fid.k - 3 * m):
             continue
-        want = arc_form(form, theta, prec=form_arc_prec(fid.ell, m)).certified_sign()
+        want = direct_arc(form, theta, prec=form_arc_prec(fid.ell, m)).certified_sign()
         assert want != 0
         assert _certified_arc_sign(form, theta, DEFAULT_PREC) == want
         checked += 1
