@@ -25,8 +25,7 @@ def stage(label, fn):
 
 
 def run_ledger(args):
-    entries = certify.full_ledger(prec=args.precision_bits,
-                                  grid_step=args.grid_step)
+    entries = certify.full_ledger(prec=args.precision_bits)
     bad = [e.name for e in entries if not e.satisfied]
     for name in bad:
         print(f"    unsatisfied: {name}", file=sys.stderr)
@@ -62,8 +61,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-ell", type=int, default=14)
     ap.add_argument("--grid-step", type=float, default=1e-3,
-                    help="angle step of the ledger's residue flags (at least 1e-2) "
-                         "and of the oscillation estimate's grid")
+                    help="angle step of the oscillation estimate's grid; the ledger "
+                         "has no step of its own")
     ap.add_argument("--precision-bits", type=int, default=128)
     args = ap.parse_args()
 

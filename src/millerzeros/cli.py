@@ -73,8 +73,7 @@ def _parser() -> argparse.ArgumentParser:
     common(sub.add_parser("roots", help="isolated Faber roots"), k=True, m=True, trunc=True)
     common(sub.add_parser("arc-zeros", help="certified arc zero report"), k=True, m=True,
            trunc=True, prec=j_prec)
-    common(sub.add_parser("verify-bounds", help="full bound ledger"), prec=prec,
-           grid="angle step of the residue flags, at least 1e-2 (table checks: 1e-2)")
+    common(sub.add_parser("verify-bounds", help="full bound ledger"), prec=prec)
     sp = common(sub.add_parser("verify-thm2", help="exhaustive m=1 sweep"), fmt=True)
     sp.add_argument("--max-ell", type=int, default=14)
     common(sub.add_parser("mrl-check", help="oscillation estimate on a grid"),
@@ -143,8 +142,7 @@ def _cmd_arc_zeros(args, out) -> int:
 
 
 def _cmd_verify_bounds(args, out) -> int:
-    entries = certify.full_ledger(prec=args.precision_bits,
-                                  grid_step=args.grid_step)
+    entries = certify.full_ledger(prec=args.precision_bits)
     bad = [e for e in entries if not e.satisfied]
     for e in entries:
         print(e.to_json(), file=out)

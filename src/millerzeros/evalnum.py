@@ -75,9 +75,6 @@ DEFAULT_PREC = 128          # working mantissa bits
 _GUARD = 12                 # extra bits inside evaluation contexts
 MIN_HEIGHT = 0.4
 
-THETA_LO = mp.pi / 2
-THETA_HI = 2 * mp.pi / 3
-
 
 class TailUnboundedError(ArithmeticError):
     """No finite tail estimate is available for the requested evaluation."""
@@ -214,7 +211,9 @@ class CertValue:
     # -- views -------------------------------------------------------------
 
     def abs(self) -> "CertValue":
-        return CertValue(abs(self.value), self.err)
+        """|v| with the radius; a complex modulus adds the pad of its rounding."""
+        v = CertValue(abs(self.value), self.err)
+        return v.widened(_pad(v.value)) if isinstance(self.value, mpc) else v
 
     def real(self) -> "CertValue":
         return CertValue(self.value.real if isinstance(self.value, mpc) else self.value,
@@ -511,17 +510,16 @@ def eval_series(s: QSeries, tau, tail, prec: int = DEFAULT_PREC) -> CertValue:
         return _series_at(s, _QPoint(mpc(x, mp.im(a)), _drift(mp.im(a), h) if h else 0), tail)
 
 
-def eval_delta_eta(tau, terms: int | None = None, prec: int = DEFAULT_PREC) -> CertValue:
+def eval_delta_eta(tau, prec: int = DEFAULT_PREC) -> CertValue:
     """Delta(tau) = q P^24 through the eta product P = prod (1 - q^n).
 
     P's partial sum to q^terms is the dense 0/+-1 pentagonal coefficient
     list through eval_poly, so its error is the kernel's a-priori bound
-    plus the pentagonal tail 2 r^(terms+1) / (1 - r).  terms defaults to
-    a choice from the working precision and the height.
+    plus the pentagonal tail 2 r^(terms+1) / (1 - r).
     """
     with workprec(prec + _GUARD):
         pt = _QPoint(tau)
-        return _delta_at(pt, terms if terms is not None else auto_trunc(pt.y, prec))
+        return _delta_at(pt, auto_trunc(pt.y, prec))
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +559,7 @@ def _phase(theta: mpf, k: int, h=0) -> CertValue:
     return CertValue(v, _pad(v)).widened(mp.ldexp(mp.fmul(k, h, rounding="u"), -1))
 
 
-def arc_functions(p, trunc: int | None = None, prec: int = DEFAULT_PREC) -> ArcValues:
+def arc_functions(p, prec: int = DEFAULT_PREC) -> ArcValues:
     """Certified values of e2, e4, e6, delta_arc at an arc angle or on an arc interval.
 
     p is an angle or a pair (lo, hi) with pi/2 <= lo <= hi <= 2pi/3; for a
@@ -576,7 +574,7 @@ def arc_functions(p, trunc: int | None = None, prec: int = DEFAULT_PREC) -> ArcV
         tau = _phase(theta, 2, h)
         # |dtau/dtheta| = 1 and Im tau >= sin hi on the interval, as sin falls on the arc
         pt = _QPoint(tau.value, _drift(mp.sin(hi), h) if h else 0)
-        n = trunc if trunc is not None else auto_trunc(pt.y, prec)
+        n = auto_trunc(pt.y, prec)
         e2, e4, e6 = (_series_at(qseries.eisenstein(k, n), pt, EisensteinTail(k))
                       for k in (2, 4, 6))
         d = _delta_at(pt, n)
@@ -655,8 +653,12 @@ ARC_FUNCTION_NAMES = ("e2", "e4", "e6", "delta_arc")
 
 
 def arc_grid(step: float = 1e-3) -> list:
-    """Deterministic closed theta grid over [pi/2, 2pi/3] with the given step."""
-    lo, hi = float(mp.pi / 2), float(2 * mp.pi / 3)
+    """Deterministic closed theta grid over [pi/2, 2pi/3] with the given step.
+
+    The ends come from 64 bits at any ambient precision (at 53, 2pi/3 rounds
+    below rho); the last lies above rho, and the arc functions clamp it."""
+    with workprec(64):
+        lo, hi = float(mp.pi / 2), float(2 * mp.pi / 3)
     n = int((hi - lo) / step)
     pts = [lo + i * step for i in range(n + 1)]
     if pts[-1] < hi:

@@ -11,11 +11,11 @@ from millerzeros import certify
 from millerzeros.evalnum import CertValue, _exact, arc_functions, arc_grid
 from millerzeros.certify import (
     BoundLedgerEntry, DomainError,
-    _cheb_t, ChebyshevPoly, polynomial_derivative, goursat_transform, horner,
+    _cheb_t, chebyshev_to_monomial, polynomial_derivative, goursat_transform, horner,
     _certified_root_decreasing, j_approx, j_approx_error,
     monotonicity_certificate_075, magnitude_certificate_065,
     j_difference_bounds, delta_line_lower, delta_line_upper,
-    residue_term, residue_entries, _table_value,
+    residue_term, residue_entries, _residue_slope, _table_value,
     proposition_mrl_check, _amplitude, _entry_lower, _entry_upper,
     full_ledger, _LINE_CASES, _dominated_tail, _pad_of,
     _ARC_CLAIMS, _DEPTH, _arc_slopes, _bisect_claims, arc_eisenstein_bounds,
@@ -55,7 +55,7 @@ def test_chebyshev_to_monomial_matches_recurrence(coeffs, z):
         total += c * (t_prev if k == 0 else t)
         if k:
             t_prev, t = t, 2 * z * t - t_prev
-    assert horner(ChebyshevPoly(tuple(coeffs)).to_monomial(), z) == total
+    assert horner(chebyshev_to_monomial(coeffs), z) == total
 
 
 def test_polynomial_derivative():
@@ -174,8 +174,47 @@ def test_residue_term_at_corner():
 
 
 def test_residue_entries_all_satisfied():
-    entries = residue_entries(192, 1, grid_step=5e-3)
+    entries = residue_entries(192, 1)
     assert entries and all(e.satisfied for e in entries)
+
+
+def _log_residue_slope(t, k, m):
+    return (mp.pi * m * (2 * mp.cos(t) - mp.sec(t / 2) ** 2 / 2)
+            + k * mp.tan(t / 2) / 2)
+
+
+@pytest.mark.parametrize("k,m", [(192, 1), (48, 2), (40, 3)])
+def test_residue_slope_encloses_the_log_derivative(k, m):
+    # every enclosure the bisection visits holds D = (log r)' at 200 angles
+    # of its interval, ends included; (40, 3) is below k >= 8 pi m / sqrt 3
+    # and D > 0 still certifies there
+    seen = []
+
+    def enclose(a, b):
+        seen.append((a, b, _residue_slope(a, b, k, m)))
+        return seen[-1][2]
+    with workprec(140):
+        held, _ = _bisect_claims(enclose, mp.pi / 2, 2 * mp.pi / 3, {"D": (lambda v: v, 1)})
+    assert held == {"D"}
+    with workprec(300):
+        for a, b, v in seen:
+            for i in range(200):
+                t = a + (b - a) * i / 199
+                assert abs(_log_residue_slope(t, k, m) - v.value) <= v.err
+        # the tangent lines of log r at a central difference agree with D
+        t, h = mpf("1.8"), mpf(10) ** -30
+        log_r = lambda s: mp.pi * m * (2 * mp.sin(s) - mp.tan(s / 2)) - k * mp.log(2 * mp.cos(s / 2))
+        assert abs((log_r(t + h) - log_r(t - h)) / (2 * h) - _log_residue_slope(t, k, m)) < 1e-20
+    by_name = {e.name: e for e in residue_entries(k, m)}
+    assert by_name["residue.below-one"].satisfied
+    assert by_name["residue.monotone"].satisfied == (k >= 8 * mp.pi * m / mp.sqrt(3))
+
+
+def test_residue_flags_fail_where_the_slope_turns_negative():
+    # D(2 pi / 3) = -3 pi m + k sqrt(3) / 2 < 0 at (30, 3): r falls into rho
+    by_name = {e.name: e for e in residue_entries(30, 3)}
+    assert not by_name["residue.monotone"].satisfied
+    assert not by_name["residue.below-one"].satisfied
 
 
 # ---------------------------------------------------------------------------

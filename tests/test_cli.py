@@ -153,6 +153,14 @@ def test_usage_errors_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+def test_verify_bounds_takes_no_grid_step(capsys):
+    # no ledger claim is sampled on an angle grid any more
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-bounds", "--grid-step", "0.01"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid-step" in capsys.readouterr().err
+
+
 def test_unread_option_is_a_usage_error(capsys):
     # roots isolates exactly and never reads a working precision
     with pytest.raises(SystemExit) as exc:

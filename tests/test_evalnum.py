@@ -152,6 +152,17 @@ def test_abs_bounds_round_outward(value, mag):
     assert mag * (1 - Fraction(1, 2 ** 50)) <= lo <= mag - tiny
 
 
+def test_abs_of_a_complex_value_encloses_the_modulus():
+    # the modulus is rounded to nearest; its radius takes that rounding in
+    cv = CertValue(mpc(1, 1), 0)
+    with workprec(53):
+        mod = cv.abs()
+    with workprec(300):
+        assert abs(mod.value - mp.sqrt(2)) <= mod.err
+    real = CertValue(mpf(-3), mpf(2) ** -40).abs()
+    assert real.value == 3 and real.err == mpf(2) ** -40
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.floats(-5, 5), min_size=4, max_size=4), st.floats(0, 0.5), st.floats(0, 0.5),
        st.lists(st.floats(0, 1), min_size=4, max_size=4))
@@ -622,6 +633,15 @@ def test_form_arc_prec_scaling():
 def test_auto_trunc_grows_with_precision():
     assert auto_trunc(mpf(1), 256) > auto_trunc(mpf(1), 64)
     assert auto_trunc(mpf("0.65"), 128) > auto_trunc(mpf(1), 128)
+
+
+@pytest.mark.parametrize("bits", [53, 140, 300])
+def test_arc_grid_ends_at_the_same_double_at_any_precision(bits):
+    # the double above rho, which the arc functions clamp onto rho
+    with workprec(bits):
+        grid = arc_grid(1e-2)
+    assert grid[0] == 1.5707963267948966
+    assert grid[-1] == 2.0943951023931957
 
 
 def test_export_arc_csv_deterministic():
