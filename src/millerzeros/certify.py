@@ -257,13 +257,8 @@ class MonotonicityCertificate:
     the derivative is one-signed on each side of its single root.
     """
 
-    monomial: list                  # CertValue coefficients, ascending in z
-    derivative: list
-    goursat: list
-    z0: CertValue                   # root of the transformed derivative
-    zroot: CertValue                # (1 - z0)/(1 + z0), root in z
-    x0: CertValue                   # arccos(zroot) / (2 pi)
-    entries: list = field(default_factory=list)
+    x0: CertValue                   # arccos(zroot) / (2 pi), zroot the root in z
+    entries: list
 
 
 def monotonicity_certificate_075(prec: int = DEFAULT_PREC) -> MonotonicityCertificate:
@@ -293,14 +288,12 @@ def monotonicity_certificate_075(prec: int = DEFAULT_PREC) -> MonotonicityCertif
         slope = 1 / mp.sqrt(1 - (abs(zv) + zroot.err) ** 2)
         x0 = CertValue(mp.acos(zv) / (2 * mp.pi),
                        zroot.err * slope / (2 * mp.pi) + _pad_of(1))
-        cert = MonotonicityCertificate(mono, deriv, gour, z0, zroot, x0)
-        cert.entries = [
+        return MonotonicityCertificate(x0, [
             _entry_value("refit.x0", "interior minimum of Re f_{5,3/4}", x0, 0.253311, 1e-4),
             _entry_value("refit.zroot", "sign change of the z-derivative", zroot, -0.0208023, 1e-4),
             _entry_value("refit.z0", "root after Goursat substitution", z0, 1.0424883, 1e-4),
             _entry_flag("refit.signs", "one sign change certificate", True),
-        ]
-        return cert
+        ])
 
 
 @dataclass
@@ -308,11 +301,8 @@ class MagnitudeCertificate:
     """|f_{7,13/20}|^2 is increasing in z = cos(2 pi x), so |f| decreases
     on [0, 1/2] and its minimum there is the value at x = 1/2."""
 
-    autocorrelation: list
-    monomial: list
-    goursat_derivative: list
     value_at_half: CertValue        # |f(1/2)|, a positive real
-    entries: list = field(default_factory=list)
+    entries: list
 
 
 def magnitude_certificate_065(prec: int = DEFAULT_PREC) -> MagnitudeCertificate:
@@ -343,9 +333,8 @@ def magnitude_certificate_065(prec: int = DEFAULT_PREC) -> MagnitudeCertificate:
         for n in range(-1, M + 1):
             half = half + a[n] * (1 if n % 2 == 0 else -1)
         half = half.abs()
-        cert = MagnitudeCertificate(b, mono, gour, half)
         sq = horner(mono, CertValue(mpf(-1)))
-        cert.entries = [
+        return MagnitudeCertificate(half, [
             _entry_value("magfit.value-at-half", "|f_{7,13/20}| at x = 1/2",
                          half, 593.543, 1e-2),
             _entry_value("magfit.leading", "|f|^2 leading Chebyshev-to-monomial coefficient",
@@ -354,8 +343,7 @@ def magnitude_certificate_065(prec: int = DEFAULT_PREC) -> MagnitudeCertificate:
             _entry_flag("magfit.square-consistency",
                         "p(-1) equals |f(1/2)|^2",
                         abs(sq.value - half.value ** 2) <= sq.err + 2 * half.err * abs(half.value) + mpf(1e-12)),
-        ]
-        return cert
+        ])
 
 
 # ---------------------------------------------------------------------------
@@ -724,23 +712,18 @@ def arc_eisenstein_bounds(prec: int = DEFAULT_PREC) -> list:
 # Delta extrema
 
 
-def delta_line_lower(y) -> mpf:
-    """x-uniform pentagonal lower bound for |Delta(x + iy)|.
+def delta_line_bounds(y) -> tuple:
+    """x-uniform pentagonal (lower, upper) bounds for |Delta(x + iy)|.
 
-    |prod (1-q^n)| >= 1 - r - r^2 - r^5 - r^7 - r^12/(1-r) with r = |q|;
-    the dropped pentagonal exponents are distinct integers >= 12.
+    With r = |q| and s = r + r^2 + r^5 + r^7 + r^12/(1-r), the product
+    prod (1-q^n) lies between 1 - s and 1 + s in modulus: the dropped
+    pentagonal exponents are distinct integers >= 12.
     """
     r = mp.e ** (-2 * mp.pi * mpf(y))
-    bracket = 1 - r - r ** 2 - r ** 5 - r ** 7 - r ** 12 / (1 - r)
-    if bracket <= 0:
+    s = r + r ** 2 + r ** 5 + r ** 7 + r ** 12 / (1 - r)
+    if s >= 1:
         raise DomainError("pentagonal lower bound needs a positive bracket")
-    return r * bracket ** 24 * (1 - mpf(2) ** -40)
-
-
-def delta_line_upper(y) -> mpf:
-    r = mp.e ** (-2 * mp.pi * mpf(y))
-    bracket = 1 + r + r ** 2 + r ** 5 + r ** 7 + r ** 12 / (1 - r)
-    return r * bracket ** 24 * (1 + mpf(2) ** -40)
+    return r * (1 - s) ** 24 * (1 - mpf(2) ** -40), r * (1 + s) ** 24 * (1 + mpf(2) ** -40)
 
 
 def delta_ledger(prec: int = DEFAULT_PREC) -> list:
@@ -763,7 +746,7 @@ def delta_ledger(prec: int = DEFAULT_PREC) -> list:
             _entry_value("delta.at-rho.closed", "|Delta(rho)| = (27/256)(varpi'/pi)^12",
                          drho_closed, 0.00480514, 1e-7),
         ]
-        lo65, lo75 = delta_line_lower(0.65), delta_line_lower(0.75)
+        lo65, lo75 = delta_line_bounds(0.65)[0], delta_line_bounds(0.75)[0]
         entries.append(_entry_lower("delta.line-065.lower", "pentagonal minimum, height 0.65",
                                     CertValue(lo65), 0.01))
         entries.append(_entry_lower("delta.line-075.lower", "pentagonal minimum, height 0.75",
@@ -771,7 +754,7 @@ def delta_ledger(prec: int = DEFAULT_PREC) -> list:
         # sandwich check of direct evaluations between the closed-form bounds
         ok = True
         for y in (0.65, 0.75, 1.0):
-            lo, up = delta_line_lower(y), delta_line_upper(y)
+            lo, up = delta_line_bounds(y)
             for x in (-0.5, -0.25, 0.0, 0.25, 0.5):
                 d = eval_delta_eta(mp.mpf(x) + 1j * mpf(y), prec=prec).abs()
                 if not (lo <= d.abs_upper() and d.abs_lower() <= up):
@@ -861,19 +844,6 @@ _INGREDIENTS = {
 }
 
 
-@dataclass
-class ConstantsReport:
-    c1: float
-    b1_derived: float               # log of the recomputed 0.75 table maximum
-    b2_derived: float
-    b1: float                       # the published exponent constants
-    b2: float
-    c2: float
-    alpha: float
-    beta: float
-    entries: list = field(default_factory=list)
-
-
 def _table_value(kprime: int, label: str) -> Fraction:
     e4a, e6a, e4l, e6l, dmin, jsep = _INGREDIENTS[label]
     a_arc, b_arc = EISENSTEIN_FACTORS[kprime]
@@ -882,7 +852,7 @@ def _table_value(kprime: int, label: str) -> Fraction:
     return num / (dmin * jsep)
 
 
-def constants_ledger(prec: int = DEFAULT_PREC) -> ConstantsReport:
+def constants_ledger(prec: int = DEFAULT_PREC) -> list:
     """Recompute the twelve contour-table bounds and the derived constants.
 
     The table entries are exact rational arithmetic on the certified
@@ -928,10 +898,7 @@ def constants_ledger(prec: int = DEFAULT_PREC) -> ConstantsReport:
                                     CertValue(c2, _pad_of(c2)), 9.11013, 1e-3))
         entries.append(_entry_upper("growth.c2-cap", "offset constant under 9.5",
                                     CertValue(c2, _pad_of(c2)), 9.5))
-        return ConstantsReport(c1=float(c1),
-                               b1_derived=float(b1_derived), b2_derived=float(b2_derived),
-                               b1=3.94, b2=5.12, c2=float(c2),
-                               alpha=4.5, beta=float(c2), entries=entries)
+    return entries
 
 
 # the x-step of the table cross-check; the benchmark's reference.json pins
@@ -1095,5 +1062,5 @@ def full_ledger(prec: int = DEFAULT_PREC) -> list:
     jd = j_difference_bounds(prec)
     entries += jd.entries
     entries += residue_entries(prec=prec)
-    entries += constants_ledger(prec).entries
+    entries += constants_ledger(prec)
     return entries

@@ -23,7 +23,7 @@ from . import certify, evalnum, miller, qseries, zeros
 _FORMS = {
     "delta": lambda n: qseries.delta(n),
     "j": lambda n: qseries.jfunction(n),
-    "delta-inv": lambda n: qseries.delta(n + 2).recip(),
+    "delta-inv": lambda n: qseries.delta(n + 2) ** -1,
 }
 
 

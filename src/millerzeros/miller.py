@@ -10,7 +10,9 @@ They are read off greedily by V <- (V - V_0) J / q.  qd, E_4, E_6 and J
 all have constant term 1, so V and J are integral series and no step
 divides: F comes out monic with integer coefficients.  The last
 trunc - ell coefficients W left after D + 1 steps give the q-expansion
-tail g = q^m - q^(ell+1) W qd^(ell+1) E_k' / E_4^3.
+tail g = q^m - q^(ell+1) W qd^(ell+1) E_k' / E_4^3.  V, J and the tail
+factor are each one qseries._monomial, at negative exponents too; this
+module adds only the t = 1/j reduction.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import mul
 
-from .qseries import EISENSTEIN_FACTORS, FormId, QSeries, delta, eisenstein, jfunction
+from .qseries import (EISENSTEIN_FACTORS, FormId, QSeries, _monomial, _mul, delta, eisenstein,
+                      jfunction)
 
 
 class BadIndexError(ValueError):
@@ -274,30 +276,6 @@ class MillerForm:
 
 def default_trunc(ell: int, margin: int = DEFAULT_MARGIN) -> int:
     return ell + 1 + margin
-
-
-def _mul(a: list, b: list) -> list:
-    """The product of two coefficient lists, to the length of a (b no shorter)."""
-    n = len(a)
-    rb = b[n - 1::-1]
-    return [sum(map(mul, a[:i + 1], rb[n - 1 - i:])) for i in range(n)]
-
-
-def _monomial(n: int, e_qd: int, e_4: int, e_6: int) -> list:
-    """qd^e_qd E_4^e_4 E_6^e_6 to n coefficients, qd = Delta / q, for any
-    integer exponents: J. C. P. Miller's power recurrence for a^e with
-    a_0 = 1, i f_i = sum_(1 <= r <= i) ((e + 1) r - i) a_r f_(i-r), has an
-    integral f_i, so the division by i is exact.
-    """
-    out = None
-    for a, e in ((delta(n).shift(-1).coeffs, e_qd), (eisenstein(4, n - 1).coeffs, e_4),
-                 (eisenstein(6, n - 1).coeffs, e_6)):
-        if e:
-            f = [1]
-            for i in range(1, n):
-                f.append(sum(((e + 1) * r - i) * a[r] * f[i - r] for r in range(1, i + 1)) // i)
-            out = f if out is None else _mul(out, f)
-    return out or [1] + [0] * (n - 1)
 
 
 def _start(fid: FormId, n: int) -> list:

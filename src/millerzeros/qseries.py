@@ -7,9 +7,12 @@ fit in the same type.  Every operation computes the truncation order to
 which the result is actually provable and never reports coefficients
 beyond it.
 
-Generators provided here: Eisenstein series E_k (exact Bernoulli
-constants), Delta as an eta product via the pentagonal number theorem,
-and j = E_4^3 / Delta.
+Two kernels on coefficient lists do all the multiplicative work: the
+list product _mul and J. C. P. Miller's power recurrence _power, which
+takes any integer exponent, so a reciprocal is the power -1.  Generators
+provided here: Eisenstein series E_k (exact Bernoulli constants), and
+qd^a E_4^b E_6^c (qd = Delta / q) from the pentagonal number theorem,
+which gives Delta and j = E_4^3 / Delta.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 
 class ZeroLeadingError(ArithmeticError):
-    """Reciprocal requested for a series whose leading coefficient vanishes."""
+    """Negative power requested of a series that is zero to its truncation."""
 
 
 class UnsupportedWeightError(ValueError):
@@ -38,6 +42,39 @@ def _norm_coeff(c):
     if isinstance(c, int):
         return c
     raise TypeError(f"coefficients must be exact rationals, got {type(c)!r}")
+
+
+# ---------------------------------------------------------------------------
+# the two series kernels, on plain coefficient lists
+
+
+def _mul(a, b) -> list:
+    """The product of two coefficient lists, to the length of a (b no shorter)."""
+    n = len(a)
+    rb = b[n - 1::-1]
+    return [sum(map(mul, a[:i + 1], rb[n - 1 - i:])) for i in range(n)]
+
+
+def _power(a, e: int) -> list:
+    """a^e to len(a) coefficients, for any integer e and a[0] != 0.
+
+    J. C. P. Miller's recurrence: f = a^e satisfies a f' = e a' f, so
+    i a_0 f_i = sum_(1 <= r <= i) ((e + 1) r - i) a_r f_(i-r), summed over
+    the nonzero a_r only (about 2 sqrt(2i/3) of them for the pentagonal
+    product).  With a_0 = 1 and integer a_r every f_i is an integer and
+    the division by i is exact; otherwise the f_i are Fractions.
+    """
+    a0 = a[0]
+    terms = [(r, c) for r, c in enumerate(a) if r and c]
+    integral = a0 == 1 and all(isinstance(c, int) for c in a)
+    f = [1 if integral else Fraction(a0) ** e]
+    used = 0
+    for i in range(1, len(a)):
+        if used < len(terms) and terms[used][0] <= i:
+            used += 1
+        s = sum(((e + 1) * r - i) * c * f[i - r] for r, c in terms[:used])
+        f.append(s // i if integral else Fraction(s) / (i * a0))
+    return f
 
 
 @dataclass(frozen=True)
@@ -157,58 +194,30 @@ class QSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        # Cauchy product; provable truncation is limited by the partner's lead
-        trunc = min(self.trunc + other.lead, other.trunc + self.lead)
+        # provable to the shorter factor's depth past the product's lead
+        n = min(len(self.coeffs), len(other.coeffs))
         lead = self.lead + other.lead
-        out = [0] * (trunc - lead + 1)
-        blead, bco = other.lead, other.coeffs
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            base = self.lead + i + blead
-            jmax = min(len(bco), trunc - base + 1)
-            if jmax <= 0:
-                break
-            for j in range(jmax):
-                b = bco[j]
-                if b:
-                    out[base + j - lead] += a * b
-        return QSeries._make(lead, out, trunc)
+        return QSeries._make(lead, _mul(self.coeffs[:n], other.coeffs[:n]), lead + n - 1)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("only nonnegative integer powers")
-        if e == 0:
-            return QSeries.one(self.trunc)
-        result = None
-        base = self
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        """self^e for any integer e; a negative e needs a nonzero series.
 
-    def recip(self) -> "QSeries":
-        """Multiplicative inverse.  Needs a nonzero coefficient at lead."""
-        u0 = self.coeffs[0]
-        if u0 == 0:
-            raise ZeroLeadingError("leading coefficient is zero")
-        n_terms = self.trunc - self.lead          # inverse provable to this depth
-        unit = isinstance(u0, int) and u0 in (1, -1)
-        out = [u0 if unit else Fraction(1) / Fraction(u0)]
-        for n in range(1, n_terms + 1):
-            s = 0
-            for j in range(1, min(n, len(self.coeffs) - 1) + 1):
-                c = self.coeffs[j]
-                if c:
-                    s += c * out[n - j]
-            out.append(-s * u0 if unit else Fraction(-s) / Fraction(u0))
-        lead = -self.lead
-        return QSeries._make(lead, out, lead + n_terms)
+        The result is provable to e lead + (trunc - lead), the depth of
+        repeated products and of the reciprocal; self^0 is the exact 1, to
+        trunc or, for a series that stops below q^0, to q^0.
+        """
+        if not isinstance(e, int):
+            raise ValueError("only integer powers")
+        if e == 0:
+            return QSeries.one(max(self.trunc, 0))
+        if self.is_zero():
+            if e < 0:
+                raise ZeroLeadingError("leading coefficient is zero")
+            return QSeries.zero(e * self.trunc)
+        lead = e * self.lead
+        return QSeries._make(lead, _power(self.coeffs, e), lead + self.trunc - self.lead)
 
     def differentiate(self) -> "QSeries":
         """The operator q d/dq (coefficientwise multiplication by n)."""
@@ -332,19 +341,32 @@ def _pentagonal_euler_product(trunc: int) -> QSeries:
     return QSeries._make(0, coeffs, trunc)
 
 
+def _monomial(n: int, e_qd: int, e_4: int, e_6: int) -> list:
+    """qd^e_qd E_4^e_4 E_6^e_6 to n coefficients, qd = Delta / q = P^24,
+    for any integer exponents: every factor is one _power of a series
+    with constant term 1, P the sparse pentagonal product.
+    """
+    out = None
+    for a, e in ((_pentagonal_euler_product(n - 1).coeffs, 24 * e_qd),
+                 (eisenstein(4, n - 1).coeffs, e_4), (eisenstein(6, n - 1).coeffs, e_6)):
+        if e:
+            f = _power(a, e)
+            out = f if out is None else _mul(out, f)
+    return out or [1] + [0] * (n - 1)
+
+
 @lru_cache(maxsize=None)
 def delta(trunc: int) -> QSeries:
     """The discriminant cusp form q prod (1-q^n)^24, exact to trunc."""
     if trunc < 1:
         raise ValueError("trunc must be at least 1")
-    return (_pentagonal_euler_product(trunc - 1) ** 24).shift(1)
+    return QSeries._make(1, _monomial(trunc, 1, 0, 0), trunc)
 
 
 @lru_cache(maxsize=None)
 def jfunction(trunc: int) -> QSeries:
     """The modular j-function E_4^3 / Delta = q^-1 + 744 + 196884 q + ..."""
-    e4 = eisenstein(4, trunc + 1)
-    return (e4 * e4 * e4) * delta(trunc + 2).recip()
+    return QSeries._make(-1, _monomial(trunc + 2, -1, 3, 0), trunc)
 
 
 def ramanujan_residuals(trunc: int) -> tuple:

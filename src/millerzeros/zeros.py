@@ -59,14 +59,7 @@ class TheoremViolationError(AssertionError):
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    if p.degree <= 1:
-        return p
-    a, b = p.primitive(), p.derivative().primitive()
-    while b.degree >= 0:
-        a, b = b, a.rem(b)
-    if a.degree == 0:
-        return p
-    return p.exact_div(a).primitive()
+    return _squarefree_chain(p)[0]
 
 
 def sturm_chain(p: IntPolynomial) -> list:
@@ -82,6 +75,20 @@ def sturm_chain(p: IntPolynomial) -> list:
             break
         chain.append(-r)
     return chain
+
+
+def _squarefree_chain(p: IntPolynomial) -> tuple:
+    """(square-free part of p, its Sturm chain) from one remainder sequence.
+
+    p's own chain ends in gcd(p, p') up to sign, so a square-free p needs
+    no second sequence; otherwise the part is p / gcd, possibly negated,
+    which moves no root and no sign-change count.
+    """
+    chain = sturm_chain(p)
+    if chain[-1].degree <= 0:
+        return p, chain
+    sqf = p.exact_div(chain[-1]).primitive()
+    return sqf, sturm_chain(sqf)
 
 
 def _sign_changes(chain: list, x: Fraction) -> int:
@@ -128,9 +135,8 @@ def sturm_isolate(p: IntPolynomial, lo: Fraction, hi: Fraction,
     [lo, hi] is covered.  Endpoint roots come back as degenerate
     (r, r) pairs.  Intervals are refined below the requested width.
     """
-    sqf = squarefree_part(p)
-    count = _chain_counter(sturm_chain(sqf))
-    return _isolate(sqf, count, Fraction(lo), Fraction(hi), width)
+    sqf, chain = _squarefree_chain(p)
+    return _isolate(sqf, _chain_counter(chain), Fraction(lo), Fraction(hi), width)
 
 
 def _isolate(sqf: IntPolynomial, count, lo: Fraction, hi: Fraction,
@@ -182,10 +188,10 @@ def isolate_real_roots(p: IntPolynomial, width: Fraction = ROOT_WIDTH) -> list:
 def count_off_interval(p: IntPolynomial, lo: Fraction = Fraction(0),
                        hi: Fraction = Fraction(1728)) -> dict:
     """Distinct real roots outside [lo, hi] plus conjugate complex pairs."""
-    sqf = squarefree_part(p)
+    sqf, chain = _squarefree_chain(p)
     if sqf.degree <= 0:
         return {"real_outside": 0, "complex_pairs": 0}
-    return _count_off(sqf, _chain_counter(sturm_chain(sqf)), Fraction(lo), Fraction(hi))
+    return _count_off(sqf, _chain_counter(chain), Fraction(lo), Fraction(hi))
 
 
 def _count_off(sqf: IntPolynomial, count, lo: Fraction, hi: Fraction) -> dict:
@@ -407,11 +413,11 @@ def zero_report(form: MillerForm, with_arc: bool = True,
     fid = form.id
     mult0, deflated = _boundary_multiplicity(form.faber, 0)
     mult1728, deflated = _boundary_multiplicity(deflated, 1728)
-    sqf = squarefree_part(deflated)
+    sqf, chain = _squarefree_chain(deflated)
     defect = deflated.degree - sqf.degree
     if deflated.degree > 0:
         # deflation guarantees nonzero values at both interval ends
-        count = _chain_counter(sturm_chain(sqf))
+        count = _chain_counter(chain)
         inner = _isolate(sqf, count, Fraction(0), Fraction(1728), ROOT_WIDTH)
         off = _count_off(sqf, count, Fraction(0), Fraction(1728))
     else:

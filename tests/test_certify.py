@@ -14,7 +14,7 @@ from millerzeros.certify import (
     _cheb_t, chebyshev_to_monomial, polynomial_derivative, goursat_transform, horner,
     _certified_root_decreasing, j_approx, j_approx_error,
     monotonicity_certificate_075, magnitude_certificate_065,
-    j_difference_bounds, delta_line_lower, delta_line_upper,
+    j_difference_bounds, delta_line_bounds,
     residue_term, residue_entries, _residue_slope, _table_value,
     proposition_mrl_check, _amplitude, _entry_lower, _entry_upper,
     full_ledger, _LINE_CASES, _dominated_tail, _pad_of,
@@ -157,12 +157,13 @@ def test_j_difference_bounds_carry_no_floats():
 # delta and residue bounds
 
 def test_delta_line_bounds():
-    assert delta_line_lower("0.65") > mpf("0.01")
-    assert delta_line_lower("0.75") > mpf("0.007")
+    assert delta_line_bounds("0.65")[0] > mpf("0.01")
+    assert delta_line_bounds("0.75")[0] > mpf("0.007")
     for y in ("0.65", "0.75", "1.0"):
-        assert delta_line_lower(y) < delta_line_upper(y)
+        lo, up = delta_line_bounds(y)
+        assert lo < up
     with pytest.raises(DomainError):
-        delta_line_lower("0.05")
+        delta_line_bounds("0.05")
 
 
 def test_residue_term_at_corner():

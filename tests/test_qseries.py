@@ -69,26 +69,26 @@ def test_delta_square_lead():
 
 def test_recip_geometric():
     a = S(0, [1, -1], trunc=8)
-    r = a.recip()
+    r = a ** -1
     assert all(r.coeff(n) == 1 for n in range(9))
 
 
 def test_recip_delta_long_division():
     # long division of 1 by q - 24q^2 + 252q^3 - 1472q^4 + 4830q^5, by hand
-    r = delta(8).recip()
+    r = delta(8) ** -1
     assert r.lead == -1
     assert [r.coeff(n) for n in range(-1, 4)] == [1, 24, 324, 3200, 25650]
 
 
 def test_recip_involution():
     e4 = eisenstein(4, 12)
-    rr = e4.recip().recip()
+    rr = (e4 ** -1) ** -1
     assert (rr + e4.scale(-1)).is_zero()
 
 
 def test_recip_zero_leading():
     with pytest.raises(ZeroLeadingError):
-        QSeries.zero(3).recip()
+        QSeries.zero(3) ** -1
 
 
 # ---------------------------------------------------------------------------
@@ -135,23 +135,46 @@ def test_delta_vs_eisenstein_route():
     assert (delta(64) + alt.scale(-1)).is_zero()
 
 
-def test_pentagonal_product_brute_force():
-    # independent oracle: multiply out prod (1-q^n)^24 with plain lists
-    N = 24
+def _list_mul(a, b, N):
+    out = [Fraction(0)] * (N + 1)
+    for i, x in enumerate(a):
+        if x:
+            for j_, y in enumerate(b):
+                if y and i + j_ <= N:
+                    out[i + j_] += x * y
+    return out
+
+
+def eta24_oracle(N):
+    """Independent oracle: prod (1-q^n)^24 to q^N, multiplied out with plain lists."""
     poly = [Fraction(1)] + [Fraction(0)] * N
     for n in range(1, N + 1):
         factor = [Fraction(1)] + [Fraction(0)] * N
         factor[n] = Fraction(-1)
         for _ in range(24):
-            out = [Fraction(0)] * (N + 1)
-            for i, a in enumerate(poly):
-                if a:
-                    for j_, b in enumerate(factor):
-                        if b and i + j_ <= N:
-                            out[i + j_] += a * b
-            poly = out
+            poly = _list_mul(poly, factor, N)
+    return poly
+
+
+def test_pentagonal_product_brute_force():
+    N = 24
+    poly = eta24_oracle(N)
     d = delta(N)
     assert all(d.coeff(n + 1) == poly[n] for n in range(N))
+
+
+def test_j_is_e4_cubed_over_oracle_delta():
+    # 1/Delta = q^-1 / prod (1-q^n)^24, the inverse by long division on the oracle
+    N = 16
+    eta = eta24_oracle(N)
+    inv = [Fraction(1)]
+    for n in range(1, N + 1):
+        inv.append(-sum(eta[i] * inv[n - i] for i in range(1, n + 1)))
+    e4 = [eisenstein(4, N).coeff(n) for n in range(N + 1)]
+    qj = _list_mul(_list_mul(_list_mul(e4, e4, N), e4, N), inv, N)     # q j
+    j = jfunction(N - 1)
+    assert j.lead == -1 and j.trunc == N - 1
+    assert [j.coeff(n) for n in range(-1, N)] == qj
 
 
 def test_j_goldens():
@@ -231,7 +254,7 @@ def test_add_trunc_min_rule(a, b):
 def test_recip_two_sided(a):
     if a.is_zero():
         return
-    r = a.recip()
+    r = a ** -1
     assert r.lead == -a.order
     for prod in (a * r, r * a):
         assert prod.coeff(0) == 1
@@ -248,6 +271,58 @@ def test_pow_matches_repeated_mul(a, e):
     hi = min(p.trunc, acc.trunc)
     lo = min(p.lead, acc.lead)
     assert all(p.coeff(n) == acc.coeff(n) for n in range(lo, hi + 1))
+
+
+def nonzero_series(maxlen=6):
+    """Leads -2..3 and a nonzero leading coefficient: a unit, a non-unit
+    integer or a Fraction; the rest integers or Fractions."""
+    coeff = st.one_of(st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=5))
+    head = st.one_of(st.just(1), st.integers(-9, 9).filter(bool),
+                     st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool))
+    return st.builds(lambda lead, c0, rest: QSeries.from_coeffs(lead, [c0] + rest),
+                     st.integers(-2, 3), head, st.lists(coeff, max_size=maxlen - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonzero_series(), st.integers(min_value=-3, max_value=5))
+def test_pow_any_integer_inverts(a, e):
+    p, q = a ** e, a ** -e
+    prod = p * q
+    assert prod.lead == 0 and prod.coeff(0) == 1
+    assert all(prod.coeff(n) == 0 for n in range(1, prod.trunc + 1))
+    if e:
+        assert prod.trunc == a.trunc - a.lead
+        assert (p.lead, p.trunc) == (e * a.lead, e * a.lead + a.trunc - a.lead)
+    else:
+        assert p == QSeries.one(max(a.trunc, 0))
+    for s in (p, q):
+        assert all(type(c) in (int, Fraction) for c in s.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nonzero_series(), st.integers(min_value=1, max_value=3))
+def test_negative_pow_matches_repeated_reciprocal(a, e):
+    p, r = a ** -e, a ** -1
+    acc = r
+    for _ in range(e - 1):
+        acc = acc * r
+    assert (p.lead, p.trunc) == (acc.lead, acc.trunc)
+    assert all(p.coeff(n) == acc.coeff(n) for n in range(p.lead, p.trunc + 1))
+
+
+def test_pow_zero_series():
+    z = QSeries.zero(3)
+    assert z ** 2 == QSeries.zero(6)
+    for e in (-1, -3):
+        with pytest.raises(ZeroLeadingError):
+            z ** e
+
+
+def test_pow_exact_zero_coefficients():
+    # 1/(2 + q^2) has zero odd coefficients; each stays an exact 0
+    r = QSeries.from_coeffs(0, [2, 0, 1, 0, 0]) ** -1
+    assert [r.coeff(n) for n in range(5)] == [Fraction(1, 2), 0, Fraction(-1, 4), 0, Fraction(1, 8)]
+    assert all(type(c) in (int, Fraction) for c in r.coeffs)
 
 
 # ---------------------------------------------------------------------------
