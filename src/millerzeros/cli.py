@@ -121,8 +121,7 @@ def _cmd_faber(args, out) -> int:
 
 def _cmd_roots(args, out) -> int:
     form = miller.miller_form(args.k, args.m, trunc=args.trunc)
-    intervals = zeros.isolate_real_roots(form.faber)
-    off = zeros.count_off_interval(form.faber)
+    intervals, off = zeros.real_root_census(form.faber)
     for lo, hi in intervals:
         mid = (lo + hi) / 2
         rec = {"k": args.k, "m": args.m,

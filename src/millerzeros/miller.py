@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .qseries import (EISENSTEIN_FACTORS, FormId, QSeries, _monomial, _mul, delta, eisenstein,
                       jfunction)
@@ -126,6 +126,40 @@ class IntPolynomial:
             acc = acc * a + c * scale
             scale *= b
         return (acc > 0) - (acc < 0)
+
+    def sign_dyadic(self, n: int, e: int) -> int:
+        """Exact sign of p(n / 2^e), e >= 0, from 2^(e d) p(n / 2^e) in integers.
+
+        One Horner loop of products and shifts: 2^(e d) p(n / 2^e) is the
+        sum of c_i n^i 2^(e (d - i)), so the coefficient met after j steps
+        enters shifted by e j.
+        """
+        acc = sh = 0
+        for c in reversed(self.coeffs):
+            acc = acc * n + (c << sh)
+            sh += e
+        return (acc > 0) - (acc < 0)
+
+    def affine(self, lo, hi) -> "IntPolynomial":
+        """Q(t) = D^d p(lo + (hi - lo) t), integral for rational lo and hi.
+
+        D is the lcm of their denominators, so with A = lo D and
+        B = (hi - lo) D, Q(t) = D^d p((A + B t) / D): Horner in the linear
+        polynomial A + B t.  D^d > 0, so Q(t) has the sign of p at
+        lo + (hi - lo) t for every t.
+        """
+        lo, hi = Fraction(lo), Fraction(hi)
+        den = lcm(lo.denominator, hi.denominator)
+        a = lo.numerator * (den // lo.denominator)
+        b = hi.numerator * (den // hi.denominator) - a
+        q, scale = [], 1
+        for c in reversed(self.coeffs):
+            nxt = [a * x for x in q] + [0]
+            for j, x in enumerate(q):
+                nxt[j + 1] += b * x
+            nxt[0] += c * scale
+            q, scale = nxt, scale * den
+        return IntPolynomial.make(q)
 
     def sign_on(self, center, radius) -> int:
         """Exact sign of p on [center - radius, center + radius]; 0 if undecided.

@@ -17,10 +17,15 @@ The j-images of the arc brackets must land in the Faber isolating
 intervals, and the valence formula must reconcile exactly; both checks
 are assembled into a ZeroReport.
 
-Sturm chains here are primitive remainder sequences of IntPolynomial
-(integers only; every sign comes from IntPolynomial.sign_at), adequate
-for the degrees this package isolates exactly (the exhaustive sweeps stop
-at degree 13); arc localization alone handles the large-ell forms.
+Sturm chains here are primitive remainder sequences of IntPolynomial,
+adequate for the degrees this package isolates exactly (the exhaustive
+sweeps stop at degree 13); arc localization alone handles the large-ell
+forms.  Isolation is integer arithmetic throughout: each bisection
+interval [lo, hi] maps the square-free part and its chain once onto
+[0, 1] (IntPolynomial.affine), every point visited is a dyadic
+t = n / 2^e there, and every sign there is one integer Horner loop
+(IntPolynomial.sign_dyadic).  IntPolynomial.sign_at serves the few
+rational points off that grid (interval ends, the counts outside).
 """
 
 from __future__ import annotations
@@ -91,9 +96,23 @@ def _squarefree_chain(p: IntPolynomial) -> tuple:
     return sqf, sturm_chain(sqf)
 
 
-def _sign_changes(chain: list, x: Fraction) -> int:
-    signs = [s for s in (c.sign_at(x) for c in chain) if s]
+def _changes(signs) -> int:
+    signs = [s for s in signs if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _sign_changes(chain: list, x: Fraction) -> int:
+    return _changes(c.sign_at(x) for c in chain)
+
+
+def _roots_in_closed(chain: list, lo: Fraction, hi: Fraction) -> int:
+    """Distinct real roots of chain[0] in [lo, hi], lo <= hi.
+
+    The sign-change count at a root equals the count just right of it,
+    so V(lo) - V(hi) counts (lo, hi] even when an end is a root.
+    """
+    return (_sign_changes(chain, lo) - _sign_changes(chain, hi)
+            + (chain[0].sign_at(lo) == 0))
 
 
 def cauchy_bound(p: IntPolynomial) -> Fraction:
@@ -102,29 +121,55 @@ def cauchy_bound(p: IntPolynomial) -> Fraction:
     return 1 + Fraction(m, lead)
 
 
-def _safe_point(p: IntPolynomial, lo: Fraction, hi: Fraction) -> tuple:
-    """A bisection point in (lo, hi) that is not a root of p, with p's sign there."""
-    mid = (lo + hi) / 2
-    step = (hi - lo) / 64
+# Bisection runs on the dyadic grid of [0, 1]: a point is an integer pair
+# (n, e) for t = n / 2^e in lowest terms (n odd or e = 0), standing for
+# lo + (hi - lo) t of the isolation interval [lo, hi].
+
+
+def _reduced(n: int, e: int) -> tuple:
+    if n == 0:
+        return 0, 0
+    z = min(e, (n & -n).bit_length() - 1)
+    return n >> z, e - z
+
+
+def _common(a: tuple, b: tuple) -> tuple:
+    """(n_a, n_b, e): both points on the finer of their two grids."""
+    e = max(a[1], b[1])
+    return a[0] << (e - a[1]), b[0] << (e - b[1]), e
+
+
+def _safe_point(q: IntPolynomial, a: tuple, b: tuple) -> tuple:
+    """A grid point in (a, b) that is not a root of q, with q's sign there.
+
+    The candidates are mid + i (b - a) / 2048 for i < 32, on the grid
+    2^-(e + 11) of the common exponent e.
+    """
+    na, nb, e = _common(a, b)
+    base, step = (na + nb) << 10, nb - na
     for i in range(32):
-        cand = mid + i * step / 32
-        if cand < hi:
-            s = p.sign_at(cand)
-            if s != 0:
-                return cand, s
+        pt = _reduced(base + i * step, e + 11)
+        s = q.sign_dyadic(*pt)
+        if s != 0:
+            return pt, s
     raise ArithmeticError("could not find a root-free bisection point")
 
 
-def _chain_counter(chain: list):
-    """Distinct real roots in (lo, hi], each point's sign changes computed once."""
+def _chain_counter(chain: list, lo: Fraction, hi: Fraction):
+    """Distinct real roots in (a, b] for grid points a < b of [lo, hi].
+
+    Every chain polynomial is mapped once to [0, 1] by IntPolynomial.affine;
+    each point's sign changes are computed once, cached under (n, e).
+    """
+    mapped = [c.affine(lo, hi) for c in chain]
     seen = {}
 
-    def changes(x: Fraction) -> int:
-        if x not in seen:
-            seen[x] = _sign_changes(chain, x)
-        return seen[x]
+    def changes(pt: tuple) -> int:
+        if pt not in seen:
+            seen[pt] = _changes(c.sign_dyadic(*pt) for c in mapped)
+        return seen[pt]
 
-    return lambda lo, hi: changes(lo) - changes(hi)
+    return lambda a, b: changes(a) - changes(b)
 
 
 def sturm_isolate(p: IntPolynomial, lo: Fraction, hi: Fraction,
@@ -136,47 +181,84 @@ def sturm_isolate(p: IntPolynomial, lo: Fraction, hi: Fraction,
     (r, r) pairs.  Intervals are refined below the requested width.
     """
     sqf, chain = _squarefree_chain(p)
-    return _isolate(sqf, _chain_counter(chain), Fraction(lo), Fraction(hi), width)
+    return _isolate(sqf, chain, Fraction(lo), Fraction(hi), width)
 
 
-def _isolate(sqf: IntPolynomial, count, lo: Fraction, hi: Fraction,
+def _clear_end(chain: list, end: Fraction, step: Fraction) -> Fraction:
+    """end + step, step halved until end is chain[0]'s only root between them."""
+    while True:
+        x = end + step
+        if _roots_in_closed(chain, min(end, x), max(end, x)) == 1:
+            return x
+        step /= 2
+
+
+def _isolate(sqf: IntPolynomial, chain: list, lo: Fraction, hi: Fraction,
              width: Fraction) -> list:
-    """sturm_isolate on a square-free polynomial and its _chain_counter.
+    """sturm_isolate on a square-free polynomial and its Sturm chain.
 
-    The chain counts roots until an interval holds exactly one; that root
-    is simple and both ends are non-roots, so the sign of sqf alone
-    bisects it from there.
+    A root at an end is reported as (end, end), and bisection starts
+    width / 2^10 inside it, nearer if the chain counts another root in
+    that gap.
     """
     out = []
-    if sqf.sign_at(lo) == 0:
+    lo_root = sqf.sign_at(lo) == 0
+    if lo_root:
         out.append((lo, lo))
-    if hi != lo and sqf.sign_at(hi) == 0:
+    hi_root = hi != lo and sqf.sign_at(hi) == 0
+    if hi_root:
         out.append((hi, hi))
     eps = width / 2 ** 10
+    a0 = _clear_end(chain, lo, eps) if lo_root else lo
+    b0 = _clear_end(chain, hi, -eps) if hi_root else hi
+    if b0 > a0:
+        out += _bisect(sqf, chain, a0, b0, width)
+    out.sort()
+    return out
 
-    def inner(a: Fraction, b: Fraction):
-        n = count(a, b)
-        if n == 0:
+
+def _bisect(sqf: IntPolynomial, chain: list, lo: Fraction, hi: Fraction,
+            width: Fraction) -> list:
+    """Isolating intervals below width for the roots in (lo, hi), ends non-roots.
+
+    [lo, hi] is mapped once onto [0, 1] (IntPolynomial.affine), and every
+    point visited is a grid point t = n / 2^e there: the midpoint of the
+    current interval or, when that is a root of sqf, the first of
+    mid + i (b - a) / 2048 that is not.  Signs and the width test
+    (n_b - n_a) w_den > w_num 2^e, with w = width / (hi - lo), are
+    integer arithmetic; only the returned ends lo + (hi - lo) t are
+    Fractions.  The chain counts roots until an interval holds exactly
+    one; that root is simple and both ends are non-roots, so the sign of
+    sqf alone bisects it from there.
+    """
+    q = sqf.affine(lo, hi)
+    count = _chain_counter(chain, lo, hi)
+    span = hi - lo
+    w = width / span
+    out = []
+
+    def inner(a: tuple, b: tuple):
+        roots = count(a, b)
+        if roots == 0:
             return
-        if n == 1:
-            s_a = sqf.sign_at(a)
-            while b - a > width:
-                mid, s = _safe_point(sqf, a, b)
+        if roots == 1:
+            s_a = q.sign_dyadic(*a)
+            while True:
+                na, nb, e = _common(a, b)
+                if (nb - na) * w.denominator <= w.numerator << e:
+                    break
+                mid, s = _safe_point(q, a, b)
                 if s == s_a:
                     a = mid
                 else:
                     b = mid
-            out.append((a, b))
+            out.append(tuple(lo + span * Fraction(n, 1 << e) for n, e in (a, b)))
             return
-        mid, _ = _safe_point(sqf, a, b)
+        mid, _ = _safe_point(q, a, b)
         inner(a, mid)
         inner(mid, b)
 
-    a0 = lo + eps if sqf.sign_at(lo) == 0 else lo
-    b0 = hi - eps if sqf.sign_at(hi) == 0 else hi
-    if b0 > a0:
-        inner(a0, b0)
-    out.sort()
+    inner((0, 0), (1, 0))
     return out
 
 
@@ -189,18 +271,24 @@ def count_off_interval(p: IntPolynomial, lo: Fraction = Fraction(0),
                        hi: Fraction = Fraction(1728)) -> dict:
     """Distinct real roots outside [lo, hi] plus conjugate complex pairs."""
     sqf, chain = _squarefree_chain(p)
+    return _count_off(sqf, chain, Fraction(lo), Fraction(hi))
+
+
+def real_root_census(p: IntPolynomial, width: Fraction = ROOT_WIDTH) -> tuple:
+    """(isolate_real_roots(p, width), count_off_interval(p)) from one Sturm chain."""
+    sqf, chain = _squarefree_chain(p)
+    b = cauchy_bound(p)
+    return (_isolate(sqf, chain, -b, b, width),
+            _count_off(sqf, chain, Fraction(0), Fraction(1728)))
+
+
+def _count_off(sqf: IntPolynomial, chain: list, lo: Fraction, hi: Fraction) -> dict:
+    """count_off_interval on a square-free polynomial and its Sturm chain."""
     if sqf.degree <= 0:
         return {"real_outside": 0, "complex_pairs": 0}
-    return _count_off(sqf, _chain_counter(chain), Fraction(lo), Fraction(hi))
-
-
-def _count_off(sqf: IntPolynomial, count, lo: Fraction, hi: Fraction) -> dict:
-    """count_off_interval on a square-free polynomial of positive degree."""
     b = max(cauchy_bound(sqf), hi + 1)
-    total = count(-b, b)
-    inside = count(lo, hi)
-    if sqf.sign_at(lo) == 0:
-        inside += 1
+    total = _roots_in_closed(chain, -b, b)
+    inside = _roots_in_closed(chain, lo, hi)
     return {"real_outside": total - inside,
             "complex_pairs": (sqf.degree - total) // 2}
 
@@ -417,9 +505,8 @@ def zero_report(form: MillerForm, with_arc: bool = True,
     defect = deflated.degree - sqf.degree
     if deflated.degree > 0:
         # deflation guarantees nonzero values at both interval ends
-        count = _chain_counter(chain)
-        inner = _isolate(sqf, count, Fraction(0), Fraction(1728), ROOT_WIDTH)
-        off = _count_off(sqf, count, Fraction(0), Fraction(1728))
+        inner = _isolate(sqf, chain, Fraction(0), Fraction(1728), ROOT_WIDTH)
+        off = _count_off(sqf, chain, Fraction(0), Fraction(1728))
     else:
         inner, off = [], {"real_outside": 0, "complex_pairs": 0}
     ti, trho = trivial_orders(fid.kprime)

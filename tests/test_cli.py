@@ -70,6 +70,44 @@ def test_roots_values(capsys):
     assert all(r["inside"] for r in rows)
 
 
+# exact isolating intervals: a moved bracket is a regression even when
+# every root stays inside it
+ROOTS_124_1 = [
+    ("84014264130768054691033783/19342813113834066795298816",
+     "5252231363112572952105965/1208925819614629174706176"),
+    ("13398549395695339163535625/302231454903657293676544",
+     "857528599003534819008941657/19342813113834066795298816"),
+    ("1485952722180195894592754955/9671406556917033397649408",
+     "2971926882039424901728171567/19342813113834066795298816"),
+    ("3385416835230099624586211783/9671406556917033397649408",
+     "6770855108139232361715085223/19342813113834066795298816"),
+    ("760030034760938974983725621/1208925819614629174706176",
+     "12160501993854056712282271593/19342813113834066795298816"),
+    ("18553303632244349384159035621/19342813113834066795298816",
+     "9276662534961691248350848639/9671406556917033397649408"),
+    ("24944090128805529477025603891/19342813113834066795298816",
+     "6236027891621140647392066387/4835703278458516698824704"),
+    ("15066379386792461870069877943/9671406556917033397649408",
+     "30132780211263956852682417543/19342813113834066795298816"),
+    ("33044488652899368622073994597/19342813113834066795298816",
+     "16522255045289200867308328127/9671406556917033397649408"),
+]
+ROOTS_132_9 = [("-150335/131072", "-1201275/1048576"),
+               ("1284657535/1048576", "321164735/262144")]
+
+
+@pytest.mark.parametrize("k, m, want, off", [
+    (124, 1, ROOTS_124_1, {"real_outside": 0, "complex_pairs": 0}),
+    (132, 9, ROOTS_132_9, {"real_outside": 1, "complex_pairs": 0}),
+])
+def test_roots_exact_intervals_golden(capsys, k, m, want, off):
+    code, out, _ = run(capsys, "roots", "--k", str(k), "--m", str(m))
+    assert code == 0
+    *rows, summary = [json.loads(line) for line in out.splitlines()]
+    assert [(r["lo"], r["hi"]) for r in rows] == want
+    assert summary["summary"] == off
+
+
 @pytest.mark.parametrize("k", [12, 16])
 def test_roots_degree_zero_faber(capsys, k):
     # m = ell: the Faber polynomial is the constant 1

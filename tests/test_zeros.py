@@ -1,5 +1,6 @@
 """Sturm isolation, arc localization, valence accounting, distribution."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -12,8 +13,8 @@ from millerzeros.evalnum import DEFAULT_PREC, arc_functions, arc_j, form_arc_pre
 from millerzeros.miller import IntPolynomial, miller_form
 from millerzeros.zeros import (
     ROOT_WIDTH, InconclusiveSignError, TheoremViolationError, _certified_arc_sign, _exact,
-    squarefree_part, sturm_chain,
-    sturm_isolate, isolate_real_roots, count_off_interval, cauchy_bound,
+    _reduced, squarefree_part, sturm_chain,
+    sturm_isolate, isolate_real_roots, count_off_interval, real_root_census, cauchy_bound,
     HFunction, arc_zero_localize, refine_arc_zero, j_of_angle,
     trivial_orders, ZeroReport, zero_report, valence_reconcile,
     verify_theorem_m1, star_discrepancy, zero_angles, distribution_stats,
@@ -159,6 +160,72 @@ def test_sturm_isolate_endpoint_root_degenerate():
     assert (Fraction(1), Fraction(1)) in got
     others = [iv for iv in got if iv != (Fraction(1), Fraction(1))]
     assert len(others) == 1 and others[0][0] <= 4 <= others[0][1]
+
+
+def test_sturm_isolate_keeps_roots_next_to_an_end_root():
+    # 0 is a root and 1e-9 lies inside the first offset width / 2^10
+    got = sturm_isolate(IntPolynomial.make([0, -1, 10 ** 9]), 0, 1)
+    assert len(got) == 2 and got[0] == (0, 0)
+    assert got[1][0] < Fraction(1, 10 ** 9) < got[1][1]
+    # 1 is a root and 1 - 1e-9 lies inside the last offset
+    near = [Fraction(1, 10 ** 9), 1 - Fraction(1, 10 ** 9), Fraction(1)]
+    p = IntPolynomial.make([1])
+    for r in near:
+        p = p * IntPolynomial.make([-r.numerator, r.denominator])
+    got = sturm_isolate(p, 0, 1)
+    assert got[-1] == (1, 1) and len(got) == 3
+    for (lo, hi), r in zip(got, near):
+        assert lo <= r <= hi and hi - lo <= ROOT_WIDTH
+    # both ends at once; the offsets and so the mapped interval are non-dyadic
+    p = p * IntPolynomial.make([0, 1])
+    got = sturm_isolate(p, 0, 1, width=Fraction(1, 3 * 10 ** 12))
+    assert len(got) == 4 and [iv for iv in got if iv[0] == iv[1]] == [(0, 0), (1, 1)]
+    assert all(sum(lo <= r <= hi for lo, hi in got) == 1 for r in near)
+
+
+RATIONALS = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9))
+
+
+@settings(max_examples=80, deadline=None)
+@given(COEFFS, RATIONALS, st.builds(Fraction, st.integers(1, 60), st.integers(1, 9)),
+       st.integers(0, 14), st.integers(0, 2 ** 14))
+def test_dyadic_sign_kernel_matches_fraction(coeffs, lo, span, e, n):
+    """The affine map and dyadic kernel give p's exact sign at every grid point."""
+    p, hi, n = IntPolynomial.make(coeffs), lo + span, n % (2 ** e + 1)
+    t = Fraction(n, 2 ** e)
+    m, f = _reduced(n, e)
+    assert Fraction(m, 2 ** f) == t and (m % 2 or f == 0)
+    v = _eval(coeffs, lo + (hi - lo) * t)
+    q = p.affine(lo, hi)
+    assert q.sign_dyadic(n, e) == q.sign_dyadic(m, f) == (v > 0) - (v < 0)
+    x = _eval(coeffs, t)
+    assert p.sign_dyadic(n, e) == (x > 0) - (x < 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(RATIONALS, min_size=1, max_size=4), st.integers(1, 30), st.integers(1, 7))
+def test_isolation_against_known_rational_roots(roots, c, lead):
+    """Each distinct rational root is bracketed exactly once, whatever the bound's denominator."""
+    p = IntPolynomial.make([c, 0, lead])
+    for r in roots:
+        p = p * IntPolynomial.make([-r.numerator, r.denominator])
+    width = Fraction(1, 100)
+    got = isolate_real_roots(p, width=width)
+    distinct = sorted(set(roots))
+    assert len(got) == len(distinct)
+    for r in distinct:
+        assert sum(lo <= r <= hi for lo, hi in got) == 1
+    assert all(0 <= hi - lo <= width for lo, hi in got)
+    assert real_root_census(p, width) == (got, count_off_interval(p))
+
+
+def test_isolation_on_non_dyadic_cauchy_bound():
+    p = IntPolynomial.make([-1, 3]) * IntPolynomial.make([-5, 1]) * IntPolynomial.make([1, 0, 3])
+    b = cauchy_bound(p)
+    assert b.denominator & (b.denominator - 1)         # not a power of two
+    got = isolate_real_roots(p)
+    assert len(got) == 2
+    assert got[0][0] < Fraction(1, 3) < got[0][1] and got[1][0] < 5 < got[1][1]
 
 
 def test_count_off_interval_cases():
@@ -453,6 +520,20 @@ def test_theorem_sweep_small():
         assert rep.valence_ok
         assert rep.faber_roots_out == {"real_outside": 0, "complex_pairs": 0}
         assert len(rep.faber_roots_in) == rep.id.ell - 1
+
+
+# sha256 of every isolating interval of the full m = 1 sweep, one line
+# "k:lo,hi;lo,hi;..." per form in sweep order
+THEOREM_SWEEP_INTERVALS_SHA256 = \
+    "14b093723a049a612ea43110727d87c2e3aad6d3d95081af041158c9ed7bd471"
+
+
+def test_theorem_sweep_intervals_golden():
+    res = verify_theorem_m1(max_ell=14)
+    text = "\n".join(f"{k}:" + ";".join(f"{lo},{hi}" for lo, hi in rep.faber_roots_in)
+                     for k, rep in res)
+    assert len(res) == 84
+    assert hashlib.sha256(text.encode()).hexdigest() == THEOREM_SWEEP_INTERVALS_SHA256
 
 
 # ---------------------------------------------------------------------------
