@@ -29,7 +29,7 @@ from mpmath import mp, mpc, mpf, workprec
 
 from . import qseries
 from .qseries import EISENSTEIN_FACTORS
-from .evalnum import (DEFAULT_PREC, ArcValues, CertValue, EisensteinTail, GeometricTail,
+from .evalnum import (DEFAULT_PREC, ArcValues, CertValue, EisensteinTail,
                       JCoeffTail, TailUnboundedError, _exact, arc_functions,
                       arc_grid, arc_j, eval_delta_eta, eval_series, j_tail_bound,
                       lemniscate_constants)
@@ -212,7 +212,7 @@ def j_approx(M: int, a, x, prec: int = DEFAULT_PREC) -> CertValue:
     """
     series = qseries.jfunction(M)
     tau = mp.mpf(x) + 1j * mp.mpf(a)
-    return eval_series(series, tau, GeometricTail(0, 0), prec=prec)
+    return eval_series(series, tau, None, prec=prec)
 
 
 def j_approx_error(M: int, a) -> mpf:

@@ -49,8 +49,10 @@ Tail bounds by coefficient family:
     error bound used by the certificates);
   * eta product:           the pentagonal expansion of prod (1 - q^n)
     has coefficients in {-1, 0, 1} at distinct exponents, so the tail
-    beyond q^N is at most 2 r^(N+1) / (1 - r);
-  * geometric:             caller-stated |a_n| <= C rho^n.
+    beyond q^N is at most 2 r^(N+1) / (1 - r).
+
+A finite q-polynomial, such as a truncated j approximation taken as it
+stands, is evaluated with no tail.
 
 Evaluation is refused below Im(tau) = 0.4; every bound above is easy
 and comfortable in that region and nothing in the pipeline needs to go
@@ -385,18 +387,6 @@ class EtaProductTail:
         return 2 * r ** (trunc + 1) / (1 - r) * _TAIL_SLACK
 
 
-@dataclass(frozen=True)
-class GeometricTail:
-    C: float
-    rho: float
-
-    def bound(self, trunc: int, r: mpf, y: mpf) -> mpf:
-        x = mpf(self.rho) * r
-        if x >= 1:
-            raise TailUnboundedError(f"geometric ratio {x} >= 1")
-        return mpf(self.C) * x ** (trunc + 1) / (1 - x) * _TAIL_SLACK
-
-
 def j_tail_bound(M: int, a) -> mpf:
     """Upper bound for sum_{n > M} c(n) e^(-2 pi a n), needing M > 1/a^2.
 
@@ -484,7 +474,7 @@ def _series_at(s: QSeries, pt: _QPoint, tail) -> CertValue:
     if s.lead:
         qc = CertValue(pt.q, pt.pad).pow_int(abs(s.lead))
         acc = acc * qc if s.lead > 0 else acc / qc
-    return acc.widened(tail.bound(s.trunc, pt.r, pt.y))
+    return acc if tail is None else acc.widened(tail.bound(s.trunc, pt.r, pt.y))
 
 
 def _delta_at(pt: _QPoint, terms: int) -> CertValue:
@@ -500,7 +490,8 @@ def eval_series(s: QSeries, tau, tail, prec: int = DEFAULT_PREC) -> CertValue:
     partial sum is one eval_poly call on the disk of q, so its error is
     the kernel's a-priori bound; the q^lead factor, when present, is one
     CertValue power and product or quotient.  tail is one of the *Tail
-    dataclasses above and must genuinely cover the dropped coefficients.
+    dataclasses above and must genuinely cover the dropped coefficients;
+    None evaluates s as the finite q-polynomial it is.
     """
     with workprec(prec + _GUARD):
         a, b = (mp.mpmathify(t) for t in (tau if isinstance(tau, tuple) else (tau, tau)))

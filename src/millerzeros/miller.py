@@ -117,27 +117,18 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def sign_at(self, x) -> int:
-        """Exact sign of p(x) at a rational x = a/b, from b^d p(a/b) in integers."""
-        x = Fraction(x)
-        a, b = x.numerator, x.denominator
+    def sign_at(self, a: int, b: int = 1) -> int:
+        """Exact sign of p(a / b), b > 0, from b^d p(a / b) in integers.
+
+        One Horner loop: b^d p(a / b) is the sum of c_i a^i b^(d - i), so
+        the coefficient met after j steps enters times b^j.  A dyadic
+        point n / 2^e passes b = 1 << e, a Fraction x its numerator and
+        denominator.
+        """
         acc, scale = 0, 1
         for c in reversed(self.coeffs):
             acc = acc * a + c * scale
             scale *= b
-        return (acc > 0) - (acc < 0)
-
-    def sign_dyadic(self, n: int, e: int) -> int:
-        """Exact sign of p(n / 2^e), e >= 0, from 2^(e d) p(n / 2^e) in integers.
-
-        One Horner loop of products and shifts: 2^(e d) p(n / 2^e) is the
-        sum of c_i n^i 2^(e (d - i)), so the coefficient met after j steps
-        enters shifted by e j.
-        """
-        acc = sh = 0
-        for c in reversed(self.coeffs):
-            acc = acc * n + (c << sh)
-            sh += e
         return (acc > 0) - (acc < 0)
 
     def affine(self, lo, hi) -> "IntPolynomial":
@@ -262,11 +253,6 @@ class IntPolynomial:
             raise ArithmeticError("division leaves a remainder")
         return IntPolynomial.make(q)
 
-    def to_json_dict(self, var_meta: dict | None = None) -> dict:
-        d = dict(var_meta or {})
-        d["coeffs"] = [str(c) for c in reversed(self.coeffs)]
-        return d
-
     def as_text(self, var: str = "t") -> str:
         if self.degree < 0:
             return "0"
@@ -308,8 +294,8 @@ class MillerForm:
             raise NotInSpaceError("Faber polynomial is not monic")
 
 
-def default_trunc(ell: int, margin: int = DEFAULT_MARGIN) -> int:
-    return ell + 1 + margin
+def default_trunc(ell: int) -> int:
+    return ell + 1 + DEFAULT_MARGIN
 
 
 def _start(fid: FormId, n: int) -> list:

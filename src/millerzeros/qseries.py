@@ -179,8 +179,6 @@ class QSeries:
         return QSeries(self.lead, tuple(-c for c in self.coeffs), self.trunc)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -223,10 +221,6 @@ class QSeries:
         """The operator q d/dq (coefficientwise multiplication by n)."""
         out = [(self.lead + i) * c for i, c in enumerate(self.coeffs)]
         return QSeries._make(self.lead, out, self.trunc)
-
-    def shift(self, d: int) -> "QSeries":
-        """Multiply by q^d exactly."""
-        return QSeries(self.lead + d, self.coeffs, self.trunc + d)
 
     def truncate(self, new_trunc: int) -> "QSeries":
         if new_trunc > self.trunc:
@@ -422,8 +416,6 @@ class FormId:
         if k < 0 or k % 2 != 0:
             raise ValueError(f"weight must be a nonnegative even integer, got {k}")
         r = k % 12
-        if r % 2 != 0:
-            raise ValueError(f"weight {k} is odd")
         if r == 2:
             kprime, ell = 14, (k - 14) // 12
         else:

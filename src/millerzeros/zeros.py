@@ -20,12 +20,15 @@ are assembled into a ZeroReport.
 Sturm chains here are primitive remainder sequences of IntPolynomial,
 adequate for the degrees this package isolates exactly (the exhaustive
 sweeps stop at degree 13); arc localization alone handles the large-ell
-forms.  Isolation is integer arithmetic throughout: each bisection
-interval [lo, hi] maps the square-free part and its chain once onto
-[0, 1] (IntPolynomial.affine), every point visited is a dyadic
-t = n / 2^e there, and every sign there is one integer Horner loop
-(IntPolynomial.sign_dyadic).  IntPolynomial.sign_at serves the few
-rational points off that grid (interval ends, the counts outside).
+forms.  Two entry points use them: zero_report isolates the deflated
+Faber polynomial on [0, 1728], real_root_census every real root on the
+Cauchy bound; neither interval has a root at an end.  Isolation is
+integer arithmetic throughout: the interval [lo, hi] maps the square-free
+part and its chain once onto [0, 1] (IntPolynomial.affine), every point
+visited is a dyadic t = n / 2^e there, and every sign is one integer
+Horner loop, IntPolynomial.sign_at(n, 2^e); the few rational points off
+that grid (the counts outside) go to sign_at with their numerator and
+denominator.
 """
 
 from __future__ import annotations
@@ -63,10 +66,6 @@ class TheoremViolationError(AssertionError):
 # exact polynomial tools
 
 
-def squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    return _squarefree_chain(p)[0]
-
-
 def sturm_chain(p: IntPolynomial) -> list:
     """Sturm sequence p, p', -rem, ... as primitive integer polynomials.
 
@@ -102,7 +101,7 @@ def _changes(signs) -> int:
 
 
 def _sign_changes(chain: list, x: Fraction) -> int:
-    return _changes(c.sign_at(x) for c in chain)
+    return _changes(c.sign_at(x.numerator, x.denominator) for c in chain)
 
 
 def _roots_in_closed(chain: list, lo: Fraction, hi: Fraction) -> int:
@@ -112,7 +111,7 @@ def _roots_in_closed(chain: list, lo: Fraction, hi: Fraction) -> int:
     so V(lo) - V(hi) counts (lo, hi] even when an end is a root.
     """
     return (_sign_changes(chain, lo) - _sign_changes(chain, hi)
-            + (chain[0].sign_at(lo) == 0))
+            + (chain[0].sign_at(lo.numerator, lo.denominator) == 0))
 
 
 def cauchy_bound(p: IntPolynomial) -> Fraction:
@@ -149,7 +148,7 @@ def _safe_point(q: IntPolynomial, a: tuple, b: tuple) -> tuple:
     base, step = (na + nb) << 10, nb - na
     for i in range(32):
         pt = _reduced(base + i * step, e + 11)
-        s = q.sign_dyadic(*pt)
+        s = q.sign_at(pt[0], 1 << pt[1])
         if s != 0:
             return pt, s
     raise ArithmeticError("could not find a root-free bisection point")
@@ -166,72 +165,33 @@ def _chain_counter(chain: list, lo: Fraction, hi: Fraction):
 
     def changes(pt: tuple) -> int:
         if pt not in seen:
-            seen[pt] = _changes(c.sign_dyadic(*pt) for c in mapped)
+            seen[pt] = _changes(c.sign_at(pt[0], 1 << pt[1]) for c in mapped)
         return seen[pt]
 
     return lambda a, b: changes(a) - changes(b)
 
 
-def sturm_isolate(p: IntPolynomial, lo: Fraction, hi: Fraction,
-                  width: Fraction = ROOT_WIDTH) -> list:
-    """Disjoint rational intervals, one distinct real root of p in each.
-
-    The square-free part is taken internally; every real root of p in
-    [lo, hi] is covered.  Endpoint roots come back as degenerate
-    (r, r) pairs.  Intervals are refined below the requested width.
-    """
-    sqf, chain = _squarefree_chain(p)
-    return _isolate(sqf, chain, Fraction(lo), Fraction(hi), width)
-
-
-def _clear_end(chain: list, end: Fraction, step: Fraction) -> Fraction:
-    """end + step, step halved until end is chain[0]'s only root between them."""
-    while True:
-        x = end + step
-        if _roots_in_closed(chain, min(end, x), max(end, x)) == 1:
-            return x
-        step /= 2
-
-
-def _isolate(sqf: IntPolynomial, chain: list, lo: Fraction, hi: Fraction,
-             width: Fraction) -> list:
-    """sturm_isolate on a square-free polynomial and its Sturm chain.
-
-    A root at an end is reported as (end, end), and bisection starts
-    width / 2^10 inside it, nearer if the chain counts another root in
-    that gap.
-    """
-    out = []
-    lo_root = sqf.sign_at(lo) == 0
-    if lo_root:
-        out.append((lo, lo))
-    hi_root = hi != lo and sqf.sign_at(hi) == 0
-    if hi_root:
-        out.append((hi, hi))
-    eps = width / 2 ** 10
-    a0 = _clear_end(chain, lo, eps) if lo_root else lo
-    b0 = _clear_end(chain, hi, -eps) if hi_root else hi
-    if b0 > a0:
-        out += _bisect(sqf, chain, a0, b0, width)
-    out.sort()
-    return out
-
-
 def _bisect(sqf: IntPolynomial, chain: list, lo: Fraction, hi: Fraction,
             width: Fraction) -> list:
-    """Isolating intervals below width for the roots in (lo, hi), ends non-roots.
+    """Isolating intervals below width for the roots of sqf in (lo, hi).
 
-    [lo, hi] is mapped once onto [0, 1] (IntPolynomial.affine), and every
-    point visited is a grid point t = n / 2^e there: the midpoint of the
-    current interval or, when that is a root of sqf, the first of
-    mid + i (b - a) / 2048 that is not.  Signs and the width test
-    (n_b - n_a) w_den > w_num 2^e, with w = width / (hi - lo), are
-    integer arithmetic; only the returned ends lo + (hi - lo) t are
+    Neither end may be a root of sqf (ArithmeticError otherwise): both
+    callers make sure of that, zero_report by deflating at 0 and 1728,
+    real_root_census by isolating on the Cauchy bound, which lies
+    strictly beyond every root.  [lo, hi] is mapped once onto [0, 1]
+    (IntPolynomial.affine), and every point visited is a grid point
+    t = n / 2^e there: the midpoint of the current interval or, when
+    that is a root of sqf, the first of mid + i (b - a) / 2048 that is
+    not.  Every sign is IntPolynomial.sign_at(n, 2^e), and the width
+    test (n_b - n_a) w_den > w_num 2^e, with w = width / (hi - lo), is
+    integer arithmetic too; only the returned ends lo + (hi - lo) t are
     Fractions.  The chain counts roots until an interval holds exactly
     one; that root is simple and both ends are non-roots, so the sign of
     sqf alone bisects it from there.
     """
     q = sqf.affine(lo, hi)
+    if q.sign_at(0) == 0 or q.sign_at(1) == 0:
+        raise ArithmeticError(f"an end of [{lo}, {hi}] is a root")
     count = _chain_counter(chain, lo, hi)
     span = hi - lo
     w = width / span
@@ -242,7 +202,7 @@ def _bisect(sqf: IntPolynomial, chain: list, lo: Fraction, hi: Fraction,
         if roots == 0:
             return
         if roots == 1:
-            s_a = q.sign_dyadic(*a)
+            s_a = q.sign_at(a[0], 1 << a[1])
             while True:
                 na, nb, e = _common(a, b)
                 if (nb - na) * w.denominator <= w.numerator << e:
@@ -262,28 +222,21 @@ def _bisect(sqf: IntPolynomial, chain: list, lo: Fraction, hi: Fraction,
     return out
 
 
-def isolate_real_roots(p: IntPolynomial, width: Fraction = ROOT_WIDTH) -> list:
-    b = cauchy_bound(p)
-    return sturm_isolate(p, -b, b, width)
-
-
-def count_off_interval(p: IntPolynomial, lo: Fraction = Fraction(0),
-                       hi: Fraction = Fraction(1728)) -> dict:
-    """Distinct real roots outside [lo, hi] plus conjugate complex pairs."""
-    sqf, chain = _squarefree_chain(p)
-    return _count_off(sqf, chain, Fraction(lo), Fraction(hi))
-
-
 def real_root_census(p: IntPolynomial, width: Fraction = ROOT_WIDTH) -> tuple:
-    """(isolate_real_roots(p, width), count_off_interval(p)) from one Sturm chain."""
+    """(isolating intervals of every real root of p, counts off [0, 1728]).
+
+    Both come from one Sturm chain of p's square-free part: the intervals
+    from bisection on the Cauchy bound, the counts as real_outside and
+    complex_pairs.
+    """
     sqf, chain = _squarefree_chain(p)
     b = cauchy_bound(p)
-    return (_isolate(sqf, chain, -b, b, width),
+    return (_bisect(sqf, chain, -b, b, width),
             _count_off(sqf, chain, Fraction(0), Fraction(1728)))
 
 
 def _count_off(sqf: IntPolynomial, chain: list, lo: Fraction, hi: Fraction) -> dict:
-    """count_off_interval on a square-free polynomial and its Sturm chain."""
+    """Distinct real roots of sqf outside [lo, hi], and its complex pairs."""
     if sqf.degree <= 0:
         return {"real_outside": 0, "complex_pairs": 0}
     b = max(cauchy_bound(sqf), hi + 1)
@@ -505,7 +458,7 @@ def zero_report(form: MillerForm, with_arc: bool = True,
     defect = deflated.degree - sqf.degree
     if deflated.degree > 0:
         # deflation guarantees nonzero values at both interval ends
-        inner = _isolate(sqf, chain, Fraction(0), Fraction(1728), ROOT_WIDTH)
+        inner = _bisect(sqf, chain, Fraction(0), Fraction(1728), ROOT_WIDTH)
         off = _count_off(sqf, chain, Fraction(0), Fraction(1728))
     else:
         inner, off = [], {"real_outside": 0, "complex_pairs": 0}
@@ -521,22 +474,21 @@ def zero_report(form: MillerForm, with_arc: bool = True,
         trivial_rho=trho + 3 * mult0,
         squarefree_defect=defect,
     )
-    report.valence_ok = valence_reconcile(report, faber_degree=form.faber.degree)
+    report.valence_ok = valence_reconcile(report)
     return report
 
 
-def valence_reconcile(report: ZeroReport, faber_degree: int | None = None) -> bool:
+def valence_reconcile(report: ZeroReport) -> bool:
     """Exact rational valence identity for the assembled report.
 
     ord_infty + ord_i/2 + ord_rho/3 + (nontrivial zeros with
     multiplicity) must equal k/12.  The nontrivial count is the Faber
-    degree minus the boundary multiplicities; the report's Sturm data
-    must also account for every one of those roots.
+    degree ell - m (MillerForm.check holds every form to it) minus the
+    boundary multiplicities; the report's Sturm data must also account
+    for every one of those roots.
     """
     fid = report.id
-    if faber_degree is None:
-        faber_degree = (fid.ell - fid.m)
-    nontrivial = faber_degree - report.boundary_mult[0] - report.boundary_mult[1728]
+    nontrivial = fid.ell - fid.m - report.boundary_mult[0] - report.boundary_mult[1728]
     total = (Fraction(report.ord_infty)
              + Fraction(report.trivial_i, 2)
              + Fraction(report.trivial_rho, 3)
@@ -553,14 +505,6 @@ def valence_reconcile(report: ZeroReport, faber_degree: int | None = None) -> bo
 # the exhaustive small-weight sweep
 
 
-def _theorem_case(k: int) -> tuple:
-    rep = zero_report(miller_form(k, 1), with_arc=False)
-    ok = (rep.faber_roots_out["real_outside"] == 0
-          and rep.faber_roots_out["complex_pairs"] == 0
-          and rep.squarefree_defect == 0)
-    return k, ok, rep
-
-
 def verify_theorem_m1(max_ell: int = 14) -> list:
     """All g_{k,1} with 1 <= ell <= max_ell have real simple Faber roots
     inside [0, 1728]; raises TheoremViolationError at the first failure.
@@ -572,8 +516,9 @@ def verify_theorem_m1(max_ell: int = 14) -> list:
     ks = sorted(12 * ell + kp for ell in range(1, max_ell + 1)
                 for kp in EXTRA_WEIGHTS)
     out = []
-    for k, ok, rep in map(_theorem_case, ks):
-        if not ok:
+    for k in ks:
+        rep = zero_report(miller_form(k, 1), with_arc=False)
+        if any(rep.faber_roots_out.values()) or rep.squarefree_defect:
             raise TheoremViolationError(rep.id, "Faber roots leave [0, 1728]")
         if not rep.valence_ok:
             raise TheoremViolationError(rep.id, "valence reconciliation failed")

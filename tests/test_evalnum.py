@@ -14,7 +14,7 @@ from millerzeros.miller import miller_form
 from millerzeros.zeros import HFunction
 from millerzeros.evalnum import (
     CertValue, NotRealError, TailUnboundedError, _abs_upper, _exact,
-    EisensteinTail, JCoeffTail, EtaProductTail, GeometricTail, j_tail_bound,
+    EisensteinTail, JCoeffTail, EtaProductTail, j_tail_bound,
     eval_poly, eval_series, eval_delta_eta,
     arc_functions, arc_form, arc_j, arc_grid, export_arc_csv,
     lemniscate_constants, form_arc_prec, auto_trunc,
@@ -315,9 +315,6 @@ def test_tail_unbounded_guards():
         j_tail_bound(2, 0.5)
     with pytest.raises(TailUnboundedError):
         EtaProductTail().bound(5, mpf(1), mpf(0))
-    with pytest.raises(TailUnboundedError):
-        GeometricTail(2.0, 2.0).bound(5, mpf(1), mpf(0))
-    assert GeometricTail(0.0, 0.0).bound(5, mpf("0.5"), mp.log(2) / (2 * mp.pi)) == 0
 
 
 def test_eval_below_height_floor():
@@ -330,7 +327,7 @@ def test_eval_below_height_floor():
 
 def test_constant_series_evaluates_exactly():
     one = QSeries.one(6)
-    cv = eval_series(one, mpc(0, 1), GeometricTail(0.0, 0.0))
+    cv = eval_series(one, mpc(0, 1), None)
     assert cv.value == 1 and cv.err <= mpf(2) ** -90
 
 

@@ -13,8 +13,8 @@ from millerzeros.evalnum import DEFAULT_PREC, arc_functions, arc_j, form_arc_pre
 from millerzeros.miller import IntPolynomial, miller_form
 from millerzeros.zeros import (
     ROOT_WIDTH, InconclusiveSignError, TheoremViolationError, _certified_arc_sign, _exact,
-    _reduced, squarefree_part, sturm_chain,
-    sturm_isolate, isolate_real_roots, count_off_interval, real_root_census, cauchy_bound,
+    _bisect, _reduced, _roots_in_closed, _squarefree_chain, sturm_chain, real_root_census,
+    cauchy_bound,
     HFunction, arc_zero_localize, refine_arc_zero, j_of_angle,
     trivial_orders, ZeroReport, zero_report, valence_reconcile,
     verify_theorem_m1, star_discrepancy, zero_angles, distribution_stats,
@@ -53,6 +53,10 @@ def _eval(c: list, x: Fraction):
     return sum(a * x ** i for i, a in enumerate(c))
 
 
+def _sign_at(p, x: Fraction) -> int:
+    return p.sign_at(x.numerator, x.denominator)
+
+
 @settings(max_examples=40, deadline=None)
 @given(COEFFS, st.lists(st.integers(-9, 9), min_size=2, max_size=4))
 def test_poly_divmod_reconstructs(a, b):
@@ -76,7 +80,7 @@ def test_poly_divmod_reconstructs(a, b):
         assert all(g == scale * c for g, c in zip(got.coeffs, r))
     for x in (Fraction(3, 7), Fraction(-5, 2), Fraction(0), Fraction(2)):
         v = _eval(a, x)
-        assert pa.sign_at(x) == (v > 0) - (v < 0)
+        assert _sign_at(pa, x) == (v > 0) - (v < 0)
 
 
 def test_exact_div_rejects_inexact():
@@ -90,8 +94,8 @@ def _assert_sign_on_sound(p, c, r):
     """A decided sign_on holds at both ends and the middle, with no root between."""
     s = p.sign_on(c, r)
     if s != 0:
-        assert p.sign_at(c - r) == p.sign_at(c) == p.sign_at(c + r) == s
-        assert sturm_isolate(p, c - r, c + r) == []
+        assert _sign_at(p, c - r) == _sign_at(p, c) == _sign_at(p, c + r) == s
+        assert _roots_in_closed(sturm_chain(p), c - r, c + r) == 0
     return s
 
 
@@ -116,7 +120,7 @@ def test_sign_on_sound_known_roots(roots, c2, num, rad):
 def test_sign_on_root_inside_and_near():
     p = poly_from_roots([1, 2])
     # both ends positive, two roots between: equal end signs decide nothing
-    assert p.sign_at(Fraction(5, 8)) == p.sign_at(Fraction(19, 8)) == 1
+    assert p.sign_at(5, 8) == p.sign_at(19, 8) == 1
     assert p.sign_on(Fraction(3, 2), Fraction(7, 8)) == 0
     assert p.sign_on(Fraction(1), Fraction(0)) == 0
     assert p.sign_on(Fraction(3, 2), Fraction(1, 4)) == -1
@@ -139,48 +143,29 @@ def test_primitive_scaling():
 
 def test_squarefree_part():
     p = poly_from_roots([1, 1, -2])         # (t-1)^2 (t+2)
-    sqf = squarefree_part(p)
-    assert sqf.degree == 2
-    assert sqf(1) == 0 and sqf(-2) == 0
-    q = poly_from_roots([3, 5])
-    assert squarefree_part(q).degree == 2
+    got, off = real_root_census(p)
+    assert len(got) == 2 and off == {"real_outside": 1, "complex_pairs": 0}
+    assert got[0][0] < -2 < got[0][1] and got[1][0] < 1 < got[1][1]
+    sqf, _ = _squarefree_chain(p)
+    assert sqf.degree == 2 and sqf(1) == 0 and sqf(-2) == 0
+    assert len(real_root_census(poly_from_roots([3, 5]))[0]) == 2
 
 
 def test_sturm_isolate_simple_triple():
     p = poly_from_roots([1, 2, 3])
-    got = sturm_isolate(p, Fraction(0), Fraction(10), width=Fraction(1, 100))
+    got, _ = real_root_census(p, width=Fraction(1, 100))
     assert len(got) == 3
     for (lo, hi), root in zip(got, (1, 2, 3)):
         assert lo <= root <= hi and hi - lo <= Fraction(1, 100)
 
 
-def test_sturm_isolate_endpoint_root_degenerate():
+def test_bisect_refuses_a_root_at_an_end():
     p = poly_from_roots([1, 4])
-    got = sturm_isolate(p, Fraction(1), Fraction(5), width=Fraction(1, 100))
-    assert (Fraction(1), Fraction(1)) in got
-    others = [iv for iv in got if iv != (Fraction(1), Fraction(1))]
-    assert len(others) == 1 and others[0][0] <= 4 <= others[0][1]
-
-
-def test_sturm_isolate_keeps_roots_next_to_an_end_root():
-    # 0 is a root and 1e-9 lies inside the first offset width / 2^10
-    got = sturm_isolate(IntPolynomial.make([0, -1, 10 ** 9]), 0, 1)
-    assert len(got) == 2 and got[0] == (0, 0)
-    assert got[1][0] < Fraction(1, 10 ** 9) < got[1][1]
-    # 1 is a root and 1 - 1e-9 lies inside the last offset
-    near = [Fraction(1, 10 ** 9), 1 - Fraction(1, 10 ** 9), Fraction(1)]
-    p = IntPolynomial.make([1])
-    for r in near:
-        p = p * IntPolynomial.make([-r.numerator, r.denominator])
-    got = sturm_isolate(p, 0, 1)
-    assert got[-1] == (1, 1) and len(got) == 3
-    for (lo, hi), r in zip(got, near):
-        assert lo <= r <= hi and hi - lo <= ROOT_WIDTH
-    # both ends at once; the offsets and so the mapped interval are non-dyadic
-    p = p * IntPolynomial.make([0, 1])
-    got = sturm_isolate(p, 0, 1, width=Fraction(1, 3 * 10 ** 12))
-    assert len(got) == 4 and [iv for iv in got if iv[0] == iv[1]] == [(0, 0), (1, 1)]
-    assert all(sum(lo <= r <= hi for lo, hi in got) == 1 for r in near)
+    sqf, chain = _squarefree_chain(p)
+    for lo, hi in ((Fraction(1), Fraction(5)), (Fraction(0), Fraction(4))):
+        with pytest.raises(ArithmeticError):
+            _bisect(sqf, chain, lo, hi, ROOT_WIDTH)
+    assert len(_bisect(sqf, chain, Fraction(0), Fraction(5), ROOT_WIDTH)) == 2
 
 
 RATIONALS = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9))
@@ -197,9 +182,18 @@ def test_dyadic_sign_kernel_matches_fraction(coeffs, lo, span, e, n):
     assert Fraction(m, 2 ** f) == t and (m % 2 or f == 0)
     v = _eval(coeffs, lo + (hi - lo) * t)
     q = p.affine(lo, hi)
-    assert q.sign_dyadic(n, e) == q.sign_dyadic(m, f) == (v > 0) - (v < 0)
-    x = _eval(coeffs, t)
-    assert p.sign_dyadic(n, e) == (x > 0) - (x < 0)
+    assert q.sign_at(n, 1 << e) == q.sign_at(m, 1 << f) == (v > 0) - (v < 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(COEFFS, st.integers(-2 ** 20, 2 ** 20),
+       st.one_of(st.integers(0, 30).map(lambda e: 1 << e), st.integers(1, 10 ** 6)))
+def test_sign_at_matches_fraction_horner(coeffs, a, b):
+    """sign_at(a, b) is the sign of p(a / b), b dyadic or not, reduced or not."""
+    v = 0
+    for c in reversed(coeffs):
+        v = v * Fraction(a, b) + c
+    assert IntPolynomial.make(coeffs).sign_at(a, b) == (v > 0) - (v < 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -210,33 +204,33 @@ def test_isolation_against_known_rational_roots(roots, c, lead):
     for r in roots:
         p = p * IntPolynomial.make([-r.numerator, r.denominator])
     width = Fraction(1, 100)
-    got = isolate_real_roots(p, width=width)
+    got, off = real_root_census(p, width)
     distinct = sorted(set(roots))
     assert len(got) == len(distinct)
     for r in distinct:
         assert sum(lo <= r <= hi for lo, hi in got) == 1
     assert all(0 <= hi - lo <= width for lo, hi in got)
-    assert real_root_census(p, width) == (got, count_off_interval(p))
+    outside = sum(1 for r in distinct if not 0 <= r <= 1728)
+    assert off == {"real_outside": outside, "complex_pairs": 1}
 
 
 def test_isolation_on_non_dyadic_cauchy_bound():
     p = IntPolynomial.make([-1, 3]) * IntPolynomial.make([-5, 1]) * IntPolynomial.make([1, 0, 3])
     b = cauchy_bound(p)
     assert b.denominator & (b.denominator - 1)         # not a power of two
-    got = isolate_real_roots(p)
+    got, _ = real_root_census(p)
     assert len(got) == 2
     assert got[0][0] < Fraction(1, 3) < got[0][1] and got[1][0] < 5 < got[1][1]
 
 
 def test_count_off_interval_cases():
-    assert count_off_interval(IntPolynomial.make([1, 0, 1])) == \
-        {"real_outside": 0, "complex_pairs": 1}
-    assert count_off_interval(poly_from_roots([-5, 2000])) == \
-        {"real_outside": 2, "complex_pairs": 0}
-    assert count_off_interval(poly_from_roots([0, 1728, 100])) == \
+    def off(p):
+        return real_root_census(p)[1]
+    assert off(IntPolynomial.make([1, 0, 1])) == {"real_outside": 0, "complex_pairs": 1}
+    assert off(poly_from_roots([-5, 2000])) == {"real_outside": 2, "complex_pairs": 0}
+    assert off(poly_from_roots([0, 1728, 100])) == \
         {"real_outside": 0, "complex_pairs": 0}       # endpoints count inside
-    assert count_off_interval(poly_from_roots([500])) == \
-        {"real_outside": 0, "complex_pairs": 0}
+    assert off(poly_from_roots([500])) == {"real_outside": 0, "complex_pairs": 0}
 
 
 @settings(max_examples=30, deadline=None)
@@ -244,11 +238,10 @@ def test_count_off_interval_cases():
 def test_isolation_against_known_roots(roots, c):
     p = poly_from_roots(roots, extra=IntPolynomial.make([c, 0, 1]))
     assert cauchy_bound(p) > max(abs(r) for r in roots)
-    got = isolate_real_roots(p, width=Fraction(1, 64))
+    got, off = real_root_census(p, width=Fraction(1, 64))
     assert len(got) == len(roots)
     for (lo, hi), root in zip(got, sorted(roots)):
         assert lo <= root <= hi
-    off = count_off_interval(p)
     assert off["complex_pairs"] == 1
     outside = sum(1 for r in roots if not 0 <= r <= 1728)
     assert off["real_outside"] == outside
@@ -501,15 +494,15 @@ def test_valence_with_boundary_roots():
         boundary_mult={0: 1, 1728: 0}, ord_infty=1,
         trivial_i=0, trivial_rho=1 + 3,
         squarefree_defect=0)
-    assert valence_reconcile(rep, faber_degree=1)
+    assert valence_reconcile(rep)
     rep.trivial_rho = 1
-    assert not valence_reconcile(rep, faber_degree=1)
+    assert not valence_reconcile(rep)
 
 
 def test_valence_detects_missing_roots(form_48_1):
     rep = zero_report(form_48_1, with_arc=False)
     rep.faber_roots_in = rep.faber_roots_in[:-1]
-    assert not valence_reconcile(rep, faber_degree=form_48_1.faber.degree)
+    assert not valence_reconcile(rep)
 
 
 def test_theorem_sweep_small():
