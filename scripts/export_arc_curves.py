@@ -12,7 +12,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="arc_curves")
     ap.add_argument("--step", type=float, default=1e-3)
-    ap.add_argument("--precision-bits", type=int, default=128)
     args = ap.parse_args()
 
     outdir = pathlib.Path(args.outdir)
@@ -20,8 +19,7 @@ def main() -> int:
     for name in ARC_FUNCTION_NAMES:
         path = outdir / f"{name}.csv"
         with open(path, "w", newline="") as fh:
-            rows = export_arc_csv(name, fh, step=args.step,
-                                  prec=args.precision_bits)
+            rows = export_arc_csv(name, fh, step=args.step)
         print(f"wrote {rows} rows to {path}")
     return 0
 

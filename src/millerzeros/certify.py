@@ -30,7 +30,7 @@ from mpmath import mp, mpc, mpf, workprec
 from . import qseries
 from .qseries import EISENSTEIN_FACTORS
 from .evalnum import (DEFAULT_PREC, ArcValues, CertValue, EisensteinTail,
-                      JCoeffTail, TailUnboundedError, _exact, arc_functions,
+                      JCoeffTail, TailUnboundedError, _exact, _span, arc_functions,
                       arc_grid, arc_j, eval_delta_eta, eval_series, j_tail_bound,
                       lemniscate_constants)
 
@@ -45,6 +45,11 @@ class DomainError(ValueError):
 
 # ---------------------------------------------------------------------------
 # ledger entries
+
+
+# the ambient precision of every ledger section: the evaluators' DEFAULT_PREC
+# plus guard bits for the arithmetic that combines their results
+_LEDGER_PREC = DEFAULT_PREC + 12
 
 
 def _pad_of(v) -> mpf:
@@ -90,9 +95,10 @@ def _entry_lower(name: str, ref: str, cv: CertValue, claimed) -> BoundLedgerEntr
 
 
 def _entry_value(name: str, ref: str, cv: CertValue, claimed, tol) -> BoundLedgerEntry:
-    """computed must equal the claimed constant within tol, radius included."""
+    """computed must equal the claimed constant within tol, radius included,
+    compared exactly against both decimals as written."""
     v = cv.value.real if isinstance(cv.value, mpc) else cv.value
-    ok = abs(v - mpf(claimed)) + cv.err <= mpf(tol)
+    ok = abs(_exact(v) - _decimal(claimed)) + _exact(cv.err) <= _decimal(tol)
     return BoundLedgerEntry(name, float(claimed), float(v), float(cv.err), bool(ok), ref)
 
 
@@ -204,7 +210,7 @@ def _certified_root_decreasing(coeffs: list, lo: float, hi: float) -> CertValue:
 # truncated j approximations
 
 
-def j_approx(M: int, a, x, prec: int = DEFAULT_PREC) -> CertValue:
+def j_approx(M: int, a, x) -> CertValue:
     """f_{M,a}(x) = sum_{n=-1}^{M} c(n) e^(-2 pi a n) e^(2 pi i n x), certified.
 
     This is the finite trigonometric polynomial itself (complex valued);
@@ -212,7 +218,7 @@ def j_approx(M: int, a, x, prec: int = DEFAULT_PREC) -> CertValue:
     """
     series = qseries.jfunction(M)
     tau = mp.mpf(x) + 1j * mp.mpf(a)
-    return eval_series(series, tau, None, prec=prec)
+    return eval_series(series, tau, None)
 
 
 def j_approx_error(M: int, a) -> mpf:
@@ -261,8 +267,8 @@ class MonotonicityCertificate:
     entries: list
 
 
-def monotonicity_certificate_075(prec: int = DEFAULT_PREC) -> MonotonicityCertificate:
-    with workprec(prec + 12):
+def monotonicity_certificate_075() -> MonotonicityCertificate:
+    with workprec(_LEDGER_PREC):
         j = qseries.jfunction(5)
         E = CertValue(mp.e ** (-3 * mp.pi / 2), _pad_of(1))
         einv = mp.e ** (3 * mp.pi / 2)
@@ -305,8 +311,8 @@ class MagnitudeCertificate:
     entries: list
 
 
-def magnitude_certificate_065(prec: int = DEFAULT_PREC) -> MagnitudeCertificate:
-    with workprec(prec + 12):
+def magnitude_certificate_065() -> MagnitudeCertificate:
+    with workprec(_LEDGER_PREC):
         M = 7
         j = qseries.jfunction(M)
         e, einv = mp.e ** (-13 * mp.pi / 10), mp.e ** (13 * mp.pi / 10)
@@ -358,7 +364,7 @@ class JDifferenceReport:
     entries: list = field(default_factory=list)
 
 
-def j_difference_bounds(prec: int = DEFAULT_PREC) -> JDifferenceReport:
+def j_difference_bounds() -> JDifferenceReport:
     """Certified lower bounds for the two j-separation constants 176 and 311.
 
     The 0.75 line is split at the interior minimum of Re f: the real part
@@ -369,11 +375,11 @@ def j_difference_bounds(prec: int = DEFAULT_PREC) -> JDifferenceReport:
     rounding enters them.
     """
     entries = []
-    with workprec(prec + 12):
+    with workprec(_LEDGER_PREC):
         # the arc value at the split angle, two independent routes
         a19 = mp.sin(mpf(1.9))
         err19 = j_approx_error(6, a19)
-        f19 = j_approx(6, a19, mp.cos(mpf(1.9)), prec=prec)
+        f19 = j_approx(6, a19, mp.cos(mpf(1.9)))
         j19 = f19.real().widened(err19).widened(abs(f19.imag().value))
         entries.append(_entry_upper("jdiff.approx-error-19",
                                     "f_{6,sin 1.9} truncation bound",
@@ -382,13 +388,13 @@ def j_difference_bounds(prec: int = DEFAULT_PREC) -> JDifferenceReport:
                                     f19.real(), 271.09885, 1e-3))
         in_window = bool(j19.value - j19.err > 271 and j19.value + j19.err < 272)
         entries.append(_entry_flag("jdiff.j19-window", "271 <= j(e^{1.9i}) <= 272", in_window))
-        jarc = arc_j(1.9, prec=prec)
+        jarc = arc_j(1.9)
         agree = abs(jarc.value - j19.value) <= jarc.err + j19.err
         entries.append(_entry_flag("jdiff.j19-cross-route",
                                    "arc evaluation agrees with the line approximation", agree))
 
-        mono = monotonicity_certificate_075(prec)
-        mag = magnitude_certificate_065(prec)
+        mono = monotonicity_certificate_075()
+        mag = magnitude_certificate_065()
         entries.extend(mono.entries)
         entries.extend(mag.entries)
 
@@ -397,9 +403,9 @@ def j_difference_bounds(prec: int = DEFAULT_PREC) -> JDifferenceReport:
         entries.append(_entry_upper("jdiff.approx-error-075",
                                     "f_{5,3/4} truncation bound",
                                     CertValue(err75), 10.0))
-        f01 = j_approx(5, 0.75, 0.1, prec=prec)
-        f02 = j_approx(5, 0.75, 0.2, prec=prec)
-        f05 = j_approx(5, 0.75, 0.5, prec=prec)
+        f01 = j_approx(5, 0.75, 0.1)
+        f02 = j_approx(5, 0.75, 0.2)
+        f05 = j_approx(5, 0.75, 0.5)
         entries.append(_entry_value("jdiff.ref-01", "Re f_{5,3/4}(0.1)", f01.real(), 2481.16, 0.05))
         entries.append(_entry_value("jdiff.ref-05", "Re f_{5,3/4}(0.5)", f05.real(), 84.3362, 0.01))
         # the value at 0.2 is not published; frozen from this computation
@@ -415,7 +421,7 @@ def j_difference_bounds(prec: int = DEFAULT_PREC) -> JDifferenceReport:
         # [0, 0.1]: Re f decreasing there, so Re j >= Re f(0.1) - err
         d1 = _lower(f01.real()) - _exact(err75) - 1728
         # [0.1, 0.2]: Im f >= sum of sine minima; j differs by at most err75
-        sines = _im_lower_bound_075(prec)
+        sines = _im_lower_bound_075()
         entries.append(_entry_value("jdiff.imf-bound", "Im f_{5,3/4} lower bound on [0.1, 0.2]",
                                     sines, 1474.07, 0.5))
         d2 = _lower(sines) - _exact(err75)
@@ -441,10 +447,10 @@ def j_difference_bounds(prec: int = DEFAULT_PREC) -> JDifferenceReport:
                                  entries=entries)
 
 
-def _im_lower_bound_075(prec: int) -> CertValue:
+def _im_lower_bound_075() -> CertValue:
     """Lower bound for Im f_{5,3/4} on [0.1, 0.2] from per-frequency sine minima."""
     j = qseries.jfunction(5)
-    with workprec(prec + 12):
+    with workprec(_LEDGER_PREC):
         E = mp.e ** (-3 * mp.pi / 2)
         coeffs = {1: j.coeff(1) * E - mp.e ** (3 * mp.pi / 2)}
         for n in range(2, 6):
@@ -498,7 +504,7 @@ def _dominated_tail(k: int, y: Fraction, n_from: int, dom: Fraction) -> tuple:
     return tail, bool(peak_ok and first_ok)
 
 
-def eisenstein_line_bounds(prec: int = DEFAULT_PREC) -> list:
+def eisenstein_line_bounds() -> list:
     """Ledger entries for |E_4| and |E_6| on the lines Im(tau) = 0.65, 0.75.
 
     Two independent routes per constant: the printed two-term partial sum
@@ -509,7 +515,7 @@ def eisenstein_line_bounds(prec: int = DEFAULT_PREC) -> list:
     for k, y, partial_claim, tail_claim, total_claim, dom in _LINE_CASES:
         lbl = f"e{k}.line.{_line_label(y)}"
         ref = f"E_{k} bound on the height-{float(y)} line"
-        with workprec(prec + 12):
+        with workprec(_LEDGER_PREC):
             r = mp.e ** (-2 * mp.pi * _rational(y))
             gamma = Fraction(2 * k) / qseries.bernoulli(k)
             sig = qseries._divisor_power_sums(k - 1, 2)
@@ -537,11 +543,11 @@ def eisenstein_line_bounds(prec: int = DEFAULT_PREC) -> list:
             series, iy = qseries.eisenstein(k, 48), mpc(0, _rational(y))
             cap = CertValue.exact(Fraction(str(total_claim)))
             _, leaves = _bisect_claims(
-                lambda a, b: eval_series(series, (a + iy, b + iy), EisensteinTail(k), prec=prec),
+                lambda a, b: eval_series(series, (a + iy, b + iy), EisensteinTail(k)),
                 mpf(0), mpf(1) / 2, {"cap": (lambda v: cap - v.abs(), 1)})
             lo = max(v.abs_lower() for v in leaves["cap"])
             hi = max(v.abs_upper() for v in leaves["cap"])
-            certified = CertValue((lo + hi) / 2, mp.ldexp(mp.fsub(hi, lo, rounding="u"), -1))
+            certified = CertValue(*_span(lo, hi))
             entries.append(_entry_upper(f"{lbl}.grid", ref + ", maximum on the whole line",
                                         certified, total_claim))
     return entries
@@ -620,14 +626,14 @@ def _bisect_claims(enclose, lo, hi, claims: dict) -> tuple:
     return set(claims) - failed, leaves
 
 
-@lru_cache(maxsize=4)
-def _arc_corners(prec: int) -> tuple:
+@lru_cache(maxsize=None)
+def _arc_corners() -> tuple:
     """arc_functions at i, at the split angle 1.9 and at rho, for every ledger section."""
-    return tuple(arc_functions(t, prec=prec) for t in (float(mp.pi / 2), 1.9,
-                                                       float(2 * mp.pi / 3)))
+    with workprec(_LEDGER_PREC):
+        return tuple(arc_functions(t) for t in (float(mp.pi / 2), 1.9, float(2 * mp.pi / 3)))
 
 
-def arc_eisenstein_bounds(prec: int = DEFAULT_PREC) -> list:
+def arc_eisenstein_bounds() -> list:
     """Extrema of the arc functions plus the shape certificates on the whole arc.
 
     The seven shape flags rest on the four claims of _ARC_CLAIMS, each a
@@ -652,10 +658,10 @@ def arc_eisenstein_bounds(prec: int = DEFAULT_PREC) -> list:
     A claim that is not decided turns its flags false.
     """
     entries = []
-    with workprec(prec + 12):
-        at_i, at_19, at_rho = _arc_corners(prec)
+    with workprec(_LEDGER_PREC):
+        at_i, at_19, at_rho = _arc_corners()
 
-        lem = lemniscate_constants(prec)
+        lem = lemniscate_constants()
         pi4 = mp.pi ** 4
         e4i_closed = 3 * lem.varpi.pow_int(4) * CertValue(1 / pi4, _pad_of(1 / pi4))
         e6rho_closed = CertValue(mpf(27) / 2) * lem.varpi_prime.pow_int(6) * \
@@ -691,7 +697,7 @@ def arc_eisenstein_bounds(prec: int = DEFAULT_PREC) -> list:
         ]
 
         # the ends are rounded; the half ulp to the true corners lies inside every pad
-        held, _ = _bisect_claims(lambda a, b: arc_functions((a, b), prec=prec),
+        held, _ = _bisect_claims(lambda a, b: arc_functions((a, b)),
                                  mp.pi / 2, 2 * mp.pi / 3, _ARC_CLAIMS)
         entries += [
             _entry_flag("e4.arc.monotone", "|E_4| strictly decreasing along the arc",
@@ -726,16 +732,16 @@ def delta_line_bounds(y) -> tuple:
     return r * (1 - s) ** 24 * (1 - mpf(2) ** -40), r * (1 + s) ** 24 * (1 + mpf(2) ** -40)
 
 
-def delta_ledger(prec: int = DEFAULT_PREC) -> list:
+def delta_ledger() -> list:
     """Delta extrema: corner values two ways, line minima, and the ratios."""
     entries = []
-    with workprec(prec + 12):
-        lem = lemniscate_constants(prec)
+    with workprec(_LEDGER_PREC):
+        lem = lemniscate_constants()
         di_closed = (lem.varpi / CertValue(mp.sqrt(2) * mp.pi, _pad_of(mp.sqrt(2) * mp.pi))).pow_int(12)
         drho_closed = CertValue.exact(Fraction(27, 256)) * \
             (lem.varpi_prime / CertValue(mp.pi, _pad_of(mp.pi))).pow_int(12)
-        di_direct = eval_delta_eta(mp.mpc(0, 1), prec=prec).abs().as_real()
-        drho_direct = eval_delta_eta(mp.mpc(-0.5, mp.sqrt(3) / 2), prec=prec).abs().as_real()
+        di_direct = eval_delta_eta(mp.mpc(0, 1)).abs().as_real()
+        drho_direct = eval_delta_eta(mp.mpc(-0.5, mp.sqrt(3) / 2)).abs().as_real()
         entries += [
             _entry_value("delta.at-i", "|Delta(i)| by eta product", di_direct,
                          0.00178537, 1e-7),
@@ -756,17 +762,18 @@ def delta_ledger(prec: int = DEFAULT_PREC) -> list:
         for y in (0.65, 0.75, 1.0):
             lo, up = delta_line_bounds(y)
             for x in (-0.5, -0.25, 0.0, 0.25, 0.5):
-                d = eval_delta_eta(mp.mpf(x) + 1j * mpf(y), prec=prec).abs()
+                d = eval_delta_eta(mp.mpf(x) + 1j * mpf(y)).abs()
                 if not (lo <= d.abs_upper() and d.abs_lower() <= up):
                     ok = False
         entries.append(_entry_flag("delta.sandwich",
                                    "evaluations sit between pentagonal bounds", ok))
-        # arc maximum over line minimum
-        arc_max = drho_direct.abs_upper()
+        # arc maximum over line minimum, divided as CertValues so that the
+        # rounding of the quotient enters the radius
+        arc_max = CertValue(drho_direct.abs_upper())
         entries.append(_entry_upper("delta.ratio-065", "arc-to-line ratio, height 0.65",
-                                    CertValue(arc_max / lo65), 0.5))
+                                    arc_max / CertValue(lo65), 0.5))
         entries.append(_entry_upper("delta.ratio-075", "arc-to-line ratio, height 0.75",
-                                    CertValue(arc_max / lo75), 0.7))
+                                    arc_max / CertValue(lo75), 0.7))
     return entries
 
 
@@ -774,9 +781,9 @@ def delta_ledger(prec: int = DEFAULT_PREC) -> list:
 # residue term of the contour estimate
 
 
-def residue_term(theta: float, k: int, m: int, prec: int = DEFAULT_PREC) -> CertValue:
+def residue_term(theta: float, k: int, m: int) -> CertValue:
     """e^(pi m (2 sin theta - tan(theta/2))) / (2 cos(theta/2))^k."""
-    with workprec(prec + 12):
+    with workprec(_LEDGER_PREC):
         t = mpf(theta)
         v = mp.e ** (mp.pi * m * (2 * mp.sin(t) - mp.tan(t / 2))) / \
             (2 * mp.cos(t / 2)) ** k
@@ -799,14 +806,14 @@ def _residue_slope(a, b, k: int, m: int) -> CertValue:
     return CertValue((lo + hi) / 2, (hi - lo) / 2 + _pad_of(3 * mp.pi * m + k))
 
 
-def residue_entries(k: int = 192, m: int = 1, prec: int = DEFAULT_PREC) -> list:
+def residue_entries(k: int = 192, m: int = 1) -> list:
     """r(2pi/3) = 1, so r <= 1 on the arc if r increases, as it does once
     k >= 8 pi m / sqrt(3): both flags rest on D = (log r)' > 0 on the whole
     arc, decided by _bisect_claims on _residue_slope."""
     entries = []
-    with workprec(prec + 12):
+    with workprec(_LEDGER_PREC):
         hyp = k >= 8 * mp.pi * m / mp.sqrt(3)
-        end = residue_term(float(2 * mp.pi / 3), k, m, prec=prec)
+        end = residue_term(float(2 * mp.pi / 3), k, m)
         entries.append(_entry_value("residue.at-rho", "residue factor at the rho corner",
                                     end, 1.0, 1e-9))
         held, _ = _bisect_claims(lambda a, b: _residue_slope(a, b, k, m),
@@ -852,7 +859,7 @@ def _table_value(kprime: int, label: str) -> Fraction:
     return num / (dmin * jsep)
 
 
-def constants_ledger(prec: int = DEFAULT_PREC) -> list:
+def constants_ledger() -> list:
     """Recompute the twelve contour-table bounds and the derived constants.
 
     The table entries are exact rational arithmetic on the certified
@@ -863,7 +870,7 @@ def constants_ledger(prec: int = DEFAULT_PREC) -> list:
     offset constants come out of the same closed formulas.
     """
     entries = []
-    with workprec(prec + 12):
+    with workprec(_LEDGER_PREC):
         maxima = {}
         for label in ("075", "065"):
             best = Fraction(0)
@@ -875,7 +882,7 @@ def constants_ledger(prec: int = DEFAULT_PREC) -> list:
                                             val, claim))
                 best = max(best, val)
             maxima[label] = best
-        entries.extend(_table_numeric_check(prec))
+        entries.extend(_table_numeric_check())
 
         b1_derived = mp.log(mpf(maxima["075"].numerator) / maxima["075"].denominator)
         b2_derived = mp.log(mpf(maxima["065"].numerator) / maxima["065"].denominator)
@@ -906,7 +913,7 @@ def constants_ledger(prec: int = DEFAULT_PREC) -> list:
 _TABLE_STEP = 1e-2
 
 
-def _table_numeric_check(prec: int) -> list:
+def _table_numeric_check() -> list:
     """Decoupled grid maximisation of the contour integrand pieces.
 
     For each height the x-sweep maximises |E_14-k'| / (|Delta| dist(j, J)),
@@ -915,7 +922,7 @@ def _table_numeric_check(prec: int) -> list:
     and must still sit below every printed case bound.
     """
     entries = []
-    at_i, at_19, at_rho = _arc_corners(prec)
+    at_i, at_19, at_rho = _arc_corners()
     arc_caps = {
         "075": (at_i.e4.abs().abs_upper(), at_19.e6.abs_upper()),
         "065": (at_19.e4.abs().abs_upper(), at_rho.e6.abs_upper()),
@@ -930,13 +937,13 @@ def _table_numeric_check(prec: int) -> list:
         jl, jh = jranges[label]
         n_pts = int(0.5 / _TABLE_STEP) + 1
         best = {kp: mpf(0) for kp in EISENSTEIN_FACTORS}
-        for i in range(n_pts + 1):
+        for i in range(n_pts):
             x = min(mpf(0.5), i * mpf(_TABLE_STEP))
             tau = x + 1j * y
-            e4v = eval_series(e4s, tau, EisensteinTail(4), prec=prec).abs_upper()
-            e6v = eval_series(e6s, tau, EisensteinTail(6), prec=prec).abs_upper()
-            dv = eval_delta_eta(tau, prec=prec).abs_lower()
-            jv = eval_series(js, tau, JCoeffTail(), prec=prec)
+            e4v = eval_series(e4s, tau, EisensteinTail(4)).abs_upper()
+            e6v = eval_series(e6s, tau, EisensteinTail(6)).abs_upper()
+            dv = eval_delta_eta(tau).abs_lower()
+            jv = eval_series(js, tau, JCoeffTail())
             w = jv.value
             re, im = w.real, w.imag
             if re < jl:
@@ -1008,8 +1015,7 @@ def _oscillation(form, m: int, theta: float, prec: int) -> CertValue:
         return g * _amplitude(m, t) - CertValue(2 * mp.cos(h), pad)
 
 
-def proposition_mrl_check(k: int, m: int, grid_step: float = 1e-3,
-                          prec: int = DEFAULT_PREC) -> MrlReport:
+def proposition_mrl_check(k: int, m: int, grid_step: float = 1e-3) -> MrlReport:
     """Evaluate |e^(ik theta/2) e^(2 pi m sin theta) g_{k,m} - 2 cos h| on a grid.
 
     h(theta) = k theta / 2 + 2 pi m cos theta.  The estimate promises a
@@ -1024,7 +1030,7 @@ def proposition_mrl_check(k: int, m: int, grid_step: float = 1e-3,
     from .evalnum import form_arc_prec
     form = miller_form(k, m)
     ell = form.id.ell
-    start = form_arc_prec(ell, m, prec)
+    start = form_arc_prec(ell, m)
     hypothesis = ell > 4.5 * m + 9.5
     worst = -1.0
     worst_err = 0.0
@@ -1053,14 +1059,7 @@ def proposition_mrl_check(k: int, m: int, grid_step: float = 1e-3,
 # everything at once
 
 
-def full_ledger(prec: int = DEFAULT_PREC) -> list:
+def full_ledger() -> list:
     """All bound ledger entries in a stable order."""
-    entries = []
-    entries += delta_ledger(prec)
-    entries += arc_eisenstein_bounds(prec)
-    entries += eisenstein_line_bounds(prec)
-    jd = j_difference_bounds(prec)
-    entries += jd.entries
-    entries += residue_entries(prec=prec)
-    entries += constants_ledger(prec)
-    return entries
+    return (delta_ledger() + arc_eisenstein_bounds() + eisenstein_line_bounds()
+            + j_difference_bounds().entries + residue_entries() + constants_ledger())

@@ -7,6 +7,12 @@ estimate check, and zero-distribution statistics.  All output is
 deterministic for fixed flags; JSON goes out as newline-delimited
 records and CSV always carries a header row.
 
+No option sets a working precision: every numerical command runs at
+evalnum.DEFAULT_PREC, which the program alone raises (form_arc_prec for
+mrl-check, the precision ladders where a sign is not decided).  --trunc
+belongs to the two commands that print series, expand and miller; each
+--format offers only the formats its command writes.
+
 Exit status: 0 when every requested check passes, 1 on a failed check
 (with the failing entries printed), 2 on usage errors.
 """
@@ -18,7 +24,7 @@ import json
 import sys
 from contextlib import ExitStack
 
-from . import certify, evalnum, miller, qseries, zeros
+from . import certify, miller, qseries, zeros
 
 _FORMS = {
     "delta": lambda n: qseries.delta(n),
@@ -42,8 +48,11 @@ def _parser() -> argparse.ArgumentParser:
         description="Exact basis forms, certified bounds, and arc zeros.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, k=False, m=False, trunc=False, prec=None, grid=None, fmt=False):
-        """Register only the options the subcommand's handler reads."""
+    def common(sp, k=False, m=False, trunc=False, grid=None, fmt=None):
+        """Register only the options the subcommand's handler reads.
+
+        fmt is (choices, default): only the formats the handler writes.
+        """
         if k:
             sp.add_argument("--k", type=int, required=True, help="weight")
         if m:
@@ -51,34 +60,30 @@ def _parser() -> argparse.ArgumentParser:
         if trunc:
             sp.add_argument("--trunc", type=int, default=None,
                             help="series truncation override")
-        if prec:
-            sp.add_argument("--precision-bits", type=int, default=evalnum.DEFAULT_PREC,
-                            help=prec)
         if grid:
             sp.add_argument("--grid-step", type=float, default=1e-3, help=grid)
         if fmt:
-            sp.add_argument("--format", choices=("json", "csv", "text"), default=None)
+            choices, default = fmt
+            sp.add_argument("--format", choices=choices, default=default)
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         return sp
 
-    prec = "working precision in bits"
-    j_prec = ("starting precision in bits of the certified j(theta) behind each "
-              "arc sign; doubled up to three times where a sign is not decided")
-    sp = common(sub.add_parser("expand", help="print a q-expansion"), trunc=True, fmt=True)
+    json_text = (("json", "text"), "text")
+    sp = common(sub.add_parser("expand", help="print a q-expansion"), trunc=True, fmt=json_text)
     sp.add_argument("--form", required=True, help="E<k>, delta, delta-inv or j")
 
     common(sub.add_parser("miller", help="the reduced basis for one weight"), k=True, trunc=True)
     common(sub.add_parser("faber", help="Faber polynomial of one form"), k=True, m=True,
-           trunc=True, fmt=True)
-    common(sub.add_parser("roots", help="isolated Faber roots"), k=True, m=True, trunc=True)
-    common(sub.add_parser("arc-zeros", help="certified arc zero report"), k=True, m=True,
-           trunc=True, prec=j_prec)
-    common(sub.add_parser("verify-bounds", help="full bound ledger"), prec=prec)
-    sp = common(sub.add_parser("verify-thm2", help="exhaustive m=1 sweep"), fmt=True)
+           fmt=(("json", "text"), "json"))
+    common(sub.add_parser("roots", help="isolated Faber roots"), k=True, m=True)
+    common(sub.add_parser("arc-zeros", help="certified arc zero report"), k=True, m=True)
+    common(sub.add_parser("verify-bounds", help="full bound ledger"))
+    sp = common(sub.add_parser("verify-thm2", help="exhaustive m=1 sweep"), fmt=json_text)
     sp.add_argument("--max-ell", type=int, default=14)
     common(sub.add_parser("mrl-check", help="oscillation estimate on a grid"),
-           k=True, m=True, prec=prec, grid="angle step of the oscillation grid")
-    sp = common(sub.add_parser("dist", help="zero angle distribution"), prec=j_prec, fmt=True)
+           k=True, m=True, grid="angle step of the oscillation grid")
+    sp = common(sub.add_parser("dist", help="zero angle distribution"),
+                fmt=(("json", "csv"), "csv"))
     sp.add_argument("--k-list", required=True,
                     help="comma separated weights, e.g. 120,480,1920")
     sp.add_argument("--m", type=int, default=1)
@@ -93,7 +98,7 @@ def _parser() -> argparse.ArgumentParser:
 def _cmd_expand(args, out) -> int:
     trunc = args.trunc if args.trunc is not None else 16
     s = _series_by_name(args.form, trunc)
-    if (args.format or "text") == "json":
+    if args.format == "json":
         print(json.dumps(s.to_json_dict()), file=out)
     else:
         print(str(s), file=out)
@@ -111,8 +116,8 @@ def _cmd_miller(args, out) -> int:
 
 
 def _cmd_faber(args, out) -> int:
-    form = miller.miller_form(args.k, args.m, trunc=args.trunc)
-    if (args.format or "json") == "text":
+    form = miller.miller_form(args.k, args.m)
+    if args.format == "text":
         print(form.faber.as_text(), file=out)
     else:
         print(miller.faber_json(form), file=out)
@@ -120,7 +125,7 @@ def _cmd_faber(args, out) -> int:
 
 
 def _cmd_roots(args, out) -> int:
-    form = miller.miller_form(args.k, args.m, trunc=args.trunc)
+    form = miller.miller_form(args.k, args.m)
     intervals, off = zeros.real_root_census(form.faber)
     for lo, hi in intervals:
         mid = (lo + hi) / 2
@@ -134,14 +139,13 @@ def _cmd_roots(args, out) -> int:
 
 
 def _cmd_arc_zeros(args, out) -> int:
-    form = miller.miller_form(args.k, args.m, trunc=args.trunc)
-    rep = zeros.zero_report(form, prec=args.precision_bits)
+    rep = zeros.zero_report(miller.miller_form(args.k, args.m))
     print(json.dumps(rep.to_json_dict()), file=out)
     return 0 if rep.valence_ok else 1
 
 
 def _cmd_verify_bounds(args, out) -> int:
-    entries = certify.full_ledger(prec=args.precision_bits)
+    entries = certify.full_ledger()
     bad = [e for e in entries if not e.satisfied]
     for e in entries:
         print(e.to_json(), file=out)
@@ -159,9 +163,8 @@ def _cmd_verify_thm2(args, out) -> int:
     except zeros.TheoremViolationError as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         return 1
-    fmt = args.format or "text"
     for k, rep in results:
-        if fmt == "json":
+        if args.format == "json":
             print(json.dumps(rep.to_json_dict()), file=out)
         else:
             n_in = len(rep.faber_roots_in)
@@ -172,9 +175,7 @@ def _cmd_verify_thm2(args, out) -> int:
 
 
 def _cmd_mrl_check(args, out) -> int:
-    rep = certify.proposition_mrl_check(args.k, args.m,
-                                        grid_step=args.grid_step,
-                                        prec=args.precision_bits)
+    rep = certify.proposition_mrl_check(args.k, args.m, grid_step=args.grid_step)
     print(json.dumps({"k": rep.k, "m": rep.m,
                       "hypothesis_ok": rep.hypothesis_ok,
                       "grid_max": rep.grid_max, "err_at_max": rep.err_at_max,
@@ -187,10 +188,8 @@ def _cmd_mrl_check(args, out) -> int:
 
 def _cmd_dist(args, out) -> int:
     ks = [int(x) for x in args.k_list.split(",") if x]
-    stats = zeros.distribution_stats([(k, args.m) for k in ks], bins=args.bins,
-                                     prec=args.precision_bits)
-    fmt = args.format or "csv"
-    if fmt == "json":
+    stats = zeros.distribution_stats([(k, args.m) for k in ks], bins=args.bins)
+    if args.format == "json":
         for st in stats:
             print(json.dumps(st.to_json_dict()), file=out)
     else:

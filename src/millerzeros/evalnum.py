@@ -421,7 +421,7 @@ def auto_trunc(y, prec: int) -> int:
     return max(24, n)
 
 
-def form_arc_prec(ell: int, m: int, floor: int = DEFAULT_PREC) -> int:
+def form_arc_prec(ell: int, m: int) -> int:
     """Starting precision for a basis form on the arc, for mrl-check.
 
     A starting point, not a guarantee: the oscillation check evaluates
@@ -433,7 +433,7 @@ def form_arc_prec(ell: int, m: int, floor: int = DEFAULT_PREC) -> int:
     bits of amplitude.  Near j = 1728 at large ell the bound on F's slope
     can still exceed it.
     """
-    return max(floor, 64 + 3 * ell + 10 * m)
+    return max(DEFAULT_PREC, 64 + 3 * ell + 10 * m)
 
 
 class _QPoint:
@@ -622,14 +622,14 @@ class LemniscateConstants:
     varpi_prime: CertValue  # 2 * integral_0^1 dx / sqrt(1 - x^6)
 
 
-def lemniscate_constants(prec: int = DEFAULT_PREC) -> LemniscateConstants:
+def lemniscate_constants() -> LemniscateConstants:
     """Both arclength integrals in closed form, padded like other values.
 
     varpi = pi / agm(1, sqrt 2) and varpi' = Gamma(1/6) Gamma(1/2) /
     (3 Gamma(2/3)); the values are independently pinned by tests against
     Delta(i) and E_6(rho) evaluations.
     """
-    with workprec(prec + 64):
+    with workprec(DEFAULT_PREC + 64):
         varpi = mp.pi / mp.agm(1, mp.sqrt(2))
         varpi_prime = mp.gamma(mpf(1) / 6) * mp.sqrt(mp.pi) / (3 * mp.gamma(mpf(2) / 3))
         return LemniscateConstants(varpi=CertValue(varpi, _pad(varpi)),
@@ -657,8 +657,7 @@ def arc_grid(step: float = 1e-3) -> list:
     return pts
 
 
-def export_arc_csv(name: str, outfile, step: float = 1e-3,
-                   prec: int = DEFAULT_PREC) -> int:
+def export_arc_csv(name: str, outfile, step: float = 1e-3) -> int:
     """Write theta,value,err rows for one arc function; returns the row count."""
     if name not in ARC_FUNCTION_NAMES:
         raise ValueError(f"unknown arc function {name!r}")
@@ -666,7 +665,7 @@ def export_arc_csv(name: str, outfile, step: float = 1e-3,
     writer.writerow(["theta", "value", "err"])
     rows = 0
     for theta in arc_grid(step):
-        av = arc_functions(theta, prec=prec)
+        av = arc_functions(theta)
         cv = getattr(av, name)
         writer.writerow([repr(theta), repr(float(cv.value)), repr(float(cv.err))])
         rows += 1

@@ -311,10 +311,10 @@ class HFunction:
 # certified arc localization
 
 
-_J_LADDER = (1, 2, 4, 8)         # multiples of the starting j precision
+_J_LADDER = (1, 2, 4, 8)         # multiples of DEFAULT_PREC for the certified j
 
 
-def _certified_arc_sign(form: MillerForm, theta, prec: int) -> int:
+def _certified_arc_sign(form: MillerForm, theta) -> int:
     """Sign of G(theta) through F(j(theta)); 0 is never returned.
 
     On the arc G = delta_arc^ell e4^a e6^b F(j) with E_k' = E_4^a E_6^b,
@@ -322,17 +322,18 @@ def _certified_arc_sign(form: MillerForm, theta, prec: int) -> int:
     e6 > 0 on (pi/2, 2 pi/3]; so sign G = (-1)^(ell + a) sign F on the
     certified j-enclosure, decided exactly by IntPolynomial.sign_on.  An
     angle within a few ulp of a corner where e4^a e6^b vanishes has no
-    certified factor sign and raises.
+    certified factor sign and raises.  j starts at DEFAULT_PREC and climbs
+    _J_LADDER while the sign is not decided.
     """
     fid = form.id
     a, b = EISENSTEIN_FACTORS[fid.kprime]
-    with workprec(prec + 16):
+    with workprec(DEFAULT_PREC + 16):
         t, tol = mpf(theta), mpf(2) ** (8 - mp.prec)
         if (a and t >= 2 * mp.pi / 3 - tol) or (b and t <= mp.pi / 2 + tol):
             raise InconclusiveSignError(float(theta), 0)
     flip = -1 if (fid.ell + a) % 2 else 1
     for scale in _J_LADDER:
-        jv = arc_j(theta, prec=scale * prec)
+        jv = arc_j(theta, prec=scale * DEFAULT_PREC)
         radius = _exact(jv.err)
         if radius < 1:
             s = form.faber.sign_on(_exact(jv.value), radius)
@@ -341,7 +342,7 @@ def _certified_arc_sign(form: MillerForm, theta, prec: int) -> int:
     raise InconclusiveSignError(float(theta), len(_J_LADDER))
 
 
-def arc_zero_localize(form: MillerForm, prec: int = DEFAULT_PREC) -> list:
+def arc_zero_localize(form: MillerForm) -> list:
     """Bracketing angle intervals for the arc zeros of g_{k,m}.
 
     Samples G at the h-multiple angles; each certified sign change
@@ -362,7 +363,7 @@ def arc_zero_localize(form: MillerForm, prec: int = DEFAULT_PREC) -> list:
             continue
         if skip_rho and 3 * n == fid.k - 3 * fid.m:
             continue
-        samples.append((n, theta, _certified_arc_sign(form, theta, prec)))
+        samples.append((n, theta, _certified_arc_sign(form, theta)))
     out = []
     for (n1, t1, s1), (n2, t2, s2) in zip(samples, samples[1:]):
         if s1 != s2:
@@ -370,21 +371,20 @@ def arc_zero_localize(form: MillerForm, prec: int = DEFAULT_PREC) -> list:
     return out
 
 
-def refine_arc_zero(form: MillerForm, lo: float, hi: float,
-                    width: float = 1e-5, prec: int = DEFAULT_PREC) -> tuple:
+def refine_arc_zero(form: MillerForm, lo: float, hi: float, width: float = 1e-5) -> tuple:
     """Shrink a single sign-change bracket by certified bisection."""
     lo, hi = mpf(lo), mpf(hi)
-    s_lo = _certified_arc_sign(form, lo, prec)
+    s_lo = _certified_arc_sign(form, lo)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        if _certified_arc_sign(form, mid, prec) == s_lo:
+        if _certified_arc_sign(form, mid) == s_lo:
             lo = mid
         else:
             hi = mid
     return (float(lo), float(hi))
 
 
-def j_of_angle(interval, prec: int = DEFAULT_PREC) -> tuple:
+def j_of_angle(interval) -> tuple:
     """Certified rational enclosure of j(e^{i theta}) over an angle interval.
 
     j is strictly decreasing along the arc, so the image is spanned by
@@ -392,8 +392,8 @@ def j_of_angle(interval, prec: int = DEFAULT_PREC) -> tuple:
     convert to Fraction exactly, so the enclosure has no rounding at all.
     """
     lo, hi = interval if isinstance(interval, tuple) else (interval, interval)
-    top = arc_j(lo, prec=prec)
-    bot = arc_j(hi, prec=prec)
+    top = arc_j(lo)
+    bot = arc_j(hi)
     return (_exact(bot.value) - _exact(bot.err), _exact(top.value) + _exact(top.err))
 
 
@@ -449,8 +449,7 @@ def _boundary_multiplicity(p: IntPolynomial, at: int) -> tuple:
     return mult, p
 
 
-def zero_report(form: MillerForm, with_arc: bool = True,
-                prec: int = DEFAULT_PREC) -> ZeroReport:
+def zero_report(form: MillerForm, with_arc: bool = True) -> ZeroReport:
     fid = form.id
     mult0, deflated = _boundary_multiplicity(form.faber, 0)
     mult1728, deflated = _boundary_multiplicity(deflated, 1728)
@@ -465,7 +464,7 @@ def zero_report(form: MillerForm, with_arc: bool = True,
     ti, trho = trivial_orders(fid.kprime)
     report = ZeroReport(
         id=fid,
-        arc_angles=arc_zero_localize(form, prec=prec) if with_arc else [],
+        arc_angles=arc_zero_localize(form) if with_arc else [],
         faber_roots_in=inner,
         faber_roots_out=off,
         boundary_mult={0: mult0, 1728: mult1728},
@@ -556,18 +555,16 @@ def star_discrepancy(unit_points: list) -> float:
     return worst
 
 
-def zero_angles(form: MillerForm, width: float = 1e-5,
-                prec: int = DEFAULT_PREC) -> list:
-    brackets = arc_zero_localize(form, prec=prec)
+def zero_angles(form: MillerForm) -> list:
+    """Midpoints of the arc zero brackets, each refined to width 1e-5."""
     out = []
-    for lo, hi in brackets:
-        a, b = refine_arc_zero(form, lo, hi, width=width, prec=prec)
+    for lo, hi in arc_zero_localize(form):
+        a, b = refine_arc_zero(form, lo, hi)
         out.append((a + b) / 2)
     return out
 
 
-def distribution_stats(fid_list: list, bins: int = 8,
-                       prec: int = DEFAULT_PREC) -> list:
+def distribution_stats(fid_list: list, bins: int = 8) -> list:
     """Histogram and star discrepancy of normalized zero angles per form.
 
     Angles are mapped to [0, 1] by u = (theta - pi/2) / (pi/6); uniform
@@ -580,7 +577,7 @@ def distribution_stats(fid_list: list, bins: int = 8,
         if isinstance(fid, tuple):
             fid = FormId.from_k(*fid)
         form = miller_form(fid.k, fid.m)
-        angles = zero_angles(form, prec=prec)
+        angles = zero_angles(form)
         units = [(t - lo) / span for t in angles]
         hist = [0] * bins
         for u in units:

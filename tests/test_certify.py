@@ -16,7 +16,7 @@ from millerzeros.certify import (
     monotonicity_certificate_075, magnitude_certificate_065,
     j_difference_bounds, delta_line_bounds,
     residue_term, residue_entries, _residue_slope, _table_value,
-    proposition_mrl_check, _amplitude, _entry_lower, _entry_upper,
+    proposition_mrl_check, _amplitude, _entry_lower, _entry_upper, _entry_value,
     full_ledger, _LINE_CASES, _dominated_tail, _pad_of,
     _ARC_CLAIMS, _DEPTH, _arc_slopes, _bisect_claims, arc_eisenstein_bounds,
 )
@@ -332,6 +332,58 @@ def test_entry_bounds_compare_with_the_decimal_claim():
         assert between.value < mpf(3.45)
     assert not _entry_upper("x", "demo", between, 3.45).satisfied
     assert _entry_lower("x", "demo", between, 3.45).satisfied
+    # the double nearest 1e-5 is 1e-5 + 8.2e-22: a value that far from the
+    # claim meets the double tolerance but not the decimal one
+    at_double = CertValue(mpf(1e-5))
+    assert at_double.value == mpf(1e-5)
+    assert not _entry_value("x", "demo", at_double, 0, 1e-5).satisfied
+    assert _entry_value("x", "demo", CertValue(mpf(10) ** -6), 0, 1e-5).satisfied
+
+
+def test_ledger_enclosures_contain_what_they_bound(monkeypatch):
+    # checked in exact Fractions: each .grid enclosure holds both ends of
+    # [largest abs_lower, largest abs_upper] over its leaves, each delta
+    # ratio the quotient of the arc maximum by the line minimum; the ends
+    # are taken at the precision the ledger itself runs at
+    given, quotient, line_ends = {}, {}, []
+
+    def upper(name, ref, cv, claimed):
+        given[name] = cv
+        return _entry_upper(name, ref, cv, claimed)
+
+    def lower(name, ref, cv, claimed):
+        quotient[name] = _exact(cv.value)
+        return _entry_lower(name, ref, cv, claimed)
+
+    def value(name, ref, cv, claimed, tol):
+        if name == "delta.at-rho":
+            quotient["arc-max"] = _exact(cv.abs_upper())
+        return _entry_value(name, ref, cv, claimed, tol)
+
+    def bisect(enclose, lo, hi, claims):
+        held, leaves = _bisect_claims(enclose, lo, hi, claims)
+        caps = leaves["cap"]
+        line_ends.append((max(_exact(v.abs_lower()) for v in caps),
+                          max(_exact(v.abs_upper()) for v in caps)))
+        return held, leaves
+
+    monkeypatch.setattr(certify, "_entry_upper", upper)
+    monkeypatch.setattr(certify, "_entry_lower", lower)
+    monkeypatch.setattr(certify, "_entry_value", value)
+    monkeypatch.setattr(certify, "_bisect_claims", bisect)
+    certify.delta_ledger()
+    certify.eisenstein_line_bounds()
+
+    def holds(cv, x):
+        return _exact(cv.value) - _exact(cv.err) <= x <= _exact(cv.value) + _exact(cv.err)
+
+    for h in ("065", "075"):
+        ratio = quotient["arc-max"] / quotient[f"delta.line-{h}.lower"]
+        assert holds(given[f"delta.ratio-{h}"], ratio), h
+    grids = [name for name in given if name.endswith(".grid")]
+    assert len(grids) == len(line_ends) == len(_LINE_CASES)
+    for name, (lo, hi) in zip(grids, line_ends):
+        assert holds(given[name], lo) and holds(given[name], hi), name
 
 
 def test_dominated_tail_within_its_pad():

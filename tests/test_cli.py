@@ -183,7 +183,7 @@ def test_determinism(capsys):
     ("faber", "--k", "48", "--m", "5"),       # m beyond the dimension
     ("expand", "--form", "bogus"),
     ("miller", "--k", "2"),
-    ("faber", "--k", "48", "--m", "1", "--trunc", "3"),   # trunc below ell + 1
+    ("miller", "--k", "48", "--trunc", "3"),             # trunc below ell + 1
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -199,9 +199,34 @@ def test_verify_bounds_takes_no_grid_step(capsys):
     assert "unrecognized arguments: --grid-step" in capsys.readouterr().err
 
 
-def test_unread_option_is_a_usage_error(capsys):
-    # roots isolates exactly and never reads a working precision
+# the required options of each command, so that argparse reaches the one under test
+REQUIRED = {"arc-zeros": ("--k", "48", "--m", "1"), "verify-bounds": (),
+            "mrl-check": ("--k", "192", "--m", "1"), "dist": ("--k-list", "120"),
+            "faber": ("--k", "48", "--m", "1"), "roots": ("--k", "48", "--m", "1"),
+            "expand": ("--form", "E4"), "verify-thm2": ()}
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("arc-zeros", "--precision-bits"), ("verify-bounds", "--precision-bits"),
+    ("mrl-check", "--precision-bits"), ("dist", "--precision-bits"),
+    ("faber", "--trunc"), ("roots", "--trunc"), ("arc-zeros", "--trunc"),
+    ("roots", "--precision-bits"),
+], ids=lambda v: v.lstrip("-"))
+def test_unread_option_is_a_usage_error(capsys, command, flag):
+    # one working precision for every command, and F_{k,m} does not depend
+    # on the truncation, so no command that prints no series reads these
     with pytest.raises(SystemExit) as exc:
-        main(["roots", "--k", "48", "--m", "1", "--precision-bits", "64"])
+        main([command, *REQUIRED[command], flag, "64"])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --precision-bits" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, fmt", [
+    ("expand", "csv"), ("verify-thm2", "csv"), ("faber", "csv"), ("dist", "text"),
+])
+def test_unwritten_format_is_a_usage_error(capsys, command, fmt):
+    # each command offers only the formats it writes
+    with pytest.raises(SystemExit) as exc:
+        main([command, *REQUIRED[command], "--format", fmt])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{fmt}'" in capsys.readouterr().err

@@ -19,7 +19,7 @@ def run_script(name, *args, cwd=None):
 def test_run_verification_help():
     done = run_script("run_verification.py", "--help")
     assert done.returncode == 0, done.stderr
-    assert "--precision-bits" in done.stdout
+    assert "--grid-step" in done.stdout
 
 
 def test_export_arc_curves_writes_four_csvs(tmp_path):

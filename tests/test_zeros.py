@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, workprec
 
 from millerzeros.qseries import EISENSTEIN_FACTORS, FormId
-from millerzeros.evalnum import DEFAULT_PREC, arc_functions, arc_j, form_arc_prec
+from millerzeros.evalnum import arc_functions, arc_j, form_arc_prec
 from millerzeros.miller import IntPolynomial, miller_form
 from millerzeros.zeros import (
     ROOT_WIDTH, InconclusiveSignError, TheoremViolationError, _certified_arc_sign, _exact,
@@ -378,7 +378,7 @@ def test_certified_arc_sign_matches_direct_evaluation(kprime, m, direct_arc):
             continue
         want = direct_arc(form, theta, prec=form_arc_prec(fid.ell, m)).certified_sign()
         assert want != 0
-        assert _certified_arc_sign(form, theta, DEFAULT_PREC) == want
+        assert _certified_arc_sign(form, theta) == want
         checked += 1
     assert checked >= fid.ell - m
 
@@ -390,12 +390,12 @@ def test_certified_arc_sign_refuses_corners():
         at_i, at_rho = mp.pi / 2, 2 * mp.pi / 3
     for theta in (math.pi / 2, at_i):
         with pytest.raises(InconclusiveSignError):
-            _certified_arc_sign(miller_form(54, 1), theta, DEFAULT_PREC)
+            _certified_arc_sign(miller_form(54, 1), theta)
     with pytest.raises(InconclusiveSignError):
-        _certified_arc_sign(miller_form(52, 1), at_rho, DEFAULT_PREC)
+        _certified_arc_sign(miller_form(52, 1), at_rho)
     # the other corner of each form has a certified factor sign
-    assert _certified_arc_sign(miller_form(54, 1), at_rho, DEFAULT_PREC) != 0
-    assert _certified_arc_sign(miller_form(52, 1), at_i, DEFAULT_PREC) != 0
+    assert _certified_arc_sign(miller_form(54, 1), at_rho) != 0
+    assert _certified_arc_sign(miller_form(52, 1), at_i) != 0
 
 
 def test_refine_arc_zero(form_48_1):
