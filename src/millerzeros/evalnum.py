@@ -61,6 +61,7 @@ lower.
 
 from __future__ import annotations
 
+import cmath
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
@@ -612,6 +613,35 @@ def arc_j(p, prec: int = DEFAULT_PREC) -> CertValue:
         return _series_at(qseries.jfunction(n), pt, JCoeffTail()).as_real()
 
 
+_J_FLOAT_TERMS = 24         # c(24) |q|^24 < 1e-31 on the arc, |q| <= e^(-pi sqrt 3)
+
+
+@lru_cache(maxsize=1)
+def _j_float_coeffs() -> tuple:
+    """c(-1), c(0), ..., c(_J_FLOAT_TERMS) of j as doubles, highest first.
+
+    Built on the first arc_j_float call, not at import.
+    """
+    return tuple(float(c) for c in reversed(qseries.jfunction(_J_FLOAT_TERMS).coeffs))
+
+
+def arc_j_float(theta) -> float:
+    """j(e^(i theta)) on the arc in complex doubles; uncertified.
+
+    q^-1 (1 + 744 q + ... + c(24) q^25) by Horner on the double
+    coefficients of the integer j q-series; the dropped tail is below
+    1e-31 on the arc, and the rounding leaves a few ulp of j (under 5e-13
+    on arc_grid(1e-3)).  The value is never part of an enclosure: it
+    only chooses which cell a certified evaluation (arc_j) then decides,
+    so a wrong double costs time, never a wrong result.
+    """
+    q = cmath.exp(2j * cmath.pi * cmath.exp(1j * float(theta)))
+    acc = 0j
+    for c in _j_float_coeffs():
+        acc = acc * q + c
+    return (acc / q).real
+
+
 # ---------------------------------------------------------------------------
 # lemniscate constants
 
@@ -647,7 +677,10 @@ def arc_grid(step: float = 1e-3) -> list:
     """Deterministic closed theta grid over [pi/2, 2pi/3] with the given step.
 
     The ends come from 64 bits at any ambient precision (at 53, 2pi/3 rounds
-    below rho); the last lies above rho, and the arc functions clamp it."""
+    below rho); the last lies above rho, and the arc functions clamp it.
+    A step that is not a positive finite number raises ValueError."""
+    if not 0 < step < float("inf"):
+        raise ValueError(f"grid step must be a positive finite number, got {step!r}")
     with workprec(64):
         lo, hi = float(mp.pi / 2), float(2 * mp.pi / 3)
     n = int((hi - lo) / step)
@@ -661,10 +694,11 @@ def export_arc_csv(name: str, outfile, step: float = 1e-3) -> int:
     """Write theta,value,err rows for one arc function; returns the row count."""
     if name not in ARC_FUNCTION_NAMES:
         raise ValueError(f"unknown arc function {name!r}")
+    grid = arc_grid(step)
     writer = csv.writer(outfile)
     writer.writerow(["theta", "value", "err"])
     rows = 0
-    for theta in arc_grid(step):
+    for theta in grid:
         av = arc_functions(theta)
         cv = getattr(av, name)
         writer.writerow([repr(theta), repr(float(cv.value)), repr(float(cv.err))])

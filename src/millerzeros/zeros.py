@@ -13,6 +13,11 @@ Two independent mechanisms see every zero:
     certified j(theta) enclosure at a precision independent of k plus
     one exact integer sign of F on it (IntPolynomial.sign_on).
 
+refine_arc_zero narrows a bracket by bisection on an uncertified sign,
+F at the double j of evalnum.arc_j_float, and certifies only the two
+ends of the cell it ends in; certified bisection runs only when those
+two signs agree.
+
 The j-images of the arc brackets must land in the Faber isolating
 intervals, and the valence formula must reconcile exactly; both checks
 are assembled into a ZeroReport.
@@ -36,10 +41,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import mp, mpf, workprec
 
-from .evalnum import DEFAULT_PREC, _exact, arc_j
+from .evalnum import DEFAULT_PREC, _exact, arc_j, arc_j_float
 from .miller import IntPolynomial, MillerForm, miller_form
 from .qseries import EISENSTEIN_FACTORS, EXTRA_WEIGHTS, FormId
 
@@ -314,6 +320,23 @@ class HFunction:
 _J_LADDER = (1, 2, 4, 8)         # multiples of DEFAULT_PREC for the certified j
 
 
+def _arc_flip(form: MillerForm) -> int:
+    """(-1)^(ell + a): sign G = _arc_flip(form) sign F(j) on the open arc."""
+    a, _ = EISENSTEIN_FACTORS[form.id.kprime]
+    return -1 if (form.id.ell + a) % 2 else 1
+
+
+def _float_arc_sign(form: MillerForm, theta) -> int:
+    """Sign of G(theta) from the double j of arc_j_float; uncertified.
+
+    F's sign is exact at the rational value n / d of that double
+    (IntPolynomial.sign_at), so only the double itself can be wrong.
+    refine_arc_zero uses it to pick the cell that it then certifies.
+    """
+    n, d = arc_j_float(theta).as_integer_ratio()
+    return _arc_flip(form) * form.faber.sign_at(n, d)
+
+
 def _certified_arc_sign(form: MillerForm, theta) -> int:
     """Sign of G(theta) through F(j(theta)); 0 is never returned.
 
@@ -325,13 +348,12 @@ def _certified_arc_sign(form: MillerForm, theta) -> int:
     certified factor sign and raises.  j starts at DEFAULT_PREC and climbs
     _J_LADDER while the sign is not decided.
     """
-    fid = form.id
-    a, b = EISENSTEIN_FACTORS[fid.kprime]
+    a, b = EISENSTEIN_FACTORS[form.id.kprime]
     with workprec(DEFAULT_PREC + 16):
         t, tol = mpf(theta), mpf(2) ** (8 - mp.prec)
         if (a and t >= 2 * mp.pi / 3 - tol) or (b and t <= mp.pi / 2 + tol):
             raise InconclusiveSignError(float(theta), 0)
-    flip = -1 if (fid.ell + a) % 2 else 1
+    flip = _arc_flip(form)
     for scale in _J_LADDER:
         jv = arc_j(theta, prec=scale * DEFAULT_PREC)
         radius = _exact(jv.err)
@@ -371,17 +393,44 @@ def arc_zero_localize(form: MillerForm) -> list:
     return out
 
 
-def refine_arc_zero(form: MillerForm, lo: float, hi: float, width: float = 1e-5) -> tuple:
-    """Shrink a single sign-change bracket by certified bisection."""
-    lo, hi = mpf(lo), mpf(hi)
-    s_lo = _certified_arc_sign(form, lo)
+def _bisect_arc(lo, hi, width, sign) -> tuple:
+    """The cell of width <= width that bisecting [lo, hi] on sign ends in.
+
+    Each step keeps the half whose lower end has the sign of lo.  The
+    midpoints (lo + hi) / 2 depend on the path alone, so every sign
+    function walks the same tree of cells and ends in one of its leaves.
+    """
+    s_lo = sign(lo)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        if _certified_arc_sign(form, mid) == s_lo:
+        if sign(mid) == s_lo:
             lo = mid
         else:
             hi = mid
-    return (float(lo), float(hi))
+    return lo, hi
+
+
+def refine_arc_zero(form: MillerForm, lo: float, hi: float, width: float = 1e-5) -> tuple:
+    """Shrink a sign-change bracket to a certified sign-change cell of width <= width.
+
+    The bisection first runs on the double-precision sign _float_arc_sign,
+    and only the two ends of the cell it ends in are certified
+    (_certified_arc_sign).  If their signs differ, that cell is returned:
+    with one zero in the bracket it is the one leaf of the bisection tree
+    that holds the zero, which is where bisection on certified signs ends
+    too.  Otherwise the same bisection runs again from [lo, hi] on
+    certified signs.  A final cell whose certified end signs agree means
+    the bracket holds no certified sign change, and raises ValueError.
+    """
+    lo, hi = mpf(lo), mpf(hi)
+    certified = lru_cache(maxsize=None)(lambda t: _certified_arc_sign(form, t))
+    a, b = _bisect_arc(lo, hi, width, lambda t: _float_arc_sign(form, t))
+    if certified(a) == certified(b):
+        a, b = _bisect_arc(lo, hi, width, certified)
+        if certified(a) == certified(b):
+            raise ValueError(f"no certified sign change of g_{{{form.id.k},{form.id.m}}} "
+                             f"in the bracket [{float(lo)!r}, {float(hi)!r}]")
+    return (float(a), float(b))
 
 
 def j_of_angle(interval) -> tuple:
@@ -569,7 +618,10 @@ def distribution_stats(fid_list: list, bins: int = 8) -> list:
 
     Angles are mapped to [0, 1] by u = (theta - pi/2) / (pi/6); uniform
     distribution of the zeros corresponds to the uniform measure there.
+    Fewer than one bin raises ValueError.
     """
+    if bins < 1:
+        raise ValueError(f"bins must be at least 1, got {bins}")
     lo = math.pi / 2
     span = math.pi / 6
     out = []

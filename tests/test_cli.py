@@ -191,6 +191,18 @@ def test_usage_errors_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("mrl-check", "--k", "192", "--m", "1", "--grid-step", "0"),
+    ("mrl-check", "--k", "192", "--m", "1", "--grid-step", "-0.01"),
+    ("dist", "--k-list", "120", "--bins", "0"),
+    ("dist", "--k-list", "120", "--bins", "-1"),
+])
+def test_bad_grid_step_or_bins_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_verify_bounds_takes_no_grid_step(capsys):
     # no ledger claim is sampled on an angle grid any more
     with pytest.raises(SystemExit) as exc:

@@ -16,7 +16,7 @@ from millerzeros.evalnum import (
     CertValue, NotRealError, TailUnboundedError, _abs_upper, _exact,
     EisensteinTail, JCoeffTail, EtaProductTail, j_tail_bound,
     eval_poly, eval_series, eval_delta_eta,
-    arc_functions, arc_form, arc_j, arc_grid, export_arc_csv,
+    arc_functions, arc_form, arc_j, arc_j_float, arc_grid, export_arc_csv,
     lemniscate_constants, form_arc_prec, auto_trunc,
 )
 
@@ -542,6 +542,20 @@ def test_eval_form_matches_separate_q_path(theta, form_124_1, direct_form):
 def test_arc_j_monotone_decreasing():
     vals = [arc_j(t).value for t in arc_grid(2e-2)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def test_arc_j_float_matches_arc_j():
+    # j runs from 1728 at i to 0 at rho; near rho the double keeps its
+    # absolute accuracy, so the tolerance is relative to max(|j|, 1)
+    for t in arc_grid(2e-2):
+        ref = float(arc_j(t).value)
+        assert abs(arc_j_float(t) - ref) <= 1e-9 * max(abs(ref), 1)
+
+
+@pytest.mark.parametrize("step", [0, -0.01, float("nan"), float("inf")])
+def test_arc_grid_rejects_a_step_that_is_not_positive_and_finite(step):
+    with pytest.raises(ValueError, match="grid step"):
+        arc_grid(step)
 
 
 def test_arc_form_real_and_bracketing(form_48_1):

@@ -10,12 +10,13 @@ from mpmath import mp, mpf, workprec
 
 from millerzeros.qseries import EISENSTEIN_FACTORS, FormId
 from millerzeros.evalnum import arc_functions, arc_j, form_arc_prec
+from millerzeros import zeros
 from millerzeros.miller import IntPolynomial, miller_form
 from millerzeros.zeros import (
     ROOT_WIDTH, InconclusiveSignError, TheoremViolationError, _certified_arc_sign, _exact,
     _bisect, _reduced, _roots_in_closed, _squarefree_chain, sturm_chain, real_root_census,
     cauchy_bound,
-    HFunction, arc_zero_localize, refine_arc_zero, j_of_angle,
+    HFunction, arc_zero_localize, refine_arc_zero, j_of_angle, _bisect_arc,
     trivial_orders, ZeroReport, zero_report, valence_reconcile,
     verify_theorem_m1, star_discrepancy, zero_angles, distribution_stats,
 )
@@ -405,6 +406,62 @@ def test_refine_arc_zero(form_48_1):
     assert rhi - rlo <= 1e-5
 
 
+def _certified_cell(form, lo, hi, width=1e-5):
+    """The cell bisection on certified signs alone ends in."""
+    a, b = _bisect_arc(mpf(lo), mpf(hi), width, lambda t: _certified_arc_sign(form, t))
+    return float(a), float(b)
+
+
+@pytest.mark.parametrize("k", [48, 120, 398])
+def test_refine_arc_zero_matches_certified_bisection(k):
+    form = miller_form(k, 1)
+    for lo, hi in arc_zero_localize(form):
+        assert refine_arc_zero(form, lo, hi) == _certified_cell(form, lo, hi)
+
+
+def _count_certified(monkeypatch) -> list:
+    calls = []
+    inner = zeros._certified_arc_sign
+
+    def counted(form, theta):
+        calls.append(theta)
+        return inner(form, theta)
+
+    monkeypatch.setattr(zeros, "_certified_arc_sign", counted)
+    return calls
+
+
+def test_refine_arc_zero_certifies_only_the_final_cell(monkeypatch, form_48_1):
+    lo, hi = arc_zero_localize(form_48_1)[1]
+    calls = _count_certified(monkeypatch)
+    refine_arc_zero(form_48_1, lo, hi)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("lie", ["constant", "negated"])
+def test_refine_arc_zero_survives_a_lying_float_sign(monkeypatch, lie):
+    form = miller_form(120, 1)
+    brackets = arc_zero_localize(form)
+    want = [_certified_cell(form, lo, hi) for lo, hi in brackets]
+    honest = zeros._float_arc_sign
+    monkeypatch.setattr(zeros, "_float_arc_sign", {
+        "constant": lambda form, t: 1,
+        "negated": lambda form, t: -honest(form, t)}[lie])
+    calls = _count_certified(monkeypatch)
+    assert [refine_arc_zero(form, lo, hi) for lo, hi in brackets] == want
+    if lie == "constant":
+        # it walks to the cell next to hi, which holds no zero: the
+        # certified bisection had to run
+        assert len(calls) > 2 * len(brackets)
+
+
+def test_refine_arc_zero_rejects_a_bracket_without_sign_change(form_48_1):
+    lo, hi = arc_zero_localize(form_48_1)[1]
+    a, b = refine_arc_zero(form_48_1, lo, hi)
+    with pytest.raises(ValueError, match="no certified sign change"):
+        refine_arc_zero(form_48_1, lo, (lo + (a + b) / 2) / 2)
+
+
 def test_cross_oracle_j_images(form_48_1):
     # refined arc zeros must land, under j, inside the Sturm intervals
     rep = zero_report(form_48_1)
@@ -554,6 +611,12 @@ def test_distribution_stats_single():
     assert s.count == 9 and sum(s.histogram) == 9
     assert 0 < s.discrepancy < 1
     assert s.to_json_dict()["count"] == 9
+
+
+@pytest.mark.parametrize("bins", [0, -1])
+def test_distribution_stats_rejects_fewer_than_one_bin(bins):
+    with pytest.raises(ValueError, match="bins"):
+        distribution_stats([(120, 1)], bins=bins)
 
 
 def test_exception_types():
