@@ -21,6 +21,7 @@ everything floating is a CertValue with a propagated radius.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -57,19 +58,37 @@ def _pad_of(v) -> mpf:
     return mp.ldexp(abs(v), 8 - mp.prec)
 
 
+def _outward(lo: Fraction, hi: Fraction) -> tuple:
+    """[lo, hi] rounded outward to doubles: down at lo, up at hi."""
+    a, b = float(lo), float(hi)
+    if Fraction(a) > lo:
+        a = math.nextafter(a, -math.inf)
+    if Fraction(b) < hi:
+        b = math.nextafter(b, math.inf)
+    return a, b
+
+
 @dataclass
 class BoundLedgerEntry:
+    """One ledger claim.  computed is the nearest double to the value and
+    err its radius; enclosure, the exact (lower, upper) Fractions that hold
+    the certified quantity, prints as lo and hi rounded outward."""
+
     name: str
     claimed: float
     computed: float
     err: float
     satisfied: bool
     paper_ref: str
+    enclosure: tuple | None = None
 
     def to_json_dict(self) -> dict:
-        return {"name": self.name, "claimed": self.claimed,
-                "computed": self.computed, "err": self.err,
-                "satisfied": bool(self.satisfied), "paper_ref": self.paper_ref}
+        d = {"name": self.name, "claimed": self.claimed,
+             "computed": self.computed, "err": self.err,
+             "satisfied": bool(self.satisfied), "paper_ref": self.paper_ref}
+        if self.enclosure is not None:
+            d["lo"], d["hi"] = _outward(*self.enclosure)
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -82,24 +101,26 @@ def _decimal(claimed) -> Fraction:
 
 def _entry_upper(name: str, ref: str, cv: CertValue, claimed) -> BoundLedgerEntry:
     """|computed| + err, rounded upward, must stay strictly below the claimed constant."""
-    ok = _exact(cv.abs_upper()) < _decimal(claimed)
-    return BoundLedgerEntry(name, float(claimed), float(abs(cv.value)),
-                            float(cv.err), ok, ref)
+    hi = _exact(cv.abs_upper())
+    return BoundLedgerEntry(name, float(claimed), float(abs(cv.value)), float(cv.err),
+                            hi < _decimal(claimed), ref, (_exact(cv.abs_lower()), hi))
 
 
 def _entry_lower(name: str, ref: str, cv: CertValue, claimed) -> BoundLedgerEntry:
     """|computed| - err, rounded downward, must stay strictly above the claimed constant."""
-    ok = _exact(cv.abs_lower()) > _decimal(claimed)
-    return BoundLedgerEntry(name, float(claimed), float(abs(cv.value)),
-                            float(cv.err), ok, ref)
+    lo = _exact(cv.abs_lower())
+    return BoundLedgerEntry(name, float(claimed), float(abs(cv.value)), float(cv.err),
+                            lo > _decimal(claimed), ref, (lo, _exact(cv.abs_upper())))
 
 
 def _entry_value(name: str, ref: str, cv: CertValue, claimed, tol) -> BoundLedgerEntry:
     """computed must equal the claimed constant within tol, radius included,
     compared exactly against both decimals as written."""
     v = cv.value.real if isinstance(cv.value, mpc) else cv.value
-    ok = abs(_exact(v) - _decimal(claimed)) + _exact(cv.err) <= _decimal(tol)
-    return BoundLedgerEntry(name, float(claimed), float(v), float(cv.err), bool(ok), ref)
+    mid, err = _exact(v), _exact(cv.err)
+    ok = abs(mid - _decimal(claimed)) + err <= _decimal(tol)
+    return BoundLedgerEntry(name, float(claimed), float(v), float(cv.err), bool(ok), ref,
+                            (mid - err, mid + err))
 
 
 def _lower(cv: CertValue) -> Fraction:
@@ -113,13 +134,15 @@ def _upper(cv: CertValue) -> Fraction:
 
 
 def _entry_flag(name: str, ref: str, ok: bool) -> BoundLedgerEntry:
-    return BoundLedgerEntry(name, 1.0, 1.0 if ok else 0.0, 0.0, bool(ok), ref)
+    flag = Fraction(1 if ok else 0)
+    return BoundLedgerEntry(name, 1.0, float(flag), 0.0, bool(ok), ref, (flag, flag))
 
 
 def _entry_exact(name: str, ref: str, computed: Fraction, claimed: Fraction,
                  upper: bool = True) -> BoundLedgerEntry:
     ok = computed < claimed if upper else computed > claimed
-    return BoundLedgerEntry(name, float(claimed), float(computed), 0.0, bool(ok), ref)
+    return BoundLedgerEntry(name, float(claimed), float(computed), 0.0, bool(ok), ref,
+                            (computed, computed))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,34 @@
 """The Miller basis g_{k,m} and its Faber polynomials, one form at a time.
 
-Write k = 12 ell + k', E_k' = E_4^a E_6^b, qd = Delta / q, J = q j =
-E_4^3 / qd, t = 1 / j = q / J and D = ell - m.  Then g = Delta^ell E_k'
-F(j) = q^m qd^m E_4^(3D+a) E_6^b t^D F(1/t), so g = q^m + O(q^(ell+1))
-holds exactly when t^D F(1/t) = V := 1 / (qd^m E_4^(3D+a) E_6^b) mod
-q^(D+1): F's coefficients, from the top down, are the first D + 1
-coefficients of V as a power series in t (Duke-Jenkins, PAMQ 4, 2008).
-They are read off greedily by V <- (V - V_0) J / q.  qd, E_4, E_6 and J
-all have constant term 1, so V and J are integral series and no step
-divides: F comes out monic with integer coefficients.  The last
-trunc - ell coefficients W left after D + 1 steps give the q-expansion
-tail g = q^m - q^(ell+1) W qd^(ell+1) E_k' / E_4^3.  V, J and the tail
-factor are each one qseries._monomial, at negative exponents too; this
-module adds only the t = 1/j reduction.
+Write k = 12 ell + k', E_k' = E_4^a E_6^b, qd = Delta / q, t = 1 / j and
+D = ell - m.  Then g = Delta^ell E_k' F(j) = q^m qd^m E_4^(3D+a) E_6^b
+t^D F(1/t), so g = q^m + O(q^(ell+1)) holds exactly when t^D F(1/t) =
+V := 1 / (qd^m E_4^(3D+a) E_6^b) mod t^(D+1): F's coefficients, from the
+top down, are the first D + 1 coefficients of V as a power series in t
+(Duke-Jenkins, PAMQ 4, 2008).
+
+V is built in t directly.  Kaneko-Zagier (1998) give E_4 = A^2 and
+E_6 = A^3 / B with the integral hypergeometric series
+A(t) = sum (6n)! / ((3n)! n!^3) t^n and
+B(t) = (1 - 1728 t)^(-1/2) = sum C(2n, n) 432^n t^n.
+From qd = E_4^3 t / q and k / 2 = 6 ell + 2a + 3b,
+V = (q/t)^m A^(-k/2) B^b.  Since q d/dq t = t E_6 / E_4,
+q/t = exp(sum_(n>=1) c_n t^n / n) with sum c_n t^n = E_4 / E_6 = B / A,
+so f = (q/t)^m solves A t f' = m (B - A) f, one O(n^2) recurrence.
+Every series here has constant term 1 and integer coefficients, so the
+products and powers (qseries._mul, qseries._power) are O(n^2) integer
+work and each division of the recurrences is exact; one that leaves a
+remainder raises NonIntegralFaberError.  The basis steps V_(m+1) =
+V_m (q/t).
+
+The q-expansion past q^ell is exact too.  With L = trunc - ell, the
+W = sum_r V[D+1+r] t(q)^r mod q^L left after F gives the tail
+g = q^m - q^(ell+1) W qd^(ell+1) E_k' / E_4^3, t(q) = q qd / E_4^3.
+The table of t(q)^r costs O(L^3) and depends only on L, so it is
+cached: nil at the default L = DEFAULT_MARGIN + 1, the dominant cost
+when a large trunc is asked for.  faber_of reads F of any form off its
+q-expansion by the greedy q-domain reduction V <- (V - V_0) J / q,
+J = q j, an independent O(n^3) path.
 """
 
 from __future__ import annotations
@@ -22,9 +38,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
-from .qseries import (EISENSTEIN_FACTORS, FormId, QSeries, _monomial, _mul, delta, eisenstein,
-                      jfunction)
+from .qseries import (EISENSTEIN_FACTORS, FormId, QSeries, _monomial, _mul, _power, delta,
+                      eisenstein, jfunction)
 
 
 class BadIndexError(ValueError):
@@ -298,35 +315,73 @@ def default_trunc(ell: int) -> int:
     return ell + 1 + DEFAULT_MARGIN
 
 
-def _start(fid: FormId, n: int) -> list:
-    """V = 1 / (qd^m E_4^(3D+a) E_6^b) to n coefficients q^0.., D = ell - m."""
-    a, b = EISENSTEIN_FACTORS[fid.kprime]
-    return _monomial(n, -fid.m, -3 * (fid.ell - fid.m) - a, -b)
+def _exact_div(num: int, den: int) -> int:
+    quo, rest = divmod(num, den)
+    if rest:
+        raise NonIntegralFaberError(f"{num} / {den} is not an integer")
+    return quo
 
 
-def _reduce(v: list, steps: int, big_j: list) -> tuple:
-    """The t = 1/j reduction: F's coefficients from the top down, and W.
+def _t_series(n: int) -> tuple:
+    """A and B as series in t = 1/j, to n coefficients each.
 
-    Each of the steps = D + 1 steps reads off V_0 and sets V <- (V - V_0)
-    J / q, with J = big_j to at least len(v) coefficients.  What is left
-    is the list W of len(v) - D - 1 coefficients.  The products dominate
-    the cost, so they run on plain lists rather than QSeries, which would
-    normalise every coefficient of every step.
+    A_i = A_(i-1) 24 (6i-1)(2i-1)(6i-5) / i^3 and B_i = B_(i-1) 864 (2i-1) / i
+    are the term ratios of (6i)! / ((3i)! i!^3) and C(2i, i) 432^i.
     """
-    top = []
-    for _ in range(steps):
-        top.append(v[0])
-        v = _mul(v[1:], big_j)
-    return top, v
+    a, b = [1], [1]
+    for i in range(1, n):
+        a.append(_exact_div(a[-1] * 24 * (6 * i - 1) * (2 * i - 1) * (6 * i - 5), i ** 3))
+        b.append(_exact_div(b[-1] * 864 * (2 * i - 1), i))
+    return a, b
 
 
-def _assemble(fid: FormId, trunc: int, v: list, big_j: list, tail_factor: list) -> MillerForm:
-    """g_{k,m} from V = _start(fid, trunc - m + 1); tail_factor is
+def _q_over_t(a: list, b: list, m: int) -> list:
+    """(q/t)^m to len(a) coefficients, from a, b = _t_series(len(a)).
+
+    f = (q/t)^m has t f' / f = m (E_4 / E_6 - 1) = m (B / A - 1), so
+    A t f' = m (B - A) f: with g_i = i f_i and d = B - A,
+    i f_i = m sum_(1 <= r <= i) d_r f_(i-r) - sum_(1 <= r <= i) A_r g_(i-r).
+    """
+    d = [y - x for x, y in zip(a, b)]
+    f, g = [1], [0]
+    for i in range(1, len(a)):
+        s = m * sum(map(mul, d[1:i + 1], reversed(f))) - sum(map(mul, a[1:i + 1], reversed(g)))
+        f.append(_exact_div(s, i))
+        g.append(s)
+    return f
+
+
+def _t_start(fid: FormId, n: int) -> list:
+    """V = (q/t)^m A^(-k/2) B^b to n coefficients t^0.., E_k' = E_4^a E_6^b."""
+    a_t, b_t = _t_series(n)
+    v = _power(a_t, -fid.k // 2)
+    if EISENSTEIN_FACTORS[fid.kprime][1]:          # b is 0 or 1
+        v = _mul(v, b_t)
+    if fid.m:
+        v = _mul(v, _q_over_t(a_t, b_t, fid.m))
+    return v
+
+
+@lru_cache(maxsize=8)
+def _t_powers(n: int) -> tuple:
+    """u^r to n - r coefficients for r < n, where t(q) = q u, u = qd / E_4^3."""
+    u = _monomial(n, 1, -3, 0)
+    out, p = [], [1] + [0] * (n - 1)
+    for r in range(n):
+        out.append(tuple(p[:n - r]))
+        p = _mul(p[:n - r - 1], u)
+    return tuple(out)
+
+
+def _assemble(fid: FormId, trunc: int, v: list, tail_factor: list) -> MillerForm:
+    """g_{k,m} from V = _t_start(fid, trunc - m + 1); tail_factor is
     qd^(ell+1) E_4^(a-3) E_6^b to trunc - ell coefficients."""
-    top, w = _reduce(v, fid.ell - fid.m + 1, big_j)
+    d = fid.ell - fid.m
+    rest, powers = v[d + 1:], _t_powers(len(tail_factor))
+    w = [sum(rest[r] * powers[r][i - r] for r in range(i + 1)) for i in range(len(rest))]
     tail = [-c for c in _mul(w, tail_factor)]
-    series = QSeries._make(fid.m, [1] + [0] * (fid.ell - fid.m) + tail, trunc)
-    form = MillerForm(fid, series, IntPolynomial.make(top[::-1]))
+    series = QSeries._make(fid.m, [1] + [0] * d + tail, trunc)
+    form = MillerForm(fid, series, IntPolynomial.make(v[d::-1]))
     form.check()
     return form
 
@@ -357,38 +412,66 @@ def raw_basis(fid: FormId, trunc: int | None = None) -> QSeries:
 
 
 @lru_cache(maxsize=32)
-def miller_basis(k: int, trunc: int | None = None) -> tuple:
-    """The reduced basis (g_{k,1}, ..., g_{k,ell}) of the cusp space.
-
-    J, the tail factor and V for m = 1 are built once; V for m + 1 is
-    V J, since 1 / (qd^(m+1) E_4^(3(D-1)+a) E_6^b) = V E_4^3 / qd.
-    """
+def _basis(k: int, trunc: int) -> tuple:
     fid = FormId.from_k(k, 0)
     if fid.ell == 0:
         return ()
-    trunc = _checked_trunc(fid.ell, trunc)
-    big_j = _monomial(trunc, -1, 3, 0)
+    q_t = _q_over_t(*_t_series(trunc), 1)
     tail_factor = _tail_factor(fid, trunc)
-    v = _start(FormId.from_k(k, 1), trunc)
+    v = _t_start(fid, trunc + 1)
     forms = []
     for m in range(1, fid.ell + 1):
-        forms.append(_assemble(FormId.from_k(k, m), trunc, v, big_j, tail_factor))
-        v = _mul(v[:-1], big_j)
+        v = _mul(v[:-1], q_t)
+        forms.append(_assemble(FormId.from_k(k, m), trunc, v, tail_factor))
     return tuple(forms)
+
+
+def miller_basis(k: int, trunc: int | None = None) -> tuple:
+    """The reduced basis (g_{k,1}, ..., g_{k,ell}) of the cusp space.
+
+    The tail factor and V for m = 0 are built once; V for m + 1 is
+    V (q/t).  trunc is resolved before the cache, so None and the
+    default truncation share one entry.
+    """
+    return _basis(k, _checked_trunc(FormId.from_k(k, 0).ell, trunc))
+
+
+# miller_basis reports the hits and misses of the cache behind it
+# (perfbench/tracer.py reads them)
+miller_basis.cache_info = _basis.cache_info
 
 
 def miller_form(k: int, m: int, trunc: int | None = None) -> MillerForm:
     """g_{k,m} = q^m + O(q^(ell+1)) with its monic integer Faber polynomial."""
     fid = FormId.from_k(k, m)
     trunc = _checked_trunc(fid.ell, trunc)
-    n = trunc - m + 1
-    return _assemble(fid, trunc, _start(fid, n), _monomial(n, -1, 3, 0),
-                     _tail_factor(fid, trunc))
+    return _assemble(fid, trunc, _t_start(fid, trunc - m + 1), _tail_factor(fid, trunc))
 
 
 def gap_form(k: int, trunc: int | None = None) -> MillerForm:
     """The m = 0 basis element g_{k,0} = 1 + O(q^(ell+1)) of M_k."""
     return miller_form(k, 0, trunc)
+
+
+def _start(fid: FormId, n: int) -> list:
+    """V = 1 / (qd^m E_4^(3D+a) E_6^b) to n coefficients q^0.., D = ell - m."""
+    a, b = EISENSTEIN_FACTORS[fid.kprime]
+    return _monomial(n, -fid.m, -3 * (fid.ell - fid.m) - a, -b)
+
+
+def _reduce(v: list, steps: int, big_j: list) -> tuple:
+    """The greedy t = 1/j reduction in q: F's coefficients from the top
+    down, and W.
+
+    Each of the steps = D + 1 steps reads off V_0 and sets V <- (V - V_0)
+    J / q, with J = big_j to at least len(v) coefficients.  What is left
+    is the list W of len(v) - D - 1 coefficients.
+    """
+    top = []
+    for _ in range(steps):
+        top.append(v[0])
+        v = _mul(v[1:], big_j)
+    return top, v
 
 
 def faber_of(series: QSeries, fid: FormId) -> IntPolynomial:

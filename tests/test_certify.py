@@ -1,6 +1,7 @@
 """Bound-certification machinery: basis conversions, certificates, ledgers."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -278,6 +279,18 @@ def test_ledger_json_round_trip(ledger_entries):
 def test_ledger_deterministic_order(ledger_entries):
     again = [e.name for e in full_ledger()]
     assert again == [e.name for e in ledger_entries]
+
+
+def test_printed_lo_hi_hold_the_exact_enclosure(ledger_entries):
+    # computed is rounded to nearest, so computed +- err may miss the
+    # enclosure; the printed lo and hi are its ends rounded outward
+    for e in ledger_entries:
+        d = json.loads(e.to_json())
+        lo, hi = e.enclosure
+        assert Fraction(d["lo"]) <= lo <= hi <= Fraction(d["hi"]), e.name
+        # the tightest doubles that do so
+        assert Fraction(math.nextafter(d["lo"], math.inf)) > lo, e.name
+        assert Fraction(math.nextafter(d["hi"], -math.inf)) < hi, e.name
 
 
 def test_entry_helpers():

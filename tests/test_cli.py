@@ -1,5 +1,6 @@
 """End-to-end command line coverage, all in process through main()."""
 
+import hashlib
 import json
 
 import pytest
@@ -56,6 +57,15 @@ def test_miller_lists_basis(capsys):
     assert all(r["k"] == 24 for r in recs)
     assert recs[1]["series"]["lead"] == 2
     assert recs[0]["faber"]["coeffs"][0] == "1"
+
+
+def test_miller_custom_trunc_golden(capsys):
+    # the q-expansion tail at 190 coefficients past q^ell, from the greedy
+    # q-domain reduction
+    code, out, _ = run(capsys, "miller", "--k", "120", "--trunc", "200")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "120c1144d3f5cd18c224bdccf4743054d86aa9d6b7c8f5c3e569425b89ffd26d"
 
 
 def test_roots_values(capsys):

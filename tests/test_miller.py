@@ -1,16 +1,18 @@
 """Echelon basis construction and Faber polynomial extraction."""
 
+import hashlib
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from millerzeros.qseries import EXTRA_WEIGHTS, FormId, QSeries, delta, eisenstein, jfunction
+from millerzeros.qseries import (EXTRA_WEIGHTS, FormId, QSeries, _power, delta, eisenstein,
+                                jfunction)
 from millerzeros.miller import (
     IntPolynomial, MillerForm, miller_basis, miller_form, gap_form, raw_basis,
     faber_of, reconstruct, faber_json, default_trunc,
-    NotInSpaceError, NonIntegralFaberError,
+    NotInSpaceError, NonIntegralFaberError, _exact_div, _q_over_t, _t_series,
 )
 
 F48_1 = (-24903328, 931860, -2136, 1)
@@ -174,6 +176,105 @@ def test_no_cusp_forms_below_weight_12():
     assert miller_basis(10) == ()
     with pytest.raises(ValueError):
         miller_form(4, 1)           # m exceeds ell = 0
+
+
+def test_trunc_is_resolved_before_the_basis_cache():
+    misses = miller_basis.cache_info().misses
+    one = miller_basis(100)
+    assert miller_basis(100, trunc=None) is one
+    assert miller_basis(100, default_trunc(8)) is one
+    assert miller_basis.cache_info().misses <= misses + 1
+    assert miller_basis(100, default_trunc(8) + 1) is not one
+
+
+# ---------------------------------------------------------------------------
+# the series in t = 1/j, checked in q by an independent composition
+
+def _in_q(coeffs, n):
+    """sum_r coeffs[r] t^r with t = 1/j, as a q-series to q^n, by Horner."""
+    t = jfunction(n) ** -1
+    acc = QSeries.zero(n)
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc.truncate(n)
+
+
+def test_t_series_are_e4_e6_and_q_over_t():
+    n = 60
+    a_t, b_t = _t_series(n + 1)
+    q_t = _q_over_t(a_t, b_t, 1)
+    a_q, b_q = _in_q(a_t, n), _in_q(b_t, n)
+    t = jfunction(n) ** -1
+    assert a_q * a_q == eisenstein(4, n)
+    e6 = eisenstein(6, n)
+    assert (a_q ** 6 * (1 - t.scale(1728))).truncate(n) == e6 * e6
+    assert e6 * b_q == a_q ** 3
+    assert (t * _in_q(q_t, n)).truncate(n) == QSeries.monomial(1, n)
+    assert _q_over_t(a_t, b_t, 3) == _power(q_t, 3)
+    assert _q_over_t(a_t, b_t, 0) == [1] + [0] * n
+
+
+def test_exact_div_refuses_a_remainder():
+    assert _exact_div(-12, 4) == -3
+    with pytest.raises(NonIntegralFaberError):
+        _exact_div(13, 4)
+
+
+# ---------------------------------------------------------------------------
+# regression goldens for the build: sha256 of faber_json(f), and of
+# faber_json(f) + "\n" + f.series.to_json() for whole forms, taken from the
+# greedy q-domain reduction
+
+FABER_SHA256 = {
+    1900: "902118e4d5f05c59b8104da8f8c6e2de3bfd975b22455e98e09b8aa26e9b6969",
+    1912: "248870378a62218ed83aa3e3a105d463917e2611f4f878e118b966573a21ed5b",
+    1924: "aa0b2df9d1bc25dd58a8a0ae7728f34df4dc3241b3c1ee016b00ab9810d29ead",
+    1936: "d5975225f906fe75f73411edbbed83f2603141701299b6bd6546072830ea6b1f",
+}
+
+FORM_SHA256 = {
+    (300, 0, None): "eb43c9eda0d2def5097461dc5e8c00ccec601e2416f5ff0d3f19b4e74edc89df",
+    (300, 12, None): "ef9aad8488b9d806a1bdb1a2f7cefa668ee102fab8797b7bccd93371130f74ef",
+    (304, 0, None): "22b90d9962417faf950e3ba52bd5de716f37d2819cb920e5d69aa6d363b9af8f",
+    (304, 12, None): "8038a853fde0f5a73aedcac82f8b1f9a85e1bbec7a2140a071255ffc00eebe69",
+    (306, 0, None): "444dda1c5b8164c537bcc123e894e3247555a7a38e74cdc558682abc3cf96562",
+    (306, 12, None): "ec100bf18b97655e8fc951b56f6e62a50c1e3f5cf68a1063e378cc3962a21e1d",
+    (308, 0, None): "e8c7db07b0b5bafc9c5977423f917dc80732d8567bbb4eaa4a445374d38bf4ce",
+    (308, 12, None): "97f2ce4d977719b8c8519046d4e93c0dcffbd03afafce60e0a5f6b2c4c9300fe",
+    (310, 0, None): "d185a209de30e834ec0da0a3a67630d0ce195b5f84ebc7eccde237850f69ee2a",
+    (310, 12, None): "d4469aeb5d225f1b4fb209a089d1864d1cbafb3eb3608508684903f6be72b776",
+    (314, 0, None): "b4b787d8a0d6da10537f1c929224537ed13782d34cff28f2d0d19dcdd3740dfa",
+    (314, 12, None): "eb7fb6b26508850e4f72359326fa5162bb6407673ff254eccfa3a0efbc2aca61",
+    (48, 1, 64): "e63ba2cef674c2629b58ba22cd9875ae779c9658515949edd73ba48a98022609",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("k", sorted(FABER_SHA256))
+def test_large_weight_faber_golden(k):
+    assert _sha256(faber_json(miller_form(k, 1))) == FABER_SHA256[k]
+
+
+@pytest.mark.parametrize("k, m, trunc", sorted(FORM_SHA256, key=str))
+def test_form_golden(k, m, trunc):
+    f = miller_form(k, m, trunc)
+    assert _sha256(faber_json(f) + "\n" + f.series.to_json()) == FORM_SHA256[(k, m, trunc)]
+
+
+@pytest.mark.parametrize("k", [120, 124, 126, 128, 130, 134])
+def test_build_agrees_with_q_domain_reduction(k):
+    # every k' once: the basis, the single forms and faber_of's greedy
+    # q-domain reduction of each series give one and the same form
+    basis = miller_basis(k)
+    assert len(basis) == FormId.from_k(k, 0).ell
+    for m, f in enumerate(basis, start=1):
+        assert f == miller_form(k, m)
+        assert faber_of(f.series, f.id) == f.faber
+    g = gap_form(k)
+    assert faber_of(g.series, g.id) == g.faber
 
 
 # ---------------------------------------------------------------------------
