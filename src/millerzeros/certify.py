@@ -15,7 +15,13 @@ fall into a few families:
     (c1, B1, B2, c2) derived from it.
 
 Exact rational arithmetic is used wherever the inputs are exact decimals;
-everything floating is a CertValue with a propagated radius.
+everything floating is a CertValue ball (evalnum), built from exact
+inputs by ball arithmetic: pi, exp, log, sqrt, the trigonometric
+functions and acos carry their own radii, so no constant here takes a
+hand-derived pad, and this module never reads or rounds at the working
+precision itself.  Three older bounds still carry a fixed relative
+slack of their own: delta_line_bounds (2^-40), the grid floor of
+_table_numeric_check (2^-40) and _sin_range (2^-60, at 80 bits).
 """
 
 from __future__ import annotations
@@ -51,11 +57,6 @@ class DomainError(ValueError):
 # the ambient precision of every ledger section: the evaluators' DEFAULT_PREC
 # plus guard bits for the arithmetic that combines their results
 _LEDGER_PREC = DEFAULT_PREC + 12
-
-
-def _pad_of(v) -> mpf:
-    """The relative pad of every certificate value here: |v| 2^(8 - prec)."""
-    return mp.ldexp(abs(v), 8 - mp.prec)
 
 
 def _outward(lo: Fraction, hi: Fraction) -> tuple:
@@ -131,6 +132,16 @@ def _lower(cv: CertValue) -> Fraction:
 def _upper(cv: CertValue) -> Fraction:
     """value + err of a real CertValue, exactly."""
     return _exact(cv.value) + _exact(cv.err)
+
+
+def _hull(lo: Fraction, hi: Fraction) -> CertValue:
+    """A ball holding the exact interval [lo, hi]."""
+    return CertValue.exact((lo + hi) / 2).widened((hi - lo) / 2)
+
+
+def _ball_max(*balls: CertValue) -> CertValue:
+    """A ball holding max(x_1, ..., x_n) for every x_i in the real ball balls[i]."""
+    return _hull(max(_lower(b) for b in balls), max(_upper(b) for b in balls))
 
 
 def _entry_flag(name: str, ref: str, ok: bool) -> BoundLedgerEntry:
@@ -293,9 +304,8 @@ class MonotonicityCertificate:
 def monotonicity_certificate_075() -> MonotonicityCertificate:
     with workprec(_LEDGER_PREC):
         j = qseries.jfunction(5)
-        E = CertValue(mp.e ** (-3 * mp.pi / 2), _pad_of(1))
-        einv = mp.e ** (3 * mp.pi / 2)
-        Einv = CertValue(einv, _pad_of(einv))
+        x = CertValue.pi() * Fraction(3, 2)
+        E, Einv = (-x).exp(), x.exp()
         a = [CertValue.exact(744),
              Einv + CertValue.exact(j.coeff(1)) * E]
         for n in range(2, 6):
@@ -312,11 +322,7 @@ def monotonicity_certificate_075() -> MonotonicityCertificate:
         z0 = _certified_root_decreasing(gour, 0.5, 2.0)
         one = CertValue(mpf(1))
         zroot = (one - z0) / (one + z0)
-        # transfer through arccos with an explicit derivative bound
-        zv = zroot.value
-        slope = 1 / mp.sqrt(1 - (abs(zv) + zroot.err) ** 2)
-        x0 = CertValue(mp.acos(zv) / (2 * mp.pi),
-                       zroot.err * slope / (2 * mp.pi) + _pad_of(1))
+        x0 = zroot.acos() / (CertValue.pi() * 2)
         return MonotonicityCertificate(x0, [
             _entry_value("refit.x0", "interior minimum of Re f_{5,3/4}", x0, 0.253311, 1e-4),
             _entry_value("refit.zroot", "sign change of the z-derivative", zroot, -0.0208023, 1e-4),
@@ -338,8 +344,8 @@ def magnitude_certificate_065() -> MagnitudeCertificate:
     with workprec(_LEDGER_PREC):
         M = 7
         j = qseries.jfunction(M)
-        e, einv = mp.e ** (-13 * mp.pi / 10), mp.e ** (13 * mp.pi / 10)
-        E, Einv = CertValue(e, _pad_of(e)), CertValue(einv, _pad_of(einv))
+        x = CertValue.pi() * Fraction(13, 10)
+        E, Einv = (-x).exp(), x.exp()
         a = {-1: Einv}
         a[0] = CertValue.exact(744)
         for n in range(1, M + 1):
@@ -474,15 +480,16 @@ def _im_lower_bound_075() -> CertValue:
     """Lower bound for Im f_{5,3/4} on [0.1, 0.2] from per-frequency sine minima."""
     j = qseries.jfunction(5)
     with workprec(_LEDGER_PREC):
-        E = mp.e ** (-3 * mp.pi / 2)
-        coeffs = {1: j.coeff(1) * E - mp.e ** (3 * mp.pi / 2)}
+        x = CertValue.pi() * Fraction(3, 2)
+        E = (-x).exp()
+        coeffs = {1: E * j.coeff(1) - x.exp()}
         for n in range(2, 6):
-            coeffs[n] = j.coeff(n) * E ** n
+            coeffs[n] = E.pow_int(n) * j.coeff(n)
         total = CertValue(mpf(0))
         for n, s in coeffs.items():
             lo, hi = 2 * mp.pi * n * mpf("0.1"), 2 * mp.pi * n * mpf("0.2")
-            factor = _sin_range(lo, hi)[0 if s > 0 else 1]
-            total = total + CertValue(s, _pad_of(s)) * CertValue(factor)
+            factor = _sin_range(lo, hi)[0 if s.value > 0 else 1]
+            total = total + s * CertValue(factor)
         return total
 
 
@@ -504,26 +511,21 @@ def _line_label(y: Fraction) -> str:
     return "065" if y == Fraction(13, 20) else "075"
 
 
-def _rational(x: Fraction) -> mpf:
-    """An exact rational at the ambient precision, rounded once."""
-    return mpf(x.numerator) / x.denominator
-
-
 def _dominated_tail(k: int, y: Fraction, n_from: int, dom: Fraction) -> tuple:
-    """(tail bound, domination check) for gamma_k sum_{n >= n_from} sigma(n) r^n.
+    """(tail ball, domination check) for gamma_k sum_{n >= n_from} sigma(n) r^n.
 
     Uses sigma_{k-1}(n) <= n^k = (n^k e^(-pi y n)) e^(pi y n) with the
     stated constant dominating the bracket for all n >= n_from; validity
-    needs the bracket maximum k/(pi y) to sit left of n_from.  Built in
-    mpf from the exact rationals, so only ambient-precision rounding
-    enters and the caller's few-ulp pad covers it.
+    needs the bracket maximum k/(pi y) to sit left of n_from.  Both checks
+    are decided on the balls' outward ends against the exact rationals.
     """
     gamma = abs(Fraction(2 * k) / qseries.bernoulli(k))
-    c = mp.pi * _rational(y)
-    peak_ok = k / c < n_from
-    first_ok = mpf(n_from) ** k * mp.e ** (-c * n_from) <= _rational(dom)
-    half = mp.e ** (-c)
-    tail = _rational(gamma) * _rational(dom) * half ** n_from / (1 - half)
+    c = CertValue.pi() * y
+    peak_ok = k < n_from * _exact(c.abs_lower())
+    first = CertValue.exact(n_from ** k) * (c * -n_from).exp()
+    first_ok = _exact(first.abs_upper()) <= dom
+    half = (-c).exp()
+    tail = half.pow_int(n_from) * (gamma * dom) / (1 - half)
     return tail, bool(peak_ok and first_ok)
 
 
@@ -539,31 +541,29 @@ def eisenstein_line_bounds() -> list:
         lbl = f"e{k}.line.{_line_label(y)}"
         ref = f"E_{k} bound on the height-{float(y)} line"
         with workprec(_LEDGER_PREC):
-            r = mp.e ** (-2 * mp.pi * _rational(y))
+            r = (CertValue.pi() * (-2 * y)).exp()
             gamma = Fraction(2 * k) / qseries.bernoulli(k)
             sig = qseries._divisor_power_sums(k - 1, 2)
             # printed partial sum value (coefficients aligned at x = 0)
             c1 = abs(gamma) * sig[1]
             c2 = abs(gamma) * sig[2]
             if k == 4:
-                partial = 1 + _rational(c1) * r + _rational(c2) * r ** 2
+                partial = 1 + r * c1 + r.pow_int(2) * c2
             else:
-                partial = abs(1 - _rational(c1) * r - _rational(c2) * r ** 2)
+                partial = (1 - r * c1 - r.pow_int(2) * c2).abs()
             entries.append(_entry_upper(f"{lbl}.partial", ref + ", two-term part",
-                                        CertValue(partial, _pad_of(partial)), partial_claim))
+                                        partial, partial_claim))
             tail, dom_ok = _dominated_tail(k, y, 3, dom)
             entries.append(_entry_flag(f"{lbl}.domination",
                                        ref + f", n^{k} domination by {dom}", dom_ok))
             entries.append(_entry_upper(f"{lbl}.tail", ref + ", dominated tail",
-                                        CertValue(tail, _pad_of(tail)), tail_claim))
-            assembled = partial + tail
+                                        tail, tail_claim))
             entries.append(_entry_upper(f"{lbl}.assembled", ref + ", partial plus tail",
-                                        CertValue(assembled, _pad_of(assembled)),
-                                        total_claim))
+                                        partial + tail, total_claim))
             # independent certification: the leaves of cap - |E_k| > 0 cover x in
             # [0, 1/2], hence the line (period 1, E_k(-x + iy) = conj E_k(x + iy)),
             # and their largest abs_lower and abs_upper enclose the maximum
-            series, iy = qseries.eisenstein(k, 48), mpc(0, _rational(y))
+            series, iy = qseries.eisenstein(k, 48), mpc(0, mpf(y.numerator) / y.denominator)
             cap = CertValue.exact(Fraction(str(total_claim)))
             _, leaves = _bisect_claims(
                 lambda a, b: eval_series(series, (a + iy, b + iy), EisensteinTail(k)),
@@ -593,7 +593,7 @@ def _arc_slopes(av: ArcValues) -> tuple:
 
     likewise q d/dq Delta = E_2 Delta gives delta' = -2 pi e2 delta.
     """
-    pi = CertValue(mp.pi, _pad_of(mp.pi))
+    pi = CertValue.pi()
     e2, e4, e6 = av.e2, av.e4, av.e6
     return (pi * (e4 - e2 * e2) / 6 - CertValue.exact(3) / (pi * 2),
             pi * (e6 - e2 * e4) * Fraction(2, 3),
@@ -684,11 +684,9 @@ def arc_eisenstein_bounds() -> list:
     with workprec(_LEDGER_PREC):
         at_i, at_19, at_rho = _arc_corners()
 
-        lem = lemniscate_constants()
-        pi4 = mp.pi ** 4
-        e4i_closed = 3 * lem.varpi.pow_int(4) * CertValue(1 / pi4, _pad_of(1 / pi4))
-        e6rho_closed = CertValue(mpf(27) / 2) * lem.varpi_prime.pow_int(6) * \
-            CertValue(1 / mp.pi ** 6, _pad_of(1 / mp.pi ** 6))
+        lem, pi = lemniscate_constants(), CertValue.pi()
+        e4i_closed = 3 * lem.varpi.pow_int(4) / pi.pow_int(4)
+        e6rho_closed = lem.varpi_prime.pow_int(6) * Fraction(27, 2) / pi.pow_int(6)
 
         entries += [
             _entry_value("lemniscate.varpi", "arclength integral, quartic", lem.varpi,
@@ -759,10 +757,9 @@ def delta_ledger() -> list:
     """Delta extrema: corner values two ways, line minima, and the ratios."""
     entries = []
     with workprec(_LEDGER_PREC):
-        lem = lemniscate_constants()
-        di_closed = (lem.varpi / CertValue(mp.sqrt(2) * mp.pi, _pad_of(mp.sqrt(2) * mp.pi))).pow_int(12)
-        drho_closed = CertValue.exact(Fraction(27, 256)) * \
-            (lem.varpi_prime / CertValue(mp.pi, _pad_of(mp.pi))).pow_int(12)
+        lem, pi = lemniscate_constants(), CertValue.pi()
+        di_closed = (lem.varpi / (CertValue(2).sqrt() * pi)).pow_int(12)
+        drho_closed = (lem.varpi_prime / pi).pow_int(12) * Fraction(27, 256)
         di_direct = eval_delta_eta(mp.mpc(0, 1)).abs().as_real()
         drho_direct = eval_delta_eta(mp.mpc(-0.5, mp.sqrt(3) / 2)).abs().as_real()
         entries += [
@@ -807,40 +804,45 @@ def delta_ledger() -> list:
 def residue_term(theta: float, k: int, m: int) -> CertValue:
     """e^(pi m (2 sin theta - tan(theta/2))) / (2 cos(theta/2))^k."""
     with workprec(_LEDGER_PREC):
-        t = mpf(theta)
-        v = mp.e ** (mp.pi * m * (2 * mp.sin(t) - mp.tan(t / 2))) / \
-            (2 * mp.cos(t / 2)) ** k
-        return CertValue(v, _pad_of(v) * (k + m))
+        t = CertValue(mpf(theta))
+        half = t * Fraction(1, 2)
+        x = CertValue.pi() * m * (t.sin() * 2 - half.tan())
+        return x.exp() / (half.cos() * 2).pow_int(k)
 
 
 def _residue_slope(a, b, k: int, m: int) -> CertValue:
     """D = (log r)' = pi m (2 cos t - sec^2(t/2) / 2) + (k/2) tan(t/2) on [a, b] in the arc.
 
     There cos t falls and sec^2(t/2), tan(t/2) rise, so D lies between its
-    m-part at b plus k-part at a and its m-part at a plus k-part at b.  At
-    precision p, under 16 roundings of 2^(1-p) each hit terms of modulus at
-    most 3 pi m + k (|cos t| <= 1/2, sec^2 <= 4, tan <= sqrt 3); the pad
-    2^(8-p) (3 pi m + k) covers them and the half ulp by which a rounded
-    arc end may miss its corner, across which |D'| <= 6 pi m + k.
+    m-part at b plus k-part at a and its m-part at a plus k-part at b, each
+    a ball on the exact ends.
     """
+    pi = CertValue.pi()
+
     def bound(c, t):
-        return mp.pi * m * (2 * mp.cos(c) - mp.sec(c / 2) ** 2 / 2) + k * mp.tan(t / 2) / 2
+        c, t = CertValue(c), CertValue(t)
+        sec2 = CertValue(1) / (c * Fraction(1, 2)).cos().pow_int(2)
+        return (pi * m * (c.cos() * 2 - sec2 * Fraction(1, 2))
+                + (t * Fraction(1, 2)).tan() * Fraction(k, 2))
     lo, hi = bound(b, a), bound(a, b)
-    return CertValue((lo + hi) / 2, (hi - lo) / 2 + _pad_of(3 * mp.pi * m + k))
+    return _hull(min(_lower(lo), _lower(hi)), max(_upper(lo), _upper(hi)))
 
 
 def residue_entries(k: int = 192, m: int = 1) -> list:
     """r(2pi/3) = 1, so r <= 1 on the arc if r increases, as it does once
     k >= 8 pi m / sqrt(3): both flags rest on D = (log r)' > 0 on the whole
-    arc, decided by _bisect_claims on _residue_slope."""
+    arc, decided by _bisect_claims on _residue_slope from ends rounded
+    outward past the corners."""
     entries = []
     with workprec(_LEDGER_PREC):
-        hyp = k >= 8 * mp.pi * m / mp.sqrt(3)
+        pi = CertValue.pi()
+        hyp = (k - pi * (8 * m) / CertValue(3).sqrt()).certified_sign() > 0
         end = residue_term(float(2 * mp.pi / 3), k, m)
         entries.append(_entry_value("residue.at-rho", "residue factor at the rho corner",
                                     end, 1.0, 1e-9))
         held, _ = _bisect_claims(lambda a, b: _residue_slope(a, b, k, m),
-                                 mp.pi / 2, 2 * mp.pi / 3, {"D": (lambda v: v, 1)})
+                                 (pi * Fraction(1, 2)).abs_lower(),
+                                 (pi * Fraction(2, 3)).abs_upper(), {"D": (lambda v: v, 1)})
         increasing = "D" in held
         entries.append(_entry_flag("residue.monotone",
                                    f"residue factor increasing for k={k}, m={m}",
@@ -907,27 +909,23 @@ def constants_ledger() -> list:
             maxima[label] = best
         entries.extend(_table_numeric_check())
 
-        b1_derived = mp.log(mpf(maxima["075"].numerator) / maxima["075"].denominator)
-        b2_derived = mp.log(mpf(maxima["065"].numerator) / maxima["065"].denominator)
+        def log(x: Fraction) -> CertValue:
+            return CertValue.exact(x).log()
         entries.append(_entry_upper("growth.b1", "exponent of the 0.75 table maximum",
-                                    CertValue(b1_derived, _pad_of(b1_derived)), 3.94))
+                                    log(maxima["075"]), 3.94))
         entries.append(_entry_upper("growth.b2", "exponent of the 0.65 table maximum",
-                                    CertValue(b2_derived, _pad_of(b2_derived)), 5.12))
+                                    log(maxima["065"]), 5.12))
 
-        ln107 = mp.log(mpf(10) / 7)
-        ln2 = mp.log(mpf(2))
-        c1 = max(mp.pi / (2 * ln107), 7 * mp.pi / (10 * ln2))
-        b1p, b2p = mpf("3.94"), mpf("5.12")
-        c2 = max((b1p - mp.log(mpf("1.995"))) / ln107,
-                 (b2p - mp.log(mpf("0.995"))) / ln2)
+        pi, ln107, ln2 = CertValue.pi(), log(Fraction(10, 7)), log(Fraction(2))
+        c1 = _ball_max(pi / (ln107 * 2), pi * Fraction(7, 10) / ln2)
+        c2 = _ball_max((Fraction("3.94") - log(Fraction("1.995"))) / ln107,
+                       (Fraction("5.12") - log(Fraction("0.995"))) / ln2)
         entries.append(_entry_value("growth.c1", "slope constant pi / (2 log(10/7))",
-                                    CertValue(c1, _pad_of(c1)), 4.40400, 1e-5))
-        entries.append(_entry_upper("growth.c1-cap", "slope constant under 4.5",
-                                    CertValue(c1, _pad_of(c1)), 4.5))
+                                    c1, 4.40400, 1e-5))
+        entries.append(_entry_upper("growth.c1-cap", "slope constant under 4.5", c1, 4.5))
         entries.append(_entry_value("growth.c2", "offset constant from B1 = 3.94",
-                                    CertValue(c2, _pad_of(c2)), 9.11013, 1e-3))
-        entries.append(_entry_upper("growth.c2-cap", "offset constant under 9.5",
-                                    CertValue(c2, _pad_of(c2)), 9.5))
+                                    c2, 9.11013, 1e-3))
+        entries.append(_entry_upper("growth.c2-cap", "offset constant under 9.5", c2, 9.5))
     return entries
 
 
@@ -1011,31 +1009,14 @@ class MrlReport:
 _MRL_LADDER = (1, 2, 4, 8)       # multiples of the starting precision
 
 
-def _amplitude(m: int, t: mpf) -> CertValue:
-    """e^(2 pi m sin t) at the ambient precision p, with an outward radius.
-
-    x = 2 pi m sin t takes three roundings of relative size 2^-p and sin
-    one of at most 2^(1-p), so |x' - x| <= d = 6 |x| 2^-p.  Then
-    |e^x' - e^x| <= 1.01 d e^x while d < 0.01, and exp rounds within
-    2^(1-p) of e^x', so the error is at most (7 |x| + 3) 2^-p e^x, under
-    the radius 16 (|x'| + 1) 2^-p e^x' rounded upward.
-    """
-    x = 2 * mp.pi * m * mp.sin(t)
-    amp = mp.exp(x)
-    grow = mp.fmul(amp, mp.fadd(abs(x), 1, rounding="u"), rounding="u")
-    return CertValue(amp, mp.ldexp(grow, 4 - mp.prec))
-
-
 def _oscillation(form, m: int, theta: float, prec: int) -> CertValue:
     """e^(ik theta/2) e^(2 pi m sin theta) g_{k,m}(e^(i theta)) - 2 cos h(theta)."""
     from .evalnum import arc_form
     with workprec(prec + 12):
-        t = mpf(theta)
+        t, pi2m = CertValue(mpf(theta)), CertValue.pi() * (2 * m)
         g = arc_form(form, theta, prec=prec)
-        h = form.id.k * t / 2 + 2 * mp.pi * m * mp.cos(t)
-        # argument rounding of h sweeps through cos with unit slope
-        pad = _pad_of(abs(h) + 2 * mp.pi * m + 2)
-        return g * _amplitude(m, t) - CertValue(2 * mp.cos(h), pad)
+        h = t * Fraction(form.id.k, 2) + pi2m * t.cos()
+        return g * (pi2m * t.sin()).exp() - h.cos() * 2
 
 
 def proposition_mrl_check(k: int, m: int, grid_step: float = 1e-3) -> MrlReport:

@@ -1,8 +1,27 @@
 """Certified numerical evaluation of q-expansions in the upper half plane.
 
-Everything here returns a CertValue: a floating point number (real or
-complex, arbitrary precision via mpmath) together with a rigorous error
-radius.  Every polynomial and truncated q-series goes through one kernel,
+Everything here returns a CertValue, a ball in the sense of van der Hoeven
+("Ball arithmetic", 2009) and Arb (Johansson, IEEE TC 66, 2017): a real or
+complex midpoint at the ambient mpmath precision and a radius that holds
+every point it stands for.  The discipline is the same in every operation:
+
+  * the midpoint rounds to nearest, and _pad, 16 ulp of it, is the only
+    allowance for that rounding; mpmath's elementary functions are taken
+    to be accurate within it too, the few-ulp assumption every value here
+    rests on;
+  * every radius operation (the constructor, +, *, /, pow_int, abs,
+    widened and eval_poly's final sum) rounds upward, at libmp level, so
+    no radius is below the exact value of its formula;
+  * the elementary functions of a real ball (exp, log, sqrt, sin, cos,
+    tan, acos) add e sup |f'| over the ball, rounded upward, to the pad
+    of f(v), each docstring giving its bound on |f'|; CertValue.pi() is
+    mpmath's pi with its pad.
+
+certify builds its constants from exact inputs through these
+operations; the hand-derived bounds still left there are listed in its
+docstring.
+
+Every polynomial and truncated q-series goes through one kernel,
 eval_poly: Horner's rule on Gaussian integers at the fixed scale 2^-P,
 P = working precision + 24, with exact int or Fraction coefficients.
 Each step floors both parts of the product and of the coefficient, so it
@@ -19,12 +38,12 @@ private q-point holds q = e^(2 pi i tau), its pad, r = |q| and y = Im tau,
 and every series at that point (the Eisenstein series, the eta product,
 j) reads them from it, so exp(2 pi i tau) is computed once per
 eval_series, arc_form, arc_functions or arc_j call.  Powers are closed
-form, after the midpoint-radius pattern of Arb (Johansson, IEEE TC 66,
-2017): CertValue.pow_int rounds v^n once and takes the radius
-n e (|v| + e)^(n-1), rounded upward, plus the pad of v^n, since
-|w^n - v^n| <= n |w - v| max(|v|, |w|)^(n-1).  The arc phases e^(i k theta/2)
-are one mp.expj each, of an argument formed exactly.  Radii take |v| from
-_abs_upper, never from a full-precision complex abs.
+form, after the midpoint-radius pattern of Arb: CertValue.pow_int rounds
+v^n once and takes the radius n e (|v| + e)^(n-1) plus the pad of v^n,
+rounded upward, since |w^n - v^n| <= n |w - v| max(|v|, |w|)^(n-1).
+The arc phases e^(i k theta/2) are one mp.expj each, of an argument
+formed exactly.  Radii take |v| from _abs_up, never from a
+full-precision complex abs.
 
 A basis form on the arc (arc_form) needs no complex product: with
 E_k' = E_4^a E_6^b its real arc function is delta^ell e4^a e6^b F(j),
@@ -69,7 +88,8 @@ from functools import lru_cache
 from math import isqrt
 
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import from_man_exp, mpc_abs, mpf_pow_int
+from mpmath.libmp import (from_int, from_man_exp, from_rational, mpc_abs, mpf_add,
+                          mpf_div, mpf_mul, mpf_pos, mpf_pow_int, mpf_shift, mpf_sub)
 
 from . import qseries
 from .qseries import QSeries
@@ -87,24 +107,25 @@ class NotRealError(ArithmeticError):
     """A quantity that must be real has imaginary part above its error radius."""
 
 
-def _abs_upper(v) -> mpf:
-    """|v| rounded upward, for radii: exact for a real v, else within 2^-57.
+def _abs_up(v) -> tuple:
+    """|v| rounded upward as a libmp value, for radii: exact for a real v,
+    else within 2^-57.
 
     Both parts are read to 60 bits as integers at one scale, rounded up; so
     is isqrt of their square sum.  Each rounding adds under 1 of >= 2^59 units.
     """
     if not isinstance(v, mpc):
-        return mp.make_mpf((0,) + v._mpf_[1:])
+        return (0,) + v._mpf_[1:]
     a, b = v._mpc_
     if a[3] < 0 or b[3] < 0:
-        return abs(v)                           # an infinite or nan part
+        return abs(v)._mpf_                     # an infinite or nan part
     if not (a[1] and b[1]):                     # a zero part
-        return mp.make_mpf((0,) + (a if a[1] else b)[1:])
+        return (0,) + (a if a[1] else b)[1:]
     (_, ma, ea, ba), (_, mb, eb, bb) = a, b
     s = max(ea + ba, eb + bb) - 60
     x = ma << (ea - s) if ea >= s else -(-ma >> (s - ea))
     y = mb << (eb - s) if eb >= s else -(-mb >> (s - eb))
-    return mp.make_mpf(from_man_exp(isqrt(x * x + y * y) + 1, s))
+    return from_man_exp(isqrt(x * x + y * y) + 1, s)
 
 
 def _abs_rounded(v, rnd: str) -> mpf:
@@ -114,25 +135,66 @@ def _abs_rounded(v, rnd: str) -> mpf:
     return abs(v)
 
 
-def _pad(value) -> mpf:
+def _pad_up(value) -> tuple:
     # a few ulp at the ambient precision; mpmath rounds to 1/2 ulp per op
-    return mp.ldexp(_abs_upper(value), 4 - mp.prec)
+    return mpf_shift(_abs_up(value), 4 - mp.prec)
+
+
+def _pad(value) -> mpf:
+    return mp.make_mpf(_pad_up(value))
 
 
 # relative slack on every closed-form tail, covering its own rounding
 _TAIL_SLACK = 1 + mpf(2) ** -30
 
+_UP = "u"           # radii are >= 0, so rounding away from zero rounds them up
+
+
+def _up(x, prec: int) -> tuple:
+    """A radius x (mpf, int, float or Fraction) as a libmp value rounded upward."""
+    if isinstance(x, mpf):
+        return mpf_pos(x._mpf_, prec, _UP)
+    x = Fraction(x)
+    return from_rational(x.numerator, x.denominator, prec, _UP)
+
+
+def _sum_up(*terms: tuple) -> mpf:
+    """The sum of libmp radii, each addition rounded upward."""
+    p = mp.prec
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = mpf_add(acc, t, p, _UP)
+    return mp.make_mpf(acc)
+
+
+def _mul_up(a: tuple, b: tuple) -> tuple:
+    return mpf_mul(a, b, mp.prec, _UP)
+
+
+def _ball(value, err: mpf) -> "CertValue":
+    """A CertValue from a radius that is already an mpf rounded upward."""
+    b = object.__new__(CertValue)
+    b.value, b.err = value, err
+    return b
+
 
 class CertValue:
-    """Value with a rigorous error radius.  Immutable by convention."""
+    """A ball: a midpoint and a radius that holds every point it stands for.
+
+    The midpoint rounds to nearest at the ambient precision, and _pad, 16
+    ulp of it, is the only allowance for that rounding.  Every radius
+    operation rounds upward, so a radius is never smaller than the exact
+    value of its formula.  Immutable by convention.
+    """
 
     __slots__ = ("value", "err")
 
     def __init__(self, value, err=0):
         self.value = value if isinstance(value, (mpf, mpc)) else mp.mpmathify(value)
-        self.err = mpf(err)
-        if self.err < 0:
+        e = _up(err, mp.prec)
+        if e[0] and e[1]:
             raise ValueError("negative error radius")
+        self.err = mp.make_mpf(e)
 
     @classmethod
     def exact(cls, x) -> "CertValue":
@@ -145,6 +207,12 @@ class CertValue:
         v = mp.mpmathify(x)
         return cls(v, _pad(v))
 
+    @classmethod
+    def pi(cls) -> "CertValue":
+        """pi at the ambient precision."""
+        v = +mp.pi
+        return _ball(v, _pad(v))
+
     def __repr__(self):
         return f"CertValue({self.value}, err={self.err})"
 
@@ -153,12 +221,12 @@ class CertValue:
     def __add__(self, other):
         other = _coerce(other)
         v = self.value + other.value
-        return CertValue(v, self.err + other.err + _pad(v))
+        return _ball(v, _sum_up(self.err._mpf_, other.err._mpf_, _pad_up(v)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CertValue(-self.value, self.err)
+        return _ball(-self.value, self.err)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -169,27 +237,29 @@ class CertValue:
     def __mul__(self, other):
         other = _coerce(other)
         v = self.value * other.value
-        e = (_abs_upper(self.value) * other.err + _abs_upper(other.value) * self.err
-             + self.err * other.err + _pad(v))
-        return CertValue(v, e)
+        a, b = self.err._mpf_, other.err._mpf_
+        return _ball(v, _sum_up(_mul_up(_abs_up(self.value), b),
+                                _mul_up(_abs_up(other.value), a), _mul_up(a, b), _pad_up(v)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _coerce(other)
         # the radius falls as |divisor| grows, so it takes a lower bound b of it
-        b, f = _abs_upper(other.value), other.err
-        b = mp.fsub(b, mp.ldexp(b, -57), rounding="d")
-        if f >= b:
+        p, b, f = mp.prec, _abs_up(other.value), other.err._mpf_
+        b = mpf_sub(b, mpf_shift(b, -57), p, "d")
+        gap = mpf_sub(b, f, p, "d")
+        if gap[0] or not gap[1]:
             raise ZeroDivisionError("divisor interval contains zero")
         v = self.value / other.value
-        e = (_abs_upper(self.value) * f + b * self.err) / (b * (b - f)) + _pad(v)
-        return CertValue(v, e)
+        num = mpf_add(mpf_mul(_abs_up(self.value), f, p, _UP), mpf_mul(b, self.err._mpf_, p, _UP),
+                      p, _UP)
+        return _ball(v, _sum_up(mpf_div(num, mpf_mul(b, gap, p, "d"), p, _UP), _pad_up(v)))
 
     def pow_int(self, n: int) -> "CertValue":
-        """v^n rounded once, radius n e (|v| + e)^(n-1) rounded upward plus pads.
+        """v^n rounded once, radius n e (|v| + e)^(n-1) plus the pad of v^n, rounded upward.
 
-        |v| is taken from above by _abs_upper.  mpmath forms
+        |v| is taken from above by _abs_up.  mpmath forms
         a real power, or a complex one with n <= 2 or a zero part, exactly
         or at extra precision and rounds it once, which the pad of v^n
         covers.  Any other complex power may be exp(n log v) at 10 extra
@@ -203,13 +273,87 @@ class CertValue:
             return CertValue(mpf(1))
         v, e = self.value, self.err
         value = v ** n
-        base = mp.fadd(_abs_upper(v), e, rounding="u")
-        power = mp.make_mpf(mpf_pow_int(base._mpf_, n - 1, mp.prec, "u"))
-        spread = mp.fmul(mp.fmul(n, e, rounding="u"), power, rounding="u")
-        rounding = _pad(value)
+        p = mp.prec
+        base = mpf_add(_abs_up(v), e._mpf_, p, _UP)
+        spread = _mul_up(_mul_up(from_int(n), e._mpf_), mpf_pow_int(base, n - 1, p, _UP))
+        rounding = _pad_up(value)
         if isinstance(v, mpc) and n > 2 and v.real and v.imag:
-            rounding *= 1 + mpf(n * (abs(mp.mag(v)) + 5)) / 2048
-        return CertValue(value, spread + rounding)
+            grow = _mul_up(rounding, from_int(2048 + n * (abs(mp.mag(v)) + 5)))
+            rounding = mpf_shift(grow, -11)
+        return _ball(value, _sum_up(spread, rounding))
+
+    # -- elementary functions of a real ball --------------------------------
+    #
+    # Each takes mpmath's f(v) at the ambient precision, which lies within
+    # _pad of the true value (the few-ulp assumption every value here rests
+    # on), and adds e times a bound on |f'| over [v - e, v + e], rounded
+    # upward; the docstring of each gives that bound.
+
+    def _real_parts(self) -> tuple:
+        if isinstance(self.value, mpc):
+            raise TypeError("elementary functions take a real ball")
+        return self.value, self.err
+
+    def _image(self, y: mpf, spread: mpf) -> "CertValue":
+        return _ball(y, _sum_up(spread._mpf_, _pad_up(y)))
+
+    def exp(self) -> "CertValue":
+        """e^v.  |exp'| <= e^(v + e) <= (e^v + pad) e^e on the ball, with
+        e^e <= 1 + 2e for e <= 1."""
+        v, e = self._real_parts()
+        y = mp.exp(v)
+        grow = mp.fadd(1, 2 * e, rounding=_UP) if e <= 1 else _upper_of(mp.exp(e))
+        return self._image(y, mp.fmul(mp.fmul(_upper_of(y), grow, rounding=_UP), e, rounding=_UP))
+
+    def log(self) -> "CertValue":
+        """log v for v - e > 0.  |log'| <= 1 / (v - e) on the ball."""
+        v, e = self._real_parts()
+        low = mp.fsub(v, e, rounding="d")
+        if low <= 0:
+            raise ValueError(f"log of a ball that reaches {low}")
+        return self._image(mp.log(v), mp.fdiv(e, low, rounding=_UP))
+
+    def sqrt(self) -> "CertValue":
+        """sqrt v for v - e >= 0.  |sqrt w - sqrt v| = |w - v| / (sqrt w + sqrt v)
+        <= e / sqrt v for every w >= 0."""
+        v, e = self._real_parts()
+        if v < e:
+            raise ValueError(f"sqrt of a ball that reaches below 0: {v} +- {e}")
+        y = mp.sqrt(v)
+        return self._image(y, mp.fdiv(e, _lower_of(y), rounding=_UP) if e else e)
+
+    def sin(self) -> "CertValue":
+        """sin v.  |sin'| <= 1."""
+        v, e = self._real_parts()
+        return self._image(mp.sin(v), e)
+
+    def cos(self) -> "CertValue":
+        """cos v.  |cos'| <= 1."""
+        v, e = self._real_parts()
+        return self._image(mp.cos(v), e)
+
+    def tan(self) -> "CertValue":
+        """tan v for e <= 1 and 2 e |tan v| < 1.  With t = tan v and |d| <= e,
+        tan(v + d) - t = tan d (1 + t^2) / (1 - t tan d), and |tan d| <= 2 e
+        for e <= 1, so the ball moves at most 2 e (1 + t^2) / (1 - 2 e |t|)."""
+        v, e = self._real_parts()
+        y = mp.tan(v)
+        t, d = _upper_of(y), 2 * e
+        den = mp.fsub(1, mp.fmul(d, t, rounding=_UP), rounding="d")
+        if e > 1 or den <= 0:
+            raise ValueError(f"tan of a ball too wide for its slope: {v} +- {e}")
+        num = mp.fmul(d, mp.fadd(1, mp.fmul(t, t, rounding=_UP), rounding=_UP), rounding=_UP)
+        return self._image(y, mp.fdiv(num, den, rounding=_UP))
+
+    def acos(self) -> "CertValue":
+        """acos v for |v| + e < 1.  |acos'| = 1 / sqrt(1 - w^2)
+        <= 1 / sqrt(1 - (|v| + e)^2) on the ball."""
+        v, e = self._real_parts()
+        a = mp.fadd(abs(v), e, rounding=_UP)
+        room = mp.fsub(1, mp.fmul(a, a, rounding=_UP), rounding="d")
+        if room <= 0:
+            raise ValueError(f"acos of a ball that reaches |v| = 1: {v} +- {e}")
+        return self._image(mp.acos(v), mp.fdiv(e, _lower_of(mp.sqrt(room)), rounding=_UP))
 
     # -- views -------------------------------------------------------------
 
@@ -236,8 +380,9 @@ class CertValue:
         return lo if lo > 0 else mpf(0)
 
     def widened(self, extra) -> "CertValue":
-        """The same value with extra added to the radius, rounded upward."""
-        return CertValue(self.value, mp.fadd(self.err, extra, rounding="u"))
+        """The same value with extra (mpf, int, float or Fraction) added to the
+        radius, rounded upward."""
+        return _ball(self.value, _sum_up(self.err._mpf_, _up(extra, mp.prec)))
 
     def certified_sign(self) -> int:
         """-1, 0 or +1; 0 means the interval straddles zero (no certificate)."""
@@ -258,6 +403,16 @@ class CertValue:
             raise NotRealError(
                 f"imaginary part {self.value.imag} exceeds radius {self.err}")
         return CertValue(self.value.real, self.err)
+
+
+def _upper_of(y: mpf) -> mpf:
+    """An upper bound of |f| from mpmath's value y of it: |y| + _pad(y), rounded upward."""
+    return mp.fadd(abs(y), _pad(y), rounding=_UP)
+
+
+def _lower_of(y: mpf) -> mpf:
+    """A lower bound of f > 0 from mpmath's value y of it: y - _pad(y), rounded downward."""
+    return mp.fsub(y, _pad(y), rounding="d")
 
 
 def _coerce(x) -> CertValue:
@@ -290,9 +445,9 @@ def _fixed(x: mpf, p: int) -> int:
     return man << (exp + p) if exp + p >= 0 else man >> -(exp + p)
 
 
-def _from_fixed(n: int, p: int, rnd: str = "n") -> mpf:
-    """n 2^-p rounded to the working precision in the direction rnd."""
-    return mp.make_mpf(from_man_exp(n, -p, mp.prec, rnd))
+def _from_fixed(n: int, p: int) -> mpf:
+    """n 2^-p rounded to nearest at the working precision."""
+    return mp.make_mpf(from_man_exp(n, -p, mp.prec, "n"))
 
 
 def eval_poly(coeffs, z, radius=0) -> CertValue:
@@ -341,7 +496,7 @@ def eval_poly(coeffs, z, radius=0) -> CertValue:
         value = mpc(_from_fixed(a, p), _from_fixed(b, p))
     else:
         value = _from_fixed(a, p)
-    return CertValue(value, _from_fixed(units, p, "u") + _pad(value))
+    return _ball(value, _sum_up(from_man_exp(units, -p, mp.prec, _UP), _pad_up(value)))
 
 
 # ---------------------------------------------------------------------------

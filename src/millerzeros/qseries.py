@@ -305,6 +305,8 @@ def eisenstein(k: int, trunc: int) -> QSeries:
     k = 0 returns the constant series 1.  Weight 2 is allowed (the
     quasimodular E_2); odd or negative weights raise UnsupportedWeightError.
     """
+    if trunc < 0:
+        raise ValueError(f"trunc must be at least 0 for E_{k}, got {trunc}")
     if k == 0:
         return QSeries.one(trunc)
     if k < 2 or k % 2 != 0:
@@ -360,6 +362,8 @@ def delta(trunc: int) -> QSeries:
 @lru_cache(maxsize=None)
 def jfunction(trunc: int) -> QSeries:
     """The modular j-function E_4^3 / Delta = q^-1 + 744 + 196884 q + ..."""
+    if trunc < -1:
+        raise ValueError(f"trunc must be at least -1 for j, got {trunc}")
     return QSeries._make(-1, _monomial(trunc + 2, -1, 3, 0), trunc)
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +18,8 @@ from millerzeros.certify import (
     monotonicity_certificate_075, magnitude_certificate_065,
     j_difference_bounds, delta_line_bounds,
     residue_term, residue_entries, _residue_slope, _table_value,
-    proposition_mrl_check, _amplitude, _entry_lower, _entry_upper, _entry_value,
-    full_ledger, _LINE_CASES, _dominated_tail, _pad_of,
+    proposition_mrl_check, _entry_lower, _entry_upper, _entry_value,
+    full_ledger, _LINE_CASES, _dominated_tail,
     _ARC_CLAIMS, _DEPTH, _arc_slopes, _bisect_claims, arc_eisenstein_bounds,
 )
 from millerzeros.evalnum import EisensteinTail, eval_series
@@ -326,12 +327,11 @@ def test_mrl_report_lists_undecided_angles(monkeypatch):
 
 
 def test_amplitude_encloses_the_exponential_at_m_20():
-    # x = 2 pi m sin theta reaches 126; the radius grows with x, past the
-    # fixed 2^(8 - prec) relative pad it replaces
+    # x = 2 pi m sin theta reaches 126, and the radius of e^x grows with x;
+    # the ball chain of certify._oscillation must still hold e^x
     for theta in arc_grid(5e-2):
         with workprec(140):
-            amp = _amplitude(20, mpf(theta))
-            assert amp.err > mp.ldexp(amp.value, 8 - mp.prec)
+            amp = (CertValue.pi() * 40 * CertValue(mpf(theta)).sin()).exp()
         with workprec(560):
             want = mp.exp(2 * mp.pi * 20 * mp.sin(mpf(theta)))
             assert abs(want - amp.value) <= amp.err
@@ -400,19 +400,28 @@ def test_ledger_enclosures_contain_what_they_bound(monkeypatch):
 
 
 def test_dominated_tail_within_its_pad():
-    # the tail is built from the exact rationals, so its only error is
-    # ambient rounding, well inside the pad the line ledger gives it
+    # the tail is a ball built from the exact rationals: it must hold the
+    # 256-bit value of its closed form
     for k, y, _, _, _, dom in _LINE_CASES:
         with workprec(140):
             tail, dom_ok = _dominated_tail(k, y, 3, dom)
-            pad = _pad_of(tail)
         assert dom_ok
         with workprec(256):
             gamma = abs(Fraction(2 * k) / bernoulli(k))
             half = mp.e ** (-mp.pi * y.numerator / y.denominator)
             exact = (mpf(gamma.numerator) / gamma.denominator * dom.numerator
                      / dom.denominator * half ** 3 / (1 - half))
-            assert abs(tail - exact) <= pad
+            assert abs(tail.value - exact) <= tail.err
+
+
+def test_certify_leaves_rounding_to_the_ball_layer():
+    # evalnum.CertValue is the one place that knows how the working
+    # precision rounds; a pad, a shift by the precision or a read of it in
+    # certify would be a hand-derived radius outside the ball arithmetic
+    # and its tests
+    source = Path(certify.__file__).read_text()
+    for token in ("_pad", "ldexp(", "mp.prec"):
+        assert token not in source, token
 
 
 def line_maxima(monkeypatch, cases=_LINE_CASES):

@@ -194,6 +194,8 @@ def test_determinism(capsys):
     ("expand", "--form", "bogus"),
     ("miller", "--k", "2"),
     ("miller", "--k", "48", "--trunc", "3"),             # trunc below ell + 1
+    ("expand", "--form", "j", "--trunc", "-3"),          # trunc below j's -1
+    ("expand", "--form", "E4", "--trunc", "-1"),         # trunc below 0
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

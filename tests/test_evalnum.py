@@ -13,7 +13,7 @@ from millerzeros.qseries import (EISENSTEIN_FACTORS, QSeries, _pentagonal_euler_
 from millerzeros.miller import miller_form
 from millerzeros.zeros import HFunction
 from millerzeros.evalnum import (
-    CertValue, NotRealError, TailUnboundedError, _abs_upper, _exact,
+    CertValue, NotRealError, TailUnboundedError, _abs_up, _exact,
     EisensteinTail, JCoeffTail, EtaProductTail, j_tail_bound,
     eval_poly, eval_series, eval_delta_eta,
     arc_functions, arc_form, arc_j, arc_j_float, arc_grid, export_arc_csv,
@@ -89,6 +89,94 @@ def test_certvalue_pow_int():
         a.pow_int(-1)
 
 
+def _two(n: int) -> Fraction:
+    return Fraction(2) ** n
+
+
+def _inward_cases():
+    """(ball computed at 53 bits, the exact Fraction value of its radius formula)."""
+    with workprec(200):
+        wide = 1 + mpf(2) ** -150
+    with workprec(53):
+        tiny = mpf(2) ** -200
+        e1, v2, f = mp.ldexp(7850867838710181, -52), mp.ldexp(7434051592338293, -52), \
+            mp.ldexp(4051791406653507, -94)
+        return {
+            # e + e'
+            "sum": (CertValue(0, 1) + CertValue(0, tiny), 1 + _two(-200)),
+            # |v| e' + |v'| e + e e'
+            "product": (CertValue(0, 1) * CertValue(3, tiny), 3 + _two(-200)),
+            "init": (CertValue(0, wide), 1 + _two(-150)),
+            # (|v| f + |v'| e) / (|v'| (|v'| - f)), here also the largest |x / y|
+            "quotient": (CertValue(0, e1) / CertValue(v2, f),
+                         _exact(e1) / (_exact(v2) - _exact(f))),
+            # n e (|v| + e)^(n-1) plus the pad of v^n = 2^-60, 16 ulp of it
+            "power": (CertValue(mpf(2) ** -30, 1).pow_int(2),
+                      2 * (1 + _two(-30)) + _two(-60) * _two(4 - 53)),
+        }
+
+
+@pytest.mark.parametrize("name", ["sum", "product", "init", "quotient", "power"])
+def test_radius_is_never_below_its_exact_formula(name):
+    # round-to-nearest radius arithmetic returns 1, 3 and 1 for the first
+    # three and falls short on the last two; every radius rounds upward
+    ball, exact = _inward_cases()[name]
+    assert _exact(ball.err) >= exact
+
+
+# name -> (the mpmath function, midpoint range, largest radius as a power of 2
+# of |midpoint|), chosen so that every ball lies in the function's domain
+BALL_FUNCTIONS = {
+    "exp": (mp.exp, (-50, 50), 0),
+    "log": (mp.log, (1e-3, 1e3), -2),
+    "sqrt": (mp.sqrt, (1e-3, 1e3), -1),
+    "sin": (mp.sin, (-10, 10), 0),
+    "cos": (mp.cos, (-10, 10), 0),
+    "tan": (mp.tan, (-1.4, 1.4), -6),
+    "acos": (mp.acos, (-0.9, 0.9), -6),
+}
+
+
+@pytest.mark.parametrize("prec", [53, 140])
+@pytest.mark.parametrize("name", BALL_FUNCTIONS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ball_function_holds_the_reference(name, prec, data):
+    # f of both ends and of the midpoint, at 2000 bits, lies in the ball
+    f, (lo, hi), top = BALL_FUNCTIONS[name]
+    draw = data.draw
+    x = draw(st.floats(lo, hi).filter(lambda t: abs(t) > 1e-6))
+    scale = draw(st.integers(-prec - 10, top))
+    with workprec(prec):
+        v = mpf(x) * (1 + mpf(2) ** -60 * draw(UNIT))
+        arg = CertValue(v, abs(v) * mpf(2) ** scale * draw(UNIT))
+        ball = getattr(arg, name)()
+    with workprec(2000):
+        for w in (v - arg.err, v, v + arg.err):
+            assert abs(f(w) - ball.value) <= ball.err
+
+
+@pytest.mark.parametrize("prec", [53, 140])
+def test_pi_ball_holds_pi(prec):
+    with workprec(prec):
+        pi = CertValue.pi()
+    with workprec(2000):
+        assert abs(mp.pi - pi.value) <= pi.err
+
+
+def test_ball_functions_refuse_a_ball_outside_their_domain():
+    with pytest.raises(ValueError):
+        CertValue(1, 1).log()
+    with pytest.raises(ValueError):
+        CertValue(1, 2).sqrt()
+    with pytest.raises(ValueError):
+        CertValue(mpf("0.5"), mpf("0.5")).acos()
+    with pytest.raises(ValueError):
+        CertValue(mpf("1.5"), mpf("0.1")).tan()
+    with pytest.raises(TypeError):
+        CertValue(mpc(1, 1)).exp()
+
+
 UNIT = st.floats(0, 1)
 # odd 140-bit mantissas keep every part exactly 140 bits long, so the
 # branch mpmath takes for a complex power is known from n and the exponents
@@ -135,7 +223,7 @@ def test_abs_upper_is_a_tight_upper_bound(a, b, scale, shift, real):
     with workprec(240):
         v = mp.ldexp(a, scale) if real else mpc(mp.ldexp(a, scale), mp.ldexp(b, scale + shift))
     square = sum(_exact(p) ** 2 for p in ((v,) if real else (v.real, v.imag)))
-    bound = _exact(_abs_upper(v))
+    bound = _exact(mp.make_mpf(_abs_up(v)))
     assert square <= bound ** 2 <= (1 + Fraction(1, 2 ** 20)) ** 2 * square
 
 
@@ -167,7 +255,7 @@ def test_abs_of_a_complex_value_encloses_the_modulus():
 @given(st.lists(st.floats(-5, 5), min_size=4, max_size=4), st.floats(0, 0.5), st.floats(0, 0.5),
        st.lists(st.floats(0, 1), min_size=4, max_size=4))
 def test_certvalue_encloses_complex_products_and_quotients(parts, ea, eb, u):
-    # radii of complex products and quotients take |v| from _abs_upper
+    # radii of complex products and quotients take |v| from _abs_up
     a, b = mpc(parts[0], parts[1]), mpc(parts[2], parts[3])
     x, y = CertValue(a, ea), CertValue(b, eb)
     with workprec(140):

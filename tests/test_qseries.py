@@ -118,6 +118,14 @@ def test_eisenstein_rejects_bad_weight():
             eisenstein(k, 4)
 
 
+def test_truncation_below_the_lowest_names_it():
+    with pytest.raises(ValueError, match="at least -1 for j, got -2"):
+        jfunction(-2)
+    with pytest.raises(ValueError, match="at least 0 for E_4, got -1"):
+        eisenstein(4, -1)
+    assert jfunction(-1).coeffs == (1,) and eisenstein(4, 0).coeffs == (1,)
+
+
 @pytest.mark.parametrize("k", EXTRA_WEIGHTS[1:])
 def test_eisenstein_integrality(k):
     e = eisenstein(k, 64)
