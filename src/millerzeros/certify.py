@@ -10,7 +10,9 @@ fall into a few families:
   * separation of j between the arc and those lines, via trigonometric
     polynomial certificates (Chebyshev basis, then a Goursat substitution
     z -> (1-z)/(1+z) that turns one-signedness on [-1, 1] into positivity
-    of coefficients on [0, infinity));
+    of coefficients on [0, infinity)); both steps are integer and linear,
+    so the Chebyshev polynomials and their Goursat images are exact
+    IntPolynomials and only the weights that combine them are balls;
   * the assembled contour-estimate table and the growth constants
     (c1, B1, B2, c2) derived from it.
 
@@ -19,9 +21,10 @@ everything floating is a CertValue ball (evalnum), built from exact
 inputs by ball arithmetic: pi, exp, log, sqrt, the trigonometric
 functions and acos carry their own radii, so no constant here takes a
 hand-derived pad, and this module never reads or rounds at the working
-precision itself.  Three older bounds still carry a fixed relative
-slack of their own: delta_line_bounds (2^-40), the grid floor of
-_table_numeric_check (2^-40) and _sin_range (2^-60, at 80 bits).
+precision itself.  Two older bounds still carry a fixed relative slack
+of their own: delta_line_bounds (2^-40) and the grid floor of
+_table_numeric_check (2^-40).  Every flag that compares two balls is
+decided on their exact ends.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from mpmath import mp, mpc, mpf, workprec
 
 from . import qseries
 from .qseries import EISENSTEIN_FACTORS
+from .miller import IntPolynomial
 from .evalnum import (DEFAULT_PREC, ArcValues, CertValue, EisensteinTail,
                       JCoeffTail, TailUnboundedError, _exact, _span, arc_functions,
                       arc_grid, arc_j, eval_delta_eta, eval_series, j_tail_bound,
@@ -149,6 +153,11 @@ def _entry_flag(name: str, ref: str, ok: bool) -> BoundLedgerEntry:
     return BoundLedgerEntry(name, 1.0, float(flag), 0.0, bool(ok), ref, (flag, flag))
 
 
+def _entry_agree(name: str, ref: str, a: CertValue, b: CertValue) -> BoundLedgerEntry:
+    """A flag: the real balls a and b share a point, decided on their exact ends."""
+    return _entry_flag(name, ref, max(_lower(a), _lower(b)) <= min(_upper(a), _upper(b)))
+
+
 def _entry_exact(name: str, ref: str, computed: Fraction, claimed: Fraction,
                  upper: bool = True) -> BoundLedgerEntry:
     ok = computed < claimed if upper else computed > claimed
@@ -161,75 +170,50 @@ def _entry_exact(name: str, ref: str, computed: Fraction, claimed: Fraction,
 
 
 @lru_cache(maxsize=None)
-def _cheb_t(n: int) -> tuple:
-    """Monomial coefficients (ascending) of the Chebyshev polynomial T_n."""
-    if n == 0:
-        return (1,)
-    if n == 1:
-        return (0, 1)
-    a, b = _cheb_t(n - 2), _cheb_t(n - 1)
-    out = [0] * (n + 1)
-    for i, c in enumerate(b):
-        out[i + 1] += 2 * c
-    for i, c in enumerate(a):
-        out[i] -= c
-    return tuple(out)
+def _chebyshev(n: int) -> IntPolynomial:
+    """The Chebyshev polynomial T_n, from T_n = 2z T_(n-1) - T_(n-2)."""
+    if n < 2:
+        return IntPolynomial.make([0] * n + [1])
+    return IntPolynomial((0, 2)) * _chebyshev(n - 1) - _chebyshev(n - 2)
 
 
-def chebyshev_to_monomial(coeffs) -> list:
-    """Monomial coefficients (ascending) of sum c_k T_k(z); the c_k are exact
-    rationals or CertValues."""
-    out = [0] * len(coeffs)
-    for k, c in enumerate(coeffs):
-        for i, w in enumerate(_cheb_t(k)):
-            if w:
-                out[i] = out[i] + c * w
+def _goursat(p: IntPolynomial, d: int) -> IntPolynomial:
+    """(1 + w)^d p((1 - w)/(1 + w)) for deg p <= d.
+
+    The Vincent transform of Collins and Akritas (1976): z = -1 + 2u,
+    reversal at degree d, then u = 1 + w.  Sign questions for p on
+    [-1, 1] become sign questions on [0, infinity), where a polynomial
+    with one-signed coefficients is decided by inspection.
+    """
+    q = p.affine(-1, 1).coeffs
+    return IntPolynomial.make((q + (0,) * (d + 1 - len(q)))[::-1]).affine(1, 2)
+
+
+def _goursat_of_derivative(a: list) -> list:
+    """Goursat coefficients of d/dz sum_n a_n T_n(z), a_n balls.
+
+    Everything but the weights is integer and linear, so coefficient i is
+    sum_n a_n G_n[i] with G_n = _goursat(T_n', d) exact, d = len(a) - 2.
+    """
+    d = len(a) - 2
+    out = [CertValue(0)] * (d + 1)
+    for n, c in enumerate(a):
+        for i, g in enumerate(_goursat(_chebyshev(n).derivative(), d).coeffs):
+            if g:
+                out[i] = out[i] + c * g
     return out
 
 
-def polynomial_derivative(coeffs: list) -> list:
-    return [i * c for i, c in enumerate(coeffs)][1:] or [0 * coeffs[0]]
-
-
-def goursat_transform(coeffs: list) -> list:
-    """Coefficients of (1+z)^d P((1-z)/(1+z)) for P given in monomials.
-
-    Sign questions for P on [-1, 1] become sign questions for the output
-    on [0, infinity), where a polynomial with one-signed coefficients is
-    decided by inspection.  Exact when the input is exact; linear in the
-    inputs, so CertValue coefficients propagate their radii unchanged
-    apart from the integer weights.
-    """
-    d = len(coeffs) - 1
-    total = None
-    for i, p in enumerate(coeffs):
-        w = [1]
-        for _ in range(i):                       # (1 - z)^i
-            w = [a - b for a, b in zip(w + [0], [0] + w)]
-        for _ in range(d - i):                   # (1 + z)^(d-i)
-            w = [a + b for a, b in zip(w + [0], [0] + w)]
-        term = [p * c for c in w]
-        if total is None:
-            total = term
-        else:
-            total = [a + b for a, b in zip(total, term)]
-    return total
-
-
-def horner(coeffs: list, x):
-    acc = None
-    for c in reversed(coeffs):
-        acc = c if acc is None else acc * x + c
-    return acc
-
-
 def _certified_root_decreasing(coeffs: list, lo: float, hi: float) -> CertValue:
-    """Root of a certified-coefficient polynomial, strictly decreasing on [lo, hi],
-    to 40 halvings of the bracket."""
+    """Root of a ball-coefficient polynomial (ascending), strictly decreasing
+    on [lo, hi], to 40 halvings of the bracket."""
     lo, hi = mpf(lo), mpf(hi)
     for _ in range(40):
         mid = (lo + hi) / 2
-        s = horner(coeffs, CertValue(mid)).certified_sign()
+        x, acc = CertValue(mid), coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            acc = acc * x + c
+        s = acc.certified_sign()
         if s > 0:
             lo = mid
         elif s < 0:
@@ -267,20 +251,19 @@ def j_approx_error(M: int, a) -> mpf:
         raise DomainError(str(exc)) from exc
 
 
-def _sin_range(a, b) -> tuple:
-    """(lower, upper) bounds of sin on [a, b], reasoned exactly: an interior
-    minimum sits at 3pi/2 mod 2pi and a maximum at pi/2 mod 2pi, otherwise
-    each is at an endpoint, widened by 2^-60."""
-    with workprec(80):
-        a, b = mpf(a), mpf(b)
-        ends = mp.sin(a), mp.sin(b)
+def _sin_range(a: Fraction, b: Fraction) -> tuple:
+    """Balls holding the minimum and the maximum of sin on [a pi, b pi].
 
-        def inside(c):
-            k = mp.ceil((a - c) / (2 * mp.pi))
-            return a <= c + 2 * mp.pi * k <= b
-        lo = mpf(-1) if inside(3 * mp.pi / 2) else min(ends) - mpf(2) ** -60
-        hi = mpf(1) if inside(mp.pi / 2) else max(ends) + mpf(2) ** -60
-        return lo, hi
+    An interior minimum sits at 3pi/2 mod 2pi and a maximum at pi/2 mod
+    2pi, which is decided exactly on the rationals a <= b; otherwise each
+    is the smaller or the larger of the two end values.
+    """
+    def inside(c: Fraction) -> bool:             # c + 2k in [a, b] for some integer k
+        return c + 2 * math.ceil((a - c) / 2) <= b
+    ends = [(CertValue.pi() * t).sin() for t in (a, b)]
+    lo = CertValue(-1) if inside(Fraction(3, 2)) else -_ball_max(*(-e for e in ends))
+    hi = CertValue(1) if inside(Fraction(1, 2)) else _ball_max(*ends)
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +293,7 @@ def monotonicity_certificate_075() -> MonotonicityCertificate:
              Einv + CertValue.exact(j.coeff(1)) * E]
         for n in range(2, 6):
             a.append(CertValue.exact(j.coeff(n)) * E.pow_int(n))
-        mono = chebyshev_to_monomial(a)
-        deriv = polynomial_derivative(mono)
-        gour = goursat_transform(deriv)
+        gour = _goursat_of_derivative(a)
         # expected pattern: positive constant, all higher coefficients negative
         if gour[0].certified_sign() != 1:
             raise CertificateFailureError("constant term not certified positive")
@@ -320,8 +301,7 @@ def monotonicity_certificate_075() -> MonotonicityCertificate:
             if c.certified_sign() != -1:
                 raise CertificateFailureError(f"coefficient {i} not certified negative")
         z0 = _certified_root_decreasing(gour, 0.5, 2.0)
-        one = CertValue(mpf(1))
-        zroot = (one - z0) / (one + z0)
+        zroot = (1 - z0) / (1 + z0)
         x0 = zroot.acos() / (CertValue.pi() * 2)
         return MonotonicityCertificate(x0, [
             _entry_value("refit.x0", "interior minimum of Re f_{5,3/4}", x0, 0.253311, 1e-4),
@@ -357,10 +337,7 @@ def magnitude_certificate_065() -> MagnitudeCertificate:
             for m in range(-1, M - k + 1):
                 s = s + a[m] * a[m + k]
             b.append(s if k == 0 else s * 2)
-        mono = chebyshev_to_monomial(b)
-        deriv = polynomial_derivative(mono)
-        gour = goursat_transform(deriv)
-        for i, c in enumerate(gour):
+        for i, c in enumerate(_goursat_of_derivative(b)):
             if c.certified_sign() != 1:
                 raise CertificateFailureError(
                     f"derivative Goursat coefficient {i} not certified positive")
@@ -368,16 +345,18 @@ def magnitude_certificate_065() -> MagnitudeCertificate:
         for n in range(-1, M + 1):
             half = half + a[n] * (1 if n % 2 == 0 else -1)
         half = half.abs()
-        sq = horner(mono, CertValue(mpf(-1)))
+        # p(-1) = sum_k b_k T_k(-1) = sum_k (-1)^k b_k
+        sq = CertValue(mpf(0))
+        for k, c in enumerate(b):
+            sq = sq + c * (-1) ** k
         return MagnitudeCertificate(half, [
             _entry_value("magfit.value-at-half", "|f_{7,13/20}| at x = 1/2",
                          half, 593.543, 1e-2),
             _entry_value("magfit.leading", "|f|^2 leading Chebyshev-to-monomial coefficient",
-                         mono[-1], 260611.69, 0.05),
+                         b[-1] * _chebyshev(len(b) - 1).coeffs[-1], 260611.69, 0.05),
             _entry_flag("magfit.signs", "all-positive derivative certificate", True),
-            _entry_flag("magfit.square-consistency",
-                        "p(-1) equals |f(1/2)|^2",
-                        abs(sq.value - half.value ** 2) <= sq.err + 2 * half.err * abs(half.value) + mpf(1e-12)),
+            _entry_agree("magfit.square-consistency", "p(-1) equals |f(1/2)|^2",
+                         sq, half * half),
         ])
 
 
@@ -415,12 +394,11 @@ def j_difference_bounds() -> JDifferenceReport:
                                     CertValue(err19), 4e-4))
         entries.append(_entry_value("jdiff.ref19", "Re f_{6,sin 1.9}(cos 1.9)",
                                     f19.real(), 271.09885, 1e-3))
-        in_window = bool(j19.value - j19.err > 271 and j19.value + j19.err < 272)
-        entries.append(_entry_flag("jdiff.j19-window", "271 <= j(e^{1.9i}) <= 272", in_window))
-        jarc = arc_j(1.9)
-        agree = abs(jarc.value - j19.value) <= jarc.err + j19.err
-        entries.append(_entry_flag("jdiff.j19-cross-route",
-                                   "arc evaluation agrees with the line approximation", agree))
+        entries.append(_entry_flag("jdiff.j19-window", "271 <= j(e^{1.9i}) <= 272",
+                                   271 < _lower(j19) and _upper(j19) < 272))
+        entries.append(_entry_agree("jdiff.j19-cross-route",
+                                    "arc evaluation agrees with the line approximation",
+                                    arc_j(1.9), j19))
 
         mono = monotonicity_certificate_075()
         mag = magnitude_certificate_065()
@@ -441,7 +419,7 @@ def j_difference_bounds() -> JDifferenceReport:
         entries.append(_entry_value("jdiff.ref-02", "Re f_{5,3/4}(0.2), derived",
                                     f02.real(), -524.9924, 0.05))
         x0 = mono.x0
-        x0_inside = bool(x0.value - x0.err > 0.2 and x0.value + x0.err < 0.5)
+        x0_inside = Fraction(1, 5) < _lower(x0) and _upper(x0) < Fraction(1, 2)
         entries.append(_entry_flag("jdiff.x0-between",
                                    "interior minimum splits [0.2, 0.5]", x0_inside))
         if not x0_inside:
@@ -487,9 +465,12 @@ def _im_lower_bound_075() -> CertValue:
             coeffs[n] = E.pow_int(n) * j.coeff(n)
         total = CertValue(mpf(0))
         for n, s in coeffs.items():
-            lo, hi = 2 * mp.pi * n * mpf("0.1"), 2 * mp.pi * n * mpf("0.2")
-            factor = _sin_range(lo, hi)[0 if s.value > 0 else 1]
-            total = total + s * CertValue(factor)
+            # sin(2 pi n x) for x in [0.1, 0.2], weighted by the sign of s
+            lo, hi = _sin_range(Fraction(n, 5), Fraction(2 * n, 5))
+            sign = s.certified_sign()
+            if not sign:
+                raise CertificateFailureError(f"sine weight {n} not one-signed")
+            total = total + s * (lo if sign > 0 else hi)
         return total
 
 
@@ -695,16 +676,12 @@ def arc_eisenstein_bounds() -> list:
                          lem.varpi_prime, 2.42865, 1e-5),
             _entry_value("e4.arc.at-i", "E_4 at the corner i", at_i.e4.abs(),
                          1.455761, 1e-5),
-            _entry_flag("e4.arc.closed-form",
-                        "E_4(i) equals 3 varpi^4 / pi^4",
-                        bool(abs(at_i.e4.abs().value - e4i_closed.value)
-                             <= at_i.e4.err + e4i_closed.err)),
+            _entry_agree("e4.arc.closed-form", "E_4(i) equals 3 varpi^4 / pi^4",
+                         at_i.e4.abs(), e4i_closed),
             _entry_value("e6.arc.at-rho", "E_6 at the corner rho", at_rho.e6,
                          2.881536, 1e-5),
-            _entry_flag("e6.arc.closed-form",
-                        "E_6(rho) equals 27 varpi'^6 / (2 pi^6)",
-                        bool(abs(at_rho.e6.value - e6rho_closed.value)
-                             <= at_rho.e6.err + e6rho_closed.err)),
+            _entry_agree("e6.arc.closed-form", "E_6(rho) equals 27 varpi'^6 / (2 pi^6)",
+                         at_rho.e6, e6rho_closed),
             _entry_value("e4.arc.at-19", "e_4 at the split angle", at_19.e4.abs(),
                          0.900253, 1e-5),
             _entry_value("e6.arc.at-19", "e_6 at the split angle", at_19.e6,

@@ -26,10 +26,18 @@ from contextlib import ExitStack
 
 from . import certify, miller, qseries, zeros
 
+
+def _delta_inv(trunc: int):
+    # 1/Delta to trunc needs Delta to trunc + 2, which starts at 1
+    if trunc < -1:
+        raise ValueError(f"trunc must be at least -1 for delta-inv, got {trunc}")
+    return qseries.delta(trunc + 2) ** -1
+
+
 _FORMS = {
     "delta": lambda n: qseries.delta(n),
     "j": lambda n: qseries.jfunction(n),
-    "delta-inv": lambda n: qseries.delta(n + 2) ** -1,
+    "delta-inv": _delta_inv,
 }
 
 

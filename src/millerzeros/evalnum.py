@@ -88,8 +88,8 @@ from functools import lru_cache
 from math import isqrt
 
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import (from_int, from_man_exp, from_rational, mpc_abs, mpf_add,
-                          mpf_div, mpf_mul, mpf_pos, mpf_pow_int, mpf_shift, mpf_sub)
+from mpmath.libmp import (from_int, from_man_exp, from_rational, mpf_add, mpf_div, mpf_mul,
+                          mpf_pos, mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub)
 
 from . import qseries
 from .qseries import QSeries
@@ -129,9 +129,15 @@ def _abs_up(v) -> tuple:
 
 
 def _abs_rounded(v, rnd: str) -> mpf:
-    """|v| rounded to the ambient precision in the direction rnd; exact for a real v."""
+    """|v| rounded to the ambient precision in the direction rnd; exact for a real v.
+
+    A complex modulus sums the two squares exactly (libmp at precision 0)
+    and rounds only its square root, which mpf_sqrt does correctly in
+    either direction.
+    """
     if isinstance(v, mpc):
-        return mp.make_mpf(mpc_abs(v._mpc_, mp.prec, rnd))
+        a, b = v._mpc_
+        return mp.make_mpf(mpf_sqrt(mpf_add(mpf_mul(a, a), mpf_mul(b, b)), mp.prec, rnd))
     return abs(v)
 
 

@@ -13,7 +13,7 @@ from millerzeros import certify
 from millerzeros.evalnum import CertValue, _exact, arc_functions, arc_grid
 from millerzeros.certify import (
     BoundLedgerEntry, DomainError,
-    _cheb_t, chebyshev_to_monomial, polynomial_derivative, goursat_transform, horner,
+    _chebyshev, _goursat, _goursat_of_derivative, _sin_range,
     _certified_root_decreasing, j_approx, j_approx_error,
     monotonicity_certificate_075, magnitude_certificate_065,
     j_difference_bounds, delta_line_bounds,
@@ -23,6 +23,7 @@ from millerzeros.certify import (
     _ARC_CLAIMS, _DEPTH, _arc_slopes, _bisect_claims, arc_eisenstein_bounds,
 )
 from millerzeros.evalnum import EisensteinTail, eval_series
+from millerzeros.miller import IntPolynomial
 from millerzeros.qseries import eisenstein
 from millerzeros.qseries import bernoulli
 
@@ -38,12 +39,12 @@ PRINTED_TABLE = {
 # basis conversions
 
 def test_chebyshev_goldens():
-    assert _cheb_t(0) == (1,)
-    assert _cheb_t(1) == (0, 1)
-    assert _cheb_t(2) == (-1, 0, 2)
-    assert _cheb_t(3) == (0, -3, 0, 4)
-    assert _cheb_t(4) == (1, 0, -8, 0, 8)
-    assert _cheb_t(5) == (0, 5, 0, -20, 0, 16)
+    assert _chebyshev(0).coeffs == (1,)
+    assert _chebyshev(1).coeffs == (0, 1)
+    assert _chebyshev(2).coeffs == (-1, 0, 2)
+    assert _chebyshev(3).coeffs == (0, -3, 0, 4)
+    assert _chebyshev(4).coeffs == (1, 0, -8, 0, 8)
+    assert _chebyshev(5).coeffs == (0, 5, 0, -20, 0, 16)
 
 
 @settings(max_examples=40, deadline=None)
@@ -57,21 +58,18 @@ def test_chebyshev_to_monomial_matches_recurrence(coeffs, z):
         total += c * (t_prev if k == 0 else t)
         if k:
             t_prev, t = t, 2 * z * t - t_prev
-    assert horner(chebyshev_to_monomial(coeffs), z) == total
-
-
-def test_polynomial_derivative():
-    assert polynomial_derivative([Fraction(5), Fraction(0), Fraction(-3), Fraction(2)]) \
-        == [Fraction(0), Fraction(-6), Fraction(6)]
+    assert sum(c * _chebyshev(k)(z) for k, c in enumerate(coeffs)) == total
 
 
 def test_goursat_transform_hand_cases():
     # P(t) = t, degree 1: (1+z) * (1-z)/(1+z) = 1 - z
-    assert goursat_transform([Fraction(0), Fraction(1)]) == [1, -1]
+    assert _goursat(IntPolynomial((0, 1)), 1).coeffs == (1, -1)
     # P(t) = t^2, degree 2: (1-z)^2
-    assert goursat_transform([Fraction(0), Fraction(0), Fraction(1)]) == [1, -2, 1]
+    assert _goursat(IntPolynomial((0, 0, 1)), 2).coeffs == (1, -2, 1)
     # P(t) = 1 + t, degree 1: (1+z) + (1-z) = 2
-    assert goursat_transform([Fraction(1), Fraction(1)]) == [2, 0]
+    assert _goursat(IntPolynomial((1, 1)), 1).coeffs == (2,)
+    # P(t) = 1 taken at degree 2: (1+z)^2
+    assert _goursat(IntPolynomial((1,)), 2).coeffs == (1, 2, 1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -79,13 +77,29 @@ def test_goursat_transform_hand_cases():
        st.fractions(min_value=Fraction(-3, 4), max_value=Fraction(3, 4),
                     max_denominator=64))
 def test_goursat_is_change_of_variable(coeffs, t):
-    # P(t) * (1+z)^d == G(z) at z = (1-t)/(1+t), exactly over rationals
-    coeffs = [Fraction(c) for c in coeffs]
+    # P(t) * (1+z)^d == G(z) at z = (1-t)/(1+t), exactly over rationals; a
+    # zero leading coefficient leaves deg P below d
+    p = IntPolynomial.make(coeffs)
     d = len(coeffs) - 1
-    g = goursat_transform(coeffs)
+    g = _goursat(p, d)
     z = (1 - t) / (1 + t)
-    lhs = horner(coeffs, t) * (1 + z) ** d
-    assert horner(g, z) == lhs
+    assert g(z) == p(t) * (1 + z) ** d
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6), min_size=2, max_size=9))
+def test_goursat_of_derivative_holds_the_exact_coefficients(a):
+    # the ball sum of the per-T_n images against the image of the exact sum
+    p = IntPolynomial((0,))
+    for n, c in enumerate(a):
+        p = p + c * _chebyshev(n)
+    want = _goursat(p.derivative(), len(a) - 2).coeffs
+    with workprec(140):
+        got = _goursat_of_derivative([CertValue.exact(c) for c in a])
+    assert len(got) == len(a) - 1
+    for i, ball in enumerate(got):
+        w = want[i] if i < len(want) else 0
+        assert abs(_exact(ball.value) - w) <= _exact(ball.err)
 
 
 def test_certified_root_simple():
@@ -127,6 +141,39 @@ def test_magnitude_certificate(ledger_by_name):
     assert abs(cert.value_at_half.value - mpf("593.543")) < 1e-2
     assert all(e.satisfied for e in cert.entries)
     assert ledger_by_name["magfit.value-at-half"].satisfied
+
+
+def test_square_consistency_fails_on_a_small_mismatch(monkeypatch):
+    # p(-1) off by 1e-13, far above both radii and far below the old 1e-12 slack
+    agree = certify._entry_agree
+
+    def off(name, ref, a, b):
+        if name == "magfit.square-consistency":
+            a = a + Fraction(1, 10 ** 13)
+        return agree(name, ref, a, b)
+    flags = {e.name: e.satisfied for e in magnitude_certificate_065().entries}
+    assert flags["magfit.square-consistency"]
+    monkeypatch.setattr(certify, "_entry_agree", off)
+    flags = {e.name: e.satisfied for e in magnitude_certificate_065().entries}
+    assert not flags["magfit.square-consistency"]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_sin_range_holds_the_extrema(n):
+    # the intervals [n pi/5, 2n pi/5] of the Im f_{5,3/4} bound; at 2000 bits
+    # the extrema are the larger and smaller of the end values and of the
+    # +-1 at each pi/2 + k pi inside
+    with workprec(140):
+        lo, hi = _sin_range(Fraction(n, 5), Fraction(2 * n, 5))
+    with workprec(2000):
+        a, b = n * mp.pi / 5, 2 * n * mp.pi / 5
+        values = [mp.sin(a), mp.sin(b)]
+        k = int(mp.ceil(a / mp.pi - mpf(1) / 2))
+        while mp.pi / 2 + k * mp.pi <= b:
+            values.append(mpf(-1) ** k)
+            k += 1
+        assert abs(lo.value - min(values)) <= lo.err
+        assert abs(hi.value - max(values)) <= hi.err
 
 
 def test_j_difference_bounds():

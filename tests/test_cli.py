@@ -196,11 +196,19 @@ def test_determinism(capsys):
     ("miller", "--k", "48", "--trunc", "3"),             # trunc below ell + 1
     ("expand", "--form", "j", "--trunc", "-3"),          # trunc below j's -1
     ("expand", "--form", "E4", "--trunc", "-1"),         # trunc below 0
+    ("expand", "--form", "delta-inv", "--trunc", "-2"),  # trunc below delta-inv's -1
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_delta_inv_names_its_own_lowest_trunc(capsys):
+    # not the bound of the Delta(trunc + 2) it is built from
+    code, out, err = run(capsys, "expand", "--form", "delta-inv", "--trunc", "-2")
+    assert code == 2
+    assert "at least -1 for delta-inv" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -240,6 +240,27 @@ def test_abs_bounds_round_outward(value, mag):
     assert mag * (1 - Fraction(1, 2 ** 50)) <= lo <= mag - tiny
 
 
+def test_abs_upper_of_one_complex_value_is_not_below_the_modulus():
+    # mpmath's complex abs sums the squares rounded toward zero before its
+    # directed square root, which put this bound 1.6e-14 below |v|^2
+    with workprec(53):
+        v = mpc(mpf(1) / 7, mpf(160) / 3)
+        hi = _exact(CertValue(v, 0).abs_upper())
+    assert hi ** 2 >= _exact(v.real) ** 2 + _exact(v.imag) ** 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2 ** 140), st.integers(1, 2 ** 140), st.integers(-200, 200),
+       st.integers(-60, 60), st.sampled_from((53, 140)))
+def test_abs_bounds_of_a_complex_ball_bracket_the_modulus(a, b, scale, shift, prec):
+    # exactly: abs_lower^2 <= |v|^2 <= abs_upper^2 at radius 0
+    with workprec(prec):
+        v = mpc(mp.ldexp(a, scale), mp.ldexp(b, scale + shift))
+        cv = CertValue(v, 0)
+        hi, lo = _exact(cv.abs_upper()), _exact(cv.abs_lower())
+    assert lo ** 2 <= _exact(v.real) ** 2 + _exact(v.imag) ** 2 <= hi ** 2
+
+
 def test_abs_of_a_complex_value_encloses_the_modulus():
     # the modulus is rounded to nearest; its radius takes that rounding in
     cv = CertValue(mpc(1, 1), 0)
