@@ -40,10 +40,9 @@ from mpmath import mp, mpc, mpf, workprec
 from . import qseries
 from .qseries import EISENSTEIN_FACTORS
 from .miller import IntPolynomial
-from .evalnum import (DEFAULT_PREC, ArcValues, CertValue, EisensteinTail,
-                      JCoeffTail, TailUnboundedError, _exact, _span, arc_functions,
-                      arc_grid, arc_j, eval_delta_eta, eval_series, j_tail_bound,
-                      lemniscate_constants)
+from .evalnum import (DEFAULT_PREC, ArcValues, CertValue, EisensteinTail, _exact, _span,
+                      arc_functions, arc_grid, arc_j, eval_delta_eta, eval_series,
+                      j_tail_bound, lemniscate_constants)
 
 
 class CertificateFailureError(ArithmeticError):
@@ -224,33 +223,6 @@ def _certified_root_decreasing(coeffs: list, lo: float, hi: float) -> CertValue:
     return CertValue(mid, (hi - lo) / 2)
 
 
-# ---------------------------------------------------------------------------
-# truncated j approximations
-
-
-def j_approx(M: int, a, x) -> CertValue:
-    """f_{M,a}(x) = sum_{n=-1}^{M} c(n) e^(-2 pi a n) e^(2 pi i n x), certified.
-
-    This is the finite trigonometric polynomial itself (complex valued);
-    combine with j_approx_error for a bound on |j(x + ia) - f_{M,a}(x)|.
-    """
-    series = qseries.jfunction(M)
-    tau = mp.mpf(x) + 1j * mp.mpf(a)
-    return eval_series(series, tau, None)
-
-
-def j_approx_error(M: int, a) -> mpf:
-    """Closed-form bound for the dropped j tail; needs M > 1/a^2.
-
-    An upper bound as it stands: j_tail_bound's relative slack covers its
-    own rounding.
-    """
-    try:
-        return j_tail_bound(M, a)
-    except TailUnboundedError as exc:
-        raise DomainError(str(exc)) from exc
-
-
 def _sin_range(a: Fraction, b: Fraction) -> tuple:
     """Balls holding the minimum and the maximum of sin on [a pi, b pi].
 
@@ -375,9 +347,12 @@ class JDifferenceReport:
 def j_difference_bounds() -> JDifferenceReport:
     """Certified lower bounds for the two j-separation constants 176 and 311.
 
-    The 0.75 line is split at the interior minimum of Re f: the real part
-    dominates on [0, 0.1] and [0.2, 0.5], the imaginary part on
-    [0.1, 0.2].  The 0.65 line uses the monotone |f| certificate.  Both
+    f_{M,a}(x) = sum_{n=-1}^{M} c(n) e^(-2 pi a n) e^(2 pi i n x) is the
+    truncated j q-series at x + ia taken as the finite trigonometric
+    polynomial it is (eval_series with no tail); j_tail_bound(M, a) bounds
+    |j(x + ia) - f_{M,a}(x)|.  The 0.75 line is split at the interior
+    minimum of Re f: the real part dominates on [0, 0.1] and [0.2, 0.5],
+    the imaginary part on [0.1, 0.2].  The 0.65 line uses the monotone |f| certificate.  Both
     use |j - f| <= 10 from the truncation error bounds.  The separations
     are exact rationals built from the certified endpoints, so no
     rounding enters them.
@@ -386,8 +361,8 @@ def j_difference_bounds() -> JDifferenceReport:
     with workprec(_LEDGER_PREC):
         # the arc value at the split angle, two independent routes
         a19 = mp.sin(mpf(1.9))
-        err19 = j_approx_error(6, a19)
-        f19 = j_approx(6, a19, mp.cos(mpf(1.9)))
+        err19 = j_tail_bound(6, a19)
+        f19 = eval_series(qseries.jfunction(6), mpc(mp.cos(mpf(1.9)), a19), None)
         j19 = f19.real().widened(err19).widened(abs(f19.imag().value))
         entries.append(_entry_upper("jdiff.approx-error-19",
                                     "f_{6,sin 1.9} truncation bound",
@@ -406,13 +381,12 @@ def j_difference_bounds() -> JDifferenceReport:
         entries.extend(mag.entries)
 
         # --- height 0.75, arc range of j is [j(1.9), 1728] subset [271, 1728]
-        err75 = j_approx_error(5, 0.75)
+        err75 = j_tail_bound(5, 0.75)
         entries.append(_entry_upper("jdiff.approx-error-075",
                                     "f_{5,3/4} truncation bound",
                                     CertValue(err75), 10.0))
-        f01 = j_approx(5, 0.75, 0.1)
-        f02 = j_approx(5, 0.75, 0.2)
-        f05 = j_approx(5, 0.75, 0.5)
+        j5 = qseries.jfunction(5)
+        f01, f02, f05 = (eval_series(j5, mpc(x, 0.75), None) for x in (0.1, 0.2, 0.5))
         entries.append(_entry_value("jdiff.ref-01", "Re f_{5,3/4}(0.1)", f01.real(), 2481.16, 0.05))
         entries.append(_entry_value("jdiff.ref-05", "Re f_{5,3/4}(0.5)", f05.real(), 84.3362, 0.01))
         # the value at 0.2 is not published; frozen from this computation
@@ -442,7 +416,7 @@ def j_difference_bounds() -> JDifferenceReport:
                                     min75, Fraction(176), upper=False))
 
         # --- height 0.65, arc range of j is [0, j(1.9)] subset [0, 272]
-        err65 = j_approx_error(7, 0.65)
+        err65 = j_tail_bound(7, 0.65)
         entries.append(_entry_upper("jdiff.approx-error-065",
                                     "f_{7,13/20} truncation bound",
                                     CertValue(err65), 10.0))
@@ -480,7 +454,7 @@ def _im_lower_bound_075() -> CertValue:
 
 _LINE_CASES = (
     # (k, y as Fraction, printed partial, printed tail, claimed total,
-    #  domination constant for n^k e^{-pi y n}, partial length used in print)
+    #  domination constant for n^k e^{-pi y n})
     (4, Fraction(13, 20), 5.7, 0.2, 5.9, Fraction(3, 10)),
     (4, Fraction(3, 4), 3.4, 0.05, 3.45, Fraction(1, 5)),
     (6, Fraction(13, 20), 12.21, 2.05, 14.26, Fraction(8, 5)),
@@ -916,8 +890,10 @@ def _table_numeric_check() -> list:
 
     For each height the x-sweep maximises |E_14-k'| / (|Delta| dist(j, J)),
     with J the j-range of the matching subarc; the theta-factor uses the
-    certified arc extrema.  The product dominates the true grid maximum,
-    and must still sit below every printed case bound.
+    certified arc extrema.  At each point only E_4 and E_6 are evaluated:
+    Delta = (E_4^3 - E_6^2) / 1728 and j = E_4^3 / Delta.  The product
+    dominates the true grid maximum, and must still sit below every
+    printed case bound.
     """
     entries = []
     at_i, at_19, at_rho = _arc_corners()
@@ -929,7 +905,6 @@ def _table_numeric_check() -> list:
     heights = {"075": mpf(3) / 4, "065": mpf(13) / 20}
     e4s = qseries.eisenstein(4, 48)
     e6s = qseries.eisenstein(6, 48)
-    js = qseries.jfunction(48)
     for label in ("075", "065"):
         y = heights[label]
         jl, jh = jranges[label]
@@ -938,10 +913,12 @@ def _table_numeric_check() -> list:
         for i in range(n_pts):
             x = min(mpf(0.5), i * mpf(_TABLE_STEP))
             tau = x + 1j * y
-            e4v = eval_series(e4s, tau, EisensteinTail(4)).abs_upper()
-            e6v = eval_series(e6s, tau, EisensteinTail(6)).abs_upper()
-            dv = eval_delta_eta(tau).abs_lower()
-            jv = eval_series(js, tau, JCoeffTail())
+            e4 = eval_series(e4s, tau, EisensteinTail(4))
+            e6 = eval_series(e6s, tau, EisensteinTail(6))
+            cube = e4.pow_int(3)
+            delta = (cube - e6.pow_int(2)) / 1728
+            jv = cube / delta
+            e4v, e6v, dv = e4.abs_upper(), e6.abs_upper(), delta.abs_lower()
             w = jv.value
             re, im = w.real, w.imag
             if re < jl:

@@ -223,9 +223,6 @@ _HANDLERS = {
     "dist": _cmd_dist,
 }
 
-_USAGE_ERRORS = (qseries.UnsupportedWeightError, miller.BadIndexError, ValueError)
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     with ExitStack() as stack:
@@ -235,7 +232,7 @@ def main(argv=None) -> int:
             out = sys.stdout
         try:
             return _HANDLERS[args.command](args, out)
-        except _USAGE_ERRORS as exc:
+        except ValueError as exc:           # UnsupportedWeightError among them
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

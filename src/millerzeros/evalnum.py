@@ -49,6 +49,8 @@ A basis form on the arc (arc_form) needs no complex product: with
 E_k' = E_4^a E_6^b its real arc function is delta^ell e4^a e6^b F(j),
 delta = (e4^3 - e6^2) / 1728 and j = e4^3 / delta, from the two real
 arc functions e4 and e6 alone (Duke-Jenkins, PAMQ 4, 2008).
+arc_functions takes its delta_arc the same way, so the eta product
+serves only Delta evaluated alone (eval_delta_eta).
 
 A horizontal segment (eval_series) or an arc interval (arc_functions) of
 half-width h, rounded upward, is a q-disk about its midpoint: on the
@@ -639,12 +641,6 @@ def _series_at(s: QSeries, pt: _QPoint, tail) -> CertValue:
     return acc if tail is None else acc.widened(tail.bound(s.trunc, pt.r, pt.y))
 
 
-def _delta_at(pt: _QPoint, terms: int) -> CertValue:
-    p = eval_poly(qseries._pentagonal_euler_product(terms).coeffs, pt.q, pt.pad)
-    p = p.widened(EtaProductTail().bound(terms, pt.r, pt.y))
-    return p.pow_int(24) * CertValue(pt.q, pt.pad)
-
-
 def eval_series(s: QSeries, tau, tail, prec: int = DEFAULT_PREC) -> CertValue:
     """Certified value of a truncated q-expansion plus its tail bound.
 
@@ -672,7 +668,10 @@ def eval_delta_eta(tau, prec: int = DEFAULT_PREC) -> CertValue:
     """
     with workprec(prec + _GUARD):
         pt = _QPoint(tau)
-        return _delta_at(pt, auto_trunc(pt.y, prec))
+        terms = auto_trunc(pt.y, prec)
+        p = eval_poly(qseries._pentagonal_euler_product(terms).coeffs, pt.q, pt.pad)
+        p = p.widened(EtaProductTail().bound(terms, pt.r, pt.y))
+        return p.pow_int(24) * CertValue(pt.q, pt.pad)
 
 
 # ---------------------------------------------------------------------------
@@ -684,21 +683,30 @@ class ArcValues:
     """The four real-valued arc functions at a common angle, or on an angle interval.
 
     e2 = e^(i theta) E_2 + 3/(i pi)   (the modified weight-2 function),
-    e4, e6 = e^(i k theta / 2) E_k, and delta_arc = e^(6 i theta) Delta.
-    theta is the angle, or the midpoint of the interval.
+    e4, e6 = e^(i k theta / 2) E_k, and delta_arc = e^(6 i theta) Delta
+    = (e4^3 - e6^2) / 1728.
     """
 
-    theta: float
     e2: CertValue
     e4: CertValue
     e6: CertValue
     delta_arc: CertValue
 
 
+_CORNER_SLACK = mpf(2) ** -50
+
+
 def _theta_mpf(p) -> mpf:
+    """The arc angle p as an mpf in [pi/2, 2pi/3].
+
+    An angle within 2^-50 of a corner stands for the corner, so that the
+    doubles float(pi/2) and float(2pi/3) (arc_grid's ends) reach it; any
+    angle farther outside raises ValueError, as no enclosure here holds
+    off the arc.
+    """
     t = mpf(p)
     lo, hi = mp.pi / 2, 2 * mp.pi / 3
-    if not lo - mpf(1e-9) <= t <= hi + mpf(1e-9):
+    if not lo - _CORNER_SLACK <= t <= hi + _CORNER_SLACK:
         raise ValueError(f"theta = {t} outside [pi/2, 2pi/3]")
     return min(max(t, lo), hi)
 
@@ -717,9 +725,10 @@ def arc_functions(p, prec: int = DEFAULT_PREC) -> ArcValues:
 
     p is an angle or a pair (lo, hi) with pi/2 <= lo <= hi <= 2pi/3; for a
     pair each enclosure holds at every theta in [lo, hi], and the pair
-    (theta, theta) gives the point result bit for bit.  Each is provably
-    real; NotRealError if an imaginary part survives outside the
-    propagated radius.
+    (theta, theta) gives the point result bit for bit.  Only the three
+    Eisenstein series are evaluated: delta_arc = (e4^3 - e6^2) / 1728, as
+    in arc_form.  Each is provably real; NotRealError if an imaginary part
+    survives outside the propagated radius.
     """
     with workprec(prec + _GUARD):
         lo, hi = (_theta_mpf(t) for t in (p if isinstance(p, tuple) else (p, p)))
@@ -730,11 +739,9 @@ def arc_functions(p, prec: int = DEFAULT_PREC) -> ArcValues:
         n = auto_trunc(pt.y, prec)
         e2, e4, e6 = (_series_at(qseries.eisenstein(k, n), pt, EisensteinTail(k))
                       for k in (2, 4, 6))
-        d = _delta_at(pt, n)
-        e2 = (tau * e2 + CertValue(mpc(0, -3) / mp.pi, _pad(mpf(1)))).as_real()
-        e4, e6, da = ((_phase(theta, k, h) * v).as_real()
-                      for k, v in ((4, e4), (6, e6), (12, d)))
-        return ArcValues(float(theta), e2, e4, e6, da)
+        e2 = (tau * e2 + CertValue(mpc(0, -3)) / CertValue.pi()).as_real()
+        e4, e6 = ((_phase(theta, k, h) * v).as_real() for k, v in ((4, e4), (6, e6)))
+        return ArcValues(e2, e4, e6, (e4.pow_int(3) - e6.pow_int(2)) / 1728)
 
 
 def arc_form(form, p, prec: int = DEFAULT_PREC, trunc_scale: int = 1) -> CertValue:

@@ -44,10 +44,6 @@ from .qseries import (EISENSTEIN_FACTORS, FormId, QSeries, _monomial, _mul, _pow
                       eisenstein, jfunction)
 
 
-class BadIndexError(ValueError):
-    """Vanishing order m outside the admissible range 0..ell."""
-
-
 class NotInSpaceError(ValueError):
     """Series is not the q-expansion of a form of the stated weight."""
 
@@ -124,13 +120,10 @@ class IntPolynomial:
             if other == 0:
                 return IntPolynomial((0,))
             return IntPolynomial(tuple(other * c for c in self.coeffs))
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return IntPolynomial.make(out)
+        # _mul keeps len(a) terms, so both factors are padded to the product's length
+        a, b = self.coeffs, other.coeffs
+        n = len(a) + len(b) - 1
+        return IntPolynomial.make(_mul(a + (0,) * (n - len(a)), b + (0,) * (n - len(b))))
 
     __rmul__ = __mul__
 
@@ -401,8 +394,6 @@ def _checked_trunc(ell: int, trunc: int | None) -> int:
 
 def raw_basis(fid: FormId, trunc: int | None = None) -> QSeries:
     """e_{k,m} = Delta^ell E_k' j^(ell-m) = q^m + O(q^(m+1))."""
-    if not 0 <= fid.m <= fid.ell:
-        raise BadIndexError(f"m={fid.m} outside 0..{fid.ell}")
     if trunc is None:
         trunc = default_trunc(fid.ell)
     head = trunc + fid.ell - fid.m      # each j factor costs one order
@@ -442,15 +433,11 @@ miller_basis.cache_info = _basis.cache_info
 
 
 def miller_form(k: int, m: int, trunc: int | None = None) -> MillerForm:
-    """g_{k,m} = q^m + O(q^(ell+1)) with its monic integer Faber polynomial."""
+    """g_{k,m} = q^m + O(q^(ell+1)) with its monic integer Faber polynomial;
+    m = 0 gives the gap form g_{k,0} = 1 + O(q^(ell+1)) of M_k."""
     fid = FormId.from_k(k, m)
     trunc = _checked_trunc(fid.ell, trunc)
     return _assemble(fid, trunc, _t_start(fid, trunc - m + 1), _tail_factor(fid, trunc))
-
-
-def gap_form(k: int, trunc: int | None = None) -> MillerForm:
-    """The m = 0 basis element g_{k,0} = 1 + O(q^(ell+1)) of M_k."""
-    return miller_form(k, 0, trunc)
 
 
 def _start(fid: FormId, n: int) -> list:

@@ -241,11 +241,6 @@ class QSeries:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "QSeries":
-        coeffs = [Fraction(s) for s in d["coeffs"]]
-        return cls._make(int(d["lead"]), coeffs, int(d["trunc"]))
-
     def __str__(self) -> str:
         terms = []
         for i, c in enumerate(self.coeffs):

@@ -39,7 +39,7 @@ denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -463,7 +463,7 @@ def trivial_orders(kprime: int) -> tuple:
 @dataclass
 class ZeroReport:
     id: FormId
-    arc_angles: list                    # (theta_lo, theta_hi) float pairs
+    arc_angles: list | None             # (theta_lo, theta_hi) float pairs; None: not sampled
     faber_roots_in: list                # rational isolating intervals in (0, 1728)
     faber_roots_out: dict               # real_outside / complex_pairs counts
     boundary_mult: dict                 # exact Faber roots at 0 and 1728
@@ -477,7 +477,8 @@ class ZeroReport:
         return {
             "k": self.id.k, "m": self.id.m, "ell": self.id.ell,
             "kprime": self.id.kprime,
-            "arc_angles": [[a, b] for a, b in self.arc_angles],
+            "arc_angles": (None if self.arc_angles is None
+                           else [[a, b] for a, b in self.arc_angles]),
             "faber_roots_in": [[str(a), str(b)] for a, b in self.faber_roots_in],
             "faber_roots_out": self.faber_roots_out,
             "boundary_mult": {str(k): v for k, v in self.boundary_mult.items()},
@@ -499,6 +500,13 @@ def _boundary_multiplicity(p: IntPolynomial, at: int) -> tuple:
 
 
 def zero_report(form: MillerForm, with_arc: bool = True) -> ZeroReport:
+    """Exact Faber root census, arc brackets and the valence check of one form.
+
+    with_arc=False leaves arc_angles empty.  A form with nontrivial zeros
+    and k <= 4 pi m has no sample angles (h is not monotone), so its
+    arc_angles is None, not sampled; the exact census and the valence
+    check still decide it.
+    """
     fid = form.id
     mult0, deflated = _boundary_multiplicity(form.faber, 0)
     mult1728, deflated = _boundary_multiplicity(deflated, 1728)
@@ -511,9 +519,13 @@ def zero_report(form: MillerForm, with_arc: bool = True) -> ZeroReport:
     else:
         inner, off = [], {"real_outside": 0, "complex_pairs": 0}
     ti, trho = trivial_orders(fid.kprime)
+    arc = []
+    if with_arc:
+        sampled = form.faber.degree <= 0 or HFunction(fid.k, fid.m).monotone
+        arc = arc_zero_localize(form) if sampled else None
     report = ZeroReport(
         id=fid,
-        arc_angles=arc_zero_localize(form) if with_arc else [],
+        arc_angles=arc,
         faber_roots_in=inner,
         faber_roots_out=off,
         boundary_mult={0: mult0, 1728: mult1728},
@@ -585,7 +597,6 @@ class DistributionStats:
     count: int
     discrepancy: float
     histogram: list
-    angles: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {"k": self.k, "m": self.m, "count": self.count,
@@ -629,12 +640,11 @@ def distribution_stats(fid_list: list, bins: int = 8) -> list:
         if isinstance(fid, tuple):
             fid = FormId.from_k(*fid)
         form = miller_form(fid.k, fid.m)
-        angles = zero_angles(form)
-        units = [(t - lo) / span for t in angles]
+        units = [(t - lo) / span for t in zero_angles(form)]
         hist = [0] * bins
         for u in units:
             hist[min(bins - 1, int(u * bins))] += 1
         out.append(DistributionStats(k=fid.k, m=fid.m, count=len(units),
                                      discrepancy=star_discrepancy(units),
-                                     histogram=hist, angles=angles))
+                                     histogram=hist))
     return out

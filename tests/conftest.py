@@ -13,8 +13,8 @@ from millerzeros import qseries
 from millerzeros.miller import miller_form
 from millerzeros.certify import full_ledger
 from millerzeros.evalnum import (DEFAULT_PREC, _GUARD, CertValue, EisensteinTail, JCoeffTail,
-                                 _QPoint, _delta_at, _phase, _series_at, _theta_mpf,
-                                 auto_trunc, eval_poly)
+                                 _QPoint, _phase, _series_at, _theta_mpf, auto_trunc,
+                                 eval_delta_eta, eval_poly)
 
 
 def direct_eval_form(form, tau, prec: int = DEFAULT_PREC) -> CertValue:
@@ -28,7 +28,7 @@ def direct_eval_form(form, tau, prec: int = DEFAULT_PREC) -> CertValue:
     with workprec(prec + _GUARD):
         pt = _QPoint(tau)
         n = auto_trunc(pt.y, prec)
-        dl = _delta_at(pt, n).pow_int(fid.ell)
+        dl = eval_delta_eta(tau, prec=prec).pow_int(fid.ell)
         if fid.kprime:
             ek = _series_at(qseries.eisenstein(fid.kprime, n), pt, EisensteinTail(fid.kprime))
         else:

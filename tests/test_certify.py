@@ -7,14 +7,14 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mp, mpf, workprec
+from mpmath import mp, mpc, mpf, workprec
 
 from millerzeros import certify
 from millerzeros.evalnum import CertValue, _exact, arc_functions, arc_grid
 from millerzeros.certify import (
     BoundLedgerEntry, DomainError,
     _chebyshev, _goursat, _goursat_of_derivative, _sin_range,
-    _certified_root_decreasing, j_approx, j_approx_error,
+    _certified_root_decreasing,
     monotonicity_certificate_075, magnitude_certificate_065,
     j_difference_bounds, delta_line_bounds,
     residue_term, residue_entries, _residue_slope, _table_value,
@@ -22,9 +22,9 @@ from millerzeros.certify import (
     full_ledger, _LINE_CASES, _dominated_tail,
     _ARC_CLAIMS, _DEPTH, _arc_slopes, _bisect_claims, arc_eisenstein_bounds,
 )
-from millerzeros.evalnum import EisensteinTail, eval_series
+from millerzeros.evalnum import EisensteinTail, eval_series, j_tail_bound
 from millerzeros.miller import IntPolynomial
-from millerzeros.qseries import eisenstein
+from millerzeros.qseries import eisenstein, jfunction
 from millerzeros.qseries import bernoulli
 
 PRINTED_TABLE = {
@@ -114,15 +114,15 @@ def test_certified_root_simple():
 def test_j_approx_reference_angle():
     with workprec(140):
         a = mp.sin(mpf("1.9"))
-        f19 = j_approx(6, a, mp.cos(mpf("1.9")))
+        f19 = eval_series(jfunction(6), mpc(mp.cos(mpf("1.9")), a), None)
         assert abs(f19.real().value - mpf("271.09885")) < 1e-3
-        assert j_approx_error(6, a) < 4e-4
+        assert j_tail_bound(6, a) < 4e-4
 
 
 def test_j_approx_error_magnitudes():
-    assert j_approx_error(5, 0.75) < 10
-    assert j_approx_error(7, 0.65) < 10
-    assert j_approx_error(7, 0.65) < j_approx_error(5, 0.65)
+    assert j_tail_bound(5, 0.75) < 10
+    assert j_tail_bound(7, 0.65) < 10
+    assert j_tail_bound(7, 0.65) < j_tail_bound(5, 0.65)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +194,8 @@ def test_j_difference_bounds_carry_no_floats():
     assert by_name["jdiff.sep-065"].computed == float(rep.min_diff_065)
     with workprec(140):
         a19 = mp.sin(mpf(1.9))
-        err19 = j_approx_error(6, a19)
-        f19 = j_approx(6, a19, mp.cos(mpf(1.9)))
+        err19 = j_tail_bound(6, a19)
+        f19 = eval_series(jfunction(6), mpc(mp.cos(mpf(1.9)), a19), None)
     assert isinstance(err19, mpf)
     assert by_name["jdiff.approx-error-19"].computed == float(err19)
     need = _exact(f19.err) + _exact(err19) + abs(_exact(f19.imag().value))

@@ -135,6 +135,19 @@ def test_arc_zeros_exit_and_schema(capsys):
     assert d["boundary_mult"] == {"0": 0, "1728": 0}
 
 
+def test_arc_zeros_of_a_form_without_sample_angles(capsys):
+    # k = 276 <= 4 pi m at m = 22: h is not monotone, so the arc is not
+    # sampled; the exact census still finds the one root, near j = 192
+    code, out, _ = run(capsys, "arc-zeros", "--k", "276", "--m", "22")
+    assert code == 0
+    d = json.loads(out)
+    assert d["arc_angles"] is None and d["valence_ok"]
+    assert len(d["faber_roots_in"]) == 1
+    # with no nontrivial zero (F = 1) there is nothing to sample: no brackets
+    code, out, _ = run(capsys, "arc-zeros", "--k", "12", "--m", "1")
+    assert code == 0 and json.loads(out)["arc_angles"] == []
+
+
 def test_verify_thm2_text(capsys):
     code, out, _ = run(capsys, "verify-thm2", "--max-ell", "1")
     assert code == 0
@@ -190,6 +203,7 @@ def test_determinism(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("faber", "--k", "13", "--m", "1"),       # odd weight
+    ("expand", "--form", "E3"),               # no Eisenstein series of odd weight
     ("faber", "--k", "48", "--m", "5"),       # m beyond the dimension
     ("expand", "--form", "bogus"),
     ("miller", "--k", "2"),

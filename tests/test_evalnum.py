@@ -617,7 +617,6 @@ def arc_quartet(av):
 def test_arc_interval_of_zero_width_is_the_point(prec):
     for theta in ARC_ANGLES:
         point, span = arc_functions(theta, prec=prec), arc_functions((theta, theta), prec=prec)
-        assert span.theta == point.theta
         for a, b in zip(arc_quartet(span), arc_quartet(point)):
             assert (a.value, a.err) == (b.value, b.err)
 
@@ -651,6 +650,23 @@ def test_eval_form_matches_separate_q_path(theta, form_124_1, direct_form):
 def test_arc_j_monotone_decreasing():
     vals = [arc_j(t).value for t in arc_grid(2e-2)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+def test_angles_off_the_arc_are_refused():
+    # 5e-10 past rho, j is about -5.7e-24; an enclosure of j(rho) = 0 there
+    # would be false, so the angle is refused rather than moved onto rho
+    with workprec(140):
+        past_rho, before_i = 2 * mp.pi / 3 + mpf("5e-10"), mp.pi / 2 - mpf("5e-10")
+    for theta in (past_rho, before_i):
+        with pytest.raises(ValueError, match="outside"):
+            arc_j(theta)
+        with pytest.raises(ValueError, match="outside"):
+            arc_functions(theta)
+    # the doubles of the corners, arc_grid's two ends, stand for the corners
+    grid = arc_grid()
+    at_i, at_rho = arc_j(grid[0]), arc_j(grid[-1])
+    assert grid[0] == float(mp.pi / 2) and grid[-1] == 2.0943951023931957
+    assert abs(at_i.value - 1728) <= at_i.err and abs(at_rho.value) <= at_rho.err
 
 
 def test_arc_j_float_matches_arc_j():

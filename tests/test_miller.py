@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from millerzeros.qseries import (EXTRA_WEIGHTS, FormId, QSeries, _power, delta, eisenstein,
                                 jfunction)
 from millerzeros.miller import (
-    IntPolynomial, MillerForm, miller_basis, miller_form, gap_form, raw_basis,
+    IntPolynomial, MillerForm, miller_basis, miller_form, raw_basis,
     faber_of, reconstruct, faber_json, default_trunc,
     NotInSpaceError, NonIntegralFaberError, _exact_div, _q_over_t, _t_series,
 )
@@ -131,10 +131,6 @@ def reference_form(k, m, trunc=None):
     return r, IntPolynomial.make(poly)
 
 
-def _built(k, m, trunc=None):
-    return gap_form(k, trunc) if m == 0 else miller_form(k, m, trunc)
-
-
 def test_single_forms_match_family_elimination_small_weights():
     # every weight with ell <= 14, every k' and every 0 <= m <= ell
     for ell in range(15):
@@ -142,7 +138,7 @@ def test_single_forms_match_family_elimination_small_weights():
             k = 12 * ell + kprime
             for m in range(ell + 1):
                 series, faber = reference_form(k, m)
-                form = _built(k, m)
+                form = miller_form(k, m)
                 assert form.series == series and form.faber == faber, (k, m)
 
 
@@ -150,7 +146,7 @@ def test_single_forms_match_family_elimination_small_weights():
                                          (340, 2, None)])
 def test_single_forms_match_family_elimination(k, m, trunc):
     series, faber = reference_form(k, m, trunc)
-    form = _built(k, m, trunc)
+    form = miller_form(k, m, trunc)
     assert form.series == series and form.faber == faber
 
 
@@ -158,12 +154,12 @@ def test_trunc_must_reach_ell_plus_one():
     with pytest.raises(ValueError):
         miller_form(48, 1, trunc=4)         # ell = 4
     with pytest.raises(ValueError):
-        gap_form(48, trunc=4)
+        miller_form(48, 0, trunc=4)
     assert miller_form(48, 1, trunc=5).series.trunc == 5
 
 
 def test_gap_form():
-    g = gap_form(36)
+    g = miller_form(36, 0)
     assert g.id.m == 0
     assert g.series.coeff(0) == 1
     assert all(g.series.coeff(n) == 0 for n in range(1, 4))
@@ -273,7 +269,7 @@ def test_build_agrees_with_q_domain_reduction(k):
     for m, f in enumerate(basis, start=1):
         assert f == miller_form(k, m)
         assert faber_of(f.series, f.id) == f.faber
-    g = gap_form(k)
+    g = miller_form(k, 0)
     assert faber_of(g.series, g.id) == g.faber
 
 
@@ -344,6 +340,16 @@ def test_intpolynomial_horner_exact():
     p = IntPolynomial.make([-6, 11, -6, 1])      # (x-1)(x-2)(x-3)
     assert p(1) == 0 and p(2) == 0 and p(3) == 0
     assert p(Fraction(1, 2)) == Fraction(-15, 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=7),
+       st.lists(st.integers(-50, 50), min_size=1, max_size=7), st.integers(-9, 9))
+def test_intpolynomial_product_is_the_product_of_values(a, b, x):
+    p, q = IntPolynomial.make(a), IntPolynomial.make(b)
+    assert (p * q)(x) == p(x) * q(x)
+    assert (p * q).degree == (-1 if p.degree < 0 or q.degree < 0 else p.degree + q.degree)
+    assert (p * 3).coeffs == tuple(3 * c for c in p.coeffs) and (p * 0).degree == -1
 
 
 def test_intpolynomial_derivative():

@@ -42,3 +42,8 @@ def test_ledger_matches_the_benchmark_reference(work):
 
 def test_exact_sweep_matches_the_benchmark_reference(work):
     assert _failed_verdicts(work, work.make_inputs("exact-sweep", 1)) == []
+
+
+def test_arc_zeros_matches_the_benchmark_reference(work):
+    # the seed-1 brackets as pinned, and each refined cell a certified sign change of F
+    assert _failed_verdicts(work, work.make_inputs("arc-zeros", 1)) == []

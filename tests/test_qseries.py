@@ -1,6 +1,5 @@
 """Exact q-expansion arithmetic: golden coefficients, identities, properties."""
 
-import json
 import math
 from fractions import Fraction
 
@@ -350,12 +349,3 @@ def test_formid_rejects_bad_index():
         FormId.from_k(48, 5)        # ell = 4
     with pytest.raises(ValueError):
         FormId.from_k(13, 0)
-
-
-def test_json_round_trip():
-    e6 = eisenstein(6, 12)
-    blob = json.dumps(e6.to_json_dict())
-    back = QSeries.from_json_dict(json.loads(blob))
-    assert back == e6
-    j = jfunction(6)
-    assert QSeries.from_json_dict(json.loads(json.dumps(j.to_json_dict()))) == j
