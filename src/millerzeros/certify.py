@@ -41,7 +41,7 @@ from . import qseries
 from .qseries import EISENSTEIN_FACTORS
 from .miller import IntPolynomial
 from .evalnum import (DEFAULT_PREC, ArcValues, CertValue, EisensteinTail, _exact, _span,
-                      arc_functions, arc_grid, arc_j, eval_delta_eta, eval_series,
+                      _theta_mpf, arc_functions, arc_grid, arc_j, eval_delta_eta, eval_series,
                       j_tail_bound, lemniscate_constants)
 
 
@@ -964,10 +964,14 @@ _MRL_LADDER = (1, 2, 4, 8)       # multiples of the starting precision
 
 
 def _oscillation(form, m: int, theta: float, prec: int) -> CertValue:
-    """e^(ik theta/2) e^(2 pi m sin theta) g_{k,m}(e^(i theta)) - 2 cos h(theta)."""
+    """e^(ik theta/2) e^(2 pi m sin theta) g_{k,m}(e^(i theta)) - 2 cos h(theta).
+
+    theta goes through _theta_mpf, as in arc_form, so that a double within
+    2^-50 of a corner stands for the corner in every factor.
+    """
     from .evalnum import arc_form
     with workprec(prec + 12):
-        t, pi2m = CertValue(mpf(theta)), CertValue.pi() * (2 * m)
+        t, pi2m = CertValue(_theta_mpf(theta)), CertValue.pi() * (2 * m)
         g = arc_form(form, theta, prec=prec)
         h = t * Fraction(form.id.k, 2) + pi2m * t.cos()
         return g * (pi2m * t.sin()).exp() - h.cos() * 2

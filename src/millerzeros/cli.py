@@ -205,8 +205,11 @@ def _cmd_dist(args, out) -> int:
             [f"bin{i}" for i in range(args.bins)]
         print(",".join(header), file=out)
         for st in stats:
-            row = [str(st.k), str(st.m), str(st.count), repr(st.discrepancy)] + \
-                [str(c) for c in st.histogram]
+            if st.count is None:            # not sampled: empty fields
+                row = [str(st.k), str(st.m)] + [""] * (args.bins + 2)
+            else:
+                row = [str(st.k), str(st.m), str(st.count), repr(st.discrepancy)] + \
+                    [str(c) for c in st.histogram]
             print(",".join(row), file=out)
     return 0
 

@@ -11,7 +11,11 @@ Two independent mechanisms see every zero:
     multiples of pi.  On the arc G = delta_arc^ell e4^a e6^b F(j) and
     the first two factors have certified signs, so each sample is one
     certified j(theta) enclosure at a precision independent of k plus
-    one exact integer sign of F on it (IntPolynomial.sign_on).
+    two exact integer signs of F at short dyadics just outside it; one
+    count of their sign changes against deg F proves every sample's sign
+    at once (_counted_signs).  Only when that count fails is each sample
+    certified alone by a Taylor model of F on its enclosure
+    (IntPolynomial.sign_on).
 
 refine_arc_zero narrows a bracket by bisection on an uncertified sign,
 F at the double j of evalnum.arc_j_float, and certifies only the two
@@ -337,6 +341,18 @@ def _float_arc_sign(form: MillerForm, theta) -> int:
     return _arc_flip(form) * form.faber.sign_at(n, d)
 
 
+def _at_corner(form: MillerForm, theta) -> bool:
+    """Whether theta is within a few ulp of a corner where e4^a e6^b vanishes.
+
+    There the sign of G's Eisenstein factor is not certified, so no sample
+    there is decided.
+    """
+    a, b = EISENSTEIN_FACTORS[form.id.kprime]
+    with workprec(DEFAULT_PREC + 16):
+        t, tol = mpf(theta), mpf(2) ** (8 - mp.prec)
+        return bool((a and t >= 2 * mp.pi / 3 - tol) or (b and t <= mp.pi / 2 + tol))
+
+
 def _certified_arc_sign(form: MillerForm, theta) -> int:
     """Sign of G(theta) through F(j(theta)); 0 is never returned.
 
@@ -344,15 +360,11 @@ def _certified_arc_sign(form: MillerForm, theta) -> int:
     where delta_arc < 0 on the closed arc, e4 < 0 on [pi/2, 2 pi/3) and
     e6 > 0 on (pi/2, 2 pi/3]; so sign G = (-1)^(ell + a) sign F on the
     certified j-enclosure, decided exactly by IntPolynomial.sign_on.  An
-    angle within a few ulp of a corner where e4^a e6^b vanishes has no
-    certified factor sign and raises.  j starts at DEFAULT_PREC and climbs
-    _J_LADDER while the sign is not decided.
+    angle _at_corner has no certified factor sign and raises.  j starts at
+    DEFAULT_PREC and climbs _J_LADDER while the sign is not decided.
     """
-    a, b = EISENSTEIN_FACTORS[form.id.kprime]
-    with workprec(DEFAULT_PREC + 16):
-        t, tol = mpf(theta), mpf(2) ** (8 - mp.prec)
-        if (a and t >= 2 * mp.pi / 3 - tol) or (b and t <= mp.pi / 2 + tol):
-            raise InconclusiveSignError(float(theta), 0)
+    if _at_corner(form, theta):
+        raise InconclusiveSignError(float(theta), 0)
     flip = _arc_flip(form)
     for scale in _J_LADDER:
         jv = arc_j(theta, prec=scale * DEFAULT_PREC)
@@ -364,33 +376,132 @@ def _certified_arc_sign(form: MillerForm, theta) -> int:
     raise InconclusiveSignError(float(theta), len(_J_LADDER))
 
 
-def arc_zero_localize(form: MillerForm) -> list:
+def _least_dyadic(a: Fraction, b: Fraction):
+    """The dyadic n / 2^e in (a, b) with the least e >= 0, and of those the
+    least; None if a >= b."""
+    if a >= b:
+        return None
+    den = math.lcm(a.denominator, b.denominator)
+    lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    e = 0
+    while True:
+        n = (lo << e) // den + 1
+        if n * den < hi << e:
+            return Fraction(n, 1 << e)
+        e += 1
+
+
+def _separated_signs(p: IntPolynomial, pairs):
+    """The signs of p around the points that pairs separate, or None.
+
+    pairs yields (v_1, u_1), (v_2, u_2), ... of rationals, each bracketing
+    one point x_i (u_i < x_i < v_i), or None where no pair was found.  The
+    certificate holds when v_1 > u_1 > v_2 > u_2 > ... strictly, no exact
+    sign p(v_i), p(u_i) (IntPolynomial.sign_at) is 0, and the sign
+    changes along the sequence number deg p; sign p(v_i) = sign p(u_i)
+    follows from that count, and checking it stops a failing certificate
+    early.  Proof: once each pair has one sign, every change falls in a
+    gap (u_i, v_(i+1)) and puts a root of p there; the gaps are disjoint,
+    and p has deg p roots counted with multiplicity, so each changing gap
+    holds exactly one and p has no other root, none on any [u_i, v_i].
+    Hence sign p(x_i) = sign p(u_i), the i-th sign returned.  Without the
+    strict order one root can make several changes, and roots can hide
+    in pairs inside some [u_i, v_i].
+    """
+    signs, changes, last = [], 0, None
+    for pair in pairs:
+        if pair is None:
+            return None
+        v, u = pair
+        if not v > u or (last is not None and v >= last):
+            return None
+        s_v = p.sign_at(v.numerator, v.denominator)
+        s_u = p.sign_at(u.numerator, u.denominator)
+        if s_v == 0 or s_v != s_u:
+            return None
+        if signs and s_v != signs[-1]:
+            changes += 1
+        signs.append(s_u)
+        last = u
+    return signs if changes == p.degree else None
+
+
+def _separators(thetas: list):
+    """Short dyadics (v_i, u_i) around j(theta_i) at the increasing angles thetas.
+
+    With [lo_i, hi_i] the certified j enclosure of theta_i (arc_j at
+    DEFAULT_PREC), v_i is the least-denominator dyadic in (hi_i, J+_i)
+    nearest hi_i, and u_i the same in (J-_i, lo_i) nearest lo_i; None
+    when a window is empty.  J+_i and J-_i are the exact values of
+    arc_j_float a quarter of the angle gap before and after theta_i (to
+    the neighbour sample, or to pi/2 and 2 pi/3); a corner sample with no
+    gap on one side takes a window of width 1 there.  The windows are
+    quarter gaps in angle, not in j: near rho j grows like (theta - rho)^3,
+    so the last zero can sit far into its j-gap.  The doubles only place
+    the separators; a wrong one can only break _separated_signs'
+    certificate.  Yields lazily, so a failing certificate stops early.
+    """
+    t = [float(x) for x in thetas]
+    ends = [math.pi / 2] + t + [2 * math.pi / 3]
+    for i, theta in enumerate(thetas):
+        jv = arc_j(theta)
+        mid, radius = _exact(jv.value), _exact(jv.err)
+        lo, hi = mid - radius, mid + radius
+        back, ahead = t[i] - ends[i], ends[i + 2] - t[i]
+        top = Fraction(arc_j_float(t[i] - back / 4)) if back > 0 else hi + 1
+        bottom = Fraction(arc_j_float(t[i] + ahead / 4)) if ahead > 0 else lo - 1
+        v, u = _least_dyadic(hi, top), _least_dyadic(-lo, -bottom)
+        yield None if v is None or u is None else (v, -u)
+
+
+def _counted_signs(form: MillerForm, thetas: list):
+    """Certified signs of G at the increasing angles thetas, or None.
+
+    F's signs around each j(theta_i) come from one sign-change count
+    (_separated_signs on the _separators of thetas), and sign G(theta_i) =
+    _arc_flip(form) sign F(j(theta_i)) as in _certified_arc_sign.  A
+    Faber root at 0 or 1728 or off the arc leaves fewer changes than
+    deg F, so such a form returns None, as does one with fewer samples
+    than deg F + 1 or a sample _at_corner.
+    """
+    if len(thetas) <= form.faber.degree or any(_at_corner(form, t) for t in thetas):
+        return None
+    signs = _separated_signs(form.faber, _separators(thetas))
+    if signs is None:
+        return None
+    flip = _arc_flip(form)
+    return [flip * s for s in signs]
+
+
+def arc_zero_localize(form: MillerForm) -> list | None:
     """Bracketing angle intervals for the arc zeros of g_{k,m}.
 
     Samples G at the h-multiple angles; each certified sign change
     brackets at least one zero, and under the oscillation estimate the
     signs alternate so exactly ell - m brackets appear.  Angles whose
     sample sits at a corner zero of the form (an exact Faber root at 0
-    or 1728) are skipped rather than certified.
+    or 1728) are skipped rather than certified.  The signs come from one
+    sign-change count (_counted_signs); only when that certificate fails
+    is each sample certified alone (_certified_arc_sign).  A form with
+    nontrivial zeros and k <= 4 pi m has no sample angles (h is not
+    monotone) and returns None: not sampled.
     """
     fid = form.id
     if form.faber.degree <= 0:
         return []
     h = HFunction(fid.k, fid.m)
+    if not h.monotone:
+        return None
     skip_i = form.faber(1728) == 0
     skip_rho = form.faber(0) == 0
-    samples = []
-    for n, theta in h.sample_angles():
-        if skip_i and 4 * n == fid.k:
-            continue
-        if skip_rho and 3 * n == fid.k - 3 * fid.m:
-            continue
-        samples.append((n, theta, _certified_arc_sign(form, theta)))
-    out = []
-    for (n1, t1, s1), (n2, t2, s2) in zip(samples, samples[1:]):
-        if s1 != s2:
-            out.append((float(t1), float(t2)))
-    return out
+    thetas = [theta for n, theta in h.sample_angles()
+              if not (skip_i and 4 * n == fid.k)
+              and not (skip_rho and 3 * n == fid.k - 3 * fid.m)]
+    signs = _counted_signs(form, thetas)
+    if signs is None:
+        signs = [_certified_arc_sign(form, theta) for theta in thetas]
+    return [(float(t1), float(t2))
+            for t1, t2, s1, s2 in zip(thetas, thetas[1:], signs, signs[1:]) if s1 != s2]
 
 
 def _bisect_arc(lo, hi, width, sign) -> tuple:
@@ -502,10 +613,9 @@ def _boundary_multiplicity(p: IntPolynomial, at: int) -> tuple:
 def zero_report(form: MillerForm, with_arc: bool = True) -> ZeroReport:
     """Exact Faber root census, arc brackets and the valence check of one form.
 
-    with_arc=False leaves arc_angles empty.  A form with nontrivial zeros
-    and k <= 4 pi m has no sample angles (h is not monotone), so its
-    arc_angles is None, not sampled; the exact census and the valence
-    check still decide it.
+    with_arc=False leaves arc_angles empty.  A form that arc_zero_localize
+    does not sample (k <= 4 pi m) has arc_angles None; the exact census
+    and the valence check still decide it.
     """
     fid = form.id
     mult0, deflated = _boundary_multiplicity(form.faber, 0)
@@ -519,13 +629,9 @@ def zero_report(form: MillerForm, with_arc: bool = True) -> ZeroReport:
     else:
         inner, off = [], {"real_outside": 0, "complex_pairs": 0}
     ti, trho = trivial_orders(fid.kprime)
-    arc = []
-    if with_arc:
-        sampled = form.faber.degree <= 0 or HFunction(fid.k, fid.m).monotone
-        arc = arc_zero_localize(form) if sampled else None
     report = ZeroReport(
         id=fid,
-        arc_angles=arc,
+        arc_angles=arc_zero_localize(form) if with_arc else [],
         faber_roots_in=inner,
         faber_roots_out=off,
         boundary_mult={0: mult0, 1728: mult1728},
@@ -594,9 +700,9 @@ def verify_theorem_m1(max_ell: int = 14) -> list:
 class DistributionStats:
     k: int
     m: int
-    count: int
-    discrepancy: float
-    histogram: list
+    count: int | None               # None: the form is not sampled
+    discrepancy: float | None
+    histogram: list | None
 
     def to_json_dict(self) -> dict:
         return {"k": self.k, "m": self.m, "count": self.count,
@@ -615,10 +721,16 @@ def star_discrepancy(unit_points: list) -> float:
     return worst
 
 
-def zero_angles(form: MillerForm) -> list:
-    """Midpoints of the arc zero brackets, each refined to width 1e-5."""
+def zero_angles(form: MillerForm) -> list | None:
+    """Midpoints of the arc zero brackets, each refined to width 1e-5.
+
+    None when arc_zero_localize does not sample the form.
+    """
+    brackets = arc_zero_localize(form)
+    if brackets is None:
+        return None
     out = []
-    for lo, hi in arc_zero_localize(form):
+    for lo, hi in brackets:
         a, b = refine_arc_zero(form, lo, hi)
         out.append((a + b) / 2)
     return out
@@ -629,7 +741,9 @@ def distribution_stats(fid_list: list, bins: int = 8) -> list:
 
     Angles are mapped to [0, 1] by u = (theta - pi/2) / (pi/6); uniform
     distribution of the zeros corresponds to the uniform measure there.
-    Fewer than one bin raises ValueError.
+    A form without sample angles (zero_angles None) gets None for its
+    count, discrepancy and histogram.  Fewer than one bin raises
+    ValueError.
     """
     if bins < 1:
         raise ValueError(f"bins must be at least 1, got {bins}")
@@ -639,8 +753,12 @@ def distribution_stats(fid_list: list, bins: int = 8) -> list:
     for fid in fid_list:
         if isinstance(fid, tuple):
             fid = FormId.from_k(*fid)
-        form = miller_form(fid.k, fid.m)
-        units = [(t - lo) / span for t in zero_angles(form)]
+        angles = zero_angles(miller_form(fid.k, fid.m))
+        if angles is None:
+            out.append(DistributionStats(k=fid.k, m=fid.m, count=None,
+                                         discrepancy=None, histogram=None))
+            continue
+        units = [(t - lo) / span for t in angles]
         hist = [0] * bins
         for u in units:
             hist[min(bins - 1, int(u * bins))] += 1

@@ -18,7 +18,7 @@ from millerzeros.certify import (
     monotonicity_certificate_075, magnitude_certificate_065,
     j_difference_bounds, delta_line_bounds,
     residue_term, residue_entries, _residue_slope, _table_value,
-    proposition_mrl_check, _entry_lower, _entry_upper, _entry_value,
+    proposition_mrl_check, _oscillation, _entry_lower, _entry_upper, _entry_value,
     full_ledger, _LINE_CASES, _dominated_tail,
     _ARC_CLAIMS, _DEPTH, _arc_slopes, _bisect_claims, arc_eisenstein_bounds,
 )
@@ -371,6 +371,22 @@ def test_mrl_report_lists_undecided_angles(monkeypatch):
     rep = proposition_mrl_check(1200, 3, grid_step=2e-2)
     assert rep.undecided and rep.violations == []
     assert not rep.passed
+
+
+def test_oscillation_at_the_last_grid_double_is_the_ball_at_rho():
+    # arc_grid ends on the double 2.0943951023931957, 2.1e-16 above rho;
+    # every factor of the ball, g as well as h(theta) and sin(theta), is
+    # taken at rho itself
+    from millerzeros.evalnum import form_arc_prec
+    from millerzeros.miller import miller_form
+    last = arc_grid(1e-2)[-1]
+    assert last == 2.0943951023931957
+    with workprec(300):
+        rho = 2 * mp.pi / 3
+    form = miller_form(340, 2)
+    prec = form_arc_prec(form.id.ell, 2)
+    at_double, at_rho = _oscillation(form, 2, last, prec), _oscillation(form, 2, rho, prec)
+    assert (at_double.value, at_double.err) == (at_rho.value, at_rho.err)
 
 
 def test_amplitude_encloses_the_exponential_at_m_20():

@@ -186,6 +186,20 @@ def test_dist_csv(capsys):
     assert sum(int(x) for x in row[4:]) == 9
 
 
+def test_dist_of_a_form_without_sample_angles(capsys):
+    # k = 276 <= 4 pi m at m = 22 is valid but not sampled: null fields,
+    # exit 0, and the sampled form next to it is unaffected
+    code, out, _ = run(capsys, "dist", "--k-list", "276,288", "--m", "22", "--bins", "2")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == "276,22,,,,"
+    assert lines[2].startswith("288,22,1,")
+    code, out, _ = run(capsys, "dist", "--k-list", "276", "--m", "22", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"k": 276, "m": 22, "count": None, "discrepancy": None,
+                               "histogram": None}
+
+
 def test_out_file_matches_stdout(tmp_path, capsys):
     _, stdout_text, _ = run(capsys, "faber", "--k", "60", "--m", "2")
     path = tmp_path / "f.json"

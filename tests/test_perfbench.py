@@ -47,3 +47,20 @@ def test_exact_sweep_matches_the_benchmark_reference(work):
 def test_arc_zeros_matches_the_benchmark_reference(work):
     # the seed-1 brackets as pinned, and each refined cell a certified sign change of F
     assert _failed_verdicts(work, work.make_inputs("arc-zeros", 1)) == []
+
+
+def test_every_pinned_localize_bracket_matches_the_benchmark_reference(work, monkeypatch):
+    # all 34 weights, the four large ones included: a moved bracket anywhere
+    # in the pool fails here before any seed draws it; and the sign-change
+    # count certifies every sample, so no sample is certified alone
+    alone, inner = [], zeros._certified_arc_sign
+
+    def counted(form, theta):
+        alone.append(form.id.k)
+        return inner(form, theta)
+
+    monkeypatch.setattr(zeros, "_certified_arc_sign", counted)
+    brackets = json.loads(work.REFERENCE.read_text())["arc_brackets"]
+    assert len(brackets) == 34
+    assert _failed_verdicts(work, [["localize", int(k), 1] for k in brackets]) == []
+    assert alone == []

@@ -1,5 +1,6 @@
 """Sturm isolation, arc localization, valence accounting, distribution."""
 
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -14,6 +15,7 @@ from millerzeros import zeros
 from millerzeros.miller import IntPolynomial, miller_form
 from millerzeros.zeros import (
     ROOT_WIDTH, InconclusiveSignError, TheoremViolationError, _certified_arc_sign, _exact,
+    _counted_signs, _separated_signs, _separators,
     _bisect, _reduced, _roots_in_closed, _squarefree_chain, sturm_chain, real_root_census,
     cauchy_bound,
     HFunction, arc_zero_localize, refine_arc_zero, j_of_angle, _bisect_arc,
@@ -397,6 +399,12 @@ def test_certified_arc_sign_refuses_corners():
     # the other corner of each form has a certified factor sign
     assert _certified_arc_sign(miller_form(54, 1), at_rho) != 0
     assert _certified_arc_sign(miller_form(52, 1), at_i) != 0
+    # nor does the sign-change count decide a sample at such a corner,
+    # although F's count alone would pass
+    form = miller_form(54, 1)
+    thetas = [at_i] + _sampled(form)
+    assert _separated_signs(form.faber, _separators(thetas)) is not None
+    assert _counted_signs(form, thetas) is None
 
 
 def test_refine_arc_zero(form_48_1):
@@ -460,6 +468,111 @@ def test_refine_arc_zero_rejects_a_bracket_without_sign_change(form_48_1):
     a, b = refine_arc_zero(form_48_1, lo, hi)
     with pytest.raises(ValueError, match="no certified sign change"):
         refine_arc_zero(form_48_1, lo, (lo + (a + b) / 2) / 2)
+
+
+def _sampled(form) -> list:
+    """The angles arc_zero_localize samples: no corner with an exact Faber root."""
+    fid = form.id
+    skip_i, skip_rho = form.faber(1728) == 0, form.faber(0) == 0
+    return [t for n, t in HFunction(fid.k, fid.m).sample_angles()
+            if not (skip_i and 4 * n == fid.k) and not (skip_rho and 3 * n == fid.k - 3 * fid.m)]
+
+
+def _per_sample_brackets(form) -> list:
+    """The brackets from one _certified_arc_sign per sample."""
+    thetas = _sampled(form)
+    signs = [_certified_arc_sign(form, t) for t in thetas]
+    return [(float(a), float(b)) for a, b, s, r in zip(thetas, thetas[1:], signs, signs[1:])
+            if s != r]
+
+
+@pytest.mark.parametrize("k,m", [(k, m) for k in (48, 100, 200, 240, 398, 442, 460)
+                                 for m in (1, 2, 3, 9) if 12 * m < k])
+def test_counted_signs_match_per_sample_signs(k, m):
+    form = miller_form(k, m)
+    thetas = _sampled(form)
+    assert _counted_signs(form, thetas) == [_certified_arc_sign(form, t) for t in thetas]
+
+
+def test_counted_signs_match_per_sample_signs_at_large_weight():
+    form = miller_form(1900, 1)
+    thetas = _sampled(form)
+    signs = _counted_signs(form, thetas)
+    assert signs == [_certified_arc_sign(form, t) for t in thetas]
+    assert sum(a != b for a, b in zip(signs, signs[1:])) == form.faber.degree
+
+
+def test_arc_zero_localize_certifies_no_sample_alone(monkeypatch, form_48_1):
+    want = _per_sample_brackets(form_48_1)
+    calls = _count_certified(monkeypatch)
+    assert arc_zero_localize(form_48_1) == want
+    assert calls == []
+
+
+def test_counterexample_falls_back_to_per_sample_signs(monkeypatch, form_132_9):
+    # F has a real root below 0, so the sign changes fall short of its degree
+    assert _counted_signs(form_132_9, _sampled(form_132_9)) is None
+    want = _per_sample_brackets(form_132_9)
+    calls = _count_certified(monkeypatch)
+    assert arc_zero_localize(form_132_9) == want
+    assert len(calls) == len(_sampled(form_132_9))
+
+
+@pytest.mark.parametrize("lie", ["shifted", "lowered", "constant", "late"])
+def test_lying_float_j_never_changes_a_bracket(monkeypatch, lie):
+    # the doubles only place separators: a lie costs the certificate, never a bracket
+    form = miller_form(120, 1)
+    want = _per_sample_brackets(form)
+    honest = zeros.arc_j_float
+    monkeypatch.setattr(zeros, "arc_j_float", {
+        "shifted": lambda t: honest(t) + 1.0,
+        "lowered": lambda t: honest(t) - 1.0,
+        "constant": lambda t: 1000.0,
+        "late": lambda t: honest(t + 2e-3)}[lie])
+    assert arc_zero_localize(form) == want
+
+
+def test_separated_signs_needs_strictly_decreasing_separators():
+    # p = x (x - 10) is negative at the bracketed points 3.5, 5 and 1.5.
+    # Out of order, the changes 3 -> 11 and -1 -> 2 count both roots while
+    # both also hide in [-1, 11], which would pass off sign p(5) as +1
+    p = IntPolynomial.make([0, -10, 1])
+    pairs = [(Fraction(4), Fraction(3)), (Fraction(11), Fraction(-1)),
+             (Fraction(2), Fraction(1))]
+    assert _separated_signs(p, iter(pairs)) is None
+    # in order, one pair around each point: the count proves every sign
+    pairs = [(Fraction(12), Fraction(11)), (Fraction(6), Fraction(4)),
+             (Fraction(-1), Fraction(-2))]
+    assert _separated_signs(p, iter(pairs)) == [1, -1, 1]
+    assert _separated_signs(p, iter(pairs[:2] + [None] + pairs[2:])) is None
+
+
+@pytest.mark.parametrize("at", ["v_2", "v_2 and u_2"])
+def test_separator_at_an_exact_root_falls_back(monkeypatch, form_48_1, at):
+    # the separators depend on the angles only; give g_{48,1} Faber
+    # polynomials with roots placed among them
+    thetas = _sampled(form_48_1)
+    x = [point for pair in _separators(thetas) for point in pair]
+    assert len(x) == 8 and x == sorted(x, reverse=True)
+
+    def with_roots(*roots):
+        p = IntPolynomial.make([1])
+        for r in roots:
+            p = p * IntPolynomial.make([-r.numerator, r.denominator])
+        return dataclasses.replace(form_48_1, faber=p)
+
+    # one root in each changing gap (u_i, v_(i+1)): the certificate holds
+    honest = with_roots((x[2] + x[1]) / 2, (x[4] + x[3]) / 2, (x[6] + x[5]) / 2)
+    assert _counted_signs(honest, thetas) == [1, -1, 1, -1]
+    # F(v_2) = 0, or F(v_2) = F(u_2) = 0, where the signs left would count 3 changes
+    roots = {"v_2": (x[2], (x[4] + x[3]) / 2, (x[6] + x[5]) / 2),
+             "v_2 and u_2": (x[2], x[3], (x[6] + x[5]) / 2)}[at]
+    at_root = with_roots(*roots)
+    assert _counted_signs(at_root, thetas) is None
+    want = _per_sample_brackets(at_root)
+    calls = _count_certified(monkeypatch)
+    assert arc_zero_localize(at_root) == want
+    assert len(calls) == len(thetas)
 
 
 def test_cross_oracle_j_images(form_48_1):
