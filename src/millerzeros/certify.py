@@ -40,9 +40,9 @@ from mpmath import mp, mpc, mpf, workprec
 from . import qseries
 from .qseries import EISENSTEIN_FACTORS
 from .miller import IntPolynomial
-from .evalnum import (DEFAULT_PREC, ArcValues, CertValue, EisensteinTail, _exact, _span,
-                      _theta_mpf, arc_functions, arc_grid, arc_j, eval_delta_eta, eval_series,
-                      j_tail_bound, lemniscate_constants)
+from .evalnum import (DEFAULT_PREC, ArcValues, CertValue, EisensteinTail, _arc_form_at,
+                      _eval_series_at, _exact, _phase, _span, arc_functions, arc_grid, arc_j,
+                      eval_delta_eta, eval_series, j_tail_bound, lemniscate_constants)
 
 
 class CertificateFailureError(ArithmeticError):
@@ -903,8 +903,8 @@ def _table_numeric_check() -> list:
     }
     jranges = {"075": (mpf(271), mpf(1728)), "065": (mpf(0), mpf(272))}
     heights = {"075": mpf(3) / 4, "065": mpf(13) / 20}
-    e4s = qseries.eisenstein(4, 48)
-    e6s = qseries.eisenstein(6, 48)
+    terms = ((qseries.eisenstein(4, 48), EisensteinTail(4)),
+             (qseries.eisenstein(6, 48), EisensteinTail(6)))
     for label in ("075", "065"):
         y = heights[label]
         jl, jh = jranges[label]
@@ -913,8 +913,7 @@ def _table_numeric_check() -> list:
         for i in range(n_pts):
             x = min(mpf(0.5), i * mpf(_TABLE_STEP))
             tau = x + 1j * y
-            e4 = eval_series(e4s, tau, EisensteinTail(4))
-            e6 = eval_series(e6s, tau, EisensteinTail(6))
+            e4, e6 = _eval_series_at(terms, tau)
             cube = e4.pow_int(3)
             delta = (cube - e6.pow_int(2)) / 1728
             jv = cube / delta
@@ -966,15 +965,18 @@ _MRL_LADDER = (1, 2, 4, 8)       # multiples of the starting precision
 def _oscillation(form, m: int, theta: float, prec: int) -> CertValue:
     """e^(ik theta/2) e^(2 pi m sin theta) g_{k,m}(e^(i theta)) - 2 cos h(theta).
 
-    theta goes through _theta_mpf, as in arc_form, so that a double within
-    2^-50 of a corner stands for the corner in every factor.
+    Every factor comes from the angle t and the q-point that arc_form
+    took for g (_arc_form_at), so a double within 2^-50 of a corner
+    stands for the corner in every factor.  With r = |q| = e^(-2 pi sin t),
+    e^(2 pi m sin t) = r^-m, and q / r = e^(2 pi i cos t), so e^(i h) =
+    e^(ik t/2) (q/r)^m and 2 cos h = 2 Re e^(i h).  q and r are balls of
+    the point's pad.
     """
-    from .evalnum import arc_form
     with workprec(prec + 12):
-        t, pi2m = CertValue(_theta_mpf(theta)), CertValue.pi() * (2 * m)
-        g = arc_form(form, theta, prec=prec)
-        h = t * Fraction(form.id.k, 2) + pi2m * t.cos()
-        return g * (pi2m * t.sin()).exp() - h.cos() * 2
+        t, pt, g = _arc_form_at(form, theta, prec)
+        r = CertValue(pt.r, pt.pad)
+        turn = _phase(t, form.id.k) * (CertValue(pt.q, pt.pad) / r).pow_int(m)
+        return g / r.pow_int(m) - turn.real() * 2
 
 
 def proposition_mrl_check(k: int, m: int, grid_step: float = 1e-3) -> MrlReport:

@@ -36,8 +36,13 @@ to an mpf.
 Around the kernel, each evaluation point does its scalar work once: one
 private q-point holds q = e^(2 pi i tau), its pad, r = |q| and y = Im tau,
 and every series at that point (the Eisenstein series, the eta product,
-j) reads them from it, so exp(2 pi i tau) is computed once per
-eval_series, arc_form, arc_functions or arc_j call.  Powers are closed
+j) reads them from it.  Off the arc it is one complex exp.  At an arc
+angle theta (arc_form, arc_j) the arc point _arc_point builds it from
+its parts: cos theta and sin theta from one cos_sin, r = e^(-2 pi sin
+theta) from one real exp and e^(2 pi i cos theta) from one more cos_sin,
+so q is their product, r and y = sin theta need no complex abs or
+exp, and certify's oscillation check reads e^(2 pi m sin theta) and
+e^(2 pi i m cos theta) off the same point.  Powers are closed
 form, after the midpoint-radius pattern of Arb: CertValue.pow_int rounds
 v^n once and takes the radius n e (|v| + e)^(n-1) plus the pad of v^n,
 rounded upward, since |w^n - v^n| <= n |w - v| max(|v|, |w|)^(n-1).
@@ -90,8 +95,9 @@ from functools import lru_cache
 from math import isqrt
 
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import (from_int, from_man_exp, from_rational, mpf_add, mpf_div, mpf_mul,
-                          mpf_pos, mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub)
+from mpmath.libmp import (from_int, from_man_exp, from_rational, mpf_add, mpf_cos_sin,
+                          mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_pos, mpf_pow_int, mpf_shift,
+                          mpf_sqrt, mpf_sub)
 
 from . import qseries
 from .qseries import QSeries
@@ -253,13 +259,14 @@ class CertValue:
 
     def __truediv__(self, other):
         other = _coerce(other)
-        # the radius falls as |divisor| grows, so it takes a lower bound b of it
-        p, b, f = mp.prec, _abs_up(other.value), other.err._mpf_
-        b = mpf_sub(b, mpf_shift(b, -57), p, "d")
+        # the radius falls as |divisor| grows, so it takes a lower bound b of
+        # it: a complex modulus rounded down, a real one exactly
+        p, d, f = mp.prec, other.value, other.err._mpf_
+        b = _abs_rounded(d, "d")._mpf_ if isinstance(d, mpc) else _abs_up(d)
         gap = mpf_sub(b, f, p, "d")
         if gap[0] or not gap[1]:
             raise ZeroDivisionError("divisor interval contains zero")
-        v = self.value / other.value
+        v = self.value / d
         num = mpf_add(mpf_mul(_abs_up(self.value), f, p, _UP), mpf_mul(b, self.err._mpf_, p, _UP),
                       p, _UP)
         return _ball(v, _sum_up(mpf_div(num, mpf_mul(b, gap, p, "d"), p, _UP), _pad_up(v)))
@@ -508,6 +515,31 @@ def eval_poly(coeffs, z, radius=0) -> CertValue:
 
 
 # ---------------------------------------------------------------------------
+# constants cached per precision, each formed exactly as where it is read
+
+
+@lru_cache(maxsize=None)
+def _two_pi(prec: int) -> mpf:
+    """2 pi at prec bits."""
+    with workprec(prec):
+        return 2 * mp.pi
+
+
+@lru_cache(maxsize=None)
+def _corner_angles(prec: int) -> tuple:
+    """(pi/2, 2pi/3), the ends of the arc, at prec bits."""
+    with workprec(prec):
+        return mp.pi / 2, 2 * mp.pi / 3
+
+
+@lru_cache(maxsize=256)
+def _j_tail_factors(M: int, prec: int) -> tuple:
+    """(sqrt M, 2 sqrt 2 pi ((M + 1)^3)^(1/4)), j_tail_bound's factors of M alone."""
+    with workprec(prec):
+        return mp.sqrt(M), 2 * mp.sqrt(2) * mp.pi * mp.sqrt(mp.sqrt(mpf(M + 1) ** 3))
+
+
+# ---------------------------------------------------------------------------
 # tail bounds
 
 
@@ -561,9 +593,9 @@ def j_tail_bound(M: int, a) -> mpf:
     a = mpf(a)
     if M <= 1 / a ** 2:
         raise TailUnboundedError(f"tail bound needs M > 1/a^2 = {1 / a ** 2}")
-    root = mp.sqrt(M)
-    expo = 2 * mp.pi * (1 / a - a * (root - 1 / a) ** 2)
-    lead = mp.exp(expo) / (2 * mp.sqrt(2) * mp.pi * mp.sqrt(mp.sqrt(mpf(M + 1) ** 3)))
+    root, den = _j_tail_factors(M, mp.prec)
+    expo = _two_pi(mp.prec) * (1 / a - a * (root - 1 / a) ** 2)
+    lead = mp.exp(expo) / den
     geo = root / (a * root - 1)
     return lead * geo * _TAIL_SLACK
 
@@ -603,9 +635,11 @@ def form_arc_prec(ell: int, m: int) -> int:
 class _QPoint:
     """One evaluation point: q = e^(2 pi i tau), its pad, r = |q| and y = Im tau.
 
-    drift bounds |q' - q| over every q' the point stands for; it widens the
-    pad, and r to the largest |q'|.  y stays the height of tau, so off a
-    horizontal segment a drifted point serves only tails that read r.
+    The constructor takes tau itself, one complex exp; an arc angle goes
+    through _arc_point instead.  drift bounds |q' - q| over every q' the
+    point stands for; it widens the pad, and r to the largest |q'|.  y
+    stays the height of tau, so off a horizontal segment a drifted point
+    serves only tails that read r.
     """
 
     __slots__ = ("q", "pad", "r", "y")
@@ -651,12 +685,18 @@ def eval_series(s: QSeries, tau, tail, prec: int = DEFAULT_PREC) -> CertValue:
     dataclasses above and must genuinely cover the dropped coefficients;
     None evaluates s as the finite q-polynomial it is.
     """
+    return _eval_series_at(((s, tail),), tau, prec)[0]
+
+
+def _eval_series_at(terms, tau, prec: int = DEFAULT_PREC) -> tuple:
+    """eval_series of every (series, tail) in terms at one tau, from one q-point."""
     with workprec(prec + _GUARD):
         a, b = (mp.mpmathify(t) for t in (tau if isinstance(tau, tuple) else (tau, tau)))
         if mp.im(a) != mp.im(b):
             raise ValueError(f"segment [{a}, {b}] not horizontal")
         x, h = _span(mp.re(a), mp.re(b))
-        return _series_at(s, _QPoint(mpc(x, mp.im(a)), _drift(mp.im(a), h) if h else 0), tail)
+        pt = _QPoint(mpc(x, mp.im(a)), _drift(mp.im(a), h) if h else 0)
+        return tuple(_series_at(s, pt, tail) for s, tail in terms)
 
 
 def eval_delta_eta(tau, prec: int = DEFAULT_PREC) -> CertValue:
@@ -705,10 +745,52 @@ def _theta_mpf(p) -> mpf:
     off the arc.
     """
     t = mpf(p)
-    lo, hi = mp.pi / 2, 2 * mp.pi / 3
+    lo, hi = _corner_angles(mp.prec)
     if not lo - _CORNER_SLACK <= t <= hi + _CORNER_SLACK:
         raise ValueError(f"theta = {t} outside [pi/2, 2pi/3]")
     return min(max(t, lo), hi)
+
+
+def _arc_point(theta: mpf) -> _QPoint:
+    """The q-point of tau = e^(i theta) at an arc angle theta, taken as exact.
+
+    With c = cos theta and s = sin theta, q = e^(-2 pi s) e^(2 pi i c), so
+    r = |q| = e^(-2 pi s) is one real exp, y = Im tau = s, and q is r
+    times (cos 2 pi c, sin 2 pi c): one cos_sin of theta, one exp and one
+    cos_sin of 2 pi c.  All of it runs at w = p + 8 bits, p the ambient
+    precision; only the two products r cos 2 pi c and r sin 2 pi c, and
+    r and y themselves, round to p.  The pad is 16 ulp of r, 2^(4-p) r,
+    as for any q-point.
+
+    The budget it covers, each value at w bits within one ulp (2^(1-w)
+    relative) and |c| <= 1/2, s <= 1 on the arc: an error d in c or s
+    moves q by 2 pi |q| d, as |dq/dc| = |dq/ds| = 2 pi |q|, and one in
+    the argument of exp or cos_sin moves it by |q| d.  In units of
+    |q| 2^-w:
+      cos theta (|dc| <= 2^-w)                       2 pi
+      sin theta (|ds| <= 2^(1-w))                    4 pi
+      2 pi, in 2 pi s and in 2 pi c                  2 pi (s + |c|) 2 <= 6 pi
+      the product 2 pi s                             2 pi s 2 <= 4 pi
+      the product 2 pi c                             2 pi |c| 2 <= 2 pi
+      exp and cos_sin of 2 pi c                      2 + 2
+    so 18 pi + 4 < 61 units, under 0.24 |q| 2^-p, and the two products
+    rounded to nearest at p add |q| 2^-p.  The rounding of r to p puts r
+    within 1.24 |q| 2^-p of e^(-2 pi s) as well, so the pad, at least
+    15.9 |q| 2^-p, holds both q and r with the few-ulp allowance of
+    mpmath's elementary functions to spare.
+    """
+    p = mp.prec
+    w = p + 8
+    c, s = mpf_cos_sin(theta._mpf_, w, "n")
+    two_pi = _two_pi(w)._mpf_
+    r = mpf_exp(mpf_neg(mpf_mul(two_pi, s, w, "n")), w, "n")
+    cos_b, sin_b = mpf_cos_sin(mpf_mul(two_pi, c, w, "n"), w, "n")
+    pt = _QPoint.__new__(_QPoint)
+    pt.q = mp.make_mpc((mpf_mul(r, cos_b, p, "n"), mpf_mul(r, sin_b, p, "n")))
+    pt.r = mp.make_mpf(mpf_pos(r, p, "n"))
+    pt.y = mp.make_mpf(mpf_pos(s, p, "n"))
+    pt.pad = mp.make_mpf(mpf_shift(pt.r._mpf_, 4 - p))
+    return pt
 
 
 def _phase(theta: mpf, k: int, h=0) -> CertValue:
@@ -753,11 +835,17 @@ def arc_form(form, p, prec: int = DEFAULT_PREC, trunc_scale: int = 1) -> CertVal
     every step after the two phase products is real, and F(j) is one real
     eval_poly.  The two series are cut at trunc_scale times auto_trunc.
     """
+    return _arc_form_at(form, p, prec, trunc_scale)[2]
+
+
+def _arc_form_at(form, p, prec: int, trunc_scale: int = 1) -> tuple:
+    """(theta, its arc point, arc_form's value): arc_form with the angle
+    and the q-point it took, at prec + _GUARD bits."""
     fid = form.id
     a, b = qseries.EISENSTEIN_FACTORS[fid.kprime]
     with workprec(prec + _GUARD):
         theta = _theta_mpf(p)
-        pt = _QPoint(mp.expj(theta))
+        pt = _arc_point(theta)
         n = auto_trunc(pt.y, prec) * trunc_scale
         e4, e6 = ((_phase(theta, k) * _series_at(qseries.eisenstein(k, n), pt,
                                                  EisensteinTail(k))).as_real()
@@ -765,8 +853,8 @@ def arc_form(form, p, prec: int = DEFAULT_PREC, trunc_scale: int = 1) -> CertVal
         cube = e4.pow_int(3)
         delta = (cube - e6.pow_int(2)) / 1728
         j = cube / delta
-        return (delta.pow_int(fid.ell) * e4.pow_int(a) * e6.pow_int(b)
-                * eval_poly(form.faber.coeffs, j.value, j.err))
+        return theta, pt, (delta.pow_int(fid.ell) * e4.pow_int(a) * e6.pow_int(b)
+                           * eval_poly(form.faber.coeffs, j.value, j.err))
 
 
 def arc_j(p, prec: int = DEFAULT_PREC) -> CertValue:
@@ -776,7 +864,7 @@ def arc_j(p, prec: int = DEFAULT_PREC) -> CertValue:
     starts to hold.
     """
     with workprec(prec + _GUARD):
-        pt = _QPoint(mp.expj(_theta_mpf(p)))
+        pt = _arc_point(_theta_mpf(p))
         n = max(auto_trunc(pt.y, prec), int(1 / float(pt.y) ** 2) + 8)
         return _series_at(qseries.jfunction(n), pt, JCoeffTail()).as_real()
 

@@ -40,8 +40,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
-from .qseries import (EISENSTEIN_FACTORS, FormId, QSeries, _monomial, _mul, _power, delta,
-                      eisenstein, jfunction)
+from .qseries import EISENSTEIN_FACTORS, FormId, QSeries, _monomial, _mul, _power
 
 
 class NotInSpaceError(ValueError):
@@ -392,16 +391,6 @@ def _checked_trunc(ell: int, trunc: int | None) -> int:
     return trunc
 
 
-def raw_basis(fid: FormId, trunc: int | None = None) -> QSeries:
-    """e_{k,m} = Delta^ell E_k' j^(ell-m) = q^m + O(q^(m+1))."""
-    if trunc is None:
-        trunc = default_trunc(fid.ell)
-    head = trunc + fid.ell - fid.m      # each j factor costs one order
-    e = delta(head) ** fid.ell * eisenstein(fid.kprime, head) \
-        * jfunction(head) ** (fid.ell - fid.m)
-    return e.truncate(trunc)
-
-
 @lru_cache(maxsize=32)
 def _basis(k: int, trunc: int) -> tuple:
     fid = FormId.from_k(k, 0)
@@ -483,22 +472,6 @@ def faber_of(series: QSeries, fid: FormId) -> IntPolynomial:
         if c != 0:
             raise NotInSpaceError(f"residual fails to vanish at q^{fid.ell + 1 + i}")
     return IntPolynomial.make(top[::-1])
-
-
-def reconstruct(form: MillerForm, trunc: int | None = None) -> QSeries:
-    """Delta^ell * E_k' * F(j) as a q-expansion, for consistency checks."""
-    fid = form.id
-    if trunc is None:
-        trunc = form.series.trunc
-    head = trunc + fid.ell
-    j = jfunction(head)
-    acc = QSeries.zero(head)
-    for c in reversed(form.faber.coeffs):
-        acc = acc * j + c
-    base = delta(head) ** fid.ell if fid.ell else QSeries.one(head)
-    if fid.kprime:
-        base = base * eisenstein(fid.kprime, head)
-    return (base * acc).truncate(trunc)
 
 
 def faber_json(form: MillerForm) -> str:

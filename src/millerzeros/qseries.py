@@ -362,23 +362,6 @@ def jfunction(trunc: int) -> QSeries:
     return QSeries._make(-1, _monomial(trunc + 2, -1, 3, 0), trunc)
 
 
-def ramanujan_residuals(trunc: int) -> tuple:
-    """Residual series of the three classical derivative identities.
-
-    Returns (q dE2/dq - (E2^2 - E4)/12,
-             q dE4/dq - (E2 E4 - E6)/3,
-             q dDelta/dq - E2 Delta), each of which must vanish identically.
-    """
-    e2 = eisenstein(2, trunc)
-    e4 = eisenstein(4, trunc)
-    e6 = eisenstein(6, trunc)
-    dl = delta(trunc)
-    r1 = e2.differentiate() - (e2 * e2 - e4) * Fraction(1, 12)
-    r2 = e4.differentiate() - (e2 * e4 - e6) * Fraction(1, 3)
-    r3 = dl.differentiate() - e2 * dl
-    return r1, r2, r3
-
-
 # ---------------------------------------------------------------------------
 # weight bookkeeping
 

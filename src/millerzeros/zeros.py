@@ -48,8 +48,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import mpf_cos_sin
 
-from .evalnum import DEFAULT_PREC, _exact, arc_j, arc_j_float
+from .evalnum import DEFAULT_PREC, _corner_angles, _exact, arc_j, arc_j_float
 from .miller import IntPolynomial, MillerForm, miller_form
 from .qseries import EISENSTEIN_FACTORS, EXTRA_WEIGHTS, FormId
 
@@ -280,41 +281,55 @@ class HFunction:
 
         h runs from k pi / 4 to (k/3 - m) pi; the multiples in between
         are n = ceil(k/4) .. floor(k/3 - m), one angle per multiple by
-        monotonicity.  On the arc h'' = -2 pi m cos theta >= 0, so h is
-        convex and Newton's method started right of a root decreases onto
-        it.  The tangent at the previous angle meets the next multiple at
-        that angle + pi / h', which convexity puts right of the next root;
-        the first start is 2 pi / 3.  Newton stops once its step is below
-        2^-60, which at 96 bits leaves the angle accurate to rounding.
+        monotonicity; the corners pi/2 and 2pi/3 are taken exactly, at
+        96 bits.  On the arc h'' = -2 pi m cos theta >= 0, so h is convex
+        and Newton's method started right of a root decreases onto it.
+        The tangent at the previous angle meets the next multiple at that
+        angle + pi / h', which convexity puts right of the next root; the
+        first start is 2 pi / 3.  Newton runs in doubles until its step
+        is below 2^-40 or stops shrinking (rounding then dominates it).
+        Each double is then polished by Newton at 96 bits, h and h' from
+        one cos_sin per step, until a step is below 2^-60, which leaves
+        the angle accurate to rounding.
         """
         if not self.monotone:
             raise ValueError(f"h not monotone for k={self.k}, m={self.m}")
-        n0 = -((-self.k) // 4)
-        n_last = (self.k - 3 * self.m) // 3
+        k, m = self.k, self.m
+        # h = a theta + b cos theta and h' = a - b sin theta, in doubles
+        a, b, top = k / 2, 2 * math.pi * m, 2 * math.pi / 3
+        doubles, start = [], top
+        for n in range(-(-k // 4), (k - 3 * m) // 3 + 1):
+            if 4 * n == k or 3 * n == k - 3 * m:
+                theta = math.pi / 2 if 4 * n == k else top
+                doubles.append((n, None))
+            else:
+                theta, target, last = start, n * math.pi, math.inf
+                while True:
+                    step = (a * theta + b * math.cos(theta) - target) / (a - b * math.sin(theta))
+                    theta -= step
+                    if abs(step) < 2 ** -40 or abs(step) >= last:
+                        break
+                    last = abs(step)
+                doubles.append((n, theta))
+            start = min(top, theta + math.pi / (a - b * math.sin(theta)))
         out = []
         with workprec(96):
-            lo_all, hi_all = mp.pi / 2, 2 * mp.pi / 3
+            lo_all, hi_all = _corner_angles(96)
             tol = mpf(2) ** -60
-            start = hi_all
-            for n in range(n0, n_last + 1):
-                if 4 * n == self.k:
-                    theta = lo_all
-                elif 3 * n == self.k - 3 * self.m:
-                    theta = hi_all
-                else:
-                    theta, target = start, n * mp.pi
-                    while True:
-                        step = (self(theta) - target) / self.derivative(theta)
-                        theta -= step
-                        if abs(step) < tol:
-                            break
+            half_k, two_pi_m = mpf(k) / 2, 2 * mp.pi * m
+            for n, theta in doubles:
+                if theta is None:
+                    out.append((n, lo_all if 4 * n == k else hi_all))
+                    continue
+                theta, target = mpf(theta), n * mp.pi
+                while True:
+                    c, s = (mp.make_mpf(v) for v in mpf_cos_sin(theta._mpf_, 96, "n"))
+                    step = (k * theta / 2 + two_pi_m * c - target) / (half_k - two_pi_m * s)
+                    theta -= step
+                    if abs(step) < tol:
+                        break
                 out.append((n, theta))
-                start = min(hi_all, theta + mp.pi / self.derivative(theta))
         return out
-
-    def derivative(self, theta):
-        """h'(theta) = k / 2 - 2 pi m sin theta."""
-        return mpf(self.k) / 2 - 2 * mp.pi * self.m * mp.sin(mpf(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +365,8 @@ def _at_corner(form: MillerForm, theta) -> bool:
     a, b = EISENSTEIN_FACTORS[form.id.kprime]
     with workprec(DEFAULT_PREC + 16):
         t, tol = mpf(theta), mpf(2) ** (8 - mp.prec)
-        return bool((a and t >= 2 * mp.pi / 3 - tol) or (b and t <= mp.pi / 2 + tol))
+        lo, hi = _corner_angles(mp.prec)
+        return bool((a and t >= hi - tol) or (b and t <= lo + tol))
 
 
 def _certified_arc_sign(form: MillerForm, theta) -> int:

@@ -1,20 +1,68 @@
-"""Shared fixtures.
+"""Shared fixtures and oracles.
 
 The expensive objects (basis forms, the bound ledger) are built once per
 session; every consumer treats them as immutable.  The direct complex
 evaluation of a basis form is kept here as the reference oracle for
-evalnum.arc_form, which takes its real E_4/E_6 route instead.
+evalnum.arc_form, which takes its real E_4/E_6 route instead; the
+exact q-series products raw_basis and reconstruct, and the Ramanujan
+residuals, are the oracles of the Miller basis and the q-series layer.
 """
+
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf, workprec
 
 from millerzeros import qseries
-from millerzeros.miller import miller_form
+from millerzeros.miller import MillerForm, default_trunc, miller_form
+from millerzeros.qseries import FormId, QSeries, delta, eisenstein, jfunction
 from millerzeros.certify import full_ledger
 from millerzeros.evalnum import (DEFAULT_PREC, _GUARD, CertValue, EisensteinTail, JCoeffTail,
                                  _QPoint, _phase, _series_at, _theta_mpf, auto_trunc,
                                  eval_delta_eta, eval_poly)
+
+
+def raw_basis(fid: FormId, trunc: int | None = None) -> QSeries:
+    """e_{k,m} = Delta^ell E_k' j^(ell-m) = q^m + O(q^(m+1))."""
+    if trunc is None:
+        trunc = default_trunc(fid.ell)
+    head = trunc + fid.ell - fid.m      # each j factor costs one order
+    e = delta(head) ** fid.ell * eisenstein(fid.kprime, head) \
+        * jfunction(head) ** (fid.ell - fid.m)
+    return e.truncate(trunc)
+
+
+def reconstruct(form: MillerForm, trunc: int | None = None) -> QSeries:
+    """Delta^ell * E_k' * F(j) as a q-expansion, for consistency checks."""
+    fid = form.id
+    if trunc is None:
+        trunc = form.series.trunc
+    head = trunc + fid.ell
+    j = jfunction(head)
+    acc = QSeries.zero(head)
+    for c in reversed(form.faber.coeffs):
+        acc = acc * j + c
+    base = delta(head) ** fid.ell if fid.ell else QSeries.one(head)
+    if fid.kprime:
+        base = base * eisenstein(fid.kprime, head)
+    return (base * acc).truncate(trunc)
+
+
+def ramanujan_residuals(trunc: int) -> tuple:
+    """Residual series of the three classical derivative identities.
+
+    Returns (q dE2/dq - (E2^2 - E4)/12,
+             q dE4/dq - (E2 E4 - E6)/3,
+             q dDelta/dq - E2 Delta), each of which must vanish identically.
+    """
+    e2 = eisenstein(2, trunc)
+    e4 = eisenstein(4, trunc)
+    e6 = eisenstein(6, trunc)
+    dl = delta(trunc)
+    r1 = e2.differentiate() - (e2 * e2 - e4) * Fraction(1, 12)
+    r2 = e4.differentiate() - (e2 * e4 - e6) * Fraction(1, 3)
+    r3 = dl.differentiate() - e2 * dl
+    return r1, r2, r3
 
 
 def direct_eval_form(form, tau, prec: int = DEFAULT_PREC) -> CertValue:

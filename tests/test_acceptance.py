@@ -13,7 +13,9 @@ from mpmath import mp, workprec
 from millerzeros import certify, evalnum, qseries, zeros
 from millerzeros.cli import main
 from millerzeros.miller import miller_form
-from millerzeros.qseries import eisenstein, delta, ramanujan_residuals
+from millerzeros.qseries import eisenstein, delta
+
+from conftest import ramanujan_residuals
 
 
 def _line(capsys, n, ok, detail):

@@ -389,6 +389,57 @@ def test_oscillation_at_the_last_grid_double_is_the_ball_at_rho():
     assert (at_double.value, at_double.err) == (at_rho.value, at_rho.err)
 
 
+@pytest.mark.parametrize("k,m", [(192, 1), (340, 2)])
+def test_oscillation_holds_the_direct_product(k, m, direct_arc):
+    # the ball holds e^(2 pi m sin t) G(t) - 2 cos h(t) for every G(t) in the
+    # ball of the direct complex evaluation, the factors taken at 400 bits
+    from millerzeros.evalnum import _theta_mpf, form_arc_prec
+    from millerzeros.miller import miller_form
+    form = miller_form(k, m)
+    prec = form_arc_prec(form.id.ell, m)
+    for theta in arc_grid(2e-2):
+        with workprec(prec + 12):
+            t = _theta_mpf(theta)
+        got, ref = _oscillation(form, m, theta, prec), direct_arc(form, theta, prec=prec)
+        with workprec(400):
+            amp = mp.exp(2 * mp.pi * m * mp.sin(t))
+            want = ref.value * amp - 2 * mp.cos(k * t / 2 + 2 * mp.pi * m * mp.cos(t))
+            assert abs(got.value - want) <= got.err + ref.err * amp + mpf(2) ** -380
+
+
+def test_oscillation_builds_one_q_point_per_angle(monkeypatch):
+    # g, e^(2 pi m sin t) and e^(i h) all come from one arc point and one
+    # _theta_mpf; no complex exp of tau is taken
+    from millerzeros import evalnum
+    from millerzeros.miller import miller_form
+    calls = {"_arc_point": 0, "_theta_mpf": 0, "_QPoint": 0}
+    for name in ("_arc_point", "_theta_mpf"):
+        def counted(*args, _inner=getattr(evalnum, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(evalnum, name, counted)
+    init = evalnum._QPoint.__init__
+
+    def counted_init(self, *args):
+        calls["_QPoint"] += 1
+        init(self, *args)
+    monkeypatch.setattr(evalnum._QPoint, "__init__", counted_init)
+    form = miller_form(340, 2)
+    grid = arc_grid(5e-2)
+    for theta in grid:
+        _oscillation(form, 2, theta, 160)
+    assert calls == {"_arc_point": len(grid), "_theta_mpf": len(grid), "_QPoint": 0}
+
+
+def test_table_check_values_match_separate_evaluations(monkeypatch):
+    # E_4 and E_6 from one q-point are the two eval_series values bit for bit
+    def separate(terms, tau):
+        return tuple(eval_series(s, tau, tail) for s, tail in terms)
+    shared = certify._table_numeric_check()
+    monkeypatch.setattr(certify, "_eval_series_at", separate)
+    assert certify._table_numeric_check() == shared
+
+
 def test_amplitude_encloses_the_exponential_at_m_20():
     # x = 2 pi m sin theta reaches 126, and the radius of e^x grows with x;
     # the ball chain of certify._oscillation must still hold e^x

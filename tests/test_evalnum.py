@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, mpc, workprec
 
 from millerzeros.qseries import (EISENSTEIN_FACTORS, QSeries, _pentagonal_euler_product, delta,
@@ -13,7 +13,8 @@ from millerzeros.qseries import (EISENSTEIN_FACTORS, QSeries, _pentagonal_euler_
 from millerzeros.miller import miller_form
 from millerzeros.zeros import HFunction
 from millerzeros.evalnum import (
-    CertValue, NotRealError, TailUnboundedError, _abs_up, _exact,
+    CertValue, NotRealError, TailUnboundedError, _TAIL_SLACK, _abs_up, _arc_point,
+    _corner_angles, _exact, _theta_mpf, _two_pi,
     EisensteinTail, JCoeffTail, EtaProductTail, j_tail_bound,
     eval_poly, eval_series, eval_delta_eta,
     arc_functions, arc_form, arc_j, arc_j_float, arc_grid, export_arc_csv,
@@ -275,8 +276,11 @@ def test_abs_of_a_complex_value_encloses_the_modulus():
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.floats(-5, 5), min_size=4, max_size=4), st.floats(0, 0.5), st.floats(0, 0.5),
        st.lists(st.floats(0, 1), min_size=4, max_size=4))
+# |b| exceeds eb by 5e-32 only, far below 2^-57 |b|
+@example(parts=[0.0, 0.0, 0.5, 2.220446049250313e-16], ea=0.0, eb=0.5, u=[0.0, 0.0, 0.0, 0.0])
 def test_certvalue_encloses_complex_products_and_quotients(parts, ea, eb, u):
-    # radii of complex products and quotients take |v| from _abs_up
+    # radii of complex products take |v| from _abs_up, quotients a lower
+    # bound of the divisor's modulus rounded down
     a, b = mpc(parts[0], parts[1]), mpc(parts[2], parts[3])
     x, y = CertValue(a, ea), CertValue(b, eb)
     with workprec(140):
@@ -424,6 +428,31 @@ def test_tail_unbounded_guards():
         j_tail_bound(2, 0.5)
     with pytest.raises(TailUnboundedError):
         EtaProductTail().bound(5, mpf(1), mpf(0))
+
+
+def _j_tail_formula(M: int, a) -> mpf:
+    """j_tail_bound's closed form with every factor computed on the spot."""
+    a = mpf(a)
+    root = mp.sqrt(M)
+    expo = 2 * mp.pi * (1 / a - a * (root - 1 / a) ** 2)
+    lead = mp.exp(expo) / (2 * mp.sqrt(2) * mp.pi * mp.sqrt(mp.sqrt(mpf(M + 1) ** 3)))
+    return lead * (root / (a * root - 1)) * _TAIL_SLACK
+
+
+def test_cached_constants_match_their_formulas():
+    # the factors cached per precision give the same mpf as forming them in place
+    with workprec(140):                     # certify's ledger precision
+        cases = [(6, mp.sin(mpf(1.9))), (5, 0.75), (7, 0.65)]
+        for M, a in cases:
+            assert j_tail_bound(M, a) == j_tail_bound(M, a) == _j_tail_formula(M, a)
+    for prec in (128, 256, 512, 1024):      # arc_j's truncation and height
+        for theta in (1.5707963267948966, 1.75, 1.9, 2.0943951023931957):
+            with workprec(prec + 12):
+                y = _arc_point(_theta_mpf(theta)).y
+                M = max(auto_trunc(y, prec), int(1 / float(y) ** 2) + 8)
+                assert j_tail_bound(M, y) == _j_tail_formula(M, y)
+                assert _two_pi(mp.prec) == 2 * mp.pi
+                assert _corner_angles(mp.prec) == (mp.pi / 2, 2 * mp.pi / 3)
 
 
 def test_eval_below_height_floor():
@@ -709,6 +738,25 @@ def test_arc_form_matches_direct_evaluation(kprime, m, direct_arc):
             got, ref = arc_form(form, theta, prec=prec), direct_arc(form, theta, prec=prec)
             assert abs(got.value - ref.value) <= got.err + ref.err
             assert got.err <= 8 * ref.err
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(math.pi / 2, 2 * math.pi / 3), st.sampled_from((65, 140, 268, 1036)))
+@example(theta=CORNERS[0], prec=140)
+@example(theta=CORNERS[1], prec=140)
+@example(theta=2.0943951023931957, prec=140)
+def test_arc_point_holds_q_of_its_angle(theta, prec):
+    # the pad of the arc point holds q = e^(2 pi i e^(i t)) and |q| at the
+    # exact angle t it was given, both 400 bits beyond its precision, and
+    # y is sin t rounded
+    with workprec(prec):
+        t = _theta_mpf(theta)
+        pt = _arc_point(t)
+    with workprec(prec + 400):
+        q = mp.exp(2j * mp.pi * mp.expj(t))
+        assert abs(q - pt.q) <= pt.pad
+        assert abs(abs(q) - pt.r) <= pt.pad
+        assert abs(mp.sin(t) - pt.y) <= mp.ldexp(1, -prec)
 
 
 # ---------------------------------------------------------------------------

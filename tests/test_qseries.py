@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from millerzeros.qseries import (
     QSeries, FormId, bernoulli, eisenstein, delta, jfunction,
-    ramanujan_residuals, ZeroLeadingError, UnsupportedWeightError,
+    ZeroLeadingError, UnsupportedWeightError,
     EXTRA_WEIGHTS,
 )
+
+from conftest import ramanujan_residuals
 
 
 def S(lead, coeffs, trunc=None):

@@ -11,7 +11,7 @@ from mpmath import mp, mpf, workprec
 
 from millerzeros.qseries import EISENSTEIN_FACTORS, FormId
 from millerzeros.evalnum import arc_functions, arc_j, form_arc_prec
-from millerzeros import zeros
+from millerzeros import evalnum, zeros
 from millerzeros.miller import IntPolynomial, miller_form
 from millerzeros.zeros import (
     ROOT_WIDTH, InconclusiveSignError, TheoremViolationError, _certified_arc_sign, _exact,
@@ -345,6 +345,30 @@ def test_hfunction_newton_angles_match_bisection():
         assert max(abs(a - b) for (_, a), (_, b) in zip(got, ref)) < step
 
 
+def _angle_digest(pairs) -> str:
+    """sha256 of the sample angles of each (k, m) as doubles, one line per pair."""
+    lines = (f"{k},{m}:" + ",".join(repr(float(t)) for _, t in HFunction(k, m).sample_angles())
+             for k, m in pairs)
+    text = "\n".join(lines)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# the doubles of the sample angles from the 96-bit Newton iteration that
+# started at the tangent points, before the double Newton and its polish
+SAMPLE_ANGLE_SHA256 = {
+    "pool": "34dbb0b82d6d78d6625a37e31253132e04835b5ffcc24bc16b3d320d640b4a4f",
+    (240, 2): "b78dc25ab84e7440318a0a5dae4c800375d42c12d51340d8026d7acbc6926406",
+    (600, 3): "4e1322ff6decdae4e5575d6c45db9441ee80d5e35ef9568ff0ce6a99c8fa6185",
+    (360, 10): "ea35524ad1e17c76c9ca21c986c1fc419fc6088106a29a82ba9b9b5b0e19a496",
+}
+
+
+def test_sample_angle_doubles_golden():
+    assert _angle_digest([(k, 1) for k in POOL_WEIGHTS]) == SAMPLE_ANGLE_SHA256["pool"]
+    for pair in ((240, 2), (600, 3), (360, 10)):
+        assert _angle_digest([pair]) == SAMPLE_ANGLE_SHA256[pair], pair
+
+
 def test_hfunction_rejects_non_monotone_sampling():
     with pytest.raises(ValueError):
         HFunction(12, 1).sample_angles()
@@ -507,6 +531,28 @@ def test_arc_zero_localize_certifies_no_sample_alone(monkeypatch, form_48_1):
     calls = _count_certified(monkeypatch)
     assert arc_zero_localize(form_48_1) == want
     assert calls == []
+
+
+def test_localize_builds_one_q_point_per_sample(monkeypatch):
+    # at k = 1924 every sample costs one arc point (its certified j) and no
+    # other q-point: the sign-change count decides every sign at once
+    form = miller_form(1924, 1)
+    points, off_arc = [], []
+    inner, init = evalnum._arc_point, evalnum._QPoint.__init__
+
+    def counted(theta):
+        points.append(theta)
+        return inner(theta)
+
+    def counted_init(self, *args):
+        off_arc.append(args)
+        init(self, *args)
+    monkeypatch.setattr(evalnum, "_arc_point", counted)
+    monkeypatch.setattr(evalnum._QPoint, "__init__", counted_init)
+    certified = _count_certified(monkeypatch)
+    assert arc_zero_localize(form)
+    assert len(points) == len(_sampled(form))
+    assert off_arc == [] and certified == []
 
 
 def test_counterexample_falls_back_to_per_sample_signs(monkeypatch, form_132_9):
