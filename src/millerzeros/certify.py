@@ -41,7 +41,7 @@ from . import qseries
 from .qseries import EISENSTEIN_FACTORS
 from .miller import IntPolynomial
 from .evalnum import (DEFAULT_PREC, ArcValues, CertValue, EisensteinTail, _arc_form_at,
-                      _eval_series_at, _exact, _phase, _span, arc_functions, arc_grid, arc_j,
+                      _eval_series_at, _exact, _span, arc_functions, arc_grid, arc_j,
                       eval_delta_eta, eval_series, j_tail_bound, lemniscate_constants)
 
 
@@ -103,18 +103,28 @@ def _decimal(claimed) -> Fraction:
     return Fraction(repr(claimed)) if isinstance(claimed, float) else Fraction(claimed)
 
 
+def _abs_ends(cv: CertValue) -> tuple:
+    """(lower, upper) bounds of |v| over the ball: |v| -+ err exactly for a
+    real ball (the lower end at least 0), abs_lower and abs_upper for a
+    complex one."""
+    if isinstance(cv.value, mpc):
+        return _exact(cv.abs_lower()), _exact(cv.abs_upper())
+    mag, err = abs(_exact(cv.value)), _exact(cv.err)
+    return max(mag - err, Fraction(0)), mag + err
+
+
 def _entry_upper(name: str, ref: str, cv: CertValue, claimed) -> BoundLedgerEntry:
-    """|computed| + err, rounded upward, must stay strictly below the claimed constant."""
-    hi = _exact(cv.abs_upper())
+    """The upper end of |computed| (_abs_ends) must stay strictly below the claimed constant."""
+    lo, hi = _abs_ends(cv)
     return BoundLedgerEntry(name, float(claimed), float(abs(cv.value)), float(cv.err),
-                            hi < _decimal(claimed), ref, (_exact(cv.abs_lower()), hi))
+                            hi < _decimal(claimed), ref, (lo, hi))
 
 
 def _entry_lower(name: str, ref: str, cv: CertValue, claimed) -> BoundLedgerEntry:
-    """|computed| - err, rounded downward, must stay strictly above the claimed constant."""
-    lo = _exact(cv.abs_lower())
+    """The lower end of |computed| (_abs_ends) must stay strictly above the claimed constant."""
+    lo, hi = _abs_ends(cv)
     return BoundLedgerEntry(name, float(claimed), float(abs(cv.value)), float(cv.err),
-                            lo > _decimal(claimed), ref, (lo, _exact(cv.abs_upper())))
+                            lo > _decimal(claimed), ref, (lo, hi))
 
 
 def _entry_value(name: str, ref: str, cv: CertValue, claimed, tol) -> BoundLedgerEntry:
@@ -965,18 +975,14 @@ _MRL_LADDER = (1, 2, 4, 8)       # multiples of the starting precision
 def _oscillation(form, m: int, theta: float, prec: int) -> CertValue:
     """e^(ik theta/2) e^(2 pi m sin theta) g_{k,m}(e^(i theta)) - 2 cos h(theta).
 
-    Every factor comes from the angle t and the q-point that arc_form
-    took for g (_arc_form_at), so a double within 2^-50 of a corner
-    stands for the corner in every factor.  With r = |q| = e^(-2 pi sin t),
-    e^(2 pi m sin t) = r^-m, and q / r = e^(2 pi i cos t), so e^(i h) =
-    e^(ik t/2) (q/r)^m and 2 cos h = 2 Re e^(i h).  q and r are balls of
-    the point's pad.
+    Every factor comes from the arc point that arc_form took for g
+    (_arc_form_at), so a double within 2^-50 of a corner stands for the
+    corner in every factor: e^(2 pi m sin t) = r^-m is the point's
+    amplitude and 2 cos h its turn, each a real ball formed from its ints.
     """
     with workprec(prec + 12):
-        t, pt, g = _arc_form_at(form, theta, prec)
-        r = CertValue(pt.r, pt.pad)
-        turn = _phase(t, form.id.k) * (CertValue(pt.q, pt.pad) / r).pow_int(m)
-        return g / r.pow_int(m) - turn.real() * 2
+        pt, g = _arc_form_at(form, theta, prec)
+        return g * pt.amplitude(m) - pt.turn(form.id.k, m)
 
 
 def proposition_mrl_check(k: int, m: int, grid_step: float = 1e-3) -> MrlReport:

@@ -22,33 +22,41 @@ operations; the hand-derived bounds still left there are listed in its
 docstring.
 
 Every polynomial and truncated q-series goes through one kernel,
-eval_poly: Horner's rule on Gaussian integers at the fixed scale 2^-P,
-P = working precision + 24, with exact int or Fraction coefficients.
-Each step floors both parts of the product and of the coefficient, so it
-loses less than 3 units of 2^-P, and the whole sum less than
-3 sum_(i<n) R^i units for R >= |w| (3n units when R < 1; Higham,
-Accuracy and Stability of Numerical Algorithms, 5.1).  Moving the point
-by delta costs at most delta sum i |c_i| R^(i-1), bounded by integer
-Horner rounding up.  The radius is then: that a-priori bound, the exact
-tail bound for the truncated series, and one pad for rounding the result
-to an mpf.
+_horner: Horner's rule on Gaussian integers at the fixed scale 2^-P,
+P = working precision + 24, with exact int or Fraction coefficients,
+and a real loop of its own for a real point.  Each step floors both
+parts of the product and of the coefficient, so it loses less than 3
+units of 2^-P, and the whole sum less than 3 sum_(i<n) R^i units for
+R >= |w| (3n units when R < 1; Higham, Accuracy and Stability of
+Numerical Algorithms, 5.1).  Moving the point by delta costs at most
+delta sum i |c_i| R^(i-1), bounded by integer Horner rounding up.  The
+radius is then: that a-priori bound, the exact tail bound for the
+truncated series, and one pad for rounding the result to an mpf.
+eval_poly is the kernel with mpf input and a ball as output.
 
-Around the kernel, each evaluation point does its scalar work once: one
-private q-point holds q = e^(2 pi i tau), its pad, r = |q| and y = Im tau,
-and every series at that point (the Eisenstein series, the eta product,
-j) reads them from it.  Off the arc it is one complex exp.  At an arc
-angle theta (arc_form, arc_j) the arc point _arc_point builds it from
-its parts: cos theta and sin theta from one cos_sin, r = e^(-2 pi sin
-theta) from one real exp and e^(2 pi i cos theta) from one more cos_sin,
-so q is their product, r and y = sin theta need no complex abs or
-exp, and certify's oscillation check reads e^(2 pi m sin theta) and
-e^(2 pi i m cos theta) off the same point.  Powers are closed
-form, after the midpoint-radius pattern of Arb: CertValue.pow_int rounds
-v^n once and takes the radius n e (|v| + e)^(n-1) plus the pad of v^n,
-rounded upward, since |w^n - v^n| <= n |w - v| max(|v|, |w|)^(n-1).
-The arc phases e^(i k theta/2) are one mp.expj each, of an argument
-formed exactly.  Radii take |v| from _abs_up, never from a
-full-precision complex abs.
+Around the kernel, each evaluation point does its scalar work once.  Off
+the arc a private q-point holds q = e^(2 pi i tau), its pad, r = |q| and
+y = Im tau, from one complex exp, and every series at that point (the
+Eisenstein series, the eta product, j) reads them from it.  At an arc
+angle theta (arc_form, arc_j) the integer arc point _ArcPoint stays in
+the kernel's units from the angle to the ball, in the fixed-point,
+a-priori-error half of ball arithmetic (van der Hoeven): cos theta and
+sin theta from one cos_sin, r = e^(-2 pi sin theta) from one real exp
+and e^(2 pi i cos theta) from one more cos_sin, at 8 guard bits, become
+ints at the scale 2^-P, with q their product, 1/q two integer quotients
+and one pad, in units, for all of them.  arc_j sums the kernel, the
+pole term 1/q and j's tail in units and forms one ball at the end; the
+tail is j_tail_bound's closed form with a cached constant and an
+integer power of r.  arc_form's e4 and e6 are the kernel on the same
+point, turned by e^(2 i theta) and e^(3 i theta), integer products of
+(cos theta, sin theta), and certify's oscillation check reads
+e^(2 pi m sin theta) = r^-m and 2 cos h off the same point.  Powers of
+balls are closed form, after the midpoint-radius pattern of Arb:
+CertValue.pow_int rounds v^n once and takes the radius n e (|v| +
+e)^(n-1) plus the pad of v^n, rounded upward, since |w^n - v^n| <= n
+|w - v| max(|v|, |w|)^(n-1).  Off the arc, the phases e^(i k theta/2)
+(arc_functions) are one mp.expj each, of an argument formed exactly.
+Radii take |v| from _abs_up, never from a full-precision complex abs.
 
 A basis form on the arc (arc_form) needs no complex product: with
 E_k' = E_4^a E_6^b its real arc function is delta^ell e4^a e6^b F(j),
@@ -95,7 +103,7 @@ from functools import lru_cache
 from math import isqrt
 
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import (from_int, from_man_exp, from_rational, mpf_add, mpf_cos_sin,
+from mpmath.libmp import (from_int, from_man_exp, from_rational, fzero, mpf_add, mpf_cos_sin,
                           mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_pos, mpf_pow_int, mpf_shift,
                           mpf_sqrt, mpf_sub)
 
@@ -137,16 +145,17 @@ def _abs_up(v) -> tuple:
 
 
 def _abs_rounded(v, rnd: str) -> mpf:
-    """|v| rounded to the ambient precision in the direction rnd; exact for a real v.
+    """|v| rounded to the ambient precision in the direction rnd.
 
-    A complex modulus sums the two squares exactly (libmp at precision 0)
+    A real |v| is read exactly from the mantissa and rounded once.  A
+    complex modulus sums the two squares exactly (libmp at precision 0)
     and rounds only its square root, which mpf_sqrt does correctly in
     either direction.
     """
     if isinstance(v, mpc):
         a, b = v._mpc_
         return mp.make_mpf(mpf_sqrt(mpf_add(mpf_mul(a, a), mpf_mul(b, b)), mp.prec, rnd))
-    return abs(v)
+    return mp.make_mpf(mpf_pos(_abs_up(v), mp.prec, rnd))
 
 
 def _pad_up(value) -> tuple:
@@ -433,6 +442,8 @@ def _lower_of(y: mpf) -> mpf:
 def _coerce(x) -> CertValue:
     if isinstance(x, CertValue):
         return x
+    if x.__class__ is int and x.bit_length() <= mp.prec:
+        return _ball(mp.make_mpf(from_int(x)), mp.make_mpf(fzero))
     return CertValue.exact(x)
 
 
@@ -440,23 +451,23 @@ def _coerce(x) -> CertValue:
 # exact conversions and the fixed-point Horner kernel
 
 
-def _man_exp(x: mpf) -> tuple:
-    """(man, exp) with x = man 2^exp exactly; mpf.man_exp drops the sign."""
-    sign, man, exp, bc = x._mpf_
+def _man_exp(t: tuple) -> tuple:
+    """(man, exp) with the libmp value t = man 2^exp exactly, man signed."""
+    sign, man, exp, bc = t
     if not man and bc:
-        raise ValueError(f"non-finite value {x}")
+        raise ValueError(f"non-finite value {mp.make_mpf(t)}")
     return (-int(man) if sign else int(man)), exp
 
 
 def _exact(x: mpf) -> Fraction:
     """The binary value of an mpf as a signed Fraction, without rounding."""
-    man, exp = _man_exp(x)
+    man, exp = _man_exp(x._mpf_)
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
-def _fixed(x: mpf, p: int) -> int:
-    """floor(x 2^p)."""
-    man, exp = _man_exp(x)
+def _fixed(t: tuple, p: int) -> int:
+    """floor(t 2^p) of a libmp value t."""
+    man, exp = _man_exp(t)
     return man << (exp + p) if exp + p >= 0 else man >> -(exp + p)
 
 
@@ -465,38 +476,45 @@ def _from_fixed(n: int, p: int) -> mpf:
     return mp.make_mpf(from_man_exp(n, -p, mp.prec, "n"))
 
 
-def eval_poly(coeffs, z, radius=0) -> CertValue:
-    """Enclosure of sum_i coeffs[i] w^i for every w with |w - z| <= radius.
+def _units_ball(n: int, units: int, p: int) -> CertValue:
+    """The real ball n 2^-p with radius units 2^-p, plus one pad for rounding n to an mpf."""
+    value = _from_fixed(n, p)
+    return _ball(value, _sum_up(from_man_exp(units, -p, mp.prec, _UP), _pad_up(value)))
 
-    The coefficients are exact ints or Fractions, z is real or complex.
-    Horner runs on Python ints at the scale 2^-P, P = working precision
-    + 24, on Z = floor(z 2^P) 2^-P, so |z - Z| < 2^(1/2 - P).  Each step
-    floors both parts of the product and the coefficient, less than 3
-    units, so every accumulator A_i is within E = 3 sum_(i<n) R^i units
-    of its exact value at Z, R >= |Z|.  Any w is within delta = radius +
-    2^(2-P) of Z, and the Horner recursion for the difference gives
-    |p(w) - p(Z)| <= delta sum_(i>=1) (|A_i| + E) R^(i-1) for R >= |Z| +
-    delta, summed alongside in integers rounding up.  One pad covers the
-    rounding of the result to an mpf or mpc.
+
+def _horner(coeffs, x: int, y: int, delta: int, p: int) -> tuple:
+    """(a, b, units): sum_i coeffs[i] w^i at Z = (x + i y) 2^-p as a + i b,
+    and a bound in units of 2^-p on its distance from the sum at every w
+    with |w - Z| <= delta units.
+
+    Horner's rule on Python ints at the scale 2^-p, with exact int or
+    Fraction coefficients.  Each step floors both parts of the product
+    and the coefficient, less than 3 units, so every accumulator A_i is
+    within E = 3 sum_(i<n) R^i units of its exact value at Z, R >= |Z|.
+    The Horner recursion for the difference gives |p(w) - p(Z)| <= delta
+    sum_(i>=1) (|A_i| + E) R^(i-1) for R >= |Z| + delta, summed alongside
+    in integers rounding up; |A| <= max + min/2 of its two parts.  A real
+    Z (y = 0) runs a loop of its own, with the same roundings.
     """
-    z = mp.mpmathify(z)
-    p = mp.prec + 24
     one = 1 << p
-    x, y = (_fixed(z.real, p), _fixed(z.imag, p)) if isinstance(z, mpc) else (_fixed(z, p), 0)
-    delta = -_fixed(-mpf(radius), p) + 4
     big_r = isqrt(x * x + y * y) + 1 + delta
     a = b = slope = 0
-    for c in reversed(coeffs):
-        # slope += |A| rounded up (|A| <= max + min/2 for the two parts)
-        hi, lo = abs(a), abs(b)
-        slope = -(-slope * big_r >> p) + max(hi, lo) + (min(hi, lo) >> 1) + 1
-        if y:
+    if y:
+        for c in reversed(coeffs):
+            hi, lo = abs(a), abs(b)
+            if hi < lo:
+                hi, lo = lo, hi
+            slope = -(-slope * big_r >> p) + hi + (lo >> 1) + 1
             a, b = (a * x - b * y) >> p, (a * y + b * x) >> p
-        else:
+            if c:
+                a += c << p if c.__class__ is int else (c.numerator << p) // c.denominator
+    else:
+        for c in reversed(coeffs):
+            slope = -(-slope * big_r >> p) + abs(a) + 1
             a = (a * x) >> p
-        if c:
-            a += c << p if isinstance(c, int) else (c.numerator << p) // c.denominator
-    # in units of 2^-P: rsum >= sum_(i<n) R^i, the rounding error is 3 rsum
+            if c:
+                a += c << p if c.__class__ is int else (c.numerator << p) // c.denominator
+    # rsum >= sum_(i<n) R^i in units of 2^-p; the rounding error is 3 rsum
     n = len(coeffs)
     if big_r <= one:
         rsum = n
@@ -506,11 +524,26 @@ def eval_poly(coeffs, z, radius=0) -> CertValue:
             rsum = -(-rsum * big_r >> p) + one
         rsum = -(-rsum >> p)
     rounding = 3 * rsum
-    units = rounding - (-delta * (slope + rounding * rsum) >> p)
-    if isinstance(z, mpc):
-        value = mpc(_from_fixed(a, p), _from_fixed(b, p))
-    else:
-        value = _from_fixed(a, p)
+    return a, b, rounding - (-delta * (slope + rounding * rsum) >> p)
+
+
+def eval_poly(coeffs, z, radius=0) -> CertValue:
+    """Enclosure of sum_i coeffs[i] w^i for every w with |w - z| <= radius.
+
+    The coefficients are exact ints or Fractions, z is real or complex.
+    The kernel _horner runs at the scale 2^-P, P = working precision +
+    24, on Z = floor(z 2^P) 2^-P, so |z - Z| < 2^(1/2 - P), and any w is
+    within delta = radius + 2^(2-P) of Z.  The radius is the kernel's
+    bound plus one pad for rounding the result to an mpf or mpc.
+    """
+    z = mp.mpmathify(z)
+    p = mp.prec + 24
+    cplx = isinstance(z, mpc)
+    x, y = (_fixed(z.real._mpf_, p), _fixed(z.imag._mpf_, p)) if cplx else (_fixed(z._mpf_, p), 0)
+    a, b, units = _horner(coeffs, x, y, -_fixed(mpf_neg(mpf(radius)._mpf_), p) + 4, p)
+    if not cplx:
+        return _units_ball(a, units, p)
+    value = mpc(_from_fixed(a, p), _from_fixed(b, p))
     return _ball(value, _sum_up(from_man_exp(units, -p, mp.prec, _UP), _pad_up(value)))
 
 
@@ -530,13 +563,6 @@ def _corner_angles(prec: int) -> tuple:
     """(pi/2, 2pi/3), the ends of the arc, at prec bits."""
     with workprec(prec):
         return mp.pi / 2, 2 * mp.pi / 3
-
-
-@lru_cache(maxsize=256)
-def _j_tail_factors(M: int, prec: int) -> tuple:
-    """(sqrt M, 2 sqrt 2 pi ((M + 1)^3)^(1/4)), j_tail_bound's factors of M alone."""
-    with workprec(prec):
-        return mp.sqrt(M), 2 * mp.sqrt(2) * mp.pi * mp.sqrt(mp.sqrt(mpf(M + 1) ** 3))
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +596,6 @@ class EisensteinTail:
 
 
 @dataclass(frozen=True)
-class JCoeffTail:
-    def bound(self, trunc: int, r: mpf, y: mpf) -> mpf:
-        return j_tail_bound(trunc, y)
-
-
-@dataclass(frozen=True)
 class EtaProductTail:
     def bound(self, trunc: int, r: mpf, y: mpf) -> mpf:
         if r >= 1:
@@ -593,11 +613,28 @@ def j_tail_bound(M: int, a) -> mpf:
     a = mpf(a)
     if M <= 1 / a ** 2:
         raise TailUnboundedError(f"tail bound needs M > 1/a^2 = {1 / a ** 2}")
-    root, den = _j_tail_factors(M, mp.prec)
-    expo = _two_pi(mp.prec) * (1 / a - a * (root - 1 / a) ** 2)
+    root = mp.sqrt(M)
+    expo = 2 * mp.pi * (1 / a - a * (root - 1 / a) ** 2)
+    den = 2 * mp.sqrt(2) * mp.pi * mp.sqrt(mp.sqrt(mpf(M + 1) ** 3))
     lead = mp.exp(expo) / den
     geo = root / (a * root - 1)
     return lead * geo * _TAIL_SLACK
+
+
+@lru_cache(maxsize=256)
+def _j_tail_lead(M: int, P: int) -> tuple:
+    """(K, L) as ints in units of 2^-P, rounded upward, for the arc point's j tail:
+    K >= (1 + 2^-30) e^(4 pi sqrt M) / (2 sqrt 2 pi ((M + 1)^3)^(1/4)) and
+    L >= 1 / sqrt M.
+
+    Formed at P + 32 bits: the factor 1 + 2^-30 covers K's rounding, and L
+    takes one more unit for its own.
+    """
+    with workprec(P + 32):
+        root = mp.sqrt(M)
+        den = 2 * mp.sqrt(2) * mp.pi * mp.sqrt(mp.sqrt(mpf(M + 1) ** 3))
+        lead = mp.exp(4 * mp.pi * root) / den
+        return -_fixed((-lead * _TAIL_SLACK)._mpf_, P), 1 - _fixed((-1 / root)._mpf_, P)
 
 
 # ---------------------------------------------------------------------------
@@ -635,11 +672,11 @@ def form_arc_prec(ell: int, m: int) -> int:
 class _QPoint:
     """One evaluation point: q = e^(2 pi i tau), its pad, r = |q| and y = Im tau.
 
-    The constructor takes tau itself, one complex exp; an arc angle goes
-    through _arc_point instead.  drift bounds |q' - q| over every q' the
-    point stands for; it widens the pad, and r to the largest |q'|.  y
-    stays the height of tau, so off a horizontal segment a drifted point
-    serves only tails that read r.
+    The constructor takes tau itself, one complex exp; arc_j and arc_form
+    take the integer _ArcPoint of their angle instead.  drift bounds
+    |q' - q| over every q' the point stands for; it widens the pad, and r
+    to the largest |q'|.  y stays the height of tau, so off a horizontal
+    segment a drifted point serves only tails that read r.
     """
 
     __slots__ = ("q", "pad", "r", "y")
@@ -751,46 +788,146 @@ def _theta_mpf(p) -> mpf:
     return min(max(t, lo), hi)
 
 
-def _arc_point(theta: mpf) -> _QPoint:
-    """The q-point of tau = e^(i theta) at an arc angle theta, taken as exact.
+class _ArcPoint:
+    """The point tau = e^(i theta) at an arc angle theta, taken as exact, in ints.
 
-    With c = cos theta and s = sin theta, q = e^(-2 pi s) e^(2 pi i c), so
-    r = |q| = e^(-2 pi s) is one real exp, y = Im tau = s, and q is r
-    times (cos 2 pi c, sin 2 pi c): one cos_sin of theta, one exp and one
-    cos_sin of 2 pi c.  All of it runs at w = p + 8 bits, p the ambient
-    precision; only the two products r cos 2 pi c and r sin 2 pi c, and
-    r and y themselves, round to p.  The pad is 16 ulp of r, 2^(4-p) r,
-    as for any q-point.
+    Every int n held stands for n 2^-P, P = p + 24 (eval_poly's scale at
+    the ambient precision p); such a 2^-P is a unit below.  With c = cos
+    theta and s = sin theta, q = e^(-2 pi s) e^(2 pi i c): one cos_sin of
+    theta, one exp (r = |q| = e^(-2 pi s)) and one cos_sin of v = 2 pi c,
+    all at w = p + 8 bits, give
 
-    The budget it covers, each value at w bits within one ulp (2^(1-w)
-    relative) and |c| <= 1/2, s <= 1 on the arc: an error d in c or s
-    moves q by 2 pi |q| d, as |dq/dc| = |dq/ds| = 2 pi |q|, and one in
-    the argument of exp or cos_sin moves it by |q| d.  In units of
-    |q| 2^-w:
+      qx, qy    q = r (cos v, sin v): r times each floored part, floored
+      r, c, s   |q|, cos theta and sin theta, floored
+      ix, iy    1/q = conj(q) / |q|^2: two floored integer quotients
+
+    with q, r, c and s each within pad = 2^21 units of its exact value, and
+    1/q within ipad units.  theta is the angle, v stays a libmp value at w
+    bits, and y is s rounded to p (an mpf), for truncation orders.
+
+    The budget, each value at w bits within one ulp (2^(1-w) relative),
+    |c| <= 1/2 and s <= 1 on the arc, and 2^-w = 2^16 units.  An error d in
+    c or s moves q by 2 pi |q| d, as |dq/dc| = |dq/ds| = 2 pi |q|, and one
+    in the argument of exp or cos_sin moves it by |q| d.  In |q| 2^-w:
       cos theta (|dc| <= 2^-w)                       2 pi
       sin theta (|ds| <= 2^(1-w))                    4 pi
       2 pi, in 2 pi s and in 2 pi c                  2 pi (s + |c|) 2 <= 6 pi
       the product 2 pi s                             2 pi s 2 <= 4 pi
       the product 2 pi c                             2 pi |c| 2 <= 2 pi
       exp and cos_sin of 2 pi c                      2 + 2
-    so 18 pi + 4 < 61 units, under 0.24 |q| 2^-p, and the two products
-    rounded to nearest at p add |q| 2^-p.  The rounding of r to p puts r
-    within 1.24 |q| 2^-p of e^(-2 pi s) as well, so the pad, at least
-    15.9 |q| 2^-p, holds both q and r with the few-ulp allowance of
-    mpmath's elementary functions to spare.
+    so 18 pi + 4 < 61, and as |q| <= e^(-pi sqrt 3) < 0.0044 the exact
+    product of r and (cos v, sin v) at w bits is within 0.27 2^-w of q.
+    The terms in s alone (12 pi + 2 < 40) put r within 0.18 2^-w; r >
+    2^-10 has no bit below 2^-P, so the int r is exact, and each part of q
+    loses under r + 1 < 2 units to its two floors.  c is within 2^-w and s
+    within 2^(1-w), plus one unit for the floor.  The largest of these,
+    2^17 + 1 units for s, pad holds 15 times over, and q and r over 100
+    times: the few-ulp allowance of mpmath's elementary functions, as in
+    _pad.  v is within (2 pi + 2 pi + 2 pi) 2^-w < 19 2^-w of 2 pi c.
+
+    1/q: with Q the q held and L = isqrt(|Q|^2) <= |Q|, |1/Q - 1/q| =
+    |Q - q| / (|Q| |q|) <= pad / (L (L - pad)), that is 2^(2P) pad /
+    (L (L - pad)) units, and the two floored quotients add under 2.
+
+    So arc_j's radius, in units, is the kernel's bound for j's q^0 ...
+    q^n on the disk of radius pad about q, plus ipad for the pole term
+    1/q, plus the tail of _j_tail_units, which takes r + pad and s - pad;
+    one pad for rounding to an mpf comes last.
     """
-    p = mp.prec
-    w = p + 8
-    c, s = mpf_cos_sin(theta._mpf_, w, "n")
-    two_pi = _two_pi(w)._mpf_
-    r = mpf_exp(mpf_neg(mpf_mul(two_pi, s, w, "n")), w, "n")
-    cos_b, sin_b = mpf_cos_sin(mpf_mul(two_pi, c, w, "n"), w, "n")
-    pt = _QPoint.__new__(_QPoint)
-    pt.q = mp.make_mpc((mpf_mul(r, cos_b, p, "n"), mpf_mul(r, sin_b, p, "n")))
-    pt.r = mp.make_mpf(mpf_pos(r, p, "n"))
-    pt.y = mp.make_mpf(mpf_pos(s, p, "n"))
-    pt.pad = mp.make_mpf(mpf_shift(pt.r._mpf_, 4 - p))
-    return pt
+
+    __slots__ = ("theta", "w", "P", "pad", "qx", "qy", "r", "c", "s", "ix", "iy", "ipad",
+                 "v", "y")
+
+    def __init__(self, theta: mpf):
+        p = mp.prec
+        w = self.w = p + 8
+        P = self.P = p + 24
+        pad = self.pad = 1 << 21
+        self.theta = theta
+        c, s = mpf_cos_sin(theta._mpf_, w, "n")
+        two_pi = _two_pi(w)._mpf_
+        v = self.v = mpf_mul(two_pi, c, w, "n")
+        r = _fixed(mpf_exp(mpf_neg(mpf_mul(two_pi, s, w, "n")), w, "n"), P)
+        cos_v, sin_v = mpf_cos_sin(v, w, "n")
+        qx = self.qx = r * _fixed(cos_v, P) >> P
+        qy = self.qy = r * _fixed(sin_v, P) >> P
+        self.r, self.c, self.s = r, _fixed(c, P), _fixed(s, P)
+        norm = qx * qx + qy * qy
+        self.ix, self.iy = (qx << 2 * P) // norm, (-qy << 2 * P) // norm
+        low = isqrt(norm)
+        self.ipad = -(-(pad << 2 * P) // (low * (low - pad))) + 2
+        self.y = mp.make_mpf(mpf_pos(s, p, "n"))
+
+    def amplitude(self, m: int) -> CertValue:
+        """e^(2 pi m s) = r^-m, a real ball: the exact r is within pad of the
+        int r, and the ends of r^-m over that are two quotients rounded outward."""
+        top = 1 << self.P * (m + 1)
+        hi = -(-top // (self.r - self.pad) ** m)
+        lo = top // (self.r + self.pad) ** m
+        mid = (hi + lo) >> 1
+        return _units_ball(mid, hi - mid, self.P)
+
+    def turn(self, k: int, m: int) -> CertValue:
+        """2 cos h, h = k theta / 2 + 2 pi m c, a real ball.
+
+        h' = k theta / 2 + m v is formed exactly, so |h' - h| < 19 m 2^-w,
+        and cos h' at w bits adds 2^(1-w): 2 cos h' is within (38 m + 4)
+        2^-w of 2 cos h.  The radius 20 (m + 1) pad holds that 16 times
+        over; 2 more units cover the floor of cos h' and its doubling.
+        """
+        k_half = mpf_shift(mpf_mul(self.theta._mpf_, from_int(k)), -1)
+        cos_h, _ = mpf_cos_sin(mpf_add(k_half, mpf_mul(from_int(m), self.v)), self.w, "n")
+        return _units_ball(2 * _fixed(cos_h, self.P), 20 * (m + 1) * self.pad + 2, self.P)
+
+
+def _real_ball(a: int, b: int, units: int, p: int) -> CertValue:
+    """_units_ball of a for a value known to be real, whose computed
+    imaginary part b must lie within the radius (else NotRealError)."""
+    if abs(b) > units:
+        raise NotRealError(f"imaginary part {b} exceeds radius {units} in units of 2^-{p}")
+    return _units_ball(a, units, p)
+
+
+def _arc_eisenstein(pt: _ArcPoint, k: int, trunc: int) -> CertValue:
+    """e4 or e6 (k = 4 or 6): the real e^(i k theta / 2) E_k at the arc point.
+
+    E_k to q^trunc is one _horner at q on the disk of radius pad, widened
+    by EisensteinTail at r + pad.  The phase u^n, u = c + i s and n = k/2,
+    is n - 1 floored products of the held (c, s), which lies within 2 pad
+    of u; each product adds 2 pad for that, under 2 units for its floors
+    and under one for the growth of the error already made, so the phase
+    is within n (2 pad + 3).  The floored real part of phase times E_k is
+    then within n (2 pad + 3) |E_k| 2^-P plus E_k's radius plus one unit
+    of the exact value, as |u^n| = 1.
+    """
+    P, pad = pt.P, pt.pad
+    a, b, units = _horner(qseries.eisenstein(k, trunc).coeffs, pt.qx, pt.qy, pad, P)
+    r = mp.make_mpf(from_man_exp(pt.r + pad, -P))
+    units += -_fixed(mpf_neg(EisensteinTail(k).bound(trunc, r, pt.y)._mpf_), P)
+    c, s = pt.c, pt.s
+    x, y = c, s
+    for _ in range(k // 2 - 1):
+        x, y = (x * c - y * s) >> P, (x * s + y * c) >> P
+    spread = -(-(k // 2) * (2 * pad + 3) * (abs(a) + abs(b)) >> P)
+    return _real_ball((x * a - y * b) >> P, (x * b + y * a) >> P, units + spread + 1, P)
+
+
+def _j_tail_units(M: int, pt: _ArcPoint) -> int:
+    """j_tail_bound(M, sin theta) at the arc point, in units rounded upward.
+
+    j_tail_bound's exponent 2 pi (1/a - a (sqrt M - 1/a)^2) is 4 pi sqrt M
+    - 2 pi a M, so with r = e^(-2 pi a) the bound is K r^M / (a - 1/sqrt M),
+    with K and 1/sqrt M from _j_tail_lead.  It grows with r and falls with
+    a: r is taken as r + pad and a = s as s - pad.  The product is exact
+    in ints and rounded up once, and no exp is evaluated.
+    """
+    P, pad = pt.P, pt.pad
+    lead, inv_root = _j_tail_lead(M, P)
+    gap = pt.s - pad - inv_root
+    if gap <= 0:
+        raise TailUnboundedError(f"j tail needs M > 1/sin^2 theta, got M = {M}")
+    geo = -(-(1 << 2 * P) // gap)
+    return -(-lead * (pt.r + pad) ** M * geo >> P * (M + 1))
 
 
 def _phase(theta: mpf, k: int, h=0) -> CertValue:
@@ -799,7 +936,8 @@ def _phase(theta: mpf, k: int, h=0) -> CertValue:
     Its derivative in theta has modulus k/2, so the radius grows by k h / 2.
     """
     v = mp.expj(mp.ldexp(mp.fmul(theta, k, exact=True), -1))
-    return CertValue(v, _pad(v)).widened(mp.ldexp(mp.fmul(k, h, rounding="u"), -1))
+    ball = CertValue(v, _pad(v))
+    return ball.widened(mp.ldexp(mp.fmul(k, h, rounding="u"), -1)) if h else ball
 
 
 def arc_functions(p, prec: int = DEFAULT_PREC) -> ArcValues:
@@ -835,38 +973,40 @@ def arc_form(form, p, prec: int = DEFAULT_PREC, trunc_scale: int = 1) -> CertVal
     every step after the two phase products is real, and F(j) is one real
     eval_poly.  The two series are cut at trunc_scale times auto_trunc.
     """
-    return _arc_form_at(form, p, prec, trunc_scale)[2]
+    return _arc_form_at(form, p, prec, trunc_scale)[1]
 
 
 def _arc_form_at(form, p, prec: int, trunc_scale: int = 1) -> tuple:
-    """(theta, its arc point, arc_form's value): arc_form with the angle
-    and the q-point it took, at prec + _GUARD bits."""
+    """(its arc point, arc_form's value): arc_form with the _ArcPoint it
+    took, at prec + _GUARD bits."""
     fid = form.id
     a, b = qseries.EISENSTEIN_FACTORS[fid.kprime]
     with workprec(prec + _GUARD):
-        theta = _theta_mpf(p)
-        pt = _arc_point(theta)
+        pt = _ArcPoint(_theta_mpf(p))
         n = auto_trunc(pt.y, prec) * trunc_scale
-        e4, e6 = ((_phase(theta, k) * _series_at(qseries.eisenstein(k, n), pt,
-                                                 EisensteinTail(k))).as_real()
-                  for k in (4, 6))
+        e4, e6 = (_arc_eisenstein(pt, k, n) for k in (4, 6))
         cube = e4.pow_int(3)
         delta = (cube - e6.pow_int(2)) / 1728
         j = cube / delta
-        return theta, pt, (delta.pow_int(fid.ell) * e4.pow_int(a) * e6.pow_int(b)
-                           * eval_poly(form.faber.coeffs, j.value, j.err))
+        return pt, (delta.pow_int(fid.ell) * e4.pow_int(a) * e6.pow_int(b)
+                    * eval_poly(form.faber.coeffs, j.value, j.err))
 
 
 def arc_j(p, prec: int = DEFAULT_PREC) -> CertValue:
-    """j(e^(i theta)) from its q-series with the JCoeffTail bound; real, 0 at rho.
+    """j(e^(i theta)) from its q-series with the j tail bound; real, 0 at rho.
 
-    The truncation reaches past 1/sin^2 theta, where the tail estimate
-    starts to hold.
+    The truncation n reaches past 1/sin^2 theta, where the tail estimate
+    starts to hold.  j = 1/q + sum_(0<=i<=n) c(i) q^i + tail: the sum is
+    one _horner at the arc point's q on the disk of radius pad, 1/q is
+    the point's, within ipad, and the tail is _j_tail_units.  Everything
+    is in units of 2^-P, and the ball is formed once, at the end.
     """
     with workprec(prec + _GUARD):
-        pt = _arc_point(_theta_mpf(p))
+        pt = _ArcPoint(_theta_mpf(p))
         n = max(auto_trunc(pt.y, prec), int(1 / float(pt.y) ** 2) + 8)
-        return _series_at(qseries.jfunction(n), pt, JCoeffTail()).as_real()
+        # c(-1) = 1 is the coefficient of 1/q
+        a, b, units = _horner(qseries.jfunction(n).coeffs[1:], pt.qx, pt.qy, pt.pad, pt.P)
+        return _real_ball(a + pt.ix, b + pt.iy, units + pt.ipad + _j_tail_units(n, pt), pt.P)
 
 
 _J_FLOAT_TERMS = 24         # c(24) |q|^24 < 1e-31 on the arc, |q| <= e^(-pi sqrt 3)

@@ -6,8 +6,12 @@ evaluation of a basis form is kept here as the reference oracle for
 evalnum.arc_form, which takes its real E_4/E_6 route instead; the
 exact q-series products raw_basis and reconstruct, and the Ramanujan
 residuals, are the oracles of the Miller basis and the q-series layer.
+JCoeffTail, the j tail bound for eval_series, serves the direct
+evaluation and the ball-route oracle of evalnum.arc_j, which forms its
+own tail in integers.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -17,9 +21,17 @@ from millerzeros import qseries
 from millerzeros.miller import MillerForm, default_trunc, miller_form
 from millerzeros.qseries import FormId, QSeries, delta, eisenstein, jfunction
 from millerzeros.certify import full_ledger
-from millerzeros.evalnum import (DEFAULT_PREC, _GUARD, CertValue, EisensteinTail, JCoeffTail,
-                                 _QPoint, _phase, _series_at, _theta_mpf, auto_trunc,
-                                 eval_delta_eta, eval_poly)
+from millerzeros.evalnum import (DEFAULT_PREC, _GUARD, CertValue, EisensteinTail, _QPoint,
+                                 _phase, _series_at, _theta_mpf, auto_trunc, eval_delta_eta,
+                                 eval_poly, j_tail_bound)
+
+
+@dataclass(frozen=True)
+class JCoeffTail:
+    """The j q-series tail for eval_series: j_tail_bound at the height y."""
+
+    def bound(self, trunc: int, r, y):
+        return j_tail_bound(trunc, y)
 
 
 def raw_basis(fid: FormId, trunc: int | None = None) -> QSeries:

@@ -412,8 +412,8 @@ def test_oscillation_builds_one_q_point_per_angle(monkeypatch):
     # _theta_mpf; no complex exp of tau is taken
     from millerzeros import evalnum
     from millerzeros.miller import miller_form
-    calls = {"_arc_point": 0, "_theta_mpf": 0, "_QPoint": 0}
-    for name in ("_arc_point", "_theta_mpf"):
+    calls = {"_ArcPoint": 0, "_theta_mpf": 0, "_QPoint": 0}
+    for name in ("_ArcPoint", "_theta_mpf"):
         def counted(*args, _inner=getattr(evalnum, name), _name=name):
             calls[_name] += 1
             return _inner(*args)
@@ -428,7 +428,7 @@ def test_oscillation_builds_one_q_point_per_angle(monkeypatch):
     grid = arc_grid(5e-2)
     for theta in grid:
         _oscillation(form, 2, theta, 160)
-    assert calls == {"_arc_point": len(grid), "_theta_mpf": len(grid), "_QPoint": 0}
+    assert calls == {"_ArcPoint": len(grid), "_theta_mpf": len(grid), "_QPoint": 0}
 
 
 def test_table_check_values_match_separate_evaluations(monkeypatch):

@@ -11,11 +11,12 @@ from mpmath import mp, mpf, mpc, workprec
 from millerzeros.qseries import (EISENSTEIN_FACTORS, QSeries, _pentagonal_euler_product, delta,
                                  eisenstein, jfunction)
 from millerzeros.miller import miller_form
-from millerzeros.zeros import HFunction
+from millerzeros.zeros import _J_LADDER, HFunction
+from conftest import JCoeffTail
 from millerzeros.evalnum import (
-    CertValue, NotRealError, TailUnboundedError, _TAIL_SLACK, _abs_up, _arc_point,
-    _corner_angles, _exact, _theta_mpf, _two_pi,
-    EisensteinTail, JCoeffTail, EtaProductTail, j_tail_bound,
+    DEFAULT_PREC, _GUARD, CertValue, NotRealError, TailUnboundedError, _TAIL_SLACK, _ArcPoint,
+    _abs_up, _arc_eisenstein, _corner_angles, _exact, _j_tail_units, _phase, _theta_mpf, _two_pi,
+    EisensteinTail, EtaProductTail, j_tail_bound,
     eval_poly, eval_series, eval_delta_eta,
     arc_functions, arc_form, arc_j, arc_j_float, arc_grid, export_arc_csv,
     lemniscate_constants, form_arc_prec, auto_trunc,
@@ -241,6 +242,20 @@ def test_abs_bounds_round_outward(value, mag):
     assert mag * (1 - Fraction(1, 2 ** 50)) <= lo <= mag - tiny
 
 
+@pytest.mark.parametrize("offset", (2 ** -60, -2 ** -60))
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("err", (0, 2 ** -100))
+def test_abs_bounds_of_a_128_bit_real_ball_read_at_53_bits(offset, sign, err):
+    # |v| = 1 +- 2^-60 rounds to 1 at 53 bits, inside or outside the ball;
+    # the bounds read |v| exactly and round it outward
+    with workprec(128):
+        cv = CertValue(sign * (1 + mpf(offset)), err)
+    mag, rad = abs(_exact(cv.value)), _exact(cv.err)
+    with workprec(53):
+        hi, lo = _exact(cv.abs_upper()), _exact(cv.abs_lower())
+    assert lo <= mag - rad and hi >= mag + rad
+
+
 def test_abs_upper_of_one_complex_value_is_not_below_the_modulus():
     # mpmath's complex abs sums the squares rounded toward zero before its
     # directed square root, which put this bound 1.6e-14 below |v|^2
@@ -448,7 +463,7 @@ def test_cached_constants_match_their_formulas():
     for prec in (128, 256, 512, 1024):      # arc_j's truncation and height
         for theta in (1.5707963267948966, 1.75, 1.9, 2.0943951023931957):
             with workprec(prec + 12):
-                y = _arc_point(_theta_mpf(theta)).y
+                y = _ArcPoint(_theta_mpf(theta)).y
                 M = max(auto_trunc(y, prec), int(1 / float(y) ** 2) + 8)
                 assert j_tail_bound(M, y) == _j_tail_formula(M, y)
                 assert _two_pi(mp.prec) == 2 * mp.pi
@@ -746,17 +761,115 @@ def test_arc_form_matches_direct_evaluation(kprime, m, direct_arc):
 @example(theta=CORNERS[1], prec=140)
 @example(theta=2.0943951023931957, prec=140)
 def test_arc_point_holds_q_of_its_angle(theta, prec):
-    # the pad of the arc point holds q = e^(2 pi i e^(i t)) and |q| at the
-    # exact angle t it was given, both 400 bits beyond its precision, and
-    # y is sin t rounded
+    # each int of the arc point lies within its pad of the exact value at
+    # the angle t it was given, 400 bits beyond its precision: q, |q|,
+    # cos t and sin t within pad, 1/q within ipad; y is sin t rounded
     with workprec(prec):
         t = _theta_mpf(theta)
-        pt = _arc_point(t)
+        pt = _ArcPoint(t)
     with workprec(prec + 400):
+        unit = mp.ldexp(1, -pt.P)
         q = mp.exp(2j * mp.pi * mp.expj(t))
-        assert abs(q - pt.q) <= pt.pad
-        assert abs(abs(q) - pt.r) <= pt.pad
+        for held, want, pad in ((mpc(pt.qx, pt.qy), q, pt.pad),
+                                (mpc(pt.ix, pt.iy), 1 / q, pt.ipad), (pt.r, abs(q), pt.pad),
+                                (pt.c, mp.cos(t), pt.pad), (pt.s, mp.sin(t), pt.pad)):
+            assert abs(held * unit - want) <= pad * unit
         assert abs(mp.sin(t) - pt.y) <= mp.ldexp(1, -prec)
+
+
+J_PRECS = tuple(scale * DEFAULT_PREC for scale in _J_LADDER)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(math.pi / 2, 2 * math.pi / 3), st.sampled_from(J_PRECS))
+@example(theta=CORNERS[0], prec=DEFAULT_PREC)
+@example(theta=CORNERS[1], prec=DEFAULT_PREC)
+@example(theta=2.0943951023931957, prec=DEFAULT_PREC)
+@example(theta=CORNERS[1], prec=8 * DEFAULT_PREC)
+def test_arc_j_holds_the_series_at_400_more_bits(theta, prec):
+    # the integer arc j holds the ball series j at the same angle, tail
+    # included, taken 400 bits beyond it; its radius is within 2^4 of the
+    # ball series' own at its precision, and its tail is at least
+    # j_tail_bound at its own truncation and height
+    got = arc_j(theta, prec=prec)
+    with workprec(prec + _GUARD):
+        t = _theta_mpf(theta)
+        pt = _ArcPoint(t)
+        n = max(auto_trunc(pt.y, prec), int(1 / float(pt.y) ** 2) + 8)
+        assert _j_tail_units(n, pt) * mp.ldexp(1, -pt.P) >= j_tail_bound(n, pt.y)
+        same = eval_series(jfunction(n), mp.expj(t), JCoeffTail(), prec=prec)
+    with workprec(prec + 400):
+        ref = eval_series(jfunction(n), mp.expj(t), JCoeffTail(), prec=prec + 400)
+    assert abs(got.value - ref.value) <= got.err + ref.err
+    assert same.err / 16 <= got.err <= 16 * same.err
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(math.pi / 2, 2 * math.pi / 3), st.sampled_from((140, 268, 524)))
+@example(theta=CORNERS[0], prec=140)
+@example(theta=CORNERS[1], prec=140)
+@example(theta=2.0943951023931957, prec=140)
+def test_arc_eisenstein_holds_the_series_at_400_more_bits(theta, prec):
+    # e4 and e6 as _arc_form_at takes them from the integer arc point hold
+    # the phase times the ball series 400 bits beyond them, with a radius
+    # within 2^4 of the ball route's at their precision
+    with workprec(prec + _GUARD):
+        t = _theta_mpf(theta)
+        pt = _ArcPoint(t)
+        n = auto_trunc(pt.y, prec)
+        got = [_arc_eisenstein(pt, k, n) for k in (4, 6)]
+
+    def ball_route(k, bits):
+        with workprec(bits + _GUARD):
+            val = eval_series(eisenstein(k, n), mp.expj(t), EisensteinTail(k), prec=bits)
+            return (_phase(t, k) * val).as_real()
+    for k, g in zip((4, 6), got):
+        same, ref = ball_route(k, prec), ball_route(k, prec + 400)
+        assert abs(g.value - ref.value) <= g.err + ref.err
+        assert same.err / 16 <= g.err <= 16 * same.err
+        with workprec(prec + _GUARD):
+            short = _arc_eisenstein(pt, k, 8)       # the tail is most of its radius
+        assert abs(short.value - ref.value) <= short.err + ref.err
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(math.pi / 2, 2 * math.pi / 3), st.sampled_from((140, 268, 524)),
+       st.sampled_from(((192, 1), (340, 2), (1200, 3), (2000, 20))))
+@example(theta=CORNERS[0], prec=140, km=(340, 2))
+@example(theta=CORNERS[1], prec=140, km=(340, 2))
+def test_arc_point_amplitude_and_turn_hold_their_values(theta, prec, km):
+    # e^(2 pi m sin t) and 2 cos(k t / 2 + 2 pi m cos t) as the arc point
+    # hands them to the oscillation check, against 400 more bits
+    k, m = km
+    with workprec(prec):
+        t = _theta_mpf(theta)
+        pt = _ArcPoint(t)
+        amp, turn = pt.amplitude(m), pt.turn(k, m)
+    with workprec(prec + 400):
+        assert abs(amp.value - mp.exp(2 * mp.pi * m * mp.sin(t))) <= amp.err
+        assert abs(turn.value - 2 * mp.cos(k * t / 2 + 2 * mp.pi * m * mp.cos(t))) <= turn.err
+
+
+def test_arc_j_takes_no_ball_quotient_and_no_exp(monkeypatch):
+    # one integer arc point: 1/q is an integer quotient and the tail an
+    # integer power, so a warm arc_j divides no ball and takes no mp.exp
+    angles = (CORNERS[0], 1.75, 1.9, 2.0943951023931957)
+    for theta in angles:
+        for prec in J_PRECS:
+            arc_j(theta, prec=prec)                 # fills the per-(M, P) tail cache
+    calls = []
+
+    def counted(name, inner):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        return call
+    monkeypatch.setattr(CertValue, "__truediv__", counted("div", CertValue.__truediv__))
+    monkeypatch.setattr(mp, "exp", counted("exp", mp.exp))
+    for theta in angles:
+        for prec in J_PRECS:
+            arc_j(theta, prec=prec)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

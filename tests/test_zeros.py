@@ -451,6 +451,26 @@ def test_refine_arc_zero_matches_certified_bisection(k):
         assert refine_arc_zero(form, lo, hi) == _certified_cell(form, lo, hi)
 
 
+# sha256 of repr() of every refined cell of a form (its arc_zero_localize
+# brackets each refined to width 1e-5), and of the brackets alone at
+# k = 1924, computed before the arc point moved to integer arithmetic
+ARC_CELLS_SHA256 = {
+    ("refine", 192): "7f300c1e46c9296c8de3f2ae452e72f51b72448fd29798aaea50c7bb837b73dc",
+    ("refine", 398): "d494a30707097d100305e37cc3f864ea0f0c037216b90aa5472dc51bb368d904",
+    ("refine", 442): "d8ff7d8e8fea2411df256a66f0aeb2618432fa61d1c24b10016c963038bd6a06",
+    ("localize", 1924): "cbb7e1c1b921de03cad0b679075c4d5a23758c3cf321fdcb1c5c25c5bcec29d8",
+}
+
+
+@pytest.mark.parametrize("kind, k", list(ARC_CELLS_SHA256))
+def test_arc_cells_golden(kind, k):
+    form = miller_form(k, 1)
+    cells = arc_zero_localize(form)
+    if kind == "refine":
+        cells = [refine_arc_zero(form, lo, hi, width=1e-5) for lo, hi in cells]
+    assert hashlib.sha256(repr(cells).encode()).hexdigest() == ARC_CELLS_SHA256[kind, k]
+
+
 def _count_certified(monkeypatch) -> list:
     calls = []
     inner = zeros._certified_arc_sign
@@ -538,7 +558,7 @@ def test_localize_builds_one_q_point_per_sample(monkeypatch):
     # other q-point: the sign-change count decides every sign at once
     form = miller_form(1924, 1)
     points, off_arc = [], []
-    inner, init = evalnum._arc_point, evalnum._QPoint.__init__
+    inner, init = evalnum._ArcPoint, evalnum._QPoint.__init__
 
     def counted(theta):
         points.append(theta)
@@ -547,7 +567,7 @@ def test_localize_builds_one_q_point_per_sample(monkeypatch):
     def counted_init(self, *args):
         off_arc.append(args)
         init(self, *args)
-    monkeypatch.setattr(evalnum, "_arc_point", counted)
+    monkeypatch.setattr(evalnum, "_ArcPoint", counted)
     monkeypatch.setattr(evalnum._QPoint, "__init__", counted_init)
     certified = _count_certified(monkeypatch)
     assert arc_zero_localize(form)
