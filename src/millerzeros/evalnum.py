@@ -5,9 +5,10 @@ Everything here returns a CertValue, a ball in the sense of van der Hoeven
 complex midpoint at the ambient mpmath precision and a radius that holds
 every point it stands for.  The discipline is the same in every operation:
 
-  * the midpoint rounds to nearest, and _pad, 16 ulp of it, is the only
-    allowance for that rounding; mpmath's elementary functions are taken
-    to be accurate within it too, the few-ulp assumption every value here
+  * the midpoint rounds to nearest, and _pad, 16 ulp of it, is the
+    allowance for that rounding (one ulp for a ball formed once from
+    ints, _units_ball); mpmath's elementary functions are taken to be
+    accurate within 16 ulp too, the few-ulp assumption every value here
     rests on;
   * every radius operation (the constructor, +, *, /, pow_int, abs,
     widened and eval_poly's final sum) rounds upward, at libmp level, so
@@ -31,48 +32,34 @@ R >= |w| (3n units when R < 1; Higham, Accuracy and Stability of
 Numerical Algorithms, 5.1).  Moving the point by delta costs at most
 delta sum i |c_i| R^(i-1), bounded by integer Horner rounding up.  The
 radius is then: that a-priori bound, the exact tail bound for the
-truncated series, and one pad for rounding the result to an mpf.
-eval_poly is the kernel with mpf input and a ball as output.
+truncated series, and one ulp for rounding the result, a single
+conversion of an int, to an mpf.  eval_poly is the kernel at a real mpf.
 
-Around the kernel, each evaluation point does its scalar work once.  Off
-the arc a private q-point holds q = e^(2 pi i tau), its pad, r = |q| and
-y = Im tau, from one complex exp, and every series at that point (the
-Eisenstein series, the eta product, j) reads them from it.  At an arc
-angle theta (arc_form, arc_j) the integer arc point _ArcPoint stays in
-the kernel's units from the angle to the ball, in the fixed-point,
-a-priori-error half of ball arithmetic (van der Hoeven): cos theta and
-sin theta from one cos_sin, r = e^(-2 pi sin theta) from one real exp
-and e^(2 pi i cos theta) from one more cos_sin, at 8 guard bits, become
-ints at the scale 2^-P, with q their product, 1/q two integer quotients
-and one pad, in units, for all of them.  arc_j sums the kernel, the
-pole term 1/q and j's tail in units and forms one ball at the end; the
-tail is j_tail_bound's closed form with a cached constant and an
-integer power of r.  arc_form's e4 and e6 are the kernel on the same
-point, turned by e^(2 i theta) and e^(3 i theta), integer products of
-(cos theta, sin theta), and certify's oscillation check reads
-e^(2 pi m sin theta) = r^-m and 2 cos h off the same point.  Powers of
-balls are closed form, after the midpoint-radius pattern of Arb:
-CertValue.pow_int rounds v^n once and takes the radius n e (|v| +
-e)^(n-1) plus the pad of v^n, rounded upward, since |w^n - v^n| <= n
-|w - v| max(|v|, |w|)^(n-1).  Off the arc, the phases e^(i k theta/2)
-(arc_functions) are one mp.expj each, of an argument formed exactly.
+Every series is read at one evaluation point, _Point, which stays in
+the kernel's units from tau or the angle to the ball: the fixed-point,
+a-priori-error half of ball arithmetic (van der Hoeven).  From tau = x +
+i y, or an arc angle theta (x = cos theta, y = sin theta from one
+cos_sin), r = e^(-2 pi y) from one real exp and e^(2 pi i x) from one
+more cos_sin, at 8 guard bits, become ints: q, r, 1/q (two integer
+quotients) and on the arc cos theta and sin theta, with one pad in
+units for q and one for (cos theta, sin theta).  A half-width h makes
+the point a horizontal segment (eval_series) or an arc interval
+(arc_functions), a q-disk: q's drift 2 pi r_max h joins its pad, and h
+the pad of (cos theta, sin theta); a point is the interval of width 0,
+on the same code path.  Series take q^lead from the point's q or 1/q,
+tails the largest |q| of the disk, the arc phases e^(i k theta/2) are
+integer products of (cos theta, sin theta), and certify's oscillation
+check reads e^(2 pi m sin theta) = r^-m and 2 cos h off the point; each
+result is one ball formed at the end.  Powers of balls are closed form,
+after the midpoint-radius pattern of Arb: CertValue.pow_int rounds v^n
+once and takes the radius n e (|v| + e)^(n-1) plus the pad of v^n,
+rounded upward, since |w^n - v^n| <= n |w - v| max(|v|, |w|)^(n-1).
 Radii take |v| from _abs_up, never from a full-precision complex abs.
 
-A basis form on the arc (arc_form) needs no complex product: with
-E_k' = E_4^a E_6^b its real arc function is delta^ell e4^a e6^b F(j),
-delta = (e4^3 - e6^2) / 1728 and j = e4^3 / delta, from the two real
-arc functions e4 and e6 alone (Duke-Jenkins, PAMQ 4, 2008).
-arc_functions takes its delta_arc the same way, so the eta product
-serves only Delta evaluated alone (eval_delta_eta).
-
-A horizontal segment (eval_series) or an arc interval (arc_functions) of
-half-width h, rounded upward, is a q-disk about its midpoint: on the
-segment |q| = r = e^(-2 pi y) and |dq/dx| = 2 pi r; on the arc tau lies
-within h of the midpoint, each phase e^(i k theta/2) within k h / 2, and
-|q| <= r_max = e^(-2 pi sin hi), as sin falls on the arc.  q lies within
-2 pi r h (2 pi r_max h) of its midpoint value; that radius goes to
-eval_poly as the disk of q, and every tail gets the largest |q| of the
-disk.  A point is the interval of width 0, on the same code path.
+A basis form on the arc (arc_form) needs no complex product: it is real
+arithmetic on the arc functions e4 and e6 alone (Duke-Jenkins, PAMQ 4,
+2008), as is arc_functions' delta_arc, so the eta product serves only
+Delta evaluated alone (eval_delta_eta).
 
 Tail bounds by coefficient family:
 
@@ -476,10 +463,19 @@ def _from_fixed(n: int, p: int) -> mpf:
     return mp.make_mpf(from_man_exp(n, -p, mp.prec, "n"))
 
 
-def _units_ball(n: int, units: int, p: int) -> CertValue:
-    """The real ball n 2^-p with radius units 2^-p, plus one pad for rounding n to an mpf."""
-    value = _from_fixed(n, p)
-    return _ball(value, _sum_up(from_man_exp(units, -p, mp.prec, _UP), _pad_up(value)))
+def _ulp(value) -> tuple:
+    """One ulp at the ambient precision of value, or of its larger part: it
+    holds rounding to nearest, half an ulp of each part."""
+    parts = value._mpc_ if isinstance(value, mpc) else (value._mpf_,)
+    top = max((t[2] + t[3] for t in parts if t[1]), default=None)
+    return fzero if top is None else (0, 1, top - mp.prec, 1)
+
+
+def _units_ball(n: int, units: int, p: int, im: int | None = None) -> CertValue:
+    """The ball n 2^-p, or (n + i im) 2^-p, with radius units 2^-p, plus one
+    ulp for rounding it to an mpf or mpc."""
+    value = _from_fixed(n, p) if im is None else mpc(_from_fixed(n, p), _from_fixed(im, p))
+    return _ball(value, _sum_up(from_man_exp(units, -p, mp.prec, _UP), _ulp(value)))
 
 
 def _horner(coeffs, x: int, y: int, delta: int, p: int) -> tuple:
@@ -527,24 +523,21 @@ def _horner(coeffs, x: int, y: int, delta: int, p: int) -> tuple:
     return a, b, rounding - (-delta * (slope + rounding * rsum) >> p)
 
 
-def eval_poly(coeffs, z, radius=0) -> CertValue:
-    """Enclosure of sum_i coeffs[i] w^i for every w with |w - z| <= radius.
+def eval_poly(coeffs, x, radius=0) -> CertValue:
+    """Enclosure of sum_i coeffs[i] w^i (exact int or Fraction coefficients)
+    for every real w with |w - x| <= radius.
 
-    The coefficients are exact ints or Fractions, z is real or complex.
-    The kernel _horner runs at the scale 2^-P, P = working precision +
-    24, on Z = floor(z 2^P) 2^-P, so |z - Z| < 2^(1/2 - P), and any w is
-    within delta = radius + 2^(2-P) of Z.  The radius is the kernel's
-    bound plus one pad for rounding the result to an mpf or mpc.
+    _horner runs at the scale 2^-P, P = working precision + 24, on X =
+    floor(x 2^P) 2^-P, so every w is within radius + 2^(2-P) of X; one ulp
+    for rounding the result to an mpf follows.
     """
-    z = mp.mpmathify(z)
+    x = mp.mpmathify(x)
+    if isinstance(x, mpc):
+        raise TypeError("eval_poly takes a real point")
     p = mp.prec + 24
-    cplx = isinstance(z, mpc)
-    x, y = (_fixed(z.real._mpf_, p), _fixed(z.imag._mpf_, p)) if cplx else (_fixed(z._mpf_, p), 0)
-    a, b, units = _horner(coeffs, x, y, -_fixed(mpf_neg(mpf(radius)._mpf_), p) + 4, p)
-    if not cplx:
-        return _units_ball(a, units, p)
-    value = mpc(_from_fixed(a, p), _from_fixed(b, p))
-    return _ball(value, _sum_up(from_man_exp(units, -p, mp.prec, _UP), _pad_up(value)))
+    delta = -_fixed(mpf_neg(mpf(radius)._mpf_), p) + 4
+    a, _, units = _horner(coeffs, _fixed(x._mpf_, p), 0, delta, p)
+    return _units_ball(a, units, p)
 
 
 # ---------------------------------------------------------------------------
@@ -559,10 +552,24 @@ def _two_pi(prec: int) -> mpf:
 
 
 @lru_cache(maxsize=None)
+def _three_over_pi_units(P: int) -> int:
+    """3/pi in units of 2^-P, floored from P + 32 bits: within 2 units."""
+    with workprec(P + 32):
+        return _fixed((3 / mp.pi)._mpf_, P)
+
+
+@lru_cache(maxsize=None)
 def _corner_angles(prec: int) -> tuple:
     """(pi/2, 2pi/3), the ends of the arc, at prec bits."""
     with workprec(prec):
         return mp.pi / 2, 2 * mp.pi / 3
+
+
+@lru_cache(maxsize=None)
+def _corner_window(prec: int) -> tuple:
+    """(pi/2 - 2^-50, 2pi/3 + 2^-50) at prec bits: the angles that stand for a corner."""
+    with workprec(prec):
+        return mp.pi / 2 - mpf(2) ** -50, 2 * mp.pi / 3 + mpf(2) ** -50
 
 
 # ---------------------------------------------------------------------------
@@ -669,33 +676,6 @@ def form_arc_prec(ell: int, m: int) -> int:
     return max(DEFAULT_PREC, 64 + 3 * ell + 10 * m)
 
 
-class _QPoint:
-    """One evaluation point: q = e^(2 pi i tau), its pad, r = |q| and y = Im tau.
-
-    The constructor takes tau itself, one complex exp; arc_j and arc_form
-    take the integer _ArcPoint of their angle instead.  drift bounds
-    |q' - q| over every q' the point stands for; it widens the pad, and r
-    to the largest |q'|.  y stays the height of tau, so off a horizontal
-    segment a drifted point serves only tails that read r.
-    """
-
-    __slots__ = ("q", "pad", "r", "y")
-
-    def __init__(self, tau, drift=0):
-        tau = mp.mpmathify(tau)
-        self.y = _require_height(tau)
-        self.q = mp.exp(2j * mp.pi * tau)
-        r = abs(self.q)
-        self.r = mp.fadd(r, drift, rounding="u")
-        self.pad = mp.fadd(mp.ldexp(r, 4 - mp.prec), drift, rounding="u")
-
-
-def _drift(y, h) -> mpf:
-    """2 pi e^(-2 pi y) h rounded upward: q moves that far as tau moves h above height y."""
-    slope = 2 * mp.pi * mp.exp(-2 * mp.pi * y)
-    return mp.fmul(slope + mp.ldexp(slope, 8 - mp.prec), h, rounding="u")
-
-
 def _span(lo, hi) -> tuple:
     """(midpoint, half-width rounded upward) of [lo, hi]; (lo, 0) when lo = hi."""
     if lo > hi:
@@ -704,51 +684,184 @@ def _span(lo, hi) -> tuple:
     return mid, max(mp.fsub(hi, mid, rounding="u"), mp.fsub(mid, lo, rounding="u"))
 
 
-def _series_at(s: QSeries, pt: _QPoint, tail) -> CertValue:
-    acc = eval_poly(s.coeffs, pt.q, pt.pad)
-    if s.lead:
-        qc = CertValue(pt.q, pt.pad).pow_int(abs(s.lead))
-        acc = acc * qc if s.lead > 0 else acc / qc
-    return acc if tail is None else acc.widened(tail.bound(s.trunc, pt.r, pt.y))
+class _Point:
+    """One evaluation point in ints: tau = x + i y, or e^(i theta) at an arc
+    angle theta, taken as exact; with h > 0, the horizontal segment [x - h,
+    x + h] at height y or the arc interval [theta - h, theta + h].
+
+    Every int n held stands for n 2^-P, P = p + 24 (_horner's scale at the
+    ambient precision p), a unit below.  On the arc x = c = cos theta and y
+    = s = sin theta; off it x is first moved by an integer, exactly, to |x|
+    <= 1/2.  One cos_sin of theta (on the arc), one exp (r = e^(-2 pi y))
+    and one cos_sin of v = 2 pi x, all at w = p + 8 bits, give q = r (cos
+    v, sin v) as qx, qy (r times each floored part, floored), r = |q|
+    floored, and on the arc c and s floored.  q and r lie within pad units
+    of their exact values at every point the point stands for, and c + i s
+    within upad of e^(i theta) at every angle: at a point pad = r 2^(4-p) +
+    4, 16 ulp of |q| at p bits, and upad = 2^22.  v stays a libmp value at
+    w bits, and y is s rounded to p, or the given height, for truncation
+    orders and tails.  inverse() gives 1/q.
+
+    The budget at a point, each value at w bits within one ulp (2^(1-w)
+    relative) and 2^-w = 2^16 units.  An error d in x or y moves q by 2 pi
+    |q| d, and one in the argument of exp or cos_sin by |q| d.  On the arc
+    (|c| <= 1/2, s <= 1), in |q| 2^-w:
+      cos theta (|dc| <= 2^-w)                       2 pi
+      sin theta (|ds| <= 2^(1-w))                    4 pi
+      2 pi, in 2 pi s and in 2 pi c                  2 pi (s + |c|) 2 <= 6 pi
+      the product 2 pi s                             2 pi s 2 <= 4 pi
+      the product 2 pi c                             2 pi |c| 2 <= 2 pi
+      exp and cos_sin of 2 pi c                      2 + 2
+    so q is within 18 pi + 4 < 61 and r, from the terms in s, within 40.
+    Off the arc x and y are exact, |x| <= 1/2 and y >= 0.4, and the terms
+    come to 8 pi y + 4 pi + 4, under 256 for y <= 9 and below 2^-40 units
+    beyond.  pad's 16 |q| 2^-p = 4096 |q| 2^-w holds these 16 times over,
+    the few-ulp allowance of mpmath's elementary functions, and its 4 units
+    the floors.  c and s are within 2^-w and 2^(1-w) plus a unit each, so
+    c + i s is within 3 2^16 + 2 units, which upad holds 21 times over; v
+    is within 19 2^-w of 2 pi c.
+
+    A half-width h, rounded up to units, adds the drift 2 pi r_max h to pad
+    and h to upad, as |dq/dx| = |dq/dtheta| = 2 pi |q| and |d e^(i
+    theta)/dtheta| = 1, with r_max >= |q| throughout: r + pad on a segment,
+    and on the arc, where |q| grows as sin falls, r + pad at theta + h
+    rounded upward.  r + pad then bounds |q| everywhere.
+    """
+
+    __slots__ = ("theta", "w", "P", "pad", "upad", "qx", "qy", "r", "c", "s", "v", "y")
+
+    def __init__(self, x: mpf, y: mpf | None = None, h=0):
+        p = mp.prec
+        w = self.w = p + 8
+        P = self.P = p + 24
+        if y is None:
+            re, im = mpf_cos_sin(x._mpf_, w, "n")
+            self.theta, self.c, self.s = x, _fixed(re, P), _fixed(im, P)
+            self.y = mp.make_mpf(mpf_pos(im, p, "n"))
+        else:
+            self.theta = self.c = self.s = None
+            re = mpf_sub(x._mpf_, from_int(_fixed(mpf_add(x._mpf_, (0, 1, -1, 1)), 0)))
+            im, self.y = y._mpf_, y
+        v = self.v = mpf_mul(_two_pi(w)._mpf_, re, w, "n")
+        r = self.r = _r_at(im, w, P)
+        self.qx, self.qy = (r * _fixed(t, P) >> P for t in mpf_cos_sin(v, w, "n"))
+        pad = (r >> p - 4) + 4
+        width = -_fixed(mpf_neg(h._mpf_), P) if h else 0
+        self.upad = (1 << 22) + width
+        if width:
+            if y is None:
+                r = _r_at(mpf_cos_sin(mpf_add(x._mpf_, h._mpf_, w, "u"), w, "n")[1], w, P)
+            two_pi_up = 1 - _fixed(mpf_neg(_two_pi(P + 8)._mpf_), P)     # within 2^-(P+5)
+            pad += -(-two_pi_up * (r + pad) * width >> 2 * P)
+        self.pad = pad
+
+    def inverse(self) -> tuple:
+        """(ix, iy, ipad): 1/q = conj(q) / |q|^2 as two floored quotients, within
+        ipad units of every 1/q the point stands for: with Q the q held and L
+        = isqrt(|Q|^2), |1/Q - 1/q| <= pad / (L (L - pad)), and 2 for the floors."""
+        qx, qy, pad, P = self.qx, self.qy, self.pad, self.P
+        norm = qx * qx + qy * qy
+        low = isqrt(norm)
+        if low <= pad:
+            raise ZeroDivisionError("the q-disk of the point reaches 0")
+        return ((qx << 2 * P) // norm, (-qy << 2 * P) // norm,
+                -(-(pad << 2 * P) // (low * (low - pad))) + 2)
+
+    def amplitude(self, m: int) -> CertValue:
+        """e^(2 pi m s) = r^-m at an arc point, a real ball: the ends of r^-m
+        over r +- pad are two quotients rounded outward."""
+        top = 1 << self.P * (m + 1)
+        hi = -(-top // (self.r - self.pad) ** m)
+        lo = top // (self.r + self.pad) ** m
+        mid = (hi + lo) >> 1
+        return _units_ball(mid, hi - mid, self.P)
+
+    def turn(self, k: int, m: int) -> CertValue:
+        """2 cos h, h = k theta / 2 + 2 pi m c, at an arc point, a real ball.
+
+        h' = k theta / 2 + m v is formed exactly, so |h' - h| < 19 m 2^-w,
+        and cos h' at w bits adds 2^(1-w): 2 cos h' is within (38 m + 4)
+        2^-w of 2 cos h.  The radius 20 (m + 1) 2^21 units holds that 16
+        times over; 2 more units cover the floor of cos h' and its doubling.
+        """
+        k_half = mpf_shift(mpf_mul(self.theta._mpf_, from_int(k)), -1)
+        cos_h, _ = mpf_cos_sin(mpf_add(k_half, mpf_mul(from_int(m), self.v)), self.w, "n")
+        return _units_ball(2 * _fixed(cos_h, self.P), (20 * (m + 1) << 21) + 2, self.P)
+
+
+def _r_at(im: tuple, w: int, P: int) -> int:
+    """e^(-2 pi im), im a libmp value, at w bits and floored to units of 2^-P."""
+    return _fixed(mpf_exp(mpf_neg(mpf_mul(_two_pi(w)._mpf_, im, w, "n")), w, "n"), P)
+
+
+def _real_ball(a: int, b: int, units: int, p: int) -> CertValue:
+    """_units_ball of a real value, whose imaginary part b must lie within the radius."""
+    if abs(b) > units:
+        raise NotRealError(f"imaginary part {b} exceeds radius {units} in units of 2^-{p}")
+    return _units_ball(a, units, p)
+
+
+def _tail_units(tail, trunc: int, pt: _Point) -> int:
+    """tail's bound at |q| <= (r + pad) 2^-P and the point's y, in units rounded upward."""
+    r = mp.make_mpf(from_man_exp(pt.r + pt.pad, -pt.P))
+    return -_fixed(mpf_neg(tail.bound(trunc, r, pt.y)._mpf_), pt.P)
+
+
+def _partial_sum(s: QSeries, pt: _Point) -> tuple:
+    """(a, b, units): s's partial sum at the point, one _horner at q; q^lead
+    >= 1 is lead zero coefficients, a pole c/q (j, c an int) c times 1/q."""
+    if s.lead >= 0:
+        return _horner((0,) * s.lead + s.coeffs, pt.qx, pt.qy, pt.pad, pt.P)
+    if s.lead < -1:
+        raise ValueError(f"a pole of order {-s.lead} at q = 0")
+    ix, iy, ipad = pt.inverse()
+    a, b, units = _horner(s.coeffs[1:], pt.qx, pt.qy, pt.pad, pt.P)
+    c = s.coeffs[0]
+    return a + c * ix, b + c * iy, units + abs(c) * ipad
 
 
 def eval_series(s: QSeries, tau, tail, prec: int = DEFAULT_PREC) -> CertValue:
     """Certified value of a truncated q-expansion plus its tail bound.
 
     tau is a point, or a horizontal segment (a, b), Re a <= Re b.  The
-    partial sum is one eval_poly call on the disk of q, so its error is
-    the kernel's a-priori bound; the q^lead factor, when present, is one
-    CertValue power and product or quotient.  tail is one of the *Tail
-    dataclasses above and must genuinely cover the dropped coefficients;
-    None evaluates s as the finite q-polynomial it is.
+    partial sum is one _horner at the q of the point, on the disk that
+    the segment sweeps, and the tail is taken at the largest |q| of the
+    disk; everything is in units and the ball is formed once.  tail is one
+    of the *Tail dataclasses above and must genuinely cover the dropped
+    coefficients; None evaluates s as the finite q-polynomial it is.
     """
     return _eval_series_at(((s, tail),), tau, prec)[0]
 
 
 def _eval_series_at(terms, tau, prec: int = DEFAULT_PREC) -> tuple:
-    """eval_series of every (series, tail) in terms at one tau, from one q-point."""
+    """eval_series of every (series, tail) in terms at one tau, from one point."""
     with workprec(prec + _GUARD):
         a, b = (mp.mpmathify(t) for t in (tau if isinstance(tau, tuple) else (tau, tau)))
         if mp.im(a) != mp.im(b):
             raise ValueError(f"segment [{a}, {b}] not horizontal")
         x, h = _span(mp.re(a), mp.re(b))
-        pt = _QPoint(mpc(x, mp.im(a)), _drift(mp.im(a), h) if h else 0)
-        return tuple(_series_at(s, pt, tail) for s, tail in terms)
+        pt = _Point(x, _require_height(a), h)
+        return tuple(_series_ball(s, tail, pt) for s, tail in terms)
+
+
+def _series_ball(s: QSeries, tail, pt: _Point) -> CertValue:
+    """s at the point as a complex ball: its partial sum, widened by tail unless None."""
+    re, im, units = _partial_sum(s, pt)
+    if tail is not None:
+        units += _tail_units(tail, s.trunc, pt)
+    return _units_ball(re, units, pt.P, im)
 
 
 def eval_delta_eta(tau, prec: int = DEFAULT_PREC) -> CertValue:
-    """Delta(tau) = q P^24 through the eta product P = prod (1 - q^n).
-
-    P's partial sum to q^terms is the dense 0/+-1 pentagonal coefficient
-    list through eval_poly, so its error is the kernel's a-priori bound
-    plus the pentagonal tail 2 r^(terms+1) / (1 - r).
-    """
+    """Delta(tau) = q P^24 through the eta product P = prod (1 - q^n): the
+    dense 0/+-1 pentagonal coefficients to q^terms and the pentagonal tail
+    2 r^(terms+1) / (1 - r) at the point, and q the point's, within pad."""
     with workprec(prec + _GUARD):
-        pt = _QPoint(tau)
+        tau = mp.mpmathify(tau)
+        pt = _Point(mp.re(tau), _require_height(tau))
         terms = auto_trunc(pt.y, prec)
-        p = eval_poly(qseries._pentagonal_euler_product(terms).coeffs, pt.q, pt.pad)
-        p = p.widened(EtaProductTail().bound(terms, pt.r, pt.y))
-        return p.pow_int(24) * CertValue(pt.q, pt.pad)
+        prod = _series_ball(qseries._pentagonal_euler_product(terms), EtaProductTail(), pt)
+        return prod.pow_int(24) * _units_ball(pt.qx, pt.pad, pt.P, pt.qy)
 
 
 # ---------------------------------------------------------------------------
@@ -770,9 +883,6 @@ class ArcValues:
     delta_arc: CertValue
 
 
-_CORNER_SLACK = mpf(2) ** -50
-
-
 def _theta_mpf(p) -> mpf:
     """The arc angle p as an mpf in [pi/2, 2pi/3].
 
@@ -783,184 +893,76 @@ def _theta_mpf(p) -> mpf:
     """
     t = mpf(p)
     lo, hi = _corner_angles(mp.prec)
-    if not lo - _CORNER_SLACK <= t <= hi + _CORNER_SLACK:
+    if lo <= t <= hi:
+        return t
+    low, high = _corner_window(mp.prec)
+    if not low <= t <= high:
         raise ValueError(f"theta = {t} outside [pi/2, 2pi/3]")
-    return min(max(t, lo), hi)
+    return lo if t < lo else hi
 
 
-class _ArcPoint:
-    """The point tau = e^(i theta) at an arc angle theta, taken as exact, in ints.
-
-    Every int n held stands for n 2^-P, P = p + 24 (eval_poly's scale at
-    the ambient precision p); such a 2^-P is a unit below.  With c = cos
-    theta and s = sin theta, q = e^(-2 pi s) e^(2 pi i c): one cos_sin of
-    theta, one exp (r = |q| = e^(-2 pi s)) and one cos_sin of v = 2 pi c,
-    all at w = p + 8 bits, give
-
-      qx, qy    q = r (cos v, sin v): r times each floored part, floored
-      r, c, s   |q|, cos theta and sin theta, floored
-      ix, iy    1/q = conj(q) / |q|^2: two floored integer quotients
-
-    with q, r, c and s each within pad = 2^21 units of its exact value, and
-    1/q within ipad units.  theta is the angle, v stays a libmp value at w
-    bits, and y is s rounded to p (an mpf), for truncation orders.
-
-    The budget, each value at w bits within one ulp (2^(1-w) relative),
-    |c| <= 1/2 and s <= 1 on the arc, and 2^-w = 2^16 units.  An error d in
-    c or s moves q by 2 pi |q| d, as |dq/dc| = |dq/ds| = 2 pi |q|, and one
-    in the argument of exp or cos_sin moves it by |q| d.  In |q| 2^-w:
-      cos theta (|dc| <= 2^-w)                       2 pi
-      sin theta (|ds| <= 2^(1-w))                    4 pi
-      2 pi, in 2 pi s and in 2 pi c                  2 pi (s + |c|) 2 <= 6 pi
-      the product 2 pi s                             2 pi s 2 <= 4 pi
-      the product 2 pi c                             2 pi |c| 2 <= 2 pi
-      exp and cos_sin of 2 pi c                      2 + 2
-    so 18 pi + 4 < 61, and as |q| <= e^(-pi sqrt 3) < 0.0044 the exact
-    product of r and (cos v, sin v) at w bits is within 0.27 2^-w of q.
-    The terms in s alone (12 pi + 2 < 40) put r within 0.18 2^-w; r >
-    2^-10 has no bit below 2^-P, so the int r is exact, and each part of q
-    loses under r + 1 < 2 units to its two floors.  c is within 2^-w and s
-    within 2^(1-w), plus one unit for the floor.  The largest of these,
-    2^17 + 1 units for s, pad holds 15 times over, and q and r over 100
-    times: the few-ulp allowance of mpmath's elementary functions, as in
-    _pad.  v is within (2 pi + 2 pi + 2 pi) 2^-w < 19 2^-w of 2 pi c.
-
-    1/q: with Q the q held and L = isqrt(|Q|^2) <= |Q|, |1/Q - 1/q| =
-    |Q - q| / (|Q| |q|) <= pad / (L (L - pad)), that is 2^(2P) pad /
-    (L (L - pad)) units, and the two floored quotients add under 2.
-
-    So arc_j's radius, in units, is the kernel's bound for j's q^0 ...
-    q^n on the disk of radius pad about q, plus ipad for the pole term
-    1/q, plus the tail of _j_tail_units, which takes r + pad and s - pad;
-    one pad for rounding to an mpf comes last.
-    """
-
-    __slots__ = ("theta", "w", "P", "pad", "qx", "qy", "r", "c", "s", "ix", "iy", "ipad",
-                 "v", "y")
-
-    def __init__(self, theta: mpf):
-        p = mp.prec
-        w = self.w = p + 8
-        P = self.P = p + 24
-        pad = self.pad = 1 << 21
-        self.theta = theta
-        c, s = mpf_cos_sin(theta._mpf_, w, "n")
-        two_pi = _two_pi(w)._mpf_
-        v = self.v = mpf_mul(two_pi, c, w, "n")
-        r = _fixed(mpf_exp(mpf_neg(mpf_mul(two_pi, s, w, "n")), w, "n"), P)
-        cos_v, sin_v = mpf_cos_sin(v, w, "n")
-        qx = self.qx = r * _fixed(cos_v, P) >> P
-        qy = self.qy = r * _fixed(sin_v, P) >> P
-        self.r, self.c, self.s = r, _fixed(c, P), _fixed(s, P)
-        norm = qx * qx + qy * qy
-        self.ix, self.iy = (qx << 2 * P) // norm, (-qy << 2 * P) // norm
-        low = isqrt(norm)
-        self.ipad = -(-(pad << 2 * P) // (low * (low - pad))) + 2
-        self.y = mp.make_mpf(mpf_pos(s, p, "n"))
-
-    def amplitude(self, m: int) -> CertValue:
-        """e^(2 pi m s) = r^-m, a real ball: the exact r is within pad of the
-        int r, and the ends of r^-m over that are two quotients rounded outward."""
-        top = 1 << self.P * (m + 1)
-        hi = -(-top // (self.r - self.pad) ** m)
-        lo = top // (self.r + self.pad) ** m
-        mid = (hi + lo) >> 1
-        return _units_ball(mid, hi - mid, self.P)
-
-    def turn(self, k: int, m: int) -> CertValue:
-        """2 cos h, h = k theta / 2 + 2 pi m c, a real ball.
-
-        h' = k theta / 2 + m v is formed exactly, so |h' - h| < 19 m 2^-w,
-        and cos h' at w bits adds 2^(1-w): 2 cos h' is within (38 m + 4)
-        2^-w of 2 cos h.  The radius 20 (m + 1) pad holds that 16 times
-        over; 2 more units cover the floor of cos h' and its doubling.
-        """
-        k_half = mpf_shift(mpf_mul(self.theta._mpf_, from_int(k)), -1)
-        cos_h, _ = mpf_cos_sin(mpf_add(k_half, mpf_mul(from_int(m), self.v)), self.w, "n")
-        return _units_ball(2 * _fixed(cos_h, self.P), 20 * (m + 1) * self.pad + 2, self.P)
-
-
-def _real_ball(a: int, b: int, units: int, p: int) -> CertValue:
-    """_units_ball of a for a value known to be real, whose computed
-    imaginary part b must lie within the radius (else NotRealError)."""
-    if abs(b) > units:
-        raise NotRealError(f"imaginary part {b} exceeds radius {units} in units of 2^-{p}")
-    return _units_ball(a, units, p)
-
-
-def _arc_eisenstein(pt: _ArcPoint, k: int, trunc: int) -> CertValue:
-    """e4 or e6 (k = 4 or 6): the real e^(i k theta / 2) E_k at the arc point.
+def _arc_eisenstein(pt: _Point, k: int, trunc: int) -> CertValue:
+    """e2, e4 or e6 (k = 2, 4 or 6): the real e^(i k theta / 2) E_k, less
+    3 i / pi for k = 2, at the arc point.
 
     E_k to q^trunc is one _horner at q on the disk of radius pad, widened
     by EisensteinTail at r + pad.  The phase u^n, u = c + i s and n = k/2,
-    is n - 1 floored products of the held (c, s), which lies within 2 pad
-    of u; each product adds 2 pad for that, under 2 units for its floors
-    and under one for the growth of the error already made, so the phase
-    is within n (2 pad + 3).  The floored real part of phase times E_k is
-    then within n (2 pad + 3) |E_k| 2^-P plus E_k's radius plus one unit
-    of the exact value, as |u^n| = 1.
+    is n - 1 floored products of the held c + i s, within upad of u; each
+    adds upad for that, under 2 units for its floors and one for the growth
+    of the error made, so the phase is within n (upad + 3), and the floored
+    real part of phase times E_k within n (upad + 3) |E_k| plus E_k's
+    radius plus one unit, as |u^n| = 1.  The imaginary part must be 0, or
+    for k = 2 the cached 3/pi (within 2 units, so e2 takes 2 more), within
+    the radius: Im(e^(i theta) E_2) = 3/pi on the arc.
     """
-    P, pad = pt.P, pt.pad
-    a, b, units = _horner(qseries.eisenstein(k, trunc).coeffs, pt.qx, pt.qy, pad, P)
-    r = mp.make_mpf(from_man_exp(pt.r + pad, -P))
-    units += -_fixed(mpf_neg(EisensteinTail(k).bound(trunc, r, pt.y)._mpf_), P)
+    P = pt.P
+    a, b, units = _horner(qseries.eisenstein(k, trunc).coeffs, pt.qx, pt.qy, pt.pad, P)
+    units += _tail_units(EisensteinTail(k), trunc, pt) + 1
     c, s = pt.c, pt.s
     x, y = c, s
     for _ in range(k // 2 - 1):
         x, y = (x * c - y * s) >> P, (x * s + y * c) >> P
-    spread = -(-(k // 2) * (2 * pad + 3) * (abs(a) + abs(b)) >> P)
-    return _real_ball((x * a - y * b) >> P, (x * b + y * a) >> P, units + spread + 1, P)
+    units += -(-(k // 2) * (pt.upad + 3) * (isqrt(a * a + b * b) + 1) >> P)
+    im = (x * b + y * a) >> P
+    if k == 2:
+        im, units = im - _three_over_pi_units(P), units + 2
+    return _real_ball((x * a - y * b) >> P, im, units, P)
 
 
-def _j_tail_units(M: int, pt: _ArcPoint) -> int:
+def _j_tail_units(M: int, pt: _Point) -> int:
     """j_tail_bound(M, sin theta) at the arc point, in units rounded upward.
 
     j_tail_bound's exponent 2 pi (1/a - a (sqrt M - 1/a)^2) is 4 pi sqrt M
     - 2 pi a M, so with r = e^(-2 pi a) the bound is K r^M / (a - 1/sqrt M),
     with K and 1/sqrt M from _j_tail_lead.  It grows with r and falls with
-    a: r is taken as r + pad and a = s as s - pad.  The product is exact
+    a: r is taken as r + pad and a = s as s - upad.  The product is exact
     in ints and rounded up once, and no exp is evaluated.
     """
-    P, pad = pt.P, pt.pad
+    P = pt.P
     lead, inv_root = _j_tail_lead(M, P)
-    gap = pt.s - pad - inv_root
+    gap = pt.s - pt.upad - inv_root
     if gap <= 0:
         raise TailUnboundedError(f"j tail needs M > 1/sin^2 theta, got M = {M}")
     geo = -(-(1 << 2 * P) // gap)
-    return -(-lead * (pt.r + pad) ** M * geo >> P * (M + 1))
-
-
-def _phase(theta: mpf, k: int, h=0) -> CertValue:
-    """e^(i k theta / 2), from an exactly formed argument, on [theta - h, theta + h].
-
-    Its derivative in theta has modulus k/2, so the radius grows by k h / 2.
-    """
-    v = mp.expj(mp.ldexp(mp.fmul(theta, k, exact=True), -1))
-    ball = CertValue(v, _pad(v))
-    return ball.widened(mp.ldexp(mp.fmul(k, h, rounding="u"), -1)) if h else ball
+    return -(-lead * (pt.r + pt.pad) ** M * geo >> P * (M + 1))
 
 
 def arc_functions(p, prec: int = DEFAULT_PREC) -> ArcValues:
     """Certified values of e2, e4, e6, delta_arc at an arc angle or on an arc interval.
 
     p is an angle or a pair (lo, hi) with pi/2 <= lo <= hi <= 2pi/3; for a
-    pair each enclosure holds at every theta in [lo, hi], and the pair
-    (theta, theta) gives the point result bit for bit.  Only the three
-    Eisenstein series are evaluated: delta_arc = (e4^3 - e6^2) / 1728, as
-    in arc_form.  Each is provably real; NotRealError if an imaginary part
-    survives outside the propagated radius.
+    pair each enclosure holds at every theta in [lo, hi], from the point
+    about its midpoint, and (theta, theta) gives the point result bit for
+    bit.  e2, e4 and e6 are _arc_eisenstein's, delta_arc = (e4^3 - e6^2) /
+    1728 as in arc_form; NotRealError if an imaginary part survives
+    outside the propagated radius.
     """
     with workprec(prec + _GUARD):
         lo, hi = (_theta_mpf(t) for t in (p if isinstance(p, tuple) else (p, p)))
         theta, h = _span(lo, hi)
-        tau = _phase(theta, 2, h)
-        # |dtau/dtheta| = 1 and Im tau >= sin hi on the interval, as sin falls on the arc
-        pt = _QPoint(tau.value, _drift(mp.sin(hi), h) if h else 0)
+        pt = _Point(theta, h=h)
         n = auto_trunc(pt.y, prec)
-        e2, e4, e6 = (_series_at(qseries.eisenstein(k, n), pt, EisensteinTail(k))
-                      for k in (2, 4, 6))
-        e2 = (tau * e2 + CertValue(mpc(0, -3)) / CertValue.pi()).as_real()
-        e4, e6 = ((_phase(theta, k, h) * v).as_real() for k, v in ((4, e4), (6, e6)))
+        e2, e4, e6 = (_arc_eisenstein(pt, k, n) for k in (2, 4, 6))
         return ArcValues(e2, e4, e6, (e4.pow_int(3) - e6.pow_int(2)) / 1728)
 
 
@@ -977,12 +979,12 @@ def arc_form(form, p, prec: int = DEFAULT_PREC, trunc_scale: int = 1) -> CertVal
 
 
 def _arc_form_at(form, p, prec: int, trunc_scale: int = 1) -> tuple:
-    """(its arc point, arc_form's value): arc_form with the _ArcPoint it
+    """(its arc point, arc_form's value): arc_form with the _Point it
     took, at prec + _GUARD bits."""
     fid = form.id
     a, b = qseries.EISENSTEIN_FACTORS[fid.kprime]
     with workprec(prec + _GUARD):
-        pt = _ArcPoint(_theta_mpf(p))
+        pt = _Point(_theta_mpf(p))
         n = auto_trunc(pt.y, prec) * trunc_scale
         e4, e6 = (_arc_eisenstein(pt, k, n) for k in (4, 6))
         cube = e4.pow_int(3)
@@ -996,17 +998,14 @@ def arc_j(p, prec: int = DEFAULT_PREC) -> CertValue:
     """j(e^(i theta)) from its q-series with the j tail bound; real, 0 at rho.
 
     The truncation n reaches past 1/sin^2 theta, where the tail estimate
-    starts to hold.  j = 1/q + sum_(0<=i<=n) c(i) q^i + tail: the sum is
-    one _horner at the arc point's q on the disk of radius pad, 1/q is
-    the point's, within ipad, and the tail is _j_tail_units.  Everything
-    is in units of 2^-P, and the ball is formed once, at the end.
+    starts to hold.  j = 1/q + sum_(0<=i<=n) c(i) q^i + tail is the arc
+    point's _partial_sum plus _j_tail_units, one ball from the units.
     """
     with workprec(prec + _GUARD):
-        pt = _ArcPoint(_theta_mpf(p))
+        pt = _Point(_theta_mpf(p))
         n = max(auto_trunc(pt.y, prec), int(1 / float(pt.y) ** 2) + 8)
-        # c(-1) = 1 is the coefficient of 1/q
-        a, b, units = _horner(qseries.jfunction(n).coeffs[1:], pt.qx, pt.qy, pt.pad, pt.P)
-        return _real_ball(a + pt.ix, b + pt.iy, units + pt.ipad + _j_tail_units(n, pt), pt.P)
+        a, b, units = _partial_sum(qseries.jfunction(n), pt)
+        return _real_ball(a, b, units + _j_tail_units(n, pt), pt.P)
 
 
 _J_FLOAT_TERMS = 24         # c(24) |q|^24 < 1e-31 on the arc, |q| <= e^(-pi sqrt 3)

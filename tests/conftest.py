@@ -6,6 +6,9 @@ evaluation of a basis form is kept here as the reference oracle for
 evalnum.arc_form, which takes its real E_4/E_6 route instead; the
 exact q-series products raw_basis and reconstruct, and the Ramanujan
 residuals, are the oracles of the Miller basis and the q-series layer.
+The oracles share no evaluation point with evalnum: each takes its own
+q = e^(2 pi i tau) and phases from mpmath's complex exp, with a 16-ulp
+pad, and runs only the kernel _horner and the ball arithmetic.
 JCoeffTail, the j tail bound for eval_series, serves the direct
 evaluation and the ball-route oracle of evalnum.arc_j, which forms its
 own tail in integers.
@@ -19,11 +22,11 @@ from mpmath import mp, mpf, workprec
 
 from millerzeros import qseries
 from millerzeros.miller import MillerForm, default_trunc, miller_form
-from millerzeros.qseries import FormId, QSeries, delta, eisenstein, jfunction
+from millerzeros.qseries import (FormId, QSeries, _pentagonal_euler_product, delta, eisenstein,
+                                 jfunction)
 from millerzeros.certify import full_ledger
-from millerzeros.evalnum import (DEFAULT_PREC, _GUARD, CertValue, EisensteinTail, _QPoint,
-                                 _phase, _series_at, _theta_mpf, auto_trunc, eval_delta_eta,
-                                 eval_poly, j_tail_bound)
+from millerzeros.evalnum import (DEFAULT_PREC, _GUARD, CertValue, EisensteinTail, EtaProductTail,
+                                 _fixed, _from_fixed, _horner, _theta_mpf, auto_trunc, j_tail_bound)
 
 
 @dataclass(frozen=True)
@@ -77,33 +80,134 @@ def ramanujan_residuals(trunc: int) -> tuple:
     return r1, r2, r3
 
 
+def complex_poly(coeffs, z, radius=0) -> CertValue:
+    """Enclosure of sum_i coeffs[i] w^i for every w with |w - z| <= radius, z complex.
+
+    The kernel _horner at eval_poly's scale 2^-P, P = working precision
+    + 24, on the floored parts of z, so any w is within radius + 2^(2-P)
+    of the point it takes; the result is rounded to an mpc with a 16-ulp
+    pad.
+    """
+    z = mp.mpmathify(z)
+    p = mp.prec + 24
+    delta = int(mp.ceil(mp.ldexp(radius, p))) + 4
+    a, b, units = _horner(coeffs, _fixed(mp.re(z)._mpf_, p), _fixed(mp.im(z)._mpf_, p), delta, p)
+    value = mp.mpc(_from_fixed(a, p), _from_fixed(b, p))
+    return CertValue(value, Fraction(units, 1 << p)).widened(mp.ldexp(abs(value), 4 - mp.prec))
+
+
+def power_by_squaring(x, n):
+    """The binary-powering chain of padded CertValue products pow_int replaced."""
+    result = CertValue(mpf(1))
+    while n:
+        if n & 1:
+            result = result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
+
+
+def separate_q(tau):
+    """q = e^(2 pi i tau) from mpmath's complex exp, and its 16-ulp pad."""
+    q = mp.exp(2j * mp.pi * mp.mpmathify(tau))
+    return q, abs(q) * mpf(2) ** (4 - mp.prec)
+
+
+def oracle_phase(theta, k) -> CertValue:
+    """e^(i k theta / 2) from mpmath's complex exp, with a 16-ulp pad."""
+    v = mp.exp(1j * mp.ldexp(mp.fmul(theta, k, exact=True), -1))
+    return CertValue(v, abs(v) * mpf(2) ** (4 - mp.prec))
+
+
+def series_at_q(s, q, pad, tail, y, power=CertValue.pow_int):
+    """s at the q held with its pad: the q^lead factor a ball power, the tail at |q|."""
+    acc = complex_poly(s.coeffs, q, pad)
+    if s.lead:
+        qc = power(CertValue(q, pad), abs(s.lead))
+        acc = acc * qc if s.lead > 0 else acc / qc
+    return acc if tail is None else acc.widened(tail.bound(s.trunc, abs(q), y))
+
+
+def delta_at_q(q, pad, terms, y, power=CertValue.pow_int):
+    """Delta = q P^24 through the pentagonal eta product P at the q held."""
+    p = complex_poly(_pentagonal_euler_product(terms).coeffs, q, pad)
+    p = p.widened(EtaProductTail().bound(terms, abs(q), y))
+    return power(p, 24) * CertValue(q, pad)
+
+
+def separate_q_series(s, tau, tail, prec=128):
+    """eval_series as it was: its own q, the q^lead factor by squaring."""
+    with workprec(prec + 12):
+        q, pad = separate_q(tau)
+        return series_at_q(s, q, pad, tail, mp.im(tau), power_by_squaring)
+
+
+def separate_q_delta(tau, terms, prec=128):
+    """eval_delta_eta as it was: its own q, P^24 by squaring."""
+    with workprec(prec + 12):
+        q, pad = separate_q(tau)
+        return delta_at_q(q, pad, terms, mp.im(tau), power_by_squaring)
+
+
+def separate_q_arc_functions(theta, prec=128):
+    """arc_functions as it was: q once per series, phases as powers of e^(i theta)."""
+    with workprec(prec + 12):
+        theta = mpf(theta)
+        tau = mp.exp(1j * theta)
+        n = auto_trunc(mp.sin(theta), prec)
+        ph = CertValue(tau, abs(tau) * mpf(2) ** (4 - mp.prec))
+        e2, e4, e6 = (separate_q_series(eisenstein(k, n), tau, EisensteinTail(k), prec)
+                      for k in (2, 4, 6))
+        d = separate_q_delta(tau, n, prec)
+        e2 = (ph * e2 + CertValue(mp.mpc(0, -3) / mp.pi, mpf(2) ** (4 - mp.prec))).as_real()
+        return (e2, (power_by_squaring(ph, 2) * e4).as_real(),
+                (power_by_squaring(ph, 3) * e6).as_real(),
+                (power_by_squaring(ph, 6) * d).as_real())
+
+
+def separate_q_form(form, tau, prec):
+    """The direct evaluation as it was: Delta, E_k' and j each with their own q."""
+    fid = form.id
+    with workprec(prec + 12):
+        n = auto_trunc(mp.im(tau), prec)
+        dl = power_by_squaring(separate_q_delta(tau, n, prec), fid.ell)
+        ek = separate_q_series(eisenstein(fid.kprime, n), tau, EisensteinTail(fid.kprime), prec)
+        nj = max(n, int(1 / float(mp.im(tau)) ** 2) + 8)
+        jv = separate_q_series(jfunction(nj), tau, JCoeffTail(), prec)
+        return dl * ek * complex_poly(form.faber.coeffs, jv.value, jv.err)
+
+
 def direct_eval_form(form, tau, prec: int = DEFAULT_PREC) -> CertValue:
     """Certified g_{k,m}(tau) as the complex product Delta^ell E_k' F(j).
 
-    Delta from the eta product, E_k' and j from their q-series at one q,
-    and every factor a complex CertValue; the huge cancellation between
-    Delta^ell and F(j) is absorbed by the unlimited exponent range.
+    Delta from the eta product, E_k' and j from their q-series, all at
+    one q of the oracle's own (separate_q), and every factor a complex
+    CertValue; the huge cancellation between Delta^ell and F(j) is
+    absorbed by the unlimited exponent range.
     """
     fid = form.id
     with workprec(prec + _GUARD):
-        pt = _QPoint(tau)
-        n = auto_trunc(pt.y, prec)
-        dl = eval_delta_eta(tau, prec=prec).pow_int(fid.ell)
+        tau = mp.mpmathify(tau)
+        y = mp.im(tau)
+        q, pad = separate_q(tau)
+        n = auto_trunc(y, prec)
+        dl = delta_at_q(q, pad, n, y).pow_int(fid.ell)
         if fid.kprime:
-            ek = _series_at(qseries.eisenstein(fid.kprime, n), pt, EisensteinTail(fid.kprime))
+            ek = series_at_q(eisenstein(fid.kprime, n), q, pad, EisensteinTail(fid.kprime), y)
         else:
             ek = CertValue(mpf(1))
-        nj = max(n, int(1 / float(pt.y) ** 2) + 8)
-        jv = _series_at(qseries.jfunction(nj), pt, JCoeffTail())
-        return dl * ek * eval_poly(form.faber.coeffs, jv.value, jv.err)
+        nj = max(n, int(1 / float(y) ** 2) + 8)
+        jv = series_at_q(jfunction(nj), q, pad, JCoeffTail(), y)
+        return dl * ek * complex_poly(form.faber.coeffs, jv.value, jv.err)
 
 
 def direct_arc_form(form, p, prec: int = DEFAULT_PREC) -> CertValue:
     """e^(i k theta / 2) g_{k,m}(e^(i theta)) through direct_eval_form."""
     with workprec(prec + _GUARD):
         theta = _theta_mpf(p)
-        val = direct_eval_form(form, mp.expj(theta), prec=prec)
-        return (_phase(theta, form.id.k) * val).as_real()
+        val = direct_eval_form(form, mp.exp(1j * theta), prec=prec)
+        return (oracle_phase(theta, form.id.k) * val).as_real()
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc, mpf, workprec
 
-from millerzeros import certify
+from millerzeros import certify, evalnum
 from millerzeros.evalnum import CertValue, _exact, arc_functions, arc_grid
 from millerzeros.certify import (
     BoundLedgerEntry, DomainError,
@@ -409,26 +409,25 @@ def test_oscillation_holds_the_direct_product(k, m, direct_arc):
 
 def test_oscillation_builds_one_q_point_per_angle(monkeypatch):
     # g, e^(2 pi m sin t) and e^(i h) all come from one arc point and one
-    # _theta_mpf; no complex exp of tau is taken
-    from millerzeros import evalnum
+    # _theta_mpf; no other q-point is built
     from millerzeros.miller import miller_form
-    calls = {"_ArcPoint": 0, "_theta_mpf": 0, "_QPoint": 0}
-    for name in ("_ArcPoint", "_theta_mpf"):
-        def counted(*args, _inner=getattr(evalnum, name), _name=name):
-            calls[_name] += 1
-            return _inner(*args)
-        monkeypatch.setattr(evalnum, name, counted)
-    init = evalnum._QPoint.__init__
+    calls = {"_Point": 0, "_theta_mpf": 0}
 
-    def counted_init(self, *args):
-        calls["_QPoint"] += 1
-        init(self, *args)
-    monkeypatch.setattr(evalnum._QPoint, "__init__", counted_init)
+    def counted(*args, _inner=evalnum._theta_mpf):
+        calls["_theta_mpf"] += 1
+        return _inner(*args)
+    monkeypatch.setattr(evalnum, "_theta_mpf", counted)
+    init = evalnum._Point.__init__
+
+    def counted_init(self, *args, **kwargs):
+        calls["_Point"] += 1
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(evalnum._Point, "__init__", counted_init)
     form = miller_form(340, 2)
     grid = arc_grid(5e-2)
     for theta in grid:
         _oscillation(form, 2, theta, 160)
-    assert calls == {"_ArcPoint": len(grid), "_theta_mpf": len(grid), "_QPoint": 0}
+    assert calls == {"_Point": len(grid), "_theta_mpf": len(grid)}
 
 
 def test_table_check_values_match_separate_evaluations(monkeypatch):
@@ -536,6 +535,17 @@ def test_certify_leaves_rounding_to_the_ball_layer():
     source = Path(certify.__file__).read_text()
     for token in ("_pad", "ldexp(", "mp.prec"):
         assert token not in source, token
+
+
+def test_evaluation_points_leave_rounding_to_the_units():
+    # evalnum's evaluation section, from the point class through arc_j,
+    # works in integer units from one point: no pad, no shift by the
+    # precision, no complex exp and no phase from expj
+    source = Path(evalnum.__file__).read_text()
+    start, end = source.index("class _Point:"), source.index("def arc_j(")
+    section = source[start:source.index("\n\n\n", end)]
+    for token in ("_pad(", "ldexp(", "expj", "mp.exp(", "mp.e **", "cmath"):
+        assert token not in section, token
 
 
 def line_maxima(monkeypatch, cases=_LINE_CASES):

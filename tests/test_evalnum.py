@@ -12,10 +12,12 @@ from millerzeros.qseries import (EISENSTEIN_FACTORS, QSeries, _pentagonal_euler_
                                  eisenstein, jfunction)
 from millerzeros.miller import miller_form
 from millerzeros.zeros import _J_LADDER, HFunction
-from conftest import JCoeffTail
+from conftest import (JCoeffTail, complex_poly, oracle_phase, separate_q_arc_functions,
+                      separate_q_form, separate_q_series)
 from millerzeros.evalnum import (
-    DEFAULT_PREC, _GUARD, CertValue, NotRealError, TailUnboundedError, _TAIL_SLACK, _ArcPoint,
-    _abs_up, _arc_eisenstein, _corner_angles, _exact, _j_tail_units, _phase, _theta_mpf, _two_pi,
+    DEFAULT_PREC, _GUARD, CertValue, NotRealError, TailUnboundedError, _TAIL_SLACK, _Point,
+    _abs_up, _arc_eisenstein, _corner_angles, _corner_window, _exact, _j_tail_units, _theta_mpf,
+    _span, _two_pi,
     EisensteinTail, EtaProductTail, j_tail_bound,
     eval_poly, eval_series, eval_delta_eta,
     arc_functions, arc_form, arc_j, arc_j_float, arc_grid, export_arc_csv,
@@ -332,9 +334,11 @@ def kernel_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(kernel_cases())
 def test_eval_poly_encloses_every_point_of_the_disk(case):
+    # a real point through eval_poly, a complex one through the kernel as
+    # the oracle's complex_poly takes it
     coeffs, z, radius, u, phi = case
     with workprec(140):
-        got = eval_poly(coeffs, z, radius)
+        got = (complex_poly if isinstance(z, mpc) else eval_poly)(coeffs, z, radius)
         assert isinstance(got.value, mpc) == isinstance(z, mpc)
     with workprec(2000):
         # shrink by 1 - 2^-100 so that the 2000-bit rounding keeps w in the disk
@@ -349,10 +353,14 @@ def test_eval_poly_is_tight_without_radius():
     e4 = eisenstein(4, 48).coeffs
     with workprec(140):
         q = mp.e ** (2j * mp.pi * mpc("0.2", "0.65"))
-        got = eval_poly(e4, q)
+        got = complex_poly(e4, q)
         assert got.err <= abs(got.value) * mpf(2) ** -130
+        real = eval_poly(e4, q.real)
+        assert real.err <= real.value * mpf(2) ** -136
         assert eval_poly([Fraction(1, 3)], 5).err <= mpf(2) ** -135
         assert eval_poly([7, 0, 1], mpf(2)).value == 11
+        with pytest.raises(TypeError):
+            eval_poly(e4, q)
 
 
 def reference_eval_series(s, tau, tail, prec=128):
@@ -415,7 +423,7 @@ def test_line_segment_encloses_every_point(k, height, where, log_width, at):
         hi = lo + width
         x = min(hi, max(lo, lo + mpf(at) * width))
     span = eval_series(eisenstein(k, 48), (mpc(lo, y), mpc(hi, y)), EisensteinTail(k))
-    ref = eval_series(eisenstein(k, 100), mpc(x, y), EisensteinTail(k), prec=400)
+    ref = separate_q_series(eisenstein(k, 100), mpc(x, y), EisensteinTail(k), prec=400)
     assert ref.err < mpf(2) ** -300
     assert abs(span.value - ref.value) <= span.err + ref.err
 
@@ -463,11 +471,13 @@ def test_cached_constants_match_their_formulas():
     for prec in (128, 256, 512, 1024):      # arc_j's truncation and height
         for theta in (1.5707963267948966, 1.75, 1.9, 2.0943951023931957):
             with workprec(prec + 12):
-                y = _ArcPoint(_theta_mpf(theta)).y
+                y = _Point(_theta_mpf(theta)).y
                 M = max(auto_trunc(y, prec), int(1 / float(y) ** 2) + 8)
                 assert j_tail_bound(M, y) == _j_tail_formula(M, y)
                 assert _two_pi(mp.prec) == 2 * mp.pi
                 assert _corner_angles(mp.prec) == (mp.pi / 2, 2 * mp.pi / 3)
+                slack = mpf(2) ** -50
+                assert _corner_window(mp.prec) == (mp.pi / 2 - slack, 2 * mp.pi / 3 + slack)
 
 
 def test_eval_below_height_floor():
@@ -575,71 +585,6 @@ def test_arc_monotonicity_and_signs_sampled():
         prev = (av.e4, av.e6, av.delta_arc)
 
 
-def power_by_squaring(x, n):
-    """The binary-powering chain of padded CertValue products pow_int replaced."""
-    result = CertValue(mpf(1))
-    while n:
-        if n & 1:
-            result = result * x
-        n >>= 1
-        if n:
-            x = x * x
-    return result
-
-
-def separate_q(tau):
-    q = mp.e ** (2j * mp.pi * mp.mpmathify(tau))
-    return q, abs(q) * mpf(2) ** (4 - mp.prec)
-
-
-def separate_q_series(s, tau, tail, prec=128):
-    """eval_series as it was: its own q, the q^lead factor by squaring."""
-    with workprec(prec + 12):
-        q, pad = separate_q(tau)
-        acc = eval_poly(s.coeffs, q, pad)
-        if s.lead:
-            qc = power_by_squaring(CertValue(q, pad), abs(s.lead))
-            acc = acc * qc if s.lead > 0 else acc / qc
-        return acc.widened(tail.bound(s.trunc, abs(q), mp.im(tau)))
-
-
-def separate_q_delta(tau, terms, prec=128):
-    """eval_delta_eta as it was: its own q, P^24 by squaring."""
-    with workprec(prec + 12):
-        q, pad = separate_q(tau)
-        p = eval_poly(_pentagonal_euler_product(terms).coeffs, q, pad)
-        p = p.widened(EtaProductTail().bound(terms, abs(q), mp.im(tau)))
-        return power_by_squaring(p, 24) * CertValue(q, pad)
-
-
-def separate_q_arc_functions(theta, prec=128):
-    """arc_functions as it was: q once per series, phases as powers of e^(i theta)."""
-    with workprec(prec + 12):
-        theta = mpf(theta)
-        tau = mp.e ** (1j * theta)
-        n = auto_trunc(mp.sin(theta), prec)
-        ph = CertValue(tau, abs(tau) * mpf(2) ** (4 - mp.prec))
-        e2, e4, e6 = (separate_q_series(eisenstein(k, n), tau, EisensteinTail(k), prec)
-                      for k in (2, 4, 6))
-        d = separate_q_delta(tau, n, prec)
-        e2 = (ph * e2 + CertValue(mpc(0, -3) / mp.pi, mpf(2) ** (4 - mp.prec))).as_real()
-        return (e2, (power_by_squaring(ph, 2) * e4).as_real(),
-                (power_by_squaring(ph, 3) * e6).as_real(),
-                (power_by_squaring(ph, 6) * d).as_real())
-
-
-def separate_q_form(form, tau, prec):
-    """The direct evaluation as it was: Delta, E_k' and j each with their own q."""
-    fid = form.id
-    with workprec(prec + 12):
-        n = auto_trunc(mp.im(tau), prec)
-        dl = power_by_squaring(separate_q_delta(tau, n, prec), fid.ell)
-        ek = separate_q_series(eisenstein(fid.kprime, n), tau, EisensteinTail(fid.kprime), prec)
-        nj = max(n, int(1 / float(mp.im(tau)) ** 2) + 8)
-        jv = separate_q_series(jfunction(nj), tau, JCoeffTail(), prec)
-        return dl * ek * eval_poly(form.faber.coeffs, jv.value, jv.err)
-
-
 with workprec(140):          # the corners at working precision, as arc_functions sees them
     ARC_ANGLES = (mp.pi / 2, mpf("1.7"), mpf("1.9"), mpf(2), 2 * mp.pi / 3)
 
@@ -668,15 +613,20 @@ def test_arc_interval_of_zero_width_is_the_point(prec):
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0, 1), st.floats(-6, -1), st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1)))
 def test_arc_interval_encloses_every_angle(where, log_width, at):
-    # a subinterval [lo, hi] of width 1e-6 to 0.1 and theta in it, ends included
+    # a subinterval [lo, hi] of width 1e-6 to 0.1 and theta in it, ends
+    # included: the interval holds the point result and the oracle's
+    # separate-q values at theta, taken 400 bits beyond it
     with workprec(140):
         width = mpf(10) ** log_width
         lo = ARC_ANGLES[0] + mpf(where) * (ARC_ANGLES[-1] - ARC_ANGLES[0] - width)
         hi = lo + width
         theta = min(hi, max(lo, lo + mpf(at) * width))
     span, point = arc_functions((lo, hi)), arc_functions(theta)
-    for a, b in zip(arc_quartet(span), arc_quartet(point)):
+    ref = separate_q_arc_functions(theta, prec=400)
+    for a, b, c in zip(arc_quartet(span), arc_quartet(point), ref):
         assert abs(a.value - b.value) <= a.err + b.err
+        assert c.err < mpf(2) ** -300
+        assert abs(a.value - c.value) <= a.err + c.err
 
 
 @pytest.mark.parametrize("theta", ARC_ANGLES)
@@ -762,19 +712,56 @@ def test_arc_form_matches_direct_evaluation(kprime, m, direct_arc):
 @example(theta=2.0943951023931957, prec=140)
 def test_arc_point_holds_q_of_its_angle(theta, prec):
     # each int of the arc point lies within its pad of the exact value at
-    # the angle t it was given, 400 bits beyond its precision: q, |q|,
-    # cos t and sin t within pad, 1/q within ipad; y is sin t rounded
+    # the angle t it was given, 400 bits beyond its precision: q and |q|
+    # within pad, cos t + i sin t within upad, 1/q within ipad; y is sin t
+    # rounded
     with workprec(prec):
         t = _theta_mpf(theta)
-        pt = _ArcPoint(t)
+        pt = _Point(t)
+        ix, iy, ipad = pt.inverse()
     with workprec(prec + 400):
         unit = mp.ldexp(1, -pt.P)
         q = mp.exp(2j * mp.pi * mp.expj(t))
         for held, want, pad in ((mpc(pt.qx, pt.qy), q, pt.pad),
-                                (mpc(pt.ix, pt.iy), 1 / q, pt.ipad), (pt.r, abs(q), pt.pad),
-                                (pt.c, mp.cos(t), pt.pad), (pt.s, mp.sin(t), pt.pad)):
+                                (mpc(ix, iy), 1 / q, ipad), (pt.r, abs(q), pt.pad),
+                                (mpc(pt.c, pt.s), mp.expj(t), pt.upad)):
             assert abs(held * unit - want) <= pad * unit
         assert abs(mp.sin(t) - pt.y) <= mp.ldexp(1, -prec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans(), st.floats(0, 1), st.floats(-6, -0.3),
+       st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1)), st.sampled_from((65, 140, 268)))
+def test_point_holds_q_on_its_segment_or_interval(on_arc, where, log_width, at, prec):
+    # a point of half-width h stands for the arc interval or the segment of
+    # the 0.65 line about it: at every theta or x inside, 400 bits beyond
+    # its precision, q lies within pad of the q held, |q| under r + pad,
+    # e^(i theta) within upad of the c + i s held, and 1/q within ipad
+    # wherever the disk of q excludes 0
+    with workprec(prec):
+        a, b = _corner_angles(prec) if on_arc else (mpf(-0.5), mpf(0.5))
+        y = mpf("0.65")
+        width = min(b - a, mpf(10) ** log_width)
+        lo = a + mpf(where) * (b - a - width)
+        hi = lo + width
+        inside = min(hi, max(lo, lo + mpf(at) * width))
+        mid, h = _span(lo, hi)
+        pt = _Point(mid, h=h) if on_arc else _Point(mid, y, h)
+        try:
+            inverse = pt.inverse()
+        except ZeroDivisionError:
+            inverse = None
+    with workprec(prec + 400):
+        unit = mp.ldexp(1, -pt.P)
+        tau = mp.exp(1j * inside) if on_arc else mpc(inside, y)
+        q = mp.exp(2j * mp.pi * tau)
+        assert abs(mpc(pt.qx, pt.qy) * unit - q) <= pt.pad * unit
+        assert abs(q) <= (pt.r + pt.pad) * unit
+        if on_arc:
+            assert abs(mpc(pt.c, pt.s) * unit - tau) <= pt.upad * unit
+        if inverse:
+            ix, iy, ipad = inverse
+            assert abs(mpc(ix, iy) * unit - 1 / q) <= ipad * unit
 
 
 J_PRECS = tuple(scale * DEFAULT_PREC for scale in _J_LADDER)
@@ -787,19 +774,20 @@ J_PRECS = tuple(scale * DEFAULT_PREC for scale in _J_LADDER)
 @example(theta=2.0943951023931957, prec=DEFAULT_PREC)
 @example(theta=CORNERS[1], prec=8 * DEFAULT_PREC)
 def test_arc_j_holds_the_series_at_400_more_bits(theta, prec):
-    # the integer arc j holds the ball series j at the same angle, tail
-    # included, taken 400 bits beyond it; its radius is within 2^4 of the
-    # ball series' own at its precision, and its tail is at least
+    # the integer arc j holds the oracle's ball series j at the same angle,
+    # tail included, taken 400 bits beyond it; its radius is within 2^4 of
+    # the oracle's own at its precision, and its tail is at least
     # j_tail_bound at its own truncation and height
     got = arc_j(theta, prec=prec)
     with workprec(prec + _GUARD):
         t = _theta_mpf(theta)
-        pt = _ArcPoint(t)
+        pt = _Point(t)
         n = max(auto_trunc(pt.y, prec), int(1 / float(pt.y) ** 2) + 8)
         assert _j_tail_units(n, pt) * mp.ldexp(1, -pt.P) >= j_tail_bound(n, pt.y)
-        same = eval_series(jfunction(n), mp.expj(t), JCoeffTail(), prec=prec)
+        tau = mp.exp(1j * t)
+        same = separate_q_series(jfunction(n), tau, JCoeffTail(), prec=prec)
     with workprec(prec + 400):
-        ref = eval_series(jfunction(n), mp.expj(t), JCoeffTail(), prec=prec + 400)
+        ref = separate_q_series(jfunction(n), tau, JCoeffTail(), prec=prec + 400)
     assert abs(got.value - ref.value) <= got.err + ref.err
     assert same.err / 16 <= got.err <= 16 * same.err
 
@@ -811,18 +799,18 @@ def test_arc_j_holds_the_series_at_400_more_bits(theta, prec):
 @example(theta=2.0943951023931957, prec=140)
 def test_arc_eisenstein_holds_the_series_at_400_more_bits(theta, prec):
     # e4 and e6 as _arc_form_at takes them from the integer arc point hold
-    # the phase times the ball series 400 bits beyond them, with a radius
-    # within 2^4 of the ball route's at their precision
+    # the oracle's phase times its ball series 400 bits beyond them, with a
+    # radius within 2^4 of the oracle's at their precision
     with workprec(prec + _GUARD):
         t = _theta_mpf(theta)
-        pt = _ArcPoint(t)
+        pt = _Point(t)
         n = auto_trunc(pt.y, prec)
         got = [_arc_eisenstein(pt, k, n) for k in (4, 6)]
 
     def ball_route(k, bits):
         with workprec(bits + _GUARD):
-            val = eval_series(eisenstein(k, n), mp.expj(t), EisensteinTail(k), prec=bits)
-            return (_phase(t, k) * val).as_real()
+            val = separate_q_series(eisenstein(k, n), mp.exp(1j * t), EisensteinTail(k), bits)
+            return (oracle_phase(t, k) * val).as_real()
     for k, g in zip((4, 6), got):
         same, ref = ball_route(k, prec), ball_route(k, prec + 400)
         assert abs(g.value - ref.value) <= g.err + ref.err
@@ -839,15 +827,22 @@ def test_arc_eisenstein_holds_the_series_at_400_more_bits(theta, prec):
 @example(theta=CORNERS[1], prec=140, km=(340, 2))
 def test_arc_point_amplitude_and_turn_hold_their_values(theta, prec, km):
     # e^(2 pi m sin t) and 2 cos(k t / 2 + 2 pi m cos t) as the arc point
-    # hands them to the oscillation check, against 400 more bits
+    # hands them to the oscillation check, against 400 more bits; read at
+    # 64 more bits, where rounding the ints to an mpf adds almost nothing,
+    # the unit budgets alone must hold them too
     k, m = km
     with workprec(prec):
         t = _theta_mpf(theta)
-        pt = _ArcPoint(t)
+        pt = _Point(t)
         amp, turn = pt.amplitude(m), pt.turn(k, m)
+    with workprec(prec + 64):
+        fine_amp, fine_turn = pt.amplitude(m), pt.turn(k, m)
     with workprec(prec + 400):
-        assert abs(amp.value - mp.exp(2 * mp.pi * m * mp.sin(t))) <= amp.err
-        assert abs(turn.value - 2 * mp.cos(k * t / 2 + 2 * mp.pi * m * mp.cos(t))) <= turn.err
+        amp_want = mp.exp(2 * mp.pi * m * mp.sin(t))
+        turn_want = 2 * mp.cos(k * t / 2 + 2 * mp.pi * m * mp.cos(t))
+        for ball, want in ((amp, amp_want), (fine_amp, amp_want),
+                           (turn, turn_want), (fine_turn, turn_want)):
+            assert abs(ball.value - want) <= ball.err
 
 
 def test_arc_j_takes_no_ball_quotient_and_no_exp(monkeypatch):

@@ -557,22 +557,18 @@ def test_localize_builds_one_q_point_per_sample(monkeypatch):
     # at k = 1924 every sample costs one arc point (its certified j) and no
     # other q-point: the sign-change count decides every sign at once
     form = miller_form(1924, 1)
-    points, off_arc = [], []
-    inner, init = evalnum._ArcPoint, evalnum._QPoint.__init__
+    points = []
+    init = evalnum._Point.__init__
 
-    def counted(theta):
-        points.append(theta)
-        return inner(theta)
-
-    def counted_init(self, *args):
-        off_arc.append(args)
-        init(self, *args)
-    monkeypatch.setattr(evalnum, "_ArcPoint", counted)
-    monkeypatch.setattr(evalnum._QPoint, "__init__", counted_init)
+    def counted_init(self, *args, **kwargs):
+        points.append((args, kwargs))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(evalnum._Point, "__init__", counted_init)
     certified = _count_certified(monkeypatch)
     assert arc_zero_localize(form)
     assert len(points) == len(_sampled(form))
-    assert off_arc == [] and certified == []
+    assert all(len(args) == 1 and not kwargs for args, kwargs in points)     # angles, h = 0
+    assert certified == []
 
 
 def test_counterexample_falls_back_to_per_sample_signs(monkeypatch, form_132_9):
