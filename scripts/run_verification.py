@@ -3,14 +3,17 @@
 
 Covers the bound ledger, the exhaustive m=1 sweep, the oscillation
 estimate at its three reference pairs, and the counterexample
-regression.  Exit status 0 only if every stage certifies.  The working
+regression.  Exit status 0 only if every stage certifies; a stage that
+raises is reported as failed and the others still run.  The working
 precision is the library's own (evalnum.DEFAULT_PREC, raised by the
-precision ladders where a sign is not decided); no option sets it.
+oscillation check's precision ladder where an angle is not decided); no
+option sets it.
 """
 
 import argparse
 import sys
 import time
+import traceback
 
 from millerzeros import certify, zeros
 from millerzeros.miller import miller_form
@@ -19,8 +22,15 @@ MRL_PAIRS = ((192, 1), (240, 2), (360, 10))
 
 
 def stage(label, fn):
+    """Run one stage and print its line; a stage that raises fails with
+    the exception's name and message (its traceback goes to stderr), and
+    the next stage still runs."""
     t0 = time.perf_counter()
-    ok, detail = fn()
+    try:
+        ok, detail = fn()
+    except Exception as exc:
+        traceback.print_exc()
+        ok, detail = False, f"{type(exc).__name__}: {exc}"
     dt = time.perf_counter() - t0
     print(f"[{'ok' if ok else 'FAIL'}] {label:<24} {detail} ({dt:.1f}s)")
     return ok

@@ -901,28 +901,34 @@ def _theta_mpf(p) -> mpf:
     return lo if t < lo else hi
 
 
+def _phase_units(pt: _Point, n: int) -> tuple:
+    """(x, y, units): (c + i s)^n, n >= 1, as n - 1 floored products, within
+    units = n (upad + 3) of e^(i n theta) at every angle of the arc point:
+    each product adds upad, under 2 units of floors and one of error growth."""
+    P, c, s = pt.P, pt.c, pt.s
+    x, y = c, s
+    for _ in range(n - 1):
+        x, y = (x * c - y * s) >> P, (x * s + y * c) >> P
+    return x, y, n * (pt.upad + 3)
+
+
 def _arc_eisenstein(pt: _Point, k: int, trunc: int) -> CertValue:
     """e2, e4 or e6 (k = 2, 4 or 6): the real e^(i k theta / 2) E_k, less
     3 i / pi for k = 2, at the arc point.
 
     E_k to q^trunc is one _horner at q on the disk of radius pad, widened
-    by EisensteinTail at r + pad.  The phase u^n, u = c + i s and n = k/2,
-    is n - 1 floored products of the held c + i s, within upad of u; each
-    adds upad for that, under 2 units for its floors and one for the growth
-    of the error made, so the phase is within n (upad + 3), and the floored
-    real part of phase times E_k within n (upad + 3) |E_k| plus E_k's
-    radius plus one unit, as |u^n| = 1.  The imaginary part must be 0, or
-    for k = 2 the cached 3/pi (within 2 units, so e2 takes 2 more), within
-    the radius: Im(e^(i theta) E_2) = 3/pi on the arc.
+    by EisensteinTail at r + pad.  With the phase from _phase_units at
+    n = k/2, the floored real part of phase times E_k is within its units
+    times |E_k| plus E_k's radius plus one unit, as |u^n| = 1.  The
+    imaginary part must be 0, or for k = 2 the cached 3/pi (within 2
+    units, so e2 takes 2 more), within the radius: Im(e^(i theta) E_2) =
+    3/pi on the arc.
     """
     P = pt.P
     a, b, units = _horner(qseries.eisenstein(k, trunc).coeffs, pt.qx, pt.qy, pt.pad, P)
     units += _tail_units(EisensteinTail(k), trunc, pt) + 1
-    c, s = pt.c, pt.s
-    x, y = c, s
-    for _ in range(k // 2 - 1):
-        x, y = (x * c - y * s) >> P, (x * s + y * c) >> P
-    units += -(-(k // 2) * (pt.upad + 3) * (isqrt(a * a + b * b) + 1) >> P)
+    x, y, spread = _phase_units(pt, k // 2)
+    units += -(-spread * (isqrt(a * a + b * b) + 1) >> P)
     im = (x * b + y * a) >> P
     if k == 2:
         im, units = im - _three_over_pi_units(P), units + 2

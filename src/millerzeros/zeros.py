@@ -5,22 +5,23 @@ Two independent mechanisms see every zero:
   * exact Sturm-chain isolation of the Faber polynomial over the
     rationals, which decides "all roots real, simple, inside [0, 1728]"
     as a theorem-grade statement;
-  * certified sign changes of the real arc function
-    G(theta) = e^(i k theta / 2) g_{k,m}(e^(i theta)) sampled at the
-    angles where h(theta) = k theta / 2 + 2 pi m cos theta crosses
-    multiples of pi.  On the arc G = delta_arc^ell e4^a e6^b F(j) and
-    the first two factors have certified signs, so each sample is one
-    certified j(theta) enclosure at a precision independent of k plus
-    two exact integer signs of F at short dyadics just outside it; one
-    count of their sign changes against deg F proves every sample's sign
-    at once (_counted_signs).  Only when that count fails is each sample
-    certified alone by a Taylor model of F on its enclosure
-    (IntPolynomial.sign_on).
+  * certified sign changes of F inside the j-image of the angle
+    intervals between the samples where h(theta) = k theta / 2 + 2 pi m
+    cos theta crosses multiples of pi.  j is a decreasing bijection of
+    the arc onto [0, 1728], so for angles a < b with certified j
+    enclosures [lo_a, hi_a] and [lo_b, hi_b], j((a, b)) holds
+    [hi_b, lo_a]; opposite exact signs of F at two points there
+    (IntPolynomial.sign_at) put a zero of g_{k,m} = Delta^ell E_k' F(j)
+    in (a, b), whatever the signs of its other factors.  Each sample
+    costs one certified j(theta) enclosure at DEFAULT_PREC; one count of
+    F's sign changes at short dyadics around them against deg F decides
+    every interval at once (_separated_signs), and only when that count
+    fails is each interval decided alone (_sign_change_inside).
 
 refine_arc_zero narrows a bracket by bisection on an uncertified sign,
-F at the double j of evalnum.arc_j_float, and certifies only the two
-ends of the cell it ends in; certified bisection runs only when those
-two signs agree.
+F at the double j of evalnum.arc_j_float, and certifies only the cell it
+ends in, by _sign_change_inside; bisection on F's exact sign at each
+angle's j enclosure runs only when that fails.
 
 The j-images of the arc brackets must land in the Faber isolating
 intervals, and the valence formula must reconcile exactly; both checks
@@ -50,7 +51,7 @@ from functools import lru_cache
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import mpf_cos_sin
 
-from .evalnum import DEFAULT_PREC, _corner_angles, _exact, arc_j, arc_j_float
+from .evalnum import _corner_angles, _exact, arc_j, arc_j_float
 from .miller import IntPolynomial, MillerForm, miller_form
 from .qseries import EISENSTEIN_FACTORS, EXTRA_WEIGHTS, FormId
 
@@ -58,12 +59,8 @@ ROOT_WIDTH = Fraction(1728, 10 ** 6)    # default isolating interval width
 
 
 class InconclusiveSignError(ArithmeticError):
-    """An arc sample's magnitude fell inside its error radius."""
-
-    def __init__(self, theta, attempt):
-        super().__init__(f"sign not certified at theta={theta} (attempt {attempt})")
-        self.theta = theta
-        self.attempt = attempt
+    """The j enclosures of two arc angles overlap, so no sign change of F
+    between them can be certified."""
 
 
 class TheoremViolationError(AssertionError):
@@ -111,8 +108,12 @@ def _changes(signs) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _sign(p: IntPolynomial, x: Fraction) -> int:
+    return p.sign_at(x.numerator, x.denominator)
+
+
 def _sign_changes(chain: list, x: Fraction) -> int:
-    return _changes(c.sign_at(x.numerator, x.denominator) for c in chain)
+    return _changes(_sign(c, x) for c in chain)
 
 
 def _roots_in_closed(chain: list, lo: Fraction, hi: Fraction) -> int:
@@ -122,7 +123,7 @@ def _roots_in_closed(chain: list, lo: Fraction, hi: Fraction) -> int:
     so V(lo) - V(hi) counts (lo, hi] even when an end is a root.
     """
     return (_sign_changes(chain, lo) - _sign_changes(chain, hi)
-            + (chain[0].sign_at(lo.numerator, lo.denominator) == 0))
+            + (_sign(chain[0], lo) == 0))
 
 
 def cauchy_bound(p: IntPolynomial) -> Fraction:
@@ -336,60 +337,22 @@ class HFunction:
 # certified arc localization
 
 
-_J_LADDER = (1, 2, 4, 8)         # multiples of DEFAULT_PREC for the certified j
-
-
-def _arc_flip(form: MillerForm) -> int:
-    """(-1)^(ell + a): sign G = _arc_flip(form) sign F(j) on the open arc."""
-    a, _ = EISENSTEIN_FACTORS[form.id.kprime]
-    return -1 if (form.id.ell + a) % 2 else 1
+def _j_ends(theta) -> tuple:
+    """(lo, hi): the exact ends of arc_j's enclosure of j(theta) at DEFAULT_PREC."""
+    jv = arc_j(theta)
+    mid, radius = _exact(jv.value), _exact(jv.err)
+    return mid - radius, mid + radius
 
 
 def _float_arc_sign(form: MillerForm, theta) -> int:
-    """Sign of G(theta) from the double j of arc_j_float; uncertified.
+    """Sign of F at the double j of arc_j_float; uncertified.
 
     F's sign is exact at the rational value n / d of that double
     (IntPolynomial.sign_at), so only the double itself can be wrong.
     refine_arc_zero uses it to pick the cell that it then certifies.
     """
     n, d = arc_j_float(theta).as_integer_ratio()
-    return _arc_flip(form) * form.faber.sign_at(n, d)
-
-
-def _at_corner(form: MillerForm, theta) -> bool:
-    """Whether theta is within a few ulp of a corner where e4^a e6^b vanishes.
-
-    There the sign of G's Eisenstein factor is not certified, so no sample
-    there is decided.
-    """
-    a, b = EISENSTEIN_FACTORS[form.id.kprime]
-    with workprec(DEFAULT_PREC + 16):
-        t, tol = mpf(theta), mpf(2) ** (8 - mp.prec)
-        lo, hi = _corner_angles(mp.prec)
-        return bool((a and t >= hi - tol) or (b and t <= lo + tol))
-
-
-def _certified_arc_sign(form: MillerForm, theta) -> int:
-    """Sign of G(theta) through F(j(theta)); 0 is never returned.
-
-    On the arc G = delta_arc^ell e4^a e6^b F(j) with E_k' = E_4^a E_6^b,
-    where delta_arc < 0 on the closed arc, e4 < 0 on [pi/2, 2 pi/3) and
-    e6 > 0 on (pi/2, 2 pi/3]; so sign G = (-1)^(ell + a) sign F on the
-    certified j-enclosure, decided exactly by IntPolynomial.sign_on.  An
-    angle _at_corner has no certified factor sign and raises.  j starts at
-    DEFAULT_PREC and climbs _J_LADDER while the sign is not decided.
-    """
-    if _at_corner(form, theta):
-        raise InconclusiveSignError(float(theta), 0)
-    flip = _arc_flip(form)
-    for scale in _J_LADDER:
-        jv = arc_j(theta, prec=scale * DEFAULT_PREC)
-        radius = _exact(jv.err)
-        if radius < 1:
-            s = form.faber.sign_on(_exact(jv.value), radius)
-            if s != 0:
-                return flip * s
-    raise InconclusiveSignError(float(theta), len(_J_LADDER))
+    return form.faber.sign_at(n, d)
 
 
 def _least_dyadic(a: Fraction, b: Fraction):
@@ -405,6 +368,26 @@ def _least_dyadic(a: Fraction, b: Fraction):
         if n * den < hi << e:
             return Fraction(n, 1 << e)
         e += 1
+
+
+def _sign_change_inside(p: IntPolynomial, ends_a: tuple, ends_b: tuple) -> bool:
+    """Whether p has opposite exact signs at two points of [hi_b, lo_a].
+
+    ends_a = (lo_a, hi_a) and ends_b = (lo_b, hi_b) are the j enclosures
+    (_j_ends) of two arc angles a < b.  j is continuous and strictly
+    decreasing on the arc, so j((a, b)) holds [hi_b, lo_a]: a sign change
+    of the Faber polynomial p = F there puts a root of F in j((a, b)) and
+    a zero of g_{k,m} in (a, b).  The points tried are the least dyadics
+    (_least_dyadic) within 2^-32 of the gap of each end, whose short
+    integers keep sign_at cheap, and then the ends themselves.  Raises
+    InconclusiveSignError when the enclosures overlap.
+    """
+    lo_a, hi_b = ends_a[0], ends_b[1]
+    if hi_b >= lo_a:
+        raise InconclusiveSignError(f"the j enclosures overlap: {float(hi_b)} >= {float(lo_a)}")
+    step = (lo_a - hi_b) / (1 << 32)
+    near = (_least_dyadic(lo_a - step, lo_a), _least_dyadic(hi_b, hi_b + step))
+    return any(_sign(p, x_a) * _sign(p, x_b) < 0 for x_a, x_b in (near, (lo_a, hi_b)))
 
 
 def _separated_signs(p: IntPolynomial, pairs):
@@ -431,8 +414,7 @@ def _separated_signs(p: IntPolynomial, pairs):
         v, u = pair
         if not v > u or (last is not None and v >= last):
             return None
-        s_v = p.sign_at(v.numerator, v.denominator)
-        s_u = p.sign_at(u.numerator, u.denominator)
+        s_v, s_u = _sign(p, v), _sign(p, u)
         if s_v == 0 or s_v != s_u:
             return None
         if signs and s_v != signs[-1]:
@@ -442,11 +424,11 @@ def _separated_signs(p: IntPolynomial, pairs):
     return signs if changes == p.degree else None
 
 
-def _separators(thetas: list):
+def _separators(thetas: list, ends: list):
     """Short dyadics (v_i, u_i) around j(theta_i) at the increasing angles thetas.
 
-    With [lo_i, hi_i] the certified j enclosure of theta_i (arc_j at
-    DEFAULT_PREC), v_i is the least-denominator dyadic in (hi_i, J+_i)
+    With (lo_i, hi_i) = ends[i] the certified j enclosure of theta_i
+    (_j_ends), v_i is the least-denominator dyadic in (hi_i, J+_i)
     nearest hi_i, and u_i the same in (J-_i, lo_i) nearest lo_i; None
     when a window is empty.  J+_i and J-_i are the exact values of
     arc_j_float a quarter of the angle gap before and after theta_i (to
@@ -458,66 +440,49 @@ def _separators(thetas: list):
     certificate.  Yields lazily, so a failing certificate stops early.
     """
     t = [float(x) for x in thetas]
-    ends = [math.pi / 2] + t + [2 * math.pi / 3]
-    for i, theta in enumerate(thetas):
-        jv = arc_j(theta)
-        mid, radius = _exact(jv.value), _exact(jv.err)
-        lo, hi = mid - radius, mid + radius
-        back, ahead = t[i] - ends[i], ends[i + 2] - t[i]
+    edges = [math.pi / 2] + t + [2 * math.pi / 3]
+    for i, (lo, hi) in enumerate(ends):
+        back, ahead = t[i] - edges[i], edges[i + 2] - t[i]
         top = Fraction(arc_j_float(t[i] - back / 4)) if back > 0 else hi + 1
         bottom = Fraction(arc_j_float(t[i] + ahead / 4)) if ahead > 0 else lo - 1
         v, u = _least_dyadic(hi, top), _least_dyadic(-lo, -bottom)
         yield None if v is None or u is None else (v, -u)
 
 
-def _counted_signs(form: MillerForm, thetas: list):
-    """Certified signs of G at the increasing angles thetas, or None.
-
-    F's signs around each j(theta_i) come from one sign-change count
-    (_separated_signs on the _separators of thetas), and sign G(theta_i) =
-    _arc_flip(form) sign F(j(theta_i)) as in _certified_arc_sign.  A
-    Faber root at 0 or 1728 or off the arc leaves fewer changes than
-    deg F, so such a form returns None, as does one with fewer samples
-    than deg F + 1 or a sample _at_corner.
-    """
-    if len(thetas) <= form.faber.degree or any(_at_corner(form, t) for t in thetas):
-        return None
-    signs = _separated_signs(form.faber, _separators(thetas))
-    if signs is None:
-        return None
-    flip = _arc_flip(form)
-    return [flip * s for s in signs]
-
-
 def arc_zero_localize(form: MillerForm) -> list | None:
     """Bracketing angle intervals for the arc zeros of g_{k,m}.
 
-    Samples G at the h-multiple angles; each certified sign change
-    brackets at least one zero, and under the oscillation estimate the
-    signs alternate so exactly ell - m brackets appear.  Angles whose
-    sample sits at a corner zero of the form (an exact Faber root at 0
-    or 1728) are skipped rather than certified.  The signs come from one
-    sign-change count (_counted_signs); only when that certificate fails
-    is each sample certified alone (_certified_arc_sign).  A form with
-    nontrivial zeros and k <= 4 pi m has no sample angles (h is not
-    monotone) and returns None: not sampled.
+    Samples j at the h-multiple angles (one _j_ends each), skipping a
+    corner whose j is an exact Faber root; a pair of neighbours with a
+    certified sign change of F between their enclosures brackets at least
+    one zero (_sign_change_inside), and under the oscillation estimate
+    exactly ell - m brackets appear.  One sign-change count
+    (_separated_signs on the _separators) decides every pair at once: u_i
+    and v_(i+1) are points of the gap with F's signs at samples i and
+    i + 1.  A Faber root at 0, 1728 or off the arc, or fewer samples than
+    deg F + 1, fails the count, and then each pair is decided alone.  A
+    form with nontrivial zeros and k <= 4 pi m has no sample angles (h is
+    not monotone) and returns None: not sampled.
     """
     fid = form.id
-    if form.faber.degree <= 0:
+    p = form.faber
+    if p.degree <= 0:
         return []
     h = HFunction(fid.k, fid.m)
     if not h.monotone:
         return None
-    skip_i = form.faber(1728) == 0
-    skip_rho = form.faber(0) == 0
+    skip_i = p(1728) == 0
+    skip_rho = p(0) == 0
     thetas = [theta for n, theta in h.sample_angles()
               if not (skip_i and 4 * n == fid.k)
               and not (skip_rho and 3 * n == fid.k - 3 * fid.m)]
-    signs = _counted_signs(form, thetas)
+    ends = [_j_ends(theta) for theta in thetas]
+    signs = _separated_signs(p, _separators(thetas, ends)) if len(thetas) > p.degree else None
     if signs is None:
-        signs = [_certified_arc_sign(form, theta) for theta in thetas]
-    return [(float(t1), float(t2))
-            for t1, t2, s1, s2 in zip(thetas, thetas[1:], signs, signs[1:]) if s1 != s2]
+        changes = [_sign_change_inside(p, a, b) for a, b in zip(ends, ends[1:])]
+    else:
+        changes = [s != r for s, r in zip(signs, signs[1:])]
+    return [(float(a), float(b)) for a, b, c in zip(thetas, thetas[1:], changes) if c]
 
 
 def _bisect_arc(lo, hi, width, sign) -> tuple:
@@ -538,23 +503,26 @@ def _bisect_arc(lo, hi, width, sign) -> tuple:
 
 
 def refine_arc_zero(form: MillerForm, lo: float, hi: float, width: float = 1e-5) -> tuple:
-    """Shrink a sign-change bracket to a certified sign-change cell of width <= width.
+    """Shrink a sign-change bracket (lo < hi, else ValueError) to a
+    certified sign-change cell of width <= width.
 
-    The bisection first runs on the double-precision sign _float_arc_sign,
-    and only the two ends of the cell it ends in are certified
-    (_certified_arc_sign).  If their signs differ, that cell is returned:
-    with one zero in the bracket it is the one leaf of the bisection tree
-    that holds the zero, which is where bisection on certified signs ends
-    too.  Otherwise the same bisection runs again from [lo, hi] on
-    certified signs.  A final cell whose certified end signs agree means
-    the bracket holds no certified sign change, and raises ValueError.
+    Bisection runs on the double-precision sign _float_arc_sign, and only
+    the cell it ends in is certified, by _sign_change_inside on the j
+    enclosures of its ends.  With one zero in the bracket that is the one
+    leaf of the bisection tree holding the zero, where bisection on true
+    signs ends too.  Otherwise the bisection runs again on F's exact sign
+    at each angle's lower j end, and a cell that still holds no certified
+    sign change raises ValueError.
     """
+    if not lo < hi:
+        raise ValueError(f"the bracket [{float(lo)!r}, {float(hi)!r}] is empty or reversed")
+    p = form.faber
+    ends = lru_cache(maxsize=None)(_j_ends)
     lo, hi = mpf(lo), mpf(hi)
-    certified = lru_cache(maxsize=None)(lambda t: _certified_arc_sign(form, t))
     a, b = _bisect_arc(lo, hi, width, lambda t: _float_arc_sign(form, t))
-    if certified(a) == certified(b):
-        a, b = _bisect_arc(lo, hi, width, certified)
-        if certified(a) == certified(b):
+    if not _sign_change_inside(p, ends(a), ends(b)):
+        a, b = _bisect_arc(lo, hi, width, lambda t: _sign(p, ends(t)[0]))
+        if not _sign_change_inside(p, ends(a), ends(b)):
             raise ValueError(f"no certified sign change of g_{{{form.id.k},{form.id.m}}} "
                              f"in the bracket [{float(lo)!r}, {float(hi)!r}]")
     return (float(a), float(b))
@@ -564,13 +532,13 @@ def j_of_angle(interval) -> tuple:
     """Certified rational enclosure of j(e^{i theta}) over an angle interval.
 
     j is strictly decreasing along the arc, so the image is spanned by
-    the endpoint evaluations widened by their radii.  Values and radii
-    convert to Fraction exactly, so the enclosure has no rounding at all.
+    the endpoint enclosures (_j_ends), exact rationals with no rounding
+    at all.  A reversed interval (lo > hi) raises ValueError.
     """
     lo, hi = interval if isinstance(interval, tuple) else (interval, interval)
-    top = arc_j(lo)
-    bot = arc_j(hi)
-    return (_exact(bot.value) - _exact(bot.err), _exact(top.value) + _exact(top.err))
+    if lo > hi:
+        raise ValueError(f"reversed angle interval [{lo!r}, {hi!r}]")
+    return _j_ends(hi)[0], _j_ends(lo)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +661,11 @@ def verify_theorem_m1(max_ell: int = 14) -> list:
 
     Covers every extra weight, 6 forms per ell.  Combined with the
     oscillation estimate for ell >= 15 this machine-checks the full
-    on-arc statement for m = 1.
+    on-arc statement for m = 1.  max_ell < 1 checks no form and raises
+    ValueError.
     """
+    if max_ell < 1:
+        raise ValueError(f"max_ell must be at least 1, got {max_ell}")
     ks = sorted(12 * ell + kp for ell in range(1, max_ell + 1)
                 for kp in EXTRA_WEIGHTS)
     out = []

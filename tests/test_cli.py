@@ -156,6 +156,13 @@ def test_verify_thm2_text(capsys):
     assert all(line.endswith("PASS") for line in lines)
 
 
+@pytest.mark.parametrize("max_ell", ["0", "-3"])
+def test_verify_thm2_rejects_a_sweep_of_no_form(capsys, max_ell):
+    code, out, err = run(capsys, "verify-thm2", "--max-ell", max_ell)
+    assert code == 2 and out == ""
+    assert "max_ell" in err
+
+
 def test_mrl_check_json(capsys):
     code, out, _ = run(capsys, "mrl-check", "--k", "192", "--m", "1",
                        "--grid-step", "0.01")

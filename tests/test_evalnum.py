@@ -11,12 +11,12 @@ from mpmath import mp, mpf, mpc, workprec
 from millerzeros.qseries import (EISENSTEIN_FACTORS, QSeries, _pentagonal_euler_product, delta,
                                  eisenstein, jfunction)
 from millerzeros.miller import miller_form
-from millerzeros.zeros import _J_LADDER, HFunction
+from millerzeros.zeros import HFunction
 from conftest import (JCoeffTail, complex_poly, oracle_phase, separate_q_arc_functions,
                       separate_q_form, separate_q_series)
 from millerzeros.evalnum import (
     DEFAULT_PREC, _GUARD, CertValue, NotRealError, TailUnboundedError, _TAIL_SLACK, _Point,
-    _abs_up, _arc_eisenstein, _corner_angles, _corner_window, _exact, _j_tail_units, _theta_mpf,
+    _abs_up, _arc_eisenstein, _corner_angles, _phase_units, _corner_window, _exact, _j_tail_units, _theta_mpf,
     _span, _two_pi,
     EisensteinTail, EtaProductTail, j_tail_bound,
     eval_poly, eval_series, eval_delta_eta,
@@ -764,7 +764,7 @@ def test_point_holds_q_on_its_segment_or_interval(on_arc, where, log_width, at, 
             assert abs(mpc(ix, iy) * unit - 1 / q) <= ipad * unit
 
 
-J_PRECS = tuple(scale * DEFAULT_PREC for scale in _J_LADDER)
+J_PRECS = tuple(scale * DEFAULT_PREC for scale in (1, 2, 4, 8))
 
 
 @settings(max_examples=40, deadline=None)
@@ -818,6 +818,26 @@ def test_arc_eisenstein_holds_the_series_at_400_more_bits(theta, prec):
         with workprec(prec + _GUARD):
             short = _arc_eisenstein(pt, k, 8)       # the tail is most of its radius
         assert abs(short.value - ref.value) <= short.err + ref.err
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(math.pi / 2, 2 * math.pi / 3), st.sampled_from((1, 2, 3)),
+       st.sampled_from((65, 140, 268)), st.one_of(st.just(0.0), st.floats(1e-9, 1e-3)))
+@example(theta=CORNERS[0], n=3, prec=140, width=0.0)
+@example(theta=CORNERS[1], n=2, prec=140, width=0.0)
+def test_phase_units_hold_the_phase_at_400_more_bits(theta, n, prec, width):
+    # the integer product (c + i s)^n that e2, e4 and e6 turn by, read in
+    # units of 2^-P against e^(i n t) at 400 more bits: within its units at
+    # the point's angle, and for a point of half-width h at both ends too
+    with workprec(prec + _GUARD):
+        lo, hi = _corner_angles(mp.prec)
+        a = min(max(_theta_mpf(theta), lo), hi - mpf(width))
+        mid, h = _span(a, a + mpf(width))
+        pt = _Point(mid, h=h)
+        x, y, units = _phase_units(pt, n)
+    with workprec(prec + 400):
+        for t in {mid, mid - h, mid + h}:
+            assert abs(mpc(x, y) - mp.expj(n * t) * 2 ** pt.P) <= units
 
 
 @settings(max_examples=30, deadline=None)

@@ -52,14 +52,14 @@ def test_arc_zeros_matches_the_benchmark_reference(work):
 def test_every_pinned_localize_bracket_matches_the_benchmark_reference(work, monkeypatch):
     # all 34 weights, the four large ones included: a moved bracket anywhere
     # in the pool fails here before any seed draws it; and the sign-change
-    # count certifies every sample, so no sample is certified alone
-    alone, inner = [], zeros._certified_arc_sign
+    # count decides every pair of samples, so no pair is certified alone
+    alone, inner = [], zeros._sign_change_inside
 
-    def counted(form, theta):
-        alone.append(form.id.k)
-        return inner(form, theta)
+    def counted(p, ends_a, ends_b):
+        alone.append(p.degree)
+        return inner(p, ends_a, ends_b)
 
-    monkeypatch.setattr(zeros, "_certified_arc_sign", counted)
+    monkeypatch.setattr(zeros, "_sign_change_inside", counted)
     brackets = json.loads(work.REFERENCE.read_text())["arc_brackets"]
     assert len(brackets) == 34
     assert _failed_verdicts(work, [["localize", int(k), 1] for k in brackets]) == []

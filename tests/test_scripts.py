@@ -22,6 +22,33 @@ def test_run_verification_help():
     assert "--grid-step" in done.stdout
 
 
+def test_run_verification_reports_a_stage_that_raises():
+    # the sweep raises TheoremViolationError: its stage fails with the
+    # exception's name and message, the later stages still run, and the
+    # script exits 1 after its summary; the traceback goes to stderr
+    driver = "\n".join([
+        "import runpy, sys",
+        "from millerzeros import zeros",
+        "from millerzeros.qseries import FormId",
+        "def sweep(max_ell):",
+        "    raise zeros.TheoremViolationError(FormId.from_k(48, 1), 'planted failure')",
+        "zeros.verify_theorem_m1 = sweep",
+        "sys.argv = ['run_verification.py', '--grid-step', '0.05']",
+        f"runpy.run_path({str(SCRIPTS / 'run_verification.py')!r}, run_name='__main__')",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", driver], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 1, done.stderr
+    assert "TheoremViolationError" in done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split()[0] for line in lines[:4]] == ["[ok]", "[FAIL]", "[ok]", "[ok]"]
+    assert "m=1 sweep" in lines[1]
+    assert "TheoremViolationError: g_{48,1}: planted failure" in lines[1]
+    assert lines[-1] == "FAILURES above"
+
+
 def test_export_arc_curves_writes_four_csvs(tmp_path):
     done = run_script("export_arc_curves.py", "--step", "0.05", "--outdir", str(tmp_path))
     assert done.returncode == 0, done.stderr

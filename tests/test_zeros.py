@@ -10,13 +10,14 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, workprec
 
 from millerzeros.qseries import EISENSTEIN_FACTORS, FormId
-from millerzeros.evalnum import arc_functions, arc_j, form_arc_prec
+from millerzeros.evalnum import DEFAULT_PREC, arc_functions, arc_j
 from millerzeros import evalnum, zeros
 from millerzeros.miller import IntPolynomial, miller_form
+from conftest import direct_arc_form
 from millerzeros.zeros import (
-    ROOT_WIDTH, InconclusiveSignError, TheoremViolationError, _certified_arc_sign, _exact,
-    _counted_signs, _separated_signs, _separators,
-    _bisect, _reduced, _roots_in_closed, _squarefree_chain, sturm_chain, real_root_census,
+    ROOT_WIDTH, InconclusiveSignError, TheoremViolationError, _exact, _j_ends,
+    _separated_signs, _separators, _sign_change_inside,
+    _bisect, _reduced, _squarefree_chain, real_root_census,
     cauchy_bound,
     HFunction, arc_zero_localize, refine_arc_zero, j_of_angle, _bisect_arc,
     trivial_orders, ZeroReport, zero_report, valence_reconcile,
@@ -91,50 +92,6 @@ def test_exact_div_rejects_inexact():
         IntPolynomial.make([1, 0, 1]).exact_div(IntPolynomial.make([-1, 1]))
     with pytest.raises(ArithmeticError):        # rational but not integral
         IntPolynomial.make([0, 0, 1]).exact_div(IntPolynomial.make([1, 2]))
-
-
-def _assert_sign_on_sound(p, c, r):
-    """A decided sign_on holds at both ends and the middle, with no root between."""
-    s = p.sign_on(c, r)
-    if s != 0:
-        assert _sign_at(p, c - r) == _sign_at(p, c) == _sign_at(p, c + r) == s
-        assert _roots_in_closed(sturm_chain(p), c - r, c + r) == 0
-    return s
-
-
-@settings(max_examples=60, deadline=None)
-@given(COEFFS, st.integers(-2 ** 12, 2 ** 12), st.integers(0, 10),
-       st.integers(0, 2 ** 10 - 1))
-def test_sign_on_sound_dense(coeffs, num, e, rad):
-    _assert_sign_on_sound(IntPolynomial.make(coeffs), Fraction(num, 2 ** e),
-                          Fraction(rad, 2 ** 10))
-
-
-@settings(max_examples=60, deadline=None)
-@given(ROOTS, st.integers(1, 30), st.integers(-2 ** 12, 2 ** 12), st.integers(0, 2 ** 10 - 1))
-def test_sign_on_sound_known_roots(roots, c2, num, rad):
-    p = poly_from_roots(roots, extra=IntPolynomial.make([c2, 0, 1]))
-    c, r = Fraction(num, 2 ** 6), Fraction(rad, 2 ** 10)
-    s = _assert_sign_on_sound(p, c, r)
-    if any(c - r <= x <= c + r for x in roots):
-        assert s == 0
-
-
-def test_sign_on_root_inside_and_near():
-    p = poly_from_roots([1, 2])
-    # both ends positive, two roots between: equal end signs decide nothing
-    assert p.sign_at(5, 8) == p.sign_at(19, 8) == 1
-    assert p.sign_on(Fraction(3, 2), Fraction(7, 8)) == 0
-    assert p.sign_on(Fraction(1), Fraction(0)) == 0
-    assert p.sign_on(Fraction(3, 2), Fraction(1, 4)) == -1
-    # a root 2^-100 beyond an interval of radius 2^-120 about 1
-    near = IntPolynomial.make([-(2 ** 100 + 1), 2 ** 100]) * IntPolynomial.make([-5, 1])
-    assert near.sign_on(Fraction(1), Fraction(1, 2 ** 120)) == 1
-    assert near.sign_on(Fraction(1) + Fraction(1, 2 ** 100), Fraction(1, 2 ** 120)) == 0
-    with pytest.raises(ValueError):
-        p.sign_on(Fraction(1), Fraction(1))
-    with pytest.raises(ValueError):
-        p.sign_on(Fraction(1, 3), Fraction(0))
 
 
 def test_primitive_scaling():
@@ -392,43 +349,81 @@ def test_arc_zero_localize_degree_zero():
     assert arc_zero_localize(miller_form(16, 1)) == []
 
 
-@pytest.mark.parametrize("kprime", sorted(EISENSTEIN_FACTORS))
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_certified_arc_sign_matches_direct_evaluation(kprime, m, direct_arc):
-    # sign of F(j) times the factor signs against the complex Delta^ell E_k' F(j)
-    form = miller_form(12 * (m + 4) + kprime, m)
+def _sampled(form) -> list:
+    """The angles arc_zero_localize samples: no corner with an exact Faber root."""
     fid = form.id
     skip_i, skip_rho = form.faber(1728) == 0, form.faber(0) == 0
-    checked = 0
-    for n, theta in HFunction(fid.k, m).sample_angles():
-        if (skip_i and 4 * n == fid.k) or (skip_rho and 3 * n == fid.k - 3 * m):
-            continue
-        want = direct_arc(form, theta, prec=form_arc_prec(fid.ell, m)).certified_sign()
-        assert want != 0
-        assert _certified_arc_sign(form, theta) == want
-        checked += 1
-    assert checked >= fid.ell - m
+    return [t for n, t in HFunction(fid.k, fid.m).sample_angles()
+            if not (skip_i and 4 * n == fid.k) and not (skip_rho and 3 * n == fid.k - 3 * fid.m)]
 
 
-def test_certified_arc_sign_refuses_corners():
-    # E_6 vanishes at i (g_{54,1}, k' = 6) and E_4 at rho (g_{52,1}, k' = 4);
-    # the float pi/2 lies below i and is clamped onto it
-    with workprec(300):
-        at_i, at_rho = mp.pi / 2, 2 * mp.pi / 3
-    for theta in (math.pi / 2, at_i):
+def _direct_sign(form, theta) -> int:
+    """The sign of G(theta) from the 400-bit direct oracle, never 0."""
+    s = direct_arc_form(form, theta, prec=400).certified_sign()
+    assert s != 0, (form.id, theta)
+    return s
+
+
+def _per_sample_brackets(form) -> list:
+    """The brackets from the direct oracle's sign at each sample."""
+    thetas = _sampled(form)
+    signs = [_direct_sign(form, t) for t in thetas]
+    return [(float(a), float(b)) for a, b, s, r in zip(thetas, thetas[1:], signs, signs[1:])
+            if s != r]
+
+
+def _per_pair_brackets(form) -> list:
+    """The brackets from _sign_change_inside on each pair of neighbouring samples."""
+    thetas = _sampled(form)
+    ends = [_j_ends(t) for t in thetas]
+    return [(float(a), float(b)) for a, b, e, f in zip(thetas, thetas[1:], ends, ends[1:])
+            if _sign_change_inside(form.faber, e, f)]
+
+
+@pytest.mark.parametrize("kprime", sorted(EISENSTEIN_FACTORS))
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_certified_arc_sign_matches_direct_evaluation(kprime, m):
+    # a certified sign change of F between two samples' j enclosures against a
+    # change of the complex Delta^ell E_k' F(j), pair by pair
+    form = miller_form(12 * (m + 4) + kprime, m)
+    thetas = _sampled(form)
+    ends = [_j_ends(t) for t in thetas]
+    signs = [_direct_sign(form, t) for t in thetas]
+    for e, f, s, r in zip(ends, ends[1:], signs, signs[1:]):
+        assert _sign_change_inside(form.faber, e, f) == (s != r)
+    assert sum(s != r for s, r in zip(signs, signs[1:])) == form.id.ell - m
+
+
+def test_sign_change_inside_rejects_overlapping_enclosures():
+    p = IntPolynomial.make([-5, 1])
+    assert _sign_change_inside(p, (Fraction(7), Fraction(8)), (Fraction(2), Fraction(3)))
+    assert not _sign_change_inside(p, (Fraction(7), Fraction(8)), (Fraction(5), Fraction(6)))
+    # a root inside an enclosure, not in the gap, certifies nothing
+    inside = IntPolynomial.make([-15, 2])
+    assert not _sign_change_inside(inside, (Fraction(7), Fraction(8)), (Fraction(2), Fraction(3)))
+    # the ends decide when the short dyadics sit past a root close to an end
+    near = IntPolynomial.make([-(2 ** 60 * 7 - 1), 2 ** 60])
+    assert _sign_change_inside(near, (Fraction(7), Fraction(8)), (Fraction(2), Fraction(3)))
+    for b in ((Fraction(6), Fraction(7)), (Fraction(6), Fraction(9))):
         with pytest.raises(InconclusiveSignError):
-            _certified_arc_sign(miller_form(54, 1), theta)
-    with pytest.raises(InconclusiveSignError):
-        _certified_arc_sign(miller_form(52, 1), at_rho)
-    # the other corner of each form has a certified factor sign
-    assert _certified_arc_sign(miller_form(54, 1), at_rho) != 0
-    assert _certified_arc_sign(miller_form(52, 1), at_i) != 0
-    # nor does the sign-change count decide a sample at such a corner,
-    # although F's count alone would pass
-    form = miller_form(54, 1)
-    thetas = [at_i] + _sampled(form)
-    assert _separated_signs(form.faber, _separators(thetas)) is not None
-    assert _counted_signs(form, thetas) is None
+            _sign_change_inside(p, (Fraction(7), Fraction(8)), b)
+
+
+@pytest.mark.parametrize("k, corner", [(54, "i"), (52, "rho")])
+def test_cells_at_a_corner_zero_certify_on_faber_signs(k, corner):
+    # E_6 vanishes at i (g_{54,1}, k' = 6) and E_4 at rho (g_{52,1}, k' = 4),
+    # so G has no sign there; the cell from the corner to the far end of the
+    # nearest bracket certifies on F's signs alone, refined or not
+    form = miller_form(k, 1)
+    with workprec(600):
+        at = mp.pi / 2 if corner == "i" else 2 * mp.pi / 3
+    assert direct_arc_form(form, at, prec=400).certified_sign() == 0
+    brackets = arc_zero_localize(form)
+    lo, hi = (at, brackets[0][1]) if corner == "i" else (brackets[-1][0], at)
+    assert _sign_change_inside(form.faber, _j_ends(lo), _j_ends(hi))
+    a, b = refine_arc_zero(form, lo, hi)
+    assert float(lo) <= a < b <= float(hi) and b - a <= 1e-5
+    assert _sign_change_inside(form.faber, _j_ends(a), _j_ends(b))
 
 
 def test_refine_arc_zero(form_48_1):
@@ -438,9 +433,16 @@ def test_refine_arc_zero(form_48_1):
     assert rhi - rlo <= 1e-5
 
 
+def test_refine_arc_zero_rejects_a_reversed_bracket(form_48_1):
+    lo, hi = arc_zero_localize(form_48_1)[0]
+    for a, b in ((hi, lo), (lo, lo)):
+        with pytest.raises(ValueError, match="empty or reversed"):
+            refine_arc_zero(form_48_1, a, b)
+
+
 def _certified_cell(form, lo, hi, width=1e-5):
-    """The cell bisection on certified signs alone ends in."""
-    a, b = _bisect_arc(mpf(lo), mpf(hi), width, lambda t: _certified_arc_sign(form, t))
+    """The cell bisection on the direct oracle's signs ends in."""
+    a, b = _bisect_arc(mpf(lo), mpf(hi), width, lambda t: _direct_sign(form, t))
     return float(a), float(b)
 
 
@@ -472,22 +474,69 @@ def test_arc_cells_golden(kind, k):
 
 
 def _count_certified(monkeypatch) -> list:
+    """Record every pair that _sign_change_inside decides."""
     calls = []
-    inner = zeros._certified_arc_sign
+    inner = zeros._sign_change_inside
 
-    def counted(form, theta):
-        calls.append(theta)
-        return inner(form, theta)
+    def counted(p, ends_a, ends_b):
+        calls.append((ends_a, ends_b))
+        return inner(p, ends_a, ends_b)
 
-    monkeypatch.setattr(zeros, "_certified_arc_sign", counted)
+    monkeypatch.setattr(zeros, "_sign_change_inside", counted)
     return calls
+
+
+def _count_points(monkeypatch) -> list:
+    """Record the arguments of every evalnum._Point built."""
+    points = []
+    init = evalnum._Point.__init__
+
+    def counted_init(self, *args, **kwargs):
+        points.append((args, kwargs))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(evalnum._Point, "__init__", counted_init)
+    return points
 
 
 def test_refine_arc_zero_certifies_only_the_final_cell(monkeypatch, form_48_1):
     lo, hi = arc_zero_localize(form_48_1)[1]
     calls = _count_certified(monkeypatch)
     refine_arc_zero(form_48_1, lo, hi)
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("k", [120, 398])
+def test_refine_arc_zero_builds_two_points_per_zero(monkeypatch, k):
+    # the float leaf certifies: one arc point for each end of the cell
+    form = miller_form(k, 1)
+    brackets = arc_zero_localize(form)
+    points = _count_points(monkeypatch)
+    calls = _count_certified(monkeypatch)
+    for lo, hi in brackets:
+        refine_arc_zero(form, lo, hi)
+    assert len(calls) == len(brackets)
+    assert len(points) == 2 * len(brackets)
+
+
+def test_zeros_takes_arc_j_at_the_default_precision_only(monkeypatch):
+    # over the arc-zeros pool no enclosure escalates: every arc_j is at DEFAULT_PREC
+    precs = []
+    inner = zeros.arc_j
+
+    def counted(p, prec=DEFAULT_PREC):
+        precs.append(prec)
+        return inner(p, prec)
+
+    monkeypatch.setattr(zeros, "arc_j", counted)
+    for k in POOL_WEIGHTS:
+        form = miller_form(k, 1)
+        brackets = arc_zero_localize(form)
+        assert len(brackets) == form.faber.degree
+        if k < 1000:
+            for lo, hi in brackets:
+                refine_arc_zero(form, lo, hi)
+    assert precs and set(precs) == {DEFAULT_PREC}
 
 
 @pytest.mark.parametrize("lie", ["constant", "negated"])
@@ -503,8 +552,8 @@ def test_refine_arc_zero_survives_a_lying_float_sign(monkeypatch, lie):
     assert [refine_arc_zero(form, lo, hi) for lo, hi in brackets] == want
     if lie == "constant":
         # it walks to the cell next to hi, which holds no zero: the
-        # certified bisection had to run
-        assert len(calls) > 2 * len(brackets)
+        # bisection on exact signs had to run
+        assert len(calls) == 2 * len(brackets)
 
 
 def test_refine_arc_zero_rejects_a_bracket_without_sign_change(form_48_1):
@@ -514,18 +563,13 @@ def test_refine_arc_zero_rejects_a_bracket_without_sign_change(form_48_1):
         refine_arc_zero(form_48_1, lo, (lo + (a + b) / 2) / 2)
 
 
-def _sampled(form) -> list:
-    """The angles arc_zero_localize samples: no corner with an exact Faber root."""
-    fid = form.id
-    skip_i, skip_rho = form.faber(1728) == 0, form.faber(0) == 0
-    return [t for n, t in HFunction(fid.k, fid.m).sample_angles()
-            if not (skip_i and 4 * n == fid.k) and not (skip_rho and 3 * n == fid.k - 3 * fid.m)]
-
-
-def _per_sample_brackets(form) -> list:
-    """The brackets from one _certified_arc_sign per sample."""
+def _counted_brackets(form):
+    """The brackets of the sign-change count alone, or None where it fails."""
     thetas = _sampled(form)
-    signs = [_certified_arc_sign(form, t) for t in thetas]
+    ends = [_j_ends(t) for t in thetas]
+    signs = _separated_signs(form.faber, _separators(thetas, ends))
+    if signs is None:
+        return None
     return [(float(a), float(b)) for a, b, s, r in zip(thetas, thetas[1:], signs, signs[1:])
             if s != r]
 
@@ -534,16 +578,16 @@ def _per_sample_brackets(form) -> list:
                                  for m in (1, 2, 3, 9) if 12 * m < k])
 def test_counted_signs_match_per_sample_signs(k, m):
     form = miller_form(k, m)
-    thetas = _sampled(form)
-    assert _counted_signs(form, thetas) == [_certified_arc_sign(form, t) for t in thetas]
+    assert _counted_brackets(form) == _per_sample_brackets(form)
 
 
 def test_counted_signs_match_per_sample_signs_at_large_weight():
+    # at k = 1900 the 400-bit oracle leaves signs undecided; the count
+    # agrees with _sign_change_inside on every pair instead
     form = miller_form(1900, 1)
-    thetas = _sampled(form)
-    signs = _counted_signs(form, thetas)
-    assert signs == [_certified_arc_sign(form, t) for t in thetas]
-    assert sum(a != b for a, b in zip(signs, signs[1:])) == form.faber.degree
+    brackets = _counted_brackets(form)
+    assert brackets == _per_pair_brackets(form)
+    assert len(brackets) == form.faber.degree
 
 
 def test_arc_zero_localize_certifies_no_sample_alone(monkeypatch, form_48_1):
@@ -555,15 +599,9 @@ def test_arc_zero_localize_certifies_no_sample_alone(monkeypatch, form_48_1):
 
 def test_localize_builds_one_q_point_per_sample(monkeypatch):
     # at k = 1924 every sample costs one arc point (its certified j) and no
-    # other q-point: the sign-change count decides every sign at once
+    # other q-point: the sign-change count decides every pair at once
     form = miller_form(1924, 1)
-    points = []
-    init = evalnum._Point.__init__
-
-    def counted_init(self, *args, **kwargs):
-        points.append((args, kwargs))
-        init(self, *args, **kwargs)
-    monkeypatch.setattr(evalnum._Point, "__init__", counted_init)
+    points = _count_points(monkeypatch)
     certified = _count_certified(monkeypatch)
     assert arc_zero_localize(form)
     assert len(points) == len(_sampled(form))
@@ -573,11 +611,11 @@ def test_localize_builds_one_q_point_per_sample(monkeypatch):
 
 def test_counterexample_falls_back_to_per_sample_signs(monkeypatch, form_132_9):
     # F has a real root below 0, so the sign changes fall short of its degree
-    assert _counted_signs(form_132_9, _sampled(form_132_9)) is None
+    assert _counted_brackets(form_132_9) is None
     want = _per_sample_brackets(form_132_9)
     calls = _count_certified(monkeypatch)
     assert arc_zero_localize(form_132_9) == want
-    assert len(calls) == len(_sampled(form_132_9))
+    assert len(calls) == len(_sampled(form_132_9)) - 1
 
 
 @pytest.mark.parametrize("lie", ["shifted", "lowered", "constant", "late"])
@@ -614,7 +652,8 @@ def test_separator_at_an_exact_root_falls_back(monkeypatch, form_48_1, at):
     # the separators depend on the angles only; give g_{48,1} Faber
     # polynomials with roots placed among them
     thetas = _sampled(form_48_1)
-    x = [point for pair in _separators(thetas) for point in pair]
+    x = [point for pair in _separators(thetas, [_j_ends(t) for t in thetas])
+         for point in pair]
     assert len(x) == 8 and x == sorted(x, reverse=True)
 
     def with_roots(*roots):
@@ -625,16 +664,16 @@ def test_separator_at_an_exact_root_falls_back(monkeypatch, form_48_1, at):
 
     # one root in each changing gap (u_i, v_(i+1)): the certificate holds
     honest = with_roots((x[2] + x[1]) / 2, (x[4] + x[3]) / 2, (x[6] + x[5]) / 2)
-    assert _counted_signs(honest, thetas) == [1, -1, 1, -1]
+    assert _counted_brackets(honest) == _per_sample_brackets(honest)
     # F(v_2) = 0, or F(v_2) = F(u_2) = 0, where the signs left would count 3 changes
     roots = {"v_2": (x[2], (x[4] + x[3]) / 2, (x[6] + x[5]) / 2),
              "v_2 and u_2": (x[2], x[3], (x[6] + x[5]) / 2)}[at]
     at_root = with_roots(*roots)
-    assert _counted_signs(at_root, thetas) is None
+    assert _counted_brackets(at_root) is None
     want = _per_sample_brackets(at_root)
     calls = _count_certified(monkeypatch)
     assert arc_zero_localize(at_root) == want
-    assert len(calls) == len(thetas)
+    assert len(calls) == len(thetas) - 1
 
 
 def test_cross_oracle_j_images(form_48_1):
@@ -654,6 +693,13 @@ def test_j_of_angle_endpoints():
         lo, hi = j_of_angle((mp.pi / 2, 2 * mp.pi / 3))
     assert lo <= 0 <= hi or lo <= Fraction(1, 10 ** 6)
     assert hi >= 1728
+
+
+def test_j_of_angle_rejects_a_reversed_interval():
+    lo, hi = j_of_angle((1.6, 1.7))
+    assert lo < hi
+    with pytest.raises(ValueError, match="reversed"):
+        j_of_angle((1.7, 1.6))
 
 
 def test_arc_j_agrees_with_eisenstein_quotient():
