@@ -57,8 +57,8 @@ def run_mrl(args):
             return False, f"violated at k={k}, m={m}, theta={rep.violations[0]!r}"
         if rep.undecided:
             return False, f"undecided at k={k}, m={m}, theta={rep.undecided[0]!r}"
-        worst = max(worst, rep.grid_max + rep.err_at_max)
-    return True, f"grid max+err {worst:.6f} < 2"
+        worst = max(worst, rep.upper_max)
+    return True, f"grid upper max {worst:.6f} < 2"
 
 
 def run_counterexample():

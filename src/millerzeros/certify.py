@@ -36,13 +36,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import mp, mpc, mpf, workprec
+from mpmath.libmp import to_float
 
 from . import qseries
 from .qseries import EISENSTEIN_FACTORS
 from .miller import IntPolynomial
-from .evalnum import (DEFAULT_PREC, ArcValues, CertValue, EisensteinTail, _arc_form_at,
-                      _eval_series_at, _exact, _span, arc_functions, arc_grid, arc_j,
-                      eval_delta_eta, eval_series, j_tail_bound, lemniscate_constants)
+from .evalnum import (_GUARD, DEFAULT_PREC, ArcValues, CertValue, EisensteinTail, _arc_form_at,
+                      _cut, _ends_ball, _ends_mul, _eval_series_at, _exact, _span,
+                      arc_functions, arc_grid, arc_j, eval_delta_eta, eval_series, j_tail_bound,
+                      lemniscate_constants)
 
 
 class CertificateFailureError(ArithmeticError):
@@ -964,6 +966,8 @@ class MrlReport:
     grid_max: float
     err_at_max: float
     theta_at_max: float
+    upper_max: float            # max abs_upper() over the grid, rounded up: certified
+    escalated: int              # angles evaluated above the starting precision
     passed: bool
     violations: list = field(default_factory=list)
     undecided: list = field(default_factory=list)
@@ -978,11 +982,15 @@ def _oscillation(form, m: int, theta: float, prec: int) -> CertValue:
     Every factor comes from the arc point that arc_form took for g
     (_arc_form_at), so a double within 2^-50 of a corner stands for the
     corner in every factor: e^(2 pi m sin t) = r^-m is the point's
-    amplitude and 2 cos h its turn, each a real ball formed from its ints.
+    amplitude and 2 cos h its turn, each a pair of outward ends in the
+    point's units: g's ends times the amplitude's, cut outward to units
+    once, less the turn's ends make the one ball.
     """
-    with workprec(prec + 12):
-        pt, g = _arc_form_at(form, theta, prec)
-        return g * pt.amplitude(m) - pt.turn(form.id.k, m)
+    with workprec(prec + _GUARD):
+        pt, (lo, hi, e) = _arc_form_at(form, theta, prec)
+        lo, hi = _cut(_ends_mul((lo, hi), pt.amplitude(m)), -e)
+        turn_lo, turn_hi = pt.turn(form.id.k, m)
+        return _ends_ball(lo - turn_hi, hi - turn_lo, pt.P)
 
 
 def proposition_mrl_check(k: int, m: int, grid_step: float = 1e-3) -> MrlReport:
@@ -1004,14 +1012,18 @@ def proposition_mrl_check(k: int, m: int, grid_step: float = 1e-3) -> MrlReport:
     hypothesis = ell > 4.5 * m + 9.5
     worst = -1.0
     worst_err = 0.0
-    worst_theta = 0.0
+    worst_theta = upper_max = 0.0
+    escalated = 0
     violations, undecided = [], []
     for theta in arc_grid(grid_step):
         for scale in _MRL_LADDER:
             val = _oscillation(form, m, theta, scale * start)
-            below, above = val.abs_upper() < 2, val.abs_lower() >= 2
+            upper = val.abs_upper()
+            below, above = upper < 2, val.abs_lower() >= 2
             if below or above:
                 break
+        escalated += scale > 1
+        upper_max = max(upper_max, to_float(upper._mpf_, rnd="u"))
         mag = float(abs(val.value))
         if mag > worst:
             worst, worst_err, worst_theta = mag, float(val.err), float(theta)
@@ -1022,7 +1034,7 @@ def proposition_mrl_check(k: int, m: int, grid_step: float = 1e-3) -> MrlReport:
     return MrlReport(k=k, m=m, hypothesis_ok=hypothesis, grid_max=worst,
                      err_at_max=worst_err, theta_at_max=worst_theta,
                      passed=not (violations or undecided), violations=violations,
-                     undecided=undecided)
+                     undecided=undecided, upper_max=upper_max, escalated=escalated)
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,8 @@ def _cmd_mrl_check(args, out) -> int:
                       "theta_at_max": rep.theta_at_max,
                       "passed": rep.passed,
                       "violations": rep.violations,
-                      "undecided": rep.undecided}), file=out)
+                      "undecided": rep.undecided,
+                      "upper_max": rep.upper_max, "escalated": rep.escalated}), file=out)
     return 0 if rep.passed else 1
 
 

@@ -49,8 +49,8 @@ the pad of (cos theta, sin theta); a point is the interval of width 0,
 on the same code path.  Series take q^lead from the point's q or 1/q,
 tails the largest |q| of the disk, the arc phases e^(i k theta/2) are
 integer products of (cos theta, sin theta), and certify's oscillation
-check reads e^(2 pi m sin theta) = r^-m and 2 cos h off the point; each
-result is one ball formed at the end.  Powers of balls are closed form,
+check reads the ends of e^(2 pi m sin theta) = r^-m and 2 cos h off the
+point; each result is one ball formed at the end.  Powers of balls are closed form,
 after the midpoint-radius pattern of Arb: CertValue.pow_int rounds v^n
 once and takes the radius n e (|v| + e)^(n-1) plus the pad of v^n,
 rounded upward, since |w^n - v^n| <= n |w - v| max(|v|, |w|)^(n-1).
@@ -59,7 +59,11 @@ Radii take |v| from _abs_up, never from a full-precision complex abs.
 A basis form on the arc (arc_form) needs no complex product: it is real
 arithmetic on the arc functions e4 and e6 alone (Duke-Jenkins, PAMQ 4,
 2008), as is arc_functions' delta_arc, so the eta product serves only
-Delta evaluated alone (eval_delta_eta).
+Delta evaluated alone (eval_delta_eta).  That arithmetic runs on
+outward integer ends, the inf-sup form of Arb's intervals: a real
+quantity is a pair of ints (lo, hi) at _horner's scale, every product
+exact and every cut to a coarser scale flooring lo and ceiling hi, and
+no CertValue operation runs before the one ball formed from the ends.
 
 Tail bounds by coefficient family:
 
@@ -541,6 +545,55 @@ def eval_poly(coeffs, x, radius=0) -> CertValue:
 
 
 # ---------------------------------------------------------------------------
+# outward integer ends: a real interval as (lo, hi), two ints at one scale
+
+
+def _ends_ball(lo: int, hi: int, p: int) -> CertValue:
+    """The ball of [lo, hi] 2^-p: its floored midpoint and radius in units."""
+    mid = (lo + hi) >> 1
+    return _units_ball(mid, hi - mid, p)
+
+
+def _cut(x: tuple, s: int) -> tuple:
+    """x at a scale 2^s times coarser, lo floored and hi ceiled; exact for s <= 0."""
+    return (x[0] << -s, x[1] << -s) if s <= 0 else (x[0] >> s, -(-x[1] >> s))
+
+
+def _ends_mul(x: tuple, y: tuple) -> tuple:
+    """The exact product of two intervals: the least and greatest end product."""
+    products = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
+    return min(products), max(products)
+
+
+def _ends_pow(x: tuple, n: int) -> tuple:
+    """The exact x^n, n >= 0: [1, 1] for n = 0, ends swapped for an even
+    power of a negative interval and [0, max] for one across 0."""
+    lo, hi = x
+    if not n or n % 2 or lo >= 0:
+        return lo ** n, hi ** n
+    return (hi ** n, lo ** n) if hi <= 0 else (0, max(lo ** n, hi ** n))
+
+
+def _ends_pow_float(x: tuple, n: int, e: int, bits: int) -> tuple:
+    """(lo, hi, e'): x^n = [lo, hi] 2^e' for x = [lo, hi] 2^e, 0 < lo, by binary
+    powering, each product cut outward to bits significant bits of hi."""
+    acc, acc_e = (1, 1), 0
+    while True:
+        if n & 1:
+            acc, acc_e = _trim(_ends_mul(acc, x), acc_e + e, bits)
+        n >>= 1
+        if not n:
+            return (*acc, acc_e)
+        x, e = _trim(_ends_mul(x, x), 2 * e, bits)
+
+
+def _trim(x: tuple, e: int, bits: int) -> tuple:
+    """(x cut outward to bits significant bits of hi > 0, its exponent) for x 2^e."""
+    s = max(x[1].bit_length() - bits, 0)
+    return _cut(x, s), e + s
+
+
+# ---------------------------------------------------------------------------
 # constants cached per precision, each formed exactly as where it is read
 
 
@@ -767,17 +820,14 @@ class _Point:
         return ((qx << 2 * P) // norm, (-qy << 2 * P) // norm,
                 -(-(pad << 2 * P) // (low * (low - pad))) + 2)
 
-    def amplitude(self, m: int) -> CertValue:
-        """e^(2 pi m s) = r^-m at an arc point, a real ball: the ends of r^-m
-        over r +- pad are two quotients rounded outward."""
+    def amplitude(self, m: int) -> tuple:
+        """The ends of e^(2 pi m s) = r^-m in units at an arc point: r^-m
+        over r +- pad, two quotients rounded outward."""
         top = 1 << self.P * (m + 1)
-        hi = -(-top // (self.r - self.pad) ** m)
-        lo = top // (self.r + self.pad) ** m
-        mid = (hi + lo) >> 1
-        return _units_ball(mid, hi - mid, self.P)
+        return top // (self.r + self.pad) ** m, -(-top // (self.r - self.pad) ** m)
 
-    def turn(self, k: int, m: int) -> CertValue:
-        """2 cos h, h = k theta / 2 + 2 pi m c, at an arc point, a real ball.
+    def turn(self, k: int, m: int) -> tuple:
+        """The ends of 2 cos h, h = k theta / 2 + 2 pi m c, in units at an arc point.
 
         h' = k theta / 2 + m v is formed exactly, so |h' - h| < 19 m 2^-w,
         and cos h' at w bits adds 2^(1-w): 2 cos h' is within (38 m + 4)
@@ -786,7 +836,8 @@ class _Point:
         """
         k_half = mpf_shift(mpf_mul(self.theta._mpf_, from_int(k)), -1)
         cos_h, _ = mpf_cos_sin(mpf_add(k_half, mpf_mul(from_int(m), self.v)), self.w, "n")
-        return _units_ball(2 * _fixed(cos_h, self.P), (20 * (m + 1) << 21) + 2, self.P)
+        two_cos, units = 2 * _fixed(cos_h, self.P), (20 * (m + 1) << 21) + 2
+        return two_cos - units, two_cos + units
 
 
 def _r_at(im: tuple, w: int, P: int) -> int:
@@ -794,11 +845,12 @@ def _r_at(im: tuple, w: int, P: int) -> int:
     return _fixed(mpf_exp(mpf_neg(mpf_mul(_two_pi(w)._mpf_, im, w, "n")), w, "n"), P)
 
 
-def _real_ball(a: int, b: int, units: int, p: int) -> CertValue:
-    """_units_ball of a real value, whose imaginary part b must lie within the radius."""
+def _real_units(a: int, b: int, units: int, p: int) -> tuple:
+    """(a, units) of a real value a + i b in units of 2^-p, whose imaginary
+    part b must lie within the radius."""
     if abs(b) > units:
         raise NotRealError(f"imaginary part {b} exceeds radius {units} in units of 2^-{p}")
-    return _units_ball(a, units, p)
+    return a, units
 
 
 def _tail_units(tail, trunc: int, pt: _Point) -> int:
@@ -912,9 +964,9 @@ def _phase_units(pt: _Point, n: int) -> tuple:
     return x, y, n * (pt.upad + 3)
 
 
-def _arc_eisenstein(pt: _Point, k: int, trunc: int) -> CertValue:
-    """e2, e4 or e6 (k = 2, 4 or 6): the real e^(i k theta / 2) E_k, less
-    3 i / pi for k = 2, at the arc point.
+def _arc_eisenstein(pt: _Point, k: int, trunc: int) -> tuple:
+    """(v, units): e2, e4 or e6 (k = 2, 4 or 6), the real e^(i k theta / 2)
+    E_k, less 3 i / pi for k = 2, at the arc point, in its units.
 
     E_k to q^trunc is one _horner at q on the disk of radius pad, widened
     by EisensteinTail at r + pad.  With the phase from _phase_units at
@@ -932,7 +984,7 @@ def _arc_eisenstein(pt: _Point, k: int, trunc: int) -> CertValue:
     im = (x * b + y * a) >> P
     if k == 2:
         im, units = im - _three_over_pi_units(P), units + 2
-    return _real_ball((x * a - y * b) >> P, im, units, P)
+    return _real_units((x * a - y * b) >> P, im, units, P)
 
 
 def _j_tail_units(M: int, pt: _Point) -> int:
@@ -968,7 +1020,7 @@ def arc_functions(p, prec: int = DEFAULT_PREC) -> ArcValues:
         theta, h = _span(lo, hi)
         pt = _Point(theta, h=h)
         n = auto_trunc(pt.y, prec)
-        e2, e4, e6 = (_arc_eisenstein(pt, k, n) for k in (2, 4, 6))
+        e2, e4, e6 = (_units_ball(*_arc_eisenstein(pt, k, n), pt.P) for k in (2, 4, 6))
         return ArcValues(e2, e4, e6, (e4.pow_int(3) - e6.pow_int(2)) / 1728)
 
 
@@ -977,27 +1029,54 @@ def arc_form(form, p, prec: int = DEFAULT_PREC, trunc_scale: int = 1) -> CertVal
 
     With E_k' = E_4^a E_6^b (EISENSTEIN_FACTORS) it is delta^ell e4^a e6^b
     F(j), where e4 = e^(2 i theta) E_4 and e6 = e^(3 i theta) E_6 are real,
-    delta = (e4^3 - e6^2) / 1728 is delta_arc and j = e4^3 / delta.  So
-    every step after the two phase products is real, and F(j) is one real
-    eval_poly.  The two series are cut at trunc_scale times auto_trunc.
+    delta = (e4^3 - e6^2) / 1728 is delta_arc and j = e4^3 / delta.  Every
+    step after the two phase products is real, on the outward integer
+    ends of _arc_form_at, and the ball is formed once from g's ends.  The
+    two series are cut at trunc_scale times auto_trunc.
     """
-    return _arc_form_at(form, p, prec, trunc_scale)[1]
+    with workprec(prec + _GUARD):
+        _, (lo, hi, e) = _arc_form_at(form, p, prec, trunc_scale)
+        return _ends_ball(lo, hi, -e)
 
 
 def _arc_form_at(form, p, prec: int, trunc_scale: int = 1) -> tuple:
-    """(its arc point, arc_form's value): arc_form with the _Point it
-    took, at prec + _GUARD bits."""
+    """(pt, (lo, hi, e)): the arc point and the ends [lo, hi] 2^e of arc_form's g.
+
+    At the ambient precision prec + _GUARD, on int ends in the point's
+    units of 2^-P, each step flooring its lower end and ceiling its upper
+    one.  The budget, in units of 2^-P:
+      e4, e6        _arc_eisenstein's v +- its units
+      e4^3, e6^2    exact, then cut: under 1 at each end; so is e4^a e6^b
+      delta         (e4^3 - e6^2) / 1728 cut: under 1; below 0 on the arc
+      j             the least and greatest of the four quotients e4^3 2^P
+                    / delta of the ends, floored and ceiled: under 1
+      F(j)          one real _horner about j's floored midpoint, radius
+                    half j's width plus 1: F's value +- its units
+    |delta|^ell, far below 2^-P, is binary powering on the ends of -delta,
+    each product cut outward to P + 32 significant bits, under 2^-(P+31)
+    of its upper end, with its binary exponent, and delta^ell has the
+    sign (-1)^ell.  The product with e4^a e6^b F(j) at 2^-3P is exact.
+    """
     fid = form.id
     a, b = qseries.EISENSTEIN_FACTORS[fid.kprime]
-    with workprec(prec + _GUARD):
-        pt = _Point(_theta_mpf(p))
-        n = auto_trunc(pt.y, prec) * trunc_scale
-        e4, e6 = (_arc_eisenstein(pt, k, n) for k in (4, 6))
-        cube = e4.pow_int(3)
-        delta = (cube - e6.pow_int(2)) / 1728
-        j = cube / delta
-        return pt, (delta.pow_int(fid.ell) * e4.pow_int(a) * e6.pow_int(b)
-                    * eval_poly(form.faber.coeffs, j.value, j.err))
+    pt = _Point(_theta_mpf(p))
+    P = pt.P
+    n = auto_trunc(pt.y, prec) * trunc_scale
+    e4, e6 = ((v - u, v + u) for v, u in (_arc_eisenstein(pt, k, n) for k in (4, 6)))
+    cube, square = _cut(_ends_pow(e4, 3), 2 * P), _cut(_ends_pow(e6, 2), P)
+    delta = (cube[0] - square[1]) // 1728, -((square[0] - cube[1]) // 1728)
+    if delta[1] >= 0:
+        raise ZeroDivisionError("the ends of delta, negative on the arc, reach 0")
+    j_lo = min((c << P) // d for c in cube for d in delta)
+    j_hi = max(-(-(c << P) // d) for c in cube for d in delta)
+    mid = (j_lo + j_hi) >> 1
+    f, _, units = _horner(form.faber.coeffs, mid, 0, j_hi - mid + 1, P)
+    eisen = _ends_mul(_cut(_ends_pow(e4, a), (a - 1) * P), _cut(_ends_pow(e6, b), (b - 1) * P))
+    lo, hi, e = _ends_pow_float((-delta[1], -delta[0]), fid.ell, -P, P + 32)
+    lo, hi = _ends_mul((lo, hi), _ends_mul(eisen, (f - units, f + units)))
+    if fid.ell % 2:
+        lo, hi = -hi, -lo
+    return pt, (lo, hi, e - 3 * P)
 
 
 def arc_j(p, prec: int = DEFAULT_PREC) -> CertValue:
@@ -1011,7 +1090,7 @@ def arc_j(p, prec: int = DEFAULT_PREC) -> CertValue:
         pt = _Point(_theta_mpf(p))
         n = max(auto_trunc(pt.y, prec), int(1 / float(pt.y) ** 2) + 8)
         a, b, units = _partial_sum(qseries.jfunction(n), pt)
-        return _real_ball(a, b, units + _j_tail_units(n, pt), pt.P)
+        return _units_ball(*_real_units(a, b, units + _j_tail_units(n, pt), pt.P), pt.P)
 
 
 _J_FLOAT_TERMS = 24         # c(24) |q|^24 < 1e-31 on the arc, |q| <= e^(-pi sqrt 3)

@@ -203,10 +203,9 @@ def test_criterion_09_oscillation_inequality(capsys):
     ok = True
     for k, m in ((192, 1), (240, 2), (360, 10)):
         rep = certify.proposition_mrl_check(k, m)
-        bound = rep.grid_max + rep.err_at_max
-        worst = max(worst, bound)
-        ok &= rep.passed and bound < 2
-    _line(capsys, 9, ok, f"oscillation grid max+err {worst:.6f} < 2")
+        worst = max(worst, rep.upper_max)
+        ok &= rep.passed and rep.upper_max < 2
+    _line(capsys, 9, ok, f"oscillation grid upper max {worst:.6f} < 2")
 
 
 def test_criterion_10_equidistribution(capsys):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc, mpf, workprec
 
 from millerzeros import certify, evalnum
-from millerzeros.evalnum import CertValue, _exact, arc_functions, arc_grid
+from millerzeros.evalnum import CertValue, _corner_angles, _exact, arc_functions, arc_grid
 from millerzeros.certify import (
     BoundLedgerEntry, DomainError,
     _chebyshev, _goursat, _goursat_of_derivative, _sin_range,
@@ -358,19 +358,32 @@ def test_mrl_report_off_hypothesis():
 
 
 def test_mrl_report_lists_violations():
+    # off the hypothesis, the three angles nearest rho are at or above 2
     rep = proposition_mrl_check(48, 3, grid_step=1e-2)
     assert not rep.passed
-    assert rep.violations and all(1.57 < t < 2.1 for t in rep.violations)
+    assert rep.violations == [2.0807963267948963, 2.0907963267948966, 2.0943951023931957]
     assert rep.undecided == []
 
 
 def test_mrl_report_lists_undecided_angles(monkeypatch):
-    # (1200, 3) straddles 2 at some angles at its starting precision; without
+    # (1200, 3) straddles 2 at its starting precision at the 16 angles
+    # nearest i, where F's slope near j = 1728 widens the ball; without
     # the ladder they are undecided, neither violations nor passes
     monkeypatch.setattr(certify, "_MRL_LADDER", (1,))
     rep = proposition_mrl_check(1200, 3, grid_step=2e-2)
-    assert rep.undecided and rep.violations == []
-    assert not rep.passed
+    assert rep.undecided == arc_grid(2e-2)[:16] and rep.violations == []
+    assert not rep.passed and rep.escalated == 0
+
+
+@pytest.mark.parametrize("k,m,step,escalated", [(1200, 3, 2e-2, 16), (340, 2, 1e-3, 0)])
+def test_mrl_report_counts_escalations_and_bounds_the_grid(k, m, step, escalated):
+    # escalated counts the angles the ladder took above the starting
+    # precision: the undecided angles of the test above at (1200, 3), none
+    # at (340, 2); upper_max, the largest abs_upper() rounded up to a
+    # double, is at least every |midpoint| plus its radius and below 2
+    rep = proposition_mrl_check(k, m, grid_step=step)
+    assert rep.passed and rep.escalated == escalated
+    assert rep.grid_max + rep.err_at_max <= rep.upper_max < 2
 
 
 def test_oscillation_at_the_last_grid_double_is_the_ball_at_rho():
@@ -389,22 +402,34 @@ def test_oscillation_at_the_last_grid_double_is_the_ball_at_rho():
     assert (at_double.value, at_double.err) == (at_rho.value, at_rho.err)
 
 
-@pytest.mark.parametrize("k,m", [(192, 1), (340, 2)])
+@pytest.mark.parametrize("k,m", [(192, 1), (340, 2), (48, 3), (1200, 3)])
 def test_oscillation_holds_the_direct_product(k, m, direct_arc):
     # the ball holds e^(2 pi m sin t) G(t) - 2 cos h(t) for every G(t) in the
-    # ball of the direct complex evaluation, the factors taken at 400 bits
+    # ball of the direct complex evaluation, the factors taken 400 bits
+    # beyond the precision.  G is evaluated 200 bits beyond it at interior
+    # angles, where its ball is far narrower than the one checked, and at
+    # the same precision at the grid's ends, which stand for the corners
+    # as that precision rounds them.  (1200, 3), whose angles near i
+    # escalate, is checked at the ladder's second precision too
     from millerzeros.evalnum import _theta_mpf, form_arc_prec
     from millerzeros.miller import miller_form
     form = miller_form(k, m)
-    prec = form_arc_prec(form.id.ell, m)
-    for theta in arc_grid(2e-2):
-        with workprec(prec + 12):
-            t = _theta_mpf(theta)
-        got, ref = _oscillation(form, m, theta, prec), direct_arc(form, theta, prec=prec)
-        with workprec(400):
-            amp = mp.exp(2 * mp.pi * m * mp.sin(t))
-            want = ref.value * amp - 2 * mp.cos(k * t / 2 + 2 * mp.pi * m * mp.cos(t))
-            assert abs(got.value - want) <= got.err + ref.err * amp + mpf(2) ** -380
+    start = form_arc_prec(form.id.ell, m)
+    grid = arc_grid(2e-2)
+    with workprec(start + 12):
+        assert [_theta_mpf(t) for t in (grid[0], grid[-1])] == list(_corner_angles(start + 12))
+    for prec in (start, 2 * start) if k == 1200 else (start,):
+        for theta in grid:
+            with workprec(prec + 12):
+                t = _theta_mpf(theta)
+            at_corner = theta in (grid[0], grid[-1])
+            got = _oscillation(form, m, theta, prec)
+            ref = direct_arc(form, theta, prec=prec if at_corner else prec + 200)
+            with workprec(prec + 400):
+                amp = mp.exp(2 * mp.pi * m * mp.sin(t))
+                want = ref.value * amp - 2 * mp.cos(k * t / 2 + 2 * mp.pi * m * mp.cos(t))
+                slack = mpf(2) ** -(prec + 360)         # the rounding of want, |want| < 3
+                assert abs(got.value - want) <= got.err + ref.err * amp + slack
 
 
 def test_oscillation_builds_one_q_point_per_angle(monkeypatch):
@@ -430,6 +455,32 @@ def test_oscillation_builds_one_q_point_per_angle(monkeypatch):
     assert calls == {"_Point": len(grid), "_theta_mpf": len(grid)}
 
 
+def test_oscillation_takes_no_ball_arithmetic_and_forms_one_ball(monkeypatch):
+    # every step from e4 and e6 to the turn runs on integer ends: a warm
+    # _oscillation multiplies, divides, subtracts and powers no ball, and
+    # forms exactly one, at the end
+    from millerzeros.miller import miller_form
+    form = miller_form(340, 2)
+    angles = arc_grid(5e-2)
+    for theta in angles:
+        _oscillation(form, 2, theta, 160)           # fills the per-precision caches
+    calls = []
+
+    def counted(name, inner):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        return call
+    for name in ("__mul__", "__rmul__", "__truediv__", "__sub__", "__rsub__", "pow_int",
+                 "__init__"):
+        monkeypatch.setattr(CertValue, name, counted(name, getattr(CertValue, name)))
+    monkeypatch.setattr(evalnum, "_ball", counted("ball", evalnum._ball))
+    for theta in angles:
+        calls.clear()
+        _oscillation(form, 2, theta, 160)
+        assert calls == ["ball"]
+
+
 def test_table_check_values_match_separate_evaluations(monkeypatch):
     # E_4 and E_6 from one q-point are the two eval_series values bit for bit
     def separate(terms, tau):
@@ -441,7 +492,7 @@ def test_table_check_values_match_separate_evaluations(monkeypatch):
 
 def test_amplitude_encloses_the_exponential_at_m_20():
     # x = 2 pi m sin theta reaches 126, and the radius of e^x grows with x;
-    # the ball chain of certify._oscillation must still hold e^x
+    # the ball chain of CertValue.exp must still hold e^x
     for theta in arc_grid(5e-2):
         with workprec(140):
             amp = (CertValue.pi() * 40 * CertValue(mpf(theta)).sin()).exp()

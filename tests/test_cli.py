@@ -169,7 +169,8 @@ def test_mrl_check_json(capsys):
     assert code == 0
     d = json.loads(out)
     assert d["hypothesis_ok"] and d["passed"]
-    assert d["grid_max"] + d["err_at_max"] < 2
+    assert d["grid_max"] + d["err_at_max"] <= d["upper_max"] < 2
+    assert d["escalated"] == 0
 
 
 def test_mrl_check_escalates_at_large_weight(capsys):
@@ -180,6 +181,7 @@ def test_mrl_check_escalates_at_large_weight(capsys):
     assert code == 0
     d = json.loads(out)
     assert d["passed"] and d["violations"] == [] and d["undecided"] == []
+    assert d["escalated"] == 16
 
 
 def test_dist_csv(capsys):

@@ -17,7 +17,7 @@ from conftest import (JCoeffTail, complex_poly, oracle_phase, separate_q_arc_fun
 from millerzeros.evalnum import (
     DEFAULT_PREC, _GUARD, CertValue, NotRealError, TailUnboundedError, _TAIL_SLACK, _Point,
     _abs_up, _arc_eisenstein, _corner_angles, _phase_units, _corner_window, _exact, _j_tail_units, _theta_mpf,
-    _span, _two_pi,
+    _span, _two_pi, _units_ball, _cut, _ends_mul, _ends_pow, _ends_pow_float,
     EisensteinTail, EtaProductTail, j_tail_bound,
     eval_poly, eval_series, eval_delta_eta,
     arc_functions, arc_form, arc_j, arc_j_float, arc_grid, export_arc_csv,
@@ -361,6 +361,86 @@ def test_eval_poly_is_tight_without_radius():
         assert eval_poly([7, 0, 1], mpf(2)).value == 11
         with pytest.raises(TypeError):
             eval_poly(e4, q)
+
+
+# ---------------------------------------------------------------------------
+# outward integer ends
+
+ENDS = st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6)).map(
+    lambda x: tuple(sorted(x)))
+SMALL_ENDS = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map(lambda x: tuple(sorted(x)))
+SHARES = st.lists(st.fractions(0, 1, max_denominator=10 ** 4), max_size=6)
+
+
+def points_of(x, shares):
+    """The ends of x, 0 when x holds it, and the points at the given shares of its width."""
+    lo, hi = x
+    return [Fraction(lo), Fraction(hi), *([Fraction(0)] if lo <= 0 <= hi else []),
+            *(lo + t * (hi - lo) for t in shares)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ENDS, ENDS, SHARES, SHARES)
+@example(x=(-3, 5), y=(-7, -2), sx=[], sy=[])
+@example(x=(-3, 5), y=(-4, 6), sx=[], sy=[])
+def test_ends_mul_holds_every_product_and_reaches_its_ends(x, y, sx, sy):
+    # against Fractions: every product of points of x and y lies in the
+    # ends, whatever the signs, and both ends are such products
+    lo, hi = _ends_mul(x, y)
+    products = [u * v for u in points_of(x, sx) for v in points_of(y, sy)]
+    assert lo <= min(products) and max(products) <= hi
+    ends = [u * v for u in x for v in y]
+    assert lo in ends and hi in ends
+
+
+@settings(max_examples=300, deadline=None)
+@given(SMALL_ENDS | ENDS, st.integers(0, 7), SHARES)
+@example(x=(-3, 5), n=0, shares=[])
+@example(x=(-3, 5), n=2, shares=[])
+@example(x=(-7, -2), n=2, shares=[])
+@example(x=(-7, -2), n=3, shares=[])
+@example(x=(-7, -2), n=0, shares=[])
+def test_ends_pow_is_the_exact_power_of_an_interval(x, n, shares):
+    # against Fractions: x^0 = [1, 1] even across 0, an even power of a
+    # negative interval swaps its ends, and one across 0 reaches down to
+    # 0; the ends are the least and greatest power of a point of x
+    lo, hi = _ends_pow(x, n)
+    extremes = [u ** n for u in points_of(x, [])]
+    assert lo == min(extremes) and hi == max(extremes)
+    assert all(lo <= u ** n <= hi for u in points_of(x, shares))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ENDS, st.integers(-8, 40))
+@example(x=(-5, 5), s=1)
+@example(x=(5, 7), s=2)
+def test_cut_rounds_outward_by_under_one_unit(x, s):
+    # x at a scale 2^s coarser: the lower end floored and the upper one
+    # ceiled, each within one new unit; a shift s <= 0 is exact
+    lo, hi = _cut(x, s)
+    unit = Fraction(2) ** s
+    assert lo * unit <= x[0] < (lo + 1) * unit
+    assert (hi - 1) * unit < x[1] <= hi * unit
+    if s <= 0:
+        assert (lo * unit, hi * unit) == x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10 ** 40), st.integers(0, 10 ** 40), st.integers(0, 160),
+       st.integers(-200, 50), st.integers(8, 96))
+@example(lo=3, width=0, n=0, e=-10, bits=8)
+@example(lo=1 << 70, width=0, n=157, e=-70, bits=40)
+def test_ends_pow_float_holds_the_power_within_its_cuts(lo, width, n, e, bits):
+    # [lo, hi] 2^e to the n by binary powering, each product cut outward
+    # to bits significant bits: the exact power lies inside, and the
+    # upper end exceeds it by under (1 + 2^(1 - bits))^(2n)
+    x = (lo, lo + width)
+    got_lo, got_hi, got_e = _ends_pow_float(x, n, e, bits)
+    unit = Fraction(2) ** got_e
+    want_lo, want_hi = (Fraction(v) * Fraction(2) ** e for v in x)
+    assert got_lo * unit <= want_lo ** n and want_hi ** n <= got_hi * unit
+    assert got_hi * unit <= want_hi ** n * (1 + Fraction(2, 1 << bits)) ** (2 * n)
+    assert got_hi.bit_length() <= max(bits, (lo + width).bit_length())
 
 
 def reference_eval_series(s, tau, tail, prec=128):
@@ -805,7 +885,7 @@ def test_arc_eisenstein_holds_the_series_at_400_more_bits(theta, prec):
         t = _theta_mpf(theta)
         pt = _Point(t)
         n = auto_trunc(pt.y, prec)
-        got = [_arc_eisenstein(pt, k, n) for k in (4, 6)]
+        got = [_units_ball(*_arc_eisenstein(pt, k, n), pt.P) for k in (4, 6)]
 
     def ball_route(k, bits):
         with workprec(bits + _GUARD):
@@ -816,7 +896,7 @@ def test_arc_eisenstein_holds_the_series_at_400_more_bits(theta, prec):
         assert abs(g.value - ref.value) <= g.err + ref.err
         assert same.err / 16 <= g.err <= 16 * same.err
         with workprec(prec + _GUARD):
-            short = _arc_eisenstein(pt, k, 8)       # the tail is most of its radius
+            short = _units_ball(*_arc_eisenstein(pt, k, 8), pt.P)   # mostly tail radius
         assert abs(short.value - ref.value) <= short.err + ref.err
 
 
@@ -847,22 +927,18 @@ def test_phase_units_hold_the_phase_at_400_more_bits(theta, n, prec, width):
 @example(theta=CORNERS[1], prec=140, km=(340, 2))
 def test_arc_point_amplitude_and_turn_hold_their_values(theta, prec, km):
     # e^(2 pi m sin t) and 2 cos(k t / 2 + 2 pi m cos t) as the arc point
-    # hands them to the oscillation check, against 400 more bits; read at
-    # 64 more bits, where rounding the ints to an mpf adds almost nothing,
-    # the unit budgets alone must hold them too
+    # hands them to the oscillation check, two ends in units of 2^-P each:
+    # the unit budgets alone hold the values at 400 more bits
     k, m = km
     with workprec(prec):
         t = _theta_mpf(theta)
         pt = _Point(t)
         amp, turn = pt.amplitude(m), pt.turn(k, m)
-    with workprec(prec + 64):
-        fine_amp, fine_turn = pt.amplitude(m), pt.turn(k, m)
     with workprec(prec + 400):
         amp_want = mp.exp(2 * mp.pi * m * mp.sin(t))
         turn_want = 2 * mp.cos(k * t / 2 + 2 * mp.pi * m * mp.cos(t))
-        for ball, want in ((amp, amp_want), (fine_amp, amp_want),
-                           (turn, turn_want), (fine_turn, turn_want)):
-            assert abs(ball.value - want) <= ball.err
+        for (lo, hi), want in ((amp, amp_want), (turn, turn_want)):
+            assert lo <= want * 2 ** pt.P <= hi
 
 
 def test_arc_j_takes_no_ball_quotient_and_no_exp(monkeypatch):

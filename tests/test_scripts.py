@@ -46,6 +46,9 @@ def test_run_verification_reports_a_stage_that_raises():
     assert [line.split()[0] for line in lines[:4]] == ["[ok]", "[FAIL]", "[ok]", "[ok]"]
     assert "m=1 sweep" in lines[1]
     assert "TheoremViolationError: g_{48,1}: planted failure" in lines[1]
+    # the oscillation stage reports the certified grid bound, upper_max
+    bound = lines[2].split("grid upper max ")[1].split()
+    assert "oscillation estimate" in lines[2] and float(bound[0]) < 2 and bound[1:3] == ["<", "2"]
     assert lines[-1] == "FAILURES above"
 
 
