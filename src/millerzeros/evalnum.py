@@ -10,9 +10,9 @@ every point it stands for.  The discipline is the same in every operation:
     ints, _units_ball); mpmath's elementary functions are taken to be
     accurate within 16 ulp too, the few-ulp assumption every value here
     rests on;
-  * every radius operation (the constructor, +, *, /, pow_int, abs,
-    widened and eval_poly's final sum) rounds upward, at libmp level, so
-    no radius is below the exact value of its formula;
+  * every radius operation (the constructor, +, *, /, pow_int, abs and
+    widened) rounds upward, at libmp level, so no radius is below the
+    exact value of its formula;
   * the elementary functions of a real ball (exp, log, sqrt, sin, cos,
     tan, acos) add e sup |f'| over the ball, rounded upward, to the pad
     of f(v), each docstring giving its bound on |f'|; CertValue.pi() is
@@ -31,9 +31,9 @@ units of 2^-P, and the whole sum less than 3 sum_(i<n) R^i units for
 R >= |w| (3n units when R < 1; Higham, Accuracy and Stability of
 Numerical Algorithms, 5.1).  Moving the point by delta costs at most
 delta sum i |c_i| R^(i-1), bounded by integer Horner rounding up.  The
-radius is then: that a-priori bound, the exact tail bound for the
-truncated series, and one ulp for rounding the result, a single
-conversion of an int, to an mpf.  eval_poly is the kernel at a real mpf.
+radius is then: that a-priori bound, the tail bound of the truncated
+series in units, and one ulp for rounding the result, a single
+conversion of an int, to an mpf.
 
 Every series is read at one evaluation point, _Point, which stays in
 the kernel's units from tau or the angle to the ball: the fixed-point,
@@ -58,23 +58,23 @@ Radii take |v| from _abs_up, never from a full-precision complex abs.
 
 A basis form on the arc (arc_form) needs no complex product: it is real
 arithmetic on the arc functions e4 and e6 alone (Duke-Jenkins, PAMQ 4,
-2008), as is arc_functions' delta_arc, so the eta product serves only
-Delta evaluated alone (eval_delta_eta).  That arithmetic runs on
-outward integer ends, the inf-sup form of Arb's intervals: a real
-quantity is a pair of ints (lo, hi) at _horner's scale, every product
-exact and every cut to a coarser scale flooring lo and ceiling hi, and
-no CertValue operation runs before the one ball formed from the ends.
+2008), as is arc_functions' delta_arc, both from the ends of _arc_ends,
+so the eta product serves only Delta evaluated alone (eval_delta_eta).
+That arithmetic runs on outward integer ends, the inf-sup form of Arb's
+intervals: a real quantity is a pair of ints (lo, hi) at _horner's
+scale, every product exact and every cut to a coarser scale flooring lo
+and ceiling hi, and no CertValue operation runs before the one ball
+formed from the ends.
 
-Tail bounds by coefficient family:
+Tail bounds by coefficient family at |q| <= r, in units rounded upward:
 
   * Eisenstein weight k:   sigma_{k-1}(n) <= n^k, and n^k r^n is
     geometrically dominated once (1 + 1/(N+1))^k r < 1;
+  * eta product:           coefficients in {-1, 0, 1}, so the tail beyond
+    q^N is at most 2 r^(N+1) / (1 - r); both are one integer quotient;
   * j-function:            c(n) <= e^(4 pi sqrt(n)) / (sqrt(2) n^(3/4)),
-    summed in closed form (same estimate backs the j approximation
-    error bound used by the certificates);
-  * eta product:           the pentagonal expansion of prod (1 - q^n)
-    has coefficients in {-1, 0, 1} at distinct exponents, so the tail
-    beyond q^N is at most 2 r^(N+1) / (1 - r).
+    summed in closed form (j_tail_bound, also certify's j error bound),
+    on the arc a cached lead times an integer power (_j_tail_units).
 
 A finite q-polynomial, such as a truncated j approximation taken as it
 stands, is evaluated with no tail.
@@ -158,7 +158,8 @@ def _pad(value) -> mpf:
     return mp.make_mpf(_pad_up(value))
 
 
-# relative slack on every closed-form tail, covering its own rounding
+# relative slack on the j tail's closed form, covering the rounding of its mpf
+# factors (j_tail_bound, _j_tail_lead); the other tails are exact quotients
 _TAIL_SLACK = 1 + mpf(2) ** -30
 
 _UP = "u"           # radii are >= 0, so rounding away from zero rounds them up
@@ -527,23 +528,6 @@ def _horner(coeffs, x: int, y: int, delta: int, p: int) -> tuple:
     return a, b, rounding - (-delta * (slope + rounding * rsum) >> p)
 
 
-def eval_poly(coeffs, x, radius=0) -> CertValue:
-    """Enclosure of sum_i coeffs[i] w^i (exact int or Fraction coefficients)
-    for every real w with |w - x| <= radius.
-
-    _horner runs at the scale 2^-P, P = working precision + 24, on X =
-    floor(x 2^P) 2^-P, so every w is within radius + 2^(2-P) of X; one ulp
-    for rounding the result to an mpf follows.
-    """
-    x = mp.mpmathify(x)
-    if isinstance(x, mpc):
-        raise TypeError("eval_poly takes a real point")
-    p = mp.prec + 24
-    delta = -_fixed(mpf_neg(mpf(radius)._mpf_), p) + 4
-    a, _, units = _horner(coeffs, _fixed(x._mpf_, p), 0, delta, p)
-    return _units_ball(a, units, p)
-
-
 # ---------------------------------------------------------------------------
 # outward integer ends: a real interval as (lo, hi), two ints at one scale
 
@@ -626,41 +610,43 @@ def _corner_window(prec: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# tail bounds
+# tail bounds: each bounds the dropped coefficients of a series cut at q^N
+# on the disk |q| <= rho = (r + pad) 2^-P of a point, in its units rounded up
+
+
+def _geometric_units(ints: tuple, trunc: int, pt: _Point) -> int:
+    """lead rho^n / (1 - growth rho), n = trunc + 1, for ints = (a, b, g, d),
+    lead = a / (b d) and growth = g / d: with R = r + pad, the one quotient
+    a R^n 2^(2P) / (b 2^(Pn) (d 2^P - g R)), ceiled; TailUnboundedError
+    once growth rho >= 1."""
+    a, b, g, d = ints
+    P, R, n = pt.P, pt.r + pt.pad, trunc + 1
+    room = (d << P) - g * R
+    if room <= 0:
+        raise TailUnboundedError(f"tail not dominated at trunc={trunc}, |q| <= {R} 2^-{P}")
+    return -(-(a * R ** n << 2 * P) // (b * room << P * n))
 
 
 @lru_cache(maxsize=256)
-def _eisenstein_tail_factors(k: int, trunc: int, prec: int) -> tuple:
-    """(gamma_k (N+1)^k, (1 + 1/(N+1))^k) at N = trunc, computed at prec bits."""
+def _eisenstein_tail_ints(k: int, trunc: int) -> tuple:
+    """E_k's ints for _geometric_units: lead |2k/B_k| n^k, growth (1 + 1/n)^k."""
     gamma = abs(Fraction(2 * k) / qseries.bernoulli(k))
-    return (mpf(gamma.numerator) / gamma.denominator * mpf(trunc + 1) ** k,
-            (1 + mpf(1) / (trunc + 1)) ** k)
+    n = trunc + 1
+    return gamma.numerator * n ** (2 * k), gamma.denominator, (n + 1) ** k, n ** k
 
-
-# Every tail bounds the dropped coefficients at |q| = r = e^(-2 pi y); it
-# receives both, so that none has to recover one from the other.
 
 @dataclass(frozen=True)
 class EisensteinTail:
     k: int
 
-    def bound(self, trunc: int, r: mpf, y: mpf) -> mpf:
-        if self.k == 0:
-            return mpf(0)
-        lead, growth = _eisenstein_tail_factors(self.k, trunc, mp.prec)
-        ratio = growth * r
-        if ratio >= 1:
-            raise TailUnboundedError(
-                f"Eisenstein tail not dominated at trunc={trunc}, r={r}")
-        return lead * r ** (trunc + 1) / (1 - ratio) * _TAIL_SLACK
+    def units(self, trunc: int, pt: _Point) -> int:
+        return _geometric_units(_eisenstein_tail_ints(self.k, trunc), trunc, pt)
 
 
 @dataclass(frozen=True)
 class EtaProductTail:
-    def bound(self, trunc: int, r: mpf, y: mpf) -> mpf:
-        if r >= 1:
-            raise TailUnboundedError("eta tail needs |q| < 1")
-        return 2 * r ** (trunc + 1) / (1 - r) * _TAIL_SLACK
+    def units(self, trunc: int, pt: _Point) -> int:
+        return _geometric_units((2, 1, 1, 1), trunc, pt)
 
 
 def j_tail_bound(M: int, a) -> mpf:
@@ -853,12 +839,6 @@ def _real_units(a: int, b: int, units: int, p: int) -> tuple:
     return a, units
 
 
-def _tail_units(tail, trunc: int, pt: _Point) -> int:
-    """tail's bound at |q| <= (r + pad) 2^-P and the point's y, in units rounded upward."""
-    r = mp.make_mpf(from_man_exp(pt.r + pt.pad, -pt.P))
-    return -_fixed(mpf_neg(tail.bound(trunc, r, pt.y)._mpf_), pt.P)
-
-
 def _partial_sum(s: QSeries, pt: _Point) -> tuple:
     """(a, b, units): s's partial sum at the point, one _horner at q; q^lead
     >= 1 is lead zero coefficients, a pole c/q (j, c an int) c times 1/q."""
@@ -900,7 +880,7 @@ def _series_ball(s: QSeries, tail, pt: _Point) -> CertValue:
     """s at the point as a complex ball: its partial sum, widened by tail unless None."""
     re, im, units = _partial_sum(s, pt)
     if tail is not None:
-        units += _tail_units(tail, s.trunc, pt)
+        units += tail.units(s.trunc, pt)
     return _units_ball(re, units, pt.P, im)
 
 
@@ -978,7 +958,7 @@ def _arc_eisenstein(pt: _Point, k: int, trunc: int) -> tuple:
     """
     P = pt.P
     a, b, units = _horner(qseries.eisenstein(k, trunc).coeffs, pt.qx, pt.qy, pt.pad, P)
-    units += _tail_units(EisensteinTail(k), trunc, pt) + 1
+    units += EisensteinTail(k).units(trunc, pt) + 1
     x, y, spread = _phase_units(pt, k // 2)
     units += -(-spread * (isqrt(a * a + b * b) + 1) >> P)
     im = (x * b + y * a) >> P
@@ -1005,23 +985,35 @@ def _j_tail_units(M: int, pt: _Point) -> int:
     return -(-lead * (pt.r + pt.pad) ** M * geo >> P * (M + 1))
 
 
+def _arc_ends(pt: _Point, n: int) -> tuple:
+    """(e4, e6, e4^3, delta) as outward ends in the arc point's units, series cut
+    at q^n: e4, e6 _arc_eisenstein's v +- its units, e4^3 and e6^2 exact, then
+    cut, under 1 unit at each end, and delta = (e4^3 - e6^2) / 1728 under 1 more."""
+    P = pt.P
+    e4, e6 = ((v - u, v + u) for v, u in (_arc_eisenstein(pt, k, n) for k in (4, 6)))
+    cube, square = _cut(_ends_pow(e4, 3), 2 * P), _cut(_ends_pow(e6, 2), P)
+    return e4, e6, cube, ((cube[0] - square[1]) // 1728, -((square[0] - cube[1]) // 1728))
+
+
 def arc_functions(p, prec: int = DEFAULT_PREC) -> ArcValues:
     """Certified values of e2, e4, e6, delta_arc at an arc angle or on an arc interval.
 
     p is an angle or a pair (lo, hi) with pi/2 <= lo <= hi <= 2pi/3; for a
     pair each enclosure holds at every theta in [lo, hi], from the point
     about its midpoint, and (theta, theta) gives the point result bit for
-    bit.  e2, e4 and e6 are _arc_eisenstein's, delta_arc = (e4^3 - e6^2) /
-    1728 as in arc_form; NotRealError if an imaginary part survives
-    outside the propagated radius.
+    bit.  e2, e4 and e6 are _arc_eisenstein's and delta_arc is the ends of
+    _arc_ends, as in arc_form, each one ball; on a wide interval delta_arc
+    may straddle 0.  NotRealError if an imaginary part survives outside
+    the propagated radius.
     """
     with workprec(prec + _GUARD):
         lo, hi = (_theta_mpf(t) for t in (p if isinstance(p, tuple) else (p, p)))
         theta, h = _span(lo, hi)
         pt = _Point(theta, h=h)
-        n = auto_trunc(pt.y, prec)
-        e2, e4, e6 = (_units_ball(*_arc_eisenstein(pt, k, n), pt.P) for k in (2, 4, 6))
-        return ArcValues(e2, e4, e6, (e4.pow_int(3) - e6.pow_int(2)) / 1728)
+        n, P = auto_trunc(pt.y, prec), pt.P
+        e4, e6, _, delta = _arc_ends(pt, n)
+        return ArcValues(_units_ball(*_arc_eisenstein(pt, 2, n), P),
+                         *(_ends_ball(*x, P) for x in (e4, e6, delta)))
 
 
 def arc_form(form, p, prec: int = DEFAULT_PREC, trunc_scale: int = 1) -> CertValue:
@@ -1045,9 +1037,9 @@ def _arc_form_at(form, p, prec: int, trunc_scale: int = 1) -> tuple:
     At the ambient precision prec + _GUARD, on int ends in the point's
     units of 2^-P, each step flooring its lower end and ceiling its upper
     one.  The budget, in units of 2^-P:
-      e4, e6        _arc_eisenstein's v +- its units
-      e4^3, e6^2    exact, then cut: under 1 at each end; so is e4^a e6^b
-      delta         (e4^3 - e6^2) / 1728 cut: under 1; below 0 on the arc
+      e4, e6        _arc_ends', with e4^3 and delta; delta is below 0
+                    on the arc
+      e4^a e6^b     exact, then cut: under 1 at each end
       j             the least and greatest of the four quotients e4^3 2^P
                     / delta of the ends, floored and ceiled: under 1
       F(j)          one real _horner about j's floored midpoint, radius
@@ -1061,10 +1053,7 @@ def _arc_form_at(form, p, prec: int, trunc_scale: int = 1) -> tuple:
     a, b = qseries.EISENSTEIN_FACTORS[fid.kprime]
     pt = _Point(_theta_mpf(p))
     P = pt.P
-    n = auto_trunc(pt.y, prec) * trunc_scale
-    e4, e6 = ((v - u, v + u) for v, u in (_arc_eisenstein(pt, k, n) for k in (4, 6)))
-    cube, square = _cut(_ends_pow(e4, 3), 2 * P), _cut(_ends_pow(e6, 2), P)
-    delta = (cube[0] - square[1]) // 1728, -((square[0] - cube[1]) // 1728)
+    e4, e6, cube, delta = _arc_ends(pt, auto_trunc(pt.y, prec) * trunc_scale)
     if delta[1] >= 0:
         raise ZeroDivisionError("the ends of delta, negative on the arc, reach 0")
     j_lo = min((c << P) // d for c in cube for d in delta)

@@ -248,11 +248,15 @@ def real_root_census(p: IntPolynomial, width: Fraction = ROOT_WIDTH) -> tuple:
 
 
 def _count_off(sqf: IntPolynomial, chain: list, lo: Fraction, hi: Fraction) -> dict:
-    """Distinct real roots of sqf outside [lo, hi], and its complex pairs."""
+    """Distinct real roots of sqf outside [lo, hi], and its complex pairs.
+
+    sqf has V(-inf) - V(+inf) distinct real roots: the sign changes of the
+    chain's leading coefficients, each negated at -inf for an odd degree.
+    """
     if sqf.degree <= 0:
         return {"real_outside": 0, "complex_pairs": 0}
-    b = max(cauchy_bound(sqf), hi + 1)
-    total = _roots_in_closed(chain, -b, b)
+    top = [1 if c.coeffs[-1] > 0 else -1 for c in chain]
+    total = _changes([-s if c.degree % 2 else s for s, c in zip(top, chain)]) - _changes(top)
     inside = _roots_in_closed(chain, lo, hi)
     return {"real_outside": total - inside,
             "complex_pairs": (sqf.degree - total) // 2}

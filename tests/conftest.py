@@ -8,10 +8,11 @@ exact q-series products raw_basis and reconstruct, and the Ramanujan
 residuals, are the oracles of the Miller basis and the q-series layer.
 The oracles share no evaluation point with evalnum: each takes its own
 q = e^(2 pi i tau) and phases from mpmath's complex exp, with a 16-ulp
-pad, and runs only the kernel _horner and the ball arithmetic.
-JCoeffTail, the j tail bound for eval_series, serves the direct
-evaluation and the ball-route oracle of evalnum.arc_j, which forms its
-own tail in integers.
+pad, and runs only the kernel _horner and the ball arithmetic.  Their
+tails are oracle_tail's mpf closed forms at the oracle's precision, and
+share no tail code with evalnum's integer tails.  JCoeffTail, the j
+tail for eval_series, serves the direct evaluation and the ball-route
+oracle of evalnum.arc_j, which forms its own tail in integers.
 """
 
 from dataclasses import dataclass
@@ -26,15 +27,37 @@ from millerzeros.qseries import (FormId, QSeries, _pentagonal_euler_product, del
                                  jfunction)
 from millerzeros.certify import full_ledger
 from millerzeros.evalnum import (DEFAULT_PREC, _GUARD, CertValue, EisensteinTail, EtaProductTail,
-                                 _fixed, _from_fixed, _horner, _theta_mpf, auto_trunc, j_tail_bound)
+                                 TailUnboundedError, _fixed, _horner, _theta_mpf, _units_ball,
+                                 auto_trunc, j_tail_bound)
 
 
 @dataclass(frozen=True)
 class JCoeffTail:
     """The j q-series tail for eval_series: j_tail_bound at the height y."""
 
-    def bound(self, trunc: int, r, y):
+    def units(self, trunc: int, pt) -> int:
+        return int(mp.ceil(mp.ldexp(j_tail_bound(trunc, pt.y), pt.P)))
+
+
+def oracle_tail(tail, trunc: int, r, y) -> mpf:
+    """tail's bound beyond q^trunc at |q| = r and height y, in mpf at the
+    ambient precision, its few roundings covered by a relative 2^(8 - prec).
+
+    E_k: |2k/B_k| n^k r^n / (1 - (1 + 1/n)^k r), n = trunc + 1; the eta
+    product: 2 r^n / (1 - r); j: j_tail_bound.
+    """
+    if isinstance(tail, JCoeffTail):
         return j_tail_bound(trunc, y)
+    n = trunc + 1
+    if isinstance(tail, EtaProductTail):
+        lead, growth = mpf(2), mpf(1)
+    else:
+        gamma = abs(Fraction(2 * tail.k) / qseries.bernoulli(tail.k))
+        lead = mpf(gamma.numerator) / gamma.denominator * mpf(n) ** tail.k
+        growth = (1 + mpf(1) / n) ** tail.k
+    if growth * r >= 1:
+        raise TailUnboundedError(f"tail not dominated at trunc={trunc}, r={r}")
+    return lead * r ** n / (1 - growth * r) * (1 + mpf(2) ** (8 - mp.prec))
 
 
 def raw_basis(fid: FormId, trunc: int | None = None) -> QSeries:
@@ -81,19 +104,19 @@ def ramanujan_residuals(trunc: int) -> tuple:
 
 
 def complex_poly(coeffs, z, radius=0) -> CertValue:
-    """Enclosure of sum_i coeffs[i] w^i for every w with |w - z| <= radius, z complex.
+    """Enclosure of sum_i coeffs[i] w^i for every w with |w - z| <= radius,
+    z real (an mpf ball) or complex (an mpc one).
 
-    The kernel _horner at eval_poly's scale 2^-P, P = working precision
-    + 24, on the floored parts of z, so any w is within radius + 2^(2-P)
-    of the point it takes; the result is rounded to an mpc with a 16-ulp
-    pad.
+    The kernel _horner at the scale 2^-P, P = working precision + 24, on
+    the floored parts of z, so any w is within radius + 2^(2-P) of the
+    point it takes; a real z runs its real loop.  The result is one ball
+    from the units, with one ulp for its rounding.
     """
     z = mp.mpmathify(z)
     p = mp.prec + 24
     delta = int(mp.ceil(mp.ldexp(radius, p))) + 4
     a, b, units = _horner(coeffs, _fixed(mp.re(z)._mpf_, p), _fixed(mp.im(z)._mpf_, p), delta, p)
-    value = mp.mpc(_from_fixed(a, p), _from_fixed(b, p))
-    return CertValue(value, Fraction(units, 1 << p)).widened(mp.ldexp(abs(value), 4 - mp.prec))
+    return _units_ball(a, units, p, b if isinstance(z, mp.mpc) else None)
 
 
 def power_by_squaring(x, n):
@@ -126,13 +149,13 @@ def series_at_q(s, q, pad, tail, y, power=CertValue.pow_int):
     if s.lead:
         qc = power(CertValue(q, pad), abs(s.lead))
         acc = acc * qc if s.lead > 0 else acc / qc
-    return acc if tail is None else acc.widened(tail.bound(s.trunc, abs(q), y))
+    return acc if tail is None else acc.widened(oracle_tail(tail, s.trunc, abs(q), y))
 
 
 def delta_at_q(q, pad, terms, y, power=CertValue.pow_int):
     """Delta = q P^24 through the pentagonal eta product P at the q held."""
     p = complex_poly(_pentagonal_euler_product(terms).coeffs, q, pad)
-    p = p.widened(EtaProductTail().bound(terms, abs(q), y))
+    p = p.widened(oracle_tail(EtaProductTail(), terms, abs(q), y))
     return power(p, 24) * CertValue(q, pad)
 
 

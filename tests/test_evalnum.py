@@ -3,23 +3,24 @@
 import io
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, mpc, workprec
 
-from millerzeros.qseries import (EISENSTEIN_FACTORS, QSeries, _pentagonal_euler_product, delta,
-                                 eisenstein, jfunction)
+from millerzeros.qseries import (EISENSTEIN_FACTORS, QSeries, _pentagonal_euler_product,
+                                 bernoulli, delta, eisenstein, jfunction)
 from millerzeros.miller import miller_form
 from millerzeros.zeros import HFunction
-from conftest import (JCoeffTail, complex_poly, oracle_phase, separate_q_arc_functions,
-                      separate_q_form, separate_q_series)
+from conftest import (JCoeffTail, complex_poly, oracle_phase, oracle_tail,
+                      separate_q_arc_functions, separate_q_form, separate_q_series)
 from millerzeros.evalnum import (
     DEFAULT_PREC, _GUARD, CertValue, NotRealError, TailUnboundedError, _TAIL_SLACK, _Point,
     _abs_up, _arc_eisenstein, _corner_angles, _phase_units, _corner_window, _exact, _j_tail_units, _theta_mpf,
     _span, _two_pi, _units_ball, _cut, _ends_mul, _ends_pow, _ends_pow_float,
     EisensteinTail, EtaProductTail, j_tail_bound,
-    eval_poly, eval_series, eval_delta_eta,
+    eval_series, eval_delta_eta,
     arc_functions, arc_form, arc_j, arc_j_float, arc_grid, export_arc_csv,
     lemniscate_constants, form_arc_prec, auto_trunc,
 )
@@ -333,12 +334,12 @@ def kernel_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(kernel_cases())
-def test_eval_poly_encloses_every_point_of_the_disk(case):
-    # a real point through eval_poly, a complex one through the kernel as
-    # the oracle's complex_poly takes it
+def test_kernel_encloses_every_point_of_the_disk(case):
+    # the kernel as the oracle's complex_poly takes it: a real point through
+    # its real loop, a complex one through the Gaussian loop
     coeffs, z, radius, u, phi = case
     with workprec(140):
-        got = (complex_poly if isinstance(z, mpc) else eval_poly)(coeffs, z, radius)
+        got = complex_poly(coeffs, z, radius)
         assert isinstance(got.value, mpc) == isinstance(z, mpc)
     with workprec(2000):
         # shrink by 1 - 2^-100 so that the 2000-bit rounding keeps w in the disk
@@ -349,18 +350,16 @@ def test_eval_poly_encloses_every_point_of_the_disk(case):
         assert abs(exact - got.value) <= got.err
 
 
-def test_eval_poly_is_tight_without_radius():
+def test_kernel_is_tight_without_radius():
     e4 = eisenstein(4, 48).coeffs
     with workprec(140):
         q = mp.e ** (2j * mp.pi * mpc("0.2", "0.65"))
         got = complex_poly(e4, q)
         assert got.err <= abs(got.value) * mpf(2) ** -130
-        real = eval_poly(e4, q.real)
+        real = complex_poly(e4, q.real)
         assert real.err <= real.value * mpf(2) ** -136
-        assert eval_poly([Fraction(1, 3)], 5).err <= mpf(2) ** -135
-        assert eval_poly([7, 0, 1], mpf(2)).value == 11
-        with pytest.raises(TypeError):
-            eval_poly(e4, q)
+        assert complex_poly([Fraction(1, 3)], 5).err <= mpf(2) ** -135
+        assert complex_poly([7, 0, 1], mpf(2)).value == 11
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +456,7 @@ def reference_eval_series(s, tau, tail, prec=128):
             acc = acc * qc.pow_int(s.lead)
         elif s.lead < 0:
             acc = acc / qc.pow_int(-s.lead)
-        return acc.widened(tail.bound(s.trunc, abs(q), mp.im(tau)))
+        return acc.widened(oracle_tail(tail, s.trunc, abs(q), mp.im(tau)))
 
 
 @pytest.mark.parametrize("name", ["e2", "e4", "e6", "j"])
@@ -512,25 +511,60 @@ def test_line_segment_encloses_every_point(k, height, where, log_width, at):
 # tail bounds
 
 def test_tail_domination_actual_remainders():
-    j = jfunction(48)
+    # each tail's units at a point of height y bound the dropped terms at |q| = e^(-2 pi y)
+    j, e6 = jfunction(48), eisenstein(6, 48)
+    cases = (("0", "1", j, JCoeffTail(), (12, 20, 36)),
+             ("0.3", "0.8", j, JCoeffTail(), (12, 20, 36)),
+             ("0", "0.65", e6, EisensteinTail(6), (8, 16)))
     with workprec(96):
-        for tau in (mpc(0, 1), mpc("0.3", "0.8")):
-            r = abs(mp.e ** (2j * mp.pi * tau))
-            for n in (12, 20, 36):
-                tail_true = sum(int(j.coeff(i)) * r ** i for i in range(n + 1, 49))
-                assert tail_true <= JCoeffTail().bound(n, r, tau.imag)
-        e6 = eisenstein(6, 48)
-        r = mp.e ** (-2 * mp.pi * mpf("0.65"))
-        for n in (8, 16):
-            tail_true = sum(abs(int(e6.coeff(i))) * r ** i for i in range(n + 1, 49))
-            assert tail_true <= EisensteinTail(6).bound(n, r, mpf("0.65"))
+        for x, y, series, tail, truncs in cases:
+            pt = _Point(mpf(x), mpf(y))
+            r = mp.exp(-2 * mp.pi * mpf(y))
+            for n in truncs:
+                tail_true = sum(abs(int(series.coeff(i))) * r ** i for i in range(n + 1, 49))
+                assert tail_true <= tail.units(n, pt) * mp.ldexp(1, -pt.P)
 
 
 def test_tail_unbounded_guards():
     with pytest.raises(TailUnboundedError):
         j_tail_bound(2, 0.5)
+    # |q| <= 1 for the eta product; (1 + 1/n)^k |q| = 16 |q| = 1 for E_4 cut at q^0
     with pytest.raises(TailUnboundedError):
-        EtaProductTail().bound(5, mpf(1), mpf(0))
+        EtaProductTail().units(5, SimpleNamespace(r=1 << 20, pad=0, P=20))
+    with pytest.raises(TailUnboundedError):
+        EisensteinTail(4).units(0, SimpleNamespace(r=1 << 16, pad=0, P=20))
+    assert EisensteinTail(4).units(0, SimpleNamespace(r=(1 << 16) - 1, pad=0, P=20)) > 0
+
+
+def _tail_points() -> list:
+    """Arc points and intervals, line points and segments, at 96 to 512 bits."""
+    pts = []
+    for prec in (96, 128, 512):
+        with workprec(prec + _GUARD):
+            for theta in (mp.pi / 2, 1.75, 2 * mp.pi / 3):
+                pts += [_Point(mpf(theta)), _Point(mpf(theta), h=mpf("0.01"))]
+            for x, y in (("0", "0.65"), ("0.3", "0.75"), ("0.5", "1")):
+                pts += [_Point(mpf(x), mpf(y)), _Point(mpf(x), mpf(y), mpf("0.1"))]
+    return pts
+
+
+def test_tail_units_are_the_ceiling_of_the_closed_form():
+    # units(N, pt) is exactly ceil(2^P closed form) at rho = (r + pad) 2^-P, in Fractions
+    for pt in _tail_points():
+        rho = Fraction(pt.r + pt.pad, 1 << pt.P)
+        for trunc in (8, 25, 49):
+            n = trunc + 1
+            for tail in (EisensteinTail(0), EisensteinTail(2), EisensteinTail(4),
+                         EisensteinTail(6), EtaProductTail()):
+                if isinstance(tail, EtaProductTail):
+                    lead, growth = 2, 1
+                else:
+                    lead = abs(Fraction(2 * tail.k) / bernoulli(tail.k)) * n ** tail.k
+                    growth = Fraction(n + 1, n) ** tail.k
+                closed = lead * rho ** n / (1 - growth * rho) * (1 << pt.P)
+                got = tail.units(trunc, pt)
+                assert isinstance(got, int)
+                assert got == math.ceil(closed), (tail, trunc, pt.P)
 
 
 def _j_tail_formula(M: int, a) -> mpf:
@@ -961,6 +995,42 @@ def test_arc_j_takes_no_ball_quotient_and_no_exp(monkeypatch):
         for prec in J_PRECS:
             arc_j(theta, prec=prec)
     assert calls == []
+
+
+def test_warm_series_and_arc_functions_take_no_ball_operation(monkeypatch):
+    # every series evaluation stays in integer units from the point to its one
+    # ball: a warm eval_series or arc_functions runs no CertValue operation,
+    # and every tail it adds is an int
+    def run():
+        for prec in (96, 128):
+            eval_series(eisenstein(4, 48), mpc("0.2", "0.65"), EisensteinTail(4), prec=prec)
+            eval_series(eisenstein(6, 48), (mpc(0, "0.75"), mpc("0.5", "0.75")),
+                        EisensteinTail(6), prec=prec)
+            eval_series(_pentagonal_euler_product(40), mpc(0, 1), EtaProductTail(), prec=prec)
+            for p in (1.75, (1.6, 1.7), (CORNERS[0], CORNERS[1])):
+                arc_functions(p, prec=prec)
+    run()
+    calls, tails = [], []
+
+    def counted(name, inner):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        return call
+
+    def typed(inner):
+        def call(*args, **kwargs):
+            out = inner(*args, **kwargs)
+            tails.append(type(out))
+            return out
+        return call
+    for name in ("pow_int", "__mul__", "__rmul__", "__sub__", "__rsub__", "__truediv__"):
+        monkeypatch.setattr(CertValue, name, counted(name, getattr(CertValue, name)))
+    for cls in (EisensteinTail, EtaProductTail):
+        monkeypatch.setattr(cls, "units", typed(cls.units))
+    run()
+    assert calls == []
+    assert tails and set(tails) == {int}
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,20 @@ def test_count_off_interval_cases():
     assert off(poly_from_roots([500])) == {"real_outside": 0, "complex_pairs": 0}
 
 
+@pytest.mark.parametrize("roots, double, pairs", [
+    ([-7, 3, 2000], 3, 1), ([-3000, -1, 1729], -2, 2), ([5000], 10, 0), ([-1, 1800], 1900, 3)])
+def test_count_off_from_the_chain_at_infinity(roots, double, pairs):
+    # complex pairs, roots below 0 and above 1728 and a square factor, odd and
+    # even degrees: the counts read off the chain's leading signs are the known ones
+    extra = poly_from_roots([double, double])
+    for c in range(1, pairs + 1):
+        extra = extra * IntPolynomial.make([4 * c * c + 1, 2, 1])      # (x + 1)^2 + 4c^2
+    distinct = set(roots) | {double}
+    _, off = real_root_census(poly_from_roots(roots, extra=extra))
+    assert off == {"real_outside": sum(1 for r in distinct if not 0 <= r <= 1728),
+                   "complex_pairs": pairs}
+
+
 @settings(max_examples=30, deadline=None)
 @given(ROOTS, st.integers(1, 30))
 def test_isolation_against_known_roots(roots, c):
