@@ -26,9 +26,7 @@ W = sum_r V[D+1+r] t(q)^r mod q^L left after F gives the tail
 g = q^m - q^(ell+1) W qd^(ell+1) E_k' / E_4^3, t(q) = q qd / E_4^3.
 The table of t(q)^r costs O(L^3) and depends only on L, so it is
 cached: nil at the default L = DEFAULT_MARGIN + 1, the dominant cost
-when a large trunc is asked for.  faber_of reads F of any form off its
-q-expansion by the greedy q-domain reduction V <- (V - V_0) J / q,
-J = q j, an independent O(n^3) path.
+when a large trunc is asked for.
 """
 
 from __future__ import annotations
@@ -372,51 +370,6 @@ def miller_form(k: int, m: int, trunc: int | None = None) -> MillerForm:
     fid = FormId.from_k(k, m)
     trunc = _checked_trunc(fid.ell, trunc)
     return _assemble(fid, trunc, _t_start(fid, trunc - m + 1), _tail_factor(fid, trunc))
-
-
-def _start(fid: FormId, n: int) -> list:
-    """V = 1 / (qd^m E_4^(3D+a) E_6^b) to n coefficients q^0.., D = ell - m."""
-    a, b = EISENSTEIN_FACTORS[fid.kprime]
-    return _monomial(n, -fid.m, -3 * (fid.ell - fid.m) - a, -b)
-
-
-def _reduce(v: list, steps: int, big_j: list) -> tuple:
-    """The greedy t = 1/j reduction in q: F's coefficients from the top
-    down, and W.
-
-    Each of the steps = D + 1 steps reads off V_0 and sets V <- (V - V_0)
-    J / q, with J = big_j to at least len(v) coefficients.  What is left
-    is the list W of len(v) - D - 1 coefficients.
-    """
-    top = []
-    for _ in range(steps):
-        top.append(v[0])
-        v = _mul(v[1:], big_j)
-    return top, v
-
-
-def faber_of(series: QSeries, fid: FormId) -> IntPolynomial:
-    """Faber polynomial of an arbitrary weight-k form given by q-expansion.
-
-    The reduction of series / q^n0 leaves W = 0 to the series' truncation
-    exactly when the series is in the space; otherwise NotInSpaceError.
-    Degree is ell - n0, with n0 = ord_infty(series).
-    """
-    n0 = series.order
-    if n0 > fid.ell:
-        raise NotInSpaceError("series vanishes beyond q^ell; not a nonzero form" if not series.is_zero()
-                              else "zero series has no Faber polynomial")
-    if n0 < 0:
-        raise NotInSpaceError("series has a pole at the cusp")
-    if series.trunc < fid.ell:
-        raise ValueError(f"trunc must reach ell = {fid.ell}")
-    n = series.trunc - n0 + 1
-    v = _mul(series.coeffs[n0 - series.lead:], _start(FormId.from_k(fid.k, n0), n))
-    top, w = _reduce(v, fid.ell - n0 + 1, _monomial(n, -1, 3, 0))
-    for i, c in enumerate(w):
-        if c != 0:
-            raise NotInSpaceError(f"residual fails to vanish at q^{fid.ell + 1 + i}")
-    return IntPolynomial.make(top[::-1])
 
 
 def faber_json(form: MillerForm) -> str:

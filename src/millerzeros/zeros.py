@@ -1,10 +1,14 @@
 """Zero location and counting for the basis forms g_{k,m}.
 
-Two independent mechanisms see every zero:
+Two mechanisms see every zero:
 
-  * exact Sturm-chain isolation of the Faber polynomial over the
-    rationals, which decides "all roots real, simple, inside [0, 1728]"
-    as a theorem-grade statement;
+  * the exact census of the Faber polynomial F over the rationals,
+    deflated at 0 and 1728, which decides "all roots real, simple,
+    inside [0, 1728]" as a theorem-grade statement.  An interlacing
+    certificate decides it first: F's exact signs at 1728, at the exact
+    values of arc_j_float at the interior sample angles and at 0 change
+    deg F times (_interlaced_census).  Only when that fails does a Sturm
+    chain decide (_sturm_census); a failure never means a zero off the arc.
   * certified sign changes of F inside the j-image of the angle
     intervals between the samples where h(theta) = k theta / 2 + 2 pi m
     cos theta crosses multiples of pi.  j is a decreasing bijection of
@@ -27,26 +31,25 @@ The j-images of the arc brackets must land in the Faber isolating
 intervals, and the valence formula must reconcile exactly; both checks
 are assembled into a ZeroReport.
 
-Sturm chains here are primitive remainder sequences of IntPolynomial,
-adequate for the degrees this package isolates exactly (the exhaustive
-sweeps stop at degree 13); arc localization alone handles the large-ell
-forms.  Two entry points use them: zero_report isolates the deflated
-Faber polynomial on [0, 1728], real_root_census every real root on the
-Cauchy bound; neither interval has a root at an end.  Isolation is
-integer arithmetic throughout: the interval [lo, hi] maps the square-free
-part and its chain once onto [0, 1] (IntPolynomial.affine), every point
-visited is a dyadic t = n / 2^e there, and every sign is one integer
-Horner loop, IntPolynomial.sign_at(n, 2^e); the few rational points off
-that grid (the counts outside) go to sign_at with their numerator and
-denominator.
+Isolation bisects an interval with no root at an end: zero_report's
+[0, 1728], counting roots by the certificate's gaps (_gap_counter) or a
+Sturm chain (_chain_counter), and real_root_census's Cauchy bound, by a
+chain.  The chains are primitive remainder sequences of IntPolynomial,
+whose content gcds cost seconds at degree 79.  Every point visited is a
+dyadic t = n / 2^e of [lo, hi] mapped onto [0, 1] (IntPolynomial.affine)
+and every sign one integer Horner loop, IntPolynomial.sign_at(n, 2^e);
+a root's last cell may be guessed in doubles, but only exact signs
+accept it (_guess_leaf).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import mpf_cos_sin
@@ -183,13 +186,92 @@ def _chain_counter(chain: list, lo: Fraction, hi: Fraction):
     return lambda a, b: changes(a) - changes(b)
 
 
-def _bisect(sqf: IntPolynomial, chain: list, lo: Fraction, hi: Fraction,
-            width: Fraction) -> list:
+def _gap_counter(p: IntPolynomial, xs: list, signs: list, lo: Fraction, hi: Fraction):
+    """Roots of p in (a, b] for grid points a < b of [lo, hi], from a
+    certificate: signs = _separated_signs(p, (x, x) for x in xs), not None,
+    with xs falling from hi to lo.
+
+    p's roots are then simple, one in each gap of xs whose end signs
+    differ and none elsewhere.  A point t in such a gap (x, y), x < y, has
+    that root at or below it exactly when p's sign at t is not p's sign at
+    x: one sign_at per point, cached under (n, e).
+    """
+    span = hi - lo
+    cuts, up = xs[::-1], signs[::-1]
+    below = list(accumulate((s != r for s, r in zip(up, up[1:])), initial=0))
+    seen = {}
+
+    def roots_to(pt: tuple) -> int:
+        if pt not in seen:
+            x = lo + span * Fraction(pt[0], 1 << pt[1])
+            i = bisect_right(cuts, x) - 1
+            n = below[i]
+            if i + 1 < len(cuts) and up[i] != up[i + 1] and _sign(p, x) != up[i]:
+                n += 1
+            seen[pt] = n
+        return seen[pt]
+
+    return lambda a, b: roots_to(b) - roots_to(a)
+
+
+def _guess_leaf(q: IntPolynomial, fq: list, a: tuple, b: tuple, w: Fraction):
+    """The leaf that bisecting the grid cell (a, b), which holds one root
+    of q, down to width w ends in; None when no guess holds.
+
+    Newton's method on q's doubles fq, kept inside the cell, locates the
+    root; the leaf is the dyadic subinterval of the cell holding it at
+    the first depth that passes the width test.  It is taken only when
+    q's exact signs at its ends are nonzero and opposite: the root is then
+    strictly inside, no midpoint on the path to the leaf is a root, and
+    bisection on exact signs ends there too.  No guess is made when a
+    double cannot resolve the leaf.
+    """
+    na, nb, e = _common(a, b)
+    span = nb - na
+    need, have = span * w.denominator, w.numerator << e
+    depth = max(need.bit_length() - have.bit_length(), 0)
+    depth += (have << depth) < need
+    lo, hi = na / (1 << e), nb / (1 << e)
+    leaf = span / (1 << (e + depth))
+    if depth == 0 or leaf < 64 * math.ulp(hi):
+        return None
+
+    def value(t: float) -> tuple:
+        v = dv = 0.0
+        for c in reversed(fq):
+            v, dv = v * t + c, dv * t + v
+        return v, dv
+
+    v_lo, v_hi = value(lo)[0], value(hi)[0]
+    if not v_lo * v_hi < 0:
+        return None
+    rising = v_lo < 0
+    t = (lo + hi) / 2
+    for _ in range(100):
+        v, dv = value(t)
+        if v == 0:
+            break
+        if (v < 0) == rising:
+            lo = t
+        else:
+            hi = t
+        step = v / dv if dv else math.inf
+        t, last = t - step if lo < t - step < hi else (lo + hi) / 2, t
+        if abs(t - last) < leaf / 16:
+            break
+    i = min(max(int((t - na / (1 << e)) / leaf), 0), (1 << depth) - 1)
+    ends = [_reduced((na << depth) + j * span, e + depth) for j in (i, i + 1)]
+    s_lo, s_hi = (q.sign_at(n, 1 << f) for n, f in ends)
+    return tuple(ends) if s_lo * s_hi < 0 else None
+
+
+def _bisect(sqf: IntPolynomial, count, lo: Fraction, hi: Fraction, width: Fraction) -> list:
     """Isolating intervals below width for the roots of sqf in (lo, hi).
 
-    Neither end may be a root of sqf (ArithmeticError otherwise): both
-    callers make sure of that, zero_report by deflating at 0 and 1728,
-    real_root_census by isolating on the Cauchy bound, which lies
+    count(a, b) is the number of roots of sqf in (a, b] for grid points
+    a < b: _chain_counter or _gap_counter on [lo, hi].  Neither end may be
+    a root of sqf (ArithmeticError otherwise): zero_report deflates at 0
+    and 1728, real_root_census isolates on the Cauchy bound, which lies
     strictly beyond every root.  [lo, hi] is mapped once onto [0, 1]
     (IntPolynomial.affine), and every point visited is a grid point
     t = n / 2^e there: the midpoint of the current interval or, when
@@ -197,16 +279,19 @@ def _bisect(sqf: IntPolynomial, chain: list, lo: Fraction, hi: Fraction,
     not.  Every sign is IntPolynomial.sign_at(n, 2^e), and the width
     test (n_b - n_a) w_den > w_num 2^e, with w = width / (hi - lo), is
     integer arithmetic too; only the returned ends lo + (hi - lo) t are
-    Fractions.  The chain counts roots until an interval holds exactly
-    one; that root is simple and both ends are non-roots, so the sign of
-    sqf alone bisects it from there.
+    Fractions.  Counting stops at an interval with exactly one root; that
+    root is simple and both ends are non-roots, so the leaf is either
+    _guess_leaf's or found by bisecting on the sign of sqf alone.
     """
     q = sqf.affine(lo, hi)
     if q.sign_at(0) == 0 or q.sign_at(1) == 0:
         raise ArithmeticError(f"an end of [{lo}, {hi}] is a root")
-    count = _chain_counter(chain, lo, hi)
     span = hi - lo
     w = width / span
+    # q's shape in doubles for _guess_leaf, all coefficients divided by
+    # one power of two that leaves the largest below 2^960
+    shift = max(max(abs(c).bit_length() for c in q.coeffs) - 960, 0)
+    fq = [float(c >> shift) for c in q.coeffs]
     out = []
 
     def inner(a: tuple, b: tuple):
@@ -214,16 +299,20 @@ def _bisect(sqf: IntPolynomial, chain: list, lo: Fraction, hi: Fraction,
         if roots == 0:
             return
         if roots == 1:
-            s_a = q.sign_at(a[0], 1 << a[1])
-            while True:
-                na, nb, e = _common(a, b)
-                if (nb - na) * w.denominator <= w.numerator << e:
-                    break
-                mid, s = _safe_point(q, a, b)
-                if s == s_a:
-                    a = mid
-                else:
-                    b = mid
+            leaf = _guess_leaf(q, fq, a, b, w)
+            if leaf is not None:
+                a, b = leaf
+            else:
+                s_a = q.sign_at(a[0], 1 << a[1])
+                while True:
+                    na, nb, e = _common(a, b)
+                    if (nb - na) * w.denominator <= w.numerator << e:
+                        break
+                    mid, s = _safe_point(q, a, b)
+                    if s == s_a:
+                        a = mid
+                    else:
+                        b = mid
             out.append(tuple(lo + span * Fraction(n, 1 << e) for n, e in (a, b)))
             return
         mid, _ = _safe_point(q, a, b)
@@ -243,7 +332,7 @@ def real_root_census(p: IntPolynomial, width: Fraction = ROOT_WIDTH) -> tuple:
     """
     sqf, chain = _squarefree_chain(p)
     b = cauchy_bound(p)
-    return (_bisect(sqf, chain, -b, b, width),
+    return (_bisect(sqf, _chain_counter(chain, -b, b), -b, b, width),
             _count_off(sqf, chain, Fraction(0), Fraction(1728)))
 
 
@@ -281,32 +370,29 @@ class HFunction:
     def monotone(self) -> bool:
         return self.k > 4 * math.pi * self.m
 
-    def sample_angles(self) -> list:
-        """Angles where h hits integer multiples of pi, endpoints included.
+    def double_angles(self) -> list:
+        """(n, theta) for each multiple n pi that h hits, theta a double, or
+        None at a corner (pi/2 where 4n = k, 2 pi/3 where 3n = k - 3m).
 
         h runs from k pi / 4 to (k/3 - m) pi; the multiples in between
         are n = ceil(k/4) .. floor(k/3 - m), one angle per multiple by
-        monotonicity; the corners pi/2 and 2pi/3 are taken exactly, at
-        96 bits.  On the arc h'' = -2 pi m cos theta >= 0, so h is convex
-        and Newton's method started right of a root decreases onto it.
-        The tangent at the previous angle meets the next multiple at that
-        angle + pi / h', which convexity puts right of the next root; the
-        first start is 2 pi / 3.  Newton runs in doubles until its step
-        is below 2^-40 or stops shrinking (rounding then dominates it).
-        Each double is then polished by Newton at 96 bits, h and h' from
-        one cos_sin per step, until a step is below 2^-60, which leaves
-        the angle accurate to rounding.
+        monotonicity.  On the arc h'' = -2 pi m cos theta >= 0, so h is
+        convex and Newton's method started right of a root decreases onto
+        it.  The tangent at the previous angle meets the next multiple at
+        that angle + pi / h', which convexity puts right of the next root;
+        the first start is 2 pi / 3.  Newton runs until its step is below
+        2^-40 or stops shrinking (rounding then dominates it).
         """
         if not self.monotone:
             raise ValueError(f"h not monotone for k={self.k}, m={self.m}")
         k, m = self.k, self.m
-        # h = a theta + b cos theta and h' = a - b sin theta, in doubles
+        # h = a theta + b cos theta and h' = a - b sin theta
         a, b, top = k / 2, 2 * math.pi * m, 2 * math.pi / 3
-        doubles, start = [], top
+        out, start = [], top
         for n in range(-(-k // 4), (k - 3 * m) // 3 + 1):
             if 4 * n == k or 3 * n == k - 3 * m:
                 theta = math.pi / 2 if 4 * n == k else top
-                doubles.append((n, None))
+                out.append((n, None))
             else:
                 theta, target, last = start, n * math.pi, math.inf
                 while True:
@@ -315,14 +401,23 @@ class HFunction:
                     if abs(step) < 2 ** -40 or abs(step) >= last:
                         break
                     last = abs(step)
-                doubles.append((n, theta))
+                out.append((n, theta))
             start = min(top, theta + math.pi / (a - b * math.sin(theta)))
+        return out
+
+    def sample_angles(self) -> list:
+        """(n, theta): the angles of double_angles at 96 bits, the corners
+        exact.  Each double is polished by Newton at 96 bits, h and h' from
+        one cos_sin per step, until a step is below 2^-60, which leaves the
+        angle accurate to rounding.
+        """
+        k, m = self.k, self.m
         out = []
         with workprec(96):
             lo_all, hi_all = _corner_angles(96)
             tol = mpf(2) ** -60
             half_k, two_pi_m = mpf(k) / 2, 2 * mp.pi * m
-            for n, theta in doubles:
+            for n, theta in self.double_angles():
                 if theta is None:
                     out.append((n, lo_all if 4 * n == k else hi_all))
                     continue
@@ -398,8 +493,8 @@ def _separated_signs(p: IntPolynomial, pairs):
     """The signs of p around the points that pairs separate, or None.
 
     pairs yields (v_1, u_1), (v_2, u_2), ... of rationals, each bracketing
-    one point x_i (u_i < x_i < v_i), or None where no pair was found.  The
-    certificate holds when v_1 > u_1 > v_2 > u_2 > ... strictly, no exact
+    one point x_i (u_i <= x_i <= v_i), or None where no pair was found.  The
+    certificate holds when v_1 >= u_1 > v_2 >= u_2 > ..., no exact
     sign p(v_i), p(u_i) (IntPolynomial.sign_at) is 0, and the sign
     changes along the sequence number deg p; sign p(v_i) = sign p(u_i)
     follows from that count, and checking it stops a failing certificate
@@ -409,16 +504,18 @@ def _separated_signs(p: IntPolynomial, pairs):
     holds exactly one and p has no other root, none on any [u_i, v_i].
     Hence sign p(x_i) = sign p(u_i), the i-th sign returned.  Without the
     strict order one root can make several changes, and roots can hide
-    in pairs inside some [u_i, v_i].
+    in pairs inside some [u_i, v_i].  A pair may be one point (v_i = u_i):
+    then the certificate puts every root of p in a gap between the points.
     """
     signs, changes, last = [], 0, None
     for pair in pairs:
         if pair is None:
             return None
         v, u = pair
-        if not v > u or (last is not None and v >= last):
+        if not v >= u or (last is not None and v >= last):
             return None
-        s_v, s_u = _sign(p, v), _sign(p, u)
+        s_v = _sign(p, v)
+        s_u = _sign(p, u) if u < v else s_v
         if s_v == 0 or s_v != s_u:
             return None
         if signs and s_v != signs[-1]:
@@ -589,33 +686,64 @@ class ZeroReport:
         }
 
 
-def _boundary_multiplicity(p: IntPolynomial, at: int) -> tuple:
-    """Deflate exact roots at a rational point; (multiplicity, quotient)."""
-    mult = 0
-    while p.degree > 0 and p(at) == 0:
-        p = p.exact_div(IntPolynomial((-at, 1))).primitive()
-        mult += 1
-    return mult, p
+def _deflated(p: IntPolynomial) -> tuple:
+    """(multiplicity of the root 0, of the root 1728, p with both divided out)."""
+    mults = []
+    for at in (0, 1728):
+        mults.append(0)
+        while p.degree > 0 and p(at) == 0:
+            p = p.exact_div(IntPolynomial((-at, 1))).primitive()
+            mults[-1] += 1
+    return (*mults, p)
+
+
+def _sturm_census(p: IntPolynomial) -> tuple:
+    """(isolating intervals in (0, 1728), counts off [0, 1728], square-free
+    defect) of p, with no root at 0 or 1728, from one Sturm chain."""
+    if p.degree <= 0:
+        return [], {"real_outside": 0, "complex_pairs": 0}, 0
+    sqf, chain = _squarefree_chain(p)
+    lo, hi = Fraction(0), Fraction(1728)
+    return (_bisect(sqf, _chain_counter(chain, lo, hi), lo, hi, ROOT_WIDTH),
+            _count_off(sqf, chain, lo, hi), p.degree - sqf.degree)
+
+
+def _interlaced_census(p: IntPolynomial, fid: FormId) -> tuple | None:
+    """_sturm_census's result from an interlacing certificate, or None.
+
+    The points are 1728, the exact values of arc_j_float at the interior
+    double_angles, and 0, falling; _separated_signs takes each as a pair
+    of one point.  When it holds, p's roots are real, simple and inside
+    (0, 1728), one in each gap whose end signs differ, and _gap_counter
+    counts them for _bisect.  The doubles only place the points: a wrong
+    one can only break the certificate, and then Sturm decides.
+    """
+    h = HFunction(fid.k, fid.m)
+    if not h.monotone:
+        return None
+    xs = ([Fraction(1728)] + [Fraction(arc_j_float(t)) for _, t in h.double_angles()
+                              if t is not None] + [Fraction(0)])
+    signs = _separated_signs(p, ((x, x) for x in xs))
+    if signs is None:
+        return None
+    lo, hi = Fraction(0), Fraction(1728)
+    return (_bisect(p, _gap_counter(p, xs, signs, lo, hi), lo, hi, ROOT_WIDTH),
+            {"real_outside": 0, "complex_pairs": 0}, 0)
 
 
 def zero_report(form: MillerForm, with_arc: bool = True) -> ZeroReport:
     """Exact Faber root census, arc brackets and the valence check of one form.
 
-    with_arc=False leaves arc_angles empty.  A form that arc_zero_localize
-    does not sample (k <= 4 pi m) has arc_angles None; the exact census
-    and the valence check still decide it.
+    The census deflates F at 0 and 1728, then tries _interlaced_census and
+    runs _sturm_census only when that certificate fails.  with_arc=False
+    leaves arc_angles empty.  A form that arc_zero_localize does not
+    sample (k <= 4 pi m) has arc_angles None; the exact census and the
+    valence check still decide it.
     """
     fid = form.id
-    mult0, deflated = _boundary_multiplicity(form.faber, 0)
-    mult1728, deflated = _boundary_multiplicity(deflated, 1728)
-    sqf, chain = _squarefree_chain(deflated)
-    defect = deflated.degree - sqf.degree
-    if deflated.degree > 0:
-        # deflation guarantees nonzero values at both interval ends
-        inner = _bisect(sqf, chain, Fraction(0), Fraction(1728), ROOT_WIDTH)
-        off = _count_off(sqf, chain, Fraction(0), Fraction(1728))
-    else:
-        inner, off = [], {"real_outside": 0, "complex_pairs": 0}
+    mult0, mult1728, deflated = _deflated(form.faber)
+    census = _interlaced_census(deflated, fid) if deflated.degree > 0 else None
+    inner, off, defect = census or _sturm_census(deflated)
     ti, trho = trivial_orders(fid.kprime)
     report = ZeroReport(
         id=fid,

@@ -4,8 +4,9 @@ The expensive objects (basis forms, the bound ledger) are built once per
 session; every consumer treats them as immutable.  The direct complex
 evaluation of a basis form is kept here as the reference oracle for
 evalnum.arc_form, which takes its real E_4/E_6 route instead; the
-exact q-series products raw_basis and reconstruct, and the Ramanujan
-residuals, are the oracles of the Miller basis and the q-series layer.
+exact q-series products raw_basis and reconstruct, faber_of's greedy
+q-domain reduction, and the Ramanujan residuals, are the oracles of the
+Miller basis and the q-series layer.
 The oracles share no evaluation point with evalnum: each takes its own
 q = e^(2 pi i tau) and phases from mpmath's complex exp, with a 16-ulp
 pad, and runs only the kernel _horner and the ball arithmetic.  Their
@@ -22,9 +23,10 @@ import pytest
 from mpmath import mp, mpf, workprec
 
 from millerzeros import qseries
-from millerzeros.miller import MillerForm, default_trunc, miller_form
-from millerzeros.qseries import (FormId, QSeries, _pentagonal_euler_product, delta, eisenstein,
-                                 jfunction)
+from millerzeros.miller import (IntPolynomial, MillerForm, NotInSpaceError, default_trunc,
+                                miller_form)
+from millerzeros.qseries import (EISENSTEIN_FACTORS, FormId, QSeries, _monomial, _mul,
+                                 _pentagonal_euler_product, delta, eisenstein, jfunction)
 from millerzeros.certify import full_ledger
 from millerzeros.evalnum import (DEFAULT_PREC, _GUARD, CertValue, EisensteinTail, EtaProductTail,
                                  TailUnboundedError, _fixed, _horner, _theta_mpf, _units_ball,
@@ -84,6 +86,53 @@ def reconstruct(form: MillerForm, trunc: int | None = None) -> QSeries:
     if fid.kprime:
         base = base * eisenstein(fid.kprime, head)
     return (base * acc).truncate(trunc)
+
+
+def _start(fid: FormId, n: int) -> list:
+    """V = 1 / (qd^m E_4^(3D+a) E_6^b) to n coefficients q^0.., D = ell - m."""
+    a, b = EISENSTEIN_FACTORS[fid.kprime]
+    return _monomial(n, -fid.m, -3 * (fid.ell - fid.m) - a, -b)
+
+
+def _reduce(v: list, steps: int, big_j: list) -> tuple:
+    """The greedy t = 1/j reduction in q: F's coefficients from the top
+    down, and W.
+
+    Each of the steps = D + 1 steps reads off V_0 and sets V <- (V - V_0)
+    J / q, with J = big_j to at least len(v) coefficients.  What is left
+    is the list W of len(v) - D - 1 coefficients.
+    """
+    top = []
+    for _ in range(steps):
+        top.append(v[0])
+        v = _mul(v[1:], big_j)
+    return top, v
+
+
+def faber_of(series: QSeries, fid: FormId) -> IntPolynomial:
+    """Faber polynomial of an arbitrary weight-k form given by q-expansion,
+    by the greedy reduction V <- (V - V_0) J / q, J = q j: an O(n^3) path
+    independent of the t-domain build of miller_form.
+
+    The reduction of series / q^n0 leaves W = 0 to the series' truncation
+    exactly when the series is in the space; otherwise NotInSpaceError.
+    Degree is ell - n0, with n0 = ord_infty(series).
+    """
+    n0 = series.order
+    if n0 > fid.ell:
+        raise NotInSpaceError("series vanishes beyond q^ell; not a nonzero form" if not series.is_zero()
+                              else "zero series has no Faber polynomial")
+    if n0 < 0:
+        raise NotInSpaceError("series has a pole at the cusp")
+    if series.trunc < fid.ell:
+        raise ValueError(f"trunc must reach ell = {fid.ell}")
+    n = series.trunc - n0 + 1
+    v = _mul(series.coeffs[n0 - series.lead:], _start(FormId.from_k(fid.k, n0), n))
+    top, w = _reduce(v, fid.ell - n0 + 1, _monomial(n, -1, 3, 0))
+    for i, c in enumerate(w):
+        if c != 0:
+            raise NotInSpaceError(f"residual fails to vanish at q^{fid.ell + 1 + i}")
+    return IntPolynomial.make(top[::-1])
 
 
 def ramanujan_residuals(trunc: int) -> tuple:

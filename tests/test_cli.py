@@ -135,6 +135,17 @@ def test_arc_zeros_exit_and_schema(capsys):
     assert d["boundary_mult"] == {"0": 0, "1728": 0}
 
 
+def test_arc_zeros_at_large_weight(capsys):
+    # the exact census of a degree-79 Faber polynomial: the interlacing
+    # certificate, where one Sturm chain took seconds
+    code, out, _ = run(capsys, "arc-zeros", "--k", "960", "--m", "1")
+    assert code == 0
+    d = json.loads(out)
+    assert d["valence_ok"]
+    assert len(d["faber_roots_in"]) == len(d["arc_angles"]) == 79
+    assert d["faber_roots_out"] == {"real_outside": 0, "complex_pairs": 0}
+
+
 def test_arc_zeros_of_a_form_without_sample_angles(capsys):
     # k = 276 <= 4 pi m at m = 22: h is not monotone, so the arc is not
     # sampled; the exact census still finds the one root, near j = 192

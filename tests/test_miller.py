@@ -11,11 +11,11 @@ from millerzeros.qseries import (EXTRA_WEIGHTS, FormId, QSeries, _power, delta, 
                                 jfunction)
 from millerzeros.miller import (
     IntPolynomial, MillerForm, miller_basis, miller_form,
-    faber_of, faber_json, default_trunc,
+    faber_json, default_trunc,
     NotInSpaceError, NonIntegralFaberError, _exact_div, _q_over_t, _t_series,
 )
 
-from conftest import raw_basis, reconstruct
+from conftest import faber_of, raw_basis, reconstruct
 
 F48_1 = (-24903328, 931860, -2136, 1)
 F124_1 = (-21437679033112542661656, 5718177043459037019999,

@@ -1,7 +1,9 @@
-"""Sturm isolation, arc localization, valence accounting, distribution."""
+"""Root census (interlacing certificate and Sturm), arc localization, valence
+accounting, distribution."""
 
 import dataclasses
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -12,12 +14,13 @@ from mpmath import mp, mpf, workprec
 from millerzeros.qseries import EISENSTEIN_FACTORS, FormId
 from millerzeros.evalnum import DEFAULT_PREC, arc_functions, arc_j
 from millerzeros import evalnum, zeros
-from millerzeros.miller import IntPolynomial, miller_form
+from millerzeros.miller import IntPolynomial, miller_basis, miller_form
 from conftest import direct_arc_form
 from millerzeros.zeros import (
     ROOT_WIDTH, InconclusiveSignError, TheoremViolationError, _exact, _j_ends,
     _separated_signs, _separators, _sign_change_inside,
-    _bisect, _reduced, _squarefree_chain, real_root_census,
+    _bisect, _chain_counter, _deflated, _interlaced_census, _reduced, _squarefree_chain,
+    _sturm_census, real_root_census,
     cauchy_bound,
     HFunction, arc_zero_localize, refine_arc_zero, j_of_angle, _bisect_arc,
     trivial_orders, ZeroReport, zero_report, valence_reconcile,
@@ -124,8 +127,53 @@ def test_bisect_refuses_a_root_at_an_end():
     sqf, chain = _squarefree_chain(p)
     for lo, hi in ((Fraction(1), Fraction(5)), (Fraction(0), Fraction(4))):
         with pytest.raises(ArithmeticError):
-            _bisect(sqf, chain, lo, hi, ROOT_WIDTH)
-    assert len(_bisect(sqf, chain, Fraction(0), Fraction(5), ROOT_WIDTH)) == 2
+            _bisect(sqf, _chain_counter(chain, lo, hi), lo, hi, ROOT_WIDTH)
+    lo, hi = Fraction(0), Fraction(5)
+    assert len(_bisect(sqf, _chain_counter(chain, lo, hi), lo, hi, ROOT_WIDTH)) == 2
+
+
+def _record_guesses(monkeypatch) -> list:
+    """Record each _guess_leaf result with the exact signs it took."""
+    calls, inner, sign_at = [], zeros._guess_leaf, IntPolynomial.sign_at
+
+    def recorded(*args):
+        signs = []
+        monkeypatch.setattr(IntPolynomial, "sign_at",
+                            lambda self, *a: signs.append(sign_at(self, *a)) or signs[-1])
+        try:
+            leaf = inner(*args)
+        finally:
+            monkeypatch.setattr(IntPolynomial, "sign_at", sign_at)
+        calls.append((leaf, signs))
+        return leaf
+
+    monkeypatch.setattr(zeros, "_guess_leaf", recorded)
+    return calls
+
+
+def test_guess_declines_at_a_dyadic_root(monkeypatch):
+    # on [-16, 16] the roots 3 and 5 are grid points, so the guessed leaf
+    # has one at an end: its exact sign there is 0, and bisection decides
+    p = poly_from_roots([3, 5])
+    with monkeypatch.context() as patch:
+        patch.setattr(zeros, "_guess_leaf", lambda *args: None)
+        want = real_root_census(p)
+    calls = _record_guesses(monkeypatch)
+    assert real_root_census(p) == want
+    assert len(calls) == 2
+    assert all(leaf is None and 0 in signs for leaf, signs in calls)
+    assert [lo < r < hi for (lo, hi), r in zip(want[0], (3, 5))] == [True, True]
+
+
+def test_guess_takes_the_leaf_of_bisection(monkeypatch):
+    # the guessed leaves are the ones bisection on exact signs ends in
+    p = IntPolynomial.make([-7, 3]) * IntPolynomial.make([-22, 7]) * poly_from_roots([11])
+    with monkeypatch.context() as patch:
+        patch.setattr(zeros, "_guess_leaf", lambda *args: None)
+        want = real_root_census(p)
+    calls = _record_guesses(monkeypatch)
+    assert real_root_census(p) == want
+    assert len(calls) == 3 and all(leaf is not None for leaf, _ in calls)
 
 
 RATIONALS = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9))
@@ -693,10 +741,12 @@ def test_separator_at_an_exact_root_falls_back(monkeypatch, form_48_1, at):
 def test_cross_oracle_j_images(form_48_1):
     # refined arc zeros must land, under j, inside the Sturm intervals
     rep = zero_report(form_48_1)
+    roots = _sturm_census(_deflated(form_48_1.faber)[2])[0]
+    assert len(roots) == len(rep.arc_angles) == 3
     refined = [refine_arc_zero(form_48_1, lo, hi) for lo, hi in rep.arc_angles]
     images = [j_of_angle(iv) for iv in refined]
-    # j decreases along the arc; faber_roots_in is ascending
-    for (jlo, jhi), (slo, shi) in zip(reversed(images), rep.faber_roots_in):
+    # j decreases along the arc; the Sturm intervals ascend
+    for (jlo, jhi), (slo, shi) in zip(reversed(images), roots):
         assert jlo <= shi and slo <= jhi      # intervals intersect
     for a, b in zip(images, images[1:]):
         assert b[1] < a[0]                    # pairwise disjoint, decreasing
@@ -775,6 +825,98 @@ def test_zero_report_counterexample(form_132_9):
     out = rep.faber_roots_out
     assert out["real_outside"] + out["complex_pairs"] >= 1
     assert rep.valence_ok
+
+
+# ---------------------------------------------------------------------------
+# the root census: interlacing certificate first, Sturm on its misses
+
+SWEEP_WEIGHTS = sorted(12 * ell + kp for ell in range(1, 15) for kp in EISENSTEIN_FACTORS)
+
+# the forms with ell <= 14 whose certificate fails: each has one real
+# Faber root below 0, a zero on the side Re tau = -1/2 above rho
+CERTIFICATE_MISSES = [(132, 9), (138, 10), (144, 10), (150, 11), (156, 11), (162, 12),
+                      (168, 12), (174, 13)]
+
+
+def _census(rep) -> tuple:
+    return rep.faber_roots_in, rep.faber_roots_out, rep.squarefree_defect
+
+
+def _sturm_oracle(form, monkeypatch) -> tuple:
+    """The census by Sturm alone, every leaf by bisection: no certificate, no guess."""
+    with monkeypatch.context() as patch:
+        patch.setattr(zeros, "_guess_leaf", lambda *args: None)
+        return _sturm_census(_deflated(form.faber)[2])
+
+
+def _forbid_sturm(monkeypatch):
+    def refuse(p):
+        raise AssertionError("a Sturm chain was built")
+    monkeypatch.setattr(zeros, "sturm_chain", refuse)
+
+
+def test_census_matches_sturm_interval_for_interval(monkeypatch):
+    # every form with ell <= 14, every m, then two larger ones
+    misses = []
+    forms = [f for k in SWEEP_WEIGHTS for f in miller_basis(k)]
+    for form in forms + [miller_form(480, 1), miller_form(720, 2)]:
+        deflated = _deflated(form.faber)[2]
+        if deflated.degree > 0 and _interlaced_census(deflated, form.id) is None:
+            misses.append((form.id.k, form.id.m))
+        assert _census(zero_report(form, with_arc=False)) == _sturm_oracle(form, monkeypatch)
+    assert len(forms) == 630 and misses == CERTIFICATE_MISSES
+
+
+def test_certified_census_builds_no_chain(monkeypatch, form_48_1):
+    want = _census(zero_report(form_48_1, with_arc=False))
+    _forbid_sturm(monkeypatch)
+    rep = zero_report(form_48_1, with_arc=False)
+    assert _census(rep) == want and rep.valence_ok
+    assert rep.faber_roots_out == {"real_outside": 0, "complex_pairs": 0}
+
+
+# sha256 of json.dumps(zero_report(form, with_arc=False).to_json_dict()),
+# computed before the interlacing certificate
+MISS_REPORT_SHA256 = {
+    (132, 9): "bce0e26ea7a21c3395e871018715a1948151838484af9a0dfbb523fa13911ef1",
+    (138, 10): "a42da214b98b1127a753266bad96b9737701af22359e0dd0030c3931b33ef232",
+    (144, 10): "45e196c513d33e52e14a0414736c7232a44117ae99d3307d45afe0b37e474b63",
+    (276, 22): "c48d0db79e7486631f5602689d0e6fa35393fcad6a6e7f7d33b022aef92866df",
+}
+
+
+@pytest.mark.parametrize("k, m", list(MISS_REPORT_SHA256))
+def test_certificate_misses_take_sturm(k, m):
+    # a root below 0, or k <= 4 pi m (h not monotone, no sample angles)
+    form = miller_form(k, m)
+    assert _interlaced_census(_deflated(form.faber)[2], form.id) is None
+    text = json.dumps(zero_report(form, with_arc=False).to_json_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == MISS_REPORT_SHA256[k, m]
+
+
+def test_census_deflates_boundary_roots_and_certifies(monkeypatch):
+    # F = j (j - 1728) F_{60,1} in place of F_{84,1}, both of degree 6
+    inner = miller_form(60, 1).faber
+    form = dataclasses.replace(miller_form(84, 1), faber=poly_from_roots([0, 1728], extra=inner))
+    want = _census(zero_report(miller_form(60, 1), with_arc=False))
+    _forbid_sturm(monkeypatch)
+    rep = zero_report(form, with_arc=False)
+    assert rep.boundary_mult == {0: 1, 1728: 1} and rep.valence_ok
+    assert _census(rep) == want and len(rep.faber_roots_in) == 4
+
+
+def test_swapped_separators_fail_the_certificate(monkeypatch, form_48_1):
+    want = zero_report(form_48_1, with_arc=False)
+    honest = HFunction.double_angles
+
+    def swapped(self):
+        out = honest(self)
+        out[1], out[2] = out[2], out[1]
+        return out
+
+    monkeypatch.setattr(HFunction, "double_angles", swapped)
+    assert _interlaced_census(form_48_1.faber, form_48_1.id) is None
+    assert zero_report(form_48_1, with_arc=False) == want
 
 
 def test_valence_with_boundary_roots():
