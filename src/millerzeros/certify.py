@@ -19,8 +19,9 @@ fall into a few families:
 Exact rational arithmetic is used wherever the inputs are exact decimals;
 everything floating is a CertValue ball (evalnum), built from exact
 inputs by ball arithmetic: pi, exp, log, sqrt, the trigonometric
-functions and acos carry their own radii, so no constant here takes a
-hand-derived pad, and this module never reads or rounds at the working
+functions and acos come from mpmath's outward interval kernels on the
+ends of a ball, so no constant here takes a hand-derived pad or a
+derivative bound, and this module never reads or rounds at the working
 precision itself.  Two older bounds still carry a fixed relative slack
 of their own: delta_line_bounds (2^-40) and the grid floor of
 _table_numeric_check (2^-40).  Every flag that compares two balls is
@@ -60,8 +61,8 @@ class DomainError(ValueError):
 
 
 # the ambient precision of every ledger section: the evaluators' DEFAULT_PREC
-# plus guard bits for the arithmetic that combines their results
-_LEDGER_PREC = DEFAULT_PREC + 12
+# plus the guard bits they take inside, for the arithmetic that combines results
+_LEDGER_PREC = DEFAULT_PREC + _GUARD
 
 
 def _outward(lo: Fraction, hi: Fraction) -> tuple:
@@ -106,11 +107,10 @@ def _decimal(claimed) -> Fraction:
 
 
 def _abs_ends(cv: CertValue) -> tuple:
-    """(lower, upper) bounds of |v| over the ball: |v| -+ err exactly for a
-    real ball (the lower end at least 0), abs_lower and abs_upper for a
-    complex one."""
+    """(lower, upper) bounds of |v| over a real ball: |v| -+ err exactly, the
+    lower end at least 0; TypeError for a complex ball."""
     if isinstance(cv.value, mpc):
-        return _exact(cv.abs_lower()), _exact(cv.abs_upper())
+        raise TypeError("absolute ends of a complex ball")
     mag, err = abs(_exact(cv.value)), _exact(cv.err)
     return max(mag - err, Fraction(0)), mag + err
 
@@ -723,8 +723,8 @@ def delta_ledger() -> list:
         lem, pi = lemniscate_constants(), CertValue.pi()
         di_closed = (lem.varpi / (CertValue(2).sqrt() * pi)).pow_int(12)
         drho_closed = (lem.varpi_prime / pi).pow_int(12) * Fraction(27, 256)
-        di_direct = eval_delta_eta(mp.mpc(0, 1)).abs().as_real()
-        drho_direct = eval_delta_eta(mp.mpc(-0.5, mp.sqrt(3) / 2)).abs().as_real()
+        di_direct = eval_delta_eta(mp.mpc(0, 1)).abs()
+        drho_direct = eval_delta_eta(mp.mpc(-0.5, mp.sqrt(3) / 2)).abs()
         entries += [
             _entry_value("delta.at-i", "|Delta(i)| by eta product", di_direct,
                          0.00178537, 1e-7),
@@ -774,21 +774,11 @@ def residue_term(theta: float, k: int, m: int) -> CertValue:
 
 
 def _residue_slope(a, b, k: int, m: int) -> CertValue:
-    """D = (log r)' = pi m (2 cos t - sec^2(t/2) / 2) + (k/2) tan(t/2) on [a, b] in the arc.
-
-    There cos t falls and sec^2(t/2), tan(t/2) rise, so D lies between its
-    m-part at b plus k-part at a and its m-part at a plus k-part at b, each
-    a ball on the exact ends.
-    """
-    pi = CertValue.pi()
-
-    def bound(c, t):
-        c, t = CertValue(c), CertValue(t)
-        sec2 = CertValue(1) / (c * Fraction(1, 2)).cos().pow_int(2)
-        return (pi * m * (c.cos() * 2 - sec2 * Fraction(1, 2))
-                + (t * Fraction(1, 2)).tan() * Fraction(k, 2))
-    lo, hi = bound(b, a), bound(a, b)
-    return _hull(min(_lower(lo), _lower(hi)), max(_upper(lo), _upper(hi)))
+    """D = (log r)' = pi m (2 cos t - sec^2(t/2) / 2) + (k/2) tan(t/2) on the ball of [a, b]."""
+    t = CertValue(*_span(a, b))
+    half = t * Fraction(1, 2)
+    sec2 = CertValue(1) / half.cos().pow_int(2)
+    return CertValue.pi() * m * (t.cos() * 2 - sec2 * Fraction(1, 2)) + half.tan() * Fraction(k, 2)
 
 
 def residue_entries(k: int = 192, m: int = 1) -> list:

@@ -7,16 +7,19 @@ every point it stands for.  The discipline is the same in every operation:
 
   * the midpoint rounds to nearest, and _pad, 16 ulp of it, is the
     allowance for that rounding (one ulp for a ball formed once from
-    ints, _units_ball); mpmath's elementary functions are taken to be
-    accurate within 16 ulp too, the few-ulp assumption every value here
-    rests on;
+    ints, _units_ball);
   * every radius operation (the constructor, +, *, /, pow_int, abs and
     widened) rounds upward, at libmp level, so no radius is below the
     exact value of its formula;
   * the elementary functions of a real ball (exp, log, sqrt, sin, cos,
-    tan, acos) add e sup |f'| over the ball, rounded upward, to the pad
-    of f(v), each docstring giving its bound on |f'|; CertValue.pi() is
-    mpmath's pi with its pad.
+    tan, acos), CertValue.pi() and lemniscate_constants run mpmath's
+    outward interval kernels (mpmath.libmp.libmpi) on exact ends and
+    take the ball of the interval they return (_mpi_ball): an enclosure
+    of the range, Moore's inclusion property (Moore, Kearfott and Cloud,
+    Introduction to Interval Analysis, SIAM 2009), with no bound on |f'|
+    and no pad.  They rest on mpmath's directed rounding; its accuracy
+    to a few ulp is assumed only where _Point turns an angle or tau into
+    ints, within the point's pads, and in the j tail's relative slack.
 
 certify builds its constants from exact inputs through these
 operations; the hand-derived bounds still left there are listed in its
@@ -94,9 +97,11 @@ from functools import lru_cache
 from math import isqrt
 
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import (from_int, from_man_exp, from_rational, fzero, mpf_add, mpf_cos_sin,
-                          mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_pos, mpf_pow_int, mpf_shift,
-                          mpf_sqrt, mpf_sub)
+from mpmath.libmp import (fnone, fone, from_int, from_man_exp, from_rational, fzero, mpf_add,
+                          mpf_cos_sin, mpf_div, mpf_exp, mpf_ge, mpf_le, mpf_mul, mpf_neg,
+                          mpf_pos, mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub)
+from mpmath.libmp.libmpi import (mpi_add, mpi_atan, mpi_cos, mpi_div, mpi_exp, mpi_gamma, mpi_log,
+                                 mpi_mul, mpi_pi, mpi_sin, mpi_sqrt, mpi_sub, mpi_tan)
 
 from . import qseries
 from .qseries import QSeries
@@ -193,13 +198,49 @@ def _ball(value, err: mpf) -> "CertValue":
     return b
 
 
+def _mpi_ball(x: tuple) -> "CertValue":
+    """The ball of an outward interval x = (lo, hi) of libmp values: the
+    midpoint to nearest and the larger distance to an end, rounded upward.
+    ValueError for an end that is not finite, such as a pole's."""
+    lo, hi = x
+    if any(not t[1] and t != fzero for t in x):         # an infinity or nan
+        raise ValueError(f"an interval end is not finite: {x}")
+    p = mp.prec
+    mid = mpf_shift(mpf_add(lo, hi, p, "n"), -1)
+    rad = max(mpf_sub(hi, mid, p, _UP), mpf_sub(mid, lo, p, _UP), key=mp.make_mpf)
+    return _ball(mp.make_mpf(mid), mp.make_mpf(rad))
+
+
+def _outward(f):
+    """The CertValue method of f, a libmpi function: f at the ambient
+    precision on the exact ends (v - e, v + e) of a real ball, as a ball."""
+    def method(self) -> "CertValue":
+        if isinstance(self.value, mpc):
+            raise TypeError("elementary functions take a real ball")
+        v, e = self.value._mpf_, self.err._mpf_
+        return _mpi_ball(f((mpf_sub(v, e), mpf_add(v, e)), mp.prec))
+    return method
+
+
+def _mpi_acos(x: tuple, p: int) -> tuple:
+    """acos x = 2 atan sqrt((1 - x) / (1 + x)) for -1 < x < 1, outward: the
+    quotient falls with x, so the interval quotient of the ends is its range."""
+    if mpf_le(x[0], fnone) or mpf_ge(x[1], fone):
+        raise ValueError(f"acos of an interval that reaches |x| = 1: {x}")
+    one = (fone, fone)
+    y = mpi_atan(mpi_sqrt(mpi_div(mpi_sub(one, x), mpi_add(one, x), p), p), p)
+    return tuple(mpf_shift(t, 1) for t in y)
+
+
 class CertValue:
     """A ball: a midpoint and a radius that holds every point it stands for.
 
-    The midpoint rounds to nearest at the ambient precision, and _pad, 16
-    ulp of it, is the only allowance for that rounding.  Every radius
-    operation rounds upward, so a radius is never smaller than the exact
-    value of its formula.  Immutable by convention.
+    The midpoint of an arithmetic result rounds to nearest at the ambient
+    precision, and _pad, 16 ulp of it, is the only allowance for that
+    rounding.  Every radius operation rounds upward, so a radius is never
+    smaller than the exact value of its formula.  The elementary functions
+    and pi are balls of libmpi's outward intervals (_mpi_ball): midpoint
+    to nearest and radius rounded up.  Immutable by convention.
     """
 
     __slots__ = ("value", "err")
@@ -225,8 +266,7 @@ class CertValue:
     @classmethod
     def pi(cls) -> "CertValue":
         """pi at the ambient precision."""
-        v = +mp.pi
-        return _ball(v, _pad(v))
+        return _mpi_ball(mpi_pi(mp.prec))
 
     def __repr__(self):
         return f"CertValue({self.value}, err={self.err})"
@@ -300,76 +340,12 @@ class CertValue:
 
     # -- elementary functions of a real ball --------------------------------
     #
-    # Each takes mpmath's f(v) at the ambient precision, which lies within
-    # _pad of the true value (the few-ulp assumption every value here rests
-    # on), and adds e times a bound on |f'| over [v - e, v + e], rounded
-    # upward; the docstring of each gives that bound.
+    # Each is _outward: a libmpi function on the ball's exact ends.  log
+    # needs v - e > 0, sqrt v - e >= 0, tan a ball with no pole and acos
+    # |v| + e < 1, or ValueError.
 
-    def _real_parts(self) -> tuple:
-        if isinstance(self.value, mpc):
-            raise TypeError("elementary functions take a real ball")
-        return self.value, self.err
-
-    def _image(self, y: mpf, spread: mpf) -> "CertValue":
-        return _ball(y, _sum_up(spread._mpf_, _pad_up(y)))
-
-    def exp(self) -> "CertValue":
-        """e^v.  |exp'| <= e^(v + e) <= (e^v + pad) e^e on the ball, with
-        e^e <= 1 + 2e for e <= 1."""
-        v, e = self._real_parts()
-        y = mp.exp(v)
-        grow = mp.fadd(1, 2 * e, rounding=_UP) if e <= 1 else _upper_of(mp.exp(e))
-        return self._image(y, mp.fmul(mp.fmul(_upper_of(y), grow, rounding=_UP), e, rounding=_UP))
-
-    def log(self) -> "CertValue":
-        """log v for v - e > 0.  |log'| <= 1 / (v - e) on the ball."""
-        v, e = self._real_parts()
-        low = mp.fsub(v, e, rounding="d")
-        if low <= 0:
-            raise ValueError(f"log of a ball that reaches {low}")
-        return self._image(mp.log(v), mp.fdiv(e, low, rounding=_UP))
-
-    def sqrt(self) -> "CertValue":
-        """sqrt v for v - e >= 0.  |sqrt w - sqrt v| = |w - v| / (sqrt w + sqrt v)
-        <= e / sqrt v for every w >= 0."""
-        v, e = self._real_parts()
-        if v < e:
-            raise ValueError(f"sqrt of a ball that reaches below 0: {v} +- {e}")
-        y = mp.sqrt(v)
-        return self._image(y, mp.fdiv(e, _lower_of(y), rounding=_UP) if e else e)
-
-    def sin(self) -> "CertValue":
-        """sin v.  |sin'| <= 1."""
-        v, e = self._real_parts()
-        return self._image(mp.sin(v), e)
-
-    def cos(self) -> "CertValue":
-        """cos v.  |cos'| <= 1."""
-        v, e = self._real_parts()
-        return self._image(mp.cos(v), e)
-
-    def tan(self) -> "CertValue":
-        """tan v for e <= 1 and 2 e |tan v| < 1.  With t = tan v and |d| <= e,
-        tan(v + d) - t = tan d (1 + t^2) / (1 - t tan d), and |tan d| <= 2 e
-        for e <= 1, so the ball moves at most 2 e (1 + t^2) / (1 - 2 e |t|)."""
-        v, e = self._real_parts()
-        y = mp.tan(v)
-        t, d = _upper_of(y), 2 * e
-        den = mp.fsub(1, mp.fmul(d, t, rounding=_UP), rounding="d")
-        if e > 1 or den <= 0:
-            raise ValueError(f"tan of a ball too wide for its slope: {v} +- {e}")
-        num = mp.fmul(d, mp.fadd(1, mp.fmul(t, t, rounding=_UP), rounding=_UP), rounding=_UP)
-        return self._image(y, mp.fdiv(num, den, rounding=_UP))
-
-    def acos(self) -> "CertValue":
-        """acos v for |v| + e < 1.  |acos'| = 1 / sqrt(1 - w^2)
-        <= 1 / sqrt(1 - (|v| + e)^2) on the ball."""
-        v, e = self._real_parts()
-        a = mp.fadd(abs(v), e, rounding=_UP)
-        room = mp.fsub(1, mp.fmul(a, a, rounding=_UP), rounding="d")
-        if room <= 0:
-            raise ValueError(f"acos of a ball that reaches |v| = 1: {v} +- {e}")
-        return self._image(mp.acos(v), mp.fdiv(e, _lower_of(mp.sqrt(room)), rounding=_UP))
+    exp, log, sqrt = _outward(mpi_exp), _outward(mpi_log), _outward(mpi_sqrt)
+    sin, cos, tan, acos = (_outward(f) for f in (mpi_sin, mpi_cos, mpi_tan, _mpi_acos))
 
     # -- views -------------------------------------------------------------
 
@@ -419,16 +395,6 @@ class CertValue:
             raise NotRealError(
                 f"imaginary part {self.value.imag} exceeds radius {self.err}")
         return CertValue(self.value.real, self.err)
-
-
-def _upper_of(y: mpf) -> mpf:
-    """An upper bound of |f| from mpmath's value y of it: |y| + _pad(y), rounded upward."""
-    return mp.fadd(abs(y), _pad(y), rounding=_UP)
-
-
-def _lower_of(y: mpf) -> mpf:
-    """A lower bound of f > 0 from mpmath's value y of it: y - _pad(y), rounded downward."""
-    return mp.fsub(y, _pad(y), rounding="d")
 
 
 def _coerce(x) -> CertValue:
@@ -572,9 +538,14 @@ def _ends_pow_float(x: tuple, n: int, e: int, bits: int) -> tuple:
 
 
 def _trim(x: tuple, e: int, bits: int) -> tuple:
-    """(x cut outward to bits significant bits of hi > 0, its exponent) for x 2^e."""
+    """(x cut outward to bits significant bits of hi > 0, its exponent) for x 2^e.
+
+    Ceiling hi can carry it to 2^bits, one bit too many; it is cut once more then."""
     s = max(x[1].bit_length() - bits, 0)
-    return _cut(x, s), e + s
+    x = _cut(x, s)
+    if x[1].bit_length() > bits:
+        x, s = _cut(x, 1), s + 1
+    return x, e + s
 
 
 # ---------------------------------------------------------------------------
@@ -1115,24 +1086,33 @@ def arc_j_float(theta) -> float:
 # lemniscate constants
 
 
-@dataclass
+@dataclass(frozen=True)
 class LemniscateConstants:
     varpi: CertValue        # 2 * integral_0^1 dx / sqrt(1 - x^4)
     varpi_prime: CertValue  # 2 * integral_0^1 dx / sqrt(1 - x^6)
 
 
+@lru_cache(maxsize=1)
 def lemniscate_constants() -> LemniscateConstants:
-    """Both arclength integrals in closed form, padded like other values.
+    """Both arclength integrals in closed form, on libmpi's outward intervals.
 
-    varpi = pi / agm(1, sqrt 2) and varpi' = Gamma(1/6) Gamma(1/2) /
-    (3 Gamma(2/3)); the values are independently pinned by tests against
-    Delta(i) and E_6(rho) evaluations.
+    varpi = pi / agm(1, sqrt 2): after one step the arithmetic means fall
+    and the geometric ones rise to the agm, quadratically, so the last
+    geometric mean's lower end and arithmetic mean's upper end enclose it.
+    varpi' = Gamma(1/6) sqrt(pi) / (3 Gamma(2/3)), mpi_gamma taken on the
+    outward ends of 1/6 and 2/3, both formed once at their own precision.
+    Tests pin them against Delta(i), E_6(rho) and other closed forms.
     """
     with workprec(DEFAULT_PREC + 64):
-        varpi = mp.pi / mp.agm(1, mp.sqrt(2))
-        varpi_prime = mp.gamma(mpf(1) / 6) * mp.sqrt(mp.pi) / (3 * mp.gamma(mpf(2) / 3))
-        return LemniscateConstants(varpi=CertValue(varpi, _pad(varpi)),
-                                   varpi_prime=CertValue(varpi_prime, _pad(varpi_prime)))
+        p = mp.prec
+        pi, a, g = mpi_pi(p), (fone, fone), mpi_sqrt((from_int(2),) * 2, p)
+        for _ in range(p.bit_length()):
+            a, g = tuple(mpf_shift(t, -1) for t in mpi_add(a, g, p)), mpi_sqrt(mpi_mul(a, g, p), p)
+        gamma = [mpi_gamma((from_rational(n, d, p, "f"), from_rational(n, d, p, "c")), p)
+                 for n, d in ((1, 6), (2, 3))]
+        varpi_prime = mpi_div(mpi_mul(gamma[0], mpi_sqrt(pi, p), p),
+                              mpi_mul(gamma[1], (from_int(3),) * 2, p), p)
+        return LemniscateConstants(_mpi_ball(mpi_div(pi, (g[0], a[1]), p)), _mpi_ball(varpi_prime))
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,9 @@ are assembled into a ZeroReport.
 Isolation bisects an interval with no root at an end: zero_report's
 [0, 1728], counting roots by the certificate's gaps (_gap_counter) or a
 Sturm chain (_chain_counter), and real_root_census's Cauchy bound, by a
-chain.  The chains are primitive remainder sequences of IntPolynomial,
-whose content gcds cost seconds at degree 79.  Every point visited is a
+chain, which counts a point beyond every root at a power of two above
+them (_root_power).  The chains are primitive remainder sequences of
+IntPolynomial, whose content gcds cost seconds at degree 79.  Every point visited is a
 dyadic t = n / 2^e of [lo, hi] mapped onto [0, 1] (IntPolynomial.affine)
 and every sign one integer Horner loop, IntPolynomial.sign_at(n, 2^e);
 a root's last cell may be guessed in doubles, but only exact signs
@@ -135,6 +136,16 @@ def cauchy_bound(p: IntPolynomial) -> Fraction:
     return 1 + Fraction(m, lead)
 
 
+def _root_power(p: IntPolynomial) -> Fraction:
+    """A power of two 2^(s+1) strictly above Fujiwara's bound 2 max_i
+    |a_(n-i) / a_n|^(1/i) on the roots of p, s the least integer with
+    2^(s i) >= 2^(bits(a_(n-i)) - top) for every i, 2^top <= |a_n|."""
+    *rest, lead = p.coeffs
+    top = abs(lead).bit_length() - 1
+    return Fraction(2) ** (1 + max((-((top - abs(c).bit_length()) // (p.degree - i))
+                                    for i, c in enumerate(rest) if c), default=0))
+
+
 # Bisection runs on the dyadic grid of [0, 1]: a point is an integer pair
 # (n, e) for t = n / 2^e in lowest terms (n odd or e = 0), standing for
 # lo + (hi - lo) t of the isolation interval [lo, hi].
@@ -173,15 +184,24 @@ def _chain_counter(chain: list, lo: Fraction, hi: Fraction):
     """Distinct real roots in (a, b] for grid points a < b of [lo, hi].
 
     Every chain polynomial is mapped once to [0, 1] by IntPolynomial.affine;
-    each point's sign changes are computed once, cached under (n, e).
+    each point's sign changes are computed once, cached under its place t
+    in [0, 1].  Sturm's count does not change beyond every root, so a
+    point beyond +-B = +-_root_power(chain[0]) is clipped to it, where the
+    chain is evaluated once.
     """
     mapped = [c.affine(lo, hi) for c in chain]
+    bound = _root_power(chain[0])
+    below, above = ((x - lo) / (hi - lo) for x in (-bound, bound))
     seen = {}
 
     def changes(pt: tuple) -> int:
-        if pt not in seen:
-            seen[pt] = _changes(c.sign_at(pt[0], 1 << pt[1]) for c in mapped)
-        return seen[pt]
+        t = min(max(Fraction(pt[0], 1 << pt[1]), below), above)
+        if t not in seen:
+            if t in (below, above):
+                seen[t] = _sign_changes(chain, bound if t == above else -bound)
+            else:
+                seen[t] = _changes(c.sign_at(pt[0], 1 << pt[1]) for c in mapped)
+        return seen[t]
 
     return lambda a, b: changes(a) - changes(b)
 

@@ -18,7 +18,7 @@ from millerzeros.certify import (
     monotonicity_certificate_075, magnitude_certificate_065,
     j_difference_bounds, delta_line_bounds,
     residue_term, residue_entries, _residue_slope, _table_value,
-    proposition_mrl_check, _oscillation, _entry_lower, _entry_upper, _entry_value,
+    proposition_mrl_check, _oscillation, _abs_ends, _entry_lower, _entry_upper, _entry_value,
     full_ledger, _LINE_CASES, _dominated_tail,
     _ARC_CLAIMS, _DEPTH, _arc_slopes, _bisect_claims, arc_eisenstein_bounds,
 )
@@ -221,6 +221,13 @@ def test_residue_term_at_corner():
         for (k, m) in ((192, 1), (48, 2)):
             rv = residue_term(rho_end, k, m)
             assert abs(rv.value - 1) <= rv.err + mpf(10) ** -20
+
+
+def test_abs_ends_take_a_real_ball_only():
+    assert _abs_ends(CertValue(-2, 1)) == (1, 3)
+    assert _abs_ends(CertValue(mpf("0.25"), 1)) == (0, Fraction(5, 4))
+    with pytest.raises(TypeError):
+        _abs_ends(CertValue(mpc(1, 1)))
 
 
 def test_residue_entries_all_satisfied():

@@ -147,7 +147,8 @@ BALL_FUNCTIONS = {
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_ball_function_holds_the_reference(name, prec, data):
-    # f of both ends and of the midpoint, at 2000 bits, lies in the ball
+    # f at both ends, the midpoint and six more interior points, at 2000
+    # bits, lies in the ball
     f, (lo, hi), top = BALL_FUNCTIONS[name]
     draw = data.draw
     x = draw(st.floats(lo, hi).filter(lambda t: abs(t) > 1e-6))
@@ -157,8 +158,30 @@ def test_ball_function_holds_the_reference(name, prec, data):
         arg = CertValue(v, abs(v) * mpf(2) ** scale * draw(UNIT))
         ball = getattr(arg, name)()
     with workprec(2000):
-        for w in (v - arg.err, v, v + arg.err):
+        for i in range(-4, 5):
+            w = v + arg.err * i / 4
             assert abs(f(w) - ball.value) <= ball.err
+
+
+@pytest.mark.parametrize("prec", [53, 140])
+@pytest.mark.parametrize("name, critical", [("sin", Fraction(1, 2)), ("sin", Fraction(-1, 2)),
+                                            ("cos", Fraction(0)), ("cos", Fraction(1))])
+def test_ball_function_holds_an_extremum_inside_the_ball(name, critical, prec):
+    # balls about an extremum c pi of sin or cos, centred and off centre:
+    # the extreme value +-1 lies inside, where no end value reaches it (by
+    # about radius^2 / 2, far above the rounding), so a range taken from
+    # the two end values alone misses it
+    f = getattr(mp, name)
+    for scale in (-3, -10, -20):
+        radius = mpf(2) ** scale
+        for offset in (0, Fraction(1, 3), Fraction(-7, 8)):
+            with workprec(prec):
+                mid = mp.pi * critical + radius * offset
+                ball = getattr(CertValue(mid, radius), name)()
+            with workprec(2000):
+                points = [mp.pi * critical] + [mid + radius * i / 8 for i in range(-8, 9)]
+                for w in points:
+                    assert abs(f(w) - ball.value) <= ball.err, (scale, offset, w)
 
 
 @pytest.mark.parametrize("prec", [53, 140])
@@ -429,6 +452,7 @@ def test_cut_rounds_outward_by_under_one_unit(x, s):
        st.integers(-200, 50), st.integers(8, 96))
 @example(lo=3, width=0, n=0, e=-10, bits=8)
 @example(lo=1 << 70, width=0, n=157, e=-70, bits=40)
+@example(lo=1, width=160, n=27, e=0, bits=8)      # a ceiling that carries hi to 2^bits
 def test_ends_pow_float_holds_the_power_within_its_cuts(lo, width, n, e, bits):
     # [lo, hi] 2^e to the n by binary powering, each product cut outward
     # to bits significant bits: the exact power lies inside, and the
@@ -1080,6 +1104,20 @@ def test_lemniscate_constants():
     assert lc.varpi.err < 1e-40 and lc.varpi_prime.err < 1e-40
     twelfth = (lc.varpi.value / (mp.sqrt(2) * mp.pi)) ** 12
     assert abs(twelfth - mpf("0.00178537")) < 1e-7
+
+
+def test_lemniscate_constants_enclose_independent_closed_forms():
+    # at 2000 bits, by formulas other than the agm and Gamma(1/6):
+    # varpi = Gamma(1/4)^2 / (2 sqrt(2 pi)), and Gamma(1/6) = 2^(-1/3)
+    # sqrt(3/pi) Gamma(1/3)^2 with Gamma(2/3) = 2 pi / (sqrt 3 Gamma(1/3))
+    # give varpi' = Gamma(1/3)^3 / (2^(4/3) pi)
+    lc = lemniscate_constants()
+    with workprec(2000):
+        varpi = mp.gamma(mpf(1) / 4) ** 2 / (2 * mp.sqrt(2 * mp.pi))
+        varpi_prime = mp.gamma(mpf(1) / 3) ** 3 / (mp.cbrt(2) * 2 * mp.pi)
+        assert abs(varpi - lc.varpi.value) <= lc.varpi.err
+        assert abs(varpi_prime - lc.varpi_prime.value) <= lc.varpi_prime.err
+    assert lc.varpi.err < 1e-55 and lc.varpi_prime.err < 1e-55
 
 
 def test_form_arc_prec_scaling():

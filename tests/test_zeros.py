@@ -21,7 +21,7 @@ from millerzeros.zeros import (
     _separated_signs, _separators, _sign_change_inside,
     _bisect, _chain_counter, _deflated, _interlaced_census, _reduced, _squarefree_chain,
     _sturm_census, real_root_census,
-    cauchy_bound,
+    cauchy_bound, _root_power,
     HFunction, arc_zero_localize, refine_arc_zero, j_of_angle, _bisect_arc,
     trivial_orders, ZeroReport, zero_report, valence_reconcile,
     verify_theorem_m1, star_discrepancy, zero_angles, distribution_stats,
@@ -220,6 +220,35 @@ def test_isolation_against_known_rational_roots(roots, c, lead):
     assert all(0 <= hi - lo <= width for lo, hi in got)
     outside = sum(1 for r in distinct if not 0 <= r <= 1728)
     assert off == {"real_outside": outside, "complex_pairs": 1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(ROOTS, st.integers(1, 30), st.integers(1, 5))
+def test_root_power_lies_strictly_above_every_root(roots, c, lead):
+    # every root, complex ones included (|root| <= sqrt c), lies strictly inside
+    p = poly_from_roots(roots, extra=IntPolynomial.make([c * lead, 0, lead]))
+    bound = _root_power(p)
+    assert bound.numerator & (bound.numerator - 1) == 0 == bound.denominator & (bound.denominator - 1)
+    assert max(abs(r) for r in roots) < bound and c < bound ** 2
+
+
+def test_chain_counter_evaluates_no_chain_beyond_the_root_bound(monkeypatch):
+    # x^10 - 10^30 has its real roots at +-1000 and the Cauchy bound
+    # 10^30 + 1.  Sturm's count does not change beyond every root, so every
+    # point beyond -_root_power costs one chain evaluation in all, there
+    p = IntPolynomial.make([-10 ** 30] + [0] * 9 + [1])
+    _, chain = _squarefree_chain(p)
+    b = cauchy_bound(p)
+    assert 1000 < _root_power(chain[0]) < 10 ** 4
+    counter = _chain_counter(chain, -b, b)
+    calls = []
+    sign_at = IntPolynomial.sign_at
+    monkeypatch.setattr(IntPolynomial, "sign_at",
+                        lambda self, *args: calls.append(args) or sign_at(self, *args))
+    # the grid point 2^-k of [0, 1] stands for -b (1 - 2^(1-k)), below -1000 for 1 < k < 90
+    assert all(counter((0, 0), (1, k)) == 0 for k in range(2, 60))
+    assert len(calls) == len(chain)
+    assert counter((0, 0), (1, 0)) == 2 and counter((1, 2), (3, 2)) == 2
 
 
 def test_isolation_on_non_dyadic_cauchy_bound():
