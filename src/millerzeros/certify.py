@@ -19,8 +19,8 @@ fall into a few families:
 Exact rational arithmetic is used wherever the inputs are exact decimals;
 everything floating is a CertValue ball (evalnum), built from exact
 inputs by ball arithmetic: pi, exp, log, sqrt, the trigonometric
-functions and acos come from mpmath's outward interval kernels on the
-ends of a ball, so no constant here takes a hand-derived pad or a
+functions and acos come from mpmath's interval kernels on a ball's ends,
+widened by a few ulp, so no constant here takes a hand-derived pad or a
 derivative bound, and this module never reads or rounds at the working
 precision itself.  Two older bounds still carry a fixed relative slack
 of their own: delta_line_bounds (2^-40) and the grid floor of

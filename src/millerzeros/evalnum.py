@@ -16,9 +16,10 @@ every point it stands for.  The discipline is the same in every operation:
     outward interval kernels (mpmath.libmp.libmpi) on exact ends and
     take the ball of the interval they return (_mpi_ball): an enclosure
     of the range, Moore's inclusion property (Moore, Kearfott and Cloud,
-    Introduction to Interval Analysis, SIAM 2009), with no bound on |f'|
-    and no pad.  They rest on mpmath's directed rounding; its accuracy
-    to a few ulp is assumed only where _Point turns an angle or tau into
+    Introduction to Interval Analysis, SIAM 2009), with no bound on |f'|;
+    _mpi_ball widens it by 4 ulp, since libmpi's floor and ceiling of
+    mpmath's exp, log, atan, gamma and pi, accurate to a few ulp, can miss.
+    That accuracy is assumed too where _Point turns an angle or tau into
     ints, within the point's pads, and in the j tail's relative slack.
 
 certify builds its constants from exact inputs through these
@@ -97,8 +98,8 @@ from functools import lru_cache
 from math import isqrt
 
 from mpmath import mp, mpc, mpf, workprec
-from mpmath.libmp import (fnone, fone, from_int, from_man_exp, from_rational, fzero, mpf_add,
-                          mpf_cos_sin, mpf_div, mpf_exp, mpf_ge, mpf_le, mpf_mul, mpf_neg,
+from mpmath.libmp import (fnone, fone, from_int, from_man_exp, from_rational, fzero, mpf_abs,
+                          mpf_add, mpf_cos_sin, mpf_div, mpf_exp, mpf_ge, mpf_le, mpf_mul, mpf_neg,
                           mpf_pos, mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub)
 from mpmath.libmp.libmpi import (mpi_add, mpi_atan, mpi_cos, mpi_div, mpi_exp, mpi_gamma, mpi_log,
                                  mpi_mul, mpi_pi, mpi_sin, mpi_sqrt, mpi_sub, mpi_tan)
@@ -199,16 +200,18 @@ def _ball(value, err: mpf) -> "CertValue":
 
 
 def _mpi_ball(x: tuple) -> "CertValue":
-    """The ball of an outward interval x = (lo, hi) of libmp values: the
-    midpoint to nearest and the larger distance to an end, rounded upward.
-    ValueError for an end that is not finite, such as a pole's."""
+    """The ball of a libmpi interval x = (lo, hi): the midpoint to nearest
+    and the larger distance to an end plus 4 ulp of the larger end, for
+    mpmath's few-ulp accuracy, rounded upward.  ValueError for an end that
+    is not finite, such as a pole's."""
     lo, hi = x
     if any(not t[1] and t != fzero for t in x):         # an infinity or nan
         raise ValueError(f"an interval end is not finite: {x}")
     p = mp.prec
     mid = mpf_shift(mpf_add(lo, hi, p, "n"), -1)
     rad = max(mpf_sub(hi, mid, p, _UP), mpf_sub(mid, lo, p, _UP), key=mp.make_mpf)
-    return _ball(mp.make_mpf(mid), mp.make_mpf(rad))
+    end = max(mpf_abs(lo), mpf_abs(hi), key=mp.make_mpf)
+    return _ball(mp.make_mpf(mid), _sum_up(rad, mpf_shift(end, 2 - p)))
 
 
 def _outward(f):
@@ -239,8 +242,8 @@ class CertValue:
     precision, and _pad, 16 ulp of it, is the only allowance for that
     rounding.  Every radius operation rounds upward, so a radius is never
     smaller than the exact value of its formula.  The elementary functions
-    and pi are balls of libmpi's outward intervals (_mpi_ball): midpoint
-    to nearest and radius rounded up.  Immutable by convention.
+    and pi are balls of libmpi's intervals widened by 4 ulp (_mpi_ball).
+    Immutable by convention.
     """
 
     __slots__ = ("value", "err")

@@ -197,10 +197,7 @@ def _chain_counter(chain: list, lo: Fraction, hi: Fraction):
     def changes(pt: tuple) -> int:
         t = min(max(Fraction(pt[0], 1 << pt[1]), below), above)
         if t not in seen:
-            if t in (below, above):
-                seen[t] = _sign_changes(chain, bound if t == above else -bound)
-            else:
-                seen[t] = _changes(c.sign_at(pt[0], 1 << pt[1]) for c in mapped)
+            seen[t] = _changes(c.sign_at(t.numerator, t.denominator) for c in mapped)
         return seen[t]
 
     return lambda a, b: changes(a) - changes(b)

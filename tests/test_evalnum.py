@@ -184,6 +184,20 @@ def test_ball_function_holds_an_extremum_inside_the_ball(name, critical, prec):
                     assert abs(f(w) - ball.value) <= ball.err, (scale, offset, w)
 
 
+@pytest.mark.parametrize("name, man, exp", [("exp", 6115029086958038, -53),
+                                            ("exp", 8315938126365595, -53),
+                                            ("log", 6090555258641613, -52)])
+def test_ball_function_holds_a_value_that_mpmath_rounds_inward(name, man, exp):
+    # at these 53-bit points mpmath's exp or log, rounded floor or ceiling,
+    # misses the true value by a small fraction of an ulp: it is accurate,
+    # not correctly rounded, so the ball of the directed ends alone misses
+    x = mpf(man) * mpf(2) ** exp
+    with workprec(53):
+        ball = getattr(CertValue(x), name)()
+    with workprec(2000):
+        assert abs(getattr(mp, name)(x) - ball.value) <= ball.err
+
+
 @pytest.mark.parametrize("prec", [53, 140])
 def test_pi_ball_holds_pi(prec):
     with workprec(prec):
