@@ -17,15 +17,15 @@ fall into a few families:
     (c1, B1, B2, c2) derived from it.
 
 Exact rational arithmetic is used wherever the inputs are exact decimals;
-everything floating is a CertValue ball (evalnum), built from exact
-inputs by ball arithmetic: pi, exp, log, sqrt, the trigonometric
-functions and acos come from mpmath's interval kernels on a ball's ends,
-widened by a few ulp, so no constant here takes a hand-derived pad or a
-derivative bound, and this module never reads or rounds at the working
-precision itself.  Two older bounds still carry a fixed relative slack
-of their own: delta_line_bounds (2^-40) and the grid floor of
-_table_numeric_check (2^-40).  Every flag that compares two balls is
-decided on their exact ends.
+everything floating is a CertValue (evalnum), an interval built from
+exact inputs by mpmath's outward interval arithmetic: +, -, *, /, powers
+and abs, and pi, exp, log, sqrt, the trigonometric functions and acos
+widened by a few ulp.  So no constant here takes a hand-derived pad, a
+radius formula or a derivative bound, and this module never reads or
+rounds at the working precision itself.  Two older bounds still carry a
+fixed relative slack of their own: delta_line_bounds (2^-40) and the
+grid floor of _table_numeric_check (2^-40).  Every entry and flag built
+from CertValues is decided on their exact ends (_lower, _upper).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from . import qseries
 from .qseries import EISENSTEIN_FACTORS
 from .miller import IntPolynomial
 from .evalnum import (_GUARD, DEFAULT_PREC, ArcValues, CertValue, EisensteinTail, _arc_form_at,
-                      _cut, _ends_ball, _ends_mul, _eval_series_at, _exact, _span,
+                      _cut, _ends_ball, _ends_mul, _eval_series_at, _exact, _interval,
                       arc_functions, arc_grid, arc_j, eval_delta_eta, eval_series, j_tail_bound,
                       lemniscate_constants)
 
@@ -65,7 +65,7 @@ class DomainError(ValueError):
 _LEDGER_PREC = DEFAULT_PREC + _GUARD
 
 
-def _outward(lo: Fraction, hi: Fraction) -> tuple:
+def _double_ends(lo: Fraction, hi: Fraction) -> tuple:
     """[lo, hi] rounded outward to doubles: down at lo, up at hi."""
     a, b = float(lo), float(hi)
     if Fraction(a) > lo:
@@ -94,7 +94,7 @@ class BoundLedgerEntry:
              "computed": self.computed, "err": self.err,
              "satisfied": bool(self.satisfied), "paper_ref": self.paper_ref}
         if self.enclosure is not None:
-            d["lo"], d["hi"] = _outward(*self.enclosure)
+            d["lo"], d["hi"] = _double_ends(*self.enclosure)
         return d
 
     def to_json(self) -> str:
@@ -107,12 +107,12 @@ def _decimal(claimed) -> Fraction:
 
 
 def _abs_ends(cv: CertValue) -> tuple:
-    """(lower, upper) bounds of |v| over a real ball: |v| -+ err exactly, the
-    lower end at least 0; TypeError for a complex ball."""
-    if isinstance(cv.value, mpc):
+    """(lower, upper) bounds of |v| over a real ball, from its exact ends;
+    TypeError for a complex ball."""
+    if cv.im is not None:
         raise TypeError("absolute ends of a complex ball")
-    mag, err = abs(_exact(cv.value)), _exact(cv.err)
-    return max(mag - err, Fraction(0)), mag + err
+    lo, hi = _lower(cv), _upper(cv)
+    return max(lo, -hi, Fraction(0)), max(-lo, hi)
 
 
 def _entry_upper(name: str, ref: str, cv: CertValue, claimed) -> BoundLedgerEntry:
@@ -132,26 +132,26 @@ def _entry_lower(name: str, ref: str, cv: CertValue, claimed) -> BoundLedgerEntr
 def _entry_value(name: str, ref: str, cv: CertValue, claimed, tol) -> BoundLedgerEntry:
     """computed must equal the claimed constant within tol, radius included,
     compared exactly against both decimals as written."""
-    v = cv.value.real if isinstance(cv.value, mpc) else cv.value
-    mid, err = _exact(v), _exact(cv.err)
-    ok = abs(mid - _decimal(claimed)) + err <= _decimal(tol)
-    return BoundLedgerEntry(name, float(claimed), float(v), float(cv.err), bool(ok), ref,
-                            (mid - err, mid + err))
+    re = cv.real()
+    lo, hi, c = _lower(re), _upper(re), _decimal(claimed)
+    ok = max(hi - c, c - lo) <= _decimal(tol)
+    return BoundLedgerEntry(name, float(claimed), float(re.value), float(re.err), bool(ok), ref,
+                            (lo, hi))
 
 
 def _lower(cv: CertValue) -> Fraction:
-    """value - err of a real CertValue, exactly."""
-    return _exact(cv.value) - _exact(cv.err)
+    """The lower end of a real CertValue, exactly."""
+    return _exact(cv.re[0])
 
 
 def _upper(cv: CertValue) -> Fraction:
-    """value + err of a real CertValue, exactly."""
-    return _exact(cv.value) + _exact(cv.err)
+    """The upper end of a real CertValue, exactly."""
+    return _exact(cv.re[1])
 
 
 def _hull(lo: Fraction, hi: Fraction) -> CertValue:
-    """A ball holding the exact interval [lo, hi]."""
-    return CertValue.exact((lo + hi) / 2).widened((hi - lo) / 2)
+    """A ball holding the exact interval [lo, hi], its ends rounded outward."""
+    return _interval((CertValue(lo).re[0], CertValue(hi).re[1]))
 
 
 def _ball_max(*balls: CertValue) -> CertValue:
@@ -235,21 +235,6 @@ def _certified_root_decreasing(coeffs: list, lo: float, hi: float) -> CertValue:
     return CertValue(mid, (hi - lo) / 2)
 
 
-def _sin_range(a: Fraction, b: Fraction) -> tuple:
-    """Balls holding the minimum and the maximum of sin on [a pi, b pi].
-
-    An interior minimum sits at 3pi/2 mod 2pi and a maximum at pi/2 mod
-    2pi, which is decided exactly on the rationals a <= b; otherwise each
-    is the smaller or the larger of the two end values.
-    """
-    def inside(c: Fraction) -> bool:             # c + 2k in [a, b] for some integer k
-        return c + 2 * math.ceil((a - c) / 2) <= b
-    ends = [(CertValue.pi() * t).sin() for t in (a, b)]
-    lo = CertValue(-1) if inside(Fraction(3, 2)) else -_ball_max(*(-e for e in ends))
-    hi = CertValue(1) if inside(Fraction(1, 2)) else _ball_max(*ends)
-    return lo, hi
-
-
 # ---------------------------------------------------------------------------
 # the two trigonometric certificates
 
@@ -273,10 +258,10 @@ def monotonicity_certificate_075() -> MonotonicityCertificate:
         j = qseries.jfunction(5)
         x = CertValue.pi() * Fraction(3, 2)
         E, Einv = (-x).exp(), x.exp()
-        a = [CertValue.exact(744),
-             Einv + CertValue.exact(j.coeff(1)) * E]
+        a = [CertValue(744),
+             Einv + CertValue(j.coeff(1)) * E]
         for n in range(2, 6):
-            a.append(CertValue.exact(j.coeff(n)) * E.pow_int(n))
+            a.append(CertValue(j.coeff(n)) * E.pow_int(n))
         gour = _goursat_of_derivative(a)
         # expected pattern: positive constant, all higher coefficients negative
         if gour[0].certified_sign() != 1:
@@ -311,9 +296,9 @@ def magnitude_certificate_065() -> MagnitudeCertificate:
         x = CertValue.pi() * Fraction(13, 10)
         E, Einv = (-x).exp(), x.exp()
         a = {-1: Einv}
-        a[0] = CertValue.exact(744)
+        a[0] = CertValue(744)
         for n in range(1, M + 1):
-            a[n] = CertValue.exact(j.coeff(n)) * E.pow_int(n)
+            a[n] = CertValue(j.coeff(n)) * E.pow_int(n)
         # autocorrelation of the coefficient sequence: |f|^2 as a cosine poly
         b = []
         for k in range(0, M + 2):
@@ -451,12 +436,13 @@ def _im_lower_bound_075() -> CertValue:
             coeffs[n] = E.pow_int(n) * j.coeff(n)
         total = CertValue(mpf(0))
         for n, s in coeffs.items():
-            # sin(2 pi n x) for x in [0.1, 0.2], weighted by the sign of s
-            lo, hi = _sin_range(Fraction(n, 5), Fraction(2 * n, 5))
+            # sin(2 pi n x) for x in [0.1, 0.2], weighted by the sign of s: the
+            # interval sine of [n pi/5, 2n pi/5] holds its interior extrema
+            sine = (CertValue.pi() * _hull(Fraction(n, 5), Fraction(2 * n, 5))).sin()
             sign = s.certified_sign()
             if not sign:
                 raise CertificateFailureError(f"sine weight {n} not one-signed")
-            total = total + s * (lo if sign > 0 else hi)
+            total = total + s * (_lower(sine) if sign > 0 else _upper(sine))
         return total
 
 
@@ -489,7 +475,7 @@ def _dominated_tail(k: int, y: Fraction, n_from: int, dom: Fraction) -> tuple:
     gamma = abs(Fraction(2 * k) / qseries.bernoulli(k))
     c = CertValue.pi() * y
     peak_ok = k < n_from * _exact(c.abs_lower())
-    first = CertValue.exact(n_from ** k) * (c * -n_from).exp()
+    first = CertValue(n_from ** k) * (c * -n_from).exp()
     first_ok = _exact(first.abs_upper()) <= dom
     half = (-c).exp()
     tail = half.pow_int(n_from) * (gamma * dom) / (1 - half)
@@ -531,13 +517,13 @@ def eisenstein_line_bounds() -> list:
             # [0, 1/2], hence the line (period 1, E_k(-x + iy) = conj E_k(x + iy)),
             # and their largest abs_lower and abs_upper enclose the maximum
             series, iy = qseries.eisenstein(k, 48), mpc(0, mpf(y.numerator) / y.denominator)
-            cap = CertValue.exact(Fraction(str(total_claim)))
+            cap = CertValue(Fraction(str(total_claim)))
             _, leaves = _bisect_claims(
                 lambda a, b: eval_series(series, (a + iy, b + iy), EisensteinTail(k)),
                 mpf(0), mpf(1) / 2, {"cap": (lambda v: cap - v.abs(), 1)})
             lo = max(v.abs_lower() for v in leaves["cap"])
             hi = max(v.abs_upper() for v in leaves["cap"])
-            certified = CertValue(*_span(lo, hi))
+            certified = _hull(_exact(lo), _exact(hi))
             entries.append(_entry_upper(f"{lbl}.grid", ref + ", maximum on the whole line",
                                         certified, total_claim))
     return entries
@@ -562,7 +548,7 @@ def _arc_slopes(av: ArcValues) -> tuple:
     """
     pi = CertValue.pi()
     e2, e4, e6 = av.e2, av.e4, av.e6
-    return (pi * (e4 - e2 * e2) / 6 - CertValue.exact(3) / (pi * 2),
+    return (pi * (e4 - e2 * e2) / 6 - CertValue(3) / (pi * 2),
             pi * (e6 - e2 * e4) * Fraction(2, 3),
             pi * (e4 * e4 - e2 * e6))
 
@@ -775,7 +761,7 @@ def residue_term(theta: float, k: int, m: int) -> CertValue:
 
 def _residue_slope(a, b, k: int, m: int) -> CertValue:
     """D = (log r)' = pi m (2 cos t - sec^2(t/2) / 2) + (k/2) tan(t/2) on the ball of [a, b]."""
-    t = CertValue(*_span(a, b))
+    t = _hull(_exact(a), _exact(b))
     half = t * Fraction(1, 2)
     sec2 = CertValue(1) / half.cos().pow_int(2)
     return CertValue.pi() * m * (t.cos() * 2 - sec2 * Fraction(1, 2)) + half.tan() * Fraction(k, 2)
@@ -863,7 +849,7 @@ def constants_ledger() -> list:
         entries.extend(_table_numeric_check())
 
         def log(x: Fraction) -> CertValue:
-            return CertValue.exact(x).log()
+            return CertValue(x).log()
         entries.append(_entry_upper("growth.b1", "exponent of the 0.75 table maximum",
                                     log(maxima["075"]), 3.94))
         entries.append(_entry_upper("growth.b2", "exponent of the 0.65 table maximum",

@@ -1,26 +1,28 @@
 """Certified numerical evaluation of q-expansions in the upper half plane.
 
-Everything here returns a CertValue, a ball in the sense of van der Hoeven
-("Ball arithmetic", 2009) and Arb (Johansson, IEEE TC 66, 2017): a real or
-complex midpoint at the ambient mpmath precision and a radius that holds
-every point it stands for.  The discipline is the same in every operation:
+Everything here returns a CertValue, an interval in the inf-sup form of
+Moore, Kearfott and Cloud (Introduction to Interval Analysis, SIAM 2009):
+two libmp ends at the ambient mpmath precision, and for a complex value
+the rectangle of one interval per part, which holds every point it
+stands for.  The discipline is the same in every operation:
 
-  * the midpoint rounds to nearest, and _pad, 16 ulp of it, is the
-    allowance for that rounding (one ulp for a ball formed once from
-    ints, _units_ball);
-  * every radius operation (the constructor, +, *, /, pow_int, abs and
-    widened) rounds upward, at libmp level, so no radius is below the
-    exact value of its formula;
-  * the elementary functions of a real ball (exp, log, sqrt, sin, cos,
-    tan, acos), CertValue.pi() and lemniscate_constants run mpmath's
-    outward interval kernels (mpmath.libmp.libmpi) on exact ends and
-    take the ball of the interval they return (_mpi_ball): an enclosure
-    of the range, Moore's inclusion property (Moore, Kearfott and Cloud,
-    Introduction to Interval Analysis, SIAM 2009), with no bound on |f'|;
-    _mpi_ball widens it by 4 ulp, since libmpi's floor and ceiling of
-    mpmath's exp, log, atan, gamma and pi, accurate to a few ulp, can miss.
-    That accuracy is assumed too where _Point turns an angle or tau into
-    ints, within the point's pads, and in the j tail's relative slack.
+  * every end is rounded outward, the lower one down and the upper one
+    up, so no interval leaves out a point of the exact result and none
+    needs an allowance for rounding: +, -, *, /, pow_int and abs run
+    mpmath's interval kernels (mpmath.libmp.libmpi, mpi_* on intervals
+    and mpci_* on rectangles), and the constructor and an interval
+    formed from ints (_units_ball, _ends_ball) round their ends outward
+    once;
+  * value and err are views for callers that print or read a ball: the
+    exact midpoint and the distance to the farthest point, rounded up;
+  * the elementary functions of a real interval (exp, log, sqrt, sin,
+    cos, tan, acos), CertValue.pi() and lemniscate_constants run
+    libmpi's functions on the ends: an enclosure of the range, Moore's
+    inclusion property, with no bound on |f'|; _mpi_ball widens it by 4
+    ulp, since libmpi's floor and ceiling of mpmath's exp, log, atan,
+    gamma and pi, accurate to a few ulp, can miss.  That accuracy is
+    assumed too where _Point turns an angle or tau into ints, within the
+    point's pads, and in the j tail's relative slack.
 
 certify builds its constants from exact inputs through these
 operations; the hand-derived bounds still left there are listed in its
@@ -35,9 +37,8 @@ units of 2^-P, and the whole sum less than 3 sum_(i<n) R^i units for
 R >= |w| (3n units when R < 1; Higham, Accuracy and Stability of
 Numerical Algorithms, 5.1).  Moving the point by delta costs at most
 delta sum i |c_i| R^(i-1), bounded by integer Horner rounding up.  The
-radius is then: that a-priori bound, the tail bound of the truncated
-series in units, and one ulp for rounding the result, a single
-conversion of an int, to an mpf.
+half-width in units is then that a-priori bound plus the tail bound of
+the truncated series, and each end is rounded outward once to an mpf.
 
 Every series is read at one evaluation point, _Point, which stays in
 the kernel's units from tau or the angle to the ball: the fixed-point,
@@ -54,20 +55,16 @@ on the same code path.  Series take q^lead from the point's q or 1/q,
 tails the largest |q| of the disk, the arc phases e^(i k theta/2) are
 integer products of (cos theta, sin theta), and certify's oscillation
 check reads the ends of e^(2 pi m sin theta) = r^-m and 2 cos h off the
-point; each result is one ball formed at the end.  Powers of balls are closed form,
-after the midpoint-radius pattern of Arb: CertValue.pow_int rounds v^n
-once and takes the radius n e (|v| + e)^(n-1) plus the pad of v^n,
-rounded upward, since |w^n - v^n| <= n |w - v| max(|v|, |w|)^(n-1).
-Radii take |v| from _abs_up, never from a full-precision complex abs.
+point; each result is one interval formed at the end.
 
 A basis form on the arc (arc_form) needs no complex product: it is real
 arithmetic on the arc functions e4 and e6 alone (Duke-Jenkins, PAMQ 4,
 2008), as is arc_functions' delta_arc, both from the ends of _arc_ends,
 so the eta product serves only Delta evaluated alone (eval_delta_eta).
-That arithmetic runs on outward integer ends, the inf-sup form of Arb's
-intervals: a real quantity is a pair of ints (lo, hi) at _horner's
-scale, every product exact and every cut to a coarser scale flooring lo
-and ceiling hi, and no CertValue operation runs before the one ball
+That arithmetic runs on outward integer ends, CertValue's inf-sup form
+in ints: a real quantity is a pair of ints (lo, hi) at _horner's scale,
+every product exact and every cut to a coarser scale flooring lo and
+ceiling hi, and no CertValue operation runs before the one interval
 formed from the ends.
 
 Tail bounds by coefficient family at |q| <= r, in units rounded upward:
@@ -99,10 +96,12 @@ from math import isqrt
 
 from mpmath import mp, mpc, mpf, workprec
 from mpmath.libmp import (fnone, fone, from_int, from_man_exp, from_rational, fzero, mpf_abs,
-                          mpf_add, mpf_cos_sin, mpf_div, mpf_exp, mpf_ge, mpf_le, mpf_mul, mpf_neg,
-                          mpf_pos, mpf_pow_int, mpf_shift, mpf_sqrt, mpf_sub)
-from mpmath.libmp.libmpi import (mpi_add, mpi_atan, mpi_cos, mpi_div, mpi_exp, mpi_gamma, mpi_log,
-                                 mpi_mul, mpi_pi, mpi_sin, mpi_sqrt, mpi_sub, mpi_tan)
+                          mpf_add, mpf_cos_sin, mpf_exp, mpf_ge, mpf_le, mpf_mul, mpf_neg, mpf_pos,
+                          mpf_shift, mpf_sign, mpf_sqrt, mpf_sub)
+from mpmath.libmp.libmpi import (mpci_abs, mpci_add, mpci_div, mpci_mul, mpci_pow_int, mpci_sub,
+                                 mpi_abs, mpi_add, mpi_atan, mpi_cos, mpi_div, mpi_exp, mpi_gamma,
+                                 mpi_log, mpi_mul, mpi_neg, mpi_pi, mpi_pow_int, mpi_sin, mpi_sqrt,
+                                 mpi_sub, mpi_tan)
 
 from . import qseries
 from .qseries import QSeries
@@ -117,111 +116,71 @@ class TailUnboundedError(ArithmeticError):
 
 
 class NotRealError(ArithmeticError):
-    """A quantity that must be real has imaginary part above its error radius."""
-
-
-def _abs_up(v) -> tuple:
-    """|v| rounded upward as a libmp value, for radii: exact for a real v,
-    else within 2^-57.
-
-    Both parts are read to 60 bits as integers at one scale, rounded up; so
-    is isqrt of their square sum.  Each rounding adds under 1 of >= 2^59 units.
-    """
-    if not isinstance(v, mpc):
-        return (0,) + v._mpf_[1:]
-    a, b = v._mpc_
-    if a[3] < 0 or b[3] < 0:
-        return abs(v)._mpf_                     # an infinite or nan part
-    if not (a[1] and b[1]):                     # a zero part
-        return (0,) + (a if a[1] else b)[1:]
-    (_, ma, ea, ba), (_, mb, eb, bb) = a, b
-    s = max(ea + ba, eb + bb) - 60
-    x = ma << (ea - s) if ea >= s else -(-ma >> (s - ea))
-    y = mb << (eb - s) if eb >= s else -(-mb >> (s - eb))
-    return from_man_exp(isqrt(x * x + y * y) + 1, s)
-
-
-def _abs_rounded(v, rnd: str) -> mpf:
-    """|v| rounded to the ambient precision in the direction rnd.
-
-    A real |v| is read exactly from the mantissa and rounded once.  A
-    complex modulus sums the two squares exactly (libmp at precision 0)
-    and rounds only its square root, which mpf_sqrt does correctly in
-    either direction.
-    """
-    if isinstance(v, mpc):
-        a, b = v._mpc_
-        return mp.make_mpf(mpf_sqrt(mpf_add(mpf_mul(a, a), mpf_mul(b, b)), mp.prec, rnd))
-    return mp.make_mpf(mpf_pos(_abs_up(v), mp.prec, rnd))
-
-
-def _pad_up(value) -> tuple:
-    # a few ulp at the ambient precision; mpmath rounds to 1/2 ulp per op
-    return mpf_shift(_abs_up(value), 4 - mp.prec)
-
-
-def _pad(value) -> mpf:
-    return mp.make_mpf(_pad_up(value))
+    """A quantity that must be real has an imaginary interval that misses 0."""
 
 
 # relative slack on the j tail's closed form, covering the rounding of its mpf
 # factors (j_tail_bound, _j_tail_lead); the other tails are exact quotients
 _TAIL_SLACK = 1 + mpf(2) ** -30
 
-_UP = "u"           # radii are >= 0, so rounding away from zero rounds them up
+_ZERO = (fzero, fzero)
 
 
 def _up(x, prec: int) -> tuple:
     """A radius x (mpf, int, float or Fraction) as a libmp value rounded upward."""
     if isinstance(x, mpf):
-        return mpf_pos(x._mpf_, prec, _UP)
+        return mpf_pos(x._mpf_, prec, "c")
     x = Fraction(x)
-    return from_rational(x.numerator, x.denominator, prec, _UP)
+    return from_rational(x.numerator, x.denominator, prec, "c")
 
 
-def _sum_up(*terms: tuple) -> mpf:
-    """The sum of libmp radii, each addition rounded upward."""
+def _widen(parts, e: tuple) -> tuple:
+    """(re, im): the intervals of parts, one or two, each end moved out by the
+    libmp radius e and rounded outward at the ambient precision; im is None
+    for one part."""
     p = mp.prec
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = mpf_add(acc, t, p, _UP)
-    return mp.make_mpf(acc)
+    re, *im = [(mpf_sub(lo, e, p, "f"), mpf_add(hi, e, p, "c")) for lo, hi in parts]
+    return re, im[0] if im else None
 
 
-def _mul_up(a: tuple, b: tuple) -> tuple:
-    return mpf_mul(a, b, mp.prec, _UP)
-
-
-def _ball(value, err: mpf) -> "CertValue":
-    """A CertValue from a radius that is already an mpf rounded upward."""
+def _interval(re: tuple, im: tuple | None = None) -> "CertValue":
+    """The CertValue with the libmp ends re = (lo, hi), and im for a
+    complex rectangle, taken as they are."""
     b = object.__new__(CertValue)
-    b.value, b.err = value, err
+    b.re, b.im = re, im
     return b
 
 
 def _mpi_ball(x: tuple) -> "CertValue":
-    """The ball of a libmpi interval x = (lo, hi): the midpoint to nearest
-    and the larger distance to an end plus 4 ulp of the larger end, for
-    mpmath's few-ulp accuracy, rounded upward.  ValueError for an end that
-    is not finite, such as a pole's."""
+    """The interval x = (lo, hi) of a libmpi function, each end moved out by
+    4 ulp of the larger end, for mpmath's few-ulp accuracy, and rounded
+    outward.  ValueError for an end that is not finite, such as a pole's."""
     lo, hi = x
     if any(not t[1] and t != fzero for t in x):         # an infinity or nan
         raise ValueError(f"an interval end is not finite: {x}")
     p = mp.prec
-    mid = mpf_shift(mpf_add(lo, hi, p, "n"), -1)
-    rad = max(mpf_sub(hi, mid, p, _UP), mpf_sub(mid, lo, p, _UP), key=mp.make_mpf)
-    end = max(mpf_abs(lo), mpf_abs(hi), key=mp.make_mpf)
-    return _ball(mp.make_mpf(mid), _sum_up(rad, mpf_shift(end, 2 - p)))
+    pad = mpf_shift(max(mpf_abs(lo), mpf_abs(hi), key=mp.make_mpf), 2 - p)
+    return _interval((mpf_sub(lo, pad, p, "f"), mpf_add(hi, pad, p, "c")))
 
 
 def _outward(f):
     """The CertValue method of f, a libmpi function: f at the ambient
-    precision on the exact ends (v - e, v + e) of a real ball, as a ball."""
+    precision on the ends of a real interval, widened by _mpi_ball."""
     def method(self) -> "CertValue":
-        if isinstance(self.value, mpc):
+        if self.im is not None:
             raise TypeError("elementary functions take a real ball")
-        v, e = self.value._mpf_, self.err._mpf_
-        return _mpi_ball(f((mpf_sub(v, e), mpf_add(v, e)), mp.prec))
+        return _mpi_ball(f(self.re, mp.prec))
+    return method
+
+
+def _arithmetic(real_op, complex_op):
+    """The CertValue operator of a libmpi operation at the ambient precision:
+    real_op on two real intervals, complex_op on rectangles otherwise."""
+    def method(self, other) -> "CertValue":
+        other = _coerce(other)
+        if self.im is None and other.im is None:
+            return _interval(real_op(self.re, other.re, mp.prec))
+        return _interval(*complex_op(self._rect(), other._rect(), mp.prec))
     return method
 
 
@@ -235,36 +194,39 @@ def _mpi_acos(x: tuple, p: int) -> tuple:
     return tuple(mpf_shift(t, 1) for t in y)
 
 
-class CertValue:
-    """A ball: a midpoint and a radius that holds every point it stands for.
+def _holds_zero(x: tuple) -> bool:
+    """Whether the interval x = (lo, hi) holds 0."""
+    return mpf_sign(x[0]) <= 0 <= mpf_sign(x[1])
 
-    The midpoint of an arithmetic result rounds to nearest at the ambient
-    precision, and _pad, 16 ulp of it, is the only allowance for that
-    rounding.  Every radius operation rounds upward, so a radius is never
-    smaller than the exact value of its formula.  The elementary functions
-    and pi are balls of libmpi's intervals widened by 4 ulp (_mpi_ball).
-    Immutable by convention.
+
+class CertValue:
+    """An interval that holds every point it stands for: re = (lo, hi), two
+    libmp ends, and for a complex value the rectangle re + i im.
+
+    Every operation rounds its ends outward at the ambient precision
+    through mpmath's interval kernels, so no end is inside the exact
+    result.  The elementary functions and pi are libmpi's intervals
+    widened by 4 ulp (_mpi_ball).  value and err are read-only views:
+    the exact midpoint and the distance to the farthest point, rounded
+    up.  Immutable by convention.
     """
 
-    __slots__ = ("value", "err")
+    __slots__ = ("re", "im")
 
     def __init__(self, value, err=0):
-        self.value = value if isinstance(value, (mpf, mpc)) else mp.mpmathify(value)
-        e = _up(err, mp.prec)
+        """The interval value -+ err, ends rounded outward: value an mpf or an
+        mpc (a rectangle of half-width err in each part), or an exact int,
+        float, str or Fraction; err rounded upward."""
+        p = mp.prec
+        e = _up(err, p)
         if e[0] and e[1]:
             raise ValueError("negative error radius")
-        self.err = mp.make_mpf(e)
-
-    @classmethod
-    def exact(cls, x) -> "CertValue":
-        """From an exact rational; the only error is the rounding of x itself."""
-        if isinstance(x, int):
-            x = Fraction(x)
-        if isinstance(x, Fraction):
-            v = mpf(x.numerator) / x.denominator
-            return cls(v, 0 if _exact(v) == x else _pad(v))
-        v = mp.mpmathify(x)
-        return cls(v, _pad(v))
+        if isinstance(value, (mpf, mpc)):
+            parts = [(t, t) for t in (value._mpc_ if isinstance(value, mpc) else (value._mpf_,))]
+        else:
+            x = Fraction(value)
+            parts = [tuple(from_rational(x.numerator, x.denominator, p, r) for r in "fc")]
+        self.re, self.im = _widen(parts, e)
 
     @classmethod
     def pi(cls) -> "CertValue":
@@ -274,78 +236,60 @@ class CertValue:
     def __repr__(self):
         return f"CertValue({self.value}, err={self.err})"
 
+    def _parts(self) -> tuple:
+        return (self.re,) if self.im is None else (self.re, self.im)
+
+    def _rect(self) -> tuple:
+        return self.re, self.im or _ZERO
+
+    @property
+    def value(self):
+        """The exact midpoint, an mpf or an mpc."""
+        mids = [mpf_shift(mpf_add(lo, hi), -1) for lo, hi in self._parts()]
+        return mp.make_mpf(mids[0]) if self.im is None else mp.make_mpc(tuple(mids))
+
+    @property
+    def err(self) -> mpf:
+        """The distance from value to the farthest point, rounded upward."""
+        halves = [mpf_shift(mpf_sub(hi, lo), -1) for lo, hi in self._parts()]
+        square = mpf_mul(halves[0], halves[0])
+        if self.im is not None:
+            square = mpf_add(square, mpf_mul(halves[1], halves[1]))
+        return mp.make_mpf(mpf_sqrt(square, mp.prec, "c"))
+
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
-        other = _coerce(other)
-        v = self.value + other.value
-        return _ball(v, _sum_up(self.err._mpf_, other.err._mpf_, _pad_up(v)))
-
-    __radd__ = __add__
+    __add__ = __radd__ = _arithmetic(mpi_add, mpci_add)
+    __sub__ = _arithmetic(mpi_sub, mpci_sub)
+    __mul__ = __rmul__ = _arithmetic(mpi_mul, mpci_mul)
 
     def __neg__(self):
-        return _ball(-self.value, self.err)
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
+        return _interval(*(mpi_neg(x) for x in self._parts()))
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
-        other = _coerce(other)
-        v = self.value * other.value
-        a, b = self.err._mpf_, other.err._mpf_
-        return _ball(v, _sum_up(_mul_up(_abs_up(self.value), b),
-                                _mul_up(_abs_up(other.value), a), _mul_up(a, b), _pad_up(v)))
-
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         other = _coerce(other)
-        # the radius falls as |divisor| grows, so it takes a lower bound b of
-        # it: a complex modulus rounded down, a real one exactly
-        p, d, f = mp.prec, other.value, other.err._mpf_
-        b = _abs_rounded(d, "d")._mpf_ if isinstance(d, mpc) else _abs_up(d)
-        gap = mpf_sub(b, f, p, "d")
-        if gap[0] or not gap[1]:
+        if all(_holds_zero(x) for x in other._rect()):
             raise ZeroDivisionError("divisor interval contains zero")
-        v = self.value / d
-        num = mpf_add(mpf_mul(_abs_up(self.value), f, p, _UP), mpf_mul(b, self.err._mpf_, p, _UP),
-                      p, _UP)
-        return _ball(v, _sum_up(mpf_div(num, mpf_mul(b, gap, p, "d"), p, _UP), _pad_up(v)))
+        return self._divide(other)
+
+    _divide = _arithmetic(mpi_div, mpci_div)
 
     def pow_int(self, n: int) -> "CertValue":
-        """v^n rounded once, radius n e (|v| + e)^(n-1) plus the pad of v^n, rounded upward.
-
-        |v| is taken from above by _abs_up.  mpmath forms
-        a real power, or a complex one with n <= 2 or a zero part, exactly
-        or at extra precision and rounds it once, which the pad of v^n
-        covers.  Any other complex power may be exp(n log v) at 10 extra
-        bits, off by up to n (|log v| + pi) 2^-(prec+8) relative; the pad
-        grows by n (|mag v| + 5) / 2^11 of itself to cover that, mag v
-        being the binary exponent of |v|.
-        """
+        """The interval power, n >= 0."""
         if n < 0:
             raise ValueError("negative powers unsupported")
-        if n == 0:
-            return CertValue(mpf(1))
-        v, e = self.value, self.err
-        value = v ** n
-        p = mp.prec
-        base = mpf_add(_abs_up(v), e._mpf_, p, _UP)
-        spread = _mul_up(_mul_up(from_int(n), e._mpf_), mpf_pow_int(base, n - 1, p, _UP))
-        rounding = _pad_up(value)
-        if isinstance(v, mpc) and n > 2 and v.real and v.imag:
-            grow = _mul_up(rounding, from_int(2048 + n * (abs(mp.mag(v)) + 5)))
-            rounding = mpf_shift(grow, -11)
-        return _ball(value, _sum_up(spread, rounding))
+        if self.im is None:
+            return _interval(mpi_pow_int(self.re, n, mp.prec))
+        return _interval(*mpci_pow_int(self._rect(), n, mp.prec))
 
     # -- elementary functions of a real ball --------------------------------
     #
-    # Each is _outward: a libmpi function on the ball's exact ends.  log
-    # needs v - e > 0, sqrt v - e >= 0, tan a ball with no pole and acos
-    # |v| + e < 1, or ValueError.
+    # Each is _outward: a libmpi function on the interval's ends.  log
+    # needs lo > 0, sqrt lo >= 0, tan an interval with no pole and acos
+    # -1 < lo <= hi < 1, or ValueError.
 
     exp, log, sqrt = _outward(mpi_exp), _outward(mpi_log), _outward(mpi_sqrt)
     sin, cos, tan, acos = (_outward(f) for f in (mpi_sin, mpi_cos, mpi_tan, _mpi_acos))
@@ -353,59 +297,47 @@ class CertValue:
     # -- views -------------------------------------------------------------
 
     def abs(self) -> "CertValue":
-        """|v| with the radius; a complex modulus adds the pad of its rounding."""
-        v = CertValue(abs(self.value), self.err)
-        return v.widened(_pad(v.value)) if isinstance(self.value, mpc) else v
+        """The real interval of |z| over the interval or rectangle."""
+        if self.im is None:
+            return _interval(mpi_abs(self.re, mp.prec))
+        return _interval(mpci_abs((self.re, self.im), mp.prec))
 
     def real(self) -> "CertValue":
-        return CertValue(self.value.real if isinstance(self.value, mpc) else self.value,
-                         self.err)
+        return _interval(self.re)
 
     def imag(self) -> "CertValue":
-        return CertValue(self.value.imag if isinstance(self.value, mpc) else mpf(0),
-                         self.err)
+        return _interval(self.im or _ZERO)
 
     def abs_upper(self) -> mpf:
-        """|v| + err rounded upward: no point of the enclosure lies above it."""
-        return mp.fadd(_abs_rounded(self.value, "u"), self.err, rounding="u")
+        """No point of the enclosure lies above it in modulus."""
+        return mp.make_mpf(self.abs().re[1])
 
     def abs_lower(self) -> mpf:
-        """|v| - err rounded downward, or 0: no point of the enclosure lies below it."""
-        lo = mp.fsub(_abs_rounded(self.value, "d"), self.err, rounding="d")
-        return lo if lo > 0 else mpf(0)
+        """No point of the enclosure lies below it in modulus; 0 if it reaches 0."""
+        return mp.make_mpf(self.abs().re[0])
 
     def widened(self, extra) -> "CertValue":
-        """The same value with extra (mpf, int, float or Fraction) added to the
-        radius, rounded upward."""
-        return _ball(self.value, _sum_up(self.err._mpf_, _up(extra, mp.prec)))
+        """Each end moved out by extra (mpf, int, float or Fraction), rounded outward."""
+        return _interval(*_widen(self._parts(), _up(extra, mp.prec)))
 
     def certified_sign(self) -> int:
-        """-1, 0 or +1; 0 means the interval straddles zero (no certificate)."""
-        v = self.value
-        if isinstance(v, mpc):
+        """-1, 0 or +1; 0 means the interval reaches zero (no certificate)."""
+        if self.im is not None:
             raise TypeError("sign of a complex value")
-        if v - self.err > 0:
-            return 1
-        if v + self.err < 0:
-            return -1
-        return 0
+        lo, hi = self.re
+        return 1 if mpf_sign(lo) > 0 else -1 if mpf_sign(hi) < 0 else 0
 
     def as_real(self) -> "CertValue":
-        """Discard an imaginary part that is within the error radius."""
-        if not isinstance(self.value, mpc):
+        """The real part, when the imaginary interval holds 0 (NotRealError otherwise)."""
+        if self.im is None:
             return self
-        if abs(self.value.imag) > self.err:
-            raise NotRealError(
-                f"imaginary part {self.value.imag} exceeds radius {self.err}")
-        return CertValue(self.value.real, self.err)
+        if not _holds_zero(self.im):
+            raise NotRealError(f"imaginary part {self.imag()} does not hold 0")
+        return self.real()
 
 
 def _coerce(x) -> CertValue:
-    if isinstance(x, CertValue):
-        return x
-    if x.__class__ is int and x.bit_length() <= mp.prec:
-        return _ball(mp.make_mpf(from_int(x)), mp.make_mpf(fzero))
-    return CertValue.exact(x)
+    return x if isinstance(x, CertValue) else CertValue(x)
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +352,9 @@ def _man_exp(t: tuple) -> tuple:
     return (-int(man) if sign else int(man)), exp
 
 
-def _exact(x: mpf) -> Fraction:
-    """The binary value of an mpf as a signed Fraction, without rounding."""
-    man, exp = _man_exp(x._mpf_)
+def _exact(x) -> Fraction:
+    """The binary value of an mpf or a libmp value as a signed Fraction, without rounding."""
+    man, exp = _man_exp(getattr(x, "_mpf_", x))
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
@@ -432,24 +364,16 @@ def _fixed(t: tuple, p: int) -> int:
     return man << (exp + p) if exp + p >= 0 else man >> -(exp + p)
 
 
-def _from_fixed(n: int, p: int) -> mpf:
-    """n 2^-p rounded to nearest at the working precision."""
-    return mp.make_mpf(from_man_exp(n, -p, mp.prec, "n"))
-
-
-def _ulp(value) -> tuple:
-    """One ulp at the ambient precision of value, or of its larger part: it
-    holds rounding to nearest, half an ulp of each part."""
-    parts = value._mpc_ if isinstance(value, mpc) else (value._mpf_,)
-    top = max((t[2] + t[3] for t in parts if t[1]), default=None)
-    return fzero if top is None else (0, 1, top - mp.prec, 1)
+def _fixed_ends(lo: int, hi: int, p: int) -> tuple:
+    """The libmp ends of [lo, hi] 2^-p at the ambient precision, rounded outward."""
+    prec = mp.prec
+    return from_man_exp(lo, -p, prec, "f"), from_man_exp(hi, -p, prec, "c")
 
 
 def _units_ball(n: int, units: int, p: int, im: int | None = None) -> CertValue:
-    """The ball n 2^-p, or (n + i im) 2^-p, with radius units 2^-p, plus one
-    ulp for rounding it to an mpf or mpc."""
-    value = _from_fixed(n, p) if im is None else mpc(_from_fixed(n, p), _from_fixed(im, p))
-    return _ball(value, _sum_up(from_man_exp(units, -p, mp.prec, _UP), _ulp(value)))
+    """The interval n 2^-p, or the rectangle (n + i im) 2^-p, of half-width
+    units 2^-p in each part: it holds the disk of that radius."""
+    return _interval(*(_fixed_ends(c - units, c + units, p) for c in (n, im) if c is not None))
 
 
 def _horner(coeffs, x: int, y: int, delta: int, p: int) -> tuple:
@@ -502,9 +426,8 @@ def _horner(coeffs, x: int, y: int, delta: int, p: int) -> tuple:
 
 
 def _ends_ball(lo: int, hi: int, p: int) -> CertValue:
-    """The ball of [lo, hi] 2^-p: its floored midpoint and radius in units."""
-    mid = (lo + hi) >> 1
-    return _units_ball(mid, hi - mid, p)
+    """The interval [lo, hi] 2^-p, its ends rounded outward."""
+    return _interval(_fixed_ends(lo, hi, p))
 
 
 def _cut(x: tuple, s: int) -> tuple:

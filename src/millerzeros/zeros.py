@@ -345,8 +345,11 @@ def real_root_census(p: IntPolynomial, width: Fraction = ROOT_WIDTH) -> tuple:
 
     Both come from one Sturm chain of p's square-free part: the intervals
     from bisection on the Cauchy bound, the counts as real_outside and
-    complex_pairs.
+    complex_pairs.  A width <= 0, which no interval reaches, raises
+    ValueError.
     """
+    if width <= 0:
+        raise ValueError(f"isolating width must be positive, got {width}")
     sqf, chain = _squarefree_chain(p)
     b = cauchy_bound(p)
     return (_bisect(sqf, _chain_counter(chain, -b, b), -b, b, width),
@@ -455,9 +458,7 @@ class HFunction:
 
 def _j_ends(theta) -> tuple:
     """(lo, hi): the exact ends of arc_j's enclosure of j(theta) at DEFAULT_PREC."""
-    jv = arc_j(theta)
-    mid, radius = _exact(jv.value), _exact(jv.err)
-    return mid - radius, mid + radius
+    return tuple(_exact(t) for t in arc_j(theta).re)
 
 
 def _float_arc_sign(form: MillerForm, theta) -> int:
@@ -609,10 +610,15 @@ def _bisect_arc(lo, hi, width, sign) -> tuple:
     Each step keeps the half whose lower end has the sign of lo.  The
     midpoints (lo + hi) / 2 depend on the path alone, so every sign
     function walks the same tree of cells and ends in one of its leaves.
+    A midpoint that rounds to an end of its cell, as below the width
+    the precision can halve, raises ValueError.
     """
     s_lo = sign(lo)
     while hi - lo > width:
         mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            raise ValueError(f"the cell [{lo}, {hi}] has no midpoint inside it at "
+                             f"this precision, above the width {width}")
         if sign(mid) == s_lo:
             lo = mid
         else:
@@ -622,7 +628,7 @@ def _bisect_arc(lo, hi, width, sign) -> tuple:
 
 def refine_arc_zero(form: MillerForm, lo: float, hi: float, width: float = 1e-5) -> tuple:
     """Shrink a sign-change bracket (lo < hi, else ValueError) to a
-    certified sign-change cell of width <= width.
+    certified sign-change cell of width <= width (> 0, else ValueError).
 
     Bisection runs on the double-precision sign _float_arc_sign, and only
     the cell it ends in is certified, by _sign_change_inside on the j
@@ -634,6 +640,8 @@ def refine_arc_zero(form: MillerForm, lo: float, hi: float, width: float = 1e-5)
     """
     if not lo < hi:
         raise ValueError(f"the bracket [{float(lo)!r}, {float(hi)!r}] is empty or reversed")
+    if not width > 0:
+        raise ValueError(f"the cell width must be positive, got {width!r}")
     p = form.faber
     ends = lru_cache(maxsize=None)(_j_ends)
     lo, hi = mpf(lo), mpf(hi)

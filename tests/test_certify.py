@@ -13,7 +13,7 @@ from millerzeros import certify, evalnum
 from millerzeros.evalnum import CertValue, _corner_angles, _exact, arc_functions, arc_grid
 from millerzeros.certify import (
     BoundLedgerEntry, DomainError,
-    _chebyshev, _goursat, _goursat_of_derivative, _sin_range,
+    _chebyshev, _goursat, _goursat_of_derivative, _hull,
     _certified_root_decreasing,
     monotonicity_certificate_075, magnitude_certificate_065,
     j_difference_bounds, delta_line_bounds,
@@ -95,7 +95,7 @@ def test_goursat_of_derivative_holds_the_exact_coefficients(a):
         p = p + c * _chebyshev(n)
     want = _goursat(p.derivative(), len(a) - 2).coeffs
     with workprec(140):
-        got = _goursat_of_derivative([CertValue.exact(c) for c in a])
+        got = _goursat_of_derivative([CertValue(c) for c in a])
     assert len(got) == len(a) - 1
     for i, ball in enumerate(got):
         w = want[i] if i < len(want) else 0
@@ -162,9 +162,11 @@ def test_square_consistency_fails_on_a_small_mismatch(monkeypatch):
 def test_sin_range_holds_the_extrema(n):
     # the intervals [n pi/5, 2n pi/5] of the Im f_{5,3/4} bound; at 2000 bits
     # the extrema are the larger and smaller of the end values and of the
-    # +-1 at each pi/2 + k pi inside
+    # +-1 at each pi/2 + k pi inside, and the interval sine holds both,
+    # within 2^-120 of each end
     with workprec(140):
-        lo, hi = _sin_range(Fraction(n, 5), Fraction(2 * n, 5))
+        sine = (CertValue.pi() * _hull(Fraction(n, 5), Fraction(2 * n, 5))).sin()
+    lo, hi = (_exact(t) for t in sine.re)
     with workprec(2000):
         a, b = n * mp.pi / 5, 2 * n * mp.pi / 5
         values = [mp.sin(a), mp.sin(b)]
@@ -172,8 +174,9 @@ def test_sin_range_holds_the_extrema(n):
         while mp.pi / 2 + k * mp.pi <= b:
             values.append(mpf(-1) ** k)
             k += 1
-        assert abs(lo.value - min(values)) <= lo.err
-        assert abs(hi.value - max(values)) <= hi.err
+        least, most = _exact(min(values)), _exact(max(values))
+    assert lo <= least <= lo + Fraction(1, 2 ** 120)
+    assert hi - Fraction(1, 2 ** 120) <= most <= hi
 
 
 def test_j_difference_bounds():
@@ -465,7 +468,7 @@ def test_oscillation_builds_one_q_point_per_angle(monkeypatch):
 def test_oscillation_takes_no_ball_arithmetic_and_forms_one_ball(monkeypatch):
     # every step from e4 and e6 to the turn runs on integer ends: a warm
     # _oscillation multiplies, divides, subtracts and powers no ball, and
-    # forms exactly one, at the end
+    # forms exactly one interval, at the end
     from millerzeros.miller import miller_form
     form = miller_form(340, 2)
     angles = arc_grid(5e-2)
@@ -481,7 +484,7 @@ def test_oscillation_takes_no_ball_arithmetic_and_forms_one_ball(monkeypatch):
     for name in ("__mul__", "__rmul__", "__truediv__", "__sub__", "__rsub__", "pow_int",
                  "__init__"):
         monkeypatch.setattr(CertValue, name, counted(name, getattr(CertValue, name)))
-    monkeypatch.setattr(evalnum, "_ball", counted("ball", evalnum._ball))
+    monkeypatch.setattr(evalnum, "_interval", counted("ball", evalnum._interval))
     for theta in angles:
         calls.clear()
         _oscillation(form, 2, theta, 160)
@@ -598,12 +601,17 @@ def test_certify_leaves_rounding_to_the_ball_layer():
 def test_evaluation_points_leave_rounding_to_the_units():
     # evalnum's evaluation section, from the point class through arc_j,
     # works in integer units from one point: no pad, no shift by the
-    # precision, no complex exp and no phase from expj
+    # precision, no complex exp and no phase from expj; its ball section,
+    # from CertValue's helpers to the tails, rounds outward through libmpi
+    # and takes no 16-ulp pad of a midpoint
     source = Path(evalnum.__file__).read_text()
     start, end = source.index("class _Point:"), source.index("def arc_j(")
     section = source[start:source.index("\n\n\n", end)]
     for token in ("_pad(", "ldexp(", "expj", "mp.exp(", "mp.e **", "cmath"):
         assert token not in section, token
+    balls = source[source.index("class TailUnboundedError"):start]
+    for token in ("_pad", "4 - mp.prec", "ldexp("):
+        assert token not in balls, token
 
 
 def line_maxima(monkeypatch, cases=_LINE_CASES):

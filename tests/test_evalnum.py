@@ -8,16 +8,18 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, mpc, workprec
+from mpmath.libmp import from_man_exp, fzero
 
 from millerzeros.qseries import (EISENSTEIN_FACTORS, QSeries, _pentagonal_euler_product,
                                  bernoulli, delta, eisenstein, jfunction)
 from millerzeros.miller import miller_form
+from millerzeros import evalnum
 from millerzeros.zeros import HFunction
 from conftest import (JCoeffTail, complex_poly, oracle_phase, oracle_tail,
                       separate_q_arc_functions, separate_q_form, separate_q_series)
 from millerzeros.evalnum import (
     DEFAULT_PREC, _GUARD, CertValue, NotRealError, TailUnboundedError, _TAIL_SLACK, _Point,
-    _abs_up, _arc_eisenstein, _corner_angles, _phase_units, _corner_window, _exact, _j_tail_units, _theta_mpf,
+    _arc_eisenstein, _corner_angles, _phase_units, _corner_window, _exact, _j_tail_units, _theta_mpf,
     _span, _two_pi, _units_ball, _cut, _ends_mul, _ends_pow, _ends_pow_float,
     EisensteinTail, EtaProductTail, j_tail_bound,
     eval_series, eval_delta_eta,
@@ -27,6 +29,18 @@ from millerzeros.evalnum import (
 
 TAU_GRID = (mpc(0, 1), mpc("0.1", "1.2"), mpc("-0.3", "0.95"),
             mpc("0.45", "1.05"), mpc("0.25", "0.9"))
+
+# the precisions of the enclosure tests: an operation that rounds an end to
+# nearest instead of outward fails at the low ones first
+PRECS = (24, 53, 140)
+
+
+def _holds(ball: CertValue, z) -> bool:
+    """Whether z (an mpf or an mpc, taken exactly) lies in the ball's
+    interval, or in its rectangle."""
+    ends = (ball.re, ball.im or (fzero, fzero))
+    return all(_exact(lo) <= _exact(x) <= _exact(hi)
+               for (lo, hi), x in zip(ends, (mp.re(z), mp.im(z))))
 
 
 # ---------------------------------------------------------------------------
@@ -38,10 +52,10 @@ def test_certvalue_rejects_negative_radius():
 
 
 def test_certvalue_exact_fraction():
-    cv = CertValue.exact(Fraction(1, 3))
+    cv = CertValue(Fraction(1, 3))
     assert cv.err > 0                      # 1/3 is not representable
     assert abs(cv.value - mpf(1) / 3) <= cv.err
-    assert CertValue.exact(Fraction(3, 4)).err == 0
+    assert CertValue(Fraction(3, 4)).err == 0
 
 
 def test_certvalue_add_sub_radii():
@@ -55,6 +69,12 @@ def test_certvalue_add_sub_radii():
 def test_certvalue_division_guard():
     with pytest.raises(ZeroDivisionError):
         CertValue(1.0) / CertValue(0.1, 0.2)
+    # the disk about 1/2 + 2^-52 i of radius 1/2 misses 0, but the
+    # rectangle [0, 1] x [-1/2, 1/2] that holds it reaches 0
+    b = mpc(0.5, 2.0 ** -52)
+    assert _exact(b.real) ** 2 + _exact(b.imag) ** 2 > Fraction(1, 4)
+    with pytest.raises(ZeroDivisionError):
+        CertValue(1.0) / CertValue(b, 0.5)
 
 
 def test_certvalue_sign_and_abs():
@@ -86,10 +106,14 @@ def test_certvalue_encloses_true_products(a, ea, b, eb, s, t):
 
 
 def test_certvalue_pow_int():
-    a = CertValue(2.0, 0.01)
-    p = a.pow_int(3)
-    assert abs(p.value - 8) < 1e-12
-    assert p.err >= 3 * 4 * 0.01 * (1 - 1e-9)
+    # [199/100, 201/100]^3 holds both exact end cubes, within 16 ulp of them
+    for prec in PRECS:
+        with workprec(prec):
+            a = CertValue(2, Fraction(1, 100))
+            lo, hi = (_exact(t) for t in a.pow_int(3).re)
+        ulp = Fraction(1, 2 ** prec)
+        assert Fraction(199, 100) ** 3 * (1 - 16 * ulp) <= lo <= Fraction(199, 100) ** 3, prec
+        assert Fraction(201, 100) ** 3 <= hi <= Fraction(201, 100) ** 3 * (1 + 16 * ulp), prec
     with pytest.raises(ValueError):
         a.pow_int(-1)
 
@@ -99,32 +123,31 @@ def _two(n: int) -> Fraction:
 
 
 def _inward_cases():
-    """(ball computed at 53 bits, the exact Fraction value of its radius formula)."""
+    """(ball computed at 53 bits, the exact half-width of the exact result)."""
     with workprec(200):
         wide = 1 + mpf(2) ** -150
     with workprec(53):
-        tiny = mpf(2) ** -200
+        tiny, u = mpf(2) ** -200, 1 + mpf(2) ** -52
         e1, v2, f = mp.ldexp(7850867838710181, -52), mp.ldexp(7434051592338293, -52), \
             mp.ldexp(4051791406653507, -94)
         return {
             # e + e'
             "sum": (CertValue(0, 1) + CertValue(0, tiny), 1 + _two(-200)),
-            # |v| e' + |v'| e + e e'
-            "product": (CertValue(0, 1) * CertValue(3, tiny), 3 + _two(-200)),
+            # [-u, u] u = [-u^2, u^2], u = 1 + 2^-52, and u^2 needs 105 bits
+            "product": (CertValue(0, u) * CertValue(u), (1 + _two(-52)) ** 2),
             "init": (CertValue(0, wide), 1 + _two(-150)),
             # (|v| f + |v'| e) / (|v'| (|v'| - f)), here also the largest |x / y|
             "quotient": (CertValue(0, e1) / CertValue(v2, f),
                          _exact(e1) / (_exact(v2) - _exact(f))),
-            # n e (|v| + e)^(n-1) plus the pad of v^n = 2^-60, 16 ulp of it
-            "power": (CertValue(mpf(2) ** -30, 1).pow_int(2),
-                      2 * (1 + _two(-30)) + _two(-60) * _two(4 - 53)),
+            # [2^-30 - 1, 2^-30 + 1]^2 = [0, (1 + 2^-30)^2], 61 bits at its top
+            "power": (CertValue(mpf(2) ** -30, 1).pow_int(2), (1 + _two(-30)) ** 2 / 2),
         }
 
 
 @pytest.mark.parametrize("name", ["sum", "product", "init", "quotient", "power"])
 def test_radius_is_never_below_its_exact_formula(name):
-    # round-to-nearest radius arithmetic returns 1, 3 and 1 for the first
-    # three and falls short on the last two; every radius rounds upward
+    # ends rounded to nearest give 1, 1 + 2^-51 and 1 for the first three
+    # and fall short on the last two; every end rounds outward
     ball, exact = _inward_cases()[name]
     assert _exact(ball.err) >= exact
 
@@ -142,13 +165,13 @@ BALL_FUNCTIONS = {
 }
 
 
-@pytest.mark.parametrize("prec", [53, 140])
+@pytest.mark.parametrize("prec", PRECS)
 @pytest.mark.parametrize("name", BALL_FUNCTIONS)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_ball_function_holds_the_reference(name, prec, data):
-    # f at both ends, the midpoint and six more interior points, at 2000
-    # bits, lies in the ball
+    # f at both ends of the argument's interval and at seven interior
+    # points, at 2000 bits, lies in the result's interval
     f, (lo, hi), top = BALL_FUNCTIONS[name]
     draw = data.draw
     x = draw(st.floats(lo, hi).filter(lambda t: abs(t) > 1e-6))
@@ -157,10 +180,10 @@ def test_ball_function_holds_the_reference(name, prec, data):
         v = mpf(x) * (1 + mpf(2) ** -60 * draw(UNIT))
         arg = CertValue(v, abs(v) * mpf(2) ** scale * draw(UNIT))
         ball = getattr(arg, name)()
+    a, b = (mp.make_mpf(t) for t in arg.re)
     with workprec(2000):
-        for i in range(-4, 5):
-            w = v + arg.err * i / 4
-            assert abs(f(w) - ball.value) <= ball.err
+        for i in range(9):
+            assert _holds(ball, f(a + (b - a) * i / 8)), i
 
 
 @pytest.mark.parametrize("prec", [53, 140])
@@ -196,6 +219,73 @@ def test_ball_function_holds_a_value_that_mpmath_rounds_inward(name, man, exp):
         ball = getattr(CertValue(x), name)()
     with workprec(2000):
         assert abs(getattr(mp, name)(x) - ball.value) <= ball.err
+
+
+def _point(x: Fraction) -> tuple:
+    """The exact libmpi interval [x, x] of a dyadic Fraction."""
+    shift = x.denominator.bit_length() - 1
+    assert x.denominator == 1 << shift
+    t = from_man_exp(x.numerator, -shift)
+    return t, t
+
+
+def _libmpi_cases():
+    """name -> (the ends a libmpi function returns at 53 bits, the exact value
+    they must hold strictly, or None when the ends must be it exactly).
+
+    Every value is irrational or needs more than 53 bits, except for
+    mpi_neg, which evalnum calls without a precision, so it must be exact."""
+    from mpmath.libmp import libmpi
+    tiny, one, three = Fraction(1, 2 ** 200), Fraction(1), Fraction(3)
+    u = 1 + Fraction(1, 2 ** 52)
+    x, y, zero = _point(one), _point(tiny), _point(Fraction(0))
+    with workprec(2000):
+        ref = {k: _exact(+v) for k, v in (
+            ("e", mp.e), ("ln2", mp.ln2), ("pi", mp.pi), ("sqrt2", mp.sqrt(2)),
+            ("sin1", mp.sin(1)), ("cos1", mp.cos(1)), ("tan1", mp.tan(1)),
+            ("sqrtpi", mp.sqrt(mp.pi)))}
+    return {
+        "mpi_add": (libmpi.mpi_add(x, y, 53), (one, 1 + Fraction(1, 2 ** 52))),
+        "mpi_sub": (libmpi.mpi_sub(x, y, 53), (1 - Fraction(1, 2 ** 53), one)),
+        "mpi_mul": (libmpi.mpi_mul(_point(u), _point(u), 53), u * u),
+        "mpi_div": (libmpi.mpi_div(x, _point(three), 53), one / 3),
+        "mpi_pow_int": (libmpi.mpi_pow_int(_point(three), 40, 53), three ** 40),
+        "mpi_abs": (libmpi.mpi_abs((_point(-1 - tiny)[0], _point(-one)[0]), 53),
+                    (one, 1 + Fraction(1, 2 ** 52))),
+        "mpi_neg": (libmpi.mpi_neg((_point(one)[0], _point(1 + tiny)[1])), (-1 - tiny, -one)),
+        "mpci_add": (libmpi.mpci_add((x, x), (y, y), 53)[1], (one, 1 + Fraction(1, 2 ** 52))),
+        "mpci_sub": (libmpi.mpci_sub((x, x), (y, y), 53)[1], (1 - Fraction(1, 2 ** 53), one)),
+        # (u + i u)^2 = 2 u^2 i
+        "mpci_mul": (libmpi.mpci_mul((_point(u),) * 2, (_point(u),) * 2, 53)[1], 2 * u * u),
+        "mpci_div": (libmpi.mpci_div((x, zero), (_point(three), zero), 53)[0], one / 3),
+        "mpci_pow_int": (libmpi.mpci_pow_int((_point(three), zero), 40, 53)[0], three ** 40),
+        "mpci_abs": (libmpi.mpci_abs((x, x), 53), ref["sqrt2"]),
+        "mpi_exp": (libmpi.mpi_exp(x, 53), ref["e"]),
+        "mpi_log": (libmpi.mpi_log(_point(Fraction(2)), 53), ref["ln2"]),
+        "mpi_sqrt": (libmpi.mpi_sqrt(_point(Fraction(2)), 53), ref["sqrt2"]),
+        "mpi_sin": (libmpi.mpi_sin(x, 53), ref["sin1"]),
+        "mpi_cos": (libmpi.mpi_cos(x, 53), ref["cos1"]),
+        "mpi_tan": (libmpi.mpi_tan(x, 53), ref["tan1"]),
+        "mpi_atan": (libmpi.mpi_atan(x, 53), ref["pi"] / 4),
+        "mpi_pi": (libmpi.mpi_pi(53), ref["pi"]),
+        "mpi_gamma": (libmpi.mpi_gamma(_point(Fraction(1, 2)), 53), ref["sqrtpi"]),
+    }
+
+
+def test_libmpi_kernels_round_outward():
+    # evalnum rests on mpmath's private interval module: every function it
+    # imports from there rounds outward on one case whose exact value no
+    # 53-bit end holds, so a change of that behaviour fails here first
+    imported = {name for name, f in vars(evalnum).items()
+                if getattr(f, "__module__", None) == "mpmath.libmp.libmpi"}
+    cases = _libmpi_cases()
+    assert imported == set(cases)
+    for name, (ends, want) in cases.items():
+        lo, hi = (_exact(t) for t in ends)
+        if isinstance(want, tuple):
+            assert (lo, hi) == want, name
+        else:
+            assert lo < want < hi and hi - lo <= want * Fraction(1, 2 ** 50), name
 
 
 @pytest.mark.parametrize("prec", [53, 140])
@@ -259,27 +349,31 @@ def test_pow_int_encloses_every_power(branch, n_range, data):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 200), st.integers(-2 ** 200, 2 ** 200), st.integers(-400, 400),
-       st.integers(-300, 300), st.booleans())
-def test_abs_upper_is_a_tight_upper_bound(a, b, scale, shift, real):
-    # exactly: |v| <= bound <= (1 + 2^-20) |v|, for parts of any length and scale
+       st.integers(-300, 300), st.booleans(), st.sampled_from(PRECS))
+def test_abs_upper_is_a_tight_upper_bound(a, b, scale, shift, real, prec):
+    # exactly: |v| <= abs_upper <= (1 + 2^(3-prec)) |v| for the point v of
+    # 240-bit parts of any length and scale, its ends rounded outward at prec
     with workprec(240):
         v = mp.ldexp(a, scale) if real else mpc(mp.ldexp(a, scale), mp.ldexp(b, scale + shift))
     square = sum(_exact(p) ** 2 for p in ((v,) if real else (v.real, v.imag)))
-    bound = _exact(mp.make_mpf(_abs_up(v)))
-    assert square <= bound ** 2 <= (1 + Fraction(1, 2 ** 20)) ** 2 * square
+    with workprec(prec):
+        bound = _exact(CertValue(v).abs_upper())
+    assert square <= bound ** 2 <= (1 + Fraction(8, 2 ** prec)) ** 2 * square
 
 
 @pytest.mark.parametrize("value, mag", [(mpf(1), 1), (mpf(-1), 1), (mpc(3, 4), 5)])
 def test_abs_bounds_round_outward(value, mag):
-    # |v| +- 2^-80 at 53 bits: the nearest-rounded sum is |v| itself, one ulp
-    # inside the exact enclosure; the directed bounds stay outside it
+    # |v| +- 2^-80: rounded to nearest at 24 or 53 bits, |v| + 2^-80 is |v|
+    # itself, inside the exact enclosure; the bounds stay outside it, and
+    # within 2^-79 and 4 ulp of it
     tiny = Fraction(1, 2 ** 80)
-    with workprec(53):
-        cv = CertValue(value, mpf(2) ** -80)
-        assert abs(cv.value) + cv.err == mag
-        hi, lo = _exact(cv.abs_upper()), _exact(cv.abs_lower())
-    assert mag + tiny <= hi <= mag * (1 + Fraction(1, 2 ** 50))
-    assert mag * (1 - Fraction(1, 2 ** 50)) <= lo <= mag - tiny
+    for prec in PRECS:
+        with workprec(prec):
+            cv = CertValue(value, mpf(2) ** -80)
+            hi, lo = _exact(cv.abs_upper()), _exact(cv.abs_lower())
+        slack = 2 * tiny + mag * Fraction(4, 2 ** prec)
+        assert mag + tiny <= hi <= mag + slack, prec
+        assert mag - slack <= lo <= mag - tiny, prec
 
 
 @pytest.mark.parametrize("offset", (2 ** -60, -2 ** -60))
@@ -330,24 +424,33 @@ def test_abs_of_a_complex_value_encloses_the_modulus():
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.floats(-5, 5), min_size=4, max_size=4), st.floats(0, 0.5), st.floats(0, 0.5),
-       st.lists(st.floats(0, 1), min_size=4, max_size=4))
-# |b| exceeds eb by 5e-32 only, far below 2^-57 |b|
-@example(parts=[0.0, 0.0, 0.5, 2.220446049250313e-16], ea=0.0, eb=0.5, u=[0.0, 0.0, 0.0, 0.0])
-def test_certvalue_encloses_complex_products_and_quotients(parts, ea, eb, u):
-    # radii of complex products take |v| from _abs_up, quotients a lower
-    # bound of the divisor's modulus rounded down
+       st.lists(st.floats(0, 1), min_size=4, max_size=4), st.sampled_from(PRECS))
+# the disk of y misses 0 (|b| exceeds eb by 5e-32), its rectangle does not
+@example(parts=[0.0, 0.0, 0.5, 2.220446049250313e-16], ea=0.0, eb=0.5, u=[0.0, 0.0, 0.0, 0.0],
+         prec=140)
+# two points: the exact product and quotient need more than 24 bits
+@example(parts=[1.1, 2.3, 0.7, -1.9], ea=0.0, eb=0.0, u=[0.0, 0.0, 0.0, 0.0], prec=24)
+def test_certvalue_encloses_complex_products_and_quotients(parts, ea, eb, u, prec):
+    # every product and quotient of points of the two disks lies in the
+    # rectangle of the result; a divisor's rectangle that reaches 0, even
+    # where its disk does not, raises ZeroDivisionError
     a, b = mpc(parts[0], parts[1]), mpc(parts[2], parts[3])
-    x, y = CertValue(a, ea), CertValue(b, eb)
-    with workprec(140):
+    with workprec(prec):
+        x, y = CertValue(a, ea), CertValue(b, eb)
         prod = x * y
-        quot = x / y if abs(b) > eb else None
+        if all(_exact(lo) <= 0 <= _exact(hi) for lo, hi in (y.re, y.im)):
+            with pytest.raises(ZeroDivisionError):
+                x / y
+            quot = None
+        else:
+            quot = x / y
     with workprec(400):
         # shrink by 1 - 2^-100 so that the 400-bit rounding keeps each point in its disk
         ax, by = (c + e * (1 - mpf(2) ** -100) * s * mp.expj(2 * mp.pi * t)
                   for c, e, s, t in ((a, ea, u[0], u[1]), (b, eb, u[2], u[3])))
-        assert abs(ax * by - prod.value) <= prod.err
+        assert _holds(prod, ax * by)
         if quot is not None:
-            assert abs(ax / by - quot.value) <= quot.err
+            assert _holds(quot, ax / by)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +592,7 @@ def reference_eval_series(s, tau, tail, prec=128):
         for c in reversed(s.coeffs):
             acc = acc * qc
             if c != 0:
-                acc = acc + CertValue.exact(c)
+                acc = acc + CertValue(c)
         if s.lead > 0:
             acc = acc * qc.pow_int(s.lead)
         elif s.lead < 0:
@@ -641,9 +744,10 @@ def test_eval_below_height_floor():
 # point evaluation
 
 def test_constant_series_evaluates_exactly():
+    # the rectangle holds 1 exactly and lies within 2^-90 of it
     one = QSeries.one(6)
     cv = eval_series(one, mpc(0, 1), None)
-    assert cv.value == 1 and cv.err <= mpf(2) ** -90
+    assert _holds(cv, mpc(1)) and cv.err <= mpf(2) ** -90
 
 
 def test_delta_at_i_two_routes():

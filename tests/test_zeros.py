@@ -114,6 +114,29 @@ def test_squarefree_part():
     assert len(real_root_census(poly_from_roots([3, 5]))[0]) == 2
 
 
+@pytest.mark.parametrize("width", [Fraction(0), Fraction(-1)])
+def test_real_root_census_refuses_a_width_it_cannot_reach(width, form_48_1):
+    # at width 0 the cells came back 95, 95 and 380 wide, and at -1 the
+    # bisection never ended
+    with pytest.raises(ValueError, match="width"):
+        real_root_census(form_48_1.faber, width=width)
+
+
+@pytest.mark.parametrize("width", [0, -1e-5, 1e-20])
+def test_refine_arc_zero_refuses_a_width_it_cannot_reach(width, form_48_1):
+    # 0 and a negative width are never reached; at 1e-20 the double
+    # midpoint of the cell stops moving near 1.6, where an ulp is 2e-16
+    lo, hi = arc_zero_localize(form_48_1)[0]
+    with pytest.raises(ValueError, match="width"):
+        refine_arc_zero(form_48_1, lo, hi, width=width)
+
+
+def test_bisect_arc_refuses_a_cell_it_cannot_halve():
+    lo = mpf(1)
+    with pytest.raises(ValueError, match="no midpoint"):
+        _bisect_arc(lo, lo + mp.eps, mpf(0), lambda t: 1 if t < 1 else -1)
+
+
 def test_sturm_isolate_simple_triple():
     p = poly_from_roots([1, 2, 3])
     got, _ = real_root_census(p, width=Fraction(1, 100))
