@@ -12,14 +12,12 @@ E_6 = A^3 / B with the integral hypergeometric series
 A(t) = sum (6n)! / ((3n)! n!^3) t^n and
 B(t) = (1 - 1728 t)^(-1/2) = sum C(2n, n) 432^n t^n.
 From qd = E_4^3 t / q and k / 2 = 6 ell + 2a + 3b,
-V = (q/t)^m A^(-k/2) B^b.  Since q d/dq t = t E_6 / E_4,
-q/t = exp(sum_(n>=1) c_n t^n / n) with sum c_n t^n = E_4 / E_6 = B / A,
-so f = (q/t)^m solves A t f' = m (B - A) f, one O(n^2) recurrence.
-Every series here has constant term 1 and integer coefficients, so the
-products and powers (qseries._mul, qseries._power) are O(n^2) integer
-work and each division of the recurrences is exact; one that leaves a
-remainder raises NonIntegralFaberError.  The basis steps V_(m+1) =
-V_m (q/t).
+V = (q/t)^m A^(-k/2) B^b.  Since q d/dq t = t E_6 / E_4 = t A / B,
+t (q/t)' / (q/t) = B / A - 1, and t B' / B = 864 t B^2, so t A V' = w V
+with w = m (B - A) - (k/2) t A' + 864 b t A B^2: V is one qseries._ode,
+O(n^2) integer work, and so is q/t (w = B - A).  Every division of the
+recurrences is exact; one that leaves a remainder raises
+NonIntegralFaberError.  The basis steps V_(m+1) = V_m (q/t).
 
 The q-expansion past q^ell is exact too.  With L = trunc - ell, the
 W = sum_r V[D+1+r] t(q)^r mod q^L left after F gives the tail
@@ -36,17 +34,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
 
-from .qseries import EISENSTEIN_FACTORS, FormId, QSeries, _monomial, _mul, _power
+from .qseries import (EISENSTEIN_FACTORS, FormId, NonIntegralFaberError, QSeries, _exact_div,
+                      _monomial, _mul, _ode)
 
 
 class NotInSpaceError(ValueError):
     """Series is not the q-expansion of a form of the stated weight."""
-
-
-class NonIntegralFaberError(ArithmeticError):
-    """A Faber coefficient came out non-integral; the reduction is wrong."""
 
 
 DEFAULT_MARGIN = 8
@@ -250,13 +244,6 @@ def default_trunc(ell: int) -> int:
     return ell + 1 + DEFAULT_MARGIN
 
 
-def _exact_div(num: int, den: int) -> int:
-    quo, rest = divmod(num, den)
-    if rest:
-        raise NonIntegralFaberError(f"{num} / {den} is not an integer")
-    return quo
-
-
 def _t_series(n: int) -> tuple:
     """A and B as series in t = 1/j, to n coefficients each.
 
@@ -270,31 +257,15 @@ def _t_series(n: int) -> tuple:
     return a, b
 
 
-def _q_over_t(a: list, b: list, m: int) -> list:
-    """(q/t)^m to len(a) coefficients, from a, b = _t_series(len(a)).
-
-    f = (q/t)^m has t f' / f = m (E_4 / E_6 - 1) = m (B / A - 1), so
-    A t f' = m (B - A) f: with g_i = i f_i and d = B - A,
-    i f_i = m sum_(1 <= r <= i) d_r f_(i-r) - sum_(1 <= r <= i) A_r g_(i-r).
-    """
-    d = [y - x for x, y in zip(a, b)]
-    f, g = [1], [0]
-    for i in range(1, len(a)):
-        s = m * sum(map(mul, d[1:i + 1], reversed(f))) - sum(map(mul, a[1:i + 1], reversed(g)))
-        f.append(_exact_div(s, i))
-        g.append(s)
-    return f
-
-
 def _t_start(fid: FormId, n: int) -> list:
-    """V = (q/t)^m A^(-k/2) B^b to n coefficients t^0.., E_k' = E_4^a E_6^b."""
-    a_t, b_t = _t_series(n)
-    v = _power(a_t, -fid.k // 2)
-    if EISENSTEIN_FACTORS[fid.kprime][1]:          # b is 0 or 1
-        v = _mul(v, b_t)
-    if fid.m:
-        v = _mul(v, _q_over_t(a_t, b_t, fid.m))
-    return v
+    """V = (q/t)^m A^(-k/2) B^b to n coefficients t^0.., the _ode with w of
+    the module docstring; (A B^2)_r = A_r + 1728 (A B^2)_(r-1)."""
+    a, b = _t_series(n)
+    c, w, ab2 = 864 * EISENSTEIN_FACTORS[fid.kprime][1], [], 0
+    for r in range(n):
+        w.append(fid.m * (b[r] - a[r]) - fid.k // 2 * r * a[r] + c * ab2)
+        ab2 = a[r] + 1728 * ab2
+    return _ode(a, w, 1)
 
 
 @lru_cache(maxsize=8)
@@ -339,7 +310,8 @@ def _basis(k: int, trunc: int) -> tuple:
     fid = FormId.from_k(k, 0)
     if fid.ell == 0:
         return ()
-    q_t = _q_over_t(*_t_series(trunc), 1)
+    a, b = _t_series(trunc)
+    q_t = _ode(a, [y - x for x, y in zip(a, b)], 1)
     tail_factor = _tail_factor(fid, trunc)
     v = _t_start(fid, trunc + 1)
     forms = []

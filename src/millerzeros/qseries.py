@@ -8,8 +8,9 @@ which the result is actually provable and never reports coefficients
 beyond it.
 
 Two kernels on coefficient lists do all the multiplicative work: the
-list product _mul and J. C. P. Miller's power recurrence _power, which
-takes any integer exponent, so a reciprocal is the power -1.  Generators
+list product _mul and _ode, the series f with t a f' = w f; J. C. P.
+Miller's power recurrence _power is its case w = e t a' for any integer
+exponent, so a reciprocal is the power -1.  Generators
 provided here: Eisenstein series E_k (exact Bernoulli constants), and
 qd^a E_4^b E_6^c (qd = Delta / q) from the pentagonal number theorem,
 which gives Delta and j = E_4^3 / Delta.
@@ -27,6 +28,10 @@ from operator import mul
 
 class ZeroLeadingError(ArithmeticError):
     """Negative power requested of a series that is zero to its truncation."""
+
+
+class NonIntegralFaberError(ArithmeticError):
+    """A division came out non-integral; the reduction is wrong."""
 
 
 class UnsupportedWeightError(ValueError):
@@ -55,26 +60,39 @@ def _mul(a, b) -> list:
     return [sum(map(mul, a[:i + 1], rb[n - 1 - i:])) for i in range(n)]
 
 
-def _power(a, e: int) -> list:
-    """a^e to len(a) coefficients, for any integer e and a[0] != 0.
+def _exact_div(num: int, den: int) -> int:
+    quo, rest = divmod(num, den)
+    if rest:
+        raise NonIntegralFaberError(f"{num} / {den} is not an integer")
+    return quo
 
-    J. C. P. Miller's recurrence: f = a^e satisfies a f' = e a' f, so
-    i a_0 f_i = sum_(1 <= r <= i) ((e + 1) r - i) a_r f_(i-r), summed over
-    the nonzero a_r only (about 2 sqrt(2i/3) of them for the pentagonal
-    product).  With a_0 = 1 and integer a_r every f_i is an integer and
-    the division by i is exact; otherwise the f_i are Fractions.
+
+def _ode(a, w, f0) -> list:
+    """f = f0 + ... with t a f' = w f to len(a) coefficients, a[0] != 0, w[0] = 0:
+    i a_0 f_i = sum_(r >= 1) (w_r + r a_r - i a_r) f_(i-r) over the r with
+    a_r or w_r nonzero.  With a_0 = 1 and f0, a, w integral, a division by
+    i with a remainder raises NonIntegralFaberError; else f_i are Fractions.
     """
     a0 = a[0]
-    terms = [(r, c) for r, c in enumerate(a) if r and c]
-    integral = a0 == 1 and all(isinstance(c, int) for c in a)
-    f = [1 if integral else Fraction(a0) ** e]
-    used = 0
+    terms = [(r, w[r] + r * c, c) for r, c in enumerate(a) if r and (c or w[r])]
+    integral = a0 == 1 and all(isinstance(c, int) for c in (f0, *a, *w))
+    f, used = [f0], 0
     for i in range(1, len(a)):
         if used < len(terms) and terms[used][0] <= i:
             used += 1
-        s = sum(((e + 1) * r - i) * c * f[i - r] for r, c in terms[:used])
-        f.append(s // i if integral else Fraction(s) / (i * a0))
+        s = sum([(u - i * c) * f[i - r] for r, u, c in terms[:used]])
+        f.append(_exact_div(s, i) if integral else Fraction(s) / (i * a0))
     return f
+
+
+def _power(a, e: int) -> list:
+    """a^e to len(a) coefficients, any integer e, a[0] != 0: Miller's
+    a f' = e a' f, the _ode with w_r = e r a_r, so ((e + 1) r - i) a_r runs
+    over the nonzero a_r only (about 2 sqrt(2i/3) for the pentagonal
+    product); integers when a_0 = 1 and every a_r is an int.
+    """
+    f0 = 1 if a[0] == 1 and all(isinstance(c, int) for c in a) else Fraction(a[0]) ** e
+    return _ode(a, [e * r * c for r, c in enumerate(a)], f0)
 
 
 @dataclass(frozen=True)
@@ -157,6 +175,8 @@ class QSeries:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
+            if self.trunc < 0:          # the constant lies in O(q^(trunc+1))
+                return self
             other = QSeries._make(0, [other] + [0] * self.trunc, self.trunc)
         trunc = min(self.trunc, other.trunc)
         lead = min(self.lead, other.lead)

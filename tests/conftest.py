@@ -5,8 +5,9 @@ session; every consumer treats them as immutable.  The direct complex
 evaluation of a basis form is kept here as the reference oracle for
 evalnum.arc_form, which takes its real E_4/E_6 route instead; the
 exact q-series products raw_basis and reconstruct, faber_of's greedy
-q-domain reduction, and the Ramanujan residuals, are the oracles of the
-Miller basis and the q-series layer.
+q-domain reduction, the composed t-series reference_t_start, and the
+Ramanujan residuals, are the oracles of the Miller basis and the q-series
+layer.
 The oracles share no evaluation point with evalnum: each takes its own
 q = e^(2 pi i tau) and phases from mpmath's complex exp, with a 16-ulp
 pad, and runs only the kernel _horner and the ball arithmetic.  Their
@@ -18,14 +19,15 @@ oracle of evalnum.arc_j, which forms its own tail in integers.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from mpmath import mp, mpf, workprec
 
 from millerzeros import qseries
-from millerzeros.miller import (IntPolynomial, MillerForm, NotInSpaceError, default_trunc,
-                                miller_form)
-from millerzeros.qseries import (EISENSTEIN_FACTORS, FormId, QSeries, _monomial, _mul,
+from millerzeros.miller import (IntPolynomial, MillerForm, NotInSpaceError, _exact_div,
+                                _t_series, default_trunc, miller_form)
+from millerzeros.qseries import (EISENSTEIN_FACTORS, FormId, QSeries, _monomial, _mul, _power,
                                  _pentagonal_euler_product, delta, eisenstein, jfunction)
 from millerzeros.certify import full_ledger
 from millerzeros.evalnum import (DEFAULT_PREC, _GUARD, CertValue, EisensteinTail, EtaProductTail,
@@ -133,6 +135,32 @@ def faber_of(series: QSeries, fid: FormId) -> IntPolynomial:
         if c != 0:
             raise NotInSpaceError(f"residual fails to vanish at q^{fid.ell + 1 + i}")
     return IntPolynomial.make(top[::-1])
+
+
+def q_over_t(a: list, b: list, m: int) -> list:
+    """(q/t)^m to len(a) coefficients, from a, b = _t_series(len(a)), by its
+    own recurrence: with g_i = i f_i and d = B - A, A t f' = m d f reads
+    i f_i = m sum_(1 <= r <= i) d_r f_(i-r) - sum_(1 <= r <= i) A_r g_(i-r).
+    """
+    d = [y - x for x, y in zip(a, b)]
+    f, g = [1], [0]
+    for i in range(1, len(a)):
+        s = m * sum(map(mul, d[1:i + 1], reversed(f))) - sum(map(mul, a[1:i + 1], reversed(g)))
+        f.append(_exact_div(s, i))
+        g.append(s)
+    return f
+
+
+def reference_t_start(fid: FormId, n: int) -> list:
+    """V = (q/t)^m A^(-k/2) B^b to n coefficients composed factor by factor:
+    the power A^(-k/2), times B when b = 1, times q_over_t's (q/t)^m."""
+    a_t, b_t = _t_series(n)
+    v = _power(a_t, -fid.k // 2)
+    if EISENSTEIN_FACTORS[fid.kprime][1]:
+        v = _mul(v, b_t)
+    if fid.m:
+        v = _mul(v, q_over_t(a_t, b_t, fid.m))
+    return v
 
 
 def ramanujan_residuals(trunc: int) -> tuple:

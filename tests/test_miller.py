@@ -7,15 +7,15 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from millerzeros.qseries import (EXTRA_WEIGHTS, FormId, QSeries, _power, delta, eisenstein,
-                                jfunction)
+from millerzeros.qseries import (EXTRA_WEIGHTS, FormId, QSeries, _ode, _power, delta,
+                                eisenstein, jfunction)
 from millerzeros.miller import (
     IntPolynomial, MillerForm, miller_basis, miller_form,
     faber_json, default_trunc,
-    NotInSpaceError, NonIntegralFaberError, _exact_div, _q_over_t, _t_series,
+    NotInSpaceError, NonIntegralFaberError, _exact_div, _t_series, _t_start,
 )
 
-from conftest import faber_of, raw_basis, reconstruct
+from conftest import faber_of, q_over_t, raw_basis, reconstruct, reference_t_start
 
 F48_1 = (-24903328, 931860, -2136, 1)
 F124_1 = (-21437679033112542661656, 5718177043459037019999,
@@ -200,7 +200,11 @@ def _in_q(coeffs, n):
 def test_t_series_are_e4_e6_and_q_over_t():
     n = 60
     a_t, b_t = _t_series(n + 1)
-    q_t = _q_over_t(a_t, b_t, 1)
+
+    def kernel_q_over_t(m):             # (q/t)^m solves t A f' = m (B - A) f
+        return _ode(a_t, [m * (y - x) for x, y in zip(a_t, b_t)], 1)
+
+    q_t = kernel_q_over_t(1)
     a_q, b_q = _in_q(a_t, n), _in_q(b_t, n)
     t = jfunction(n) ** -1
     assert a_q * a_q == eisenstein(4, n)
@@ -208,8 +212,35 @@ def test_t_series_are_e4_e6_and_q_over_t():
     assert (a_q ** 6 * (1 - t.scale(1728))).truncate(n) == e6 * e6
     assert e6 * b_q == a_q ** 3
     assert (t * _in_q(q_t, n)).truncate(n) == QSeries.monomial(1, n)
-    assert _q_over_t(a_t, b_t, 3) == _power(q_t, 3)
-    assert _q_over_t(a_t, b_t, 0) == [1] + [0] * n
+    assert kernel_q_over_t(3) == _power(q_t, 3)
+    assert kernel_q_over_t(0) == [1] + [0] * n
+    assert q_t == q_over_t(a_t, b_t, 1)
+
+
+def _pin_t_start(fid):
+    n = default_trunc(fid.ell) - fid.m + 1
+    assert _t_start(fid, n) == reference_t_start(fid, n), (fid.k, fid.m)
+
+
+def test_t_start_is_the_composed_power_to_weight_200():
+    # one first-order recurrence gives the integers of A^(-k/2) B^b (q/t)^m
+    for k in range(0, 201, 2):
+        if k != 2:
+            for m in range(FormId.from_k(k, 0).ell + 1):
+                _pin_t_start(FormId.from_k(k, m))
+
+
+@pytest.mark.parametrize("k, m", [(1936, 1), (1938, 1), (1926, 2)])
+def test_t_start_is_the_composed_power_at_large_weight(k, m):
+    _pin_t_start(FormId.from_k(k, m))
+
+
+def test_ode_refuses_an_inexact_division():
+    # a = 1, w = t: f' = f, so f = e^t, whose t^2 coefficient is 1/2
+    a, w = [1, 0, 0, 0], [0, 1, 0, 0]
+    with pytest.raises(NonIntegralFaberError):
+        _ode(a, w, 1)
+    assert _ode(a, w, Fraction(1)) == [1, 1, Fraction(1, 2), Fraction(1, 6)]
 
 
 def test_exact_div_refuses_a_remainder():

@@ -39,6 +39,14 @@ def test_add_mixed_leads():
     assert c.coeff(-1) == 1 and c.coeff(0) == 744 and c.trunc == 3
 
 
+def test_constant_below_the_truncation_is_absorbed():
+    # j to q^-1 stops below q^0, so a constant lies in its O(q^0)
+    j = jfunction(-1)
+    assert j + 1 == j and 1 + j == j and j - Fraction(1, 2) == j
+    assert 1 - j == -j and (1 - j).trunc == -1
+    assert (jfunction(0) + 1).coeffs == (1, 745)
+
+
 def test_additive_inverse_preserves_trunc():
     e4 = eisenstein(4, 10)
     z = e4 + e4.scale(-1)

@@ -1,5 +1,6 @@
 """Smoke tests for the scripts: each runs as its own process on the source tree."""
 
+import json
 import os
 import subprocess
 import sys
@@ -60,3 +61,40 @@ def test_export_arc_curves_writes_four_csvs(tmp_path):
     for p in paths:
         lines = p.read_text().splitlines()
         assert lines[0] == "theta,value,err" and len(lines) > 2
+
+
+def test_bench_pairs_help():
+    done = run_script("bench_pairs.py", "--help")
+    assert done.returncode == 0, done.stderr
+    assert "--parent" in done.stdout and "--summarize" in done.stdout
+
+
+def test_bench_pairs_summarizes_a_win_a_tie_and_a_loss(tmp_path):
+    # three canned pairs, read back without running the benchmark: wall_s
+    # (lower is better) wins at seed 1, ties at 2 and loses at 3;
+    # items_per_s (higher is better) wins at 1 and 2; the change's run at
+    # seed 3 fails one item
+    def result(wall, rate, failed=0):
+        return {"correct": failed == 0, "attempted": 10, "failed": failed,
+                "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                            "items_per_s": {"value": rate, "unit": "1/s"}}}
+    runs = [(1, result(0.20, 100), result(0.18, 110)),
+            (2, result(0.21, 100), result(0.21, 101)),
+            (3, result(0.22, 100), result(0.23, 99, failed=1))]
+    log = tmp_path / "pairs.jsonl"
+    log.write_text("".join(json.dumps({"workload": "arc-zeros", "seed": seed, "side": side,
+                                       "result": res}) + "\n"
+                           for seed, parent, change in runs
+                           for side, res in (("parent", parent), ("change", change))))
+    done = run_script("bench_pairs.py", "--summarize", str(log))
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "workload arc-zeros:" and lines[1] == "3 pairs, seeds 1, 2, 3"
+    rows = {line.split()[0]: line.split() for line in lines[3:]}
+    # parent 0.20, 0.21, 0.22: median 0.21, inclusive quartiles 0.205 and 0.215
+    assert rows["wall_s"][1:5] == ["lower", "0.21", "[0.205,", "0.215]"]
+    assert rows["wall_s"][5] == "0.21" and rows["wall_s"][-2:] == ["1/3", "no"]
+    assert rows["items_per_s"][1] == "higher" and rows["items_per_s"][-2:] == ["2/3", "yes"]
+    assert rows["setup_s"][2:] == ["not", "measured"]
+    assert rows["parent:"][1:] == ["correct", "3/3,", "failed", "items", "0"]
+    assert rows["change:"][1:] == ["correct", "2/3,", "failed", "items", "1"]
