@@ -1,0 +1,117 @@
+"""Time the exact root census, zero_report(form, with_arc=False), at large weight.
+
+    python3 scripts/bench_census.py --repeats 3 --label after
+    python3 scripts/bench_census.py --forms 48:1,60:1 --repeats 1 --outdir /tmp
+
+Each form is built once by miller_form, outside the timing; then
+zero_report(form, with_arc=False) runs --repeats times and the median of
+its wall times (time.perf_counter) is recorded with every run.  One more
+untimed run records the census path the form took:
+
+  direct   every isolating interval taken straight from its root's cell
+  cells    some cells bisected (zeros._bisect on a cell of [0, 1728])
+  bisect   zeros._bisect on the whole of [0, 1728]
+  sturm    zeros._sturm_census: the interlacing certificate failed
+
+together with the sha256 of the report's JSON, so that two checkouts can
+be compared for identical output.  The result, with the environment
+(cores, Python, mpmath backend), goes to BENCH_<label>.json in --outdir
+and a summary to stdout.  The package is imported from this checkout's
+src/.  Standard library only, besides the package itself.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import mpmath  # noqa: E402
+
+from millerzeros import zeros  # noqa: E402
+from millerzeros.miller import miller_form  # noqa: E402
+
+FORMS = ((480, 1), (960, 1), (1200, 3), (1924, 1), (3840, 1))
+
+
+def parse_forms(text: str) -> list:
+    """'480:1,960:1' as [(480, 1), (960, 1)]."""
+    return [tuple(int(v) for v in item.split(":")) for item in text.split(",")]
+
+
+def census_path(form) -> tuple:
+    """(path, sha256 of the report's JSON) from one traced zero_report run."""
+    seen = []
+    bisect, sturm = zeros._bisect, zeros._sturm_census
+
+    def traced_bisect(sqf, count, lo, hi, width):
+        seen.append("bisect" if (lo, hi) == (0, 1728) else "cells")
+        return bisect(sqf, count, lo, hi, width)
+
+    def traced_sturm(p):
+        seen.append("sturm")
+        return sturm(p)
+
+    zeros._bisect, zeros._sturm_census = traced_bisect, traced_sturm
+    try:
+        rep = zeros.zero_report(form, with_arc=False)
+    finally:
+        zeros._bisect, zeros._sturm_census = bisect, sturm
+    path = next((p for p in ("sturm", "bisect", "cells") if p in seen), "direct")
+    digest = hashlib.sha256(json.dumps(rep.to_json_dict()).encode()).hexdigest()
+    return path, digest
+
+
+def bench(k: int, m: int, repeats: int) -> dict:
+    form = miller_form(k, m)
+    runs = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        zeros.zero_report(form, with_arc=False)
+        runs.append(time.perf_counter() - t0)
+    path, digest = census_path(form)
+    return {"k": k, "m": m, "degree": form.faber.degree, "median_s": statistics.median(runs),
+            "runs_s": runs, "path": path, "report_sha256": digest}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--forms", type=parse_forms, default=list(FORMS),
+                   help="k:m pairs, e.g. 480:1,1924:1 (default: "
+                        + ",".join(f"{k}:{m}" for k, m in FORMS) + ")")
+    p.add_argument("--repeats", type=int, default=3, help="timed runs per form (default 3)")
+    p.add_argument("--label", default="census", help="writes BENCH_<label>.json (default census)")
+    p.add_argument("--outdir", type=Path, default=Path("."), help="directory of the JSON file")
+    args = p.parse_args(argv)
+    if args.repeats < 1:
+        p.error("--repeats must be at least 1")
+
+    results = []
+    for k, m in args.forms:
+        res = bench(k, m, args.repeats)
+        results.append(res)
+        print(f"({k}, {m}) degree {res['degree']}: {res['median_s']:.3f} s median of "
+              f"{args.repeats}, {res['path']}", flush=True)
+    out = {"label": args.label,
+           "environment": {"cores": os.cpu_count(), "python": platform.python_version(),
+                           "implementation": platform.python_implementation(),
+                           "machine": platform.machine(),
+                           "mpmath": mpmath.__version__, "mpmath_backend": mpmath.libmp.BACKEND},
+           "repeats": args.repeats, "forms": results}
+    path = args.outdir / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(out, indent=1) + "\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -118,18 +118,21 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def sign_at(self, a: int, b: int = 1) -> int:
-        """Exact sign of p(a / b), b > 0, from b^d p(a / b) in integers.
-
-        One Horner loop: b^d p(a / b) is the sum of c_i a^i b^(d - i), so
-        the coefficient met after j steps enters times b^j.  A dyadic
-        point n / 2^e passes b = 1 << e, a Fraction x its numerator and
-        denominator.
-        """
-        acc, scale = 0, 1
+    def scaled_at(self, a: int, b: int = 1) -> int:
+        """The integer b^d p(a / b) = sum c_i a^i b^(d - i) by one Horner
+        loop, where b^j's odd part multiplies and its power of two shifts.
+        A Fraction x passes its numerator and denominator."""
+        e = (b & -b).bit_length() - 1
+        acc, scale, shift = 0, 1, 0
         for c in reversed(self.coeffs):
-            acc = acc * a + c * scale
-            scale *= b
+            acc = acc * a + (c * scale << shift)
+            scale *= b >> e
+            shift += e
+        return acc
+
+    def sign_at(self, a: int, b: int = 1) -> int:
+        """Exact sign of p(a / b), b > 0: the sign of scaled_at(a, b)."""
+        acc = self.scaled_at(a, b)
         return (acc > 0) - (acc < 0)
 
     def affine(self, lo, hi) -> "IntPolynomial":

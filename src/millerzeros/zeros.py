@@ -4,49 +4,35 @@ Two mechanisms see every zero:
 
   * the exact census of the Faber polynomial F over the rationals,
     deflated at 0 and 1728, which decides "all roots real, simple,
-    inside [0, 1728]" as a theorem-grade statement.  An interlacing
-    certificate decides it first: F's exact signs at 1728, at the exact
-    values of arc_j_float at the interior sample angles and at 0 change
-    deg F times (_interlaced_census).  Only when that fails does a Sturm
-    chain decide (_sturm_census); a failure never means a zero off the arc.
+    inside [0, 1728]" as a theorem-grade statement: an interlacing
+    certificate first (_interlaced_census), a Sturm chain only when it
+    fails (_sturm_census); a failure never means a zero off the arc.
   * certified sign changes of F inside the j-image of the angle
     intervals between the samples where h(theta) = k theta / 2 + 2 pi m
-    cos theta crosses multiples of pi.  j is a decreasing bijection of
-    the arc onto [0, 1728], so for angles a < b with certified j
-    enclosures [lo_a, hi_a] and [lo_b, hi_b], j((a, b)) holds
-    [hi_b, lo_a]; opposite exact signs of F at two points there
-    (IntPolynomial.sign_at) put a zero of g_{k,m} = Delta^ell E_k' F(j)
-    in (a, b), whatever the signs of its other factors.  Each sample
-    costs one certified j(theta) enclosure at DEFAULT_PREC; one count of
-    F's sign changes at short dyadics around them against deg F decides
-    every interval at once (_separated_signs), and only when that count
-    fails is each interval decided alone (_sign_change_inside).
+    cos theta crosses multiples of pi, each a zero of
+    g_{k,m} = Delta^ell E_k' F(j) whatever its other factors
+    (_sign_change_inside); one count of F's sign changes against deg F
+    decides every interval at once where it holds (_separated_signs).
 
-refine_arc_zero narrows a bracket by bisection on an uncertified sign,
-F at the double j of evalnum.arc_j_float, and certifies only the cell it
-ends in, by _sign_change_inside; bisection on F's exact sign at each
-angle's j enclosure runs only when that fails.
+refine_arc_zero narrows a bracket by bisection on an uncertified sign and
+certifies only the cell it ends in.  The j-images of the arc brackets
+must land in the Faber isolating intervals, and the valence formula must
+reconcile exactly; both checks are assembled into a ZeroReport.
 
-The j-images of the arc brackets must land in the Faber isolating
-intervals, and the valence formula must reconcile exactly; both checks
-are assembled into a ZeroReport.
-
-Isolation bisects an interval with no root at an end: zero_report's
-[0, 1728], counting roots by the certificate's gaps (_gap_counter) or a
-Sturm chain (_chain_counter), and real_root_census's Cauchy bound, by a
-chain, which counts a point beyond every root at a power of two above
-them (_root_power).  The chains are primitive remainder sequences of
-IntPolynomial, whose content gcds cost seconds at degree 79.  Every point visited is a
-dyadic t = n / 2^e of [lo, hi] mapped onto [0, 1] (IntPolynomial.affine)
-and every sign one integer Horner loop, IntPolynomial.sign_at(n, 2^e);
-a root's last cell may be guessed in doubles, but only exact signs
-accept it (_guess_leaf).
+Isolating intervals are the leaves of bisection on a dyadic grid of an
+interval with no root at an end (_bisect): zero_report's [0, 1728] and
+real_root_census's Cauchy bound.  Under the certificate each leaf comes
+straight from a double guess of its root, accepted on exact signs
+(_root_cells); otherwise the certificate's gaps (_gap_counter) or a
+Sturm chain (_chain_counter) count roots for the bisection.  Every sign
+is one integer Horner loop, IntPolynomial.sign_at.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -204,9 +190,8 @@ def _chain_counter(chain: list, lo: Fraction, hi: Fraction):
 
 
 def _gap_counter(p: IntPolynomial, xs: list, signs: list, lo: Fraction, hi: Fraction):
-    """Roots of p in (a, b] for grid points a < b of [lo, hi], from a
-    certificate: signs = _separated_signs(p, (x, x) for x in xs), not None,
-    with xs falling from hi to lo.
+    """Roots of p in (a, b] for grid points a < b of [lo, hi], from
+    _interlaced_census' certificate: p's signs at the falling points xs.
 
     p's roots are then simple, one in each gap of xs whose end signs
     differ and none elsewhere.  A point t in such a gap (x, y), x < y, has
@@ -231,84 +216,26 @@ def _gap_counter(p: IntPolynomial, xs: list, signs: list, lo: Fraction, hi: Frac
     return lambda a, b: roots_to(b) - roots_to(a)
 
 
-def _guess_leaf(q: IntPolynomial, fq: list, a: tuple, b: tuple, w: Fraction):
-    """The leaf that bisecting the grid cell (a, b), which holds one root
-    of q, down to width w ends in; None when no guess holds.
-
-    Newton's method on q's doubles fq, kept inside the cell, locates the
-    root; the leaf is the dyadic subinterval of the cell holding it at
-    the first depth that passes the width test.  It is taken only when
-    q's exact signs at its ends are nonzero and opposite: the root is then
-    strictly inside, no midpoint on the path to the leaf is a root, and
-    bisection on exact signs ends there too.  No guess is made when a
-    double cannot resolve the leaf.
-    """
-    na, nb, e = _common(a, b)
-    span = nb - na
-    need, have = span * w.denominator, w.numerator << e
-    depth = max(need.bit_length() - have.bit_length(), 0)
-    depth += (have << depth) < need
-    lo, hi = na / (1 << e), nb / (1 << e)
-    leaf = span / (1 << (e + depth))
-    if depth == 0 or leaf < 64 * math.ulp(hi):
-        return None
-
-    def value(t: float) -> tuple:
-        v = dv = 0.0
-        for c in reversed(fq):
-            v, dv = v * t + c, dv * t + v
-        return v, dv
-
-    v_lo, v_hi = value(lo)[0], value(hi)[0]
-    if not v_lo * v_hi < 0:
-        return None
-    rising = v_lo < 0
-    t = (lo + hi) / 2
-    for _ in range(100):
-        v, dv = value(t)
-        if v == 0:
-            break
-        if (v < 0) == rising:
-            lo = t
-        else:
-            hi = t
-        step = v / dv if dv else math.inf
-        t, last = t - step if lo < t - step < hi else (lo + hi) / 2, t
-        if abs(t - last) < leaf / 16:
-            break
-    i = min(max(int((t - na / (1 << e)) / leaf), 0), (1 << depth) - 1)
-    ends = [_reduced((na << depth) + j * span, e + depth) for j in (i, i + 1)]
-    s_lo, s_hi = (q.sign_at(n, 1 << f) for n, f in ends)
-    return tuple(ends) if s_lo * s_hi < 0 else None
-
-
 def _bisect(sqf: IntPolynomial, count, lo: Fraction, hi: Fraction, width: Fraction) -> list:
     """Isolating intervals below width for the roots of sqf in (lo, hi).
 
     count(a, b) is the number of roots of sqf in (a, b] for grid points
     a < b: _chain_counter or _gap_counter on [lo, hi].  Neither end may be
-    a root of sqf (ArithmeticError otherwise): zero_report deflates at 0
-    and 1728, real_root_census isolates on the Cauchy bound, which lies
-    strictly beyond every root.  [lo, hi] is mapped once onto [0, 1]
-    (IntPolynomial.affine), and every point visited is a grid point
-    t = n / 2^e there: the midpoint of the current interval or, when
-    that is a root of sqf, the first of mid + i (b - a) / 2048 that is
-    not.  Every sign is IntPolynomial.sign_at(n, 2^e), and the width
-    test (n_b - n_a) w_den > w_num 2^e, with w = width / (hi - lo), is
-    integer arithmetic too; only the returned ends lo + (hi - lo) t are
-    Fractions.  Counting stops at an interval with exactly one root; that
-    root is simple and both ends are non-roots, so the leaf is either
-    _guess_leaf's or found by bisecting on the sign of sqf alone.
+    a root of sqf (ArithmeticError otherwise).  [lo, hi] is mapped once
+    onto [0, 1] (IntPolynomial.affine); every point visited is a grid
+    point t = n / 2^e there, the midpoint of its interval or, when that is
+    a root of sqf, the first of mid + i (b - a) / 2048 that is not.  A
+    midpoint beyond +-_root_power(sqf) holds no root and takes no sign.
+    An interval with one root is bisected on the sign of sqf alone until
+    (n_b - n_a) w_den <= w_num 2^e, w = width / (hi - lo).
     """
     q = sqf.affine(lo, hi)
     if q.sign_at(0) == 0 or q.sign_at(1) == 0:
         raise ArithmeticError(f"an end of [{lo}, {hi}] is a root")
     span = hi - lo
     w = width / span
-    # q's shape in doubles for _guess_leaf, all coefficients divided by
-    # one power of two that leaves the largest below 2^960
-    shift = max(max(abs(c).bit_length() for c in q.coeffs) - 960, 0)
-    fq = [float(c >> shift) for c in q.coeffs]
+    bound = _root_power(sqf)
+    below, above = ((x - lo) / span for x in (-bound, bound))
     out = []
 
     def inner(a: tuple, b: tuple):
@@ -316,23 +243,22 @@ def _bisect(sqf: IntPolynomial, count, lo: Fraction, hi: Fraction, width: Fracti
         if roots == 0:
             return
         if roots == 1:
-            leaf = _guess_leaf(q, fq, a, b, w)
-            if leaf is not None:
-                a, b = leaf
-            else:
-                s_a = q.sign_at(a[0], 1 << a[1])
-                while True:
-                    na, nb, e = _common(a, b)
-                    if (nb - na) * w.denominator <= w.numerator << e:
-                        break
-                    mid, s = _safe_point(q, a, b)
-                    if s == s_a:
-                        a = mid
-                    else:
-                        b = mid
+            s_a = q.sign_at(a[0], 1 << a[1])
+            while True:
+                na, nb, e = _common(a, b)
+                if (nb - na) * w.denominator <= w.numerator << e:
+                    break
+                mid, s = _safe_point(q, a, b)
+                if s == s_a:
+                    a = mid
+                else:
+                    b = mid
             out.append(tuple(lo + span * Fraction(n, 1 << e) for n, e in (a, b)))
             return
-        mid, _ = _safe_point(q, a, b)
+        na, nb, e = _common(a, b)
+        mid = _reduced(na + nb, e + 1)
+        if below < Fraction(na + nb, 2 << e) < above:
+            mid, _ = _safe_point(q, a, b)
         inner(a, mid)
         inner(mid, b)
 
@@ -400,8 +326,7 @@ class HFunction:
         convex and Newton's method started right of a root decreases onto
         it.  The tangent at the previous angle meets the next multiple at
         that angle + pi / h', which convexity puts right of the next root;
-        the first start is 2 pi / 3.  Newton runs until its step is below
-        2^-40 or stops shrinking (rounding then dominates it).
+        the first start is 2 pi / 3.
         """
         if not self.monotone:
             raise ValueError(f"h not monotone for k={self.k}, m={self.m}")
@@ -414,16 +339,21 @@ class HFunction:
                 theta = math.pi / 2 if 4 * n == k else top
                 out.append((n, None))
             else:
-                theta, target, last = start, n * math.pi, math.inf
-                while True:
-                    step = (a * theta + b * math.cos(theta) - target) / (a - b * math.sin(theta))
-                    theta -= step
-                    if abs(step) < 2 ** -40 or abs(step) >= last:
-                        break
-                    last = abs(step)
+                theta = self.solve(n * math.pi, start)
                 out.append((n, theta))
             start = min(top, theta + math.pi / (a - b * math.sin(theta)))
         return out
+
+    def solve(self, target: float, theta: float) -> float:
+        """The double angle where h = target, by Newton's method from theta
+        until a step is below 2^-40 or stops shrinking (rounding then rules)."""
+        a, b, last = self.k / 2, 2 * math.pi * self.m, math.inf
+        while True:
+            step = (a * theta + b * math.cos(theta) - target) / (a - b * math.sin(theta))
+            theta -= step
+            if abs(step) < 2 ** -40 or abs(step) >= last:
+                return theta
+            last = abs(step)
 
     def sample_angles(self) -> list:
         """(n, theta): the angles of double_angles at 96 bits, the corners
@@ -462,12 +392,8 @@ def _j_ends(theta) -> tuple:
 
 
 def _float_arc_sign(form: MillerForm, theta) -> int:
-    """Sign of F at the double j of arc_j_float; uncertified.
-
-    F's sign is exact at the rational value n / d of that double
-    (IntPolynomial.sign_at), so only the double itself can be wrong.
-    refine_arc_zero uses it to pick the cell that it then certifies.
-    """
+    """Sign of F at the double j of arc_j_float, exact at that double:
+    only the double can be wrong.  refine_arc_zero picks its cell by it."""
     n, d = arc_j_float(theta).as_integer_ratio()
     return form.faber.sign_at(n, d)
 
@@ -493,11 +419,10 @@ def _sign_change_inside(p: IntPolynomial, ends_a: tuple, ends_b: tuple) -> bool:
     ends_a = (lo_a, hi_a) and ends_b = (lo_b, hi_b) are the j enclosures
     (_j_ends) of two arc angles a < b.  j is continuous and strictly
     decreasing on the arc, so j((a, b)) holds [hi_b, lo_a]: a sign change
-    of the Faber polynomial p = F there puts a root of F in j((a, b)) and
-    a zero of g_{k,m} in (a, b).  The points tried are the least dyadics
-    (_least_dyadic) within 2^-32 of the gap of each end, whose short
-    integers keep sign_at cheap, and then the ends themselves.  Raises
-    InconclusiveSignError when the enclosures overlap.
+    of p = F there puts a zero of g_{k,m} in (a, b).  The points tried are
+    the least dyadics within 2^-32 of the gap of each end, short integers
+    for sign_at, then the ends.  Overlapping enclosures raise
+    InconclusiveSignError.
     """
     lo_a, hi_b = ends_a[0], ends_b[1]
     if hi_b >= lo_a:
@@ -522,8 +447,7 @@ def _separated_signs(p: IntPolynomial, pairs):
     holds exactly one and p has no other root, none on any [u_i, v_i].
     Hence sign p(x_i) = sign p(u_i), the i-th sign returned.  Without the
     strict order one root can make several changes, and roots can hide
-    in pairs inside some [u_i, v_i].  A pair may be one point (v_i = u_i):
-    then the certificate puts every root of p in a gap between the points.
+    in pairs inside some [u_i, v_i].
     """
     signs, changes, last = [], 0, None
     for pair in pairs:
@@ -532,8 +456,7 @@ def _separated_signs(p: IntPolynomial, pairs):
         v, u = pair
         if not v >= u or (last is not None and v >= last):
             return None
-        s_v = _sign(p, v)
-        s_u = _sign(p, u) if u < v else s_v
+        s_v, s_u = _sign(p, v), _sign(p, u)
         if s_v == 0 or s_v != s_u:
             return None
         if signs and s_v != signs[-1]:
@@ -554,9 +477,8 @@ def _separators(thetas: list, ends: list):
     the neighbour sample, or to pi/2 and 2 pi/3); a corner sample with no
     gap on one side takes a window of width 1 there.  The windows are
     quarter gaps in angle, not in j: near rho j grows like (theta - rho)^3,
-    so the last zero can sit far into its j-gap.  The doubles only place
-    the separators; a wrong one can only break _separated_signs'
-    certificate.  Yields lazily, so a failing certificate stops early.
+    so the last zero can sit far into its j-gap.  A wrong double only
+    breaks the certificate.  Yields lazily, so a failure stops early.
     """
     t = [float(x) for x in thetas]
     edges = [math.pi / 2] + t + [2 * math.pi / 3]
@@ -572,16 +494,13 @@ def arc_zero_localize(form: MillerForm) -> list | None:
     """Bracketing angle intervals for the arc zeros of g_{k,m}.
 
     Samples j at the h-multiple angles (one _j_ends each), skipping a
-    corner whose j is an exact Faber root; a pair of neighbours with a
-    certified sign change of F between their enclosures brackets at least
-    one zero (_sign_change_inside), and under the oscillation estimate
-    exactly ell - m brackets appear.  One sign-change count
-    (_separated_signs on the _separators) decides every pair at once: u_i
-    and v_(i+1) are points of the gap with F's signs at samples i and
-    i + 1.  A Faber root at 0, 1728 or off the arc, or fewer samples than
-    deg F + 1, fails the count, and then each pair is decided alone.  A
-    form with nontrivial zeros and k <= 4 pi m has no sample angles (h is
-    not monotone) and returns None: not sampled.
+    corner whose j is an exact Faber root; neighbours with a certified
+    sign change of F between their enclosures bracket a zero
+    (_sign_change_inside), ell - m brackets under the oscillation
+    estimate.  One sign-change count (_separated_signs on the _separators)
+    decides every pair at once; a Faber root at 0, 1728 or off the arc, or
+    fewer samples than deg F + 1, fails it, and then each pair is decided
+    alone.  k <= 4 pi m (h not monotone) returns None: not sampled.
     """
     fid = form.id
     p = form.faber
@@ -631,12 +550,11 @@ def refine_arc_zero(form: MillerForm, lo: float, hi: float, width: float = 1e-5)
     certified sign-change cell of width <= width (> 0, else ValueError).
 
     Bisection runs on the double-precision sign _float_arc_sign, and only
-    the cell it ends in is certified, by _sign_change_inside on the j
-    enclosures of its ends.  With one zero in the bracket that is the one
-    leaf of the bisection tree holding the zero, where bisection on true
-    signs ends too.  Otherwise the bisection runs again on F's exact sign
-    at each angle's lower j end, and a cell that still holds no certified
-    sign change raises ValueError.
+    the cell it ends in is certified (_sign_change_inside on its ends' j
+    enclosures): with one zero in the bracket, bisection on true signs
+    ends there too.  Otherwise it runs again on F's exact sign at each
+    angle's lower j end; a cell still without a certified sign change
+    raises ValueError.
     """
     if not lo < hi:
         raise ValueError(f"the bracket [{float(lo)!r}, {float(hi)!r}] is empty or reversed")
@@ -736,31 +654,106 @@ def _sturm_census(p: IntPolynomial) -> tuple:
 def _interlaced_census(p: IntPolynomial, fid: FormId) -> tuple | None:
     """_sturm_census's result from an interlacing certificate, or None.
 
-    The points are 1728, the exact values of arc_j_float at the interior
-    double_angles, and 0, falling; _separated_signs takes each as a pair
-    of one point.  When it holds, p's roots are real, simple and inside
-    (0, 1728), one in each gap whose end signs differ, and _gap_counter
-    counts them for _bisect.  The doubles only place the points: a wrong
-    one can only break the certificate, and then Sturm decides.
+    The points xs are 1728, the least dyadic within 2^-20 relative of
+    arc_j_float at each interior double_angles angle, and 0.  If they fall
+    strictly and p's exact signs there, none 0, change deg p times, each
+    root is real, simple and alone in a gap whose end signs differ (the
+    proof of _separated_signs with v_i = u_i); a wrong double only breaks
+    the certificate.  Newton (_secular_roots) starts in each gap at the
+    zero of 2 cos h, h = (n + 1/2) pi (Rankin and Swinnerton-Dyer), and
+    _root_cells makes its guesses _bisect's leaves.
     """
     h = HFunction(fid.k, fid.m)
     if not h.monotone:
         return None
-    xs = ([Fraction(1728)] + [Fraction(arc_j_float(t)) for _, t in h.double_angles()
-                              if t is not None] + [Fraction(0)])
-    signs = _separated_signs(p, ((x, x) for x in xs))
-    if signs is None:
+    angles = [(n, t) for n, t in h.double_angles() if t is not None]
+    xs = ([Fraction(1728)] + [_least_dyadic(Fraction(x - x / 2 ** 20), Fraction(x + x / 2 ** 20))
+                              or Fraction(x) for x in (arc_j_float(t) for _, t in angles)]
+          + [Fraction(0)])
+    values = [p.scaled_at(x.numerator, x.denominator) for x in xs]
+    signs = [(v > 0) - (v < 0) for v in values]
+    if 0 in signs or _changes(signs) != p.degree or any(x <= y for x, y in zip(xs, xs[1:])):
         return None
+    ts = [math.pi / 2] + [t for _, t in angles] + [2 * math.pi / 3]
+    starts = [arc_j_float(h.solve((math.floor(n) + 0.5) * math.pi, (s + t) / 2))
+              for n, s, t in zip([fid.k / 4] + [n for n, _ in angles], ts, ts[1:])]
+    guesses = _secular_roots(xs, values, starts, float(ROOT_WIDTH) / (1 << 20))
+    return _root_cells(p, xs, signs, guesses), {"real_outside": 0, "complex_pairs": 0}, 0
+
+
+def _secular_roots(xs: list, values: list, starts: list, tol) -> list:
+    """Double guesses, to about tol, of p's root in each gap of the falling
+    points xs whose end signs differ, Newton in gap i starting at
+    starts[i]; values[i] = b^d p(a / b) at xs[i] = a / b, d = deg p.
+
+    With one node x_i per run of one sign, p = prod (x - x_i) N for the
+    secular function N = sum c_i / (x - x_i), c_i = p(x_i) /
+    prod_(j != i) (x_i - x_j).  The c_i share one sign, so N is monotone
+    between poles, and safeguarded Newton on it, the c_i from log2 |c_i|,
+    avoids the cancellation of p's monomials (Bunch, Nielsen and Sorensen).
+    """
+    keep = [i for i, v in enumerate(values) if i == 0 or (v > 0) != (values[i - 1] > 0)]
+    nodes = [float(xs[i]) for i in keep]
+    logs = [math.log2(abs(values[i])) - (len(keep) - 1) * math.log2(xs[i].denominator)
+            - sum(math.log2(abs(x - y)) for y in nodes if y != x) for i, x in zip(keep, nodes)]
+    weights = [2.0 ** (c - max(logs)) for c in logs]
+    out = []
+    for i, start in enumerate(starts):
+        if (values[i] > 0) == (values[i + 1] > 0):
+            continue
+        lo, hi = float(xs[i + 1]), float(xs[i])
+        x = start if lo < start < hi else (lo + hi) / 2
+        for _ in range(64):
+            n = dn = 0.0
+            for c, y in zip(weights, nodes):
+                d = x - y
+                n += c / d
+                dn += c / d / d
+            step = n / dn
+            if abs(step) < tol:
+                break
+            lo, hi = (x, hi) if n > 0 else (lo, x)
+            x = x + step if lo < x + step < hi else (lo + hi) / 2
+            if not lo < x < hi:                 # the bracket is down to one ulp
+                break
+        out.append(x)
+    return out
+
+
+def _root_cells(p: IntPolynomial, xs: list, signs: list, guesses: list) -> list:
+    """_bisect's leaves on [0, 1728] for p under the certificate (xs, signs),
+    from a guess of each root.
+
+    A guess names the grid cell of the first depth of width <= ROOT_WIDTH.
+    Deg p distinct cells with nonzero, opposite exact end signs hold one
+    root each, strictly inside, so no point of the bisection tree is a root
+    and the cells are its leaves.  A cell with two guesses or no sign
+    change is bisected alone; if an end sign is 0 or fewer than deg p
+    roots are found, [0, 1728] is.
+    """
     lo, hi = Fraction(0), Fraction(1728)
-    return (_bisect(p, _gap_counter(p, xs, signs, lo, hi), lo, hi, ROOT_WIDTH),
-            {"real_outside": 0, "complex_pairs": 0}, 0)
+    grid = 1 << (math.ceil(hi / ROOT_WIDTH) - 1).bit_length()     # cell c: 1728 [c, c + 1] / grid
+    cells = Counter(int(x * grid / 1728) for x in guesses)
+    ends = {c: p.sign_at(1728 * c, grid) for cell in cells for c in (cell, cell + 1)}
+    out = []
+    for c, n in sorted(cells.items()):
+        a, b = Fraction(1728 * c, grid), Fraction(1728 * (c + 1), grid)
+        if ends[c] * ends[c + 1] == 0:
+            break
+        out += ([(a, b)] if n == 1 and ends[c] != ends[c + 1]
+                else _bisect(p, _gap_counter(p, xs, signs, a, b), a, b, ROOT_WIDTH))
+    else:
+        if len(out) == p.degree:
+            return out
+    return _bisect(p, _gap_counter(p, xs, signs, lo, hi), lo, hi, ROOT_WIDTH)
 
 
 def zero_report(form: MillerForm, with_arc: bool = True) -> ZeroReport:
     """Exact Faber root census, arc brackets and the valence check of one form.
 
-    The census deflates F at 0 and 1728, then tries _interlaced_census and
-    runs _sturm_census only when that certificate fails.  with_arc=False
+    The census deflates F at 0 and 1728, then tries _interlaced_census,
+    whose leaves come from guessed cells that exact signs accept, and runs
+    _sturm_census only when that certificate fails.  with_arc=False
     leaves arc_angles empty.  A form that arc_zero_localize does not
     sample (k <= 4 pi m) has arc_angles None; the exact census and the
     valence check still decide it.
@@ -791,8 +784,8 @@ def valence_reconcile(report: ZeroReport) -> bool:
     ord_infty + ord_i/2 + ord_rho/3 + (nontrivial zeros with
     multiplicity) must equal k/12.  The nontrivial count is the Faber
     degree ell - m (MillerForm.check holds every form to it) minus the
-    boundary multiplicities; the report's Sturm data must also account
-    for every one of those roots.
+    boundary multiplicities; the report's census must also account for
+    every one of those roots.
     """
     fid = report.id
     nontrivial = fid.ell - fid.m - report.boundary_mult[0] - report.boundary_mult[1728]

@@ -1,10 +1,14 @@
 """Smoke tests for the scripts: each runs as its own process on the source tree."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from millerzeros.miller import miller_form
+from millerzeros.zeros import zero_report
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -98,3 +102,27 @@ def test_bench_pairs_summarizes_a_win_a_tie_and_a_loss(tmp_path):
     assert rows["setup_s"][2:] == ["not", "measured"]
     assert rows["parent:"][1:] == ["correct", "3/3,", "failed", "items", "0"]
     assert rows["change:"][1:] == ["correct", "2/3,", "failed", "items", "1"]
+
+
+def test_bench_census_help():
+    done = run_script("bench_census.py", "--help")
+    assert done.returncode == 0, done.stderr
+    assert "--repeats" in done.stdout and "--forms" in done.stdout
+
+
+def test_bench_census_records_paths_and_reports(tmp_path):
+    # tiny weights: (48, 1) takes its cells directly, (34, 1) has its root
+    # j = 432 on the grid and bisects [0, 1728], and (132, 9) has a root
+    # below 0, so its certificate fails and Sturm decides
+    done = run_script("bench_census.py", "--forms", "48:1,34:1,132:9", "--repeats", "2",
+                      "--label", "smoke", "--outdir", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    out = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert out["label"] == "smoke" and out["repeats"] == 2
+    assert set(out["environment"]) >= {"cores", "python", "mpmath_backend"}
+    assert [(f["k"], f["m"], f["path"]) for f in out["forms"]] == [
+        (48, 1, "direct"), (34, 1, "bisect"), (132, 9, "sturm")]
+    for f in out["forms"]:
+        text = json.dumps(zero_report(miller_form(f["k"], f["m"]), with_arc=False).to_json_dict())
+        assert f["report_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+        assert len(f["runs_s"]) == 2 and min(f["runs_s"]) <= f["median_s"] <= max(f["runs_s"])

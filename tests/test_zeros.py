@@ -155,48 +155,82 @@ def test_bisect_refuses_a_root_at_an_end():
     assert len(_bisect(sqf, _chain_counter(chain, lo, hi), lo, hi, ROOT_WIDTH)) == 2
 
 
-def _record_guesses(monkeypatch) -> list:
-    """Record each _guess_leaf result with the exact signs it took."""
-    calls, inner, sign_at = [], zeros._guess_leaf, IntPolynomial.sign_at
+def _bisected(monkeypatch) -> list:
+    """Record the interval (lo, hi) of each _bisect call."""
+    calls, inner = [], zeros._bisect
 
-    def recorded(*args):
-        signs = []
-        monkeypatch.setattr(IntPolynomial, "sign_at",
-                            lambda self, *a: signs.append(sign_at(self, *a)) or signs[-1])
-        try:
-            leaf = inner(*args)
-        finally:
-            monkeypatch.setattr(IntPolynomial, "sign_at", sign_at)
-        calls.append((leaf, signs))
-        return leaf
+    def recorded(sqf, count, lo, hi, width):
+        calls.append((lo, hi))
+        return inner(sqf, count, lo, hi, width)
 
-    monkeypatch.setattr(zeros, "_guess_leaf", recorded)
+    monkeypatch.setattr(zeros, "_bisect", recorded)
     return calls
 
 
-def test_guess_declines_at_a_dyadic_root(monkeypatch):
-    # on [-16, 16] the roots 3 and 5 are grid points, so the guessed leaf
-    # has one at an end: its exact sign there is 0, and bisection decides
-    p = poly_from_roots([3, 5])
-    with monkeypatch.context() as patch:
-        patch.setattr(zeros, "_guess_leaf", lambda *args: None)
-        want = real_root_census(p)
-    calls = _record_guesses(monkeypatch)
-    assert real_root_census(p) == want
-    assert len(calls) == 2
-    assert all(leaf is None and 0 in signs for leaf, signs in calls)
-    assert [lo < r < hi for (lo, hi), r in zip(want[0], (3, 5))] == [True, True]
+def _certified(p, xs) -> tuple:
+    """(p's signs at the certificate points xs, the Sturm leaves on [0, 1728])."""
+    signs = [_sign_at(p, x) for x in xs]
+    assert 0 not in signs and zeros._changes(signs) == p.degree
+    lo, hi = Fraction(0), Fraction(1728)
+    return signs, _bisect(p, _chain_counter(_squarefree_chain(p)[1], lo, hi), lo, hi, ROOT_WIDTH)
 
 
-def test_guess_takes_the_leaf_of_bisection(monkeypatch):
-    # the guessed leaves are the ones bisection on exact signs ends in
-    p = IntPolynomial.make([-7, 3]) * IntPolynomial.make([-22, 7]) * poly_from_roots([11])
-    with monkeypatch.context() as patch:
-        patch.setattr(zeros, "_guess_leaf", lambda *args: None)
-        want = real_root_census(p)
-    calls = _record_guesses(monkeypatch)
-    assert real_root_census(p) == want
-    assert len(calls) == 3 and all(leaf is not None for leaf, _ in calls)
+# (x - 100)(x - 1000.5)(x - 1500): simple roots in distinct depth-20 cells
+SPREAD = IntPolynomial.make([-100, 1]) * IntPolynomial.make([-2001, 2]) * poly_from_roots([1500])
+SPREAD_XS = [Fraction(v) for v in (1728, 1200, 500, 0)]
+
+
+def test_direct_cells_are_the_leaves_of_bisection(monkeypatch):
+    # guesses in the right cells: every leaf is taken with no bisection at
+    # all, and it is the one that bisection on a Sturm chain ends in
+    signs, want = _certified(SPREAD, SPREAD_XS)
+    calls = _bisected(monkeypatch)
+    assert zeros._root_cells(SPREAD, SPREAD_XS, signs, [100.0001, 1000.5, 1499.9999]) == want
+    assert calls == [] and len(want) == 3
+
+
+def test_direct_cells_fail_acceptance_on_a_shifted_or_dropped_root(monkeypatch):
+    # a guess one cell off, or one root without a guess, cannot account for
+    # deg p roots: [0, 1728] is bisected and the leaves are unchanged
+    signs, want = _certified(SPREAD, SPREAD_XS)
+    size = Fraction(1728, 2 ** 20)
+    calls = _bisected(monkeypatch)
+    for guesses in ([100.0001, 1000.5 + float(size), 1499.9999], [100.0001, 1499.9999]):
+        assert zeros._root_cells(SPREAD, SPREAD_XS, signs, guesses) == want
+        assert calls[-1] == (0, 1728)
+
+
+def test_direct_cells_decline_a_root_on_the_grid(monkeypatch):
+    # 432 = 1728 / 4 is a grid point, so the guessed cell has the root at
+    # an end: its exact sign there is 0, and [0, 1728] is bisected; F_{34,1}
+    # is j - 432 and takes the same way through zero_report.  Bisection
+    # itself steps around grid roots, as at 3 and 5 on the Cauchy
+    # interval [-16, 16] of (x - 3)(x - 5)
+    p, xs = poly_from_roots([432, 1001]), [Fraction(v) for v in (1728, 800, 0)]
+    signs, want = _certified(p, xs)
+    calls = _bisected(monkeypatch)
+    assert zeros._root_cells(p, xs, signs, [432.0, 1001.0]) == want
+    assert calls == [(0, 1728)] and want[0][0] < 432 < want[0][1]
+    form = miller_form(34, 1)
+    assert form.faber == poly_from_roots([432])
+    calls.clear()
+    assert _census(zero_report(form, with_arc=False)) == _sturm_oracle(form)
+    assert calls == [(0, 1728), (0, 1728)]
+    got, _ = real_root_census(poly_from_roots([3, 5]))
+    assert [lo < r < hi for (lo, hi), r in zip(got, (3, 5))] == [True, True]
+
+
+def test_two_roots_in_one_cell_bisect_that_cell_alone(monkeypatch):
+    # 100 and 100.0005 share a depth-20 cell, which is bisected below its
+    # ends as the tree would; the other root's cell is taken directly
+    p = IntPolynomial.make([-200000, 2000]) * IntPolynomial.make([-200001, 2000]) \
+        * poly_from_roots([1500])
+    xs = [Fraction(v) for v in (1728, 1000, Fraction(400001, 4000), 0)]
+    signs, want = _certified(p, xs)
+    calls = _bisected(monkeypatch)
+    assert zeros._root_cells(p, xs, signs, [100.0, 100.0005, 1500.0]) == want
+    size, c = Fraction(1728, 2 ** 20), 100 * 2 ** 20 // 1728
+    assert len(want) == 3 and calls == [(size * c, size * (c + 1))]
 
 
 RATIONALS = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9))
@@ -220,11 +254,14 @@ def test_dyadic_sign_kernel_matches_fraction(coeffs, lo, span, e, n):
 @given(COEFFS, st.integers(-2 ** 20, 2 ** 20),
        st.one_of(st.integers(0, 30).map(lambda e: 1 << e), st.integers(1, 10 ** 6)))
 def test_sign_at_matches_fraction_horner(coeffs, a, b):
-    """sign_at(a, b) is the sign of p(a / b), b dyadic or not, reduced or not."""
+    """scaled_at(a, b) is b^d p(a / b) and sign_at(a, b) its sign, b dyadic
+    or not, reduced or not."""
     v = 0
     for c in reversed(coeffs):
         v = v * Fraction(a, b) + c
-    assert IntPolynomial.make(coeffs).sign_at(a, b) == (v > 0) - (v < 0)
+    p = IntPolynomial.make(coeffs)
+    assert p.sign_at(a, b) == (v > 0) - (v < 0)
+    assert p.scaled_at(a, b) == v * b ** max(p.degree, 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -272,6 +309,26 @@ def test_chain_counter_evaluates_no_chain_beyond_the_root_bound(monkeypatch):
     assert all(counter((0, 0), (1, k)) == 0 for k in range(2, 60))
     assert len(calls) == len(chain)
     assert counter((0, 0), (1, 0)) == 2 and counter((1, 2), (3, 2)) == 2
+
+
+def test_bisect_signs_no_split_beyond_the_root_bound(monkeypatch):
+    # (x - 1000)(x - 1001) has the Cauchy bound 1001001, and B = 4096:
+    # counting splits [0, b] at b / 2, b / 4, ... without a sign, since
+    # no root lies beyond B; the one-root leaves start far inside it
+    p = poly_from_roots([1000, 1001])
+    b, bound = cauchy_bound(p), _root_power(p)
+    assert bound == 4096 and b == 1001001
+    mids, inner = [], zeros._safe_point
+
+    def recorded(q, lo, hi):
+        na, nb, e = zeros._common(lo, hi)
+        mids.append(-b + 2 * b * Fraction(na + nb, 2 << e))
+        return inner(q, lo, hi)
+
+    monkeypatch.setattr(zeros, "_safe_point", recorded)
+    got, _ = real_root_census(p)
+    assert [lo < r < hi for (lo, hi), r in zip(got, (1000, 1001))] == [True, True]
+    assert mids and all(abs(x) < bound for x in mids)
 
 
 def test_isolation_on_non_dyadic_cauchy_bound():
@@ -894,11 +951,9 @@ def _census(rep) -> tuple:
     return rep.faber_roots_in, rep.faber_roots_out, rep.squarefree_defect
 
 
-def _sturm_oracle(form, monkeypatch) -> tuple:
-    """The census by Sturm alone, every leaf by bisection: no certificate, no guess."""
-    with monkeypatch.context() as patch:
-        patch.setattr(zeros, "_guess_leaf", lambda *args: None)
-        return _sturm_census(_deflated(form.faber)[2])
+def _sturm_oracle(form) -> tuple:
+    """The census by Sturm alone, every leaf by bisection: no certificate."""
+    return _sturm_census(_deflated(form.faber)[2])
 
 
 def _forbid_sturm(monkeypatch):
@@ -907,7 +962,7 @@ def _forbid_sturm(monkeypatch):
     monkeypatch.setattr(zeros, "sturm_chain", refuse)
 
 
-def test_census_matches_sturm_interval_for_interval(monkeypatch):
+def test_census_matches_sturm_interval_for_interval():
     # every form with ell <= 14, every m, then two larger ones
     misses = []
     forms = [f for k in SWEEP_WEIGHTS for f in miller_basis(k)]
@@ -915,7 +970,7 @@ def test_census_matches_sturm_interval_for_interval(monkeypatch):
         deflated = _deflated(form.faber)[2]
         if deflated.degree > 0 and _interlaced_census(deflated, form.id) is None:
             misses.append((form.id.k, form.id.m))
-        assert _census(zero_report(form, with_arc=False)) == _sturm_oracle(form, monkeypatch)
+        assert _census(zero_report(form, with_arc=False)) == _sturm_oracle(form)
     assert len(forms) == 630 and misses == CERTIFICATE_MISSES
 
 
