@@ -398,13 +398,14 @@ def _float_arc_sign(form: MillerForm, theta) -> int:
     return form.faber.sign_at(n, d)
 
 
-def _least_dyadic(a: Fraction, b: Fraction):
+def _least_dyadic(a, b):
     """The dyadic n / 2^e in (a, b) with the least e >= 0, and of those the
-    least; None if a >= b."""
+    least; None if a >= b.  a and b are Fractions or floats."""
     if a >= b:
         return None
-    den = math.lcm(a.denominator, b.denominator)
-    lo, hi = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+    (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+    den = math.lcm(da, db)
+    lo, hi = na * (den // da), nb * (den // db)
     e = 0
     while True:
         n = (lo << e) // den + 1
@@ -667,9 +668,8 @@ def _interlaced_census(p: IntPolynomial, fid: FormId) -> tuple | None:
     if not h.monotone:
         return None
     angles = [(n, t) for n, t in h.double_angles() if t is not None]
-    xs = ([Fraction(1728)] + [_least_dyadic(Fraction(x - x / 2 ** 20), Fraction(x + x / 2 ** 20))
-                              or Fraction(x) for x in (arc_j_float(t) for _, t in angles)]
-          + [Fraction(0)])
+    xs = ([Fraction(1728)] + [_least_dyadic(x - x / 2 ** 20, x + x / 2 ** 20) or Fraction(x)
+                              for x in (arc_j_float(t) for _, t in angles)] + [Fraction(0)])
     values = [p.scaled_at(x.numerator, x.denominator) for x in xs]
     signs = [(v > 0) - (v < 0) for v in values]
     if 0 in signs or _changes(signs) != p.degree or any(x <= y for x, y in zip(xs, xs[1:])):

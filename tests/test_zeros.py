@@ -803,6 +803,25 @@ def test_lying_float_j_never_changes_a_bracket(monkeypatch, lie):
     assert arc_zero_localize(form) == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-2000, 2000), st.floats(0, 10))
+def test_least_dyadic_of_floats_and_fractions(x, w):
+    # floats and Fractions of equal value give the same least dyadic, the
+    # shortest point of the window, or None when the window is empty
+    a, b = x - w, x + w
+    got = zeros._least_dyadic(a, b)
+    assert got == zeros._least_dyadic(Fraction(a), Fraction(b))
+    if got is None:
+        assert a >= b
+    else:
+        e = got.denominator.bit_length() - 1
+        assert a < got < b and got.denominator == 1 << e and got - Fraction(1, 1 << e) <= a
+        if e:                           # no point of the grid one step coarser fits
+            half = 1 << (e - 1)
+            assert not any(a < Fraction(n, half) < b for n in range(
+                math.floor(Fraction(a) * half), math.floor(Fraction(b) * half) + 1))
+
+
 def test_separated_signs_needs_strictly_decreasing_separators():
     # p = x (x - 10) is negative at the bracketed points 3.5, 5 and 1.5.
     # Out of order, the changes 3 -> 11 and -1 -> 2 count both roots while
