@@ -17,15 +17,18 @@ fall into a few families:
     (c1, B1, B2, c2) derived from it.
 
 Exact rational arithmetic is used wherever the inputs are exact decimals;
-everything floating is a CertValue (evalnum), an interval built from
-exact inputs by mpmath's outward interval arithmetic: +, -, *, /, powers
-and abs, and pi, exp, log, sqrt, the trigonometric functions and acos
-widened by a few ulp.  So no constant here takes a hand-derived pad, a
-radius formula or a derivative bound, and this module never reads or
-rounds at the working precision itself.  Two older bounds still carry a
-fixed relative slack of their own: delta_line_bounds (2^-40) and the
-grid floor of _table_numeric_check (2^-40).  Every entry and flag built
-from CertValues is decided on their exact ends (_lower, _upper).
+every other certified value is a CertValue (evalnum), an interval built
+from exact inputs by mpmath's outward interval arithmetic: +, -, *, /,
+powers and abs, and pi, exp, log, sqrt, the trigonometric functions and
+acos widened by a few ulp.  The two grid loops take evalnum's integer
+disks instead: |E_k| on a line segment as a real interval (eval_abs),
+and the table check's mpf bounds (modular_bounds).  So no constant here
+takes a hand-derived pad, a radius formula or a derivative bound, and
+this module never reads or rounds at the working precision itself.  Two
+older bounds still carry a fixed relative slack of their own:
+delta_line_bounds (2^-40) and the grid floor of _table_numeric_check
+(2^-40).  Every entry and flag built from CertValues is decided on their
+exact ends (_lower, _upper).
 """
 
 from __future__ import annotations
@@ -43,9 +46,9 @@ from . import qseries
 from .qseries import EISENSTEIN_FACTORS
 from .miller import IntPolynomial
 from .evalnum import (_GUARD, DEFAULT_PREC, ArcValues, CertValue, EisensteinTail, _arc_form_at,
-                      _cut, _ends_ball, _ends_mul, _eval_series_at, _exact, _interval,
-                      arc_functions, arc_grid, arc_j, eval_delta_eta, eval_series, j_tail_bound,
-                      lemniscate_constants)
+                      _cut, _ends_ball, _ends_mul, _exact, _interval, arc_functions, arc_grid,
+                      arc_j, eval_abs, eval_delta_eta, eval_series, j_tail_bound,
+                      lemniscate_constants, modular_bounds)
 
 
 class CertificateFailureError(ArithmeticError):
@@ -513,14 +516,15 @@ def eisenstein_line_bounds() -> list:
                                         tail, tail_claim))
             entries.append(_entry_upper(f"{lbl}.assembled", ref + ", partial plus tail",
                                         partial + tail, total_claim))
-            # independent certification: the leaves of cap - |E_k| > 0 cover x in
-            # [0, 1/2], hence the line (period 1, E_k(-x + iy) = conj E_k(x + iy)),
-            # and their largest abs_lower and abs_upper enclose the maximum
+            # independent certification: the leaves of cap - |E_k| > 0, |E_k| a
+            # real interval on each segment, cover x in [0, 1/2], hence the line
+            # (period 1, E_k(-x + iy) = conj E_k(x + iy)), and their largest
+            # abs_lower and abs_upper enclose the maximum
             series, iy = qseries.eisenstein(k, 48), mpc(0, mpf(y.numerator) / y.denominator)
             cap = CertValue(Fraction(str(total_claim)))
             _, leaves = _bisect_claims(
-                lambda a, b: eval_series(series, (a + iy, b + iy), EisensteinTail(k)),
-                mpf(0), mpf(1) / 2, {"cap": (lambda v: cap - v.abs(), 1)})
+                lambda a, b: eval_abs(series, (a + iy, b + iy), EisensteinTail(k)),
+                mpf(0), mpf(1) / 2, {"cap": (lambda v: cap - v, 1)})
             lo = max(v.abs_lower() for v in leaves["cap"])
             hi = max(v.abs_upper() for v in leaves["cap"])
             certified = _hull(_exact(lo), _exact(hi))
@@ -878,10 +882,10 @@ def _table_numeric_check() -> list:
 
     For each height the x-sweep maximises |E_14-k'| / (|Delta| dist(j, J)),
     with J the j-range of the matching subarc; the theta-factor uses the
-    certified arc extrema.  At each point only E_4 and E_6 are evaluated:
-    Delta = (E_4^3 - E_6^2) / 1728 and j = E_4^3 / Delta.  The product
-    dominates the true grid maximum, and must still sit below every
-    printed case bound.
+    certified arc extrema.  At each point evalnum.modular_bounds reads the
+    bounds of |E_4|, |E_6| and |Delta| and j's disk off the integer disks
+    of E_4 and E_6; only the maximisation is mpf.  The product dominates
+    the true grid maximum, and must still sit below every printed case bound.
     """
     entries = []
     at_i, at_19, at_rho = _arc_corners()
@@ -891,8 +895,6 @@ def _table_numeric_check() -> list:
     }
     jranges = {"075": (mpf(271), mpf(1728)), "065": (mpf(0), mpf(272))}
     heights = {"075": mpf(3) / 4, "065": mpf(13) / 20}
-    terms = ((qseries.eisenstein(4, 48), EisensteinTail(4)),
-             (qseries.eisenstein(6, 48), EisensteinTail(6)))
     for label in ("075", "065"):
         y = heights[label]
         jl, jh = jranges[label]
@@ -900,13 +902,7 @@ def _table_numeric_check() -> list:
         best = {kp: mpf(0) for kp in EISENSTEIN_FACTORS}
         for i in range(n_pts):
             x = min(mpf(0.5), i * mpf(_TABLE_STEP))
-            tau = x + 1j * y
-            e4, e6 = _eval_series_at(terms, tau)
-            cube = e4.pow_int(3)
-            delta = (cube - e6.pow_int(2)) / 1728
-            jv = cube / delta
-            e4v, e6v, dv = e4.abs_upper(), e6.abs_upper(), delta.abs_lower()
-            w = jv.value
+            e4v, e6v, dv, w, err = modular_bounds(x + 1j * y, 48)
             re, im = w.real, w.imag
             if re < jl:
                 dist = mp.sqrt((jl - re) ** 2 + im ** 2)
@@ -914,7 +910,7 @@ def _table_numeric_check() -> list:
                 dist = mp.sqrt((re - jh) ** 2 + im ** 2)
             else:
                 dist = abs(im)
-            dist = max(dist - jv.err, mpf(2) ** -40)
+            dist = max(dist - err, mpf(2) ** -40)
             for kp in EISENSTEIN_FACTORS:
                 al, bl = EISENSTEIN_FACTORS[14 - kp]
                 v = e4v ** al * e6v ** bl / (dv * dist)

@@ -1,10 +1,10 @@
 """Certified numerical evaluation of q-expansions in the upper half plane.
 
-Everything here returns a CertValue, an interval in the inf-sup form of
-Moore, Kearfott and Cloud (Introduction to Interval Analysis, SIAM 2009):
-two libmp ends at the ambient mpmath precision, and for a complex value
-the rectangle of one interval per part, which holds every point it
-stands for.  The discipline is the same in every operation:
+Everything here but modular_bounds returns a CertValue, an interval in
+the inf-sup form of Moore, Kearfott and Cloud (Introduction to Interval
+Analysis, SIAM 2009): two libmp ends at the ambient mpmath precision,
+and for a complex value the rectangle of one interval per part, which
+holds every point it stands for.  The discipline is the same in every operation:
 
   * every end is rounded outward, the lower one down and the upper one
     up, so no interval leaves out a point of the exact result and none
@@ -55,7 +55,9 @@ on the same code path.  Series take q^lead from the point's q or 1/q,
 tails the largest |q| of the disk, the arc phases e^(i k theta/2) are
 integer products of (cos theta, sin theta), and certify's oscillation
 check reads the ends of e^(2 pi m sin theta) = r^-m and 2 cos h off the
-point; each result is one interval formed at the end.
+point; each result is one interval formed at the end.  eval_abs and
+modular_bounds (|E_4|, |E_6|, |Delta| and j for certify's table check)
+read a series' disk a + i b +- units itself, with no rectangle.
 
 A basis form on the arc (arc_form) needs no complex product: it is real
 arithmetic on the arc functions e4 and e6 alone (Duke-Jenkins, PAMQ 4,
@@ -452,15 +454,16 @@ def _ends_pow(x: tuple, n: int) -> tuple:
 
 def _ends_pow_float(x: tuple, n: int, e: int, bits: int) -> tuple:
     """(lo, hi, e'): x^n = [lo, hi] 2^e' for x = [lo, hi] 2^e, 0 < lo, by binary
-    powering, each product cut outward to bits significant bits of hi."""
+    powering, each product (of positive ends, lo by lo and hi by hi) cut
+    outward to bits significant bits of hi."""
     acc, acc_e = (1, 1), 0
     while True:
         if n & 1:
-            acc, acc_e = _trim(_ends_mul(acc, x), acc_e + e, bits)
+            acc, acc_e = _trim((acc[0] * x[0], acc[1] * x[1]), acc_e + e, bits)
         n >>= 1
         if not n:
             return (*acc, acc_e)
-        x, e = _trim(_ends_mul(x, x), 2 * e, bits)
+        x, e = _trim((x[0] * x[0], x[1] * x[1]), 2 * e, bits)
 
 
 def _trim(x: tuple, e: int, bits: int) -> tuple:
@@ -514,14 +517,17 @@ def _corner_window(prec: int) -> tuple:
 def _geometric_units(ints: tuple, trunc: int, pt: _Point) -> int:
     """lead rho^n / (1 - growth rho), n = trunc + 1, for ints = (a, b, g, d),
     lead = a / (b d) and growth = g / d: with R = r + pad, the one quotient
-    a R^n 2^(2P) / (b 2^(Pn) (d 2^P - g R)), ceiled; TailUnboundedError
-    once growth rho >= 1."""
+    a R^n 2^(2P) / (b 2^(Pn) (d 2^P - g R)), ceiled, R^n taken as the upper
+    end of _ends_pow_float at P + 32 bits, so never below the exact
+    quotient; TailUnboundedError once growth rho >= 1."""
     a, b, g, d = ints
     P, R, n = pt.P, pt.r + pt.pad, trunc + 1
     room = (d << P) - g * R
     if room <= 0:
         raise TailUnboundedError(f"tail not dominated at trunc={trunc}, |q| <= {R} 2^-{P}")
-    return -(-(a * R ** n << 2 * P) // (b * room << P * n))
+    _, top, e = _ends_pow_float((R, R), n, 0, P + 32)
+    s = e + (2 - n) * P
+    return -(-(a * top << max(s, 0)) // (b * room << max(-s, 0)))
 
 
 @lru_cache(maxsize=256)
@@ -759,26 +765,89 @@ def eval_series(s: QSeries, tau, tail, prec: int = DEFAULT_PREC) -> CertValue:
     of the *Tail dataclasses above and must genuinely cover the dropped
     coefficients; None evaluates s as the finite q-polynomial it is.
     """
-    return _eval_series_at(((s, tail),), tau, prec)[0]
-
-
-def _eval_series_at(terms, tau, prec: int = DEFAULT_PREC) -> tuple:
-    """eval_series of every (series, tail) in terms at one tau, from one point."""
     with workprec(prec + _GUARD):
-        a, b = (mp.mpmathify(t) for t in (tau if isinstance(tau, tuple) else (tau, tau)))
-        if mp.im(a) != mp.im(b):
-            raise ValueError(f"segment [{a}, {b}] not horizontal")
-        x, h = _span(mp.re(a), mp.re(b))
-        pt = _Point(x, _require_height(a), h)
-        return tuple(_series_ball(s, tail, pt) for s, tail in terms)
+        return _series_ball(s, tail, _segment_point(tau))
+
+
+def eval_abs(s: QSeries, tau, tail, prec: int = DEFAULT_PREC) -> CertValue:
+    """The real interval of |s| where eval_series takes s, read off the same
+    disk a + i b +- u by _modulus_ends, not off its rectangle, whose
+    modulus can reach (sqrt 2 - 1) u further."""
+    with workprec(prec + _GUARD):
+        pt = _segment_point(tau)
+        return _ends_ball(*_modulus_ends(*_disk(s, tail, pt)), pt.P)
+
+
+def _segment_point(tau) -> _Point:
+    """The _Point of a point tau or of a horizontal segment (a, b), Re a <= Re b."""
+    a, b = (mp.mpmathify(t) for t in (tau if isinstance(tau, tuple) else (tau, tau)))
+    if mp.im(a) != mp.im(b):
+        raise ValueError(f"segment [{a}, {b}] not horizontal")
+    x, h = _span(mp.re(a), mp.re(b))
+    return _Point(x, _require_height(a), h)
+
+
+def _disk(s: QSeries, tail, pt: _Point) -> tuple:
+    """(a, b, units): s at the point as the disk a + i b +- units, its partial
+    sum widened by tail unless None."""
+    a, b, units = _partial_sum(s, pt)
+    return a, b, units + (tail.units(s.trunc, pt) if tail is not None else 0)
 
 
 def _series_ball(s: QSeries, tail, pt: _Point) -> CertValue:
-    """s at the point as a complex ball: its partial sum, widened by tail unless None."""
-    re, im, units = _partial_sum(s, pt)
-    if tail is not None:
-        units += tail.units(s.trunc, pt)
-    return _units_ball(re, units, pt.P, im)
+    """The rectangle that holds _disk's disk."""
+    a, b, units = _disk(s, tail, pt)
+    return _units_ball(a, units, pt.P, b)
+
+
+def _modulus_ends(a: int, b: int, units: int) -> tuple:
+    """(lo, hi) with lo <= |z| <= hi for every z in the disk a + i b +- units:
+    isqrt(a^2 + b^2) <= |a + i b| < isqrt(a^2 + b^2) + 1, and lo >= 0."""
+    root = isqrt(a * a + b * b)
+    return max(root - units, 0), root + 1 + units
+
+
+def _modular_ends(e4: tuple, e6: tuple, P: int) -> tuple:
+    """(hi4, hi6, low, jx, jy, jr) from the disks e4 and e6 = (a, b, units) of
+    E_4 and E_6 in units of 2^-P: |E_4| <= hi4 and |E_6| <= hi6 units,
+    |Delta| >= low / 1728 units of 2^-3P, and j within jr units of jx + i jy.
+
+    Midpoint-radius arithmetic on ints (van der Hoeven, Ball arithmetic,
+    2009).  With R >= |Z| (_modulus_ends' hi less u), Z^3 +- ((R + u)^3 -
+    R^3) holds E_4^3 at 2^-3P and Z^2 +- ((R + u)^2 - R^2) holds E_6^2 at
+    2^-2P, both exact: 1728 Delta = C - S = D +- r_D.  J = 1728 C / D is one
+    conjugate quotient floored in each part, within 2 units, so |J| + 3
+    bounds |1728 C / D|, and 1728 C' / D' lies within (1728 r_C + |1728 C /
+    D| r_D) / (|D| - r_D) of 1728 C / D.  ZeroDivisionError if |D| <= r_D.
+    """
+    (x4, y4, u4), (x6, y6, u6) = e4, e6
+    hi4, hi6 = _modulus_ends(*e4)[1], _modulus_ends(*e6)[1]
+    cx, cy = x4 * (x4 * x4 - 3 * y4 * y4), y4 * (3 * x4 * x4 - y4 * y4)
+    dx, dy = cx - (x6 * x6 - y6 * y6 << P), cy - (2 * x6 * y6 << P)
+    rc = hi4 ** 3 - (hi4 - u4) ** 3
+    rd = rc + (hi6 ** 2 - (hi6 - u6) ** 2 << P)
+    norm = dx * dx + dy * dy
+    low = isqrt(norm) - rd
+    if low <= 0:
+        raise ZeroDivisionError("the disk of 1728 Delta reaches 0")
+    jx, jy = (1728 * (t << P) // norm for t in (cx * dx + cy * dy, cy * dx - cx * dy))
+    jr = -(-((1728 * rc << P) + (isqrt(jx * jx + jy * jy) + 3) * rd) // low) + 2
+    return hi4, hi6, low, jx, jy, jr
+
+
+def modular_bounds(tau, trunc: int, prec: int = DEFAULT_PREC) -> tuple:
+    """(|E_4| upper, |E_6| upper, |Delta| lower, j's centre, j's radius) at tau:
+    _modular_ends on E_4 and E_6 cut at q^trunc at one _Point, as mpfs at
+    prec + _GUARD bits rounded outward, the centre an exact mpc."""
+    with workprec(prec + _GUARD):
+        pt = _segment_point(tau)
+        P, p = pt.P, mp.prec
+        hi4, hi6, low, jx, jy, jr = _modular_ends(
+            *(_disk(qseries.eisenstein(k, trunc), EisensteinTail(k), pt) for k in (4, 6)), P)
+        return (*(mp.make_mpf(from_man_exp(n, -P, p, "c")) for n in (hi4, hi6)),
+                mp.make_mpf(from_rational(low, 1728 << 3 * P, p, "f")),
+                mp.make_mpc((from_man_exp(jx, -P), from_man_exp(jy, -P))),
+                mp.make_mpf(from_man_exp(jr, -P, p, "c")))
 
 
 def eval_delta_eta(tau, prec: int = DEFAULT_PREC) -> CertValue:

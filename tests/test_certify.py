@@ -22,7 +22,7 @@ from millerzeros.certify import (
     full_ledger, _LINE_CASES, _dominated_tail,
     _ARC_CLAIMS, _DEPTH, _arc_slopes, _bisect_claims, arc_eisenstein_bounds,
 )
-from millerzeros.evalnum import EisensteinTail, eval_series, j_tail_bound
+from millerzeros.evalnum import EisensteinTail, eval_abs, eval_series, j_tail_bound, modular_bounds
 from millerzeros.miller import IntPolynomial
 from millerzeros.qseries import eisenstein, jfunction
 from millerzeros.qseries import bernoulli
@@ -492,11 +492,16 @@ def test_oscillation_takes_no_ball_arithmetic_and_forms_one_ball(monkeypatch):
 
 
 def test_table_check_values_match_separate_evaluations(monkeypatch):
-    # E_4 and E_6 from one q-point are the two eval_series values bit for bit
-    def separate(terms, tau):
-        return tuple(eval_series(s, tau, tail) for s, tail in terms)
+    # modular_bounds reads E_4 and E_6 off one q-point: its |E_4| and |E_6|
+    # uppers are the upper ends of two separate eval_abs balls bit for bit,
+    # and the check is the same with those in their place
+    series = [(eisenstein(k, 48), EisensteinTail(k)) for k in (4, 6)]
+
+    def separate(tau, trunc):
+        _, _, *rest = modular_bounds(tau, trunc)
+        return (*(mp.make_mpf(eval_abs(s, tau, tail).re[1]) for s, tail in series), *rest)
     shared = certify._table_numeric_check()
-    monkeypatch.setattr(certify, "_eval_series_at", separate)
+    monkeypatch.setattr(certify, "modular_bounds", separate)
     assert certify._table_numeric_check() == shared
 
 
@@ -615,13 +620,13 @@ def test_evaluation_points_leave_rounding_to_the_units():
 
 
 def line_maxima(monkeypatch, cases=_LINE_CASES):
-    """The .grid entries of eisenstein_line_bounds and the eval_series calls made."""
+    """The .grid entries of eisenstein_line_bounds and the eval_abs calls made."""
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args[1])
-        return eval_series(*args, **kwargs)
-    monkeypatch.setattr(certify, "eval_series", counting)
+        return eval_abs(*args, **kwargs)
+    monkeypatch.setattr(certify, "eval_abs", counting)
     monkeypatch.setattr(certify, "_LINE_CASES", cases)
     grid = {e.name: e for e in certify.eisenstein_line_bounds() if e.name.endswith(".grid")}
     return grid, len(calls)
@@ -629,7 +634,7 @@ def line_maxima(monkeypatch, cases=_LINE_CASES):
 
 def test_line_maxima_enclose_the_maximum_within_budget(monkeypatch):
     grid, evaluations = line_maxima(monkeypatch)
-    assert evaluations <= 250
+    assert evaluations == 192
     assert all(e.satisfied for e in grid.values()) and len(grid) == 4
     for k, y, *_ in _LINE_CASES:
         e = grid[f"e{k}.line.{'065' if y == Fraction(13, 20) else '075'}.grid"]

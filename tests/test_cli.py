@@ -279,6 +279,23 @@ def test_verify_bounds_takes_no_grid_step(capsys):
     assert "unrecognized arguments: --grid-step" in capsys.readouterr().err
 
 
+# sha256 of every verify-bounds line, newline included, except the four
+# e*.line.*.grid entries, whose enclosures follow the segment evaluations of
+# the line claims; every other entry is pinned byte for byte
+VERIFY_BOUNDS_SHA256 = "76ce345b4ceb55a139d1af3b467bbd77213ea577e0e93e890fdd6db86b742221"
+
+
+def test_verify_bounds_golden_outside_the_line_claims(capsys):
+    code, out, _ = run(capsys, "verify-bounds")
+    assert code == 0
+    lines = out.splitlines()
+    names = [json.loads(line)["name"] for line in lines]
+    moving = {f"e{k}.line.{h}.grid" for k in (4, 6) for h in ("065", "075")}
+    assert len(lines) == 104 and moving <= set(names)
+    kept = "".join(line + "\n" for line, name in zip(lines, names) if name not in moving)
+    assert hashlib.sha256(kept.encode()).hexdigest() == VERIFY_BOUNDS_SHA256
+
+
 # the required options of each command, so that argparse reaches the one under test
 REQUIRED = {"arc-zeros": ("--k", "48", "--m", "1"), "verify-bounds": (),
             "mrl-check": ("--k", "192", "--m", "1"), "dist": ("--k-list", "120"),

@@ -21,8 +21,8 @@ from millerzeros.evalnum import (
     DEFAULT_PREC, _GUARD, CertValue, NotRealError, TailUnboundedError, _TAIL_SLACK, _Point,
     _arc_eisenstein, _corner_angles, _phase_units, _corner_window, _exact, _j_tail_units, _theta_mpf,
     _span, _two_pi, _units_ball, _cut, _ends_mul, _ends_pow, _ends_pow_float,
-    EisensteinTail, EtaProductTail, j_tail_bound,
-    eval_series, eval_delta_eta,
+    EisensteinTail, EtaProductTail, j_tail_bound, _geometric_units, _modular_ends, _modulus_ends,
+    eval_abs, eval_series, eval_delta_eta, modular_bounds,
     arc_functions, arc_form, arc_j, arc_j_float, arc_grid, export_arc_csv,
     lemniscate_constants, form_arc_prec, auto_trunc,
 )
@@ -738,6 +738,136 @@ def test_cached_constants_match_their_formulas():
 def test_eval_below_height_floor():
     with pytest.raises(ValueError):
         eval_series(eisenstein(4, 16), mpc(0, "0.3"), EisensteinTail(4))
+
+
+# ---------------------------------------------------------------------------
+# moduli, Delta and j read off the integer disks
+
+# the references run 400 bits above the working precision
+REF_PREC = DEFAULT_PREC + 400
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-2 ** 80, 2 ** 80), st.integers(-2 ** 80, 2 ** 80), st.integers(0, 2 ** 40))
+@example(1, 1, 0)
+def test_modulus_ends_hold_every_modulus_of_the_disk(a, b, units):
+    # exactly: hi >= |a + ib| + units, and lo <= |a + ib| - units unless lo = 0
+    lo, hi = _modulus_ends(a, b, units)
+    assert hi >= units and (hi - units) ** 2 >= a * a + b * b
+    assert lo >= 0 and (lo == 0 or (lo + units) ** 2 <= a * a + b * b)
+
+
+def _segment(height, where, log_width, at) -> tuple:
+    """(a subsegment of [0, 1/2] of width 10^log_width at height, a point x of it)."""
+    with workprec(140):
+        y = mpf(height)
+        width = mpf(10) ** log_width
+        lo = mpf(where) * (mpf(1) / 2 - width)
+        hi = lo + width
+        return (mpc(lo, y), mpc(hi, y)), mpc(min(hi, max(lo, lo + mpf(at) * width)), y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((4, 6)), st.sampled_from(("0.65", "0.75")), st.floats(0, 1),
+       st.floats(-6, -0.3), st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1)))
+def test_abs_on_a_segment_holds_the_modulus_within_the_rectangle(k, height, where, log_width, at):
+    # |E_k| at a point of the segment, from 400 more bits, lies in eval_abs's
+    # interval, whose upper end is at most the rectangle's abs_upper
+    segment, tau = _segment(height, where, log_width, at)
+    got = eval_abs(eisenstein(k, 48), segment, EisensteinTail(k))
+    ref = separate_q_series(eisenstein(k, 100), tau, EisensteinTail(k), prec=REF_PREC)
+    with workprec(REF_PREC + 12):
+        assert ref.err < mpf(2) ** -400
+        modulus = abs(ref.value)
+        assert _exact(got.re[0]) <= _exact(modulus - 2 * ref.err)
+        assert _exact(modulus + 2 * ref.err) <= _exact(got.re[1])
+    with workprec(DEFAULT_PREC + _GUARD):
+        rectangle = eval_series(eisenstein(k, 48), segment, EisensteinTail(k)).abs_upper()
+    assert _exact(got.re[1]) <= _exact(rectangle)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(("0.65", "0.75")), st.floats(0, 0.5))
+@example("0.65", 0.5)
+@example("0.75", 0.0)
+def test_table_point_bounds_hold_the_reference_values(height, x):
+    # |E_4|, |E_6| and |Delta| against their bounds and j in its disk, all
+    # from E_4 and E_6 at 400 more bits
+    with workprec(140):
+        tau = mpc(x, mpf(height))
+    hi4, hi6, low, centre, radius = modular_bounds(tau, 48)
+    e4, e6 = (separate_q_series(eisenstein(k, 100), tau, EisensteinTail(k), prec=REF_PREC)
+              for k in (4, 6))
+    with workprec(REF_PREC + 12):
+        assert max(e4.err, e6.err) < mpf(2) ** -400
+        cube = e4.value ** 3
+        delta = (cube - e6.value ** 2) / 1728
+        slack = mpf(2) ** -350          # the references' radii, through cube and quotient
+        assert abs(e4.value) + slack <= hi4 and abs(e6.value) + slack <= hi6
+        assert low + slack <= abs(delta)
+        assert abs(cube / delta - centre) + slack <= radius
+
+
+def _on_circle(t: Fraction) -> tuple:
+    """A rational point of the unit circle: ((1 - t^2), 2t) / (1 + t^2)."""
+    return (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+
+
+def _cmul(z: tuple, w: tuple) -> tuple:
+    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
+
+
+DISK_CENTRES = st.integers(-2 ** 21, 2 ** 21)
+TURNS = st.fractions(-8, 8, max_denominator=50)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DISK_CENTRES, DISK_CENTRES, DISK_CENTRES, DISK_CENTRES, st.integers(0, 2 ** 8),
+       st.integers(0, 2 ** 8), TURNS, TURNS)
+@example(2 ** 20, 0, 2 ** 19, 0, 0, 5, Fraction(1, 3), Fraction(1, 2))
+@example(3 << 18, 1 << 17, 1 << 20, 3 << 18, 7, 0, Fraction(-2), Fraction(0))
+def test_modular_ends_hold_every_point_of_the_disks(x4, y4, x6, y6, u4, u6, t4, t6):
+    # exactly, in Fractions at P = 20: a point of each disk's boundary circle,
+    # E = Z + u (c + i s), has |E_4| and |E_6| under their bounds, |Delta|
+    # above its bound and j inside its disk
+    P = 20
+    try:
+        hi4, hi6, low, jx, jy, jr = _modular_ends((x4, y4, u4), (x6, y6, u6), P)
+    except ZeroDivisionError:               # the disk of 1728 Delta reaches 0
+        return
+    e4, e6 = ((x + u * c, y + u * s) for (x, y, u), (c, s) in
+              (((x4, y4, u4), _on_circle(t4)), ((x6, y6, u6), _on_circle(t6))))
+    assert e4[0] ** 2 + e4[1] ** 2 <= hi4 ** 2 and e6[0] ** 2 + e6[1] ** 2 <= hi6 ** 2
+    cube, square = _cmul(e4, _cmul(e4, e4)), _cmul(e6, e6)
+    d = (cube[0] - square[0] * 2 ** P, cube[1] - square[1] * 2 ** P)        # 1728 Delta
+    norm = d[0] ** 2 + d[1] ** 2
+    assert low ** 2 <= norm
+    # j = 1728 C / D = 1728 C conj(D) / |D|^2, in units of 2^-P
+    j = [1728 * 2 ** P * t / norm for t in _cmul(cube, (d[0], -d[1]))]
+    assert (j[0] - jx) ** 2 + (j[1] - jy) ** 2 <= jr ** 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(16, 600), st.floats(0.01, 0.99), st.integers(0, 2 ** 12),
+       st.integers(1, 2 ** 400), st.integers(1, 2 ** 20), st.integers(0, 200))
+@example(164, 0.0169, 4, 2 ** 400, 3, 48)
+def test_cut_tail_units_never_fall_below_the_exact_quotient(P, share, pad, a, b, trunc):
+    # the tail's R^n cut outward to P + 32 bits: at least the ceiling of the
+    # exact quotient, and above it by at most (n + 8) 2^-(P+30) of it plus
+    # the ceilings, since each product is cut at most twice, 2^-(P+31) each
+    # time, and the cut powers of R enter R^n with exponents summing to at
+    # most n + log2 n; no tail once R 2^-P >= 1
+    r = int(share * 2 ** P)
+    pt = SimpleNamespace(P=P, r=r, pad=pad)
+    R, n = r + pad, trunc + 1
+    room = (1 << P) - R
+    if room <= 0:
+        with pytest.raises(TailUnboundedError):
+            _geometric_units((a, b, 1, 1), trunc, pt)
+        return
+    exact = -(-(a * R ** n << 2 * P) // (b * room << P * n))
+    got = _geometric_units((a, b, 1, 1), trunc, pt)
+    assert exact <= got <= exact + (exact * (n + 8) >> P + 30) + 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 """Smoke tests for the scripts: each runs as its own process on the source tree."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from millerzeros.cli import main
 from millerzeros.miller import miller_form
 from millerzeros.zeros import zero_report
+from test_cli import VERIFY_BOUNDS_SHA256
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -126,3 +130,31 @@ def test_bench_census_records_paths_and_reports(tmp_path):
         text = json.dumps(zero_report(miller_form(f["k"], f["m"]), with_arc=False).to_json_dict())
         assert f["report_sha256"] == hashlib.sha256(text.encode()).hexdigest()
         assert len(f["runs_s"]) == 2 and min(f["runs_s"]) <= f["median_s"] <= max(f["runs_s"])
+
+
+def test_bench_ledger_help():
+    done = run_script("bench_ledger.py", "--help")
+    assert done.returncode == 0, done.stderr
+    assert "--repeats" in done.stdout and "--mrl" in done.stdout
+
+
+def test_bench_ledger_times_every_section_and_hashes_the_ledger(tmp_path):
+    done = run_script("bench_ledger.py", "--mrl", "48:1", "--repeats", "2", "--label", "smoke",
+                      "--outdir", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    out = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert out["label"] == "smoke" and out["repeats"] == 2
+    assert set(out["environment"]) >= {"cores", "python", "mpmath_backend"}
+    assert list(out["parts"]) == ["delta_ledger", "arc_eisenstein_bounds",
+                                  "eisenstein_line_bounds", "j_difference_bounds",
+                                  "residue_entries", "constants_ledger", "mrl-check (48, 1)"]
+    for part in out["parts"].values():
+        runs = part["runs_s"]
+        assert len(runs) == 2 and min(runs) <= part["median_s"] <= max(runs)
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(["verify-bounds"]) == 0
+    lines = text.getvalue().splitlines()
+    assert out["verify_bounds"]["lines"] == len(lines) == 104
+    assert out["verify_bounds"]["sha256"] == hashlib.sha256(text.getvalue().encode()).hexdigest()
+    assert out["verify_bounds"]["sha256_without_line_grids"] == VERIFY_BOUNDS_SHA256
