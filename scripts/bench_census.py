@@ -25,20 +25,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
-import platform
-import statistics
 import sys
-import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-
-import mpmath  # noqa: E402
-
-from millerzeros import zeros  # noqa: E402
-from millerzeros.miller import miller_form  # noqa: E402
+import benchlib  # puts this checkout's src/ first on sys.path
+from millerzeros import zeros
+from millerzeros.miller import miller_form
 
 FORMS = ((480, 1), (960, 1), (1200, 3), (1924, 1), (3840, 1))
 
@@ -73,14 +64,10 @@ def census_path(form) -> tuple:
 
 def bench(k: int, m: int, repeats: int) -> dict:
     form = miller_form(k, m)
-    runs = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        zeros.zero_report(form, with_arc=False)
-        runs.append(time.perf_counter() - t0)
+    times = benchlib.timed(lambda: zeros.zero_report(form, with_arc=False), repeats)
     path, digest = census_path(form)
-    return {"k": k, "m": m, "degree": form.faber.degree, "median_s": statistics.median(runs),
-            "runs_s": runs, "path": path, "report_sha256": digest}
+    return {"k": k, "m": m, "degree": form.faber.degree, **times, "path": path,
+            "report_sha256": digest}
 
 
 def main(argv=None) -> int:
@@ -88,12 +75,7 @@ def main(argv=None) -> int:
     p.add_argument("--forms", type=parse_forms, default=list(FORMS),
                    help="k:m pairs, e.g. 480:1,1924:1 (default: "
                         + ",".join(f"{k}:{m}" for k, m in FORMS) + ")")
-    p.add_argument("--repeats", type=int, default=3, help="timed runs per form (default 3)")
-    p.add_argument("--label", default="census", help="writes BENCH_<label>.json (default census)")
-    p.add_argument("--outdir", type=Path, default=Path("."), help="directory of the JSON file")
-    args = p.parse_args(argv)
-    if args.repeats < 1:
-        p.error("--repeats must be at least 1")
+    args = benchlib.parse(p, argv, repeats=3, label="census")
 
     results = []
     for k, m in args.forms:
@@ -101,15 +83,7 @@ def main(argv=None) -> int:
         results.append(res)
         print(f"({k}, {m}) degree {res['degree']}: {res['median_s']:.3f} s median of "
               f"{args.repeats}, {res['path']}", flush=True)
-    out = {"label": args.label,
-           "environment": {"cores": os.cpu_count(), "python": platform.python_version(),
-                           "implementation": platform.python_implementation(),
-                           "machine": platform.machine(),
-                           "mpmath": mpmath.__version__, "mpmath_backend": mpmath.libmp.BACKEND},
-           "repeats": args.repeats, "forms": results}
-    path = args.outdir / f"BENCH_{args.label}.json"
-    path.write_text(json.dumps(out, indent=1) + "\n")
-    print(f"wrote {path}")
+    benchlib.write(args, forms=results)
     return 0
 
 

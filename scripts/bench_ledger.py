@@ -1,15 +1,14 @@
 """Time the bound ledger section by section, and one oscillation check.
 
     python3 scripts/bench_ledger.py --repeats 5 --label after
-    python3 scripts/bench_ledger.py --mrl 192:1 --repeats 1 --outdir /tmp
 
 One untimed pass of certify.full_ledger() and of the oscillation check
 fills the caches that a verify-bounds or mrl-check run fills once (the
 arc corners, the lemniscate constants, the q-series and the Miller
 form).  Then each of the six sections of full_ledger, in its order, and
-proposition_mrl_check at --mrl (default (340, 2), the CLI's 1e-3 grid)
-run --repeats times, and the median of their wall times
-(time.perf_counter) is recorded with every run.
+proposition_mrl_check at (340, 2), the CLI's 1e-3 grid, run --repeats
+times, and the median of their wall times (time.perf_counter) is
+recorded with every run.
 
 The result goes to BENCH_<label>.json in --outdir, together with the
 environment (cores, Python, mpmath backend) and the sha256 of the
@@ -26,32 +25,15 @@ import contextlib
 import hashlib
 import io
 import json
-import os
-import platform
-import statistics
 import sys
-import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-
-import mpmath  # noqa: E402
-
-from millerzeros import certify, cli  # noqa: E402
+import benchlib  # puts this checkout's src/ first on sys.path
+from millerzeros import certify, cli
 
 SECTIONS = ("delta_ledger", "arc_eisenstein_bounds", "eisenstein_line_bounds",
             "j_difference_bounds", "residue_entries", "constants_ledger")
+MRL = (340, 2)
 LINE_GRIDS = {f"e{k}.line.{h}.grid" for k in (4, 6) for h in ("065", "075")}
-
-
-def timed(fn, repeats: int) -> dict:
-    runs = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        runs.append(time.perf_counter() - t0)
-    return {"median_s": statistics.median(runs), "runs_s": runs}
 
 
 def verify_bounds_digests() -> dict:
@@ -72,34 +54,17 @@ def verify_bounds_digests() -> dict:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--mrl", default="340:2", help="k:m of the oscillation check (default 340:2)")
-    p.add_argument("--repeats", type=int, default=5, help="timed runs of each part (default 5)")
-    p.add_argument("--label", default="ledger", help="writes BENCH_<label>.json (default ledger)")
-    p.add_argument("--outdir", type=Path, default=Path("."), help="directory of the JSON file")
-    args = p.parse_args(argv)
-    if args.repeats < 1:
-        p.error("--repeats must be at least 1")
-    k, m = (int(v) for v in args.mrl.split(":"))
+    args = benchlib.parse(p, argv, repeats=5, label="ledger")
 
     def mrl():
-        return certify.proposition_mrl_check(k, m)
+        return certify.proposition_mrl_check(*MRL)
     certify.full_ledger()
     mrl()
-    parts = {}
-    for name in SECTIONS:
-        parts[name] = timed(getattr(certify, name), args.repeats)
-    parts[f"mrl-check ({k}, {m})"] = timed(mrl, args.repeats)
+    parts = {name: benchlib.timed(getattr(certify, name), args.repeats) for name in SECTIONS}
+    parts["mrl-check (%d, %d)" % MRL] = benchlib.timed(mrl, args.repeats)
     for name, res in parts.items():
         print(f"{name}: {res['median_s']:.4f} s median of {args.repeats}", flush=True)
-    out = {"label": args.label,
-           "environment": {"cores": os.cpu_count(), "python": platform.python_version(),
-                           "implementation": platform.python_implementation(),
-                           "machine": platform.machine(),
-                           "mpmath": mpmath.__version__, "mpmath_backend": mpmath.libmp.BACKEND},
-           "repeats": args.repeats, "parts": parts, "verify_bounds": verify_bounds_digests()}
-    path = args.outdir / f"BENCH_{args.label}.json"
-    path.write_text(json.dumps(out, indent=1) + "\n")
-    print(f"wrote {path}")
+    benchlib.write(args, parts=parts, verify_bounds=verify_bounds_digests())
     return 0
 
 

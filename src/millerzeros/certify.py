@@ -902,7 +902,7 @@ def _table_numeric_check() -> list:
         best = {kp: mpf(0) for kp in EISENSTEIN_FACTORS}
         for i in range(n_pts):
             x = min(mpf(0.5), i * mpf(_TABLE_STEP))
-            e4v, e6v, dv, w, err = modular_bounds(x + 1j * y, 48)
+            e4v, e6v, dv, w, err = modular_bounds(x + 1j * y)
             re, im = w.real, w.imag
             if re < jl:
                 dist = mp.sqrt((jl - re) ** 2 + im ** 2)

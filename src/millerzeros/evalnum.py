@@ -769,11 +769,11 @@ def eval_series(s: QSeries, tau, tail, prec: int = DEFAULT_PREC) -> CertValue:
         return _series_ball(s, tail, _segment_point(tau))
 
 
-def eval_abs(s: QSeries, tau, tail, prec: int = DEFAULT_PREC) -> CertValue:
+def eval_abs(s: QSeries, tau, tail) -> CertValue:
     """The real interval of |s| where eval_series takes s, read off the same
     disk a + i b +- u by _modulus_ends, not off its rectangle, whose
     modulus can reach (sqrt 2 - 1) u further."""
-    with workprec(prec + _GUARD):
+    with workprec(DEFAULT_PREC + _GUARD):
         pt = _segment_point(tau)
         return _ends_ball(*_modulus_ends(*_disk(s, tail, pt)), pt.P)
 
@@ -835,15 +835,15 @@ def _modular_ends(e4: tuple, e6: tuple, P: int) -> tuple:
     return hi4, hi6, low, jx, jy, jr
 
 
-def modular_bounds(tau, trunc: int, prec: int = DEFAULT_PREC) -> tuple:
+def modular_bounds(tau) -> tuple:
     """(|E_4| upper, |E_6| upper, |Delta| lower, j's centre, j's radius) at tau:
-    _modular_ends on E_4 and E_6 cut at q^trunc at one _Point, as mpfs at
-    prec + _GUARD bits rounded outward, the centre an exact mpc."""
-    with workprec(prec + _GUARD):
+    _modular_ends on E_4 and E_6 cut at q^48 at one _Point, as mpfs at
+    DEFAULT_PREC + _GUARD bits rounded outward, the centre an exact mpc."""
+    with workprec(DEFAULT_PREC + _GUARD):
         pt = _segment_point(tau)
         P, p = pt.P, mp.prec
         hi4, hi6, low, jx, jy, jr = _modular_ends(
-            *(_disk(qseries.eisenstein(k, trunc), EisensteinTail(k), pt) for k in (4, 6)), P)
+            *(_disk(qseries.eisenstein(k, 48), EisensteinTail(k), pt) for k in (4, 6)), P)
         return (*(mp.make_mpf(from_man_exp(n, -P, p, "c")) for n in (hi4, hi6)),
                 mp.make_mpf(from_rational(low, 1728 << 3 * P, p, "f")),
                 mp.make_mpc((from_man_exp(jx, -P), from_man_exp(jy, -P))),

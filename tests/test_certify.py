@@ -492,17 +492,31 @@ def test_oscillation_takes_no_ball_arithmetic_and_forms_one_ball(monkeypatch):
 
 
 def test_table_check_values_match_separate_evaluations(monkeypatch):
-    # modular_bounds reads E_4 and E_6 off one q-point: its |E_4| and |E_6|
-    # uppers are the upper ends of two separate eval_abs balls bit for bit,
-    # and the check is the same with those in their place
-    series = [(eisenstein(k, 48), EisensteinTail(k)) for k in (4, 6)]
+    # at every grid point, modular_bounds' values against the rectangle route:
+    # E_4 and E_6 as two eval_series balls, Delta and j by CertValue powers
+    # and quotients.  Each disk bound lies inside the rectangle's enclosure
+    # and is at least as tight, and the two j disks meet
+    points = []
 
-    def separate(tau, trunc):
-        _, _, *rest = modular_bounds(tau, trunc)
-        return (*(mp.make_mpf(eval_abs(s, tau, tail).re[1]) for s, tail in series), *rest)
+    def separate(tau):
+        got = modular_bounds(tau)
+        hi4, hi6, low, centre, radius = got
+        e4, e6 = (eval_series(eisenstein(k, 48), tau, EisensteinTail(k)) for k in (4, 6))
+        cube = e4.pow_int(3)
+        delta = (cube - e6.pow_int(2)) / 1728
+        jv = cube / delta
+        assert e4.abs_lower() <= hi4 <= e4.abs_upper()
+        assert e6.abs_lower() <= hi6 <= e6.abs_upper()
+        assert delta.abs_lower() <= low <= delta.abs_upper()
+        assert radius <= jv.err
+        with workprec(400):
+            assert abs(jv.value - centre) <= jv.err + radius
+        points.append(tau)
+        return got
     shared = certify._table_numeric_check()
     monkeypatch.setattr(certify, "modular_bounds", separate)
     assert certify._table_numeric_check() == shared
+    assert len(points) == 2 * 51
 
 
 def test_amplitude_encloses_the_exponential_at_m_20():

@@ -795,7 +795,7 @@ def test_table_point_bounds_hold_the_reference_values(height, x):
     # from E_4 and E_6 at 400 more bits
     with workprec(140):
         tau = mpc(x, mpf(height))
-    hi4, hi6, low, centre, radius = modular_bounds(tau, 48)
+    hi4, hi6, low, centre, radius = modular_bounds(tau)
     e4, e6 = (separate_q_series(eisenstein(k, 100), tau, EisensteinTail(k), prec=REF_PREC)
               for k in (4, 6))
     with workprec(REF_PREC + 12):

@@ -135,11 +135,11 @@ def test_bench_census_records_paths_and_reports(tmp_path):
 def test_bench_ledger_help():
     done = run_script("bench_ledger.py", "--help")
     assert done.returncode == 0, done.stderr
-    assert "--repeats" in done.stdout and "--mrl" in done.stdout
+    assert "--repeats" in done.stdout and "--outdir" in done.stdout
 
 
 def test_bench_ledger_times_every_section_and_hashes_the_ledger(tmp_path):
-    done = run_script("bench_ledger.py", "--mrl", "48:1", "--repeats", "2", "--label", "smoke",
+    done = run_script("bench_ledger.py", "--repeats", "2", "--label", "smoke",
                       "--outdir", str(tmp_path))
     assert done.returncode == 0, done.stderr
     out = json.loads((tmp_path / "BENCH_smoke.json").read_text())
@@ -147,7 +147,7 @@ def test_bench_ledger_times_every_section_and_hashes_the_ledger(tmp_path):
     assert set(out["environment"]) >= {"cores", "python", "mpmath_backend"}
     assert list(out["parts"]) == ["delta_ledger", "arc_eisenstein_bounds",
                                   "eisenstein_line_bounds", "j_difference_bounds",
-                                  "residue_entries", "constants_ledger", "mrl-check (48, 1)"]
+                                  "residue_entries", "constants_ledger", "mrl-check (340, 2)"]
     for part in out["parts"].values():
         runs = part["runs_s"]
         assert len(runs) == 2 and min(runs) <= part["median_s"] <= max(runs)
