@@ -120,10 +120,16 @@ class IntPolynomial:
 
     def scaled_at(self, a: int, b: int = 1) -> int:
         """The integer b^d p(a / b) = sum c_i a^i b^(d - i) by one Horner
-        loop, where b^j's odd part multiplies and its power of two shifts.
-        A Fraction x passes its numerator and denominator."""
+        loop, where b^j's odd part multiplies and its power of two shifts;
+        a power of two b only shifts.  A Fraction x passes its numerator
+        and denominator."""
         e = (b & -b).bit_length() - 1
         acc, scale, shift = 0, 1, 0
+        if b == 1 << e:
+            for c in reversed(self.coeffs):
+                acc = acc * a + (c << shift)
+                shift += e
+            return acc
         for c in reversed(self.coeffs):
             acc = acc * a + (c * scale << shift)
             scale *= b >> e

@@ -14,10 +14,11 @@ Two mechanisms see every zero:
     (_sign_change_inside); one count of F's sign changes against deg F
     decides every interval at once where it holds (_separated_signs).
 
-refine_arc_zero narrows a bracket by bisection on an uncertified sign and
-certifies only the cell it ends in.  The j-images of the arc brackets
-must land in the Faber isolating intervals, and the valence formula must
-reconcile exactly; both checks are assembled into a ZeroReport.
+refine_arc_zero narrows a bracket by bisection on doubles and an
+uncertified sign, and certifies only the cell it ends in.  The j-images
+of the arc brackets must land in the Faber isolating intervals, and the
+valence formula must reconcile exactly; both checks are assembled into a
+ZeroReport.
 
 Isolating intervals are the leaves of bisection on a dyadic grid of an
 interval with no root at an end (_bisect): zero_report's [0, 1728] and
@@ -25,7 +26,8 @@ real_root_census's Cauchy bound.  Under the certificate each leaf comes
 straight from a double guess of its root, accepted on exact signs
 (_root_cells); otherwise the certificate's gaps (_gap_counter) or a
 Sturm chain (_chain_counter) count roots for the bisection.  Every sign
-is one integer Horner loop, IntPolynomial.sign_at.
+is one integer Horner loop, IntPolynomial.sign_at, which only shifts at
+a dyadic point: a double, a grid point, a libmp end.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from mpmath import mp, mpf, workprec
-from mpmath.libmp import mpf_cos_sin
+from mpmath import mp, mpf
+from mpmath.libmp import (from_float, from_man_exp, mpf_abs, mpf_add, mpf_cos_sin, mpf_div,
+                          mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_sub)
 
 from .evalnum import _corner_angles, _exact, arc_j, arc_j_float
 from .miller import IntPolynomial, MillerForm, miller_form
@@ -357,28 +360,29 @@ class HFunction:
 
     def sample_angles(self) -> list:
         """(n, theta): the angles of double_angles at 96 bits, the corners
-        exact.  Each double is polished by Newton at 96 bits, h and h' from
-        one cos_sin per step, until a step is below 2^-60, which leaves the
-        angle accurate to rounding.
+        exact.  Each double is polished by Newton on libmp values, every
+        operation at 96 bits rounding to nearest, h and h' from one cos_sin
+        per step, until a step is below 2^-60, which leaves the angle
+        accurate to rounding.
         """
-        k, m = self.k, self.m
+        k, pi, tol = self.k, mpf_pi(96, "n"), from_man_exp(1, -60)
+        lo_all, hi_all = _corner_angles(96)
+        half_k, two_pi_m = from_man_exp(k, -1), mpf_mul_int(pi, 2 * self.m, 96, "n")
         out = []
-        with workprec(96):
-            lo_all, hi_all = _corner_angles(96)
-            tol = mpf(2) ** -60
-            half_k, two_pi_m = mpf(k) / 2, 2 * mp.pi * m
-            for n, theta in self.double_angles():
-                if theta is None:
-                    out.append((n, lo_all if 4 * n == k else hi_all))
-                    continue
-                theta, target = mpf(theta), n * mp.pi
-                while True:
-                    c, s = (mp.make_mpf(v) for v in mpf_cos_sin(theta._mpf_, 96, "n"))
-                    step = (k * theta / 2 + two_pi_m * c - target) / (half_k - two_pi_m * s)
-                    theta -= step
-                    if abs(step) < tol:
-                        break
-                out.append((n, theta))
+        for n, theta in self.double_angles():
+            if theta is None:
+                out.append((n, lo_all if 4 * n == k else hi_all))
+                continue
+            t, target = from_float(theta), mpf_mul_int(pi, n, 96, "n")
+            while True:
+                c, s = mpf_cos_sin(t, 96, "n")
+                h = mpf_add(mpf_mul(half_k, t, 96, "n"), mpf_mul(two_pi_m, c, 96, "n"), 96, "n")
+                slope = mpf_sub(half_k, mpf_mul(two_pi_m, s, 96, "n"), 96, "n")
+                step = mpf_div(mpf_sub(h, target, 96, "n"), slope, 96, "n")
+                t = mpf_sub(t, step, 96, "n")
+                if mpf_lt(mpf_abs(step), tol):
+                    break
+            out.append((n, mp.make_mpf(t)))
         return out
 
 
@@ -550,27 +554,28 @@ def refine_arc_zero(form: MillerForm, lo: float, hi: float, width: float = 1e-5)
     """Shrink a sign-change bracket (lo < hi, else ValueError) to a
     certified sign-change cell of width <= width (> 0, else ValueError).
 
-    Bisection runs on the double-precision sign _float_arc_sign, and only
-    the cell it ends in is certified (_sign_change_inside on its ends' j
-    enclosures): with one zero in the bracket, bisection on true signs
-    ends there too.  Otherwise it runs again on F's exact sign at each
-    angle's lower j end; a cell still without a certified sign change
-    raises ValueError.
+    Bisection runs on doubles, lo and hi rounded to the nearest, whatever
+    mp.prec, and on the double-precision sign _float_arc_sign; only the
+    cell it ends in is certified (_sign_change_inside on the j enclosures
+    of the doubles returned): with one zero in the bracket, bisection on
+    true signs ends there too.  Otherwise it runs again on F's exact sign
+    at each angle's lower j end; a cell still without a certified sign
+    change raises ValueError.
     """
+    lo, hi = float(lo), float(hi)
     if not lo < hi:
-        raise ValueError(f"the bracket [{float(lo)!r}, {float(hi)!r}] is empty or reversed")
+        raise ValueError(f"the bracket [{lo!r}, {hi!r}] is empty or reversed")
     if not width > 0:
         raise ValueError(f"the cell width must be positive, got {width!r}")
     p = form.faber
     ends = lru_cache(maxsize=None)(_j_ends)
-    lo, hi = mpf(lo), mpf(hi)
     a, b = _bisect_arc(lo, hi, width, lambda t: _float_arc_sign(form, t))
     if not _sign_change_inside(p, ends(a), ends(b)):
         a, b = _bisect_arc(lo, hi, width, lambda t: _sign(p, ends(t)[0]))
         if not _sign_change_inside(p, ends(a), ends(b)):
             raise ValueError(f"no certified sign change of g_{{{form.id.k},{form.id.m}}} "
-                             f"in the bracket [{float(lo)!r}, {float(hi)!r}]")
-    return (float(a), float(b))
+                             f"in the bracket [{lo!r}, {hi!r}]")
+    return a, b
 
 
 def j_of_angle(interval) -> tuple:

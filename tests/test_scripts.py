@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from millerzeros.cli import main
 from millerzeros.miller import miller_form
 from millerzeros.zeros import zero_report
@@ -158,3 +160,39 @@ def test_bench_ledger_times_every_section_and_hashes_the_ledger(tmp_path):
     assert out["verify_bounds"]["lines"] == len(lines) == 104
     assert out["verify_bounds"]["sha256"] == hashlib.sha256(text.getvalue().encode()).hexdigest()
     assert out["verify_bounds"]["sha256_without_line_grids"] == VERIFY_BOUNDS_SHA256
+
+
+def test_bench_arc_help():
+    done = run_script("bench_arc.py", "--help")
+    assert done.returncode == 0, done.stderr
+    assert "--repeats" in done.stdout and "--outdir" in done.stdout
+
+
+# sha256 of repr() of the arc_zero_localize brackets and of their cells
+# refined to width 1e-5, as the mpf bisection and mpf sample angles gave them
+ARC_BENCH_SHA256 = {
+    (388, 1): ("54ac29bedfbcb3934aba5c5803bcd82abdfccaf7f43adad8cabdad996f5f3659",
+               "c7703ab710dec2352d084b91d5b3b2e4cdb44bded9b7851777e6befcd2422d2d"),
+    (452, 1): ("46573c47e79a8c206856e391c2f95c6087cdb07b5bd066cde4ce023d595e34ce",
+               "75e5a4205b7b8fa0feac6d54ec115ca0941f91d8a8d8203ce313eaca0f91508d"),
+    (1936, 1): ("333844be238cff33daf5417ad637418fc96b953f8a00ea493d0473df55f59168",
+                "0b041d7fd57968d4eff31bc4c7c49326437be0505a17836eb01f1c5756fc557d"),
+}
+
+
+def test_bench_arc_times_each_part_and_hashes_the_cells(tmp_path):
+    done = run_script("bench_arc.py", "--repeats", "1", "--label", "smoke",
+                      "--outdir", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    out = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert out["label"] == "smoke" and out["repeats"] == 1
+    assert set(out["environment"]) >= {"cores", "python", "mpmath_backend"}
+    assert [(f["k"], f["m"], f["zeros"]) for f in out["forms"]] == [
+        (388, 1, 31), (452, 1, 36), (1936, 1, 160)]
+    for f in out["forms"]:
+        parts = f["parts"]
+        assert list(parts) == ["sample_angles", "arc_zero_localize", "refine_arc_zero"]
+        assert all(len(part["runs_s"]) == 1 for part in parts.values())
+        refine = parts["refine_arc_zero"]
+        assert refine["per_zero_s"] * f["zeros"] == pytest.approx(refine["median_s"])
+        assert (f["brackets_sha256"], f["cells_sha256"]) == ARC_BENCH_SHA256[f["k"], f["m"]]

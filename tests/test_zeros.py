@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import mpf_cos_sin
 
 from millerzeros.qseries import EISENSTEIN_FACTORS, FormId
 from millerzeros.evalnum import DEFAULT_PREC, arc_functions, arc_j
@@ -250,18 +251,37 @@ def test_dyadic_sign_kernel_matches_fraction(coeffs, lo, span, e, n):
     assert q.sign_at(n, 1 << e) == q.sign_at(m, 1 << f) == (v > 0) - (v < 0)
 
 
-@settings(max_examples=80, deadline=None)
-@given(COEFFS, st.integers(-2 ** 20, 2 ** 20),
-       st.one_of(st.integers(0, 30).map(lambda e: 1 << e), st.integers(1, 10 ** 6)))
+def _scaled_oracle(p, a: int, b: int):
+    """b^d p(a / b), d = max(deg p, 0), in Fractions: the reference for scaled_at."""
+    x = Fraction(a, b)
+    return sum(c * x ** i for i, c in enumerate(p.coeffs)) * b ** max(p.degree, 0)
+
+
+SCALED_B = st.one_of(st.just(1), st.integers(0, 400).map(lambda e: 1 << e),
+                     st.builds(lambda e, odd: (2 * odd + 1) << e,
+                               st.integers(0, 400), st.integers(0, 10 ** 6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.just(0), st.integers(-2 ** 70, 2 ** 70)), min_size=1, max_size=41),
+       st.one_of(st.just(0), st.integers(-2 ** 80, 2 ** 80)), SCALED_B)
 def test_sign_at_matches_fraction_horner(coeffs, a, b):
-    """scaled_at(a, b) is b^d p(a / b) and sign_at(a, b) its sign, b dyadic
-    or not, reduced or not."""
-    v = 0
-    for c in reversed(coeffs):
-        v = v * Fraction(a, b) + c
+    """scaled_at(a, b) is b^d p(a / b) and sign_at(a, b) its sign, at degree
+    0 to 40, b = 1, a power of two up to 2^400 (the shift-only loop) or
+    2^e times an odd number, reduced or not."""
     p = IntPolynomial.make(coeffs)
+    v = _scaled_oracle(p, a, b)
+    assert p.scaled_at(a, b) == v
     assert p.sign_at(a, b) == (v > 0) - (v < 0)
-    assert p.scaled_at(a, b) == v * b ** max(p.degree, 0)
+
+
+@pytest.mark.parametrize("coeffs", [[0], [0, 0, 0], [5], [-3, 0]])
+def test_scaled_at_of_constant_and_zero_polynomials(coeffs):
+    p = IntPolynomial.make(coeffs)
+    for a in (0, 3, -7, 2 ** 90 + 1):
+        for b in (1, 2, 1 << 400, 3 << 7, 5 ** 9):
+            assert p.scaled_at(a, b) == _scaled_oracle(p, a, b) == coeffs[0]
+            assert p.sign_at(a, b) == (coeffs[0] > 0) - (coeffs[0] < 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -473,6 +493,42 @@ def test_hfunction_newton_angles_match_bisection():
         assert max(abs(a - b) for (_, a), (_, b) in zip(got, ref)) < step
 
 
+def mpf_polish_angles(h):
+    """sample_angles' Newton polish as it ran on mpf objects under
+    workprec(96), before it moved to libmp values: the reference for the
+    96-bit tuples."""
+    k, m = h.k, h.m
+    out = []
+    with workprec(96):
+        lo_all, hi_all = mp.pi / 2, 2 * mp.pi / 3
+        tol = mpf(2) ** -60
+        half_k, two_pi_m = mpf(k) / 2, 2 * mp.pi * m
+        for n, theta in h.double_angles():
+            if theta is None:
+                out.append((n, lo_all if 4 * n == k else hi_all))
+                continue
+            theta, target = mpf(theta), n * mp.pi
+            while True:
+                c, s = (mp.make_mpf(v) for v in mpf_cos_sin(theta._mpf_, 96, "n"))
+                step = (k * theta / 2 + two_pi_m * c - target) / (half_k - two_pi_m * s)
+                theta -= step
+                if abs(step) < tol:
+                    break
+            out.append((n, theta))
+    return out
+
+
+def test_sample_angles_match_the_mpf_polish_bit_for_bit():
+    # the golden below hashes only the doubles; this pins every 96-bit tuple
+    pairs = ([(k, 1) for k in POOL_WEIGHTS]
+             + [(k, m) for m in (2, 5, 9) for k in range(40, 401, 22) if HFunction(k, m).monotone])
+    assert len(pairs) > 60
+    for k, m in pairs:
+        h = HFunction(k, m)
+        got, want = h.sample_angles(), mpf_polish_angles(h)
+        assert [(n, t._mpf_) for n, t in got] == [(n, t._mpf_) for n, t in want], (k, m)
+
+
 def _angle_digest(pairs) -> str:
     """sha256 of the sample angles of each (k, m) as doubles, one line per pair."""
     lines = (f"{k},{m}:" + ",".join(repr(float(t)) for _, t in HFunction(k, m).sample_angles())
@@ -642,6 +698,21 @@ def test_arc_cells_golden(kind, k):
     if kind == "refine":
         cells = [refine_arc_zero(form, lo, hi, width=1e-5) for lo, hi in cells]
     assert hashlib.sha256(repr(cells).encode()).hexdigest() == ARC_CELLS_SHA256[kind, k]
+
+
+@pytest.mark.parametrize("k", [388, 452])
+def test_refined_cells_do_not_depend_on_the_working_precision(k):
+    # bisection runs on doubles: under workprec(200) the cells are the
+    # default ones (8 of the 31 at k = 388 moved when it ran at mp.prec),
+    # and the doubles returned are the ends that were certified
+    form = miller_form(k, 1)
+    brackets = arc_zero_localize(form)
+    cells = [refine_arc_zero(form, lo, hi) for lo, hi in brackets]
+    with workprec(200):
+        assert [refine_arc_zero(form, lo, hi) for lo, hi in brackets] == cells
+    for a, b in cells:
+        assert type(a) is type(b) is float and b - a <= 1e-5
+        assert _sign_change_inside(form.faber, _j_ends(a), _j_ends(b))
 
 
 def _count_certified(monkeypatch) -> list:
