@@ -17,12 +17,14 @@ fall into a few families:
     (c1, B1, B2, c2) derived from it.
 
 Exact rational arithmetic is used wherever the inputs are exact decimals;
-every other certified value is a CertValue (evalnum), an interval built
-from exact inputs by mpmath's outward interval arithmetic: +, -, *, /,
-powers and abs, and pi, exp, log, sqrt, the trigonometric functions and
-acos widened by a few ulp.  The two grid loops take evalnum's integer
-disks instead: |E_k| on a line segment as a real interval (eval_abs),
-and the table check's mpf bounds (modular_bounds).  So no constant here
+every other certified value is a CertValue (evalnum), a real interval
+built from exact inputs by mpmath's outward interval arithmetic: +, -,
+*, /, powers and abs, and pi, exp, log, sqrt, the trigonometric
+functions and acos widened by a few ulp.  No complex value is formed
+here: evalnum reads each one off its integer disks as real intervals,
+|Delta| at a point (eval_delta_abs), the two parts of the truncated j
+polynomial (eval_series), |E_k| on a line segment (eval_abs) and the
+table check's mpf bounds (modular_bounds).  So no constant here
 takes a hand-derived pad, a radius formula or a derivative bound, and
 this module never reads or rounds at the working precision itself.  Two
 older bounds still carry a fixed relative slack of their own:
@@ -47,7 +49,7 @@ from .qseries import EISENSTEIN_FACTORS
 from .miller import IntPolynomial
 from .evalnum import (_GUARD, DEFAULT_PREC, ArcValues, CertValue, EisensteinTail, _arc_form_at,
                       _cut, _ends_ball, _ends_mul, _exact, _interval, arc_functions, arc_grid,
-                      arc_j, eval_abs, eval_delta_eta, eval_series, j_tail_bound,
+                      arc_j, eval_abs, eval_delta_abs, eval_series, j_tail_bound,
                       lemniscate_constants, modular_bounds)
 
 
@@ -110,10 +112,7 @@ def _decimal(claimed) -> Fraction:
 
 
 def _abs_ends(cv: CertValue) -> tuple:
-    """(lower, upper) bounds of |v| over a real ball, from its exact ends;
-    TypeError for a complex ball."""
-    if cv.im is not None:
-        raise TypeError("absolute ends of a complex ball")
+    """(lower, upper) bounds of |v| over the interval, from its exact ends."""
     lo, hi = _lower(cv), _upper(cv)
     return max(lo, -hi, Fraction(0)), max(-lo, hi)
 
@@ -135,20 +134,19 @@ def _entry_lower(name: str, ref: str, cv: CertValue, claimed) -> BoundLedgerEntr
 def _entry_value(name: str, ref: str, cv: CertValue, claimed, tol) -> BoundLedgerEntry:
     """computed must equal the claimed constant within tol, radius included,
     compared exactly against both decimals as written."""
-    re = cv.real()
-    lo, hi, c = _lower(re), _upper(re), _decimal(claimed)
+    lo, hi, c = _lower(cv), _upper(cv), _decimal(claimed)
     ok = max(hi - c, c - lo) <= _decimal(tol)
-    return BoundLedgerEntry(name, float(claimed), float(re.value), float(re.err), bool(ok), ref,
+    return BoundLedgerEntry(name, float(claimed), float(cv.value), float(cv.err), bool(ok), ref,
                             (lo, hi))
 
 
 def _lower(cv: CertValue) -> Fraction:
-    """The lower end of a real CertValue, exactly."""
+    """The lower end of a CertValue, exactly."""
     return _exact(cv.re[0])
 
 
 def _upper(cv: CertValue) -> Fraction:
-    """The upper end of a real CertValue, exactly."""
+    """The upper end of a CertValue, exactly."""
     return _exact(cv.re[1])
 
 
@@ -362,13 +360,13 @@ def j_difference_bounds() -> JDifferenceReport:
         # the arc value at the split angle, two independent routes
         a19 = mp.sin(mpf(1.9))
         err19 = j_tail_bound(6, a19)
-        f19 = eval_series(qseries.jfunction(6), mpc(mp.cos(mpf(1.9)), a19), None)
-        j19 = f19.real().widened(err19).widened(abs(f19.imag().value))
+        f19, g19 = eval_series(qseries.jfunction(6), mpc(mp.cos(mpf(1.9)), a19), None)
+        j19 = f19.widened(err19).widened(abs(g19.value))
         entries.append(_entry_upper("jdiff.approx-error-19",
                                     "f_{6,sin 1.9} truncation bound",
                                     CertValue(err19), 4e-4))
         entries.append(_entry_value("jdiff.ref19", "Re f_{6,sin 1.9}(cos 1.9)",
-                                    f19.real(), 271.09885, 1e-3))
+                                    f19, 271.09885, 1e-3))
         entries.append(_entry_flag("jdiff.j19-window", "271 <= j(e^{1.9i}) <= 272",
                                    271 < _lower(j19) and _upper(j19) < 272))
         entries.append(_entry_agree("jdiff.j19-cross-route",
@@ -386,12 +384,12 @@ def j_difference_bounds() -> JDifferenceReport:
                                     "f_{5,3/4} truncation bound",
                                     CertValue(err75), 10.0))
         j5 = qseries.jfunction(5)
-        f01, f02, f05 = (eval_series(j5, mpc(x, 0.75), None) for x in (0.1, 0.2, 0.5))
-        entries.append(_entry_value("jdiff.ref-01", "Re f_{5,3/4}(0.1)", f01.real(), 2481.16, 0.05))
-        entries.append(_entry_value("jdiff.ref-05", "Re f_{5,3/4}(0.5)", f05.real(), 84.3362, 0.01))
+        f01, f02, f05 = (eval_series(j5, mpc(x, 0.75), None)[0] for x in (0.1, 0.2, 0.5))
+        entries.append(_entry_value("jdiff.ref-01", "Re f_{5,3/4}(0.1)", f01, 2481.16, 0.05))
+        entries.append(_entry_value("jdiff.ref-05", "Re f_{5,3/4}(0.5)", f05, 84.3362, 0.01))
         # the value at 0.2 is not published; frozen from this computation
         entries.append(_entry_value("jdiff.ref-02", "Re f_{5,3/4}(0.2), derived",
-                                    f02.real(), -524.9924, 0.05))
+                                    f02, -524.9924, 0.05))
         x0 = mono.x0
         x0_inside = Fraction(1, 5) < _lower(x0) and _upper(x0) < Fraction(1, 2)
         entries.append(_entry_flag("jdiff.x0-between",
@@ -400,14 +398,14 @@ def j_difference_bounds() -> JDifferenceReport:
             raise CertificateFailureError("minimum location leaves the case split")
 
         # [0, 0.1]: Re f decreasing there, so Re j >= Re f(0.1) - err
-        d1 = _lower(f01.real()) - _exact(err75) - 1728
+        d1 = _lower(f01) - _exact(err75) - 1728
         # [0.1, 0.2]: Im f >= sum of sine minima; j differs by at most err75
         sines = _im_lower_bound_075()
         entries.append(_entry_value("jdiff.imf-bound", "Im f_{5,3/4} lower bound on [0.1, 0.2]",
                                     sines, 1474.07, 0.5))
         d2 = _lower(sines) - _exact(err75)
         # [0.2, 0.5]: Re f peaks at the ends of the interval
-        remax = max(_upper(f02.real()), _upper(f05.real()))
+        remax = max(_upper(f02), _upper(f05))
         entries.append(_entry_flag("jdiff.ref-peak", "max(Re f(0.2), Re f(0.5)) <= 85",
                                    bool(remax <= 85)))
         d3 = 271 - (remax + _exact(err75))
@@ -713,8 +711,8 @@ def delta_ledger() -> list:
         lem, pi = lemniscate_constants(), CertValue.pi()
         di_closed = (lem.varpi / (CertValue(2).sqrt() * pi)).pow_int(12)
         drho_closed = (lem.varpi_prime / pi).pow_int(12) * Fraction(27, 256)
-        di_direct = eval_delta_eta(mp.mpc(0, 1)).abs()
-        drho_direct = eval_delta_eta(mp.mpc(-0.5, mp.sqrt(3) / 2)).abs()
+        di_direct = eval_delta_abs(mp.mpc(0, 1))
+        drho_direct = eval_delta_abs(mp.mpc(-0.5, mp.sqrt(3) / 2))
         entries += [
             _entry_value("delta.at-i", "|Delta(i)| by eta product", di_direct,
                          0.00178537, 1e-7),
@@ -735,7 +733,7 @@ def delta_ledger() -> list:
         for y in (0.65, 0.75, 1.0):
             lo, up = delta_line_bounds(y)
             for x in (-0.5, -0.25, 0.0, 0.25, 0.5):
-                d = eval_delta_eta(mp.mpf(x) + 1j * mpf(y)).abs()
+                d = eval_delta_abs(mp.mpf(x) + 1j * mpf(y))
                 if not (lo <= d.abs_upper() and d.abs_lower() <= up):
                     ok = False
         entries.append(_entry_flag("delta.sandwich",

@@ -1,20 +1,22 @@
 """Certified numerical evaluation of q-expansions in the upper half plane.
 
-Everything here but modular_bounds returns a CertValue, an interval in
-the inf-sup form of Moore, Kearfott and Cloud (Introduction to Interval
-Analysis, SIAM 2009): two libmp ends at the ambient mpmath precision,
-and for a complex value the rectangle of one interval per part, which
-holds every point it stands for.  The discipline is the same in every operation:
+There are two number types and no third.  A real value is a CertValue,
+an interval in the inf-sup form of Moore, Kearfott and Cloud
+(Introduction to Interval Analysis, SIAM 2009): two libmp ends at the
+ambient mpmath precision.  A complex value is a disk a + i b +- units in
+ints, the midpoint-radius form of van der Hoeven (Ball arithmetic,
+2009), and leaves evalnum only as real intervals read off the disk: its
+two parts (eval_series), its modulus (eval_abs, eval_delta_abs) or the
+bounds of modular_bounds.  The discipline is the same in every operation:
 
   * every end is rounded outward, the lower one down and the upper one
     up, so no interval leaves out a point of the exact result and none
     needs an allowance for rounding: +, -, *, /, pow_int and abs run
-    mpmath's interval kernels (mpmath.libmp.libmpi, mpi_* on intervals
-    and mpci_* on rectangles), and the constructor and an interval
-    formed from ints (_units_ball, _ends_ball) round their ends outward
-    once;
+    mpmath's interval kernels (mpi_* of mpmath.libmp.libmpi), and the
+    constructor and an interval formed from ints (_units_ball,
+    _ends_ball) round their ends outward once;
   * value and err are views for callers that print or read a ball: the
-    exact midpoint and the distance to the farthest point, rounded up;
+    exact midpoint and the half-width, rounded up;
   * the elementary functions of a real interval (exp, log, sqrt, sin,
     cos, tan, acos), CertValue.pi() and lemniscate_constants run
     libmpi's functions on the ends: an enclosure of the range, Moore's
@@ -55,14 +57,14 @@ on the same code path.  Series take q^lead from the point's q or 1/q,
 tails the largest |q| of the disk, the arc phases e^(i k theta/2) are
 integer products of (cos theta, sin theta), and certify's oscillation
 check reads the ends of e^(2 pi m sin theta) = r^-m and 2 cos h off the
-point; each result is one interval formed at the end.  eval_abs and
-modular_bounds (|E_4|, |E_6|, |Delta| and j for certify's table check)
-read a series' disk a + i b +- units itself, with no rectangle.
+point; each result is one interval formed at the end.  eval_abs,
+eval_delta_abs and modular_bounds (|E_4|, |E_6|, |Delta| and j for
+certify's table check) read moduli off a series' disk itself.
 
 A basis form on the arc (arc_form) needs no complex product: it is real
 arithmetic on the arc functions e4 and e6 alone (Duke-Jenkins, PAMQ 4,
 2008), as is arc_functions' delta_arc, both from the ends of _arc_ends,
-so the eta product serves only Delta evaluated alone (eval_delta_eta).
+so the eta product serves only |Delta| evaluated alone (eval_delta_abs).
 That arithmetic runs on outward integer ends, CertValue's inf-sup form
 in ints: a real quantity is a pair of ints (lo, hi) at _horner's scale,
 every product exact and every cut to a coarser scale flooring lo and
@@ -96,12 +98,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from mpmath import mp, mpc, mpf, workprec
+from mpmath import mp, mpf, workprec
 from mpmath.libmp import (fnone, fone, from_int, from_man_exp, from_rational, fzero, mpf_abs,
                           mpf_add, mpf_cos_sin, mpf_exp, mpf_ge, mpf_le, mpf_mul, mpf_neg, mpf_pos,
-                          mpf_shift, mpf_sign, mpf_sqrt, mpf_sub)
-from mpmath.libmp.libmpi import (mpci_abs, mpci_add, mpci_div, mpci_mul, mpci_pow_int, mpci_sub,
-                                 mpi_abs, mpi_add, mpi_atan, mpi_cos, mpi_div, mpi_exp, mpi_gamma,
+                          mpf_shift, mpf_sign, mpf_sub)
+from mpmath.libmp.libmpi import (mpi_abs, mpi_add, mpi_atan, mpi_cos, mpi_div, mpi_exp, mpi_gamma,
                                  mpi_log, mpi_mul, mpi_neg, mpi_pi, mpi_pow_int, mpi_sin, mpi_sqrt,
                                  mpi_sub, mpi_tan)
 
@@ -125,8 +126,6 @@ class NotRealError(ArithmeticError):
 # factors (j_tail_bound, _j_tail_lead); the other tails are exact quotients
 _TAIL_SLACK = 1 + mpf(2) ** -30
 
-_ZERO = (fzero, fzero)
-
 
 def _up(x, prec: int) -> tuple:
     """A radius x (mpf, int, float or Fraction) as a libmp value rounded upward."""
@@ -136,20 +135,17 @@ def _up(x, prec: int) -> tuple:
     return from_rational(x.numerator, x.denominator, prec, "c")
 
 
-def _widen(parts, e: tuple) -> tuple:
-    """(re, im): the intervals of parts, one or two, each end moved out by the
-    libmp radius e and rounded outward at the ambient precision; im is None
-    for one part."""
+def _widen(x: tuple, e: tuple) -> tuple:
+    """The interval x = (lo, hi), each end moved out by the libmp radius e
+    and rounded outward at the ambient precision."""
     p = mp.prec
-    re, *im = [(mpf_sub(lo, e, p, "f"), mpf_add(hi, e, p, "c")) for lo, hi in parts]
-    return re, im[0] if im else None
+    return mpf_sub(x[0], e, p, "f"), mpf_add(x[1], e, p, "c")
 
 
-def _interval(re: tuple, im: tuple | None = None) -> "CertValue":
-    """The CertValue with the libmp ends re = (lo, hi), and im for a
-    complex rectangle, taken as they are."""
+def _interval(re: tuple) -> "CertValue":
+    """The CertValue with the libmp ends re = (lo, hi), taken as they are."""
     b = object.__new__(CertValue)
-    b.re, b.im = re, im
+    b.re = re
     return b
 
 
@@ -167,22 +163,16 @@ def _mpi_ball(x: tuple) -> "CertValue":
 
 def _outward(f):
     """The CertValue method of f, a libmpi function: f at the ambient
-    precision on the ends of a real interval, widened by _mpi_ball."""
+    precision on the ends of the interval, widened by _mpi_ball."""
     def method(self) -> "CertValue":
-        if self.im is not None:
-            raise TypeError("elementary functions take a real ball")
         return _mpi_ball(f(self.re, mp.prec))
     return method
 
 
-def _arithmetic(real_op, complex_op):
-    """The CertValue operator of a libmpi operation at the ambient precision:
-    real_op on two real intervals, complex_op on rectangles otherwise."""
+def _arithmetic(op):
+    """The CertValue operator of the libmpi operation op at the ambient precision."""
     def method(self, other) -> "CertValue":
-        other = _coerce(other)
-        if self.im is None and other.im is None:
-            return _interval(real_op(self.re, other.re, mp.prec))
-        return _interval(*complex_op(self._rect(), other._rect(), mp.prec))
+        return _interval(op(self.re, _coerce(other).re, mp.prec))
     return method
 
 
@@ -202,33 +192,35 @@ def _holds_zero(x: tuple) -> bool:
 
 
 class CertValue:
-    """An interval that holds every point it stands for: re = (lo, hi), two
-    libmp ends, and for a complex value the rectangle re + i im.
+    """A real interval that holds every point it stands for: re = (lo, hi),
+    two libmp ends.  A complex value is never a CertValue: it stays the
+    kernel's integer disk a + i b +- units (_disk), read off as real
+    intervals (eval_series, eval_abs, eval_delta_abs, modular_bounds).
 
     Every operation rounds its ends outward at the ambient precision
     through mpmath's interval kernels, so no end is inside the exact
     result.  The elementary functions and pi are libmpi's intervals
     widened by 4 ulp (_mpi_ball).  value and err are read-only views:
-    the exact midpoint and the distance to the farthest point, rounded
-    up.  Immutable by convention.
+    the exact midpoint and the half-width, rounded up.  Immutable by
+    convention.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("re",)
 
     def __init__(self, value, err=0):
         """The interval value -+ err, ends rounded outward: value an mpf or an
-        mpc (a rectangle of half-width err in each part), or an exact int,
-        float, str or Fraction; err rounded upward."""
+        exact int, float, str or Fraction, err rounded upward.  TypeError
+        for any other value, such as an mpc."""
         p = mp.prec
         e = _up(err, p)
         if e[0] and e[1]:
             raise ValueError("negative error radius")
-        if isinstance(value, (mpf, mpc)):
-            parts = [(t, t) for t in (value._mpc_ if isinstance(value, mpc) else (value._mpf_,))]
+        if isinstance(value, mpf):
+            ends = (value._mpf_, value._mpf_)
         else:
             x = Fraction(value)
-            parts = [tuple(from_rational(x.numerator, x.denominator, p, r) for r in "fc")]
-        self.re, self.im = _widen(parts, e)
+            ends = tuple(from_rational(x.numerator, x.denominator, p, r) for r in "fc")
+        self.re = _widen(ends, e)
 
     @classmethod
     def pi(cls) -> "CertValue":
@@ -238,56 +230,43 @@ class CertValue:
     def __repr__(self):
         return f"CertValue({self.value}, err={self.err})"
 
-    def _parts(self) -> tuple:
-        return (self.re,) if self.im is None else (self.re, self.im)
-
-    def _rect(self) -> tuple:
-        return self.re, self.im or _ZERO
-
     @property
-    def value(self):
-        """The exact midpoint, an mpf or an mpc."""
-        mids = [mpf_shift(mpf_add(lo, hi), -1) for lo, hi in self._parts()]
-        return mp.make_mpf(mids[0]) if self.im is None else mp.make_mpc(tuple(mids))
+    def value(self) -> mpf:
+        """The exact midpoint."""
+        lo, hi = self.re
+        return mp.make_mpf(mpf_shift(mpf_add(lo, hi), -1))
 
     @property
     def err(self) -> mpf:
-        """The distance from value to the farthest point, rounded upward."""
-        halves = [mpf_shift(mpf_sub(hi, lo), -1) for lo, hi in self._parts()]
-        square = mpf_mul(halves[0], halves[0])
-        if self.im is not None:
-            square = mpf_add(square, mpf_mul(halves[1], halves[1]))
-        return mp.make_mpf(mpf_sqrt(square, mp.prec, "c"))
+        """The half-width, rounded upward."""
+        lo, hi = self.re
+        return mp.make_mpf(mpf_shift(mpf_sub(hi, lo, mp.prec, "c"), -1))
 
     # -- arithmetic --------------------------------------------------------
 
-    __add__ = __radd__ = _arithmetic(mpi_add, mpci_add)
-    __sub__ = _arithmetic(mpi_sub, mpci_sub)
-    __mul__ = __rmul__ = _arithmetic(mpi_mul, mpci_mul)
+    __add__ = __radd__ = _arithmetic(mpi_add)
+    __sub__ = _arithmetic(mpi_sub)
+    __mul__ = __rmul__ = _arithmetic(mpi_mul)
 
     def __neg__(self):
-        return _interval(*(mpi_neg(x) for x in self._parts()))
+        return _interval(mpi_neg(self.re))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __truediv__(self, other):
         other = _coerce(other)
-        if all(_holds_zero(x) for x in other._rect()):
+        if _holds_zero(other.re):
             raise ZeroDivisionError("divisor interval contains zero")
-        return self._divide(other)
-
-    _divide = _arithmetic(mpi_div, mpci_div)
+        return _interval(mpi_div(self.re, other.re, mp.prec))
 
     def pow_int(self, n: int) -> "CertValue":
         """The interval power, n >= 0."""
         if n < 0:
             raise ValueError("negative powers unsupported")
-        if self.im is None:
-            return _interval(mpi_pow_int(self.re, n, mp.prec))
-        return _interval(*mpci_pow_int(self._rect(), n, mp.prec))
+        return _interval(mpi_pow_int(self.re, n, mp.prec))
 
-    # -- elementary functions of a real ball --------------------------------
+    # -- elementary functions ----------------------------------------------
     #
     # Each is _outward: a libmpi function on the interval's ends.  log
     # needs lo > 0, sqrt lo >= 0, tan an interval with no pole and acos
@@ -299,43 +278,25 @@ class CertValue:
     # -- views -------------------------------------------------------------
 
     def abs(self) -> "CertValue":
-        """The real interval of |z| over the interval or rectangle."""
-        if self.im is None:
-            return _interval(mpi_abs(self.re, mp.prec))
-        return _interval(mpci_abs((self.re, self.im), mp.prec))
-
-    def real(self) -> "CertValue":
-        return _interval(self.re)
-
-    def imag(self) -> "CertValue":
-        return _interval(self.im or _ZERO)
+        """The interval of |x| over the interval."""
+        return _interval(mpi_abs(self.re, mp.prec))
 
     def abs_upper(self) -> mpf:
-        """No point of the enclosure lies above it in modulus."""
+        """No point of the interval lies above it in modulus."""
         return mp.make_mpf(self.abs().re[1])
 
     def abs_lower(self) -> mpf:
-        """No point of the enclosure lies below it in modulus; 0 if it reaches 0."""
+        """No point of the interval lies below it in modulus; 0 if it reaches 0."""
         return mp.make_mpf(self.abs().re[0])
 
     def widened(self, extra) -> "CertValue":
         """Each end moved out by extra (mpf, int, float or Fraction), rounded outward."""
-        return _interval(*_widen(self._parts(), _up(extra, mp.prec)))
+        return _interval(_widen(self.re, _up(extra, mp.prec)))
 
     def certified_sign(self) -> int:
         """-1, 0 or +1; 0 means the interval reaches zero (no certificate)."""
-        if self.im is not None:
-            raise TypeError("sign of a complex value")
         lo, hi = self.re
         return 1 if mpf_sign(lo) > 0 else -1 if mpf_sign(hi) < 0 else 0
-
-    def as_real(self) -> "CertValue":
-        """The real part, when the imaginary interval holds 0 (NotRealError otherwise)."""
-        if self.im is None:
-            return self
-        if not _holds_zero(self.im):
-            raise NotRealError(f"imaginary part {self.imag()} does not hold 0")
-        return self.real()
 
 
 def _coerce(x) -> CertValue:
@@ -372,10 +333,9 @@ def _fixed_ends(lo: int, hi: int, p: int) -> tuple:
     return from_man_exp(lo, -p, prec, "f"), from_man_exp(hi, -p, prec, "c")
 
 
-def _units_ball(n: int, units: int, p: int, im: int | None = None) -> CertValue:
-    """The interval n 2^-p, or the rectangle (n + i im) 2^-p, of half-width
-    units 2^-p in each part: it holds the disk of that radius."""
-    return _interval(*(_fixed_ends(c - units, c + units, p) for c in (n, im) if c is not None))
+def _units_ball(n: int, units: int, p: int) -> CertValue:
+    """The interval n 2^-p of half-width units 2^-p, its ends rounded outward."""
+    return _interval(_fixed_ends(n - units, n + units, p))
 
 
 def _horner(coeffs, x: int, y: int, delta: int, p: int) -> tuple:
@@ -755,18 +715,22 @@ def _partial_sum(s: QSeries, pt: _Point) -> tuple:
     return a + c * ix, b + c * iy, units + abs(c) * ipad
 
 
-def eval_series(s: QSeries, tau, tail, prec: int = DEFAULT_PREC) -> CertValue:
-    """Certified value of a truncated q-expansion plus its tail bound.
+def eval_series(s: QSeries, tau, tail, prec: int = DEFAULT_PREC) -> tuple:
+    """(re, im): the real and imaginary parts of a truncated q-expansion
+    plus its tail bound, two real intervals from one disk.
 
     tau is a point, or a horizontal segment (a, b), Re a <= Re b.  The
     partial sum is one _horner at the q of the point, on the disk that
     the segment sweeps, and the tail is taken at the largest |q| of the
-    disk; everything is in units and the ball is formed once.  tail is one
-    of the *Tail dataclasses above and must genuinely cover the dropped
+    disk; everything is in units and the disk a + i b +- units is formed
+    once, so re holds a +- units and im b +- units.  tail is one of the
+    *Tail dataclasses above and must genuinely cover the dropped
     coefficients; None evaluates s as the finite q-polynomial it is.
     """
     with workprec(prec + _GUARD):
-        return _series_ball(s, tail, _segment_point(tau))
+        pt = _segment_point(tau)
+        a, b, units = _disk(s, tail, pt)
+        return _units_ball(a, units, pt.P), _units_ball(b, units, pt.P)
 
 
 def eval_abs(s: QSeries, tau, tail) -> CertValue:
@@ -792,12 +756,6 @@ def _disk(s: QSeries, tail, pt: _Point) -> tuple:
     sum widened by tail unless None."""
     a, b, units = _partial_sum(s, pt)
     return a, b, units + (tail.units(s.trunc, pt) if tail is not None else 0)
-
-
-def _series_ball(s: QSeries, tail, pt: _Point) -> CertValue:
-    """The rectangle that holds _disk's disk."""
-    a, b, units = _disk(s, tail, pt)
-    return _units_ball(a, units, pt.P, b)
 
 
 def _modulus_ends(a: int, b: int, units: int) -> tuple:
@@ -850,16 +808,18 @@ def modular_bounds(tau) -> tuple:
                 mp.make_mpf(from_man_exp(jr, -P, p, "c")))
 
 
-def eval_delta_eta(tau, prec: int = DEFAULT_PREC) -> CertValue:
-    """Delta(tau) = q P^24 through the eta product P = prod (1 - q^n): the
-    dense 0/+-1 pentagonal coefficients to q^terms and the pentagonal tail
-    2 r^(terms+1) / (1 - r) at the point, and q the point's, within pad."""
-    with workprec(prec + _GUARD):
+def eval_delta_abs(tau) -> CertValue:
+    """|Delta(tau)| = |q| |P|^24 through the eta product P = prod (1 - q^n):
+    the dense 0/+-1 pentagonal coefficients to q^terms and the pentagonal
+    tail 2 r^(terms+1) / (1 - r) at the point, |P| within _modulus_ends of
+    that disk and |q| within r +- pad; the product is exact in ints, at
+    2^-25P, and the interval is formed once."""
+    with workprec(DEFAULT_PREC + _GUARD):
         tau = mp.mpmathify(tau)
         pt = _Point(mp.re(tau), _require_height(tau))
-        terms = auto_trunc(pt.y, prec)
-        prod = _series_ball(qseries._pentagonal_euler_product(terms), EtaProductTail(), pt)
-        return prod.pow_int(24) * _units_ball(pt.qx, pt.pad, pt.P, pt.qy)
+        eta = qseries._pentagonal_euler_product(auto_trunc(pt.y, DEFAULT_PREC))
+        lo, hi = _modulus_ends(*_disk(eta, EtaProductTail(), pt))
+        return _ends_ball((pt.r - pt.pad) * lo ** 24, (pt.r + pt.pad) * hi ** 24, 25 * pt.P)
 
 
 # ---------------------------------------------------------------------------

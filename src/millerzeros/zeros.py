@@ -230,7 +230,9 @@ def _bisect(sqf: IntPolynomial, count, lo: Fraction, hi: Fraction, width: Fracti
     a root of sqf, the first of mid + i (b - a) / 2048 that is not.  A
     midpoint beyond +-_root_power(sqf) holds no root and takes no sign.
     An interval with one root is bisected on the sign of sqf alone until
-    (n_b - n_a) w_den <= w_num 2^e, w = width / (hi - lo).
+    (n_b - n_a) w_den <= w_num 2^e, w = width / (hi - lo).  The intervals
+    with more roots are split on an explicit stack, left half first, so
+    the leaves come out in order at any depth of splitting.
     """
     q = sqf.affine(lo, hi)
     if q.sign_at(0) == 0 or q.sign_at(1) == 0:
@@ -239,12 +241,12 @@ def _bisect(sqf: IntPolynomial, count, lo: Fraction, hi: Fraction, width: Fracti
     w = width / span
     bound = _root_power(sqf)
     below, above = ((x - lo) / span for x in (-bound, bound))
-    out = []
-
-    def inner(a: tuple, b: tuple):
+    out, stack = [], [((0, 0), (1, 0))]
+    while stack:
+        a, b = stack.pop()
         roots = count(a, b)
         if roots == 0:
-            return
+            continue
         if roots == 1:
             s_a = q.sign_at(a[0], 1 << a[1])
             while True:
@@ -257,15 +259,12 @@ def _bisect(sqf: IntPolynomial, count, lo: Fraction, hi: Fraction, width: Fracti
                 else:
                     b = mid
             out.append(tuple(lo + span * Fraction(n, 1 << e) for n, e in (a, b)))
-            return
+            continue
         na, nb, e = _common(a, b)
         mid = _reduced(na + nb, e + 1)
         if below < Fraction(na + nb, 2 << e) < above:
             mid, _ = _safe_point(q, a, b)
-        inner(a, mid)
-        inner(mid, b)
-
-    inner((0, 0), (1, 0))
+        stack += [(mid, b), (a, mid)]       # the left half is taken first
     return out
 
 

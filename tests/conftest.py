@@ -10,19 +10,25 @@ Ramanujan residuals, are the oracles of the Miller basis and the q-series
 layer.
 The oracles share no evaluation point with evalnum: each takes its own
 q = e^(2 pi i tau) and phases from mpmath's complex exp, with a 16-ulp
-pad, and runs only the kernel _horner and the ball arithmetic.  Their
-tails are oracle_tail's mpf closed forms at the oracle's precision, and
-share no tail code with evalnum's integer tails.  JCoeffTail, the j
-tail for eval_series, serves the direct evaluation and the ball-route
-oracle of evalnum.arc_j, which forms its own tail in integers.
+pad, and runs only the kernel _horner and mpmath's complex interval
+context, mpmath.iv, whose iv.mpc rectangles run libmpi's mpci_* kernels
+(iv_prec keeps iv at mp's precision).  They share no arithmetic with
+CertValue, a real interval only: a real result becomes one at the end,
+once its imaginary interval holds 0 (real_part).  Their tails are
+oracle_tail's mpf closed forms at the oracle's precision, and share no
+tail code with evalnum's integer tails.  JCoeffTail, the j tail for
+eval_series, serves the direct evaluation and the ball-route oracle of
+evalnum.arc_j, which forms its own tail in integers.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 import pytest
-from mpmath import mp, mpf, workprec
+from mpmath import iv, mp, mpf, workprec
+from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_pos, mpf_shift, mpf_sqrt, mpf_sub
 
 from millerzeros import qseries
 from millerzeros.miller import (IntPolynomial, MillerForm, NotInSpaceError, _exact_div,
@@ -31,8 +37,8 @@ from millerzeros.qseries import (EISENSTEIN_FACTORS, FormId, QSeries, _monomial,
                                  _pentagonal_euler_product, delta, eisenstein, jfunction)
 from millerzeros.certify import full_ledger
 from millerzeros.evalnum import (DEFAULT_PREC, _GUARD, CertValue, EisensteinTail, EtaProductTail,
-                                 TailUnboundedError, _fixed, _horner, _theta_mpf, _units_ball,
-                                 auto_trunc, j_tail_bound)
+                                 NotRealError, TailUnboundedError, _fixed, _fixed_ends, _horner,
+                                 _interval, _theta_mpf, auto_trunc, j_tail_bound)
 
 
 @dataclass(frozen=True)
@@ -180,32 +186,92 @@ def ramanujan_residuals(trunc: int) -> tuple:
     return r1, r2, r3
 
 
-def complex_poly(coeffs, z, radius=0) -> CertValue:
-    """Enclosure of sum_i coeffs[i] w^i for every w with |w - z| <= radius,
-    z real (an mpf ball) or complex (an mpc one).
+@contextmanager
+def iv_prec(bits=None):
+    """mp and mpmath.iv both at bits, by default mp's precision: the oracles
+    read mpf inputs and run their iv arithmetic at one precision."""
+    bits = bits or mp.prec
+    saved = iv.prec
+    try:
+        with workprec(bits):
+            iv.prec = bits
+            yield
+    finally:
+        iv.prec = saved
+
+
+def iv_ball(z, err=0):
+    """The rectangle of half-width err in each part about the mpc z, as an
+    iv.mpc with its ends rounded outward at mp's precision."""
+    p = mp.prec
+    e = mpf_pos(mpf(err)._mpf_, p, "c")
+    return iv.make_mpc(tuple((mpf_sub(t, e, p, "f"), mpf_add(t, e, p, "c"))
+                             for t in mp.mpc(z)._mpc_))
+
+
+def iv_widen(z, extra):
+    """The iv.mpc z with every end moved out by extra, rounded outward."""
+    p = mp.prec
+    e = mpf_pos(mpf(extra)._mpf_, p, "c")
+    return iv.make_mpc(tuple((mpf_sub(lo, e, p, "f"), mpf_add(hi, e, p, "c"))
+                             for lo, hi in z._mpci_))
+
+
+def iv_pair(parts):
+    """eval_series' (re, im), two CertValues, as one iv.mpc."""
+    return iv.make_mpc(tuple(x.re for x in parts))
+
+
+def mid_rad(z) -> tuple:
+    """(midpoint, radius) of an iv.mpf or iv.mpc: the exact centre, an mpf or
+    an mpc, and the distance to the farthest point, rounded up at mp's
+    precision."""
+    parts = z._mpci_ if isinstance(z, iv.mpc) else (z._mpi_,)
+    mids = [mpf_shift(mpf_add(lo, hi), -1) for lo, hi in parts]
+    square = fzero
+    for lo, hi in parts:
+        half = mpf_shift(mpf_sub(hi, lo), -1)
+        square = mpf_add(square, mpf_mul(half, half))
+    err = mp.make_mpf(mpf_sqrt(square, mp.prec, "c"))
+    return (mp.make_mpc(tuple(mids)) if len(mids) == 2 else mp.make_mpf(mids[0])), err
+
+
+def real_part(z) -> CertValue:
+    """The real part of the iv.mpc z as a CertValue, when its imaginary
+    interval holds 0 (NotRealError otherwise)."""
+    if 0 not in z.imag:
+        raise NotRealError(f"imaginary part {z.imag} does not hold 0")
+    return _interval(z.real._mpi_)
+
+
+def complex_poly(coeffs, z, radius=0):
+    """Enclosure of sum_i coeffs[i] w^i for every w with |w - z| <= radius:
+    an iv.mpc for a complex z (an mpc), an iv.mpf for a real one.
 
     The kernel _horner at the scale 2^-P, P = working precision + 24, on
     the floored parts of z, so any w is within radius + 2^(2-P) of the
-    point it takes; a real z runs its real loop.  The result is one ball
-    from the units, with one ulp for its rounding.
+    point it takes; a real z runs its real loop.  The result is one
+    interval per part from the units, each end rounded outward.
     """
     z = mp.mpmathify(z)
     p = mp.prec + 24
     delta = int(mp.ceil(mp.ldexp(radius, p))) + 4
     a, b, units = _horner(coeffs, _fixed(mp.re(z)._mpf_, p), _fixed(mp.im(z)._mpf_, p), delta, p)
-    return _units_ball(a, units, p, b if isinstance(z, mp.mpc) else None)
+    re, im = (_fixed_ends(c - units, c + units, p) for c in (a, b))
+    return iv.make_mpc((re, im)) if isinstance(z, mp.mpc) else iv.make_mpf(re)
 
 
 def power_by_squaring(x, n):
-    """The binary-powering chain of padded CertValue products pow_int replaced."""
-    result = CertValue(mpf(1))
-    while n:
-        if n & 1:
-            result = result * x
-        n >>= 1
-        if n:
-            x = x * x
-    return result
+    """The binary-powering chain of padded interval products pow_int replaced."""
+    with iv_prec():
+        result = iv.mpf(1)
+        while n:
+            if n & 1:
+                result = result * x
+            n >>= 1
+            if n:
+                x = x * x
+        return result
 
 
 def separate_q(tau):
@@ -214,100 +280,103 @@ def separate_q(tau):
     return q, abs(q) * mpf(2) ** (4 - mp.prec)
 
 
-def oracle_phase(theta, k) -> CertValue:
+def oracle_phase(theta, k):
     """e^(i k theta / 2) from mpmath's complex exp, with a 16-ulp pad."""
     v = mp.exp(1j * mp.ldexp(mp.fmul(theta, k, exact=True), -1))
-    return CertValue(v, abs(v) * mpf(2) ** (4 - mp.prec))
+    return iv_ball(v, abs(v) * mpf(2) ** (4 - mp.prec))
 
 
-def series_at_q(s, q, pad, tail, y, power=CertValue.pow_int):
-    """s at the q held with its pad: the q^lead factor a ball power, the tail at |q|."""
-    acc = complex_poly(s.coeffs, q, pad)
-    if s.lead:
-        qc = power(CertValue(q, pad), abs(s.lead))
-        acc = acc * qc if s.lead > 0 else acc / qc
-    return acc if tail is None else acc.widened(oracle_tail(tail, s.trunc, abs(q), y))
+def series_at_q(s, q, pad, tail, y, power=pow):
+    """s at the q held with its pad: the q^lead factor an interval power, the
+    tail at |q|.  pow on an iv.mpc is mpmath's mpci_pow_int."""
+    with iv_prec():
+        acc = complex_poly(s.coeffs, q, pad)
+        if s.lead:
+            qc = power(iv_ball(q, pad), abs(s.lead))
+            acc = acc * qc if s.lead > 0 else acc / qc
+        return acc if tail is None else iv_widen(acc, oracle_tail(tail, s.trunc, abs(q), y))
 
 
-def delta_at_q(q, pad, terms, y, power=CertValue.pow_int):
+def delta_at_q(q, pad, terms, y, power=pow):
     """Delta = q P^24 through the pentagonal eta product P at the q held."""
-    p = complex_poly(_pentagonal_euler_product(terms).coeffs, q, pad)
-    p = p.widened(oracle_tail(EtaProductTail(), terms, abs(q), y))
-    return power(p, 24) * CertValue(q, pad)
+    with iv_prec():
+        p = complex_poly(_pentagonal_euler_product(terms).coeffs, q, pad)
+        p = iv_widen(p, oracle_tail(EtaProductTail(), terms, abs(q), y))
+        return power(p, 24) * iv_ball(q, pad)
 
 
 def separate_q_series(s, tau, tail, prec=128):
     """eval_series as it was: its own q, the q^lead factor by squaring."""
-    with workprec(prec + 12):
+    with iv_prec(prec + 12):
         q, pad = separate_q(tau)
         return series_at_q(s, q, pad, tail, mp.im(tau), power_by_squaring)
 
 
 def separate_q_delta(tau, terms, prec=128):
-    """eval_delta_eta as it was: its own q, P^24 by squaring."""
-    with workprec(prec + 12):
+    """Delta evaluated alone as it was: its own q, P^24 by squaring."""
+    with iv_prec(prec + 12):
         q, pad = separate_q(tau)
         return delta_at_q(q, pad, terms, mp.im(tau), power_by_squaring)
 
 
 def separate_q_arc_functions(theta, prec=128):
     """arc_functions as it was: q once per series, phases as powers of e^(i theta)."""
-    with workprec(prec + 12):
+    with iv_prec(prec + 12):
         theta = mpf(theta)
         tau = mp.exp(1j * theta)
         n = auto_trunc(mp.sin(theta), prec)
-        ph = CertValue(tau, abs(tau) * mpf(2) ** (4 - mp.prec))
+        ph = iv_ball(tau, abs(tau) * mpf(2) ** (4 - mp.prec))
         e2, e4, e6 = (separate_q_series(eisenstein(k, n), tau, EisensteinTail(k), prec)
                       for k in (2, 4, 6))
         d = separate_q_delta(tau, n, prec)
-        e2 = (ph * e2 + CertValue(mp.mpc(0, -3) / mp.pi, mpf(2) ** (4 - mp.prec))).as_real()
-        return (e2, (power_by_squaring(ph, 2) * e4).as_real(),
-                (power_by_squaring(ph, 3) * e6).as_real(),
-                (power_by_squaring(ph, 6) * d).as_real())
+        e2 = ph * e2 + iv_ball(mp.mpc(0, -3) / mp.pi, mpf(2) ** (4 - mp.prec))
+        return tuple(real_part(z) for z in (e2, power_by_squaring(ph, 2) * e4,
+                                            power_by_squaring(ph, 3) * e6,
+                                            power_by_squaring(ph, 6) * d))
 
 
 def separate_q_form(form, tau, prec):
     """The direct evaluation as it was: Delta, E_k' and j each with their own q."""
     fid = form.id
-    with workprec(prec + 12):
+    with iv_prec(prec + 12):
         n = auto_trunc(mp.im(tau), prec)
         dl = power_by_squaring(separate_q_delta(tau, n, prec), fid.ell)
         ek = separate_q_series(eisenstein(fid.kprime, n), tau, EisensteinTail(fid.kprime), prec)
         nj = max(n, int(1 / float(mp.im(tau)) ** 2) + 8)
         jv = separate_q_series(jfunction(nj), tau, JCoeffTail(), prec)
-        return dl * ek * complex_poly(form.faber.coeffs, jv.value, jv.err)
+        return dl * ek * complex_poly(form.faber.coeffs, *mid_rad(jv))
 
 
-def direct_eval_form(form, tau, prec: int = DEFAULT_PREC) -> CertValue:
-    """Certified g_{k,m}(tau) as the complex product Delta^ell E_k' F(j).
+def direct_eval_form(form, tau, prec: int = DEFAULT_PREC):
+    """Certified g_{k,m}(tau) as the complex product Delta^ell E_k' F(j), an iv.mpc.
 
     Delta from the eta product, E_k' and j from their q-series, all at
-    one q of the oracle's own (separate_q), and every factor a complex
-    CertValue; the huge cancellation between Delta^ell and F(j) is
-    absorbed by the unlimited exponent range.
+    one q of the oracle's own (separate_q), and every factor an iv.mpc;
+    the huge cancellation between Delta^ell and F(j) is absorbed by the
+    unlimited exponent range.
     """
     fid = form.id
-    with workprec(prec + _GUARD):
+    with iv_prec(prec + _GUARD):
         tau = mp.mpmathify(tau)
         y = mp.im(tau)
         q, pad = separate_q(tau)
         n = auto_trunc(y, prec)
-        dl = delta_at_q(q, pad, n, y).pow_int(fid.ell)
+        dl = delta_at_q(q, pad, n, y) ** fid.ell
         if fid.kprime:
             ek = series_at_q(eisenstein(fid.kprime, n), q, pad, EisensteinTail(fid.kprime), y)
         else:
-            ek = CertValue(mpf(1))
+            ek = iv.mpf(1)
         nj = max(n, int(1 / float(y) ** 2) + 8)
         jv = series_at_q(jfunction(nj), q, pad, JCoeffTail(), y)
-        return dl * ek * complex_poly(form.faber.coeffs, jv.value, jv.err)
+        return dl * ek * complex_poly(form.faber.coeffs, *mid_rad(jv))
 
 
 def direct_arc_form(form, p, prec: int = DEFAULT_PREC) -> CertValue:
-    """e^(i k theta / 2) g_{k,m}(e^(i theta)) through direct_eval_form."""
-    with workprec(prec + _GUARD):
+    """e^(i k theta / 2) g_{k,m}(e^(i theta)) through direct_eval_form, a real CertValue."""
+    with iv_prec(prec + _GUARD):
         theta = _theta_mpf(p)
         val = direct_eval_form(form, mp.exp(1j * theta), prec=prec)
-        return (oracle_phase(theta, form.id.k) * val).as_real()
+        return real_part(oracle_phase(theta, form.id.k) * val)
 
 
 @pytest.fixture(scope="session")

@@ -23,6 +23,7 @@ from millerzeros.certify import (
     _ARC_CLAIMS, _DEPTH, _arc_slopes, _bisect_claims, arc_eisenstein_bounds,
 )
 from millerzeros.evalnum import EisensteinTail, eval_abs, eval_series, j_tail_bound, modular_bounds
+from conftest import iv_pair, iv_prec, mid_rad
 from millerzeros.miller import IntPolynomial
 from millerzeros.qseries import eisenstein, jfunction
 from millerzeros.qseries import bernoulli
@@ -114,8 +115,8 @@ def test_certified_root_simple():
 def test_j_approx_reference_angle():
     with workprec(140):
         a = mp.sin(mpf("1.9"))
-        f19 = eval_series(jfunction(6), mpc(mp.cos(mpf("1.9")), a), None)
-        assert abs(f19.real().value - mpf("271.09885")) < 1e-3
+        f19, _ = eval_series(jfunction(6), mpc(mp.cos(mpf("1.9")), a), None)
+        assert abs(f19.value - mpf("271.09885")) < 1e-3
         assert j_tail_bound(6, a) < 4e-4
 
 
@@ -201,7 +202,7 @@ def test_j_difference_bounds_carry_no_floats():
         f19 = eval_series(jfunction(6), mpc(mp.cos(mpf(1.9)), a19), None)
     assert isinstance(err19, mpf)
     assert by_name["jdiff.approx-error-19"].computed == float(err19)
-    need = _exact(f19.err) + _exact(err19) + abs(_exact(f19.imag().value))
+    need = _exact(mid_rad(iv_pair(f19))[1]) + _exact(err19) + abs(_exact(f19[1].value))
     assert _exact(rep.j19.err) >= need
 
 
@@ -230,7 +231,7 @@ def test_abs_ends_take_a_real_ball_only():
     assert _abs_ends(CertValue(-2, 1)) == (1, 3)
     assert _abs_ends(CertValue(mpf("0.25"), 1)) == (0, Fraction(5, 4))
     with pytest.raises(TypeError):
-        _abs_ends(CertValue(mpc(1, 1)))
+        CertValue(mpc(1, 1))
 
 
 def test_residue_entries_all_satisfied():
@@ -493,24 +494,26 @@ def test_oscillation_takes_no_ball_arithmetic_and_forms_one_ball(monkeypatch):
 
 def test_table_check_values_match_separate_evaluations(monkeypatch):
     # at every grid point, modular_bounds' values against the rectangle route:
-    # E_4 and E_6 as two eval_series balls, Delta and j by CertValue powers
-    # and quotients.  Each disk bound lies inside the rectangle's enclosure
-    # and is at least as tight, and the two j disks meet
+    # E_4 and E_6 as the rectangles of two eval_series parts, Delta and j by
+    # mpmath.iv powers and quotients.  Each disk bound lies inside the
+    # rectangle's enclosure and is at least as tight, and the two j disks meet
     points = []
 
     def separate(tau):
         got = modular_bounds(tau)
         hi4, hi6, low, centre, radius = got
-        e4, e6 = (eval_series(eisenstein(k, 48), tau, EisensteinTail(k)) for k in (4, 6))
-        cube = e4.pow_int(3)
-        delta = (cube - e6.pow_int(2)) / 1728
-        jv = cube / delta
-        assert e4.abs_lower() <= hi4 <= e4.abs_upper()
-        assert e6.abs_lower() <= hi6 <= e6.abs_upper()
-        assert delta.abs_lower() <= low <= delta.abs_upper()
-        assert radius <= jv.err
+        e4, e6 = (iv_pair(eval_series(eisenstein(k, 48), tau, EisensteinTail(k))) for k in (4, 6))
+        with iv_prec():
+            cube = e4 ** 3
+            delta = (cube - e6 ** 2) / 1728
+            jv = cube / delta
+            moduli = [[mp.make_mpf(t) for t in abs(z)._mpi_] for z in (e4, e6, delta)]
+        for (lo, hi), bound in zip(moduli, (hi4, hi6, low)):
+            assert lo <= bound <= hi
+        assert radius <= mid_rad(jv)[1]
         with workprec(400):
-            assert abs(jv.value - centre) <= jv.err + radius
+            value, err = mid_rad(jv)
+            assert abs(value - centre) <= err + radius
         points.append(tau)
         return got
     shared = certify._table_numeric_check()
@@ -652,9 +655,10 @@ def test_line_maxima_enclose_the_maximum_within_budget(monkeypatch):
     assert all(e.satisfied for e in grid.values()) and len(grid) == 4
     for k, y, *_ in _LINE_CASES:
         e = grid[f"e{k}.line.{'065' if y == Fraction(13, 20) else '075'}.grid"]
-        with workprec(400):
-            at = [eval_series(eisenstein(k, 100), mp.mpc(mpf(i) / 100, mpf(y.numerator) / y.denominator),
-                              EisensteinTail(k), prec=400).abs_upper() for i in range(51)]
+        with iv_prec(400):
+            at = [mp.make_mpf(abs(iv_pair(eval_series(
+                eisenstein(k, 100), mp.mpc(mpf(i) / 100, mpf(y.numerator) / y.denominator),
+                EisensteinTail(k), prec=400)))._mpi_[1]) for i in range(51)]
         # every value lies under hi; lo sits below the sampled maximum
         assert e.computed - e.err <= max(at) <= e.computed + e.err
 

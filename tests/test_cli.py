@@ -281,8 +281,11 @@ def test_verify_bounds_takes_no_grid_step(capsys):
 
 # sha256 of every verify-bounds line, newline included, except the four
 # e*.line.*.grid entries, whose enclosures follow the segment evaluations of
-# the line claims; every other entry is pinned byte for byte
-VERIFY_BOUNDS_SHA256 = "76ce345b4ceb55a139d1af3b467bbd77213ea577e0e93e890fdd6db86b742221"
+# the line claims; every other entry is pinned byte for byte.  |Delta| read
+# off the eta product's disk (eval_delta_abs), not the modulus of a complex
+# rectangle, moved only the err of delta.at-i (3.85e-44 to 2.24e-44) and of
+# delta.at-rho (1.51e-43 to 6.45e-44) from the previous value 76ce345b...
+VERIFY_BOUNDS_SHA256 = "6cb58e4318cd9ab65488c8960ff350c2bb7ae8cd3324d0297b00a3246cd99269"
 
 
 def test_verify_bounds_golden_outside_the_line_claims(capsys):

@@ -115,6 +115,18 @@ def test_squarefree_part():
     assert len(real_root_census(poly_from_roots([3, 5]))[0]) == 2
 
 
+@pytest.mark.parametrize("top", [900, 1100])
+def test_real_root_census_splits_past_the_recursion_limit(top):
+    # (x - 1)(x - 2)(x - 2^top): the Cauchy interval, over 2^top wide, takes
+    # about top nested splits before 1 and 2 fall apart, past Python's
+    # 1,000-frame limit at 2^1100; each root gets its own cell, in order
+    roots = [1, 2, 2 ** top]
+    got, off = real_root_census(poly_from_roots(roots))
+    assert len(got) == 3 and off == {"real_outside": 1, "complex_pairs": 0}
+    for (a, b), r in zip(got, roots):
+        assert a < r < b and b - a <= ROOT_WIDTH
+
+
 @pytest.mark.parametrize("width", [Fraction(0), Fraction(-1)])
 def test_real_root_census_refuses_a_width_it_cannot_reach(width, form_48_1):
     # at width 0 the cells came back 95, 95 and 380 wide, and at -1 the
