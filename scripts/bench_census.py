@@ -9,9 +9,8 @@ its wall times (time.perf_counter) is recorded with every run.  One more
 untimed run records the census path the form took:
 
   direct   every isolating interval taken straight from its root's cell
-  cells    some cells bisected (zeros._bisect on a cell of [0, 1728])
-  bisect   zeros._bisect on the whole of [0, 1728]
-  sturm    zeros._sturm_census: the interlacing certificate failed
+  sturm    zeros._sturm_census: the interlacing certificate or the cells
+           failed, as for (34, 1), whose one root j = 432 is a grid point
 
 together with the sha256 of the report's JSON, so that two checkouts can
 be compared for identical output.  The result, with the environment
@@ -31,7 +30,7 @@ import benchlib  # puts this checkout's src/ first on sys.path
 from millerzeros import zeros
 from millerzeros.miller import miller_form
 
-FORMS = ((480, 1), (960, 1), (1200, 3), (1924, 1), (3840, 1))
+FORMS = ((34, 1), (480, 1), (960, 1), (1200, 3), (1924, 1), (3840, 1))
 
 
 def parse_forms(text: str) -> list:
@@ -42,22 +41,18 @@ def parse_forms(text: str) -> list:
 def census_path(form) -> tuple:
     """(path, sha256 of the report's JSON) from one traced zero_report run."""
     seen = []
-    bisect, sturm = zeros._bisect, zeros._sturm_census
-
-    def traced_bisect(sqf, count, lo, hi, width):
-        seen.append("bisect" if (lo, hi) == (0, 1728) else "cells")
-        return bisect(sqf, count, lo, hi, width)
+    sturm = zeros._sturm_census
 
     def traced_sturm(p):
         seen.append("sturm")
         return sturm(p)
 
-    zeros._bisect, zeros._sturm_census = traced_bisect, traced_sturm
+    zeros._sturm_census = traced_sturm
     try:
         rep = zeros.zero_report(form, with_arc=False)
     finally:
-        zeros._bisect, zeros._sturm_census = bisect, sturm
-    path = next((p for p in ("sturm", "bisect", "cells") if p in seen), "direct")
+        zeros._sturm_census = sturm
+    path = "sturm" if seen else "direct"
     digest = hashlib.sha256(json.dumps(rep.to_json_dict()).encode()).hexdigest()
     return path, digest
 

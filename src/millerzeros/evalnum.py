@@ -997,13 +997,13 @@ def _arc_form_at(form, p, prec: int, trunc_scale: int = 1) -> tuple:
 def arc_j(p, prec: int = DEFAULT_PREC) -> CertValue:
     """j(e^(i theta)) from its q-series with the j tail bound; real, 0 at rho.
 
-    The truncation n reaches past 1/sin^2 theta, where the tail estimate
-    starts to hold.  j = 1/q + sum_(0<=i<=n) c(i) q^i + tail is the arc
-    point's _partial_sum plus _j_tail_units, one ball from the units.
+    n = auto_trunc >= 24 lies past 1/sin^2 theta <= 4/3, where the tail
+    estimate starts to hold.  j = 1/q + sum_(0<=i<=n) c(i) q^i + tail is
+    the arc point's _partial_sum plus _j_tail_units, one ball from the units.
     """
     with workprec(prec + _GUARD):
         pt = _Point(_theta_mpf(p))
-        n = max(auto_trunc(pt.y, prec), int(1 / float(pt.y) ** 2) + 8)
+        n = auto_trunc(pt.y, prec)
         a, b, units = _partial_sum(qseries.jfunction(n), pt)
         return _units_ball(*_real_units(a, b, units + _j_tail_units(n, pt), pt.P), pt.P)
 

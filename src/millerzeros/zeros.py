@@ -5,8 +5,8 @@ Two mechanisms see every zero:
   * the exact census of the Faber polynomial F over the rationals,
     deflated at 0 and 1728, which decides "all roots real, simple,
     inside [0, 1728]" as a theorem-grade statement: an interlacing
-    certificate first (_interlaced_census), a Sturm chain only when it
-    fails (_sturm_census); a failure never means a zero off the arc.
+    certificate and guessed cells first (_interlaced_census), Sturm on any
+    miss (_sturm_census); a miss never means a zero off the arc.
   * certified sign changes of F inside the j-image of the angle
     intervals between the samples where h(theta) = k theta / 2 + 2 pi m
     cos theta crosses multiples of pi, each a zero of
@@ -20,25 +20,21 @@ of the arc brackets must land in the Faber isolating intervals, and the
 valence formula must reconcile exactly; both checks are assembled into a
 ZeroReport.
 
-Isolating intervals are the leaves of bisection on a dyadic grid of an
-interval with no root at an end (_bisect): zero_report's [0, 1728] and
-real_root_census's Cauchy bound.  Under the certificate each leaf comes
-straight from a double guess of its root, accepted on exact signs
-(_root_cells); otherwise the certificate's gaps (_gap_counter) or a
-Sturm chain (_chain_counter) count roots for the bisection.  Every sign
-is one integer Horner loop, IntPolynomial.sign_at, which only shifts at
-a dyadic point: a double, a grid point, a libmp end.
+Isolating intervals are the leaves of bisection, counted by a Sturm chain,
+on a dyadic grid of an interval with no root at an end (_bisect):
+zero_report's [0, 1728] and real_root_census's Cauchy bound.  Under the
+certificate each leaf comes straight from a double guess of its root,
+accepted on exact signs (_root_cells); on any miss Sturm decides.  Every
+sign is one integer Horner loop, IntPolynomial.sign_at, which only
+shifts at a dyadic point: a double, a grid point, a libmp end.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 
 from mpmath import mp, mpf
 from mpmath.libmp import (from_float, from_man_exp, mpf_abs, mpf_add, mpf_cos_sin, mpf_div,
@@ -169,18 +165,30 @@ def _safe_point(q: IntPolynomial, a: tuple, b: tuple) -> tuple:
     raise ArithmeticError("could not find a root-free bisection point")
 
 
-def _chain_counter(chain: list, lo: Fraction, hi: Fraction):
-    """Distinct real roots in (a, b] for grid points a < b of [lo, hi].
+def _bisect(chain: list, lo: Fraction, hi: Fraction, width: Fraction) -> list:
+    """Isolating intervals below width for the roots in (lo, hi) of chain[0],
+    chain its Sturm chain, neither end a root (ArithmeticError otherwise).
 
-    Every chain polynomial is mapped once to [0, 1] by IntPolynomial.affine;
-    each point's sign changes are computed once, cached under its place t
-    in [0, 1].  Sturm's count does not change beyond every root, so a
-    point beyond +-B = +-_root_power(chain[0]) is clipped to it, where the
-    chain is evaluated once.
+    Every chain polynomial is mapped once onto [0, 1] (IntPolynomial.affine);
+    every point visited is a grid point t = n / 2^e there, the midpoint of
+    its interval or, when that is a root, the first of mid + i (b - a) / 2048
+    that is not.  Sturm's count of the roots in (a, b] takes each point's
+    sign changes once; it does not change beyond every root, so a point
+    beyond +-B = +-_root_power(chain[0]) is clipped to it, where the chain
+    is evaluated once, and a midpoint there takes no sign.  An interval with
+    one root is bisected on the sign of chain[0] alone until (n_b - n_a)
+    w_den <= w_num 2^e, w = width / (hi - lo).  Intervals with more roots
+    are split on an explicit stack, left half first, so the leaves come out
+    in order at any depth of splitting.
     """
     mapped = [c.affine(lo, hi) for c in chain]
+    q = mapped[0]
+    if q.sign_at(0) == 0 or q.sign_at(1) == 0:
+        raise ArithmeticError(f"an end of [{lo}, {hi}] is a root")
+    span = hi - lo
+    w = width / span
     bound = _root_power(chain[0])
-    below, above = ((x - lo) / (hi - lo) for x in (-bound, bound))
+    below, above = ((x - lo) / span for x in (-bound, bound))
     seen = {}
 
     def changes(pt: tuple) -> int:
@@ -189,62 +197,10 @@ def _chain_counter(chain: list, lo: Fraction, hi: Fraction):
             seen[t] = _changes(c.sign_at(t.numerator, t.denominator) for c in mapped)
         return seen[t]
 
-    return lambda a, b: changes(a) - changes(b)
-
-
-def _gap_counter(p: IntPolynomial, xs: list, signs: list, lo: Fraction, hi: Fraction):
-    """Roots of p in (a, b] for grid points a < b of [lo, hi], from
-    _interlaced_census' certificate: p's signs at the falling points xs.
-
-    p's roots are then simple, one in each gap of xs whose end signs
-    differ and none elsewhere.  A point t in such a gap (x, y), x < y, has
-    that root at or below it exactly when p's sign at t is not p's sign at
-    x: one sign_at per point, cached under (n, e).
-    """
-    span = hi - lo
-    cuts, up = xs[::-1], signs[::-1]
-    below = list(accumulate((s != r for s, r in zip(up, up[1:])), initial=0))
-    seen = {}
-
-    def roots_to(pt: tuple) -> int:
-        if pt not in seen:
-            x = lo + span * Fraction(pt[0], 1 << pt[1])
-            i = bisect_right(cuts, x) - 1
-            n = below[i]
-            if i + 1 < len(cuts) and up[i] != up[i + 1] and _sign(p, x) != up[i]:
-                n += 1
-            seen[pt] = n
-        return seen[pt]
-
-    return lambda a, b: roots_to(b) - roots_to(a)
-
-
-def _bisect(sqf: IntPolynomial, count, lo: Fraction, hi: Fraction, width: Fraction) -> list:
-    """Isolating intervals below width for the roots of sqf in (lo, hi).
-
-    count(a, b) is the number of roots of sqf in (a, b] for grid points
-    a < b: _chain_counter or _gap_counter on [lo, hi].  Neither end may be
-    a root of sqf (ArithmeticError otherwise).  [lo, hi] is mapped once
-    onto [0, 1] (IntPolynomial.affine); every point visited is a grid
-    point t = n / 2^e there, the midpoint of its interval or, when that is
-    a root of sqf, the first of mid + i (b - a) / 2048 that is not.  A
-    midpoint beyond +-_root_power(sqf) holds no root and takes no sign.
-    An interval with one root is bisected on the sign of sqf alone until
-    (n_b - n_a) w_den <= w_num 2^e, w = width / (hi - lo).  The intervals
-    with more roots are split on an explicit stack, left half first, so
-    the leaves come out in order at any depth of splitting.
-    """
-    q = sqf.affine(lo, hi)
-    if q.sign_at(0) == 0 or q.sign_at(1) == 0:
-        raise ArithmeticError(f"an end of [{lo}, {hi}] is a root")
-    span = hi - lo
-    w = width / span
-    bound = _root_power(sqf)
-    below, above = ((x - lo) / span for x in (-bound, bound))
     out, stack = [], [((0, 0), (1, 0))]
     while stack:
         a, b = stack.pop()
-        roots = count(a, b)
+        roots = changes(a) - changes(b)
         if roots == 0:
             continue
         if roots == 1:
@@ -273,15 +229,16 @@ def real_root_census(p: IntPolynomial, width: Fraction = ROOT_WIDTH) -> tuple:
 
     Both come from one Sturm chain of p's square-free part: the intervals
     from bisection on the Cauchy bound, the counts as real_outside and
-    complex_pairs.  A width <= 0, which no interval reaches, raises
-    ValueError.
+    complex_pairs.  A width <= 0, which no interval reaches, and the zero
+    polynomial, which every real number is a root of, raise ValueError.
     """
     if width <= 0:
         raise ValueError(f"isolating width must be positive, got {width}")
+    if p.degree < 0:
+        raise ValueError("every real number is a root of the zero polynomial")
     sqf, chain = _squarefree_chain(p)
     b = cauchy_bound(p)
-    return (_bisect(sqf, _chain_counter(chain, -b, b), -b, b, width),
-            _count_off(sqf, chain, Fraction(0), Fraction(1728)))
+    return _bisect(chain, -b, b, width), _count_off(sqf, chain, Fraction(0), Fraction(1728))
 
 
 def _count_off(sqf: IntPolynomial, chain: list, lo: Fraction, hi: Fraction) -> dict:
@@ -652,8 +609,8 @@ def _sturm_census(p: IntPolynomial) -> tuple:
         return [], {"real_outside": 0, "complex_pairs": 0}, 0
     sqf, chain = _squarefree_chain(p)
     lo, hi = Fraction(0), Fraction(1728)
-    return (_bisect(sqf, _chain_counter(chain, lo, hi), lo, hi, ROOT_WIDTH),
-            _count_off(sqf, chain, lo, hi), p.degree - sqf.degree)
+    return (_bisect(chain, lo, hi, ROOT_WIDTH), _count_off(sqf, chain, lo, hi),
+            p.degree - sqf.degree)
 
 
 def _interlaced_census(p: IntPolynomial, fid: FormId) -> tuple | None:
@@ -666,7 +623,7 @@ def _interlaced_census(p: IntPolynomial, fid: FormId) -> tuple | None:
     proof of _separated_signs with v_i = u_i); a wrong double only breaks
     the certificate.  Newton (_secular_roots) starts in each gap at the
     zero of 2 cos h, h = (n + 1/2) pi (Rankin and Swinnerton-Dyer), and
-    _root_cells makes its guesses _bisect's leaves.
+    _root_cells makes its guesses _bisect's leaves, or fails (None).
     """
     h = HFunction(fid.k, fid.m)
     if not h.monotone:
@@ -681,8 +638,8 @@ def _interlaced_census(p: IntPolynomial, fid: FormId) -> tuple | None:
     ts = [math.pi / 2] + [t for _, t in angles] + [2 * math.pi / 3]
     starts = [arc_j_float(h.solve((math.floor(n) + 0.5) * math.pi, (s + t) / 2))
               for n, s, t in zip([fid.k / 4] + [n for n, _ in angles], ts, ts[1:])]
-    guesses = _secular_roots(xs, values, starts, float(ROOT_WIDTH) / (1 << 20))
-    return _root_cells(p, xs, signs, guesses), {"real_outside": 0, "complex_pairs": 0}, 0
+    cells = _root_cells(p, _secular_roots(xs, values, starts, float(ROOT_WIDTH) / (1 << 20)))
+    return None if cells is None else (cells, {"real_outside": 0, "complex_pairs": 0}, 0)
 
 
 def _secular_roots(xs: list, values: list, starts: list, tol) -> list:
@@ -724,32 +681,40 @@ def _secular_roots(xs: list, values: list, starts: list, tol) -> list:
     return out
 
 
-def _root_cells(p: IntPolynomial, xs: list, signs: list, guesses: list) -> list:
-    """_bisect's leaves on [0, 1728] for p under the certificate (xs, signs),
-    from a guess of each root.
+def _root_cells(p: IntPolynomial, guesses: list) -> list | None:
+    """_bisect's leaves on [0, 1728] for the roots of p from a double guess
+    of each, or None.
 
-    A guess names the grid cell of the first depth of width <= ROOT_WIDTH.
-    Deg p distinct cells with nonzero, opposite exact end signs hold one
-    root each, strictly inside, so no point of the bisection tree is a root
-    and the cells are its leaves.  A cell with two guesses or no sign
-    change is bisected alone; if an end sign is 0 or fewer than deg p
-    roots are found, [0, 1728] is.
+    Each sorted guess takes the dyadic cell 1728 [c, c + 1] / 2^d at the
+    first depth d >= D (2^-D <= ROOT_WIDTH / 1728 < 2^(1-D)) where it
+    differs from both neighbours' cells, c exact so that its cells nest;
+    equal guesses give None.  Deg p cells in [0, 1728] with nonzero,
+    opposite exact end signs are disjoint and hold one root each, simple
+    and strictly inside, so no root is a grid point of depth up to its
+    cell's, nor a point of the bisection tree; its leaf there is its first
+    cell of depth >= D with no other root.  That is its guess's cell: the
+    parent of a cell deeper than D holds a neighbour's guess, so that
+    neighbour's cell and root.
     """
-    lo, hi = Fraction(0), Fraction(1728)
-    grid = 1 << (math.ceil(hi / ROOT_WIDTH) - 1).bit_length()     # cell c: 1728 [c, c + 1] / grid
-    cells = Counter(int(x * grid / 1728) for x in guesses)
-    ends = {c: p.sign_at(1728 * c, grid) for cell in cells for c in (cell, cell + 1)}
+    xs = sorted(guesses)
+    if len(xs) != p.degree or not 0 <= xs[0] <= xs[-1] < 1728:
+        return None
+    top = (math.ceil(1728 / ROOT_WIDTH) - 1).bit_length()
+    ratios = [(n, 1728 * den) for n, den in (x.as_integer_ratio() for x in xs)]
+    parts = [top] * (len(xs) + 1)      # parts[i]: the depth where guesses i - 1 and i part
+    for i in range(1, len(xs)):
+        if xs[i - 1] == xs[i]:
+            return None
+        (a, da), (b, db) = ratios[i - 1], ratios[i]
+        while (a << parts[i]) // da == (b << parts[i]) // db:
+            parts[i] += 1
     out = []
-    for c, n in sorted(cells.items()):
-        a, b = Fraction(1728 * c, grid), Fraction(1728 * (c + 1), grid)
-        if ends[c] * ends[c + 1] == 0:
-            break
-        out += ([(a, b)] if n == 1 and ends[c] != ends[c + 1]
-                else _bisect(p, _gap_counter(p, xs, signs, a, b), a, b, ROOT_WIDTH))
-    else:
-        if len(out) == p.degree:
-            return out
-    return _bisect(p, _gap_counter(p, xs, signs, lo, hi), lo, hi, ROOT_WIDTH)
+    for (n, den), d in zip(ratios, map(max, parts, parts[1:])):
+        c = (n << d) // den
+        if p.sign_at(1728 * c, 1 << d) * p.sign_at(1728 * (c + 1), 1 << d) >= 0:
+            return None
+        out.append((Fraction(1728 * c, 1 << d), Fraction(1728 * (c + 1), 1 << d)))
+    return out
 
 
 def zero_report(form: MillerForm, with_arc: bool = True) -> ZeroReport:
@@ -757,7 +722,7 @@ def zero_report(form: MillerForm, with_arc: bool = True) -> ZeroReport:
 
     The census deflates F at 0 and 1728, then tries _interlaced_census,
     whose leaves come from guessed cells that exact signs accept, and runs
-    _sturm_census only when that certificate fails.  with_arc=False
+    _sturm_census on any miss.  with_arc=False
     leaves arc_angles empty.  A form that arc_zero_localize does not
     sample (k <= 4 pi m) has arc_angles None; the exact census and the
     valence check still decide it.

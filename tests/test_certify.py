@@ -328,6 +328,33 @@ def test_assembled_line_caps(ledger_by_name):
         assert e.satisfied and e.claimed == pytest.approx(cap)
 
 
+# the ledger entries that certify each contour-table ingredient, in the
+# order of certify._INGREDIENTS: |E_4| and |E_6| on the arc and on the
+# line (caps), then the |Delta| minimum and the j separation (lower bounds)
+INGREDIENT_ENTRIES = {
+    label: ([f"e4.arc.upper-{label}"], [f"e6.arc.upper-{label}"],
+            [f"e4.line.{label}.assembled", f"e4.line.{label}.grid"],
+            [f"e6.line.{label}.assembled", f"e6.line.{label}.grid"],
+            [f"delta.line-{label}.lower"], [f"jdiff.sep-{label}"])
+    for label in ("075", "065")
+}
+
+
+def test_contour_table_ingredients_rest_on_satisfied_entries(ledger_by_name):
+    # a cap used in the table is no smaller, and a lower bound no larger,
+    # than the claim a satisfied entry certifies: 1.46 on e4.arc.upper-075,
+    # the line cap 6 against the certified 5.9, 0.007 and 176 exactly
+    assert set(INGREDIENT_ENTRIES) == set(certify._INGREDIENTS)
+    for label, ingredients in certify._INGREDIENTS.items():
+        assert len(ingredients) == len(INGREDIENT_ENTRIES[label]) == 6
+        for i, (value, names) in enumerate(zip(ingredients, INGREDIENT_ENTRIES[label])):
+            for name in names:
+                entry = ledger_by_name[name]
+                claim = certify._decimal(entry.claimed)
+                assert entry.satisfied, name
+                assert (value >= claim if i < 4 else value <= claim), (name, value, claim)
+
+
 def test_ledger_json_round_trip(ledger_entries):
     e = ledger_entries[0]
     d = json.loads(e.to_json())

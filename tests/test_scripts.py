@@ -118,8 +118,8 @@ def test_bench_census_help():
 
 def test_bench_census_records_paths_and_reports(tmp_path):
     # tiny weights: (48, 1) takes its cells directly, (34, 1) has its root
-    # j = 432 on the grid and bisects [0, 1728], and (132, 9) has a root
-    # below 0, so its certificate fails and Sturm decides
+    # j = 432 on the grid, so its cell fails, and (132, 9) has a root below
+    # 0, so its certificate fails; Sturm decides both
     done = run_script("bench_census.py", "--forms", "48:1,34:1,132:9", "--repeats", "2",
                       "--label", "smoke", "--outdir", str(tmp_path))
     assert done.returncode == 0, done.stderr
@@ -127,7 +127,7 @@ def test_bench_census_records_paths_and_reports(tmp_path):
     assert out["label"] == "smoke" and out["repeats"] == 2
     assert set(out["environment"]) >= {"cores", "python", "mpmath_backend"}
     assert [(f["k"], f["m"], f["path"]) for f in out["forms"]] == [
-        (48, 1, "direct"), (34, 1, "bisect"), (132, 9, "sturm")]
+        (48, 1, "direct"), (34, 1, "sturm"), (132, 9, "sturm")]
     for f in out["forms"]:
         text = json.dumps(zero_report(miller_form(f["k"], f["m"]), with_arc=False).to_json_dict())
         assert f["report_sha256"] == hashlib.sha256(text.encode()).hexdigest()

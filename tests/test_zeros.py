@@ -20,7 +20,7 @@ from conftest import direct_arc_form
 from millerzeros.zeros import (
     ROOT_WIDTH, InconclusiveSignError, TheoremViolationError, _exact, _j_ends,
     _separated_signs, _separators, _sign_change_inside,
-    _bisect, _chain_counter, _deflated, _interlaced_census, _reduced, _squarefree_chain,
+    _bisect, _deflated, _interlaced_census, _reduced, _squarefree_chain,
     _sturm_census, real_root_census,
     cauchy_bound, _root_power,
     HFunction, arc_zero_localize, refine_arc_zero, j_of_angle, _bisect_arc,
@@ -135,6 +135,15 @@ def test_real_root_census_refuses_a_width_it_cannot_reach(width, form_48_1):
         real_root_census(form_48_1.faber, width=width)
 
 
+@pytest.mark.parametrize("coeffs", [[0], [0, 0, 0]])
+def test_real_root_census_refuses_the_zero_polynomial(coeffs):
+    # every real number is a root; cauchy_bound raised ZeroDivisionError on it
+    with pytest.raises(ValueError, match="zero polynomial"):
+        real_root_census(IntPolynomial.make(coeffs))
+    assert real_root_census(IntPolynomial.make([5])) == ([], {"real_outside": 0,
+                                                              "complex_pairs": 0})
+
+
 @pytest.mark.parametrize("width", [0, -1e-5, 1e-20])
 def test_refine_arc_zero_refuses_a_width_it_cannot_reach(width, form_48_1):
     # 0 and a negative width are never reached; at 1e-20 the double
@@ -160,90 +169,147 @@ def test_sturm_isolate_simple_triple():
 
 def test_bisect_refuses_a_root_at_an_end():
     p = poly_from_roots([1, 4])
-    sqf, chain = _squarefree_chain(p)
+    _, chain = _squarefree_chain(p)
     for lo, hi in ((Fraction(1), Fraction(5)), (Fraction(0), Fraction(4))):
         with pytest.raises(ArithmeticError):
-            _bisect(sqf, _chain_counter(chain, lo, hi), lo, hi, ROOT_WIDTH)
-    lo, hi = Fraction(0), Fraction(5)
-    assert len(_bisect(sqf, _chain_counter(chain, lo, hi), lo, hi, ROOT_WIDTH)) == 2
+            _bisect(chain, lo, hi, ROOT_WIDTH)
+    assert len(_bisect(chain, Fraction(0), Fraction(5), ROOT_WIDTH)) == 2
 
 
 def _bisected(monkeypatch) -> list:
     """Record the interval (lo, hi) of each _bisect call."""
     calls, inner = [], zeros._bisect
 
-    def recorded(sqf, count, lo, hi, width):
+    def recorded(chain, lo, hi, width):
         calls.append((lo, hi))
-        return inner(sqf, count, lo, hi, width)
+        return inner(chain, lo, hi, width)
 
     monkeypatch.setattr(zeros, "_bisect", recorded)
     return calls
 
 
-def _certified(p, xs) -> tuple:
-    """(p's signs at the certificate points xs, the Sturm leaves on [0, 1728])."""
-    signs = [_sign_at(p, x) for x in xs]
-    assert 0 not in signs and zeros._changes(signs) == p.degree
-    lo, hi = Fraction(0), Fraction(1728)
-    return signs, _bisect(p, _chain_counter(_squarefree_chain(p)[1], lo, hi), lo, hi, ROOT_WIDTH)
+def _sturm_leaves(p) -> list:
+    """The leaves of bisection on a Sturm chain of p over [0, 1728]."""
+    return _bisect(_squarefree_chain(p)[1], Fraction(0), Fraction(1728), ROOT_WIDTH)
 
 
 # (x - 100)(x - 1000.5)(x - 1500): simple roots in distinct depth-20 cells
 SPREAD = IntPolynomial.make([-100, 1]) * IntPolynomial.make([-2001, 2]) * poly_from_roots([1500])
-SPREAD_XS = [Fraction(v) for v in (1728, 1200, 500, 0)]
+CELL = Fraction(1728, 2 ** 20)          # the depth-20 cell, the first of width <= ROOT_WIDTH
 
 
 def test_direct_cells_are_the_leaves_of_bisection(monkeypatch):
     # guesses in the right cells: every leaf is taken with no bisection at
     # all, and it is the one that bisection on a Sturm chain ends in
-    signs, want = _certified(SPREAD, SPREAD_XS)
+    want = _sturm_leaves(SPREAD)
     calls = _bisected(monkeypatch)
-    assert zeros._root_cells(SPREAD, SPREAD_XS, signs, [100.0001, 1000.5, 1499.9999]) == want
-    assert calls == [] and len(want) == 3
+    assert zeros._root_cells(SPREAD, [1499.9999, 100.0001, 1000.5]) == want
+    assert calls == [] and len(want) == 3 and all(b - a == CELL for a, b in want)
 
 
-def test_direct_cells_fail_acceptance_on_a_shifted_or_dropped_root(monkeypatch):
+def test_direct_cells_fail_acceptance_on_a_shifted_or_dropped_root(monkeypatch, form_48_1):
     # a guess one cell off, or one root without a guess, cannot account for
-    # deg p roots: [0, 1728] is bisected and the leaves are unchanged
-    signs, want = _certified(SPREAD, SPREAD_XS)
-    size = Fraction(1728, 2 ** 20)
+    # deg p roots: no cells; in zero_report Sturm then decides, as it would
+    # alone
+    for guesses in ([100.0001, 1000.5 + float(CELL), 1499.9999], [100.0001, 1499.9999]):
+        assert zeros._root_cells(SPREAD, guesses) is None
+    want, secular = _sturm_oracle(form_48_1), zeros._secular_roots
+    assert _census(zero_report(form_48_1, with_arc=False)) == want
     calls = _bisected(monkeypatch)
-    for guesses in ([100.0001, 1000.5 + float(size), 1499.9999], [100.0001, 1499.9999]):
-        assert zeros._root_cells(SPREAD, SPREAD_XS, signs, guesses) == want
-        assert calls[-1] == (0, 1728)
+    for spoil in (lambda g: [g[0] + float(CELL)] + g[1:], lambda g: g[:-1]):
+        monkeypatch.setattr(zeros, "_secular_roots", lambda *args: spoil(secular(*args)))
+        calls.clear()
+        assert _census(zero_report(form_48_1, with_arc=False)) == want
+        assert calls == [(0, 1728)]
 
 
 def test_direct_cells_decline_a_root_on_the_grid(monkeypatch):
     # 432 = 1728 / 4 is a grid point, so the guessed cell has the root at
-    # an end: its exact sign there is 0, and [0, 1728] is bisected; F_{34,1}
-    # is j - 432 and takes the same way through zero_report.  Bisection
-    # itself steps around grid roots, as at 3 and 5 on the Cauchy
-    # interval [-16, 16] of (x - 3)(x - 5)
-    p, xs = poly_from_roots([432, 1001]), [Fraction(v) for v in (1728, 800, 0)]
-    signs, want = _certified(p, xs)
-    calls = _bisected(monkeypatch)
-    assert zeros._root_cells(p, xs, signs, [432.0, 1001.0]) == want
-    assert calls == [(0, 1728)] and want[0][0] < 432 < want[0][1]
+    # an end: its exact sign there is 0, no cells are taken, and Sturm
+    # decides; F_{34,1} is j - 432 and takes the same way through
+    # zero_report.  Bisection itself steps around grid roots, as at 432 and
+    # at 3 and 5 on the Cauchy interval [-16, 16] of (x - 3)(x - 5)
+    p = poly_from_roots([432, 1001])
+    assert zeros._root_cells(p, [432.0, 1001.0]) is None
+    lo, hi = _sturm_leaves(p)[0]
+    assert lo < 432 < hi
     form = miller_form(34, 1)
     assert form.faber == poly_from_roots([432])
-    calls.clear()
+    assert _interlaced_census(form.faber, form.id) is None
+    calls = _bisected(monkeypatch)
     assert _census(zero_report(form, with_arc=False)) == _sturm_oracle(form)
     assert calls == [(0, 1728), (0, 1728)]
     got, _ = real_root_census(poly_from_roots([3, 5]))
     assert [lo < r < hi for (lo, hi), r in zip(got, (3, 5))] == [True, True]
 
 
-def test_two_roots_in_one_cell_bisect_that_cell_alone(monkeypatch):
-    # 100 and 100.0005 share a depth-20 cell, which is bisected below its
-    # ends as the tree would; the other root's cell is taken directly
+def test_two_roots_in_one_cell_take_the_next_depth(monkeypatch):
+    # 100 and 100.0005 share a depth-20 cell but not a depth-21 one: their
+    # leaves are depth-21 cells, taken with no bisection, and the other
+    # root keeps its depth-20 cell
     p = IntPolynomial.make([-200000, 2000]) * IntPolynomial.make([-200001, 2000]) \
         * poly_from_roots([1500])
-    xs = [Fraction(v) for v in (1728, 1000, Fraction(400001, 4000), 0)]
-    signs, want = _certified(p, xs)
+    want = _sturm_leaves(p)
     calls = _bisected(monkeypatch)
-    assert zeros._root_cells(p, xs, signs, [100.0, 100.0005, 1500.0]) == want
-    size, c = Fraction(1728, 2 ** 20), 100 * 2 ** 20 // 1728
-    assert len(want) == 3 and calls == [(size * c, size * (c + 1))]
+    assert zeros._root_cells(p, [100.0, 100.0005, 1500.0]) == want
+    assert calls == [] and [b - a for a, b in want] == [CELL / 2, CELL / 2, CELL]
+
+
+def test_root_cells_refuse_equal_or_outlying_guesses():
+    # two equal guesses never part, and a guess off [0, 1728) names no cell
+    # of the tree; both give None, so Sturm decides
+    for guesses in ([100.0001, 100.0001, 1499.9999], [100.0001, 1000.5, 1728.0],
+                    [-1.0, 1000.5, 1499.9999]):
+        assert zeros._root_cells(SPREAD, guesses) is None
+
+
+def _is_cell(a: Fraction, b: Fraction) -> bool:
+    """Whether [a, b] is a dyadic cell 1728 [c, c + 1] / 2^d."""
+    w = (b - a) / 1728
+    return w.numerator == 1 and w.denominator & (w.denominator - 1) == 0 \
+        and (a / 1728 / w).denominator == 1
+
+
+# roots in (0, 1728): grid points 1728 c / 2^e, c odd, and rationals of small denominator
+GRID_ROOTS = st.builds(lambda e, c: Fraction(1728 * (2 * (c % 2 ** (e - 1)) + 1), 2 ** e),
+                       st.integers(1, 24), st.integers(0, 2 ** 23))
+PLAIN_ROOTS = st.builds(lambda n, d: Fraction(n % (1728 * d - 1) + 1, d),
+                        st.integers(0, 10 ** 6), st.integers(1, 37))
+# a root and a second one within a depth-20 cell of it, down to 2^-40 apart
+CLUSTERS = st.builds(lambda r, e, n: [r, r + Fraction(n, 2 ** e)], PLAIN_ROOTS,
+                     st.integers(10, 40), st.integers(1, 3)).filter(lambda rs: rs[1] < 1728)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.one_of(PLAIN_ROOTS.map(lambda r: [r]), GRID_ROOTS.map(lambda r: [r]), CLUSTERS),
+                min_size=1, max_size=4),
+       st.sampled_from(["exact", "shift", "scale", "drop", "duplicate"]),
+       st.integers(0, 7), st.integers(-3, 3))
+def test_root_cells_are_the_sturm_leaves_or_none(groups, spoil, index, step):
+    """_root_cells on guesses of the roots, exact as doubles or spoiled, is
+    None or exactly the leaves of bisection on a Sturm chain; when every
+    leaf is a dyadic cell holding its guess strictly inside, it is those
+    leaves."""
+    roots = sorted(set(r for g in groups for r in g))
+    p = IntPolynomial.make([1])
+    for r in roots:
+        p = p * IntPolynomial.make([-r.numerator, r.denominator])
+    guesses = [float(r) for r in roots]
+    i = index % len(guesses)
+    if spoil == "shift":
+        guesses[i] += step * float(CELL)
+    elif spoil == "scale":
+        guesses[i] *= 1 + step * 2.0 ** -30
+    elif spoil == "drop":
+        del guesses[i]
+    elif spoil == "duplicate":
+        guesses.append(guesses[i])
+    want = _sturm_leaves(p)
+    got = zeros._root_cells(p, guesses)
+    assert got is None or got == want
+    if len(guesses) == len(want) and all(
+            _is_cell(a, b) and a < Fraction(g) < b for (a, b), g in zip(want, sorted(guesses))):
+        assert got == want
 
 
 RATIONALS = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9))
@@ -324,23 +390,32 @@ def test_root_power_lies_strictly_above_every_root(roots, c, lead):
     assert max(abs(r) for r in roots) < bound and c < bound ** 2
 
 
-def test_chain_counter_evaluates_no_chain_beyond_the_root_bound(monkeypatch):
-    # x^10 - 10^30 has its real roots at +-1000 and the Cauchy bound
-    # 10^30 + 1.  Sturm's count does not change beyond every root, so every
-    # point beyond -_root_power costs one chain evaluation in all, there
-    p = IntPolynomial.make([-10 ** 30] + [0] * 9 + [1])
+def test_bisect_evaluates_no_chain_beyond_the_root_bound(monkeypatch):
+    # (x + 1000)(x + 1001)(x^8 + 10^30) has its real roots at -1001 and
+    # -1000 and the Cauchy bound about 10^36, so counting splits [-b, 0] at
+    # -b / 2, -b / 4, ... far beyond -_root_power.  Sturm's count does not
+    # change beyond every root, so all those points cost one chain
+    # evaluation in all, there
+    p = poly_from_roots([-1000, -1001], extra=IntPolynomial.make([10 ** 30] + [0] * 7 + [1]))
     _, chain = _squarefree_chain(p)
-    b = cauchy_bound(p)
-    assert 1000 < _root_power(chain[0]) < 10 ** 4
-    counter = _chain_counter(chain, -b, b)
+    b, bound = cauchy_bound(p), _root_power(chain[0])
+    assert 1001 < bound < 10 ** 5 and b > 10 ** 35
+    below = (b - bound) / (2 * b)           # -bound's place in [0, 1]
     calls = []
     sign_at = IntPolynomial.sign_at
-    monkeypatch.setattr(IntPolynomial, "sign_at",
-                        lambda self, *args: calls.append(args) or sign_at(self, *args))
-    # the grid point 2^-k of [0, 1] stands for -b (1 - 2^(1-k)), below -1000 for 1 < k < 90
-    assert all(counter((0, 0), (1, k)) == 0 for k in range(2, 60))
-    assert len(calls) == len(chain)
-    assert counter((0, 0), (1, 0)) == 2 and counter((1, 2), (3, 2)) == 2
+
+    def recorded(self, *args):
+        calls.append((self.degree, Fraction(*args)))
+        return sign_at(self, *args)
+
+    monkeypatch.setattr(IntPolynomial, "sign_at", recorded)
+    got = _bisect(chain, -b, b, ROOT_WIDTH)
+    assert [lo < r < hi for (lo, hi), r in zip(got, (-1001, -1000))] == [True, True]
+    assert len(got) == 2
+    # chain[0] also takes the splitting signs; the rest count roots only
+    counted = [t for degree, t in calls if degree < p.degree]
+    assert len(counted) > len(chain)
+    assert [t for t in counted if t <= below] == [below] * (len(chain) - 1)
 
 
 def test_bisect_signs_no_split_beyond_the_root_bound(monkeypatch):
@@ -1064,16 +1139,29 @@ def _forbid_sturm(monkeypatch):
     monkeypatch.setattr(zeros, "sturm_chain", refuse)
 
 
-def test_census_matches_sturm_interval_for_interval():
+# the forms with ell <= 14 whose certificate holds but whose one Faber root
+# is a grid point, 216, 432, 648, 864 or 1080, so _root_cells declines
+GRID_ROOT_FORMS = [(34, 1), (48, 3), (50, 2), (64, 4), (80, 5), (142, 10), (156, 12),
+                   (158, 11), (172, 13)]
+
+
+def test_census_matches_sturm_interval_for_interval(monkeypatch):
     # every form with ell <= 14, every m, then two larger ones
-    misses = []
+    misses, grid_roots, cells = [], [], []
+    inner = zeros._root_cells
+    monkeypatch.setattr(zeros, "_root_cells", lambda *args: cells.append(inner(*args)) or cells[-1])
     forms = [f for k in SWEEP_WEIGHTS for f in miller_basis(k)]
     for form in forms + [miller_form(480, 1), miller_form(720, 2)]:
         deflated = _deflated(form.faber)[2]
+        cells.clear()
         if deflated.degree > 0 and _interlaced_census(deflated, form.id) is None:
-            misses.append((form.id.k, form.id.m))
+            (grid_roots if cells else misses).append((form.id.k, form.id.m))
         assert _census(zero_report(form, with_arc=False)) == _sturm_oracle(form)
     assert len(forms) == 630 and misses == CERTIFICATE_MISSES
+    assert grid_roots == GRID_ROOT_FORMS
+    for k, m in GRID_ROOT_FORMS:
+        faber = miller_form(k, m).faber
+        assert faber.degree == 1 and faber.coeffs[0] % 216 == 0
 
 
 def test_certified_census_builds_no_chain(monkeypatch, form_48_1):
