@@ -367,11 +367,13 @@ def j_difference_bounds() -> JDifferenceReport:
                                     CertValue(err19), 4e-4))
         entries.append(_entry_value("jdiff.ref19", "Re f_{6,sin 1.9}(cos 1.9)",
                                     f19, 271.09885, 1e-3))
+        # j decreases on the arc: the enclosures either side of 19/10 bound j(e^{1.9i})
+        left, right = arc_j(1.9), arc_j(math.nextafter(1.9, math.inf))
         entries.append(_entry_flag("jdiff.j19-window", "271 <= j(e^{1.9i}) <= 272",
-                                   271 < _lower(j19) and _upper(j19) < 272))
+                                   271 < _lower(right) and _upper(left) < 272))
         entries.append(_entry_agree("jdiff.j19-cross-route",
                                     "arc evaluation agrees with the line approximation",
-                                    arc_j(1.9), j19))
+                                    left, j19))
 
         mono = monotonicity_certificate_075()
         mag = magnitude_certificate_065()

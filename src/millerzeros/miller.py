@@ -173,7 +173,7 @@ class IntPolynomial:
         Each elimination step scales by |lc(other)| / g, never by a
         negative number, so the result has the signs of the rational
         remainder everywhere: one step of a primitive remainder sequence
-        (Collins 1967), as a Sturm chain needs it.
+        (Collins 1967), whose last nonzero term is the gcd.
         """
         b = other.coeffs
         lb, n = b[-1], len(b)

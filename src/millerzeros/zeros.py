@@ -5,8 +5,8 @@ Two mechanisms see every zero:
   * the exact census of the Faber polynomial F over the rationals,
     deflated at 0 and 1728, which decides "all roots real, simple,
     inside [0, 1728]" as a theorem-grade statement: an interlacing
-    certificate and guessed cells first (_interlaced_census), Sturm on any
-    miss (_sturm_census); a miss never means a zero off the arc.
+    certificate and guessed cells first (_interlaced_census), Descartes
+    isolation on any miss (_census); a miss never means a zero off the arc.
   * certified sign changes of F inside the j-image of the angle
     intervals between the samples where h(theta) = k theta / 2 + 2 pi m
     cos theta crosses multiples of pi, each a zero of
@@ -20,21 +20,23 @@ of the arc brackets must land in the Faber isolating intervals, and the
 valence formula must reconcile exactly; both checks are assembled into a
 ZeroReport.
 
-Isolating intervals are the leaves of bisection, counted by a Sturm chain,
-on a dyadic grid of an interval with no root at an end (_bisect):
-zero_report's [0, 1728] and real_root_census's Cauchy bound.  Under the
-certificate each leaf comes straight from a double guess of its root,
-accepted on exact signs (_root_cells); on any miss Sturm decides.  Every
-sign is one integer Horner loop, IntPolynomial.sign_at, which only
-shifts at a dyadic point: a double, a grid point, a libmp end.
+Isolating intervals are the leaves of bisection, counted by the roots that
+Descartes' rule isolates (_isolate), on a dyadic grid of an interval with
+no root at an end (_bisect): zero_report's [0, 1728] and
+real_root_census's Cauchy bound.  Under the certificate each leaf comes
+straight from a double guess of its root, accepted on exact signs
+(_root_cells).  Every sign is one integer Horner loop, IntPolynomial.sign_at,
+which only shifts at a dyadic point: a double, a grid point, a libmp end.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from mpmath import mp, mpf
 from mpmath.libmp import (from_float, from_man_exp, mpf_abs, mpf_add, mpf_cos_sin, mpf_div,
@@ -63,62 +65,32 @@ class TheoremViolationError(AssertionError):
 # exact polynomial tools
 
 
-def sturm_chain(p: IntPolynomial) -> list:
-    """Sturm sequence p, p', -rem, ... as primitive integer polynomials.
+def _squarefree(p: IntPolynomial) -> IntPolynomial:
+    """p / gcd(p, p'): p's roots, each simple; p itself when it is square-free.
 
-    Every remainder is a positive multiple of the rational one, so the
-    sign pattern at any point matches the classical chain.
+    The gcd is the last nonzero term of one primitive remainder sequence
+    p, p', rem, ... (IntPolynomial.rem), walked to its end and never
+    evaluated; a constant one leaves p as it is.
     """
-    chain = [p.primitive(), p.derivative().primitive()]
-    while chain[-1].degree > 0:
-        r = chain[-2].rem(chain[-1])
-        if r.degree < 0:
-            break
-        chain.append(-r)
-    return chain
+    g, r = p.primitive(), p.derivative().primitive()
+    while r.degree > 0:
+        g, r = r, g.rem(r)
+    return p if r.degree == 0 else p.exact_div(g).primitive()
 
 
-def _squarefree_chain(p: IntPolynomial) -> tuple:
-    """(square-free part of p, its Sturm chain) from one remainder sequence.
-
-    p's own chain ends in gcd(p, p') up to sign, so a square-free p needs
-    no second sequence; otherwise the part is p / gcd, possibly negated,
-    which moves no root and no sign-change count.
-    """
-    chain = sturm_chain(p)
-    if chain[-1].degree <= 0:
-        return p, chain
-    sqf = p.exact_div(chain[-1]).primitive()
-    return sqf, sturm_chain(sqf)
-
-
-def _changes(signs) -> int:
-    signs = [s for s in signs if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _changes(values) -> int:
+    """Sign changes along values, zeros skipped: of a polynomial's
+    coefficients (Descartes' rule of signs) or of its values at points."""
+    values = [v for v in values if v]
+    return sum(1 for a, b in zip(values, values[1:]) if (a > 0) != (b > 0))
 
 
 def _sign(p: IntPolynomial, x: Fraction) -> int:
     return p.sign_at(x.numerator, x.denominator)
 
 
-def _sign_changes(chain: list, x: Fraction) -> int:
-    return _changes(_sign(c, x) for c in chain)
-
-
-def _roots_in_closed(chain: list, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of chain[0] in [lo, hi], lo <= hi.
-
-    The sign-change count at a root equals the count just right of it,
-    so V(lo) - V(hi) counts (lo, hi] even when an end is a root.
-    """
-    return (_sign_changes(chain, lo) - _sign_changes(chain, hi)
-            + (_sign(chain[0], lo) == 0))
-
-
 def cauchy_bound(p: IntPolynomial) -> Fraction:
-    lead = abs(p.coeffs[-1])
-    m = max(abs(c) for c in p.coeffs[:-1]) if p.degree > 0 else 0
-    return 1 + Fraction(m, lead)
+    return 1 + Fraction(max(map(abs, p.coeffs[:-1]), default=0), abs(p.coeffs[-1]))
 
 
 def _root_power(p: IntPolynomial) -> Fraction:
@@ -129,6 +101,53 @@ def _root_power(p: IntPolynomial) -> Fraction:
     top = abs(lead).bit_length() - 1
     return Fraction(2) ** (1 + max((-((top - abs(c).bit_length()) // (p.degree - i))
                                     for i, c in enumerate(rest) if c), default=0))
+
+
+def _isolate(p: IntPolynomial) -> list:
+    """Every real root of the square-free p, ascending: (u, u) for a root u
+    found exactly, else (u, v), u < v, with p(u) p(v) < 0 and one root
+    inside.
+
+    Vincent-Collins-Akritas bisection (Collins and Akritas 1976; Rouillier
+    and Zimmermann 2004) on [-B, B], B = _root_power(p), whose first
+    halving is at 0.  The cell c + w [0, 1] carries q(t), a positive
+    multiple of p(c + w t); the sign changes of the coefficients of
+    (1 + t)^d q(1 / (1 + t)) exceed q's roots in (0, 1) by an even number
+    (Descartes).  A cell with none is dropped, one with one change and no
+    root at an end is kept, and any other is halved into 2^d q(t / 2) and
+    2^d q((1 + t) / 2), its midpoint kept when q is 0 there: three
+    IntPolynomial.affine maps, the first of q's coefficients reversed.
+    """
+    half, b = Fraction(1, 2), _root_power(p)
+    out, stack = [], [(p.affine(-b, b), -b, 2 * b)]
+    while stack:
+        q, c, w = stack.pop()
+        n = _changes(IntPolynomial.make(q.coeffs[::-1]).affine(1, 2).coeffs)
+        if n == 1 and q.coeffs[0] and sum(q.coeffs):
+            out.append((c, c + w))
+        elif n:
+            w /= 2
+            right = q.affine(half, 1)
+            if right.coeffs[0] == 0:
+                out.append((c + w, c + w))
+            stack += [(q.affine(0, half), c, w), (right, c + w, w)]
+    return sorted(out)
+
+
+def _roots_to(p: IntPolynomial, roots: list, x) -> int:
+    """How many of p's isolated roots (_isolate, disjoint and ascending)
+    lie at or below x: the intervals (u, v) with v <= x.
+
+    First the interval that holds x strictly inside, if one does, is
+    narrowed in roots to (u, x) or (x, v) by p's exact sign at x against
+    its sign at v, or to (x, x) when x is its root; every other interval
+    lies on one side of x, which takes no sign.
+    """
+    i = bisect_left(roots, x, key=itemgetter(1))
+    if i < len(roots) and roots[i][0] < x < roots[i][1]:
+        (u, v), s = roots[i], _sign(p, x)
+        roots[i] = (x, x) if s == 0 else (u, x) if s == _sign(p, v) else (x, v)
+    return bisect_right(roots, x, key=itemgetter(1))
 
 
 # Bisection runs on the dyadic grid of [0, 1]: a point is an integer pair
@@ -165,95 +184,85 @@ def _safe_point(q: IntPolynomial, a: tuple, b: tuple) -> tuple:
     raise ArithmeticError("could not find a root-free bisection point")
 
 
-def _bisect(chain: list, lo: Fraction, hi: Fraction, width: Fraction) -> list:
-    """Isolating intervals below width for the roots in (lo, hi) of chain[0],
-    chain its Sturm chain, neither end a root (ArithmeticError otherwise).
+def _bisect(p: IntPolynomial, roots: list, lo: Fraction, hi: Fraction, width: Fraction) -> list:
+    """Isolating intervals below width for the roots in (lo, hi) of the
+    square-free p, roots its isolated roots (_isolate), neither end a root
+    (ArithmeticError otherwise).
 
-    Every chain polynomial is mapped once onto [0, 1] (IntPolynomial.affine);
-    every point visited is a grid point t = n / 2^e there, the midpoint of
-    its interval or, when that is a root, the first of mid + i (b - a) / 2048
-    that is not.  Sturm's count of the roots in (a, b] takes each point's
-    sign changes once; it does not change beyond every root, so a point
-    beyond +-B = +-_root_power(chain[0]) is clipped to it, where the chain
-    is evaluated once, and a midpoint there takes no sign.  An interval with
-    one root is bisected on the sign of chain[0] alone until (n_b - n_a)
-    w_den <= w_num 2^e, w = width / (hi - lo).  Intervals with more roots
-    are split on an explicit stack, left half first, so the leaves come out
-    in order at any depth of splitting.
+    p is mapped once onto [0, 1] (IntPolynomial.affine); every point
+    visited is a grid point t = n / 2^e there, the midpoint of its interval
+    or, when that is a root, the first of mid + i (b - a) / 2048 that is
+    not.  (a, b] holds _roots_to(b) - _roots_to(a) roots.  No root lies
+    beyond +-B = +-_root_power(p), so a point there takes no sign, as a
+    midpoint nor as a count.  An interval with one root is bisected on the
+    sign of p alone until (n_b - n_a) w_den <= w_num 2^e, w = width /
+    (hi - lo).  Intervals with more roots are split on an explicit stack,
+    left half first, so the leaves come out in order at any depth of
+    splitting.
     """
-    mapped = [c.affine(lo, hi) for c in chain]
-    q = mapped[0]
+    q = p.affine(lo, hi)
     if q.sign_at(0) == 0 or q.sign_at(1) == 0:
         raise ArithmeticError(f"an end of [{lo}, {hi}] is a root")
-    span = hi - lo
+    span, bound = hi - lo, _root_power(p)
     w = width / span
-    bound = _root_power(chain[0])
     below, above = ((x - lo) / span for x in (-bound, bound))
-    seen = {}
 
-    def changes(pt: tuple) -> int:
-        t = min(max(Fraction(pt[0], 1 << pt[1]), below), above)
-        if t not in seen:
-            seen[t] = _changes(c.sign_at(t.numerator, t.denominator) for c in mapped)
-        return seen[t]
+    def count(pt: tuple) -> int:
+        return _roots_to(p, roots, lo + span * Fraction(pt[0], 1 << pt[1]))
 
     out, stack = [], [((0, 0), (1, 0))]
     while stack:
         a, b = stack.pop()
-        roots = changes(a) - changes(b)
-        if roots == 0:
-            continue
-        if roots == 1:
+        roots_in = count(b) - count(a)
+        if roots_in == 1:
             s_a = q.sign_at(a[0], 1 << a[1])
             while True:
                 na, nb, e = _common(a, b)
                 if (nb - na) * w.denominator <= w.numerator << e:
                     break
                 mid, s = _safe_point(q, a, b)
-                if s == s_a:
-                    a = mid
-                else:
-                    b = mid
+                a, b = (mid, b) if s == s_a else (a, mid)
             out.append(tuple(lo + span * Fraction(n, 1 << e) for n, e in (a, b)))
-            continue
-        na, nb, e = _common(a, b)
-        mid = _reduced(na + nb, e + 1)
-        if below < Fraction(na + nb, 2 << e) < above:
-            mid, _ = _safe_point(q, a, b)
-        stack += [(mid, b), (a, mid)]       # the left half is taken first
+        elif roots_in > 1:
+            na, nb, e = _common(a, b)
+            mid = _reduced(na + nb, e + 1)
+            if below < Fraction(na + nb, 2 << e) < above:
+                mid, _ = _safe_point(q, a, b)
+            stack += [(mid, b), (a, mid)]       # the left half is taken first
     return out
 
 
-def real_root_census(p: IntPolynomial, width: Fraction = ROOT_WIDTH) -> tuple:
-    """(isolating intervals of every real root of p, counts off [0, 1728]).
+def _census(p: IntPolynomial, lo: Fraction, hi: Fraction, width) -> tuple:
+    """(isolating intervals below width of p's roots in (lo, hi), counts
+    off [0, 1728], square-free defect) from one list of isolated roots of
+    p's square-free part.
 
-    Both come from one Sturm chain of p's square-free part: the intervals
-    from bisection on the Cauchy bound, the counts as real_outside and
-    complex_pairs.  A width <= 0, which no interval reaches, and the zero
-    polynomial, which every real number is a root of, raise ValueError.
+    real_outside counts the isolated roots outside [0, 1728] and
+    complex_pairs is (deg sqf - real roots) / 2.  width is taken as an
+    exact Fraction, which a float converts to exactly; a width <= 0,
+    which no interval reaches, raises ValueError.
     """
+    width = Fraction(width)
     if width <= 0:
         raise ValueError(f"isolating width must be positive, got {width}")
+    if p.degree <= 0:
+        return [], {"real_outside": 0, "complex_pairs": 0}, 0
+    sqf = _squarefree(p)
+    roots = _isolate(sqf)
+    inside = _roots_to(sqf, roots, 1728) - _roots_to(sqf, roots, 0) + (sqf.coeffs[0] == 0)
+    off = {"real_outside": len(roots) - inside, "complex_pairs": (sqf.degree - len(roots)) // 2}
+    return _bisect(sqf, roots, lo, hi, width), off, p.degree - sqf.degree
+
+
+def real_root_census(p: IntPolynomial, width: Fraction = ROOT_WIDTH) -> tuple:
+    """(isolating intervals of every real root of p, counts off [0, 1728]):
+    _census on the Cauchy bound.  The zero polynomial, which every real
+    number is a root of, and a width <= 0 raise ValueError.
+    """
     if p.degree < 0:
         raise ValueError("every real number is a root of the zero polynomial")
-    sqf, chain = _squarefree_chain(p)
     b = cauchy_bound(p)
-    return _bisect(chain, -b, b, width), _count_off(sqf, chain, Fraction(0), Fraction(1728))
-
-
-def _count_off(sqf: IntPolynomial, chain: list, lo: Fraction, hi: Fraction) -> dict:
-    """Distinct real roots of sqf outside [lo, hi], and its complex pairs.
-
-    sqf has V(-inf) - V(+inf) distinct real roots: the sign changes of the
-    chain's leading coefficients, each negated at -inf for an odd degree.
-    """
-    if sqf.degree <= 0:
-        return {"real_outside": 0, "complex_pairs": 0}
-    top = [1 if c.coeffs[-1] > 0 else -1 for c in chain]
-    total = _changes([-s if c.degree % 2 else s for s, c in zip(top, chain)]) - _changes(top)
-    inside = _roots_in_closed(chain, lo, hi)
-    return {"real_outside": total - inside,
-            "complex_pairs": (sqf.degree - total) // 2}
+    return _census(p, -b, b, width)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -602,19 +611,8 @@ def _deflated(p: IntPolynomial) -> tuple:
     return (*mults, p)
 
 
-def _sturm_census(p: IntPolynomial) -> tuple:
-    """(isolating intervals in (0, 1728), counts off [0, 1728], square-free
-    defect) of p, with no root at 0 or 1728, from one Sturm chain."""
-    if p.degree <= 0:
-        return [], {"real_outside": 0, "complex_pairs": 0}, 0
-    sqf, chain = _squarefree_chain(p)
-    lo, hi = Fraction(0), Fraction(1728)
-    return (_bisect(chain, lo, hi, ROOT_WIDTH), _count_off(sqf, chain, lo, hi),
-            p.degree - sqf.degree)
-
-
 def _interlaced_census(p: IntPolynomial, fid: FormId) -> tuple | None:
-    """_sturm_census's result from an interlacing certificate, or None.
+    """_census's result on [0, 1728] from an interlacing certificate, or None.
 
     The points xs are 1728, the least dyadic within 2^-20 relative of
     arc_j_float at each interior double_angles angle, and 0.  If they fall
@@ -632,8 +630,7 @@ def _interlaced_census(p: IntPolynomial, fid: FormId) -> tuple | None:
     xs = ([Fraction(1728)] + [_least_dyadic(x - x / 2 ** 20, x + x / 2 ** 20) or Fraction(x)
                               for x in (arc_j_float(t) for _, t in angles)] + [Fraction(0)])
     values = [p.scaled_at(x.numerator, x.denominator) for x in xs]
-    signs = [(v > 0) - (v < 0) for v in values]
-    if 0 in signs or _changes(signs) != p.degree or any(x <= y for x, y in zip(xs, xs[1:])):
+    if 0 in values or _changes(values) != p.degree or any(x <= y for x, y in zip(xs, xs[1:])):
         return None
     ts = [math.pi / 2] + [t for _, t in angles] + [2 * math.pi / 3]
     starts = [arc_j_float(h.solve((math.floor(n) + 0.5) * math.pi, (s + t) / 2))
@@ -722,15 +719,15 @@ def zero_report(form: MillerForm, with_arc: bool = True) -> ZeroReport:
 
     The census deflates F at 0 and 1728, then tries _interlaced_census,
     whose leaves come from guessed cells that exact signs accept, and runs
-    _sturm_census on any miss.  with_arc=False
-    leaves arc_angles empty.  A form that arc_zero_localize does not
-    sample (k <= 4 pi m) has arc_angles None; the exact census and the
-    valence check still decide it.
+    _census on [0, 1728] on any miss.  with_arc=False leaves arc_angles
+    empty.  A form that arc_zero_localize does not sample (k <= 4 pi m)
+    has arc_angles None; the exact census and the valence check still
+    decide it.
     """
     fid = form.id
     mult0, mult1728, deflated = _deflated(form.faber)
     census = _interlaced_census(deflated, fid) if deflated.degree > 0 else None
-    inner, off, defect = census or _sturm_census(deflated)
+    inner, off, defect = census or _census(deflated, 0, 1728, ROOT_WIDTH)
     ti, trho = trivial_orders(fid.kprime)
     report = ZeroReport(
         id=fid,

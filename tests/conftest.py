@@ -7,7 +7,8 @@ evalnum.arc_form, which takes its real E_4/E_6 route instead; the
 exact q-series products raw_basis and reconstruct, faber_of's greedy
 q-domain reduction, the composed t-series reference_t_start, and the
 Ramanujan residuals, are the oracles of the Miller basis and the q-series
-layer.
+layer.  A Sturm chain, counted at every bisection point (sturm_census), is
+the oracle of zeros' Descartes isolation, its leaves and its counts.
 The oracles share no evaluation point with evalnum: each takes its own
 q = e^(2 pi i tau) and phases from mpmath's complex exp, with a 16-ulp
 pad, and runs only the kernel _horner and mpmath's complex interval
@@ -24,6 +25,7 @@ evalnum.arc_j, which forms its own tail in integers.
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 import pytest
@@ -36,6 +38,7 @@ from millerzeros.miller import (IntPolynomial, MillerForm, NotInSpaceError, _exa
 from millerzeros.qseries import (EISENSTEIN_FACTORS, FormId, QSeries, _monomial, _mul, _power,
                                  _pentagonal_euler_product, delta, eisenstein, jfunction)
 from millerzeros.certify import full_ledger
+from millerzeros.zeros import ROOT_WIDTH
 from millerzeros.evalnum import (DEFAULT_PREC, _GUARD, CertValue, EisensteinTail, EtaProductTail,
                                  NotRealError, TailUnboundedError, _fixed, _fixed_ends, _horner,
                                  _interval, _theta_mpf, auto_trunc, j_tail_bound)
@@ -184,6 +187,82 @@ def ramanujan_residuals(trunc: int) -> tuple:
     r2 = e4.differentiate() - (e2 * e4 - e6) * Fraction(1, 3)
     r3 = dl.differentiate() - e2 * dl
     return r1, r2, r3
+
+
+def sturm_chain(p: IntPolynomial) -> list:
+    """Sturm sequence p, p', -rem, ... as primitive integer polynomials.
+
+    Every remainder is a positive multiple of the rational one, so the
+    sign pattern at any point matches the classical chain.
+    """
+    chain = [p.primitive(), p.derivative().primitive()]
+    while chain[-1].degree > 0:
+        r = chain[-2].rem(chain[-1])
+        if r.degree < 0:
+            break
+        chain.append(-r)
+    return chain
+
+
+def squarefree_chain(p: IntPolynomial) -> tuple:
+    """(square-free part of p, its Sturm chain): p's chain ends in
+    gcd(p, p') up to sign, and the part is p / gcd, possibly negated."""
+    chain = sturm_chain(p)
+    if chain[-1].degree <= 0:
+        return p, chain
+    sqf = p.exact_div(chain[-1]).primitive()
+    return sqf, sturm_chain(sqf)
+
+
+def sturm_census(p: IntPolynomial, lo, hi, width=ROOT_WIDTH) -> tuple:
+    """zeros._census by Sturm's theorem: (the leaves below width of
+    bisection of (lo, hi), neither end a root, counts off [0, 1728],
+    square-free defect).
+
+    V(x), the sign changes of the square-free part's chain at x, counts
+    V(a) - V(b) roots in (a, b], and V(-inf) - V(+inf), read off the
+    leading coefficients, every real root.  The tree is zeros._bisect's
+    in rationals: the midpoint, or when that is a root the first of
+    mid + i (b - a) / 2048 that is not, splits an interval with more than
+    one root, left half first; one with one root is halved on the part's
+    sign until it is at most width wide.
+    """
+    if p.degree <= 0:
+        return [], {"real_outside": 0, "complex_pairs": 0}, 0
+    sqf, chain = squarefree_chain(p)
+
+    def sign(c, x):
+        return c.sign_at(x.numerator, x.denominator)
+
+    def changes(signs) -> int:
+        signs = [s for s in signs if s]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    @lru_cache(maxsize=None)
+    def v(x) -> int:
+        return changes(sign(c, x) for c in chain)
+
+    def split(a, b):
+        return next(x for x in ((a + b) / 2 + i * (b - a) / 2048 for i in range(32))
+                    if sign(sqf, x))
+
+    out, stack = [], [(Fraction(lo), Fraction(hi))]
+    while stack:
+        a, b = stack.pop()
+        if v(a) - v(b) == 1:
+            s_a = sign(sqf, a)
+            while b - a > width:
+                mid = split(a, b)
+                a, b = (mid, b) if sign(sqf, mid) == s_a else (a, mid)
+            out.append((a, b))
+        elif v(a) - v(b) > 1:
+            mid = split(a, b)
+            stack += [(mid, b), (a, mid)]
+    top = [1 if c.coeffs[-1] > 0 else -1 for c in chain]
+    real = changes(-s if c.degree % 2 else s for s, c in zip(top, chain)) - changes(top)
+    inside = v(Fraction(0)) - v(Fraction(1728)) + (sqf.coeffs[0] == 0)
+    return out, {"real_outside": real - inside,
+                 "complex_pairs": (sqf.degree - real) // 2}, p.degree - sqf.degree
 
 
 @contextmanager

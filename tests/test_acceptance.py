@@ -182,9 +182,10 @@ def test_criterion_08_cross_oracle(capsys):
     for k, m in CROSS_ORACLE_FORMS:
         form = miller_form(k, m)
         rep = zeros.zero_report(form)
-        # the Faber side from Sturm: zero_report's own census rests on the
-        # sample angles, as the arc side does
-        roots, off, defect = zeros._sturm_census(zeros._deflated(form.faber)[2])
+        # the Faber side from Descartes isolation alone: zero_report's own
+        # census rests on the sample angles, as the arc side does
+        roots, off, defect = zeros._census(zeros._deflated(form.faber)[2], 0, 1728,
+                                           zeros.ROOT_WIDTH)
         ok &= rep.valence_ok and not any(off.values()) and defect == 0
         ok &= len(rep.arc_angles) == len(roots)
         refined = [zeros.refine_arc_zero(form, lo, hi)

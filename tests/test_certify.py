@@ -188,6 +188,16 @@ def test_j_difference_bounds():
     assert all(e.satisfied for e in rep.entries)
 
 
+def test_j19_window_rests_on_the_arc_enclosures(monkeypatch):
+    # the window is decided on arc_j at the doubles either side of 19/10,
+    # not on the line route at a rounded point: arc enclosures of 300 turn
+    # it false, although the line route still reads about 271.1
+    monkeypatch.setattr(certify, "arc_j", lambda theta, *args: CertValue(300))
+    rep = j_difference_bounds()
+    assert 271 < rep.j19.value < 272
+    assert not {e.name: e for e in rep.entries}["jdiff.j19-window"].satisfied
+
+
 def test_j_difference_bounds_carry_no_floats():
     # the separations are exact rationals, the tail bounds mpf upper bounds,
     # and j19 is widened by Im f19 and the tail without rounding either down

@@ -116,22 +116,35 @@ def test_bench_census_help():
     assert "--repeats" in done.stdout and "--forms" in done.stdout
 
 
+# sha256 of repr(real_root_census(F)) at the script's ROOTS, as the Sturm
+# chain gave them
+ROOTS_SHA256 = {
+    (480, 1): "771c7c222d0a69b29f85c5202088da56cb6bd251e999eec324416ce4eb46cacb",
+    (600, 1): "750f4bf72fc0c4efed4e7a12876efd47749318d7d96dc40df339a05c7e290f13",
+}
+
+
 def test_bench_census_records_paths_and_reports(tmp_path):
     # tiny weights: (48, 1) takes its cells directly, (34, 1) has its root
     # j = 432 on the grid, so its cell fails, and (132, 9) has a root below
-    # 0, so its certificate fails; Sturm decides both
-    done = run_script("bench_census.py", "--forms", "48:1,34:1,132:9", "--repeats", "2",
+    # 0, so its certificate fails; _census decides both.  real_root_census
+    # runs at the script's ROOTS, (480, 1) and (600, 1), so one repeat
+    done = run_script("bench_census.py", "--forms", "48:1,34:1,132:9", "--repeats", "1",
                       "--label", "smoke", "--outdir", str(tmp_path))
     assert done.returncode == 0, done.stderr
     out = json.loads((tmp_path / "BENCH_smoke.json").read_text())
-    assert out["label"] == "smoke" and out["repeats"] == 2
+    assert out["label"] == "smoke" and out["repeats"] == 1
     assert set(out["environment"]) >= {"cores", "python", "mpmath_backend"}
     assert [(f["k"], f["m"], f["path"]) for f in out["forms"]] == [
-        (48, 1, "direct"), (34, 1, "sturm"), (132, 9, "sturm")]
+        (48, 1, "direct"), (34, 1, "census"), (132, 9, "census")]
     for f in out["forms"]:
         text = json.dumps(zero_report(miller_form(f["k"], f["m"]), with_arc=False).to_json_dict())
         assert f["report_sha256"] == hashlib.sha256(text.encode()).hexdigest()
-        assert len(f["runs_s"]) == 2 and min(f["runs_s"]) <= f["median_s"] <= max(f["runs_s"])
+        assert f["runs_s"] == [f["median_s"]]
+    assert [(f["k"], f["m"], f["degree"]) for f in out["roots"]] == [(480, 1, 39), (600, 1, 49)]
+    for f in out["roots"]:
+        assert f["roots_sha256"] == ROOTS_SHA256[f["k"], f["m"]]
+        assert f["runs_s"] == [f["median_s"]]
 
 
 def test_bench_ledger_help():

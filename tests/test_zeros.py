@@ -1,5 +1,5 @@
-"""Root census (interlacing certificate and Sturm), arc localization, valence
-accounting, distribution."""
+"""Root census (interlacing certificate and Descartes isolation, against a
+Sturm oracle), arc localization, valence accounting, distribution."""
 
 import dataclasses
 import hashlib
@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import mpf_cos_sin
 
@@ -16,12 +16,12 @@ from millerzeros.qseries import EISENSTEIN_FACTORS, FormId
 from millerzeros.evalnum import DEFAULT_PREC, arc_functions, arc_j
 from millerzeros import evalnum, zeros
 from millerzeros.miller import IntPolynomial, miller_basis, miller_form
-from conftest import direct_arc_form
+from conftest import direct_arc_form, squarefree_chain, sturm_census
 from millerzeros.zeros import (
     ROOT_WIDTH, InconclusiveSignError, TheoremViolationError, _exact, _j_ends,
     _separated_signs, _separators, _sign_change_inside,
-    _bisect, _deflated, _interlaced_census, _reduced, _squarefree_chain,
-    _sturm_census, real_root_census,
+    _bisect, _census, _deflated, _interlaced_census, _isolate, _reduced, _squarefree,
+    real_root_census,
     cauchy_bound, _root_power,
     HFunction, arc_zero_localize, refine_arc_zero, j_of_angle, _bisect_arc,
     trivial_orders, ZeroReport, zero_report, valence_reconcile,
@@ -110,8 +110,8 @@ def test_squarefree_part():
     got, off = real_root_census(p)
     assert len(got) == 2 and off == {"real_outside": 1, "complex_pairs": 0}
     assert got[0][0] < -2 < got[0][1] and got[1][0] < 1 < got[1][1]
-    sqf, _ = _squarefree_chain(p)
-    assert sqf.degree == 2 and sqf(1) == 0 and sqf(-2) == 0
+    sqf, want = _squarefree(p), squarefree_chain(p)[0]
+    assert sqf.degree == 2 and sqf(1) == 0 and sqf(-2) == 0 and sqf in (want, -want)
     assert len(real_root_census(poly_from_roots([3, 5]))[0]) == 2
 
 
@@ -133,6 +133,14 @@ def test_real_root_census_refuses_a_width_it_cannot_reach(width, form_48_1):
     # bisection never ended
     with pytest.raises(ValueError, match="width"):
         real_root_census(form_48_1.faber, width=width)
+
+
+def test_real_root_census_takes_a_float_width_exactly(form_48_1):
+    # a float width raised AttributeError deep in _bisect; it is now the
+    # exact Fraction of the double
+    got, off = real_root_census(form_48_1.faber, width=1e-3)
+    assert (got, off) == real_root_census(form_48_1.faber, width=Fraction(1e-3))
+    assert len(got) == 3 and all(hi - lo <= 1e-3 for lo, hi in got)
 
 
 @pytest.mark.parametrize("coeffs", [[0], [0, 0, 0]])
@@ -169,20 +177,21 @@ def test_sturm_isolate_simple_triple():
 
 def test_bisect_refuses_a_root_at_an_end():
     p = poly_from_roots([1, 4])
-    _, chain = _squarefree_chain(p)
+    roots = _isolate(p)
     for lo, hi in ((Fraction(1), Fraction(5)), (Fraction(0), Fraction(4))):
         with pytest.raises(ArithmeticError):
-            _bisect(chain, lo, hi, ROOT_WIDTH)
-    assert len(_bisect(chain, Fraction(0), Fraction(5), ROOT_WIDTH)) == 2
+            _bisect(p, roots, lo, hi, ROOT_WIDTH)
+    got = _bisect(p, roots, Fraction(0), Fraction(5), ROOT_WIDTH)
+    assert len(got) == 2 and got == sturm_census(p, 0, 5)[0]
 
 
 def _bisected(monkeypatch) -> list:
     """Record the interval (lo, hi) of each _bisect call."""
     calls, inner = [], zeros._bisect
 
-    def recorded(chain, lo, hi, width):
+    def recorded(p, roots, lo, hi, width):
         calls.append((lo, hi))
-        return inner(chain, lo, hi, width)
+        return inner(p, roots, lo, hi, width)
 
     monkeypatch.setattr(zeros, "_bisect", recorded)
     return calls
@@ -190,7 +199,7 @@ def _bisected(monkeypatch) -> list:
 
 def _sturm_leaves(p) -> list:
     """The leaves of bisection on a Sturm chain of p over [0, 1728]."""
-    return _bisect(_squarefree_chain(p)[1], Fraction(0), Fraction(1728), ROOT_WIDTH)
+    return sturm_census(p, 0, 1728)[0]
 
 
 # (x - 100)(x - 1000.5)(x - 1500): simple roots in distinct depth-20 cells
@@ -214,12 +223,12 @@ def test_direct_cells_fail_acceptance_on_a_shifted_or_dropped_root(monkeypatch, 
     for guesses in ([100.0001, 1000.5 + float(CELL), 1499.9999], [100.0001, 1499.9999]):
         assert zeros._root_cells(SPREAD, guesses) is None
     want, secular = _sturm_oracle(form_48_1), zeros._secular_roots
-    assert _census(zero_report(form_48_1, with_arc=False)) == want
+    assert _report_census(zero_report(form_48_1, with_arc=False)) == want
     calls = _bisected(monkeypatch)
     for spoil in (lambda g: [g[0] + float(CELL)] + g[1:], lambda g: g[:-1]):
         monkeypatch.setattr(zeros, "_secular_roots", lambda *args: spoil(secular(*args)))
         calls.clear()
-        assert _census(zero_report(form_48_1, with_arc=False)) == want
+        assert _report_census(zero_report(form_48_1, with_arc=False)) == want
         assert calls == [(0, 1728)]
 
 
@@ -237,8 +246,8 @@ def test_direct_cells_decline_a_root_on_the_grid(monkeypatch):
     assert form.faber == poly_from_roots([432])
     assert _interlaced_census(form.faber, form.id) is None
     calls = _bisected(monkeypatch)
-    assert _census(zero_report(form, with_arc=False)) == _sturm_oracle(form)
-    assert calls == [(0, 1728), (0, 1728)]
+    assert _report_census(zero_report(form, with_arc=False)) == _sturm_oracle(form)
+    assert calls == [(0, 1728)]
     got, _ = real_root_census(poly_from_roots([3, 5]))
     assert [lo < r < hi for (lo, hi), r in zip(got, (3, 5))] == [True, True]
 
@@ -310,6 +319,45 @@ def test_root_cells_are_the_sturm_leaves_or_none(groups, spoil, index, step):
     if len(guesses) == len(want) and all(
             _is_cell(a, b) and a < Fraction(g) < b for (a, b), g in zip(want, sorted(guesses))):
         assert got == want
+
+
+# roots for the census: grid points of [0, 1728], its ends, and rationals on either side
+CENSUS_ROOTS = st.one_of(GRID_ROOTS, st.sampled_from([Fraction(0), Fraction(1728)]),
+                         st.builds(Fraction, st.integers(-3000, 3000), st.integers(1, 9)))
+# (d x - n)^2 + 1: the complex pair (n +- i) / d, 1 / d off the real axis
+NEAR_PAIRS = st.builds(lambda n, d: IntPolynomial.make([n * n + 1, -2 * n * d, d * d]),
+                       st.integers(-3000, 3000), st.integers(1, 2 ** 40))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(CENSUS_ROOTS, st.integers(1, 3)), min_size=1, max_size=5),
+       st.lists(NEAR_PAIRS, max_size=2))
+@example([(Fraction(1), 1), (Fraction(2), 1), (Fraction(2 ** 1100), 1)], [])
+def test_census_equals_the_sturm_oracle(roots, pairs):
+    """real_root_census on the Cauchy interval and _census on [0, 1728],
+    with its ends deflated, give the Sturm oracle's intervals and counts:
+    roots at grid points and at 0, square factors (defect > 0), complex
+    pairs near the real axis, and the cluster 1, 2, 2^1100."""
+    p = IntPolynomial.make([1])
+    for r, mult in roots:
+        for _ in range(mult):
+            p = p * IntPolynomial.make([-r.numerator, r.denominator])
+    for pair in pairs:
+        p = p * pair
+    b = cauchy_bound(p)
+    assert real_root_census(p) == sturm_census(p, -b, b)[:2]
+    inner = _deflated(p)[2]
+    assert _census(inner, 0, 1728, ROOT_WIDTH) == sturm_census(inner, 0, 1728)
+
+
+# F(0) = 0 at the Cauchy interval's midpoint: (126, 9), (250, 19); a root
+# below 0: (132, 9); a complex pair: (258, 19), (300, 20)
+@pytest.mark.parametrize("k, m", [(48, 1), (124, 1), (240, 1), (126, 9), (132, 9), (250, 19),
+                                  (258, 19), (300, 20)])
+def test_real_root_census_equals_the_sturm_oracle_on_forms(k, m):
+    faber = miller_form(k, m).faber
+    b = cauchy_bound(faber)
+    assert real_root_census(faber) == sturm_census(faber, -b, b)[:2]
 
 
 RATIONALS = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9))
@@ -390,32 +438,30 @@ def test_root_power_lies_strictly_above_every_root(roots, c, lead):
     assert max(abs(r) for r in roots) < bound and c < bound ** 2
 
 
-def test_bisect_evaluates_no_chain_beyond_the_root_bound(monkeypatch):
+def test_bisect_takes_no_sign_beyond_the_root_bound(monkeypatch):
     # (x + 1000)(x + 1001)(x^8 + 10^30) has its real roots at -1001 and
     # -1000 and the Cauchy bound about 10^36, so counting splits [-b, 0] at
-    # -b / 2, -b / 4, ... far beyond -_root_power.  Sturm's count does not
-    # change beyond every root, so all those points cost one chain
-    # evaluation in all, there
+    # -b / 2, -b / 4, ... far beyond -_root_power.  No isolated root lies
+    # there, so none of those points takes a sign: beyond +-B only the
+    # ends' own two signs are taken
     p = poly_from_roots([-1000, -1001], extra=IntPolynomial.make([10 ** 30] + [0] * 7 + [1]))
-    _, chain = _squarefree_chain(p)
-    b, bound = cauchy_bound(p), _root_power(chain[0])
+    b, bound = cauchy_bound(p), _root_power(p)
     assert 1001 < bound < 10 ** 5 and b > 10 ** 35
-    below = (b - bound) / (2 * b)           # -bound's place in [0, 1]
-    calls = []
-    sign_at = IntPolynomial.sign_at
+    roots, want = _isolate(p), sturm_census(p, -b, b)[0]
+    signed, placed = [], []
+    sign_at, roots_to = IntPolynomial.sign_at, zeros._roots_to
 
-    def recorded(self, *args):
-        calls.append((self.degree, Fraction(*args)))
-        return sign_at(self, *args)
+    def recorded(self, a, d=1):
+        # p's own signs at x, or those of p mapped onto [0, 1] at t
+        signed.append(Fraction(a, d) if self == p else -b + 2 * b * Fraction(a, d))
+        return sign_at(self, a, d)
 
     monkeypatch.setattr(IntPolynomial, "sign_at", recorded)
-    got = _bisect(chain, -b, b, ROOT_WIDTH)
-    assert [lo < r < hi for (lo, hi), r in zip(got, (-1001, -1000))] == [True, True]
-    assert len(got) == 2
-    # chain[0] also takes the splitting signs; the rest count roots only
-    counted = [t for degree, t in calls if degree < p.degree]
-    assert len(counted) > len(chain)
-    assert [t for t in counted if t <= below] == [below] * (len(chain) - 1)
+    monkeypatch.setattr(zeros, "_roots_to", lambda *args: placed.append(args[2]) or roots_to(*args))
+    got = _bisect(p, roots, -b, b, ROOT_WIDTH)
+    assert got == want and [lo < r < hi for (lo, hi), r in zip(got, (-1001, -1000))] == [True, True]
+    assert len([x for x in placed if x < -bound]) > 100
+    assert [x for x in signed if abs(x) >= bound] == [-b, b]
 
 
 def test_bisect_signs_no_split_beyond_the_root_bound(monkeypatch):
@@ -1027,7 +1073,7 @@ def test_separator_at_an_exact_root_falls_back(monkeypatch, form_48_1, at):
 def test_cross_oracle_j_images(form_48_1):
     # refined arc zeros must land, under j, inside the Sturm intervals
     rep = zero_report(form_48_1)
-    roots = _sturm_census(_deflated(form_48_1.faber)[2])[0]
+    roots = sturm_census(_deflated(form_48_1.faber)[2], 0, 1728)[0]
     assert len(roots) == len(rep.arc_angles) == 3
     refined = [refine_arc_zero(form_48_1, lo, hi) for lo, hi in rep.arc_angles]
     images = [j_of_angle(iv) for iv in refined]
@@ -1114,7 +1160,7 @@ def test_zero_report_counterexample(form_132_9):
 
 
 # ---------------------------------------------------------------------------
-# the root census: interlacing certificate first, Sturm on its misses
+# the root census: interlacing certificate first, Descartes isolation on its misses
 
 SWEEP_WEIGHTS = sorted(12 * ell + kp for ell in range(1, 15) for kp in EISENSTEIN_FACTORS)
 
@@ -1124,19 +1170,19 @@ CERTIFICATE_MISSES = [(132, 9), (138, 10), (144, 10), (150, 11), (156, 11), (162
                       (168, 12), (174, 13)]
 
 
-def _census(rep) -> tuple:
+def _report_census(rep) -> tuple:
     return rep.faber_roots_in, rep.faber_roots_out, rep.squarefree_defect
 
 
 def _sturm_oracle(form) -> tuple:
     """The census by Sturm alone, every leaf by bisection: no certificate."""
-    return _sturm_census(_deflated(form.faber)[2])
+    return sturm_census(_deflated(form.faber)[2], 0, 1728)
 
 
-def _forbid_sturm(monkeypatch):
-    def refuse(p):
-        raise AssertionError("a Sturm chain was built")
-    monkeypatch.setattr(zeros, "sturm_chain", refuse)
+def _forbid_isolation(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the census isolated roots")
+    monkeypatch.setattr(zeros, "_census", refuse)
 
 
 # the forms with ell <= 14 whose certificate holds but whose one Faber root
@@ -1156,7 +1202,7 @@ def test_census_matches_sturm_interval_for_interval(monkeypatch):
         cells.clear()
         if deflated.degree > 0 and _interlaced_census(deflated, form.id) is None:
             (grid_roots if cells else misses).append((form.id.k, form.id.m))
-        assert _census(zero_report(form, with_arc=False)) == _sturm_oracle(form)
+        assert _report_census(zero_report(form, with_arc=False)) == _sturm_oracle(form)
     assert len(forms) == 630 and misses == CERTIFICATE_MISSES
     assert grid_roots == GRID_ROOT_FORMS
     for k, m in GRID_ROOT_FORMS:
@@ -1164,11 +1210,11 @@ def test_census_matches_sturm_interval_for_interval(monkeypatch):
         assert faber.degree == 1 and faber.coeffs[0] % 216 == 0
 
 
-def test_certified_census_builds_no_chain(monkeypatch, form_48_1):
-    want = _census(zero_report(form_48_1, with_arc=False))
-    _forbid_sturm(monkeypatch)
+def test_certified_census_runs_no_isolation(monkeypatch, form_48_1):
+    want = _report_census(zero_report(form_48_1, with_arc=False))
+    _forbid_isolation(monkeypatch)
     rep = zero_report(form_48_1, with_arc=False)
-    assert _census(rep) == want and rep.valence_ok
+    assert _report_census(rep) == want and rep.valence_ok
     assert rep.faber_roots_out == {"real_outside": 0, "complex_pairs": 0}
 
 
@@ -1195,11 +1241,11 @@ def test_census_deflates_boundary_roots_and_certifies(monkeypatch):
     # F = j (j - 1728) F_{60,1} in place of F_{84,1}, both of degree 6
     inner = miller_form(60, 1).faber
     form = dataclasses.replace(miller_form(84, 1), faber=poly_from_roots([0, 1728], extra=inner))
-    want = _census(zero_report(miller_form(60, 1), with_arc=False))
-    _forbid_sturm(monkeypatch)
+    want = _report_census(zero_report(miller_form(60, 1), with_arc=False))
+    _forbid_isolation(monkeypatch)
     rep = zero_report(form, with_arc=False)
     assert rep.boundary_mult == {0: 1, 1728: 1} and rep.valence_ok
-    assert _census(rep) == want and len(rep.faber_roots_in) == 4
+    assert _report_census(rep) == want and len(rep.faber_roots_in) == 4
 
 
 def test_swapped_separators_fail_the_certificate(monkeypatch, form_48_1):
